@@ -218,18 +218,27 @@ class AlgebraRealization:
         self._struct = None
 
     def _init_coordinatizer(self):
-        n2 = self.matrix_size_N * self.matrix_size_N
-        vecs = [[row for line in rows for row in line] for rows in self._basis_rows]
+        # The pivot positions of the flattened basis determine a matrix's
+        # coordinates: coords = inv * (entries at the pivots).  Both the
+        # inverse and the basis are mostly zero, so only their nonzero
+        # entries are kept, each with the matrix position it reads.
+        n = self.matrix_size_N
+        vecs = [[v for line in rows for v in line] for rows in self._basis_rows]
         work = [list(v) for v in vecs]
-        pivots = rref(work, n2)
+        pivots = rref(work, n * n)
         if len(pivots) != self.dim:
             raise ContractError("basis matrices are not linearly independent")
-        self._pivots = tuple(pivots)
         sub = Mat(self.dim, self.dim, [vecs[k][p] for p in pivots for k in range(self.dim)])
-        self._solve_inv = inverse(sub)
+        inv = inverse(sub).as_rows()
+        self._coord_terms = tuple(
+            tuple((p // n, p % n, c) for p, c in zip(pivots, line) if c) for line in inv
+        )
         pivot_set = set(pivots)
-        self._nonpivot = tuple(q for q in range(n2) if q not in pivot_set)
-        self._basis_vecs = vecs
+        self._nonpivot_terms = tuple(
+            (q // n, q % n, tuple((k, vec[q]) for k, vec in enumerate(vecs) if vec[q]))
+            for q in range(n * n)
+            if q not in pivot_set
+        )
 
     def _init_gram(self):
         data = []
@@ -271,17 +280,28 @@ class AlgebraRealization:
     def coords_of_rows(self, rows):
         """Coordinates of an N x N matrix (given as row lists) in the basis.
 
-        Raises ContractError when the matrix is not in the span.
+        Each coordinate is read off from the matrix entries at the basis
+        pivot positions, through the precomputed nonzero entries of the
+        inverse pivot block; zero matrix entries are skipped.  Every
+        non-pivot entry is then checked against the one the coordinates
+        predict, again summing only nonzero terms, so a matrix outside the
+        span raises ContractError.
         """
-        n = self.matrix_size_N
-        vec = [rows[p // n][p % n] for p in self._pivots]
-        coords = self._solve_inv.mul_vec(vec)
-        for q in self._nonpivot:
+        coords = []
+        for terms in self._coord_terms:
             acc = ZERO
-            for k, c in enumerate(coords):
+            for i, j, c in terms:
+                v = rows[i][j]
+                if v:
+                    acc += c * v
+            coords.append(acc)
+        for i, j, terms in self._nonpivot_terms:
+            acc = ZERO
+            for k, b in terms:
+                c = coords[k]
                 if c:
-                    acc += c * self._basis_vecs[k][q]
-            if acc != rows[q // n][q % n]:
+                    acc += c * b
+            if acc != rows[i][j]:
                 raise ContractError("matrix does not lie in the algebra")
         return coords
 
@@ -352,9 +372,19 @@ def build_algebra(family: str, rank_r: int, *, form_scale=ONE) -> AlgebraRealiza
 
 
 def _commutator_rows(a, b, n):
-    ab = _mul_rows(a, b)
-    ba = _mul_rows(b, a)
-    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
+    """ab - ba, accumulated into one output over the nonzero entries."""
+    a_nz = [[(j, v) for j, v in enumerate(row) if v] for row in a]
+    b_nz = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    out = _zero_rows(n)
+    for i in range(n):
+        oi = out[i]
+        for t, v in a_nz[i]:
+            for j, w in b_nz[t]:
+                oi[j] += v * w
+        for t, v in b_nz[i]:
+            for j, w in a_nz[t]:
+                oi[j] -= v * w
+    return out
 
 
 class Element:
@@ -363,7 +393,7 @@ class Element:
     __slots__ = ("algebra", "coords", "_rows")
 
     def __init__(self, algebra: AlgebraRealization, coords):
-        coords = tuple(Rat(c) for c in coords)
+        coords = tuple([c if type(c) is Rat else Rat(c) for c in coords])
         if len(coords) != algebra.dim:
             raise ContractError("coordinate length does not match the algebra dimension")
         self.algebra = algebra
@@ -508,7 +538,7 @@ class Subspace:
             f = residual[c]
             if f:
                 row = self.rows[r]
-                residual = [a - f * b for a, b in zip(residual, row)]
+                residual = [a - f * b if b else a for a, b in zip(residual, row)]
         return residual
 
     def contains(self, element: Element) -> bool:
@@ -523,7 +553,7 @@ class Subspace:
             out.append(f)
             if f:
                 row = self.rows[r]
-                residual = [a - f * b for a, b in zip(residual, row)]
+                residual = [a - f * b if b else a for a, b in zip(residual, row)]
         if any(v != 0 for v in residual):
             return None
         return tuple(out)

@@ -14,7 +14,8 @@ Exit codes: 0 all checks passed; 1 a check failed; 2 the orbit violates
 the spanning hypothesis (reported, not a failure); 3 usage error.  Output
 is JSON (default) or CSV, deterministic for a fixed seed; rationals are
 serialized as exact "p/q" strings.  NILAB_THREADS caps the number of
-worker processes a table sweep may use.
+worker processes a table sweep may use (an integer; the sweep also caps it
+at the number of orbits and of CPUs).
 """
 
 from __future__ import annotations
@@ -211,9 +212,17 @@ def _csv_rows(reports):
     return rows
 
 
+def _sweep_workers() -> int:
+    """Worker count from NILAB_THREADS (unset, empty or below 1: serial)."""
+    text = os.environ.get("NILAB_THREADS") or "1"
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ContractError(f"NILAB_THREADS must be an integer, got {text!r}") from None
+
+
 def _cmd_table(args) -> int:
-    workers = int(os.environ.get("NILAB_THREADS", "1") or "1")
-    reports = sweep(args.family, args.n, seed=args.seed, workers=max(1, workers))
+    reports = sweep(args.family, args.n, seed=args.seed, workers=_sweep_workers())
     alg = build_algebra(args.family, _rank_for(args))
     payload = {
         "meta": _meta(args, alg),

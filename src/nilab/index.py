@@ -25,6 +25,8 @@ alpha coefficients reported per pair.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -280,6 +282,7 @@ class IndexResult:
     det_consistent: bool  # ind == 0 exactly when det A != 0
     prime_samples: tuple
     eval_ranks: tuple
+    det: Poly  # det A over the delta coordinates, reused by det_shape_check
 
 
 def index_pair(pd: PairData, a: BracketTensor, *, seed: int = 0) -> IndexResult:
@@ -289,7 +292,8 @@ def index_pair(pd: PairData, a: BracketTensor, *, seed: int = 0) -> IndexResult:
     sym = symbolic_bracket_matrix(pd, a)
     detail = generic_rank_detail(sym, seed=seed)
     ind = pd.delta.dim - detail.rank
-    det_nonzero = not poly_det(sym).is_zero()
+    det = poly_det(sym)
+    det_nonzero = not det.is_zero()
     return IndexResult(
         ind=ind,
         rank=detail.rank,
@@ -298,6 +302,7 @@ def index_pair(pd: PairData, a: BracketTensor, *, seed: int = 0) -> IndexResult:
         det_consistent=(ind == 0) == det_nonzero,
         prime_samples=detail.prime_samples,
         eval_ranks=detail.eval_ranks,
+        det=det,
     )
 
 
@@ -312,16 +317,21 @@ class DetShapeResult:
     betas: tuple
 
 
-def det_shape_check(pd: PairData, a: BracketTensor, betas=None) -> DetShapeResult:
+def det_shape_check(pd: PairData, a: BracketTensor, betas=None, det=None) -> DetShapeResult:
     """det A = epsilon * (prod beta_i) * (linear form of Q_s(e))^s, with
-    epsilon the sign of the antidiagonal permutation."""
+    epsilon the sign of the antidiagonal permutation.
+
+    betas and det default to structure_checks(pd, a).betas and
+    poly_det of A; pass the ones already computed (IndexResult.det) to
+    avoid recomputing them."""
     pd.require_hypothesis()
     pd.require_distinct_exponents()
     if betas is None:
         betas = structure_checks(pd, a).betas
+    if det is None:
+        det = poly_det(symbolic_bracket_matrix(pd, a))
     s = pd.s
     variables = _delta_variables(pd.delta.dim)
-    det = poly_det(symbolic_bracket_matrix(pd, a))
     epsilon = -1 if (s * (s - 1) // 2) % 2 else 1
     gamma = ONE
     for b in betas:
@@ -520,7 +530,7 @@ def analyze_orbit(alg: AlgebraRealization, partition: Partition, *, seed: int = 
         if pd.distinct_exponents:
             structure = structure_checks(pd, a)
             report.checks.append(structure.report.to_dict())
-            shape = det_shape_check(pd, a, structure.betas)
+            shape = det_shape_check(pd, a, structure.betas, idx.det)
             report.checks.append(shape.report.to_dict())
             report.betas = shape.betas
             report.gamma = shape.gamma
@@ -583,10 +593,17 @@ def valid_partitions(alg: AlgebraRealization):
     return out
 
 
+_worker_algebra = None  # set once per sweep worker process by _init_sweep_worker
+
+
+def _init_sweep_worker(family, rank):
+    global _worker_algebra
+    _worker_algebra = build_algebra(family, rank)
+
+
 def _sweep_worker(args):
-    family, rank, parts, seed = args
-    alg = build_algebra(family, rank)
-    return analyze_orbit(alg, Partition(parts), seed=seed)
+    parts, seed = args
+    return analyze_orbit(_worker_algebra, Partition(parts), seed=seed)
 
 
 def sweep(family: str, n: int, *, seed: int = 0, workers: int = 1):
@@ -594,13 +611,20 @@ def sweep(family: str, n: int, *, seed: int = 0, workers: int = 1):
 
     Per-orbit errors are captured in the reports and never abort the sweep;
     output order is the deterministic partition order regardless of the
-    worker count.
+    worker count.  The worker processes are capped at the number of orbits
+    and of CPUs, and each builds the algebra once.
     """
     rank = _family_rank_for_size(family, n)
     alg = build_algebra(family, rank)
     parts_list = valid_partitions(alg)
+    workers = min(workers, len(parts_list), os.cpu_count() or 1)
     if workers > 1:
-        tasks = [(alg.family, rank, p.parts, seed) for p in parts_list]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        tasks = [(p.parts, seed) for p in parts_list]
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_sweep_worker,
+            initargs=(alg.family, rank),
+        ) as pool:
             return list(pool.map(_sweep_worker, tasks))
     return [analyze_orbit(alg, p, seed=seed) for p in parts_list]

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Scalars are always-reduced arbitrary-precision rationals (see _scalar);
 there is no floating point anywhere, so every rank / kernel / determinant
@@ -6,8 +6,11 @@ decision is discrete and reproducible.  Pivot choice is deterministic
 (first nonzero entry in column order), which makes echelon forms, kernel
 bases and solver output identical across runs and platforms.
 
-Matrices here are small and dense (algebra dimension at most a few dozen),
-so the quadratic/cubic loops below are deliberate.
+Matrices are stored densely, but the pipeline's matrices (ad maps of
+nilpotent elements, stacked bracket blocks) are mostly zero, so the loops
+skip zero entries: products and row updates only touch positions where
+both factors are nonzero.  Skipping a zero never changes a value, only the
+number of rational operations spent reaching it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ class Mat:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data):
-        data = [Rat(v) for v in data]
+        data = [v if type(v) is Rat else Rat(v) for v in data]
         if len(data) != rows * cols:
             raise ShapeError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
@@ -174,11 +177,11 @@ def rref(rows, ncols: int):
         inv = ONE / rows[r][c]
         if inv != 1:
             rows[r] = [v * inv for v in rows[r]]
+        rr = rows[r]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
         pivots.append(c)
         r += 1
     return pivots

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
+from math import isqrt
 
 from ._scalar import ONE, Rat, ZERO
 from .errors import ContractError, InternalError, ShapeError
@@ -23,6 +24,11 @@ _PRIMES = (
     149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
     227, 229,
 )
+_LARGE_PRIME_BOUND = 10_000  # pool for more variables than _PRIMES has
+
+
+def _primes_below(bound: int) -> tuple:
+    return tuple(p for p in range(2, bound) if all(p % d for d in range(2, isqrt(p) + 1)))
 
 
 class Poly:
@@ -331,7 +337,9 @@ def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericR
     Rank is computed symbolically over the polynomial ring, then
     cross-checked by evaluating the variables at `samples` seeded tuples of
     distinct primes and taking the max evaluated rank; disagreement with
-    the symbolic result raises InternalError.
+    the symbolic result raises InternalError.  The primes are drawn from
+    _PRIMES for up to 50 variables and from the primes below
+    _LARGE_PRIME_BOUND beyond that.
     """
     nrows, ncols, variables = _check_rect(entries)
     for row in entries:
@@ -340,11 +348,14 @@ def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericR
                 raise ContractError("generic_rank requires linear-form entries")
     symbolic = _symbolic_rank(entries)
     nvars = max(1, len(variables))
+    pool = _PRIMES if nvars <= len(_PRIMES) else _primes_below(_LARGE_PRIME_BOUND)
+    if nvars > len(pool):
+        raise ContractError(f"generic_rank supports at most {len(pool)} variables")
     rng = random.Random(f"generic-rank:{seed}")
     prime_samples = []
     eval_ranks = []
     for _ in range(max(3, samples)):
-        primes = tuple(rng.sample(_PRIMES, nvars))[: len(variables)]
+        primes = tuple(rng.sample(pool, nvars))[: len(variables)]
         point = [Rat(p) for p in primes]
         m = Mat(nrows, ncols, [p.eval(point) for row in entries for p in row])
         rank, _ = rank_kernel(m)

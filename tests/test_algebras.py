@@ -141,6 +141,28 @@ def test_bracket_sl3_root_vectors():
     assert bracket(e12, e23) == e13
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_bracket_matches_dense_matrix_commutator(family, rank):
+    # the right side uses Mat.__mul__, independent of the bracket kernel
+    alg = build_algebra(family, rank)
+    rng = random.Random(5)
+    for _ in range(4):
+        for x, y in (
+            (alg.random_element(rng), alg.random_element(rng)),
+            (alg.random_upper_nilpotent(rng), alg.random_element(rng)),
+            (alg.random_upper_nilpotent(rng), alg.basis_element(rng.randrange(alg.dim))),
+        ):
+            xm, ym = x.matrix(), y.matrix()
+            assert bracket(x, y).matrix() == xm * ym - ym * xm
+
+
+def test_element_coerces_int_and_string_coordinates():
+    alg = build_algebra("A", 1)
+    x = Element(alg, [1, "-3/4", Rat(2)])
+    assert x.coords == (Rat(1), Rat(-3, 4), Rat(2))
+    assert all(type(c) is Rat for c in x.coords)
+
+
 def test_bracket_rejects_mixed_algebras():
     a1 = build_algebra("A", 1)
     a2 = build_algebra("A", 2)
@@ -357,6 +379,21 @@ def test_from_matrix_rejects_outsiders():
     alg = build_algebra("A", 1)
     with pytest.raises(ContractError):
         alg.from_matrix([[1, 0], [0, 1]])  # identity is not traceless
+
+
+@pytest.mark.parametrize(
+    "family,rank,rows",
+    [
+        ("A", 2, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),  # diagonal, trace 1
+        ("B", 2, E(5, 0, 0)),  # lone E_00 breaks x = -S x^T S
+        ("C", 2, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]),  # E_01 needs -E_23
+        ("D", 3, E(6, 0, 0)),
+    ],
+)
+def test_from_matrix_rejects_matrices_outside_each_family(family, rank, rows):
+    alg = build_algebra(family, rank)
+    with pytest.raises(ContractError):
+        alg.from_matrix(rows)
 
 
 def test_serializable_description():

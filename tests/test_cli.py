@@ -115,3 +115,19 @@ def test_zero_orbit_index_is_skip():
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["results"]["note"] == "e = 0"
+
+
+def test_table_rejects_non_integer_threads(monkeypatch, capsys):
+    monkeypatch.setenv("NILAB_THREADS", "abc")
+    assert run(["table", "--family", "A", "--n", "3"]) == EXIT_USAGE
+    assert "NILAB_THREADS" in capsys.readouterr().err
+
+
+def test_table_thread_counts_give_identical_output(monkeypatch):
+    outputs = []
+    for value in ("0", "2"):
+        monkeypatch.setenv("NILAB_THREADS", value)
+        code, out = run_capture(["table", "--family", "A", "--n", "3"])
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1]

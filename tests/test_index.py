@@ -300,6 +300,40 @@ def test_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_sweep_caps_workers_at_cpu_count(monkeypatch):
+    import nilab.index as index_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single CPU must not start a worker pool")
+
+    monkeypatch.setattr(index_module.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(index_module, "ProcessPoolExecutor", no_pool)
+    capped = [rep.to_dict() for rep in sweep("A", 3, seed=3, workers=8)]
+    assert capped == [rep.to_dict() for rep in sweep("A", 3, seed=3)]
+
+
+def test_analyze_orbit_computes_one_determinant(monkeypatch):
+    import nilab.index as index_module
+
+    calls = []
+    real_poly_det = index_module.poly_det
+
+    def counting_poly_det(entries):
+        calls.append(len(entries))
+        return real_poly_det(entries)
+
+    monkeypatch.setattr(index_module, "poly_det", counting_poly_det)
+    alg = build_algebra("A", 3)
+    rep = analyze_orbit(alg, Partition((4,)))
+    assert rep.passed and rep.det_text
+    assert calls == [3]
+    # on its own, det_shape_check still computes the determinant itself
+    _, pd = pair_data_for("A", 3, (4,))
+    shape = det_shape_check(pd, bracket_matrix(pd))
+    assert calls == [3, 3]
+    assert shape.det.text() == rep.det_text
+
+
 def test_seed_changes_only_prime_samples():
     # the seed drives the randomized rank cross-check, never the structure
     def strip(reports):

@@ -18,6 +18,7 @@ from nilab import (
     rank_kernel,
     solve,
 )
+from nilab.linalg import rref
 
 
 def cofactor_det(rows):
@@ -33,6 +34,48 @@ def cofactor_det(rows):
         term = rows[0][j] * cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def dense_rref(rows, ncols):
+    """Reference Gauss-Jordan elimination that updates every entry."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [v / pivot for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def test_rref_matches_dense_reference_on_sparse_matrices():
+    rng = random.Random(4)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [
+            [Rat(rng.randint(-3, 3)) if rng.random() < 0.3 else Rat(0) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        expected_rows, expected_pivots = dense_rref(rows, ncols)
+        work = [list(r) for r in rows]
+        assert rref(work, ncols) == expected_pivots
+        assert work == expected_rows
+
+
+def test_mat_coerces_int_and_string_entries():
+    m = Mat(1, 4, [2, "1/3", Rat(-1, 2), 0])
+    assert m.data == [Rat(2), Rat(1, 3), Rat(-1, 2), Rat(0)]
+    assert all(type(v) is Rat for v in m.data)
+    assert Mat.from_rows([[1, "2"], ["-5/10", 0]]).data == [Rat(1), Rat(2), Rat(-1, 2), Rat(0)]
 
 
 def test_rat_always_reduced_positive_denominator():

@@ -119,3 +119,16 @@ def test_generic_rank_detail_records_primes():
         assert len(set(primes)) == len(primes)  # distinct primes per sample
     again = generic_rank_detail([[x, zero], [zero, y]], seed=0)
     assert again.prime_samples == detail.prime_samples  # seeded, reproducible
+
+
+def test_generic_rank_detail_beyond_fifty_variables():
+    variables = tuple(f"t{k}" for k in range(51))
+    entry = Poly.linear(variables, [1] * len(variables))
+    detail = generic_rank_detail([[entry]], seed=0)
+    assert detail.rank == 1
+    assert detail.eval_ranks == (1, 1, 1)
+    for primes in detail.prime_samples:
+        assert len(primes) == 51 and len(set(primes)) == 51
+    too_many = tuple(f"t{k}" for k in range(1230))  # 1229 primes below 10,000
+    with pytest.raises(ContractError):
+        generic_rank_detail([[Poly.linear(too_many, [1] * len(too_many))]])

@@ -1,0 +1,42 @@
+"""Seed-0 orbit reports must hash to the values recorded in bench/reference_hashes.json.
+
+The benchmark checks every operation against those hashes; this test checks
+a few cheap orbits, so that a kernel change that alters any output fails
+here too.  The reference file is only read.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from nilab import Partition, analyze_orbit, build_algebra
+from nilab.index import _family_rank_for_size
+
+REFERENCE_FILE = Path(__file__).resolve().parent.parent / "bench" / "reference_hashes.json"
+
+# (family, matrix size, partition): sp(6) principal; so(7) with a violated
+# hypothesis; so(8) with duplicated exponents, at index 0 and index 1; sl(7).
+ORBITS = [
+    ("C", 6, (6,)),
+    ("B", 7, (3, 3, 1)),
+    ("D", 8, (4, 4)),
+    ("D", 8, (5, 3)),
+    ("A", 7, (4, 3)),
+]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    with open(REFERENCE_FILE, encoding="utf-8") as handle:
+        return json.load(handle)["seeds"]["0"]
+
+
+@pytest.mark.parametrize("family,n,parts", ORBITS)
+def test_orbit_report_matches_reference_hash(reference, family, n, parts):
+    alg = build_algebra(family, _family_rank_for_size(family, n))
+    partition = Partition(parts)
+    rep = analyze_orbit(alg, partition, seed=0)
+    text = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference[f"{family}{n}:{partition}"]
