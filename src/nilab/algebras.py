@@ -251,13 +251,11 @@ class AlgebraRealization:
                             acc += v * w
                 data.append(acc * self.form_scale)
         self.gram = Mat(self.dim, self.dim, data)
-        self._gram_inv = None
-
-    @property
-    def gram_inverse(self) -> Mat:
-        if self._gram_inv is None:
-            self._gram_inv = inverse(self.gram)
-        return self._gram_inv
+        # Only the Pfaffian gradient reads the inverse; building it here
+        # keeps the work of later calls independent of which came first.
+        self.gram_inverse = (
+            inverse(self.gram) if "pfaffian" in self.generator_kinds else None
+        )
 
     @property
     def structure_constants(self):

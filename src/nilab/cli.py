@@ -32,6 +32,7 @@ from ._scalar import rat_str
 from .algebras import build_algebra
 from .errors import ContractError, HypothesisViolation, NilabError, IdentityError
 from .index import (
+    _family_rank_for_size,
     analyze_orbit,
     bracket_matrix,
     build_pair_data,
@@ -98,25 +99,9 @@ def _emit(args, payload: dict, rows=None) -> None:
         sys.stdout.write(text)
 
 
-def _rank_for(args) -> int:
-    family = args.family.upper()
-    if getattr(args, "rank", None) is not None:
-        return args.rank
-    n = args.n
-    if family == "A":
-        return n - 1
-    if family == "B":
-        if n % 2 == 0:
-            raise ContractError("B family needs odd n")
-        return (n - 1) // 2
-    if family in ("C", "D"):
-        if n % 2 == 1:
-            raise ContractError(f"{family} family needs even n")
-        return n // 2
-    raise ContractError(f"unknown family {args.family!r}")
-
-
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ContractError(f"--samples must be at least 1, got {args.samples}")
     alg = build_algebra(args.family, args.rank)
     samples = make_samples(alg, args.samples, args.seed)
     checks = []
@@ -167,7 +152,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    alg = build_algebra(args.family, _rank_for(args))
+    alg = build_algebra(args.family, _family_rank_for_size(args.family, args.n))
     partition = Partition.parse(args.partition)
     _validate_partition(alg, partition)  # usage errors exit 3, not 1
     report = analyze_orbit(alg, partition, seed=args.seed)
@@ -223,7 +208,7 @@ def _sweep_workers() -> int:
 
 def _cmd_table(args) -> int:
     reports = sweep(args.family, args.n, seed=args.seed, workers=_sweep_workers())
-    alg = build_algebra(args.family, _rank_for(args))
+    alg = build_algebra(args.family, _family_rank_for_size(args.family, args.n))
     payload = {
         "meta": _meta(args, alg),
         "checks": [],
@@ -260,7 +245,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_convolution(args) -> int:
-    alg = build_algebra(args.family, _rank_for(args))
+    alg = build_algebra(args.family, _family_rank_for_size(args.family, args.n))
     partition = Partition.parse(args.partition)
     _validate_partition(alg, partition)
     e = nilpotent_from_partition(alg, partition)
@@ -325,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity suites")
     common(p_verify, needs_rank=True)
-    p_verify.add_argument("--samples", type=int, default=20)
+    p_verify.add_argument(
+        "--samples", type=int, default=20, help="random sample points (at least 1)"
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_index = sub.add_parser("index", help="pipeline for one orbit")

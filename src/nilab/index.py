@@ -47,7 +47,7 @@ from .errors import (
     NilabError,
     PartitionError,
 )
-from .invariants import _gradient_raw, generators, taylor_terms
+from .invariants import _gradient_raw, generators, gradient_derivative
 from .linalg import Mat, solve
 from .poly import Poly, generic_rank_detail, poly_det
 from .reports import CheckReport
@@ -123,7 +123,7 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
                 selected.append(gen.index_j)
                 chosen.append(g)
     z_vec = tuple(grads[j - 1] for j in selected)
-    y_vec = tuple(taylor_terms(alg, j, e, h).terms[1] for j in selected)
+    y_vec = tuple(gradient_derivative(alg, j, e, h) for j in selected)
     span = Subspace.from_elements(alg, list(z_vec))
     hypothesis_ok = span.dim == len(selected) and span.dim == delta.dim
     return PairData(
@@ -287,12 +287,12 @@ class IndexResult:
 
 def index_pair(pd: PairData, a: BracketTensor, *, seed: int = 0) -> IndexResult:
     """ind(eta, delta) = dim delta - generic rank of A, with the
-    determinant-based zero test reported as a cross-check."""
+    determinant-based zero test reported as a cross-check; rank and
+    determinant come from one elimination of A."""
     pd.require_hypothesis()
-    sym = symbolic_bracket_matrix(pd, a)
-    detail = generic_rank_detail(sym, seed=seed)
+    detail = generic_rank_detail(symbolic_bracket_matrix(pd, a), seed=seed)
     ind = pd.delta.dim - detail.rank
-    det = poly_det(sym)
+    det = detail.det
     det_nonzero = not det.is_zero()
     return IndexResult(
         ind=ind,
@@ -380,8 +380,8 @@ def convolution_at(pd: PairData, i: int, j: int) -> ConvolutionResult:
     e = pd.triplet.e
     ji, jj = pd.selected_indices[i - 1], pd.selected_indices[j - 1]
     mi, mj = pd.pair_exponents[i - 1], pd.pair_exponents[j - 1]
-    d_ij = taylor_terms(alg, ji, e, pd.z_vec[j - 1]).terms[1]
-    d_ji = taylor_terms(alg, jj, e, pd.z_vec[i - 1]).terms[1]
+    d_ij = gradient_derivative(alg, ji, e, pd.z_vec[j - 1])
+    d_ji = gradient_derivative(alg, jj, e, pd.z_vec[i - 1])
     br = bracket(pd.y_vec[i - 1], pd.z_vec[j - 1])
     if br != d_ij.scale(2 * mj):
         raise IdentityError(

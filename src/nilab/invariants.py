@@ -6,9 +6,12 @@ form-twisted matrix S x for the one degree-r generator of the D family.
 Its gradient field P is defined against the realization's trace form:
 <dp(x), y> = T(P(x), y).  Gradients are evaluated in closed form (matrix
 powers plus projection, or Pfaffian entry-minors plus the inverse Gram
-matrix), and every higher derivative is extracted by exact interpolation
-of the field along lines or small planes: P is polynomial of degree equal
-to the generator's exponent, so integer nodes 0..m determine it.
+matrix).  First derivatives of the trace kind, which the index pipeline
+uses, are also in closed form (gradient_derivative).  Higher derivatives,
+and every derivative of the Pfaffian kind, are extracted by exact
+interpolation of the field along lines or small planes: P is polynomial
+of degree equal to the generator's exponent, so integer nodes 0..m
+determine it.
 
 The suite functions at the bottom verify, exactly and sample by sample,
 the invariance identities the fields satisfy: equivariance, Taylor
@@ -219,6 +222,31 @@ def taylor_terms(alg: AlgebraRealization, j: int, x: Element, y: Element) -> Tay
     if terms[m] != _gradient_raw(alg, j, y):
         raise InternalError("top Taylor term is not P(y)")
     return TaylorTerms(j, x, y, terms)
+
+
+def gradient_derivative(alg: AlgebraRealization, j: int, x: Element, y: Element) -> Element:
+    """First derivative dP_j(x).y, equal to taylor_terms(alg, j, x, y).terms[1].
+
+    For the trace kind P_j(x) = (d/scale) proj(x^m), so the derivative is
+    (d/scale) proj(sum_{a<m} x^a y x^(m-1-a)), accumulated as
+    D_(k+1) = D_k x + x^k y from D_1 = y; the read-off still checks that
+    the result lies in the algebra.  The Pfaffian kind is interpolated.
+    """
+    gen = _generator(alg, j)
+    if gen.kind != "trace":
+        return taylor_terms(alg, j, x, y).terms[1]
+    x_rows = x.matrix_rows()
+    y_rows = y.matrix_rows()
+    power = x_rows  # x^k
+    deriv = y_rows  # D_k
+    for _ in range(gen.exponent - 1):
+        left = _mul_rows(deriv, x_rows)
+        right = _mul_rows(power, y_rows)
+        deriv = [[a + b if b else a for a, b in zip(la, lb)] for la, lb in zip(left, right)]
+        power = _mul_rows(power, x_rows)
+    coords = alg.coords_of_rows(_project_to_algebra(alg, deriv))
+    factor = Rat(gen.degree) / alg.form_scale
+    return Element(alg, [factor * c for c in coords])
 
 
 def bivariate_terms(alg: AlgebraRealization, j: int, x: Element, u: Element, y: Element):

@@ -286,14 +286,26 @@ def inverse(m: Mat) -> Mat:
 
 @lru_cache(maxsize=None)
 def _vandermonde_inverse(nodes):
+    """Inverse of the Vandermonde matrix (nodes[i]^k), built in closed form.
+
+    Column i holds the coefficients of the Lagrange basis polynomial
+    L_i(t) = prod_{l != i} (t - t_l) / (t_i - t_l), so no elimination runs
+    and the cached value costs the same work whenever it is first needed.
+    """
     n = len(nodes)
-    data = []
-    for t in nodes:
-        p = ONE
-        for _ in range(n):
-            data.append(p)
-            p = p * t
-    return inverse(Mat(n, n, data))
+    data = [ZERO] * (n * n)
+    for i, ti in enumerate(nodes):
+        coeffs = [ONE]  # ascending coefficients of prod (t - t_l), l != i
+        denom = ONE
+        for l, tl in enumerate(nodes):
+            if l != i:
+                coeffs = [ZERO] + coeffs
+                for k in range(len(coeffs) - 1):
+                    coeffs[k] -= tl * coeffs[k + 1]
+                denom *= ti - tl
+        for k, c in enumerate(coeffs):
+            data[k * n + i] = c / denom
+    return Mat(n, n, data)
 
 
 def interpolate_vector_poly(samples, degree: int):

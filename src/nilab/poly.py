@@ -3,15 +3,16 @@
 A polynomial is a mapping {exponent tuple -> nonzero coefficient} over an
 ordered variable list; the zero polynomial is the empty mapping.  This is
 just enough polynomial algebra for the symbolic side of the bracket-matrix
-analysis: exact determinants, and generic rank over the rational function
-field with a randomized prime-evaluation cross-check.
+analysis: one fraction-free (Bareiss) elimination that scans pivot columns
+right to left and yields both the generic rank over the rational function
+field and, for a square matrix, the exact determinant; the rank carries a
+randomized prime-evaluation cross-check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from math import isqrt
 
 from ._scalar import ONE, Rat, ZERO
@@ -77,11 +78,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
 
     def is_linear_form(self) -> bool:
         """True when every monomial has total degree exactly 1 (or zero poly)."""
@@ -236,90 +232,68 @@ def _check_rect(entries):
     return nrows, ncols, variables
 
 
-def _perm_sign(perm) -> int:
-    inversions = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def _eliminate(entries):
+    """Rank and, for a square matrix, determinant by one fraction-free
+    (Bareiss) elimination over the polynomial ring.
+
+    Pivot columns are scanned right to left, and the pivot in a column is
+    the first remaining row with a nonzero entry there.  After k pivots
+    every remaining entry is a (k+1)-minor of the input (Sylvester's
+    identity), so each division by the previous pivot is exact; a column
+    with no pivot is zero below the pivot rows and is skipped.  A square
+    matrix has full rank exactly when every column yields a pivot, and then
+    the last pivot is the determinant of the column-reversed matrix up to
+    the sign of the row swaps; reversing s columns contributes
+    (-1)^(s(s-1)/2).  This holds for any matrix; for a pseudo-triangular
+    one (zero below the antidiagonal) the scan meets the antidiagonal
+    first, no row swap happens and nothing fills in.
+
+    Returns (rank, det), with det None when the matrix is not square.
+    """
+    nrows, ncols, variables = _check_rect(entries)
+    a = [list(row) for row in entries]
+    zero = Poly.zero(variables)
+    sign = 1
+    prev = None
+    pivot = None
+    r = 0
+    for c in range(ncols - 1, -1, -1):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if not a[i][c].is_zero()), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        pivot = pivot_row[c]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            for j in range(c):
+                num = row[j] * pivot - f * pivot_row[j]
+                row[j] = num if prev is None else num.exact_div(prev)
+            row[c] = zero
+        prev = pivot
+        r += 1
+    if nrows != ncols:
+        return r, None
+    if r < nrows:
+        return r, zero
+    if (nrows * (nrows - 1) // 2) % 2:
+        sign = -sign
+    return r, pivot if sign == 1 else -pivot
 
 
 def poly_det(entries) -> Poly:
-    """Exact determinant of a square matrix of polynomials.
-
-    Leibniz expansion for size <= 8 (our matrices are at most rank-sized);
-    fraction-free elimination with exact polynomial division beyond that.
-    """
-    n, ncols, variables = _check_rect(entries)
+    """Exact determinant of a square matrix of polynomials, from the one
+    right-to-left fraction-free elimination that also gives the rank
+    (see _eliminate)."""
+    n, ncols, _ = _check_rect(entries)
     if n != ncols:
         raise ShapeError("determinant of a non-square matrix")
-    if n <= 8:
-        total = Poly.zero(variables)
-        for perm in permutations(range(n)):
-            term = Poly.const(variables, _perm_sign(perm))
-            for i, j in enumerate(perm):
-                if entries[i][j].is_zero():
-                    term = None
-                    break
-                term = term * entries[i][j]
-            if term is not None:
-                total = total + term
-        return total
-    a = [list(row) for row in entries]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            p = None
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    p = i
-                    break
-            if p is None:
-                return Poly.zero(variables)
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * pivot - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else num.exact_div(prev)
-            a[i][k] = Poly.zero(variables)
-        prev = pivot
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
-
-
-def _symbolic_rank(entries) -> int:
-    """Rank over the field of rational functions, by fraction-free elimination."""
-    a = [list(row) for row in entries]
-    nrows = len(a)
-    ncols = len(a[0])
-    variables = a[0][0].variables
-    zero = Poly.zero(variables)
-    prev = None
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = None
-        for i in range(r, nrows):
-            if not a[i][c].is_zero():
-                p = i
-                break
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                num = a[i][j] * pivot - a[i][c] * a[r][j]
-                a[i][j] = num if prev is None else num.exact_div(prev)
-            a[i][c] = zero
-        prev = pivot
-        r += 1
-    return r
+    return _eliminate(entries)[1]
 
 
 @dataclass(frozen=True)
@@ -329,13 +303,15 @@ class GenericRankResult:
     rank: int
     prime_samples: tuple  # one tuple of primes (per variable) per sample
     eval_ranks: tuple
+    det: Poly | None  # determinant from the same elimination; None unless square
 
 
 def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericRankResult:
     """Generic rank of a matrix of homogeneous linear forms.
 
-    Rank is computed symbolically over the polynomial ring, then
-    cross-checked by evaluating the variables at `samples` seeded tuples of
+    Rank is computed symbolically over the polynomial ring by the one
+    right-to-left fraction-free elimination (_eliminate), which also yields
+    the determinant of a square matrix; the rank is then cross-checked by evaluating the variables at `samples` seeded tuples of
     distinct primes and taking the max evaluated rank; disagreement with
     the symbolic result raises InternalError.  The primes are drawn from
     _PRIMES for up to 50 variables and from the primes below
@@ -346,7 +322,7 @@ def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericR
         for p in row:
             if not p.is_linear_form():
                 raise ContractError("generic_rank requires linear-form entries")
-    symbolic = _symbolic_rank(entries)
+    symbolic, det = _eliminate(entries)
     nvars = max(1, len(variables))
     pool = _PRIMES if nvars <= len(_PRIMES) else _primes_below(_LARGE_PRIME_BOUND)
     if nvars > len(pool):
@@ -366,7 +342,7 @@ def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericR
             f"generic rank cross-check mismatch: symbolic {symbolic}, "
             f"evaluations {eval_ranks}"
         )
-    return GenericRankResult(symbolic, tuple(prime_samples), tuple(eval_ranks))
+    return GenericRankResult(symbolic, tuple(prime_samples), tuple(eval_ranks), det)
 
 
 def generic_rank(entries, *, seed: int = 0, samples: int = 3) -> int:

@@ -56,7 +56,3 @@ class CheckReport:
 
 def coords_strs(element) -> list:
     return [rat_str(c) for c in element.coords]
-
-
-def rows_strs(mat) -> list:
-    return [[rat_str(v) for v in mat.row(i)] for i in range(mat.rows)]

@@ -24,7 +24,6 @@ from ._scalar import ONE, Rat, ZERO
 from .algebras import (
     AlgebraRealization,
     Element,
-    Subspace,
     _mul_rows,
     _zero_rows,
     ad_matrix,
@@ -357,7 +356,3 @@ def principal_triplet(alg: AlgebraRealization) -> Triplet:
     if centralizer(e).dim != alg.rank_r:
         raise InternalError("principal nilpotent is not regular in this realization")
     return triple
-
-
-def regular_centralizer(triple: Triplet) -> Subspace:
-    return centralizer(triple.e)

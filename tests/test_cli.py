@@ -131,3 +131,19 @@ def test_table_thread_counts_give_identical_output(monkeypatch):
         assert code == EXIT_OK
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_verify_rejects_fewer_than_one_sample(capsys):
+    for samples in ("0", "-1"):
+        code, out = run_capture(
+            ["verify", "--family", "A", "--rank", "2", "--samples", samples]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_bad_matrix_sizes_exit_3():
+    assert run(["table", "--family", "C", "--n", "5"]) == EXIT_USAGE
+    assert run(["index", "--family", "B", "--n", "6", "--partition", "5,1"]) == EXIT_USAGE
+    assert run(["convolution", "--family", "D", "--n", "7", "--partition", "7"]) == EXIT_USAGE

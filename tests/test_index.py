@@ -1,5 +1,7 @@
 """The index pipeline: pair data, the bracket matrix, and its invariants."""
 
+import random
+
 import pytest
 
 from nilab import (
@@ -313,16 +315,17 @@ def test_sweep_caps_workers_at_cpu_count(monkeypatch):
 
 
 def test_analyze_orbit_computes_one_determinant(monkeypatch):
-    import nilab.index as index_module
+    # rank and determinant of A come from one elimination per orbit
+    import nilab.poly as poly_module
 
     calls = []
-    real_poly_det = index_module.poly_det
+    real_eliminate = poly_module._eliminate
 
-    def counting_poly_det(entries):
+    def counting_eliminate(entries):
         calls.append(len(entries))
-        return real_poly_det(entries)
+        return real_eliminate(entries)
 
-    monkeypatch.setattr(index_module, "poly_det", counting_poly_det)
+    monkeypatch.setattr(poly_module, "_eliminate", counting_eliminate)
     alg = build_algebra("A", 3)
     rep = analyze_orbit(alg, Partition((4,)))
     assert rep.passed and rep.det_text
@@ -373,3 +376,39 @@ def test_so8_nonzero_index_is_consistent():
     assert result.ind == result.dim_delta - result.rank
     assert result.det_consistent
     assert result.ind > 0
+
+
+def test_rref_calls_do_not_depend_on_process_history(monkeypatch):
+    # no lazily filled cache may run an elimination on first use only, or
+    # per-call work would depend on what ran earlier in the process
+    import sys
+
+    import nilab.linalg as linalg_module
+    from nilab.invariants import taylor_terms
+
+    calls = []
+    real_rref = linalg_module.rref
+
+    def counting_rref(rows, ncols):
+        calls.append(ncols)
+        return real_rref(rows, ncols)
+
+    for name, module in sorted(sys.modules.items()):
+        if name == "nilab" or name.startswith("nilab."):
+            for key, value in list(vars(module).items()):
+                if value is real_rref:
+                    monkeypatch.setattr(module, key, counting_rref)
+    linalg_module._vandermonde_inverse.cache_clear()
+
+    def rref_calls(fn):
+        before = len(calls)
+        fn()
+        return len(calls) - before
+
+    so8 = build_algebra("D", 4)
+    orbit = [rref_calls(lambda: analyze_orbit(so8, Partition((7, 1)))) for _ in range(2)]
+    assert orbit[0] == orbit[1] > 0
+    sl5 = build_algebra("A", 4)  # generator 4 has exponent 4: five nodes
+    x, y = sl5.random_element(random.Random(1)), sl5.random_element(random.Random(2))
+    taylor = [rref_calls(lambda: taylor_terms(sl5, 4, x, y)) for _ in range(2)]
+    assert taylor[0] == taylor[1]

@@ -24,7 +24,7 @@ from nilab import (
     triangular_decomposition,
     verify_field_identities,
 )
-from nilab.invariants import bivariate_terms, directional_scalar_derivative
+from nilab.invariants import bivariate_terms, directional_scalar_derivative, gradient_derivative
 
 
 def E(n, i, j):
@@ -313,3 +313,21 @@ def test_scaled_form_rescales_gradients():
     g_plain = gradient(plain, 2, e_plain)
     g_scaled = gradient(scaled, 2, e_scaled)
     assert list(g_scaled.coords) == [c / 5 for c in g_plain.coords]
+
+
+def test_gradient_derivative_matches_interpolation():
+    # closed-form first derivative against the interpolated Taylor term,
+    # at random points and at a triple, for every generator
+    rng = random.Random(17)
+    for family, rank in [("A", 3), ("B", 2), ("C", 3), ("D", 4)]:
+        alg = build_algebra(family, rank)
+        t = principal_triplet(alg)
+        points = [(alg.random_element(rng), alg.random_element(rng)) for _ in range(3)]
+        points.append((t.e, t.h))
+        kinds = set()
+        for gen in generators(alg):
+            kinds.add(gen.kind)
+            for x, y in points:
+                expected = taylor_terms(alg, gen.index_j, x, y).terms[1]
+                assert gradient_derivative(alg, gen.index_j, x, y) == expected
+        assert kinds == ({"trace", "pfaffian"} if family == "D" else {"trace"})

@@ -18,7 +18,7 @@ from nilab import (
     rank_kernel,
     solve,
 )
-from nilab.linalg import rref
+from nilab.linalg import _vandermonde_inverse, rref
 
 
 def cofactor_det(rows):
@@ -217,3 +217,18 @@ def test_interpolate_round_trip_property(coeff_ints):
         t = Rat(t)
         samples.append((t, [sum((coeffs[k][0] * t**k for k in range(len(coeffs))), Rat(0))]))
     assert interpolate_vector_poly(samples, len(coeffs) - 1) == coeffs
+
+
+def test_vandermonde_inverse_matches_elimination():
+    node_sets = [
+        (Rat(5),),
+        (Rat(0), Rat(1)),
+        (Rat(0), Rat(1), Rat(2), Rat(3)),
+        tuple(Rat(t) for t in range(10)),
+        (Rat(1, 2), Rat(-3), Rat(7, 5), Rat(2)),
+        (Rat(-2, 3), Rat(1, 7), Rat(9, 4)),
+    ]
+    for nodes in node_sets:
+        n = len(nodes)
+        vander = Mat(n, n, [t**k for t in nodes for k in range(n)])
+        assert _vandermonde_inverse(nodes) == inverse(vander)

@@ -1,11 +1,12 @@
 """Multivariate polynomials: arithmetic, determinants, generic rank."""
 
 import random
+from itertools import permutations
 
 import pytest
 
-from nilab import ContractError, Mat, Poly, Rat, generic_rank, poly_det, rank_kernel
-from nilab.poly import generic_rank_detail
+from nilab import ContractError, Mat, Poly, Rat, ShapeError, generic_rank, poly_det, rank_kernel
+from nilab.poly import _eliminate, generic_rank_detail
 
 V2 = ("x", "y")
 
@@ -132,3 +133,116 @@ def test_generic_rank_detail_beyond_fifty_variables():
     too_many = tuple(f"t{k}" for k in range(1230))  # 1229 primes below 10,000
     with pytest.raises(ContractError):
         generic_rank_detail([[Poly.linear(too_many, [1] * len(too_many))]])
+
+
+def leibniz_det(entries):
+    """Independent determinant oracle: the permutation expansion."""
+    n = len(entries)
+    variables = entries[0][0].variables
+    total = Poly.zero(variables)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = Poly.const(variables, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * entries[i][j]
+        total = total + term
+    return total
+
+
+def random_linear_matrix(rng, nrows, ncols, variables, zero_share=0.3):
+    rows = []
+    for _ in range(nrows):
+        row = []
+        for _ in range(ncols):
+            if rng.random() < zero_share:
+                row.append(Poly.zero(variables))
+            else:
+                row.append(Poly.linear(variables, [rng.randint(-3, 3) for _ in variables]))
+        rows.append(row)
+    return rows
+
+
+def make_rank_deficient(rng, entries):
+    """Overwrite one row with a rational combination of two others, or
+    zero out one column."""
+    n = len(entries)
+    if rng.random() < 0.5:
+        a, b = rng.sample(range(n), 2)
+        ca, cb = Rat(rng.randint(-2, 2)), Rat(rng.randint(1, 3), 2)
+        target = rng.randrange(n)
+        combo = [entries[a][j] * ca + entries[b][j] * cb for j in range(n)]
+        entries[target] = combo
+    else:
+        col = rng.randrange(n)
+        for row in entries:
+            row[col] = Poly.zero(row[col].variables)
+    return entries
+
+
+def test_elimination_det_matches_leibniz_on_linear_forms():
+    rng = random.Random(41)
+    variables = ("a", "b", "c")
+    deficient = 0
+    for size in range(1, 6):
+        for trial in range(12):
+            entries = random_linear_matrix(rng, size, size, variables)
+            if size >= 2 and trial % 3 == 0:
+                entries = make_rank_deficient(rng, entries)
+            expected = leibniz_det(entries)
+            assert poly_det(entries) == expected
+            rank, det = _eliminate(entries)
+            assert det == expected
+            assert (rank == size) == (not expected.is_zero())
+            if rank < size:
+                deficient += 1
+            detail = generic_rank_detail(entries, seed=trial)
+            assert (detail.rank, detail.det) == (rank, expected)
+    assert deficient >= 10  # the rank-deficient branch really ran
+
+
+def test_elimination_det_of_pseudo_triangular_matrix():
+    # zero below the antidiagonal: det = eps * product of the antidiagonal,
+    # eps = (-1)^(s(s-1)/2)
+    rng = random.Random(5)
+    variables = ("a", "b")
+    for size in range(1, 7):
+        entries = random_linear_matrix(rng, size, size, variables, zero_share=0.0)
+        for i in range(size):
+            for j in range(size):
+                if i + j > size - 1:
+                    entries[i][j] = Poly.zero(variables)
+        product = Poly.const(variables, -1 if (size * (size - 1) // 2) % 2 else 1)
+        for i in range(size):
+            product = product * entries[i][size - 1 - i]
+        assert poly_det(entries) == product
+        if size <= 5:
+            assert leibniz_det(entries) == product
+
+
+def test_elimination_handles_nonlinear_entries():
+    x, y = x_(), y_()
+    one = Poly.const(V2, 1)
+    entries = [[x * x, y, one], [x * y, x + y, y * y], [one, x, x * y * y]]
+    assert poly_det(entries) == leibniz_det(entries)
+
+
+def test_elimination_rank_on_rectangular_matrices():
+    rng = random.Random(43)
+    variables = ("a", "b", "c")
+    point = [Rat(1009), Rat(1013), Rat(1019)]
+    for nrows, ncols in [(1, 4), (2, 5), (3, 4), (4, 2), (5, 3), (4, 6), (6, 4)]:
+        for trial in range(6):
+            entries = random_linear_matrix(rng, nrows, ncols, variables, zero_share=0.4)
+            if trial % 2 and nrows >= 2:
+                entries[-1] = [p * Rat(2) for p in entries[0]]  # repeated row
+            rank, det = _eliminate(entries)
+            assert det is None
+            at_point = Mat(nrows, ncols, [p.eval(point) for row in entries for p in row])
+            assert rank == rank_kernel(at_point)[0]
+            assert generic_rank_detail(entries, seed=trial).det is None
+
+
+def test_poly_det_rejects_non_square():
+    x, y = x_(), y_()
+    with pytest.raises(ShapeError):
+        poly_det([[x, y]])
