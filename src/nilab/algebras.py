@@ -500,13 +500,14 @@ class Subspace:
     vectors, so equal subspaces have equal row lists.
     """
 
-    __slots__ = ("algebra", "rows", "pivots", "_basis")
+    __slots__ = ("algebra", "rows", "pivots", "_basis", "_bracket_table")
 
     def __init__(self, algebra: AlgebraRealization, rows, pivots):
         self.algebra = algebra
         self.rows = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
         self._basis = None
+        self._bracket_table = None
 
     @classmethod
     def from_coord_rows(cls, algebra, rows) -> "Subspace":
@@ -559,12 +560,28 @@ class Subspace:
     def same_space(self, other: "Subspace") -> bool:
         return self.rows == other.rows
 
-    def is_bracket_closed(self) -> bool:
-        for a in self.basis:
-            for b in self.basis:
-                if not self.contains(bracket(a, b)):
-                    return False
-        return True
+    def bracket_table(self):
+        """Coordinates in this basis of [b_a, b_b] for every a < b, as
+        table[a][b - a - 1].
+
+        Each unordered pair is bracketed once and the table is kept, so the
+        center and the normalizer share it; [b_b, b_a] is its negative and
+        [b_a, b_a] is zero.  A bracket outside the span raises ContractError:
+        building the table is the exact check that s is a subalgebra.
+        """
+        if self._bracket_table is None:
+            basis = self.basis
+            table = []
+            for a, x in enumerate(basis):
+                row = []
+                for y in basis[a + 1 :]:
+                    coords = self.coords_of(bracket(x, y))
+                    if coords is None:
+                        raise ContractError("subspace is not closed under the bracket")
+                    row.append(coords)
+                table.append(row)
+            self._bracket_table = table
+        return self._bracket_table
 
     def __repr__(self) -> str:
         return f"Subspace({self.algebra.name}, dim={self.dim})"
@@ -577,58 +594,69 @@ def centralizer(x: Element) -> Subspace:
     return Subspace.from_coord_rows(x.algebra, [k.column(0) for k in kernel])
 
 
+def _kernel(rows, ncols):
+    """Basis of {x : row . x = 0 for every row}, in rank_kernel's reduced form."""
+    _, kernel = rank_kernel(Mat(len(rows), ncols, [v for row in rows for v in row]))
+    return [vec.column(0) for vec in kernel]
+
+
+def _combine(rows, coeffs, length):
+    """sum_i coeffs[i] * rows[i] as a coordinate list."""
+    out = [ZERO] * length
+    for c, row in zip(coeffs, rows):
+        if c:
+            for q, v in enumerate(row):
+                if v:
+                    out[q] += c * v
+    return out
+
+
 def center_of(s: Subspace) -> Subspace:
     """{c in s : [c, u] = 0 for every basis vector u of s}.
 
     s must be closed under the bracket (checked; ContractError otherwise).
+    The brackets come from s.bracket_table(), one per unordered pair of basis
+    vectors, already in s-coordinates.  The center is the kernel of the
+    k^2 x k matrix with entry coord_t([b_a, b_u]) in row (u, t), column a;
+    only its nonzero rows are built, from the nonzero table entries.
     """
-    if not s.is_bracket_closed():
-        raise ContractError("center_of requires a subalgebra")
     k = s.dim
-    if k == 0:
-        return Subspace.from_coord_rows(s.algebra, [])
-    dim = s.algebra.dim
-    cols = []
-    for a in range(k):
-        col = []
-        for u in s.basis:
-            col.extend(bracket(s.basis[a], u).coords)
-        cols.append(col)
-    m = Mat(k * dim, k, [cols[a][i] for i in range(k * dim) for a in range(k)])
-    _, kernel = rank_kernel(m)
-    elements = []
-    for vec in kernel:
-        coeffs = vec.column(0)
-        acc = s.algebra.zero()
-        for a, c in enumerate(coeffs):
-            if c:
-                acc = acc + s.basis[a].scale(c)
-        elements.append(acc)
-    return Subspace.from_elements(s.algebra, elements)
+    rows = {}
+    for a, line in enumerate(s.bracket_table()):
+        for b, coords in enumerate(line, start=a + 1):
+            for t, c in enumerate(coords):
+                if c:  # coord_t [b_a, b_b] = c and coord_t [b_b, b_a] = -c
+                    rows.setdefault((b, t), [ZERO] * k)[a] = c
+                    rows.setdefault((a, t), [ZERO] * k)[b] = -c
+    kernel = _kernel(list(rows.values()), k)
+    return Subspace.from_coord_rows(
+        s.algebra, [_combine(s.rows, x, s.algebra.dim) for x in kernel]
+    )
 
 
 def normalizer_of(s: Subspace) -> Subspace:
-    """{y : [y, u] in s for every u in s.basis}, as the kernel of the
-    stacked map y -> ([y, u] mod s)_u."""
+    """{y : [y, u] in s for every basis vector u of s}.
+
+    s must be a subalgebra (checked through s.bracket_table(); ContractError
+    otherwise).  Then s lies in its normalizer, so the normalizer is s plus
+    the vectors y spanned by the basis directions off the pivots of s with
+    [y, u] in s for all u.  That candidate set is refined one u at a time:
+    after each u only the kernel of y -> [y, u] mod s is kept, so later u
+    bracket fewer vectors and ad(u) is never built on all of g.
+    """
     alg = s.algebra
-    dim = alg.dim
-    if s.dim == 0:
-        return alg.full_space()
-    blocks = []
+    s.bracket_table()  # closure check: only then does s lie in its normalizer
+    pivots = set(s.pivots)
+    candidates = [alg.basis_element(q) for q in range(alg.dim) if q not in pivots]
     for u in s.basis:
-        adu = ad_matrix(u)
-        # columns of adu are [u, b_k]; sign is irrelevant for the kernel
-        reduced_cols = [s.reduce(adu.column(k)) for k in range(dim)]
-        blocks.append(reduced_cols)
-    rows_total = len(blocks) * dim
-    data = []
-    for block in blocks:
-        for i in range(dim):
-            for k in range(dim):
-                data.append(block[k][i])
-    m = Mat(rows_total, dim, data)
-    _, kernel = rank_kernel(m)
-    return Subspace.from_coord_rows(alg, [k.column(0) for k in kernel])
+        if not candidates:
+            break
+        images = [s.reduce(bracket(y, u).coords) for y in candidates]
+        kernel = _kernel([r for r in zip(*images) if any(r)], len(candidates))
+        if len(kernel) < len(candidates):
+            coords = [y.coords for y in candidates]
+            candidates = [Element(alg, _combine(coords, x, alg.dim)) for x in kernel]
+    return Subspace.from_coord_rows(alg, list(s.rows) + [y.coords for y in candidates])
 
 
 def h_graduation(h: Element, s: Subspace):

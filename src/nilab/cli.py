@@ -7,6 +7,7 @@ Subcommands:
                decomposition, shifted-gradient rank)
   index        the full pipeline for one nilpotent orbit
   table        the pipeline swept over every valid partition of a size
+               (matrix sizes up to TABLE_MAX_N = 10)
   decompose    the triangular decomposition bases
   convolution  the alpha table and proportionality-constant audit
 
@@ -36,7 +37,7 @@ from .index import (
     analyze_orbit,
     bracket_matrix,
     build_pair_data,
-    convolution_at,
+    convolution_entries,
     sweep,
 )
 from .invariants import (
@@ -61,6 +62,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_HYPOTHESIS = 2
 EXIT_USAGE = 3
+
+# Largest matrix size a table sweep accepts.  The number of orbits grows
+# like the partition count of n and the per-orbit work with dim g, so larger
+# sizes are refused before any algebra is built.
+TABLE_MAX_N = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,6 +213,8 @@ def _sweep_workers() -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.n > TABLE_MAX_N:
+        raise ContractError(f"table supports --n up to {TABLE_MAX_N}, got {args.n}")
     reports = sweep(args.family, args.n, seed=args.seed, workers=_sweep_workers())
     alg = build_algebra(args.family, _family_rank_for_size(args.family, args.n))
     payload = {
@@ -265,17 +273,9 @@ def _cmd_convolution(args) -> int:
     bracket_matrix(pd)  # validates membership and symmetry
     table = {}
     audit = {}
-    for i in range(1, pd.s + 1):
-        for j in range(i, pd.s + 1):
-            conv = convolution_at(pd, i, j)
-            key = f"{i},{j}"
-            table[key] = [rat_str(a) for a in conv.alphas]
-            audit[key] = {
-                "c_observed": rat_str(conv.c_observed)
-                if conv.c_observed is not None
-                else None,
-                "c_reference": rat_str(conv.c_reference),
-            }
+    for key, alphas, entry in convolution_entries(pd):
+        table[key] = [rat_str(a) for a in alphas]
+        audit[key] = entry
     payload = {
         "meta": _meta(args, alg, partition),
         "checks": [],
@@ -319,7 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_index, needs_n=True, needs_partition=True)
     p_index.set_defaults(func=_cmd_index)
 
-    p_table = sub.add_parser("table", help="pipeline for every partition")
+    p_table = sub.add_parser(
+        "table",
+        help=f"pipeline for every partition (--n up to {TABLE_MAX_N})",
+        description=f"The pipeline on every valid partition of matrix size n. "
+        f"Supported sizes: --n up to {TABLE_MAX_N}, from the family's smallest "
+        f"(A 2, B 3, C 2, D 4); larger sizes are a usage error (exit 3).",
+    )
     common(p_table, needs_n=True)
     p_table.set_defaults(func=_cmd_table)
 

@@ -419,6 +419,20 @@ def convolution_at(pd: PairData, i: int, j: int) -> ConvolutionResult:
     )
 
 
+def convolution_entries(pd: PairData):
+    """Yield ("i,j", alphas, constant audit) for every pair i <= j, in order."""
+    for i in range(1, pd.s + 1):
+        for j in range(i, pd.s + 1):
+            conv = convolution_at(pd, i, j)
+            audit = {
+                "c_observed": rat_str(conv.c_observed)
+                if conv.c_observed is not None
+                else None,
+                "c_reference": rat_str(conv.c_reference),
+            }
+            yield f"{i},{j}", conv.alphas, audit
+
+
 @dataclass
 class OrbitReport:
     """Per-orbit pipeline outcome, shaped for JSON/CSV serialization."""
@@ -537,17 +551,9 @@ def analyze_orbit(alg: AlgebraRealization, partition: Partition, *, seed: int = 
             report.gamma_nonzero = shape.gamma_nonzero
             report.epsilon = shape.epsilon
             report.det_text = shape.det.text()
-        for i in range(1, pd.s + 1):
-            for j in range(i, pd.s + 1):
-                conv = convolution_at(pd, i, j)
-                key = f"{i},{j}"
-                report.alphas[key] = conv.alphas
-                report.const_audit[key] = {
-                    "c_observed": rat_str(conv.c_observed)
-                    if conv.c_observed is not None
-                    else None,
-                    "c_reference": rat_str(conv.c_reference),
-                }
+        for key, alphas, audit in convolution_entries(pd):
+            report.alphas[key] = alphas
+            report.const_audit[key] = audit
     except HypothesisViolation as exc:
         report.note = str(exc)
     except NilabError as exc:

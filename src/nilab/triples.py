@@ -152,13 +152,9 @@ def _so_sp_nilpotent_rows(alg: AlgebraRealization, p: Partition):
     pieces = []  # ("single", d) or ("pair", d)
     for d in sizes:
         mult = p.multiplicity(d)
-        constrained = (d % 2 == 0) if symmetric else (d % 2 == 1)
-        if constrained:
-            pieces.extend(("pair", d) for _ in range(mult // 2))
-        else:
-            pieces.extend(("pair", d) for _ in range(mult // 2))
-            if mult % 2:
-                pieces.append(("single", d))
+        pieces.extend(("pair", d) for _ in range(mult // 2))
+        if mult % 2:  # validated: only unconstrained sizes have odd multiplicity
+            pieces.append(("single", d))
 
     singles = sum(1 for kind, _ in pieces if kind == "single")
     want_plus = (singles + 1) // 2  # leftover middle must pair to +1 when N is odd

@@ -1,26 +1,38 @@
 """Algebra realizations: brackets, trace form, subspace calculus."""
 
 import random
+from collections import Counter
 
 import pytest
 
+import nilab.algebras
+import nilab.index
+import nilab.invariants
+import nilab.triples
 from nilab import (
     ContractError,
     Element,
     GraduationError,
     Mat,
+    Partition,
     Rat,
     Subspace,
     UnsupportedAlgebraError,
+    ad_matrix,
     bracket,
     build_algebra,
+    build_pair_data,
     center_of,
     centralizer,
     h_graduation,
+    nilpotent_from_partition,
     normalizer_of,
     principal_triplet,
+    rank_kernel,
+    sl2_complete,
     trace_form,
     unipotent_ad,
+    valid_partitions,
 )
 
 EXPECTED_DIMS = {
@@ -404,3 +416,98 @@ def test_serializable_description():
     assert not desc["simple"]
     assert not desc["distinct_exponents"]
     json.dumps(desc)  # must be plain JSON data
+
+
+# Reference definitions, written out by brute force over all of s and g: the
+# library's center_of / normalizer_of must give the same subspaces.
+
+
+def _span_of_kernel(s, m):
+    """Subspace spanned by sum_a x_a b_a over the kernel vectors x of m."""
+    _, kernel = rank_kernel(m)
+    rows = []
+    for vec in kernel:
+        x = vec.column(0)
+        rows.append(
+            [sum((x[a] * row[q] for a, row in enumerate(s.rows)), Rat(0)) for q in range(s.algebra.dim)]
+        )
+    return Subspace.from_coord_rows(s.algebra, rows)
+
+
+def brute_center(s):
+    """Kernel of c -> ([c, u])_u, brackets stacked over every u in s."""
+    dim, k = s.algebra.dim, s.dim
+    cols = [[v for u in s.basis for v in bracket(b, u).coords] for b in s.basis]
+    m = Mat(k * dim, k, [cols[a][i] for i in range(k * dim) for a in range(k)])
+    return _span_of_kernel(s, m)
+
+
+def brute_normalizer(s):
+    """Kernel of y -> ([y, u] mod s)_u on all of g, from ad(u) for every u."""
+    alg = s.algebra
+    blocks = []
+    for u in s.basis:
+        adu = ad_matrix(u)
+        blocks.append([s.reduce(adu.column(k)) for k in range(alg.dim)])
+    data = [block[k][i] for block in blocks for i in range(alg.dim) for k in range(alg.dim)]
+    _, kernel = rank_kernel(Mat(len(blocks) * alg.dim, alg.dim, data))
+    return Subspace.from_coord_rows(alg, [vec.column(0) for vec in kernel])
+
+
+def _reference_subspaces(alg):
+    yield "zero", Subspace.from_coord_rows(alg, [])
+    yield "root line", Subspace.from_elements(alg, [alg.basis_element(alg._upper_indices[0])])
+    yield "full", alg.full_space()
+    for p in valid_partitions(alg):
+        if any(part > 1 for part in p.parts):
+            yield f"z({p})", centralizer(nilpotent_from_partition(alg, p))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_center_and_normalizer_match_brute_force(family, rank):
+    alg = build_algebra(family, rank)
+    for name, s in _reference_subspaces(alg):
+        assert center_of(s).same_space(brute_center(s)), name
+        assert normalizer_of(s).same_space(brute_normalizer(s)), name
+
+
+def test_normalizer_of_rejects_non_subalgebra():
+    alg = build_algebra("A", 1)
+    e = alg.from_matrix(E(2, 0, 1))
+    f = alg.from_matrix(E(2, 1, 0))
+    with pytest.raises(ContractError):
+        normalizer_of(Subspace.from_elements(alg, [e, f]))
+
+
+def _count_brackets(monkeypatch, modules, log):
+    def counting(x, y):
+        log.append((x.coords, y.coords))
+        return bracket(x, y)
+
+    for module in modules:
+        monkeypatch.setattr(module, "bracket", counting)
+
+
+def test_center_of_brackets_each_pair_once(monkeypatch):
+    alg = build_algebra("A", 3)
+    z = centralizer(nilpotent_from_partition(alg, Partition((2, 1, 1))))
+    log = []
+    _count_brackets(monkeypatch, [nilab.algebras], log)
+    center_of(z)
+    k = z.dim
+    assert k == 9 and len(log) == k * (k - 1) // 2
+
+
+def test_build_pair_data_brackets_no_pair_of_z_twice(monkeypatch):
+    alg = build_algebra("B", 3)
+    e = nilpotent_from_partition(alg, Partition((3, 3, 1)))
+    triple = sl2_complete(alg, e)
+    log = []
+    modules = [nilab.algebras, nilab.index, nilab.invariants, nilab.triples]
+    _count_brackets(monkeypatch, modules, log)
+    pd = build_pair_data(alg, triple)
+    members = {row for row in pd.zcent.rows}
+    pairs = Counter(frozenset(pair) for pair in log if set(pair) <= members)
+    k = pd.zcent.dim
+    assert len(pairs) == k * (k - 1) // 2
+    assert set(pairs.values()) == {1}

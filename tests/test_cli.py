@@ -5,6 +5,7 @@ import io
 import json
 from contextlib import redirect_stdout
 
+from nilab import cli
 from nilab.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
@@ -147,3 +148,16 @@ def test_bad_matrix_sizes_exit_3():
     assert run(["table", "--family", "C", "--n", "5"]) == EXIT_USAGE
     assert run(["index", "--family", "B", "--n", "6", "--partition", "5,1"]) == EXIT_USAGE
     assert run(["convolution", "--family", "D", "--n", "7", "--partition", "7"]) == EXIT_USAGE
+
+
+def test_table_rejects_sizes_above_the_supported_range(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an out-of-range table must not start any work")
+
+    monkeypatch.setattr(cli, "build_algebra", must_not_run)
+    monkeypatch.setattr(cli, "sweep", must_not_run)
+    for n in (cli.TABLE_MAX_N + 1, 40):
+        code, out = run_capture(["table", "--family", "A", "--n", str(n)])
+        assert code == EXIT_USAGE
+        assert out == ""
+    assert f"up to {cli.TABLE_MAX_N}" in capsys.readouterr().err

@@ -17,13 +17,17 @@ from nilab.index import _family_rank_for_size
 REFERENCE_FILE = Path(__file__).resolve().parent.parent / "bench" / "reference_hashes.json"
 
 # (family, matrix size, partition): sp(6) principal; so(7) with a violated
-# hypothesis; so(8) with duplicated exponents, at index 0 and index 1; sl(7).
+# hypothesis; so(8) with duplicated exponents, at index 0 and index 1; sl(7);
+# the minimal orbits of sl(7) and so(8), whose centralizers (dim 36 and 18)
+# are the largest the center and normalizer see.
 ORBITS = [
     ("C", 6, (6,)),
     ("B", 7, (3, 3, 1)),
     ("D", 8, (4, 4)),
     ("D", 8, (5, 3)),
     ("A", 7, (4, 3)),
+    ("A", 7, (2, 1, 1, 1, 1, 1)),
+    ("D", 8, (2, 2, 1, 1, 1, 1)),
 ]
 
 
