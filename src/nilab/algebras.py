@@ -17,7 +17,9 @@ builder, fixed once so that coordinates and reports are reproducible.
 The invariant pairing is the defining-representation trace form tr(xy)
 (optionally rescaled); it is a nonzero multiple of the Killing form, with
 the per-family ratio recorded on the realization.  Ranks, vanishing
-patterns and the index are insensitive to this rescaling.
+patterns and the index are insensitive to this rescaling.  No Gram matrix
+is stored: trace_form multiplies the matrices, and every matrix comes back
+to coordinates through the one checked read-off, coords_of_rows.
 """
 
 from __future__ import annotations
@@ -214,7 +216,6 @@ class AlgebraRealization:
             if all(i < j for i, j, _ in entries)
         )
         self._init_coordinatizer()
-        self._init_gram()
         self._struct = None
 
     def _init_coordinatizer(self):
@@ -238,23 +239,6 @@ class AlgebraRealization:
             (q // n, q % n, tuple((k, vec[q]) for k, vec in enumerate(vecs) if vec[q]))
             for q in range(n * n)
             if q not in pivot_set
-        )
-
-    def _init_gram(self):
-        data = []
-        for a in range(self.dim):
-            for b in range(self.dim):
-                acc = ZERO
-                for i, j, v in self._basis_sparse[a]:
-                    for p, q, w in self._basis_sparse[b]:
-                        if j == p and q == i:
-                            acc += v * w
-                data.append(acc * self.form_scale)
-        self.gram = Mat(self.dim, self.dim, data)
-        # Only the Pfaffian gradient reads the inverse; building it here
-        # keeps the work of later calls independent of which came first.
-        self.gram_inverse = (
-            inverse(self.gram) if "pfaffian" in self.generator_kinds else None
         )
 
     @property
@@ -529,23 +513,9 @@ class Subspace:
             self._basis = [Element(self.algebra, r) for r in self.rows]
         return self._basis
 
-    def reduce(self, coords):
-        """Residual of a coordinate vector after reduction by the basis;
-        zero exactly when the vector lies in the subspace."""
+    def _eliminate(self, coords):
+        """(coefficients in this basis, residual) of a coordinate vector."""
         residual = list(coords)
-        for r, c in enumerate(self.pivots):
-            f = residual[c]
-            if f:
-                row = self.rows[r]
-                residual = [a - f * b if b else a for a, b in zip(residual, row)]
-        return residual
-
-    def contains(self, element: Element) -> bool:
-        return all(v == 0 for v in self.reduce(element.coords))
-
-    def coords_of(self, element: Element):
-        """Coefficients of element in this basis, or None if not a member."""
-        residual = list(element.coords)
         out = []
         for r, c in enumerate(self.pivots):
             f = residual[c]
@@ -553,9 +523,20 @@ class Subspace:
             if f:
                 row = self.rows[r]
                 residual = [a - f * b if b else a for a, b in zip(residual, row)]
-        if any(v != 0 for v in residual):
-            return None
-        return tuple(out)
+        return out, residual
+
+    def reduce(self, coords):
+        """Residual of a coordinate vector after reduction by the basis;
+        zero exactly when the vector lies in the subspace."""
+        return self._eliminate(coords)[1]
+
+    def contains(self, element: Element) -> bool:
+        return not any(self.reduce(element.coords))
+
+    def coords_of(self, element: Element):
+        """Coefficients of element in this basis, or None if not a member."""
+        out, residual = self._eliminate(element.coords)
+        return None if any(residual) else tuple(out)
 
     def same_space(self, other: "Subspace") -> bool:
         return self.rows == other.rows

@@ -13,8 +13,8 @@ Subcommands:
 
 Exit codes: 0 all checks passed; 1 a check failed; 2 the orbit violates
 the spanning hypothesis (reported, not a failure); 3 usage error.  Output
-is JSON (default) or CSV, deterministic for a fixed seed; rationals are
-serialized as exact "p/q" strings.  NILAB_THREADS caps the number of
+is JSON (table also offers CSV), deterministic for a fixed seed; rationals
+are serialized as exact "p/q" strings.  NILAB_THREADS caps the number of
 worker processes a table sweep may use (an integer; the sweep also caps it
 at the number of orbits and of CPUs).
 """
@@ -88,19 +88,21 @@ def _meta(args, alg, partition=None) -> dict:
 
 
 def _emit(args, payload: dict, rows=None) -> None:
-    if args.format == "json":
+    """Write payload as JSON, or rows as CSV when they are given."""
+    if rows is None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        if rows is None:
-            raise ContractError("this command has no CSV form")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ContractError(f"cannot write {args.output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -222,7 +224,7 @@ def _cmd_table(args) -> int:
         "checks": [],
         "results": {"orbits": [rep.to_dict() for rep in reports]},
     }
-    _emit(args, payload, rows=_csv_rows(reports))
+    _emit(args, payload, rows=_csv_rows(reports) if args.format == "csv" else None)
     failed = any(rep.error or (rep.hypothesis_ok and not rep.passed) for rep in reports)
     if failed:
         return EXIT_CHECK_FAILED
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_n=False, needs_rank=False, needs_partition=False):
+    def common(p, *, needs_n=False, needs_rank=False, needs_partition=False, seeded=True):
         p.add_argument("--family", required=True, choices=list("ABCD"))
         if needs_rank:
             p.add_argument("--rank", required=True, type=int)
@@ -304,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", required=True, type=int)
         if needs_partition:
             p.add_argument("--partition", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None)
 
     p_verify = sub.add_parser("verify", help="run the identity suites")
@@ -327,14 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
         f"(A 2, B 3, C 2, D 4); larger sizes are a usage error (exit 3).",
     )
     common(p_table, needs_n=True)
+    p_table.add_argument("--format", choices=["json", "csv"], default="json")
     p_table.set_defaults(func=_cmd_table)
 
     p_dec = sub.add_parser("decompose", help="triangular decomposition bases")
-    common(p_dec, needs_rank=True)
+    common(p_dec, needs_rank=True, seeded=False)
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_conv = sub.add_parser("convolution", help="alpha table and constant audit")
-    common(p_conv, needs_n=True, needs_partition=True)
+    common(p_conv, needs_n=True, needs_partition=True, seeded=False)
     p_conv.set_defaults(func=_cmd_convolution)
     return parser
 
@@ -345,6 +348,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    folder = os.path.dirname(args.output or "")
+    if folder and not os.path.isdir(folder):
+        print(f"nilab: --output directory {folder!r} does not exist", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ContractError as exc:

@@ -381,7 +381,7 @@ def convolution_at(pd: PairData, i: int, j: int) -> ConvolutionResult:
     ji, jj = pd.selected_indices[i - 1], pd.selected_indices[j - 1]
     mi, mj = pd.pair_exponents[i - 1], pd.pair_exponents[j - 1]
     d_ij = gradient_derivative(alg, ji, e, pd.z_vec[j - 1])
-    d_ji = gradient_derivative(alg, jj, e, pd.z_vec[i - 1])
+    d_ji = d_ij if i == j else gradient_derivative(alg, jj, e, pd.z_vec[i - 1])
     br = bracket(pd.y_vec[i - 1], pd.z_vec[j - 1])
     if br != d_ij.scale(2 * mj):
         raise IdentityError(

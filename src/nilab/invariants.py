@@ -4,14 +4,14 @@ higher directional derivatives.
 A generator is tr(x^d) for the trace-power kind, or the Pfaffian of the
 form-twisted matrix S x for the one degree-r generator of the D family.
 Its gradient field P is defined against the realization's trace form:
-<dp(x), y> = T(P(x), y).  Gradients are evaluated in closed form (matrix
-powers plus projection, or Pfaffian entry-minors plus the inverse Gram
-matrix).  First derivatives of the trace kind, which the index pipeline
-uses, are also in closed form (gradient_derivative).  Higher derivatives,
-and every derivative of the Pfaffian kind, are extracted by exact
-interpolation of the field along lines or small planes: P is polynomial
-of degree equal to the generator's exponent, so integer nodes 0..m
-determine it.
+<dp(x), y> = T(P(x), y).  Both kinds are one matrix of the algebra (the
+projected power x^(d-1), or the so(2r) element of signed minor Pfaffians
+of S x), scaled and read through the one checked read-off; no Gram matrix
+is formed.  First derivatives of the trace kind are in closed form too
+(gradient_derivative).  Interpolation is exact and kept for Taylor and
+mixed terms, the Pfaffian's first derivative and the first derivatives
+along a line that the propagation check reads: along a line P is
+polynomial of degree m, the exponent, so integer nodes 0..m determine it.
 
 The suite functions at the bottom verify, exactly and sample by sample,
 the invariance identities the fields satisfy: equivariance, Taylor
@@ -97,14 +97,9 @@ def pfaffian(rows):
     return _pfaffian(rows, tuple(range(n)), {})
 
 
-def _twisted_rows(alg: AlgebraRealization, x_rows):
-    """S x, antisymmetric whenever x is in the orthogonal realization."""
-    s = alg.form.as_rows()
-    return _mul_rows(s, x_rows)
-
-
 def eval_generator(alg: AlgebraRealization, j: int, x: Element):
-    """Value of the j-th generator at x: tr(x^degree), or Pf(S x)."""
+    """Value of the j-th generator at x: tr(x^degree), or Pf(S x), where
+    S x is x with its rows reversed (S is the antidiagonal-ones form)."""
     gen = _generator(alg, j)
     if gen.kind == "trace":
         rows = x.matrix_rows()
@@ -113,7 +108,7 @@ def eval_generator(alg: AlgebraRealization, j: int, x: Element):
             power = _mul_rows(power, rows)
         n = alg.matrix_size_N
         return sum((power[i][i] for i in range(n)), ZERO)
-    return pfaffian(_twisted_rows(alg, x.matrix_rows()))
+    return pfaffian(x.matrix_rows()[::-1])
 
 
 def _project_to_algebra(alg: AlgebraRealization, rows):
@@ -134,6 +129,13 @@ def _project_to_algebra(alg: AlgebraRealization, rows):
     return rows
 
 
+def _read_off(alg: AlgebraRealization, rows, weight) -> Element:
+    """weight / form_scale times the element with these matrix rows, through
+    the one checked read-off (ContractError if the matrix is not in g)."""
+    factor = Rat(weight) / alg.form_scale
+    return Element(alg, [factor * c for c in alg.coords_of_rows(rows)])
+
+
 def _gradient_raw(alg: AlgebraRealization, j: int, x: Element) -> Element:
     gen = _generator(alg, j)
     if gen.kind == "trace":
@@ -141,32 +143,25 @@ def _gradient_raw(alg: AlgebraRealization, j: int, x: Element) -> Element:
         power = [list(r) for r in rows]  # exponent >= 1: degrees start at 2
         for _ in range(gen.exponent - 1):
             power = _mul_rows(power, rows)
-        projected = _project_to_algebra(alg, power)
-        coords = alg.coords_of_rows(projected)
-        factor = Rat(gen.degree) / alg.form_scale
-        return Element(alg, [factor * c for c in coords])
-    # Pfaffian kind: entrywise partials of Pf at A = S x, then convert the
-    # resulting functional to an algebra element through the Gram matrix.
-    a_rows = _twisted_rows(alg, x.matrix_rows())
+        return _read_off(alg, _project_to_algebra(alg, power), gen.degree)
+    # Pfaffian kind: dPf(S x).y = sum_{a<b} c_ab y[n-1-a][b] with c_ab the
+    # signed minor Pfaffians of S x.  That is tr(M y) / 2 for the element M
+    # of so(n) with M[b][n-1-a] = c_ab and M[a][n-1-b] = -c_ab, so P is
+    # M / (2 form_scale).
+    a_rows = x.matrix_rows()[::-1]
     n = alg.matrix_size_N
     full = tuple(range(n))
     memo = {}
-    partial = {}
+    m_rows = [[ZERO] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             minor = tuple(i for i in full if i != a and i != b)
             value = _pfaffian(a_rows, minor, memo)
             if value:
-                partial[(a, b)] = value if (a + b) % 2 else -value
-    rhs = []
-    for k in range(alg.dim):
-        acc = ZERO
-        for i0, j0, v in alg._basis_sparse[k]:
-            a, c = n - 1 - i0, j0  # entry of S b_k
-            if a < c and (a, c) in partial:
-                acc += partial[(a, c)] * v
-        rhs.append(acc)
-    return Element(alg, alg.gram_inverse.mul_vec(rhs))
+                c = value if (a + b) % 2 else -value
+                m_rows[b][n - 1 - a] = c
+                m_rows[a][n - 1 - b] = -c
+    return _read_off(alg, m_rows, Rat(1, 2))
 
 
 def directional_scalar_derivative(alg, j, x, y):
@@ -244,9 +239,7 @@ def gradient_derivative(alg: AlgebraRealization, j: int, x: Element, y: Element)
         right = _mul_rows(power, y_rows)
         deriv = [[a + b if b else a for a, b in zip(la, lb)] for la, lb in zip(left, right)]
         power = _mul_rows(power, x_rows)
-    coords = alg.coords_of_rows(_project_to_algebra(alg, deriv))
-    factor = Rat(gen.degree) / alg.form_scale
-    return Element(alg, [factor * c for c in coords])
+    return _read_off(alg, _project_to_algebra(alg, deriv), gen.degree)
 
 
 def bivariate_terms(alg: AlgebraRealization, j: int, x: Element, u: Element, y: Element):
@@ -315,10 +308,23 @@ def make_samples(alg: AlgebraRealization, count: int, seed: int):
     return out
 
 
+def _derivative_along_line(alg, j, x, y, u):
+    """row[k] = d^(1+k) P_j(x).u.y^(k) / k!, the s^k coefficient of
+    dP_j(x + s y).u, interpolated at s = 0..m-1 (degree m - 1; row[m] = 0)."""
+    m = _generator(alg, j).exponent
+    samples = [
+        (Rat(s), list(gradient_derivative(alg, j, x + y.scale(s), u).coords))
+        for s in range(m)
+    ]
+    coeffs = interpolate_vector_poly(samples, m - 1)
+    return [Element(alg, c) for c in coeffs] + [alg.zero()]
+
+
 def verify_field_identities(alg: AlgebraRealization, j: int, samples) -> CheckReport:
     """Exact per-sample verification of the invariance identities of P_j.
 
-    Failures are recorded in the report, never raised.
+    Every first derivative comes from gradient_derivative.  Failures are
+    recorded in the report, never raised.
     """
     gen = _generator(alg, j)
     m = gen.exponent
@@ -332,7 +338,7 @@ def verify_field_identities(alg: AlgebraRealization, j: int, samples) -> CheckRe
             pairing_ok = trace_form(px, y) == directional_scalar_derivative(alg, j, x, y)
             report.add(f"gradient-pairing{tag}", pairing_ok)
 
-            lhs = taylor_terms(alg, j, x, bracket(y, x)).terms[1]
+            lhs = gradient_derivative(alg, j, x, bracket(y, x))
             report.add(f"equivariance{tag}", lhs == bracket(y, px))
 
             tx = taylor_terms(alg, j, x, y)
@@ -355,13 +361,13 @@ def verify_field_identities(alg: AlgebraRealization, j: int, samples) -> CheckRe
                 acc == _gradient_raw(alg, j, x + y.scale(extra)),
             )
 
-            table_zx = bivariate_terms(alg, j, x, bracket(z, x), y)
-            table_zy = bivariate_terms(alg, j, x, bracket(z, y), y)
+            row_zx = _derivative_along_line(alg, j, x, y, bracket(z, x))
+            row_zy = _derivative_along_line(alg, j, x, y, bracket(z, y))
             propagation = True
             for k in range(m + 1):
-                rhs = table_zx[1][k]
+                rhs = row_zx[k]
                 if k >= 1:
-                    rhs = rhs + table_zy[1][k - 1]
+                    rhs = rhs + row_zy[k - 1]
                 if bracket(z, tx.terms[k]) != rhs:
                     propagation = False
                     break

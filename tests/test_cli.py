@@ -161,3 +161,60 @@ def test_table_rejects_sizes_above_the_supported_range(monkeypatch, capsys):
         assert code == EXIT_USAGE
         assert out == ""
     assert f"up to {cli.TABLE_MAX_N}" in capsys.readouterr().err
+
+
+def test_flags_offered_only_where_they_act(monkeypatch, capsys):
+    # --format is a table option and --seed drives no decompose/convolution
+    # output, so argparse refuses them elsewhere before any work
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a refused flag must not start any work")
+
+    monkeypatch.setattr(cli, "verify_field_identities", must_not_run)
+    refused = [
+        ["verify", "--family", "A", "--rank", "2", "--format", "csv"],
+        ["index", "--family", "A", "--n", "3", "--partition", "3", "--format", "csv"],
+        ["decompose", "--family", "C", "--rank", "2", "--format", "csv"],
+        ["convolution", "--family", "A", "--n", "3", "--partition", "3", "--format", "csv"],
+        ["decompose", "--family", "C", "--rank", "2", "--seed", "1"],
+        ["convolution", "--family", "A", "--n", "3", "--partition", "3", "--seed", "1"],
+    ]
+    for argv in refused:
+        code, out = run_capture(argv)
+        assert code == EXIT_USAGE, argv
+        assert out == ""
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unseeded_commands_report_seed_zero():
+    code, out = run_capture(["decompose", "--family", "C", "--rank", "2"])
+    assert code == EXIT_OK
+    assert json.loads(out)["meta"]["seed"] == 0
+
+
+def test_output_in_missing_directory_exit_3(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an unwritable --output must be refused before any work")
+
+    monkeypatch.setattr(cli, "build_algebra", must_not_run)
+    monkeypatch.setattr(cli, "sweep", must_not_run)
+    target = tmp_path / "missing" / "out.json"
+    for argv in (
+        ["verify", "--family", "A", "--rank", "1"],
+        ["table", "--family", "A", "--n", "3", "--format", "csv"],
+    ):
+        code, out = run_capture(argv + ["--output", str(target)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "does not exist" in err
+    assert not target.parent.exists()
+
+
+def test_output_that_cannot_be_written_exit_3(tmp_path, capsys):
+    # the path is an existing directory: refused when the write fails
+    argv = ["decompose", "--family", "C", "--rank", "2", "--output", str(tmp_path)]
+    code, out = run_capture(argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot write" in err

@@ -225,6 +225,28 @@ def test_convolution_observed_is_twice_reference():
                     assert conv.c_observed == 2 * conv.c_reference
 
 
+def test_convolution_entries_take_one_first_derivative_per_ordered_pair(monkeypatch):
+    # pairs i <= j need d_ij and d_ji; on the diagonal they are the same
+    # derivative, so an orbit with s selected gradients takes s^2, not s(s+1)
+    import nilab.index as index_module
+
+    calls = []
+    real = index_module.gradient_derivative
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for family, rank, parts in [("A", 3, (4,)), ("C", 3, (6,)), ("D", 4, (5, 3))]:
+        _, pd = pair_data_for(family, rank, parts)
+        monkeypatch.setattr(index_module, "gradient_derivative", counting)
+        calls.clear()
+        entries = list(index_module.convolution_entries(pd))
+        monkeypatch.undo()
+        assert len(entries) == pd.s * (pd.s + 1) // 2
+        assert pd.s >= 2 and len(calls) == pd.s**2
+
+
 def test_hypothesis_refusal_paths():
     alg = build_algebra("D", 4)
     e = nilpotent_from_partition(alg, Partition((3, 3, 1, 1)))

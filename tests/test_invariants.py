@@ -21,6 +21,7 @@ from nilab import (
     principal_triplet,
     sl2_vectors,
     taylor_terms,
+    trace_form,
     triangular_decomposition,
     verify_field_identities,
 )
@@ -110,8 +111,6 @@ def test_gradient_matches_scalar_derivative_all_families():
             p = gradient(alg, gen.index_j, x, check=False)
             for _ in range(3):
                 y = alg.random_element(rng)
-                from nilab import trace_form
-
                 assert trace_form(p, y) == directional_scalar_derivative(
                     alg, gen.index_j, x, y
                 )
@@ -331,3 +330,67 @@ def test_gradient_derivative_matches_interpolation():
                 expected = taylor_terms(alg, gen.index_j, x, y).terms[1]
                 assert gradient_derivative(alg, gen.index_j, x, y) == expected
         assert kinds == ({"trace", "pfaffian"} if family == "D" else {"trace"})
+
+
+@pytest.mark.parametrize("scale", [1, 5])
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_pfaffian_gradient_checked(rank, scale):
+    # gradient(check=True) re-derives T(P(x), y) from scalar Pfaffian values
+    # and raises InternalError on a mismatch; the read-off raises if the
+    # element built from the minor Pfaffians is not in so(2r)
+    alg = build_algebra("D", rank, form_scale=scale)
+    plain = build_algebra("D", rank)
+    (j,) = [gen.index_j for gen in generators(alg) if gen.kind == "pfaffian"]
+    rng = random.Random(53 + rank)
+    t = principal_triplet(alg)
+    for x in (alg.random_element(rng), t.e, t.h):
+        p = gradient(alg, j, x, check=True)
+        unscaled = gradient(plain, j, plain.element(x.coords), check=False)
+        assert list(p.coords) == [c / scale for c in unscaled.coords]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_pfaffian_gradient_pairs_with_every_basis_vector(rank):
+    # the full defining system: T(P(x), b_k) = <dp(x), b_k> for every k
+    alg = build_algebra("D", rank, form_scale=5)
+    (j,) = [gen.index_j for gen in generators(alg) if gen.kind == "pfaffian"]
+    x = alg.random_element(random.Random(59))
+    p = gradient(alg, j, x, check=False)
+    for k in range(alg.dim):
+        b = alg.basis_element(k)
+        assert trace_form(p, b) == directional_scalar_derivative(alg, j, x, b)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("D", 3)])
+def test_field_identity_suite_reads_first_derivatives_from_gradient_derivative(
+    monkeypatch, family, rank
+):
+    import nilab.invariants as invariants_module
+
+    grid_calls = []
+    real_grid = invariants_module.bivariate_terms
+
+    def counting_grid(*args):
+        grid_calls.append(args)
+        return real_grid(*args)
+
+    monkeypatch.setattr(invariants_module, "bivariate_terms", counting_grid)
+    alg = build_algebra(family, rank)
+    samples = make_samples(alg, 2, 0)
+    js = [gen.index_j for gen in generators(alg)]
+    assert all(verify_field_identities(alg, j, samples).passed for j in js)
+
+    real_derivative = invariants_module.gradient_derivative
+
+    def perturbed(alg, j, x, y):
+        return real_derivative(alg, j, x, y) + alg.basis_element(0)
+
+    monkeypatch.setattr(invariants_module, "gradient_derivative", perturbed)
+    for j in js:
+        report = verify_field_identities(alg, j, samples)
+        results = {item.name: item.passed for item in report.items}
+        for idx in range(len(samples)):
+            assert results[f"derivative-propagation[{idx}]"] is False
+            assert results[f"equivariance[{idx}]"] is False
+            assert results[f"taylor-exchange[{idx}]"] is True
+    assert grid_calls == []

@@ -1,6 +1,8 @@
 """Partitions, nilpotent constructions, and sl(2)-triple completion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilab import (
     ContractError,
@@ -230,3 +232,55 @@ def test_regular_centralizer_graduation():
         pieces = h_graduation(t.h, centralizer(t.e))
         got = sorted(int(lam) for lam, sp in pieces for _ in range(sp.dim))
         assert got == sorted(2 * m for m in alg.exponents)
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - p, p):
+            yield (p,) + rest
+
+
+def _is_jordan_type(family, parts):
+    """In B/D every even part, in C every odd part, has even multiplicity."""
+    if family == "A":
+        return True
+    paired = 1 if family == "C" else 0
+    return all(parts.count(p) % 2 == 0 for p in set(parts) if p % 2 == paired)
+
+
+# Every Jordan type of a nilpotent element of sl(2..6), so(3), so(5), so(7),
+# sp(2..6) and so(4..8), enumerated independently of the library's checks.
+_SMALL_SIZES = {"A": (2, 3, 4, 5, 6), "B": (3, 5, 7), "C": (2, 4, 6), "D": (4, 6, 8)}
+_SMALL_JORDAN_TYPES = [
+    (family, parts)
+    for family, sizes in _SMALL_SIZES.items()
+    for n in sizes
+    for parts in _partitions(n)
+    if _is_jordan_type(family, parts)
+]
+
+
+def closed_form_centralizer_dim(family, parts):
+    """dim z(e) from the Jordan type (Collingwood-McGovern, section 6.1)."""
+    dual = [sum(1 for p in parts if p > i) for i in range(max(parts))]
+    squares = sum(c * c for c in dual)
+    odd = sum(1 for p in parts if p % 2)
+    if family == "A":
+        return squares - 1
+    if family == "C":
+        return (squares + odd) // 2
+    return (squares - odd) // 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_SMALL_JORDAN_TYPES))
+def test_centralizer_dim_matches_closed_form(orbit):
+    family, parts = orbit
+    n = sum(parts)
+    alg = build_algebra(family, {"A": n - 1, "B": (n - 1) // 2}.get(family, n // 2))
+    e = nilpotent_from_partition(alg, Partition(parts))
+    assert centralizer(e).dim == closed_form_centralizer_dim(family, parts)
