@@ -20,6 +20,9 @@ the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, and every matrix comes back
 to coordinates through the one checked read-off, coords_of_rows.
+
+Every matrix, an N x N realization or a dim x dim map such as ad(x) or
+exp(ad n), is a list of row lists, the one form linalg works on.
 """
 
 from __future__ import annotations
@@ -33,29 +36,13 @@ from .errors import (
     ShapeError,
     UnsupportedAlgebraError,
 )
-from .linalg import Mat, inverse, rank_kernel, rref
+from .linalg import inverse, mat_mul, rank_kernel, rref
 
 _FACTORIALS = [math.factorial(k) for k in range(40)]
 
 
 def _zero_rows(n):
     return [[ZERO] * n for _ in range(n)]
-
-
-def _mul_rows(a, b):
-    n = len(a)
-    m = len(b[0])
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t, v in enumerate(ai):
-            if v:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += v * bt[j]
-    return out
 
 
 def _sl_basis(n):
@@ -126,13 +113,13 @@ def _form_matrix(family, n):
         m = _zero_rows(n)
         for i in range(n):
             m[i][n - 1 - i] = ONE
-        return Mat.from_rows(m)
+        return m
     if family == "C":
         half = n // 2
         m = _zero_rows(n)
         for i in range(n):
             m[i][n - 1 - i] = ONE if i < half else -ONE
-        return Mat.from_rows(m)
+        return m
     return None
 
 
@@ -204,7 +191,6 @@ class AlgebraRealization:
         self.exponents = tuple(d - 1 for d in degrees)
         self.distinct_exponents = len(set(self.exponents)) == rank_r
         self._basis_rows = basis
-        self.basis = [Mat.from_rows(rows) for rows in basis]
         self.dim = len(basis)
         self._basis_sparse = [
             [(i, j, rows[i][j]) for i in range(n) for j in range(n) if rows[i][j]]
@@ -216,7 +202,6 @@ class AlgebraRealization:
             if all(i < j for i, j, _ in entries)
         )
         self._init_coordinatizer()
-        self._struct = None
 
     def _init_coordinatizer(self):
         # The pivot positions of the flattened basis determine a matrix's
@@ -229,8 +214,7 @@ class AlgebraRealization:
         pivots = rref(work, n * n)
         if len(pivots) != self.dim:
             raise ContractError("basis matrices are not linearly independent")
-        sub = Mat(self.dim, self.dim, [vecs[k][p] for p in pivots for k in range(self.dim)])
-        inv = inverse(sub).as_rows()
+        inv = inverse([[vec[p] for vec in vecs] for p in pivots])
         self._coord_terms = tuple(
             tuple((p // n, p % n, c) for p, c in zip(pivots, line) if c) for line in inv
         )
@@ -240,24 +224,6 @@ class AlgebraRealization:
             for q in range(n * n)
             if q not in pivot_set
         )
-
-    @property
-    def structure_constants(self):
-        """Sparse bracket tensor: struct[a][b] = {k: coefficient} with
-        [b_a, b_b] = sum coefficient * b_k.  Computed once on demand."""
-        if self._struct is None:
-            table = []
-            for a in range(self.dim):
-                row = []
-                for b in range(self.dim):
-                    prod = _commutator_rows(
-                        self._basis_rows[a], self._basis_rows[b], self.matrix_size_N
-                    )
-                    coords = self.coords_of_rows(prod)
-                    row.append({k: c for k, c in enumerate(coords) if c})
-                table.append(row)
-            self._struct = table
-        return self._struct
 
     def coords_of_rows(self, rows):
         """Coordinates of an N x N matrix (given as row lists) in the basis.
@@ -298,9 +264,11 @@ class AlgebraRealization:
         coords[k] = ONE
         return Element(self, coords)
 
-    def from_matrix(self, mat) -> "Element":
-        rows = mat.as_rows() if isinstance(mat, Mat) else [list(r) for r in mat]
-        if len(rows) != self.matrix_size_N:
+    def from_matrix(self, rows) -> "Element":
+        """The element with these N x N matrix rows (ShapeError unless the
+        matrix is N x N, ContractError unless it lies in the algebra)."""
+        n = self.matrix_size_N
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ShapeError("matrix size does not match the realization")
         return Element(self, self.coords_of_rows([[Rat(v) for v in r] for r in rows]))
 
@@ -393,9 +361,6 @@ class Element:
             self._rows = rows
         return self._rows
 
-    def matrix(self) -> Mat:
-        return Mat.from_rows(self.matrix_rows())
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -405,7 +370,7 @@ class Element:
         for _ in range(n - 1):
             if all(v == 0 for row in power for v in row):
                 return True
-            power = _mul_rows(power, self.matrix_rows())
+            power = mat_mul(power, self.matrix_rows())
         return all(v == 0 for row in power for v in row)
 
     def __add__(self, other: "Element") -> "Element":
@@ -465,16 +430,15 @@ def trace_form(x: Element, y: Element):
     return acc * x.algebra.form_scale
 
 
-def ad_matrix(x: Element) -> Mat:
-    """Matrix of ad(x): column k holds the coordinates of [x, basis_k]."""
+def ad_matrix(x: Element):
+    """Rows of the matrix of ad(x): column k holds the coordinates of
+    [x, basis_k]."""
     alg = x.algebra
-    dim = alg.dim
     cols = []
-    for k in range(dim):
-        prod = _commutator_rows(x.matrix_rows(), alg._basis_rows[k], alg.matrix_size_N)
+    for rows in alg._basis_rows:
+        prod = _commutator_rows(x.matrix_rows(), rows, alg.matrix_size_N)
         cols.append(alg.coords_of_rows(prod))
-    data = [cols[k][i] for i in range(dim) for k in range(dim)]
-    return Mat(dim, dim, data)
+    return [list(row) for row in zip(*cols)]
 
 
 class Subspace:
@@ -570,15 +534,8 @@ class Subspace:
 
 def centralizer(x: Element) -> Subspace:
     """z(x) = {y : [x, y] = 0}, the kernel of ad(x)."""
-    adx = ad_matrix(x)
-    _, kernel = rank_kernel(adx)
-    return Subspace.from_coord_rows(x.algebra, [k.column(0) for k in kernel])
-
-
-def _kernel(rows, ncols):
-    """Basis of {x : row . x = 0 for every row}, in rank_kernel's reduced form."""
-    _, kernel = rank_kernel(Mat(len(rows), ncols, [v for row in rows for v in row]))
-    return [vec.column(0) for vec in kernel]
+    _, kernel = rank_kernel(ad_matrix(x), x.algebra.dim)
+    return Subspace.from_coord_rows(x.algebra, kernel)
 
 
 def _combine(rows, coeffs, length):
@@ -609,7 +566,7 @@ def center_of(s: Subspace) -> Subspace:
                 if c:  # coord_t [b_a, b_b] = c and coord_t [b_b, b_a] = -c
                     rows.setdefault((b, t), [ZERO] * k)[a] = c
                     rows.setdefault((a, t), [ZERO] * k)[b] = -c
-    kernel = _kernel(list(rows.values()), k)
+    _, kernel = rank_kernel(list(rows.values()), k)
     return Subspace.from_coord_rows(
         s.algebra, [_combine(s.rows, x, s.algebra.dim) for x in kernel]
     )
@@ -633,7 +590,7 @@ def normalizer_of(s: Subspace) -> Subspace:
         if not candidates:
             break
         images = [s.reduce(bracket(y, u).coords) for y in candidates]
-        kernel = _kernel([r for r in zip(*images) if any(r)], len(candidates))
+        _, kernel = rank_kernel([r for r in zip(*images) if any(r)], len(candidates))
         if len(kernel) < len(candidates):
             coords = [y.coords for y in candidates]
             candidates = [Element(alg, _combine(coords, x, alg.dim)) for x in kernel]
@@ -666,12 +623,11 @@ def h_graduation(h: Element, s: Subspace):
         work = [list(row) for row in scaled]
         for i in range(k):
             work[i][i] -= mu
-        _, kernel = rank_kernel(Mat.from_rows(work))
+        _, kernel = rank_kernel(work, k)
         if not kernel:
             continue
         elements = []
-        for vec in kernel:
-            coeffs = vec.column(0)
+        for coeffs in kernel:
             acc = s.algebra.zero()
             for a, c in enumerate(coeffs):
                 if c:
@@ -688,21 +644,25 @@ def h_graduation(h: Element, s: Subspace):
     return pieces
 
 
-def unipotent_ad(n: Element) -> Mat:
-    """Exact exp(ad n) for ad-nilpotent n, as a dim x dim matrix.
+def unipotent_ad(n: Element):
+    """Exact exp(ad n) for ad-nilpotent n, as the rows of a dim x dim matrix.
 
     This is the adjoint action of the unipotent group element exp(n),
     usable for group-level invariance checks without leaving the rationals.
     """
-    alg = n.algebra
+    dim = n.algebra.dim
     a = ad_matrix(n)
-    result = Mat.identity(alg.dim)
+    result = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
     term = a
     k = 1
-    while not term.is_zero():
-        if k > alg.dim:
+    while any(any(row) for row in term):
+        if k > dim:
             raise ContractError("element is not ad-nilpotent")
-        result = result + term.scale(Rat(1, _FACTORIALS[k]))
-        term = term * a
+        c = Rat(1, _FACTORIALS[k])
+        for out, row in zip(result, term):
+            for j, v in enumerate(row):
+                if v:
+                    out[j] += c * v
+        term = mat_mul(term, a)
         k += 1
     return result

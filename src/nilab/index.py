@@ -48,7 +48,7 @@ from .errors import (
     PartitionError,
 )
 from .invariants import _gradient_raw, generators, gradient_derivative
-from .linalg import Mat, solve
+from .linalg import solve
 from .poly import Poly, generic_rank_detail, poly_det
 from .reports import CheckReport
 from .triples import (
@@ -390,14 +390,14 @@ def convolution_at(pd: PairData, i: int, j: int) -> ConvolutionResult:
     if br != bracket(pd.y_vec[j - 1], pd.z_vec[i - 1]):
         raise IdentityError(f"bracket symmetry failed at ({i},{j})")
     grad = d_ij + d_ji
-    if not pd.delta.contains(grad):
+    coords = pd.delta.coords_of(grad)
+    if coords is None:
         raise IdentityError(f"convolution gradient ({i},{j}) left the center")
-    cols = Mat(
-        alg.dim,
-        s,
-        [pd.z_vec[k].coords[d] for d in range(alg.dim) for k in range(s)],
-    )
-    alphas = solve(cols, list(grad.coords))
+    # The z_k lie in delta, so the alphas solve the system in delta
+    # coordinates; under the hypothesis the z_k are a basis of delta and the
+    # solution is unique.
+    z_cols = [pd.delta.coords_of(z) for z in pd.z_vec]
+    alphas = solve([list(row) for row in zip(*z_cols)], s, coords)
     if alphas is None:
         raise IdentityError("convolution gradient is not a combination of the z_k")
     c_observed = None

@@ -33,7 +33,6 @@ from .algebras import (
     AlgebraRealization,
     Element,
     Subspace,
-    _mul_rows,
     bracket,
     center_of,
     centralizer,
@@ -42,7 +41,7 @@ from .algebras import (
     unipotent_ad,
 )
 from .errors import ContractError, IdentityError, InternalError, NilabError
-from .linalg import interpolate_vector_poly
+from .linalg import interpolate_vector_poly, mat_mul, mat_vec
 from .reports import CheckReport
 from .triples import Triplet, principal_triplet
 
@@ -105,7 +104,7 @@ def eval_generator(alg: AlgebraRealization, j: int, x: Element):
         rows = x.matrix_rows()
         power = rows
         for _ in range(gen.degree - 1):
-            power = _mul_rows(power, rows)
+            power = mat_mul(power, rows)
         n = alg.matrix_size_N
         return sum((power[i][i] for i in range(n)), ZERO)
     return pfaffian(x.matrix_rows()[::-1])
@@ -142,7 +141,7 @@ def _gradient_raw(alg: AlgebraRealization, j: int, x: Element) -> Element:
         rows = x.matrix_rows()
         power = [list(r) for r in rows]  # exponent >= 1: degrees start at 2
         for _ in range(gen.exponent - 1):
-            power = _mul_rows(power, rows)
+            power = mat_mul(power, rows)
         return _read_off(alg, _project_to_algebra(alg, power), gen.degree)
     # Pfaffian kind: dPf(S x).y = sum_{a<b} c_ab y[n-1-a][b] with c_ab the
     # signed minor Pfaffians of S x.  That is tr(M y) / 2 for the element M
@@ -235,10 +234,10 @@ def gradient_derivative(alg: AlgebraRealization, j: int, x: Element, y: Element)
     power = x_rows  # x^k
     deriv = y_rows  # D_k
     for _ in range(gen.exponent - 1):
-        left = _mul_rows(deriv, x_rows)
-        right = _mul_rows(power, y_rows)
+        left = mat_mul(deriv, x_rows)
+        right = mat_mul(power, y_rows)
         deriv = [[a + b if b else a for a, b in zip(la, lb)] for la, lb in zip(left, right)]
-        power = _mul_rows(power, x_rows)
+        power = mat_mul(power, x_rows)
     return _read_off(alg, _project_to_algebra(alg, deriv), gen.degree)
 
 
@@ -377,8 +376,8 @@ def verify_field_identities(alg: AlgebraRealization, j: int, samples) -> CheckRe
             report.add(f"center-membership{tag}", membership)
 
             ad = sample.ad_exp()
-            moved = Element(alg, ad.mul_vec(list(x.coords)))
-            expected = Element(alg, ad.mul_vec(list(px.coords)))
+            moved = Element(alg, mat_vec(ad, x.coords))
+            expected = Element(alg, mat_vec(ad, px.coords))
             report.add(
                 f"unipotent-invariance{tag}",
                 _gradient_raw(alg, j, moved) == expected,

@@ -6,11 +6,14 @@ decision is discrete and reproducible.  Pivot choice is deterministic
 (first nonzero entry in column order), which makes echelon forms, kernel
 bases and solver output identical across runs and platforms.
 
-Matrices are stored densely, but the pipeline's matrices (ad maps of
-nilpotent elements, stacked bracket blocks) are mostly zero, so the loops
-skip zero entries: products and row updates only touch positions where
-both factors are nonzero.  Skipping a zero never changes a value, only the
-number of rational operations spent reaching it.
+A matrix is a list of row lists.  Only rref changes its input (it works
+in place); the other functions copy what they eliminate.  A row of the wrong
+length, or a non-square input where a square one is needed, raises
+ShapeError.  The pipeline's matrices (ad maps of nilpotent elements,
+stacked bracket blocks) are mostly zero, so the loops skip zero entries:
+products and row updates only touch positions where both factors are
+nonzero.  Skipping a zero never changes a value, only the number of
+rational operations spent reaching it.
 """
 
 from __future__ import annotations
@@ -22,136 +25,45 @@ from ._scalar import ONE, Rat, ZERO
 from .errors import ContractError, DegreeMismatchError, ShapeError
 
 
-class Mat:
-    """Dense rational matrix, entries stored row-major."""
+def _rat_rows(rows, ncols: int):
+    """Fresh copies of the rows with every entry a Rat; ShapeError unless
+    every row has ncols entries."""
+    out = []
+    for row in rows:
+        if len(row) != ncols:
+            raise ShapeError(f"expected rows of {ncols} entries, got one of {len(row)}")
+        out.append([v if type(v) is Rat else Rat(v) for v in row])
+    return out
 
-    __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data):
-        data = [v if type(v) is Rat else Rat(v) for v in data]
-        if len(data) != rows * cols:
-            raise ShapeError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, [ZERO] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i * n + i] = ONE
-        return m
-
-    @classmethod
-    def from_rows(cls, rows) -> "Mat":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ShapeError("ragged row lengths")
-            flat.extend(row)
-        return cls(nrows, ncols, flat)
-
-    @classmethod
-    def column_vector(cls, values) -> "Mat":
-        return cls(len(values), 1, list(values))
-
-    def at(self, i: int, j: int):
-        return self.data[i * self.cols + j]
-
-    def row(self, i: int):
-        return self.data[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int):
-        return [self.data[i * self.cols + j] for i in range(self.rows)]
-
-    def as_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.data)
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ShapeError("trace of a non-square matrix")
-        return sum((self.at(i, i) for i in range(self.rows)), ZERO)
-
-    def transpose(self) -> "Mat":
-        out = Mat.zeros(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j * self.rows + i] = self.at(i, j)
-        return out
-
-    def scale(self, c) -> "Mat":
-        c = Rat(c)
-        return Mat(self.rows, self.cols, [c * v for v in self.data])
-
-    def __add__(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError("shape mismatch in addition")
-        return Mat(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError("shape mismatch in subtraction")
-        return Mat(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [-v for v in self.data])
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
+def mat_mul(a, b):
+    """Product of two matrices, skipping zero entries of both factors."""
+    m = len(b[0]) if b else 0
+    out = [[ZERO] * m for _ in a]
+    for ai, oi in zip(a, out):
+        if len(ai) != len(b):
             raise ShapeError("shape mismatch in multiplication")
-        out = Mat.zeros(self.rows, other.cols)
-        oc = other.cols
-        for i in range(self.rows):
-            base = i * self.cols
-            obase = i * oc
-            for t in range(self.cols):
-                v = self.data[base + t]
-                if v:
-                    tbase = t * oc
-                    for j in range(oc):
-                        w = other.data[tbase + j]
-                        if w:
-                            out.data[obase + j] += v * w
-        return out
+        for t, v in enumerate(ai):
+            if v:
+                bt = b[t]
+                for j in range(m):
+                    if bt[j]:
+                        oi[j] += v * bt[j]
+    return out
 
-    def mul_vec(self, vec):
-        if self.cols != len(vec):
+
+def mat_vec(rows, vec):
+    """Matrix times a coordinate vector, skipping zero vector entries."""
+    out = []
+    for row in rows:
+        if len(row) != len(vec):
             raise ShapeError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = ZERO
-            for j, v in enumerate(vec):
-                if v:
-                    acc += self.data[base + j] * v
-            out.append(acc)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.data)))
-
-    def __repr__(self) -> str:
-        rows = "; ".join(" ".join(str(v) for v in self.row(i)) for i in range(self.rows))
-        return f"Mat({self.rows}x{self.cols}: {rows})"
+        acc = ZERO
+        for w, v in zip(row, vec):
+            if v:
+                acc += w * v
+        out.append(acc)
+    return out
 
 
 def rref(rows, ncols: int):
@@ -187,46 +99,44 @@ def rref(rows, ncols: int):
     return pivots
 
 
-def rank_kernel(m: Mat):
-    """Exact rank and kernel of m.
+def rank_kernel(rows, ncols: int):
+    """Exact rank and kernel of the matrix with these rows and ncols columns.
 
     The kernel basis is in reduced column-echelon form: vector k for free
     column f has entry 1 at f, entry 0 at every other free column, and the
-    negated echelon coefficients at the pivot columns.  Returned as column
-    vectors, ordered by ascending free column.
+    negated echelon coefficients at the pivot columns.  Returned as
+    coordinate lists, ordered by ascending free column.
     """
-    work = m.as_rows()
-    pivots = rref(work, m.cols)
+    work = _rat_rows(rows, ncols)
+    pivots = rref(work, ncols)
     rank = len(pivots)
     pivot_set = set(pivots)
     kernel = []
-    for f in range(m.cols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [ZERO] * m.cols
+        vec = [ZERO] * ncols
         vec[f] = ONE
         for r, c in enumerate(pivots):
             vec[c] = -work[r][f]
-        kernel.append(Mat.column_vector(vec))
+        kernel.append(vec)
     return rank, kernel
 
 
-def det(m: Mat):
+def det(rows):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Rows are first cleared of denominators so the elimination runs over the
     integers; the scaling is divided back out at the end.
     """
-    if m.rows != m.cols:
-        raise ShapeError("determinant of a non-square matrix")
-    n = m.rows
+    n = len(rows)
+    rows = _rat_rows(rows, n)
     if n == 0:
         return ONE
     a = []
     scale = ONE
-    for i in range(n):
-        row = m.row(i)
-        den = math.lcm(*(int(v.denominator) for v in row)) if row else 1
+    for row in rows:
+        den = math.lcm(*(int(v.denominator) for v in row))
         scale *= den
         a.append([int(v.numerator) * (den // int(v.denominator)) for v in row])
     sign = 1
@@ -252,36 +162,38 @@ def det(m: Mat):
     return Rat(sign * a[n - 1][n - 1]) / scale
 
 
-def solve(m: Mat, rhs):
-    """One exact solution of m x = rhs, or None when inconsistent.
+def solve(rows, ncols: int, rhs):
+    """One exact solution of rows . x = rhs (x of length ncols), or None
+    when inconsistent.
 
     Deterministic: reduces the augmented matrix and sets every free
     variable to zero (the echelon-first particular solution).
     """
-    if len(rhs) != m.rows:
+    if len(rhs) != len(rows):
         raise ShapeError("right-hand side length mismatch")
-    work = [m.row(i) + [Rat(rhs[i])] for i in range(m.rows)]
-    pivots = rref(work, m.cols)
-    for i in range(len(pivots), m.rows):
-        if work[i][m.cols] != 0:
+    work = _rat_rows(rows, ncols)
+    for row, b in zip(work, rhs):
+        row.append(Rat(b))
+    pivots = rref(work, ncols)
+    for i in range(len(pivots), len(work)):
+        if work[i][ncols] != 0:
             return None
-    x = [ZERO] * m.cols
+    x = [ZERO] * ncols
     for r, c in enumerate(pivots):
-        x[c] = work[r][m.cols]
+        x[c] = work[r][ncols]
     return x
 
 
-def inverse(m: Mat) -> Mat:
-    """Exact inverse of a square matrix; raises ShapeError if singular."""
-    if m.rows != m.cols:
-        raise ShapeError("inverse of a non-square matrix")
-    n = m.rows
-    ident = Mat.identity(n)
-    work = [m.row(i) + ident.row(i) for i in range(n)]
+def inverse(rows):
+    """Exact inverse of a square matrix, as rows; ShapeError if singular."""
+    n = len(rows)
+    work = _rat_rows(rows, n)
+    for i, row in enumerate(work):
+        row.extend(ONE if j == i else ZERO for j in range(n))
     pivots = rref(work, n)
     if len(pivots) != n:
         raise ShapeError("matrix is singular")
-    return Mat.from_rows([row[n:] for row in work])
+    return [row[n:] for row in work]
 
 
 @lru_cache(maxsize=None)
@@ -291,9 +203,10 @@ def _vandermonde_inverse(nodes):
     Column i holds the coefficients of the Lagrange basis polynomial
     L_i(t) = prod_{l != i} (t - t_l) / (t_i - t_l), so no elimination runs
     and the cached value costs the same work whenever it is first needed.
+    Returned as a tuple of row tuples, so the cached value cannot be changed.
     """
     n = len(nodes)
-    data = [ZERO] * (n * n)
+    rows = [[ZERO] * n for _ in range(n)]
     for i, ti in enumerate(nodes):
         coeffs = [ONE]  # ascending coefficients of prod (t - t_l), l != i
         denom = ONE
@@ -304,8 +217,8 @@ def _vandermonde_inverse(nodes):
                     coeffs[k] -= tl * coeffs[k + 1]
                 denom *= ti - tl
         for k, c in enumerate(coeffs):
-            data[k * n + i] = c / denom
-    return Mat(n, n, data)
+            rows[k][i] = c / denom
+    return tuple(tuple(row) for row in rows)
 
 
 def interpolate_vector_poly(samples, degree: int):
@@ -331,7 +244,7 @@ def interpolate_vector_poly(samples, degree: int):
     vinv = _vandermonde_inverse(tuple(nodes[: degree + 1]))
     coeffs = []
     for k in range(degree + 1):
-        vrow = vinv.row(k)
+        vrow = vinv[k]
         coeffs.append(
             [
                 sum((vrow[i] * samples[i][1][j] for i in range(degree + 1)), ZERO)

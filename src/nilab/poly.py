@@ -17,7 +17,7 @@ from math import isqrt
 
 from ._scalar import ONE, Rat, ZERO
 from .errors import ContractError, InternalError, ShapeError
-from .linalg import Mat, rank_kernel
+from .linalg import rank_kernel
 
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -333,8 +333,7 @@ def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericR
     for _ in range(max(3, samples)):
         primes = tuple(rng.sample(pool, nvars))[: len(variables)]
         point = [Rat(p) for p in primes]
-        m = Mat(nrows, ncols, [p.eval(point) for row in entries for p in row])
-        rank, _ = rank_kernel(m)
+        rank, _ = rank_kernel([[p.eval(point) for p in row] for row in entries], ncols)
         prime_samples.append(primes)
         eval_ranks.append(rank)
     if max(eval_ranks) != symbolic:

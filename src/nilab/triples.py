@@ -24,14 +24,13 @@ from ._scalar import ONE, Rat, ZERO
 from .algebras import (
     AlgebraRealization,
     Element,
-    _mul_rows,
     _zero_rows,
     ad_matrix,
     bracket,
     centralizer,
 )
 from .errors import ContractError, InternalError, PartitionError
-from .linalg import Mat, inverse, rank_kernel, solve
+from .linalg import inverse, mat_mul, rank_kernel, solve
 
 
 @dataclass(frozen=True)
@@ -224,19 +223,17 @@ def _so_sp_nilpotent_rows(alg: AlgebraRealization, p: Partition):
         p_cols.append(leftover[0])
         q_cols.append(_unit(n, (n - 1) // 2))
 
-    s_rows = alg.form.as_rows()
     for a, ua in enumerate(p_cols):
         for b, ub in enumerate(p_cols):
             gval = _form_value(g, ua, ub)
-            sval = _form_value(s_rows, q_cols[a], q_cols[b])
+            sval = _form_value(alg.form, q_cols[a], q_cols[b])
             if gval != sval:
                 raise InternalError("form decompositions disagree")
 
-    p_mat = Mat(n, n, [p_cols[b][i] for i in range(n) for b in range(n)])
-    q_mat = Mat(n, n, [q_cols[b][i] for i in range(n) for b in range(n)])
-    t_mat = q_mat * inverse(p_mat)
-    t_inv = inverse(t_mat)
-    return _mul_rows(_mul_rows(t_mat.as_rows(), e0), t_inv.as_rows())
+    p_rows = [list(row) for row in zip(*p_cols)]
+    q_rows = [list(row) for row in zip(*q_cols)]
+    t_rows = mat_mul(q_rows, inverse(p_rows))
+    return mat_mul(mat_mul(t_rows, e0), inverse(t_rows))
 
 
 def _check_jordan_type(e: Element, p: Partition):
@@ -244,11 +241,11 @@ def _check_jordan_type(e: Element, p: Partition):
     rows = e.matrix_rows()
     power = rows
     for k in range(1, p.parts[0] + 1):
-        rank, _ = rank_kernel(Mat.from_rows(power))
+        rank, _ = rank_kernel(power, n)
         expected_nullity = sum(min(part, k) for part in p.parts)
         if n - rank != expected_nullity:
             raise InternalError(f"constructed nilpotent has wrong Jordan type at power {k}")
-        power = _mul_rows(power, rows)
+        power = mat_mul(power, rows)
 
 
 def nilpotent_from_partition(alg: AlgebraRealization, p: Partition) -> Element:
@@ -320,19 +317,17 @@ def sl2_complete(alg: AlgebraRealization, e: Element) -> Triplet:
         blocks = _jordan_blocks_of(e)
         if blocks is not None:
             return _closed_form_triple(alg, e, blocks)
+    dim = alg.dim
     ade = ad_matrix(e)
-    ade2 = ade * ade
-    w = solve(ade2, [-2 * c for c in e.coords])
+    w = solve(mat_mul(ade, ade), dim, [-2 * c for c in e.coords])
     if w is None:
         raise InternalError("no grading element in the image of ad(e)")
     h = bracket(e, Element(alg, w))
     adh = ad_matrix(h)
-    dim = alg.dim
-    stacked_rows = ade.as_rows() + [
-        [adh.at(i, j) + (2 if i == j else 0) for j in range(dim)] for i in range(dim)
-    ]
+    for i, row in enumerate(adh):
+        row[i] += 2
     rhs = list(h.coords) + [ZERO] * dim
-    f = solve(Mat.from_rows(stacked_rows), rhs)
+    f = solve(ade + adh, dim, rhs)
     if f is None:
         raise InternalError("triple completion system is inconsistent")
     return Triplet(h, e, Element(alg, f))

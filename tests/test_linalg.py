@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from nilab import (
     ContractError,
     DegreeMismatchError,
-    Mat,
     Rat,
     ShapeError,
     det,
@@ -18,7 +17,23 @@ from nilab import (
     rank_kernel,
     solve,
 )
-from nilab.linalg import _vandermonde_inverse, rref
+from nilab.linalg import _vandermonde_inverse, mat_mul, mat_vec, rref
+
+
+def identity(n):
+    return [[Rat(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def random_rows(rng, nrows, ncols, low, high):
+    return [[Rat(rng.randint(low, high)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def sparse_rows(rng, nrows, ncols):
+    """Random small entries, about 70 % of them zero."""
+    return [
+        [Rat(rng.randint(-3, 3)) if rng.random() < 0.3 else Rat(0) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
 
 
 def cofactor_det(rows):
@@ -61,21 +76,11 @@ def test_rref_matches_dense_reference_on_sparse_matrices():
     rng = random.Random(4)
     for _ in range(40):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
-        rows = [
-            [Rat(rng.randint(-3, 3)) if rng.random() < 0.3 else Rat(0) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
+        rows = sparse_rows(rng, nrows, ncols)
         expected_rows, expected_pivots = dense_rref(rows, ncols)
         work = [list(r) for r in rows]
         assert rref(work, ncols) == expected_pivots
         assert work == expected_rows
-
-
-def test_mat_coerces_int_and_string_entries():
-    m = Mat(1, 4, [2, "1/3", Rat(-1, 2), 0])
-    assert m.data == [Rat(2), Rat(1, 3), Rat(-1, 2), Rat(0)]
-    assert all(type(v) is Rat for v in m.data)
-    assert Mat.from_rows([[1, "2"], ["-5/10", 0]]).data == [Rat(1), Rat(2), Rat(-1, 2), Rat(0)]
 
 
 def test_rat_always_reduced_positive_denominator():
@@ -87,31 +92,31 @@ def test_rat_always_reduced_positive_denominator():
 
 
 def test_rank_kernel_identity():
-    rank, kernel = rank_kernel(Mat.identity(2))
+    rank, kernel = rank_kernel(identity(2), 2)
     assert rank == 2 and kernel == []
 
 
 def test_rank_kernel_zero_matrix():
-    rank, kernel = rank_kernel(Mat.zeros(2, 2))
+    rank, kernel = rank_kernel([[0, 0], [0, 0]], 2)
     assert rank == 0 and len(kernel) == 2
 
 
 def test_rank_kernel_rank_one():
     # hand elimination: row 2 = 2 * row 1, kernel spanned by (-2, 1)
-    rank, kernel = rank_kernel(Mat.from_rows([[1, 2], [2, 4]]))
+    rank, kernel = rank_kernel([[1, 2], [2, 4]], 2)
     assert rank == 1
     assert len(kernel) == 1
-    assert kernel[0].column(0) == [Rat(-2), Rat(1)]
+    assert kernel[0] == [Rat(-2), Rat(1)]
 
 
 def test_kernel_vectors_annihilated():
     rng = random.Random(11)
     for _ in range(20):
-        m = Mat(4, 5, [Rat(rng.randint(-4, 4)) for _ in range(20)])
-        rank, kernel = rank_kernel(m)
-        assert rank + len(kernel) == m.cols
+        m = random_rows(rng, 4, 5, -4, 4)
+        rank, kernel = rank_kernel(m, 5)
+        assert rank + len(kernel) == 5
         for vec in kernel:
-            assert all(v == 0 for v in m.mul_vec(vec.column(0)))
+            assert all(v == 0 for v in mat_vec(m, vec))
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,50 +128,51 @@ def test_kernel_vectors_annihilated():
     )
 )
 def test_rank_nullity_property(rows):
-    m = Mat.from_rows(rows)
-    rank, kernel = rank_kernel(m)
-    assert rank + len(kernel) == m.cols
+    rank, kernel = rank_kernel(rows, 3)
+    assert rank + len(kernel) == 3
     for vec in kernel:
-        assert all(v == 0 for v in m.mul_vec(vec.column(0)))
+        assert all(v == 0 for v in mat_vec(rows, vec))
 
 
 def test_det_trivial_cases():
-    assert det(Mat.identity(3)) == 1
-    assert det(Mat.from_rows([[0, 1], [1, 0]])) == -1
+    assert det(identity(3)) == 1
+    assert det([[0, 1], [1, 0]]) == -1
 
 
 def test_det_against_cofactor_oracle():
-    assert det(Mat.from_rows([[2, 3], [4, 5]])) == cofactor_det([[2, 3], [4, 5]]) == -2
+    assert det([[2, 3], [4, 5]]) == cofactor_det([[2, 3], [4, 5]]) == -2
     rng = random.Random(5)
     for _ in range(20):
         rows = [[Rat(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)] for _ in range(4)]
-        assert det(Mat.from_rows(rows)) == cofactor_det(rows)
+        assert det(rows) == cofactor_det(rows)
 
 
 def test_det_multiplicative():
     rng = random.Random(17)
     for _ in range(20):
-        a = Mat(4, 4, [Rat(rng.randint(-5, 5)) for _ in range(16)])
-        b = Mat(4, 4, [Rat(rng.randint(-5, 5)) for _ in range(16)])
-        assert det(a * b) == det(a) * det(b)
+        a = random_rows(rng, 4, 4, -5, 5)
+        b = random_rows(rng, 4, 4, -5, 5)
+        assert det(mat_mul(a, b)) == det(a) * det(b)
 
 
 def test_det_rejects_non_square():
     with pytest.raises(ShapeError):
-        det(Mat.zeros(2, 3))
+        det([[0, 0, 0], [0, 0, 0]])
 
 
 def test_solve_particular_and_inconsistent():
-    m = Mat.from_rows([[1, 2], [2, 4]])
-    assert solve(m, [1, 2]) == [Rat(1), Rat(0)]  # free variable pinned to zero
-    assert solve(m, [1, 3]) is None
+    m = [[1, 2], [2, 4]]
+    assert solve(m, 2, [1, 2]) == [Rat(1), Rat(0)]  # free variable pinned to zero
+    assert solve(m, 2, [1, 3]) is None
+    x = solve([[2, "1/3"]], 2, ["-5/10"])  # int and string entries become Rat
+    assert x == [Rat(-1, 4), Rat(0)] and all(type(v) is Rat for v in x)
 
 
 def test_inverse_round_trip():
-    m = Mat.from_rows([[2, 1], [7, 4]])
-    assert m * inverse(m) == Mat.identity(2)
+    m = [[2, 1], [7, 4]]
+    assert mat_mul(m, inverse(m)) == identity(2)
     with pytest.raises(ShapeError):
-        inverse(Mat.from_rows([[1, 2], [2, 4]]))
+        inverse([[1, 2], [2, 4]])
 
 
 def test_interpolate_constant():
@@ -230,5 +236,60 @@ def test_vandermonde_inverse_matches_elimination():
     ]
     for nodes in node_sets:
         n = len(nodes)
-        vander = Mat(n, n, [t**k for t in nodes for k in range(n)])
-        assert _vandermonde_inverse(nodes) == inverse(vander)
+        vander = [[t**k for k in range(n)] for t in nodes]
+        assert [list(row) for row in _vandermonde_inverse(nodes)] == inverse(vander)
+
+
+def test_ragged_rows_raise_shape_error():
+    ragged = [[1, 2, 3], [4, 5]]
+    with pytest.raises(ShapeError):
+        rank_kernel(ragged, 3)
+    with pytest.raises(ShapeError):
+        solve(ragged, 3, [0, 0])
+    with pytest.raises(ShapeError):
+        rank_kernel([[1, 2, 3]], 2)  # a row longer than ncols
+
+
+def test_non_square_input_raises_shape_error():
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]):
+        with pytest.raises(ShapeError):
+            inverse(rows)
+        with pytest.raises(ShapeError):
+            det(rows)
+
+
+def test_rank_kernel_of_no_rows_is_everything():
+    rank, kernel = rank_kernel([], 3)
+    assert rank == 0
+    assert kernel == identity(3)
+
+
+def test_inputs_are_not_changed():
+    rows = [[Rat(2), Rat(1)], [Rat(7), Rat(4)]]
+    before = [list(r) for r in rows]
+    rank_kernel(rows, 2)
+    solve(rows, 2, [1, 1])
+    inverse(rows)
+    det(rows)
+    assert rows == before
+
+
+def test_mat_mul_matches_naive_triple_loop():
+    rng = random.Random(23)
+    for _ in range(40):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a, b = sparse_rows(rng, n, k), sparse_rows(rng, k, m)
+        naive = [
+            [sum((a[i][t] * b[t][j] for t in range(k)), Rat(0)) for j in range(m)]
+            for i in range(n)
+        ]
+        assert mat_mul(a, b) == naive
+    with pytest.raises(ShapeError):
+        mat_mul([[1, 2]], [[1, 2]])
+
+
+def test_mat_vec_matches_rows_times_vector():
+    rows = [[Rat(1), Rat(2), Rat(0)], [Rat(0), Rat(-1), Rat(3)]]
+    assert mat_vec(rows, [Rat(1), Rat(0), Rat(2)]) == [Rat(1), Rat(6)]
+    with pytest.raises(ShapeError):
+        mat_vec(rows, [Rat(1)])

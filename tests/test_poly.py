@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from nilab import ContractError, Mat, Poly, Rat, ShapeError, generic_rank, poly_det, rank_kernel
+from nilab import ContractError, Poly, Rat, ShapeError, generic_rank, poly_det, rank_kernel
 from nilab.poly import _eliminate, generic_rank_detail
 
 V2 = ("x", "y")
@@ -56,7 +56,7 @@ def test_poly_det_matches_numeric_det():
             [Poly.const(vars1, rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)
         ]
         sym = poly_det(entries)
-        numeric = Mat.from_rows([[p.eval([0]) for p in row] for row in entries])
+        numeric = [[p.eval([0]) for p in row] for row in entries]
         from nilab import det
 
         assert sym.eval([0]) == det(numeric)
@@ -105,8 +105,8 @@ def test_generic_rank_matches_random_evaluations():
         best = 0
         for _ in range(10):
             point = [Rat(rng.randint(-50, 50)) for _ in range(3)]
-            m = Mat(3, 4, [p.eval(point) for row in entries for p in row])
-            best = max(best, rank_kernel(m)[0])
+            m = [[p.eval(point) for p in row] for row in entries]
+            best = max(best, rank_kernel(m, 4)[0])
         assert symbolic == best
 
 
@@ -237,8 +237,8 @@ def test_elimination_rank_on_rectangular_matrices():
                 entries[-1] = [p * Rat(2) for p in entries[0]]  # repeated row
             rank, det = _eliminate(entries)
             assert det is None
-            at_point = Mat(nrows, ncols, [p.eval(point) for row in entries for p in row])
-            assert rank == rank_kernel(at_point)[0]
+            at_point = [[p.eval(point) for p in row] for row in entries]
+            assert rank == rank_kernel(at_point, ncols)[0]
             assert generic_rank_detail(entries, seed=trial).det is None
 
 

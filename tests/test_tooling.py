@@ -1,0 +1,67 @@
+"""Guards for the tools around the library: the benchmark tracer's layer
+list and the demo scripts."""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nilab
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_FILE = ROOT / "bench" / "tracer.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("nilab_bench_tracer", TRACER_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_tracer_target_resolves():
+    tracer = _load_tracer()
+    assert len(tracer.TARGETS) == 24
+    for module_name, attr, _ in tracer.TARGETS:
+        assert callable(_resolve(module_name, attr)), f"{module_name}.{attr}"
+
+
+def test_tracer_installs_and_removes_every_layer():
+    tracer_module = _load_tracer()
+    originals = {(m, a): _resolve(m, a) for m, a, _ in tracer_module.TARGETS}
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for (module_name, attr), original in originals.items():
+            assert _resolve(module_name, attr) is not original, f"{module_name}.{attr}"
+        nilab.centralizer(nilab.build_algebra("A", 1).basis_element(0))
+        assert tracer.stats["algebras.centralizer"][0] == 1
+        assert tracer.stats["linalg.rank_kernel"][0] == 1
+    finally:
+        tracer.uninstall()
+    for (module_name, attr), original in originals.items():
+        assert _resolve(module_name, attr) is original, f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    result = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
