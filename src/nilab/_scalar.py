@@ -1,9 +1,15 @@
-"""Exact rational scalar type used throughout the package.
+"""Exact rational scalar type of the package.
 
 gmpy2's mpq when available (noticeably faster once numerators grow),
 stdlib Fraction otherwise.  Both are arbitrary-precision rationals that
 are always reduced with a positive denominator, so every computation is
 bit-identical under either backend.
+
+Rat is the type of coordinates, of the eliminations in linalg and of
+polynomial coefficients.  The N x N matrices of algebra elements are not
+kept in Rat: they are Python-int rows over one common denominator (see
+algebras.Element.int_rows), and a rational is made only for each
+coordinate read back from such a matrix.
 """
 
 try:

@@ -22,7 +22,12 @@ is stored: trace_form multiplies the matrices, and every matrix comes back
 to coordinates through the one checked read-off, coords_of_rows.
 
 Every matrix, an N x N realization or a dim x dim map such as ad(x) or
-exp(ad n), is a list of row lists, the one form linalg works on.
+exp(ad n), is a list of row lists, the one form linalg works on.  An
+element's N x N matrix is kept integer-scaled: integer rows R and one
+positive common denominator d with x = R / d, cleared once from its
+coordinates (as Bareiss clears denominators before eliminating).  Brackets,
+products, traces and the read-off then run on Python ints, and only the
+coordinates that come back out are rationals.
 """
 
 from __future__ import annotations
@@ -190,68 +195,87 @@ class AlgebraRealization:
         self.generator_kinds = tuple(kinds)
         self.exponents = tuple(d - 1 for d in degrees)
         self.distinct_exponents = len(set(self.exponents)) == rank_r
-        self._basis_rows = basis
         self.dim = len(basis)
+        # The basis matrices have integer entries.  Products read them as
+        # ints: (i, j, value) triples in row-major order, and integer rows
+        # with the columns of their nonzero entries.
         self._basis_sparse = [
-            [(i, j, rows[i][j]) for i in range(n) for j in range(n) if rows[i][j]]
+            [(i, j, int(rows[i][j])) for i in range(n) for j in range(n) if rows[i][j]]
             for rows in basis
         ]
+        self._basis_int = []
+        for entries in self._basis_sparse:
+            rows = _zero_int_rows(n)
+            cols = [[] for _ in range(n)]
+            for i, j, v in entries:
+                rows[i][j] = v
+                cols[i].append(j)
+            self._basis_int.append((rows, cols))
         self._upper_indices = tuple(
             k
             for k, entries in enumerate(self._basis_sparse)
             if all(i < j for i, j, _ in entries)
         )
-        self._init_coordinatizer()
+        self._init_coordinatizer(basis)
 
-    def _init_coordinatizer(self):
+    def _init_coordinatizer(self, basis):
         # The pivot positions of the flattened basis determine a matrix's
-        # coordinates: coords = inv * (entries at the pivots).  Both the
-        # inverse and the basis are mostly zero, so only their nonzero
-        # entries are kept, each with the matrix position it reads.
+        # coordinates: coords = inv * (entries at the pivots).  The inverse
+        # pivot block is kept as integers times the lcm D0 of its
+        # denominators.  Both it and the basis are mostly zero, so only their
+        # nonzero entries are kept, each with the matrix position it reads.
         n = self.matrix_size_N
-        vecs = [[v for line in rows for v in line] for rows in self._basis_rows]
+        vecs = [[v for line in rows for v in line] for rows in basis]
         work = [list(v) for v in vecs]
         pivots = rref(work, n * n)
         if len(pivots) != self.dim:
             raise ContractError("basis matrices are not linearly independent")
         inv = inverse([[vec[p] for vec in vecs] for p in pivots])
+        terms = [[(p, c) for p, c in zip(pivots, line) if c] for line in inv]
+        d0 = math.lcm(*(c.denominator for line in terms for _, c in line))
+        self._coord_den = d0
         self._coord_terms = tuple(
-            tuple((p // n, p % n, c) for p, c in zip(pivots, line) if c) for line in inv
+            tuple((p // n, p % n, c.numerator * (d0 // c.denominator)) for p, c in line)
+            for line in terms
         )
         pivot_set = set(pivots)
         self._nonpivot_terms = tuple(
-            (q // n, q % n, tuple((k, vec[q]) for k, vec in enumerate(vecs) if vec[q]))
+            (q // n, q % n, tuple((k, int(vec[q])) for k, vec in enumerate(vecs) if vec[q]))
             for q in range(n * n)
             if q not in pivot_set
         )
 
-    def coords_of_rows(self, rows):
-        """Coordinates of an N x N matrix (given as row lists) in the basis.
+    def coords_of_rows(self, rows, den=1, num=1):
+        """Coordinates in the basis of the N x N matrix (num / den) * rows,
+        for integer rows and integers num, den != 0.
 
-        Each coordinate is read off from the matrix entries at the basis
-        pivot positions, through the precomputed nonzero entries of the
-        inverse pivot block; zero matrix entries are skipped.  Every
-        non-pivot entry is then checked against the one the coordinates
-        predict, again summing only nonzero terms, so a matrix outside the
-        span raises ContractError.
+        Each coordinate of rows, times D0, is read off as an integer from
+        the entries at the basis pivot positions, through the precomputed
+        nonzero entries of the integer inverse pivot block; zero matrix
+        entries are skipped.  Every non-pivot entry is then checked in
+        integers, sum_k C_k b_k == R_ij D0, so a matrix outside the span
+        raises ContractError.  Only then is each nonzero coordinate made a
+        rational, num C_k / (D0 den).
         """
+        d0 = self._coord_den
         coords = []
         for terms in self._coord_terms:
-            acc = ZERO
+            acc = 0
             for i, j, c in terms:
                 v = rows[i][j]
                 if v:
                     acc += c * v
             coords.append(acc)
         for i, j, terms in self._nonpivot_terms:
-            acc = ZERO
+            acc = 0
             for k, b in terms:
                 c = coords[k]
                 if c:
                     acc += c * b
-            if acc != rows[i][j]:
+            if acc != rows[i][j] * d0:
                 raise ContractError("matrix does not lie in the algebra")
-        return coords
+        scale = d0 * den
+        return [Rat(c * num, scale) if c else ZERO for c in coords]
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
@@ -270,7 +294,8 @@ class AlgebraRealization:
         n = self.matrix_size_N
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ShapeError("matrix size does not match the realization")
-        return Element(self, self.coords_of_rows([[Rat(v) for v in r] for r in rows]))
+        int_rows, den = _clear_denominators([[Rat(v) for v in r] for r in rows])
+        return Element(self, self.coords_of_rows(int_rows, den))
 
     def full_space(self) -> "Subspace":
         return Subspace.from_coord_rows(
@@ -321,26 +346,46 @@ def build_algebra(family: str, rank_r: int, *, form_scale=ONE) -> AlgebraRealiza
     return AlgebraRealization(family, rank_r, form_scale=form_scale)
 
 
-def _commutator_rows(a, b, n):
-    """ab - ba, accumulated into one output over the nonzero entries."""
-    a_nz = [[(j, v) for j, v in enumerate(row) if v] for row in a]
-    b_nz = [[(j, v) for j, v in enumerate(row) if v] for row in b]
-    out = _zero_rows(n)
-    for i in range(n):
-        oi = out[i]
-        for t, v in a_nz[i]:
-            for j, w in b_nz[t]:
-                oi[j] += v * w
-        for t, v in b_nz[i]:
-            for j, w in a_nz[t]:
-                oi[j] -= v * w
+def _zero_int_rows(n):
+    return [[0] * n for _ in range(n)]
+
+
+def _nonzero_columns(rows):
+    """Per row, the columns of its nonzero entries."""
+    return [[j for j, v in enumerate(row) if v] for row in rows]
+
+
+def _clear_denominators(rows):
+    """(R, d) with integer rows R and the least positive d such that the
+    rational rows equal R / d."""
+    den = math.lcm(*(v.denominator for row in rows for v in row if v))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def _commutator_rows(a, a_cols, b, b_cols):
+    """ab - ba for integer matrices a and b, accumulated into one output
+    over the nonzero entries listed, per row, in a_cols and b_cols."""
+    out = _zero_int_rows(len(a))
+    for oi, ai, bi, ai_cols, bi_cols in zip(out, a, b, a_cols, b_cols):
+        for t in ai_cols:
+            v, bt = ai[t], b[t]
+            for j in b_cols[t]:
+                oi[j] += v * bt[j]
+        for t in bi_cols:
+            v, at = bi[t], a[t]
+            for j in a_cols[t]:
+                oi[j] -= v * at[j]
     return out
 
 
 class Element:
-    """A vector of the algebra, stored as exact coordinates in the basis."""
+    """A vector of the algebra, stored as exact coordinates in the basis.
 
-    __slots__ = ("algebra", "coords", "_rows")
+    Its N x N matrix is built once, when first needed, in integer-scaled
+    form (see int_rows); no rational copy of it is kept.
+    """
+
+    __slots__ = ("algebra", "coords", "_int")
 
     def __init__(self, algebra: AlgebraRealization, coords):
         coords = tuple([c if type(c) is Rat else Rat(c) for c in coords])
@@ -348,30 +393,48 @@ class Element:
             raise ContractError("coordinate length does not match the algebra dimension")
         self.algebra = algebra
         self.coords = coords
-        self._rows = None
+        self._int = None
+
+    def _int_form(self):
+        """(R, d, columns of the nonzero entries of each row of R): the
+        cached integer-scaled matrix."""
+        if self._int is None:
+            alg = self.algebra
+            n = alg.matrix_size_N
+            den = math.lcm(*(c.denominator for c in self.coords if c))
+            rows = _zero_int_rows(n)
+            for c, entries in zip(self.coords, alg._basis_sparse):
+                if c:
+                    c = c.numerator * (den // c.denominator)
+                    for i, j, v in entries:
+                        rows[i][j] += c * v
+            self._int = (rows, den, _nonzero_columns(rows))
+        return self._int
+
+    def int_rows(self):
+        """(R, d): integer rows R and a positive integer d with x = R / d,
+        d the least common denominator of the coordinates.  R is the cached
+        matrix itself and must not be changed."""
+        rows, den, _ = self._int_form()
+        return rows, den
 
     def matrix_rows(self):
-        if self._rows is None:
-            n = self.algebra.matrix_size_N
-            rows = _zero_rows(n)
-            for k, c in enumerate(self.coords):
-                if c:
-                    for i, j, v in self.algebra._basis_sparse[k]:
-                        rows[i][j] += c * v
-            self._rows = rows
-        return self._rows
+        """The N x N matrix as fresh row lists of rationals."""
+        rows, den = self.int_rows()
+        return [[Rat(v, den) for v in row] for row in rows]
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
     def is_nilpotent(self) -> bool:
         n = self.algebra.matrix_size_N
-        power = self.matrix_rows()
+        rows, _ = self.int_rows()
+        power = rows
         for _ in range(n - 1):
-            if all(v == 0 for row in power for v in row):
+            if not any(any(row) for row in power):
                 return True
-            power = mat_mul(power, self.matrix_rows())
-        return all(v == 0 for row in power for v in row)
+            power = mat_mul(power, rows)
+        return not any(any(row) for row in power)
 
     def __add__(self, other: "Element") -> "Element":
         _same_algebra(self, other)
@@ -411,34 +474,33 @@ def bracket(x: Element, y: Element) -> Element:
     """Lie bracket [x, y] = xy - yx, back in basis coordinates."""
     _same_algebra(x, y)
     alg = x.algebra
-    prod = _commutator_rows(x.matrix_rows(), y.matrix_rows(), alg.matrix_size_N)
-    return Element(alg, alg.coords_of_rows(prod))
+    a, dx, a_cols = x._int_form()
+    b, dy, b_cols = y._int_form()
+    return Element(alg, alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx * dy))
 
 
 def trace_form(x: Element, y: Element):
     """Invariant pairing tr(xy), times the realization's form_scale."""
     _same_algebra(x, y)
-    a = x.matrix_rows()
-    b = y.matrix_rows()
-    n = x.algebra.matrix_size_N
-    acc = ZERO
-    for i in range(n):
-        ai = a[i]
-        for j in range(n):
-            if ai[j]:
-                acc += ai[j] * b[j][i]
-    return acc * x.algebra.form_scale
+    a, dx, a_cols = x._int_form()
+    b, dy = y.int_rows()
+    acc = 0
+    for i, (ai, cols) in enumerate(zip(a, a_cols)):
+        for j in cols:
+            acc += ai[j] * b[j][i]
+    return Rat(acc, dx * dy) * x.algebra.form_scale
 
 
 def ad_matrix(x: Element):
     """Rows of the matrix of ad(x): column k holds the coordinates of
     [x, basis_k]."""
     alg = x.algebra
-    cols = []
-    for rows in alg._basis_rows:
-        prod = _commutator_rows(x.matrix_rows(), rows, alg.matrix_size_N)
-        cols.append(alg.coords_of_rows(prod))
-    return [list(row) for row in zip(*cols)]
+    a, dx, a_cols = x._int_form()
+    columns = [
+        alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx)
+        for b, b_cols in alg._basis_int
+    ]
+    return [list(row) for row in zip(*columns)]
 
 
 class Subspace:

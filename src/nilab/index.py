@@ -29,6 +29,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ._scalar import ONE, Rat, ZERO, rat_str
 from .algebras import (
@@ -48,7 +49,7 @@ from .errors import (
     PartitionError,
 )
 from .invariants import _gradient_raw, generators, gradient_derivative
-from .linalg import solve
+from .linalg import inverse, mat_vec
 from .poly import Poly, generic_rank_detail, poly_det
 from .reports import CheckReport
 from .triples import (
@@ -80,6 +81,18 @@ class PairData:
     @property
     def s(self) -> int:
         return len(self.selected_indices)
+
+    @cached_property
+    def _z_in_delta_inverse(self):
+        """Inverse of the s x s matrix whose column k holds the delta
+        coordinates of z_k, built once per orbit.
+
+        The z_k lie in delta, and under the hypothesis they are a basis of
+        it, so this matrix is invertible and maps delta coordinates to the
+        coefficients of the z_k.
+        """
+        z_cols = [self.delta.coords_of(z) for z in self.z_vec]
+        return inverse([list(row) for row in zip(*z_cols)])
 
     def require_hypothesis(self):
         if not self.hypothesis_ok:
@@ -393,13 +406,7 @@ def convolution_at(pd: PairData, i: int, j: int) -> ConvolutionResult:
     coords = pd.delta.coords_of(grad)
     if coords is None:
         raise IdentityError(f"convolution gradient ({i},{j}) left the center")
-    # The z_k lie in delta, so the alphas solve the system in delta
-    # coordinates; under the hypothesis the z_k are a basis of delta and the
-    # solution is unique.
-    z_cols = [pd.delta.coords_of(z) for z in pd.z_vec]
-    alphas = solve([list(row) for row in zip(*z_cols)], s, coords)
-    if alphas is None:
-        raise IdentityError("convolution gradient is not a combination of the z_k")
+    alphas = mat_vec(pd._z_in_delta_inverse, coords)
     c_observed = None
     if not grad.is_zero():
         for gc, bc in zip(grad.coords, br.coords):

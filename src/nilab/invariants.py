@@ -6,12 +6,13 @@ form-twisted matrix S x for the one degree-r generator of the D family.
 Its gradient field P is defined against the realization's trace form:
 <dp(x), y> = T(P(x), y).  Both kinds are one matrix of the algebra (the
 projected power x^(d-1), or the so(2r) element of signed minor Pfaffians
-of S x), scaled and read through the one checked read-off; no Gram matrix
-is formed.  First derivatives of the trace kind are in closed form too
-(gradient_derivative).  Interpolation is exact and kept for Taylor and
-mixed terms, the Pfaffian's first derivative and the first derivatives
-along a line that the propagation check reads: along a line P is
-polynomial of degree m, the exponent, so integer nodes 0..m determine it.
+of S x), formed on the element's integer rows, scaled and read through the
+one checked read-off; no Gram matrix is formed.  First derivatives of the
+trace kind are in closed form too (gradient_derivative).  Interpolation is
+exact and kept for Taylor and mixed terms, the Pfaffian's first
+derivative and the first derivatives along a line that the propagation
+check reads: along a line P is polynomial of degree m, the exponent, so
+integer nodes 0..m determine it.
 
 The suite functions at the bottom verify, exactly and sample by sample,
 the invariance identities the fields satisfy: equivariance, Taylor
@@ -28,7 +29,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
-from ._scalar import ONE, Rat, ZERO
+from ._scalar import Rat
 from .algebras import (
     AlgebraRealization,
     Element,
@@ -71,12 +72,12 @@ def _generator(alg: AlgebraRealization, j: int) -> InvariantGenerator:
 
 def _pfaffian(rows, idx, memo):
     if not idx:
-        return ONE
+        return 1
     cached = memo.get(idx)
     if cached is not None:
         return cached
     i0 = idx[0]
-    total = ZERO
+    total = 0
     sign = 1
     for k in range(1, len(idx)):
         a = rows[i0][idx[k]]
@@ -89,69 +90,89 @@ def _pfaffian(rows, idx, memo):
 
 
 def pfaffian(rows):
-    """Exact Pfaffian of an antisymmetric matrix given as row lists."""
+    """Exact Pfaffian of an antisymmetric matrix given as row lists.
+
+    Entries are only added and multiplied: integer rows give an integer."""
     n = len(rows)
     if n % 2:
-        return ZERO
+        return 0
     return _pfaffian(rows, tuple(range(n)), {})
+
+
+def _power(rows, k):
+    """rows^k for k >= 1 (the input itself when k = 1)."""
+    power = rows
+    for _ in range(k - 1):
+        power = mat_mul(power, rows)
+    return power
 
 
 def eval_generator(alg: AlgebraRealization, j: int, x: Element):
     """Value of the j-th generator at x: tr(x^degree), or Pf(S x), where
-    S x is x with its rows reversed (S is the antidiagonal-ones form)."""
+    S x is x with its rows reversed (S is the antidiagonal-ones form).
+
+    Both are evaluated on the integer rows R of x = R / d: tr(x^degree) is
+    tr(R^(degree-1) R) / d^degree, read as sum_ij P_ij R_ji with no last
+    product formed, and Pf(S x) = Pf(S R) / d^(N/2).
+    """
     gen = _generator(alg, j)
+    rows, den = x.int_rows()
     if gen.kind == "trace":
-        rows = x.matrix_rows()
-        power = rows
-        for _ in range(gen.degree - 1):
-            power = mat_mul(power, rows)
-        n = alg.matrix_size_N
-        return sum((power[i][i] for i in range(n)), ZERO)
-    return pfaffian(x.matrix_rows()[::-1])
+        power = _power(rows, gen.degree - 1)
+        acc = 0
+        for i, line in enumerate(power):
+            for t, v in enumerate(line):
+                if v:
+                    acc += v * rows[t][i]
+        return Rat(acc, den**gen.degree)
+    return Rat(pfaffian(rows[::-1]), den ** (alg.matrix_size_N // 2))
 
 
-def _project_to_algebra(alg: AlgebraRealization, rows):
-    """Trace-form-orthogonal projection of a matrix power onto the algebra.
+def _project_to_algebra(alg: AlgebraRealization, rows, den):
+    """Trace-form-orthogonal projection of the matrix power rows / den onto
+    the algebra, again as (integer rows, denominator).
 
-    For sl(n) that subtracts the trace part; odd powers of so/sp elements
-    already lie in the algebra, so the projection is the identity there.
+    For sl(n) that subtracts the trace part, (n rows - tr I) / (n den);
+    odd powers of so/sp elements already lie in the algebra, so the
+    projection is the identity there.
     """
     n = alg.matrix_size_N
     if alg.family == "A":
-        tr = sum((rows[i][i] for i in range(n)), ZERO)
+        tr = sum(rows[i][i] for i in range(n))
         if tr:
-            shift = tr / n
             rows = [
-                [rows[i][j] - shift if i == j else rows[i][j] for j in range(n)]
-                for i in range(n)
+                [n * v - tr if i == j else n * v for j, v in enumerate(row)]
+                for i, row in enumerate(rows)
             ]
-    return rows
+            den *= n
+    return rows, den
 
 
-def _read_off(alg: AlgebraRealization, rows, weight) -> Element:
-    """weight / form_scale times the element with these matrix rows, through
-    the one checked read-off (ContractError if the matrix is not in g)."""
+def _read_off(alg: AlgebraRealization, rows, den, weight) -> Element:
+    """weight / form_scale times the element with matrix rows / den (integer
+    rows), through the one checked read-off (ContractError if the matrix is
+    not in g); the factor is folded into the read-off's denominator."""
     factor = Rat(weight) / alg.form_scale
-    return Element(alg, [factor * c for c in alg.coords_of_rows(rows)])
+    coords = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
+    return Element(alg, coords)
 
 
 def _gradient_raw(alg: AlgebraRealization, j: int, x: Element) -> Element:
     gen = _generator(alg, j)
+    rows, den = x.int_rows()
     if gen.kind == "trace":
-        rows = x.matrix_rows()
-        power = [list(r) for r in rows]  # exponent >= 1: degrees start at 2
-        for _ in range(gen.exponent - 1):
-            power = mat_mul(power, rows)
-        return _read_off(alg, _project_to_algebra(alg, power), gen.degree)
+        power = _power(rows, gen.exponent)  # exponent >= 1: degrees start at 2
+        projected, proj_den = _project_to_algebra(alg, power, den**gen.exponent)
+        return _read_off(alg, projected, proj_den, gen.degree)
     # Pfaffian kind: dPf(S x).y = sum_{a<b} c_ab y[n-1-a][b] with c_ab the
     # signed minor Pfaffians of S x.  That is tr(M y) / 2 for the element M
     # of so(n) with M[b][n-1-a] = c_ab and M[a][n-1-b] = -c_ab, so P is
-    # M / (2 form_scale).
-    a_rows = x.matrix_rows()[::-1]
+    # M / (2 form_scale).  The minors of S R are d^(n/2-1) times those of S x.
+    a_rows = rows[::-1]
     n = alg.matrix_size_N
     full = tuple(range(n))
     memo = {}
-    m_rows = [[ZERO] * n for _ in range(n)]
+    m_rows = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             minor = tuple(i for i in full if i != a and i != b)
@@ -160,7 +181,7 @@ def _gradient_raw(alg: AlgebraRealization, j: int, x: Element) -> Element:
                 c = value if (a + b) % 2 else -value
                 m_rows[b][n - 1 - a] = c
                 m_rows[a][n - 1 - b] = -c
-    return _read_off(alg, m_rows, Rat(1, 2))
+    return _read_off(alg, m_rows, den ** (n // 2 - 1), Rat(1, 2))
 
 
 def directional_scalar_derivative(alg, j, x, y):
@@ -224,21 +245,25 @@ def gradient_derivative(alg: AlgebraRealization, j: int, x: Element, y: Element)
     For the trace kind P_j(x) = (d/scale) proj(x^m), so the derivative is
     (d/scale) proj(sum_{a<m} x^a y x^(m-1-a)), accumulated as
     D_(k+1) = D_k x + x^k y from D_1 = y; the read-off still checks that
-    the result lies in the algebra.  The Pfaffian kind is interpolated.
+    the result lies in the algebra.  On the integer rows X, Y of x = X/dx,
+    y = Y/dy every term of D_k has denominator dx^(k-1) dy, so the
+    recurrence runs on X and Y and divides once at the end.  The Pfaffian
+    kind is interpolated.
     """
     gen = _generator(alg, j)
     if gen.kind != "trace":
         return taylor_terms(alg, j, x, y).terms[1]
-    x_rows = x.matrix_rows()
-    y_rows = y.matrix_rows()
-    power = x_rows  # x^k
-    deriv = y_rows  # D_k
+    x_rows, dx = x.int_rows()
+    y_rows, dy = y.int_rows()
+    power = x_rows  # X^k
+    deriv = y_rows  # numerator of D_k
     for _ in range(gen.exponent - 1):
         left = mat_mul(deriv, x_rows)
         right = mat_mul(power, y_rows)
         deriv = [[a + b if b else a for a, b in zip(la, lb)] for la, lb in zip(left, right)]
         power = mat_mul(power, x_rows)
-    return _read_off(alg, _project_to_algebra(alg, deriv), gen.degree)
+    projected, proj_den = _project_to_algebra(alg, deriv, dx ** (gen.exponent - 1) * dy)
+    return _read_off(alg, projected, proj_den, gen.degree)
 
 
 def bivariate_terms(alg: AlgebraRealization, j: int, x: Element, u: Element, y: Element):

@@ -6,14 +6,17 @@ decision is discrete and reproducible.  Pivot choice is deterministic
 (first nonzero entry in column order), which makes echelon forms, kernel
 bases and solver output identical across runs and platforms.
 
-A matrix is a list of row lists.  Only rref changes its input (it works
-in place); the other functions copy what they eliminate.  A row of the wrong
-length, or a non-square input where a square one is needed, raises
-ShapeError.  The pipeline's matrices (ad maps of nilpotent elements,
-stacked bracket blocks) are mostly zero, so the loops skip zero entries:
-products and row updates only touch positions where both factors are
-nonzero.  Skipping a zero never changes a value, only the number of
-rational operations spent reaching it.
+A matrix is a list of row lists.  Its entries are Rat, or Python ints for
+the integer-scaled N x N matrices of algebra elements (integer rows over one
+common denominator, see algebras.Element.int_rows); mat_mul keeps the type
+of its inputs, ints in and ints out, and the eliminations coerce to Rat.
+Only rref changes its input (it works in place); the other functions copy
+what they eliminate.  A row of the wrong length, or a non-square input
+where a square one is needed, raises ShapeError.  The pipeline's matrices
+(ad maps of nilpotent elements, stacked bracket blocks) are mostly zero, so
+the loops skip zero entries: products and row updates only touch positions
+where both factors are nonzero.  Skipping a zero never changes a value,
+only the number of rational operations spent reaching it.
 """
 
 from __future__ import annotations
@@ -37,9 +40,12 @@ def _rat_rows(rows, ncols: int):
 
 
 def mat_mul(a, b):
-    """Product of two matrices, skipping zero entries of both factors."""
+    """Product of two matrices, skipping zero entries of both factors.
+
+    Entries are only added and multiplied, so integer factors give an
+    integer product and rational ones a rational product."""
     m = len(b[0]) if b else 0
-    out = [[ZERO] * m for _ in a]
+    out = [[0] * m for _ in a]
     for ai, oi in zip(a, out):
         if len(ai) != len(b):
             raise ShapeError("shape mismatch in multiplication")

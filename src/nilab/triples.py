@@ -238,7 +238,7 @@ def _so_sp_nilpotent_rows(alg: AlgebraRealization, p: Partition):
 
 def _check_jordan_type(e: Element, p: Partition):
     n = e.algebra.matrix_size_N
-    rows = e.matrix_rows()
+    rows, _ = e.int_rows()  # ranks of powers do not see the denominator
     power = rows
     for k in range(1, p.parts[0] + 1):
         rank, _ = rank_kernel(power, n)

@@ -1,0 +1,255 @@
+"""The integer-scaled matrix path against plain rational references.
+
+An element's matrix is kept as integer rows over one common denominator, and
+brackets, traces, gradients and the read-off run on those integers.  Each
+test here recomputes the same quantity with rational matrices only (products
+written out in the test, coordinates from a rational solve over the
+flattened basis) on elements whose coordinates have denominators 2, 3 and 6
+and mixed signs, so a scaling or denominator slip shows as a mismatch.
+"""
+
+import math
+import random
+
+import pytest
+
+from nilab import (
+    ContractError,
+    Rat,
+    ad_matrix,
+    bracket,
+    build_algebra,
+    eval_generator,
+    generators,
+    pfaffian,
+    solve,
+    taylor_terms,
+    trace_form,
+)
+from nilab.algebras import _nonzero_columns
+from nilab.invariants import _gradient_raw, gradient_derivative
+from nilab.linalg import interpolate_vector_poly
+
+SCALES = [Rat(1), Rat(5), Rat(-3, 2)]
+TRACE_ALGEBRAS = [("A", 2), ("A", 3), ("B", 2), ("C", 3)]
+
+
+def fractional_element(alg, rng):
+    """Coordinates p/q with q in 2, 3, 6 and both signs; every denominator
+    occurs, so the common denominator is 6."""
+    coords = [
+        Rat(rng.choice([-5, -3, -1, 1, 2, 4]), rng.choice([2, 3, 6])) for _ in range(alg.dim)
+    ]
+    coords[0], coords[1], coords[2] = Rat(1, 2), Rat(-2, 3), Rat(5, 6)
+    return alg.element(coords)
+
+
+def basis_matrices(alg):
+    return [alg.basis_element(k).matrix_rows() for k in range(alg.dim)]
+
+
+def dense(alg, x):
+    """x as rational rows: sum_k c_k B_k."""
+    n = alg.matrix_size_N
+    rows = [[Rat(0)] * n for _ in range(n)]
+    for c, b in zip(x.coords, basis_matrices(alg)):
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] += c * b[i][j]
+    return rows
+
+
+def product(a, b):
+    n = len(a)
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(n)), Rat(0)) for j in range(n)] for i in range(n)
+    ]
+
+
+def trace(a):
+    return sum((a[i][i] for i in range(len(a))), Rat(0))
+
+
+def reference_coords(alg, rows):
+    """Coordinates of a rational matrix from a rational solve over the
+    flattened basis (None when it is not in the algebra)."""
+    cols = [[v for line in b for v in line] for b in basis_matrices(alg)]
+    system = [list(r) for r in zip(*cols)]
+    return solve(system, alg.dim, [v for line in rows for v in line])
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+def test_int_rows_clear_the_coordinate_denominators(family, rank):
+    alg = build_algebra(family, rank)
+    x = fractional_element(alg, random.Random(1))
+    rows, den = x.int_rows()
+    assert den == 6 == math.lcm(*(c.denominator for c in x.coords))
+    assert all(type(v) is int for line in rows for v in line)
+    assert x.matrix_rows() == dense(alg, x)
+    assert [[Rat(v, den) for v in line] for line in rows] == dense(alg, x)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+def test_bracket_matches_rational_commutator(family, rank):
+    alg = build_algebra(family, rank)
+    rng = random.Random(2)
+    for _ in range(3):
+        x, y = fractional_element(alg, rng), fractional_element(alg, rng)
+        xm, ym = dense(alg, x), dense(alg, y)
+        xy, yx = product(xm, ym), product(ym, xm)
+        expected = reference_coords(alg, [[a - b for a, b in zip(r, s)] for r, s in zip(xy, yx)])
+        assert list(bracket(x, y).coords) == expected
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+def test_ad_matrix_columns_match_rational_commutators(family, rank):
+    alg = build_algebra(family, rank)
+    x = fractional_element(alg, random.Random(10))
+    xm = dense(alg, x)
+    columns = [list(col) for col in zip(*ad_matrix(x))]
+    for col, b in zip(columns, basis_matrices(alg)):
+        xb, bx = product(xm, b), product(b, xm)
+        assert col == reference_coords(alg, [[u - v for u, v in zip(r, s)] for r, s in zip(xb, bx)])
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+def test_trace_form_matches_rational_trace(family, rank, scale):
+    alg = build_algebra(family, rank, form_scale=scale)
+    rng = random.Random(3)
+    x, y = fractional_element(alg, rng), fractional_element(alg, rng)
+    assert trace_form(x, y) == trace(product(dense(alg, x), dense(alg, y))) * scale
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 2), ("D", 3), ("D", 4)])
+def test_eval_generator_matches_rational_values(family, rank):
+    alg = build_algebra(family, rank)
+    x = fractional_element(alg, random.Random(4))
+    xm = dense(alg, x)
+    for gen in generators(alg):
+        if gen.kind == "trace":
+            power = xm
+            for _ in range(gen.degree - 1):
+                power = product(power, xm)
+            expected = trace(power)
+        else:
+            expected = pfaffian(xm[::-1])  # rational rows in, rational Pfaffian out
+        assert eval_generator(alg, gen.index_j, x) == expected
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("family,rank", TRACE_ALGEBRAS)
+def test_trace_gradient_matches_rational_power(family, rank, scale):
+    # P_j(x) = (d / scale) proj(x^(d-1)), proj removing the trace part on sl(n)
+    alg = build_algebra(family, rank, form_scale=scale)
+    n = alg.matrix_size_N
+    x = fractional_element(alg, random.Random(5))
+    xm = dense(alg, x)
+    for gen in generators(alg):
+        power = xm
+        for _ in range(gen.exponent - 1):
+            power = product(power, xm)
+        shift = trace(power) / n if family == "A" else Rat(0)
+        factor = Rat(gen.degree) / scale
+        rows = [
+            [(v - shift if i == j else v) * factor for j, v in enumerate(line)]
+            for i, line in enumerate(power)
+        ]
+        assert list(_gradient_raw(alg, gen.index_j, x).coords) == reference_coords(alg, rows)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("family,rank", TRACE_ALGEBRAS + [("D", 3)])
+def test_gradient_derivative_matches_interpolation_on_fractions(family, rank, scale):
+    alg = build_algebra(family, rank, form_scale=scale)
+    rng = random.Random(6)
+    for _ in range(2):
+        x, y = fractional_element(alg, rng), fractional_element(alg, rng)
+        for gen in generators(alg):
+            expected = taylor_terms(alg, gen.index_j, x, y).terms[1]
+            assert gradient_derivative(alg, gen.index_j, x, y) == expected
+
+
+@pytest.mark.parametrize("scale", [Rat(1), Rat(-3, 2)])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_pfaffian_gradient_matches_rational_pairing(rank, scale):
+    # T(P(x), b_k) must equal d/dt Pf(S(x + t b_k)) at t = 0 for every basis
+    # vector, with the trace, the Pfaffians and the derivative all taken on
+    # rational matrices; T is nondegenerate, so this pins P(x) down
+    alg = build_algebra("D", rank, form_scale=scale)
+    (j,) = [gen.index_j for gen in generators(alg) if gen.kind == "pfaffian"]
+    x = fractional_element(alg, random.Random(7 + rank))
+    xm = dense(alg, x)
+    pm = dense(alg, _gradient_raw(alg, j, x))
+    for b in basis_matrices(alg):
+        samples = []
+        for t in range(rank + 1):
+            point = [[u + t * v for u, v in zip(r, s)] for r, s in zip(xm, b)]
+            samples.append((t, [pfaffian(point[::-1])]))
+        derivative = interpolate_vector_poly(samples, rank)[1][0]
+        assert trace(product(pm, b)) * scale == derivative
+
+
+@pytest.mark.parametrize(
+    "family,rank,rows",
+    [
+        # trace 1/2 + 1/3 is not zero
+        ("A", 1, [["1/2", "-1/6"], ["2/3", "1/3"]]),
+        # so(3) needs x[1][0] = -x[2][1]; here both are 1/6
+        ("B", 1, [["1/2", "1/3", 0], ["1/6", 0, "-1/3"], [0, "1/6", "-1/2"]]),
+        # sp(2) = sl(2): a nonzero trace again, with denominator 6
+        ("C", 1, [["5/6", "1/2"], ["-1/3", "1/6"]]),
+    ],
+)
+def test_read_off_rejects_fractional_matrix_outside_algebra(family, rank, rows):
+    alg = build_algebra(family, rank)
+    with pytest.raises(ContractError):
+        alg.from_matrix(rows)
+    int_rows = [[int(Rat(v) * 6) for v in line] for line in rows]
+    with pytest.raises(ContractError):
+        alg.coords_of_rows(int_rows, 6)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+def test_from_matrix_round_trips_fractional_elements(family, rank):
+    alg = build_algebra(family, rank)
+    x = fractional_element(alg, random.Random(8))
+    assert alg.from_matrix(dense(alg, x)) == x
+    rows, den = x.int_rows()
+    assert alg.coords_of_rows(rows, den) == list(x.coords)
+    assert alg.coords_of_rows(rows, den, -3) == [-3 * c for c in x.coords]
+
+
+def rescaled_basis_algebra(family, rank, factor):
+    """The realization with every basis matrix multiplied by factor.  Its
+    inverse pivot block is 1/factor times an integer matrix, so the read-off
+    runs with D0 = factor, which the standard bases (D0 = 1) never reach."""
+    alg = build_algebra(family, rank)
+    basis = [
+        [[factor * v for v in line] for line in alg.basis_element(k).int_rows()[0]]
+        for k in range(alg.dim)
+    ]
+    alg._basis_sparse = [
+        [(i, j, v) for i, line in enumerate(b) for j, v in enumerate(line) if v] for b in basis
+    ]
+    alg._basis_int = [(b, _nonzero_columns(b)) for b in basis]
+    alg._init_coordinatizer(basis)
+    return alg
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("D", 3)])
+def test_read_off_with_non_integral_pivot_inverse(family, rank):
+    alg = rescaled_basis_algebra(family, rank, 6)
+    assert alg._coord_den == 6
+    rng = random.Random(9)
+    x, y = fractional_element(alg, rng), fractional_element(alg, rng)
+    xm, ym = dense(alg, x), dense(alg, y)
+    assert alg.from_matrix(xm) == x
+    xy, yx = product(xm, ym), product(ym, xm)
+    expected = reference_coords(alg, [[a - b for a, b in zip(r, s)] for r, s in zip(xy, yx)])
+    assert list(bracket(x, y).coords) == expected
+    outside = [list(line) for line in xm]
+    outside[0][0] += Rat(1, 6)  # breaks the trace (A, C) or the form symmetry (D)
+    assert reference_coords(alg, outside) is None
+    with pytest.raises(ContractError):
+        alg.from_matrix(outside)

@@ -1,17 +1,20 @@
-"""Seed-0 orbit reports must hash to the values recorded in bench/reference_hashes.json.
+"""Seed-0 orbit reports and verify suites must hash to the values recorded
+in bench/reference_hashes.json.
 
 The benchmark checks every operation against those hashes; this test checks
-a few cheap orbits, so that a kernel change that alters any output fails
-here too.  The reference file is only read.
+a few cheap orbits and the three verify suites, so that a kernel change that
+alters any output fails here too.  The reference file is only read.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from nilab import Partition, analyze_orbit, build_algebra
+from nilab import Partition, analyze_orbit, build_algebra, cli
 from nilab.index import _family_rank_for_size
 
 REFERENCE_FILE = Path(__file__).resolve().parent.parent / "bench" / "reference_hashes.json"
@@ -44,3 +47,14 @@ def test_orbit_report_matches_reference_hash(reference, family, n, parts):
     rep = analyze_orbit(alg, partition, seed=0)
     text = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference[f"{family}{n}:{partition}"]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 2)])
+def test_verify_output_matches_reference_hash(reference, family, rank):
+    # the benchmark's canonical text of a verify suite: stdout, then the exit code
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(["verify", "--family", family, "--rank", str(rank), "--seed", "0"])
+    text = f"{buf.getvalue()}exit {code}\n"
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference[f"verify:{family}{rank}"]

@@ -55,6 +55,22 @@ def test_tracer_installs_and_removes_every_layer():
         assert _resolve(module_name, attr) is original, f"{module_name}.{attr}"
 
 
+def test_bracket_makes_one_traced_read_off():
+    # the traced coords_of_rows must keep seeing every coordinate read-off
+    tracer_module = _load_tracer()
+    alg = nilab.build_algebra("C", 2)
+    x = alg.element([nilab.Rat(k - 4, 1 + k % 3) for k in range(alg.dim)])
+    y = alg.element([nilab.Rat(3 - k, 2 + k % 2) for k in range(alg.dim)])
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        nilab.bracket(x, y)
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["algebras.bracket"][0] == 1
+    assert tracer.stats["algebras.coords_of_rows"][0] == 1
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ)
