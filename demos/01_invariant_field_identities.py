@@ -50,7 +50,8 @@ tx = taylor_terms(alg, 2, x, y)
 ty = taylor_terms(alg, 2, y, x)
 print("exchange symmetry:", all(tx.terms[k] == ty.terms[2 - k] for k in range(3)))
 
-# Mixed derivatives come from bivariate interpolation on a small grid.
+# Mixed derivatives are terms of the same closed-form expansion, taken in
+# two directions.
 d2 = mixed_term(alg, 2, x, y, 1, y, 1)
 print("d^2 P_2(x).y.y == 2 * (second Taylor coefficient):", d2 == tx.terms[2].scale(2))
 

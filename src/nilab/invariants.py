@@ -7,12 +7,12 @@ Its gradient field P is defined against the realization's trace form:
 <dp(x), y> = T(P(x), y).  Both kinds are one matrix of the algebra (the
 projected power x^(d-1), or the so(2r) element of signed minor Pfaffians
 of S x), formed on the element's integer rows, scaled and read through the
-one checked read-off; no Gram matrix is formed.  First derivatives of the
-trace kind are in closed form too (gradient_derivative).  Interpolation is
-exact and kept for Taylor and mixed terms, the Pfaffian's first
-derivative and the first derivatives along a line that the propagation
-check reads: along a line P is polynomial of degree m, the exponent, so
-integer nodes 0..m determine it.
+one checked read-off; no Gram matrix is formed.  P itself, its first
+derivatives, the Taylor terms along a line and the mixed terms in two
+directions all come from one closed-form expansion, _line_terms, of
+P(x + s y + t u) in s and t.  Interpolation is kept only as the independent
+oracle: scalar values of p_j at integer nodes give <dp_j(x), y>, which the
+gradient pairing check and gradient(check=True) compare against.
 
 The suite functions at the bottom verify, exactly and sample by sample,
 the invariance identities the fields satisfy: equivariance, Taylor
@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from ._scalar import Rat
 from .algebras import (
@@ -128,60 +129,106 @@ def eval_generator(alg: AlgebraRealization, j: int, x: Element):
     return Rat(pfaffian(rows[::-1]), den ** (alg.matrix_size_N // 2))
 
 
-def _project_to_algebra(alg: AlgebraRealization, rows, den):
-    """Trace-form-orthogonal projection of the matrix power rows / den onto
-    the algebra, again as (integer rows, denominator).
+def _minor_series(rows, idx, memo, keep):
+    """The signed-minor recursion of _pfaffian on entries held as
+    {(a, b): int} coefficient maps, truncated to keep[len(idx) // 2]."""
+    if not idx:
+        return {(0, 0): 1}
+    cached = memo.get(idx)
+    if cached is not None:
+        return cached
+    wanted = keep[len(idx) // 2]
+    total = {}
+    sign = 1
+    for k in range(1, len(idx)):
+        entry = rows[idx[0]][idx[k]]
+        if entry:
+            rest = _minor_series(rows, idx[1:k] + idx[k + 1 :], memo, keep)
+            for (a1, b1), v1 in entry.items():
+                for (a2, b2), v2 in rest.items():
+                    key = (a1 + a2, b1 + b2)
+                    if key in wanted:
+                        total[key] = total.get(key, 0) + sign * v1 * v2
+        sign = -sign
+    memo[idx] = total
+    return total
 
-    For sl(n) that subtracts the trace part, (n rows - tr I) / (n den);
-    odd powers of so/sp elements already lie in the algebra, so the
-    projection is the identity there.
+
+def _line_terms(alg: AlgebraRealization, j: int, x: Element, y, u, wanted):
+    """{(a, b): coefficient of t^a s^b in P_j(x + s y + t u)} for the keys
+    in wanted, that is d^(a+b) P_j(x).u^(a).y^(b) / (a! b!); y or u may be
+    None when no wanted key uses it, and keys with a + b > m are zero.
+
+    P_j is homogeneous of degree m, the exponent, so on the integer rows
+    X, Y, U of x = X/dx, y = Y/dy, u = U/du term (a, b) is the t^a s^b
+    coefficient of the same expression in X + sY + tU over
+    dx^(m-a-b) dy^b du^a.  The trace kind expands (X + sY + tU)^m by
+    E'[a][b] = E[a][b] X + E[a][b-1] Y + E[a-1][b] U; the Pfaffian kind runs
+    the signed-minor recursion on the entries of S(X + sY + tU).  A degree-k
+    stage keeps only the (a', b') that can still reach a wanted key in the
+    m - k factors left, and only the wanted terms are read off.
     """
+    gen = _generator(alg, j)
+    m = gen.exponent
     n = alg.matrix_size_N
-    if alg.family == "A":
-        tr = sum(rows[i][i] for i in range(n))
+    live = [(a, b) for a, b in wanted if a + b <= m]
+    keep = [
+        {(p, q) for a, b in live for p in range(a + 1) for q in range(b + 1)
+         if p + q <= k and a + b - p - q <= m - k}
+        for k in range(m + 1)
+    ]
+    inputs = (((0, 0), x), ((0, 1), y), ((1, 0), u))
+    parts = [(key, *v.int_rows()) for key, v in inputs if v is not None]
+    dens = {key: den for key, _, den in parts}
+    if gen.kind == "trace":
+        coeffs = {key: rows for key, rows, _ in parts if key in keep[1]}
+        for k in range(2, m + 1):
+            new = {}
+            for p, q in keep[k]:
+                prods = [mat_mul(coeffs[(p - dp, q - dq)], rows)
+                         for (dp, dq), rows, _ in parts if (p - dp, q - dq) in coeffs]
+                new[(p, q)] = prods[0] if len(prods) == 1 else [
+                    [sum(vs) for vs in zip(*group)] for group in zip(*prods)]
+            coeffs = new
+    else:
+        # dPf(S x).y = sum_{a<b} c_ab y[n-1-a][b] with c_ab the signed minor
+        # Pfaffians of S x.  That is tr(M y) / 2 for the element M of so(n)
+        # with M[b][n-1-a] = c_ab and M[a][n-1-b] = -c_ab, so P is
+        # M / (2 form_scale).
+        entries = [[{key: rows[n - 1 - i][c] for key, rows, _ in parts if rows[n - 1 - i][c]}
+                    for c in range(n)] for i in range(n)]
+        memo = {}
+        coeffs = {key: [[0] * n for _ in range(n)] for key in live}
+        for a in range(n):
+            for b in range(a + 1, n):
+                minor = tuple(i for i in range(n) if i != a and i != b)
+                for key, value in _minor_series(entries, minor, memo, keep).items():
+                    c = value if (a + b) % 2 else -value
+                    coeffs[key][b][n - 1 - a] = c
+                    coeffs[key][a][n - 1 - b] = -c
+    # P is degree / form_scale (trace kind) or 1 / (2 form_scale) times the
+    # matrix; the factor is folded into the one checked read-off, which
+    # raises ContractError if the matrix is not in g
+    factor = (Rat(gen.degree) if gen.kind == "trace" else Rat(1, 2)) / alg.form_scale
+    out = {key: alg.zero() for key in wanted}
+    for a, b in live:
+        rows = coeffs[(a, b)]
+        den = dens[(0, 0)] ** (m - a - b) * dens.get((0, 1), 1) ** b * dens.get((1, 0), 1) ** a
+        # project onto g along the trace form: odd powers of so/sp elements
+        # and the Pfaffian's M already lie in g; for sl(n) subtract the trace
+        # part, (n rows - tr I) / (n den)
+        tr = sum(rows[i][i] for i in range(n)) if alg.family == "A" else 0
         if tr:
-            rows = [
-                [n * v - tr if i == j else n * v for j, v in enumerate(row)]
-                for i, row in enumerate(rows)
-            ]
+            rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
+                    for i, line in enumerate(rows)]
             den *= n
-    return rows, den
-
-
-def _read_off(alg: AlgebraRealization, rows, den, weight) -> Element:
-    """weight / form_scale times the element with matrix rows / den (integer
-    rows), through the one checked read-off (ContractError if the matrix is
-    not in g); the factor is folded into the read-off's denominator."""
-    factor = Rat(weight) / alg.form_scale
-    coords = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
-    return Element(alg, coords)
+        coords = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
+        out[(a, b)] = Element(alg, coords)
+    return out
 
 
 def _gradient_raw(alg: AlgebraRealization, j: int, x: Element) -> Element:
-    gen = _generator(alg, j)
-    rows, den = x.int_rows()
-    if gen.kind == "trace":
-        power = _power(rows, gen.exponent)  # exponent >= 1: degrees start at 2
-        projected, proj_den = _project_to_algebra(alg, power, den**gen.exponent)
-        return _read_off(alg, projected, proj_den, gen.degree)
-    # Pfaffian kind: dPf(S x).y = sum_{a<b} c_ab y[n-1-a][b] with c_ab the
-    # signed minor Pfaffians of S x.  That is tr(M y) / 2 for the element M
-    # of so(n) with M[b][n-1-a] = c_ab and M[a][n-1-b] = -c_ab, so P is
-    # M / (2 form_scale).  The minors of S R are d^(n/2-1) times those of S x.
-    a_rows = rows[::-1]
-    n = alg.matrix_size_N
-    full = tuple(range(n))
-    memo = {}
-    m_rows = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            minor = tuple(i for i in full if i != a and i != b)
-            value = _pfaffian(a_rows, minor, memo)
-            if value:
-                c = value if (a + b) % 2 else -value
-                m_rows[b][n - 1 - a] = c
-                m_rows[a][n - 1 - b] = -c
-    return _read_off(alg, m_rows, den ** (n // 2 - 1), Rat(1, 2))
+    return _line_terms(alg, j, x, None, None, [(0, 0)])[(0, 0)]
 
 
 def directional_scalar_derivative(alg, j, x, y):
@@ -224,14 +271,9 @@ class TaylorTerms:
 
 
 def taylor_terms(alg: AlgebraRealization, j: int, x: Element, y: Element) -> TaylorTerms:
-    gen = _generator(alg, j)
-    m = gen.exponent
-    samples = []
-    for t in range(m + 1):
-        point = x + y.scale(t)
-        samples.append((Rat(t), list(_gradient_raw(alg, j, point).coords)))
-    coeffs = interpolate_vector_poly(samples, m)
-    terms = tuple(Element(alg, c) for c in coeffs)
+    m = _generator(alg, j).exponent
+    line = _line_terms(alg, j, x, y, None, [(0, k) for k in range(m + 1)])
+    terms = tuple(line[(0, k)] for k in range(m + 1))
     if terms[0] != _gradient_raw(alg, j, x):
         raise InternalError("constant Taylor term is not P(x)")
     if terms[m] != _gradient_raw(alg, j, y):
@@ -240,65 +282,29 @@ def taylor_terms(alg: AlgebraRealization, j: int, x: Element, y: Element) -> Tay
 
 
 def gradient_derivative(alg: AlgebraRealization, j: int, x: Element, y: Element) -> Element:
-    """First derivative dP_j(x).y, equal to taylor_terms(alg, j, x, y).terms[1].
-
-    For the trace kind P_j(x) = (d/scale) proj(x^m), so the derivative is
-    (d/scale) proj(sum_{a<m} x^a y x^(m-1-a)), accumulated as
-    D_(k+1) = D_k x + x^k y from D_1 = y; the read-off still checks that
-    the result lies in the algebra.  On the integer rows X, Y of x = X/dx,
-    y = Y/dy every term of D_k has denominator dx^(k-1) dy, so the
-    recurrence runs on X and Y and divides once at the end.  The Pfaffian
-    kind is interpolated.
-    """
-    gen = _generator(alg, j)
-    if gen.kind != "trace":
-        return taylor_terms(alg, j, x, y).terms[1]
-    x_rows, dx = x.int_rows()
-    y_rows, dy = y.int_rows()
-    power = x_rows  # X^k
-    deriv = y_rows  # numerator of D_k
-    for _ in range(gen.exponent - 1):
-        left = mat_mul(deriv, x_rows)
-        right = mat_mul(power, y_rows)
-        deriv = [[a + b if b else a for a, b in zip(la, lb)] for la, lb in zip(left, right)]
-        power = mat_mul(power, x_rows)
-    projected, proj_den = _project_to_algebra(alg, deriv, dx ** (gen.exponent - 1) * dy)
-    return _read_off(alg, projected, proj_den, gen.degree)
+    """First derivative dP_j(x).y: term (0, 1) of the line expansion, which
+    for the trace kind costs three integer products per degree."""
+    return _line_terms(alg, j, x, y, None, [(0, 1)])[(0, 1)]
 
 
 def bivariate_terms(alg: AlgebraRealization, j: int, x: Element, u: Element, y: Element):
-    """Table c[a][b] with d^{a+b} P_j(x).u^(a).y^(b) = a! b! c[a][b],
-    from exact interpolation of P_j(x + t u + s y) on the integer grid."""
-    gen = _generator(alg, j)
-    m = gen.exponent
-    per_t = []
-    for t in range(m + 1):
-        base = x + u.scale(t)
-        samples = []
-        for s in range(m + 1):
-            point = base + y.scale(s)
-            samples.append((Rat(s), list(_gradient_raw(alg, j, point).coords)))
-        per_t.append(interpolate_vector_poly(samples, m))  # s-coefficients at fixed t
-    by_s_power = []
-    for b in range(m + 1):
-        row_samples = [(Rat(t), per_t[t][b]) for t in range(m + 1)]
-        by_s_power.append(interpolate_vector_poly(row_samples, m))
-    return [
-        [Element(alg, by_s_power[b][a]) for b in range(m + 1)] for a in range(m + 1)
-    ]
+    """Table c[a][b] with d^{a+b} P_j(x).u^(a).y^(b) = a! b! c[a][b]: the
+    t^a s^b coefficients of P_j(x + t u + s y), zero when a + b exceeds the
+    exponent."""
+    m = _generator(alg, j).exponent
+    keys = [(a, b) for a in range(m + 1) for b in range(m + 1)]
+    line = _line_terms(alg, j, x, y, u, keys)
+    return [[line[(a, b)] for b in range(m + 1)] for a in range(m + 1)]
 
 
 def mixed_term(
     alg: AlgebraRealization, j: int, x: Element, u: Element, a: int, y: Element, b: int
 ) -> Element:
     """d^{a+b} P_j(x).u^(a).y^(b); zero when a + b exceeds the exponent."""
-    gen = _generator(alg, j)
     if a < 0 or b < 0:
         raise ContractError("derivative orders must be nonnegative")
-    if a + b > gen.exponent:
-        return alg.zero()
-    table = bivariate_terms(alg, j, x, u, y)
-    return table[a][b].scale(Rat(math.factorial(a) * math.factorial(b)))
+    term = _line_terms(alg, j, x, y, u, [(a, b)])[(a, b)]
+    return term.scale(Rat(math.factorial(a) * math.factorial(b)))
 
 
 @dataclass
@@ -309,12 +315,15 @@ class IdentitySample:
     y: Element
     z: Element
     n: Element
-    _ad_exp: object = field(default=None, repr=False)
 
+    @cached_property
     def ad_exp(self):
-        if self._ad_exp is None:
-            self._ad_exp = unipotent_ad(self.n)
-        return self._ad_exp
+        return unipotent_ad(self.n)
+
+    @cached_property
+    def center(self) -> Subspace:
+        """The center of the centralizer of x, shared by every generator."""
+        return center_of(centralizer(self.x))
 
 
 def make_samples(alg: AlgebraRealization, count: int, seed: int):
@@ -332,23 +341,12 @@ def make_samples(alg: AlgebraRealization, count: int, seed: int):
     return out
 
 
-def _derivative_along_line(alg, j, x, y, u):
-    """row[k] = d^(1+k) P_j(x).u.y^(k) / k!, the s^k coefficient of
-    dP_j(x + s y).u, interpolated at s = 0..m-1 (degree m - 1; row[m] = 0)."""
-    m = _generator(alg, j).exponent
-    samples = [
-        (Rat(s), list(gradient_derivative(alg, j, x + y.scale(s), u).coords))
-        for s in range(m)
-    ]
-    coeffs = interpolate_vector_poly(samples, m - 1)
-    return [Element(alg, c) for c in coeffs] + [alg.zero()]
-
-
 def verify_field_identities(alg: AlgebraRealization, j: int, samples) -> CheckReport:
     """Exact per-sample verification of the invariance identities of P_j.
 
-    Every first derivative comes from gradient_derivative.  Failures are
-    recorded in the report, never raised.
+    Every derivative term comes from the one line expansion; the pairing
+    check compares the gradient with interpolated scalar values of p_j.
+    Failures are recorded in the report, never raised.
     """
     gen = _generator(alg, j)
     m = gen.exponent
@@ -372,8 +370,8 @@ def verify_field_identities(alg: AlgebraRealization, j: int, samples) -> CheckRe
                 all(tx.terms[k] == ty.terms[m - k] for k in range(m + 1)),
             )
 
-            # the expansion really terminates at degree m: reconstruct P at
-            # a node beyond the interpolation grid
+            # the expansion really terminates at degree m: its terms rebuild
+            # P at x + (m + 1) y, evaluated directly
             extra = Rat(m + 1)
             acc = alg.zero()
             power = Rat(1)
@@ -385,22 +383,25 @@ def verify_field_identities(alg: AlgebraRealization, j: int, samples) -> CheckRe
                 acc == _gradient_raw(alg, j, x + y.scale(extra)),
             )
 
-            row_zx = _derivative_along_line(alg, j, x, y, bracket(z, x))
-            row_zy = _derivative_along_line(alg, j, x, y, bracket(z, y))
+            # row[k] = d^(1+k) P_j(x).u.y^(k) / k!, the t s^k term along
+            # x + s y + t u, for u = [z, x] and u = [z, y]
+            row_keys = [(1, k) for k in range(m + 1)]
+            row_zx = _line_terms(alg, j, x, y, bracket(z, x), row_keys)
+            row_zy = _line_terms(alg, j, x, y, bracket(z, y), row_keys)
             propagation = True
             for k in range(m + 1):
-                rhs = row_zx[k]
+                rhs = row_zx[(1, k)]
                 if k >= 1:
-                    rhs = rhs + row_zy[k - 1]
+                    rhs = rhs + row_zy[(1, k - 1)]
                 if bracket(z, tx.terms[k]) != rhs:
                     propagation = False
                     break
             report.add(f"derivative-propagation{tag}", propagation)
 
-            membership = center_of(centralizer(x)).contains(px)
+            membership = sample.center.contains(px)
             report.add(f"center-membership{tag}", membership)
 
-            ad = sample.ad_exp()
+            ad = sample.ad_exp
             moved = Element(alg, mat_vec(ad, x.coords))
             expected = Element(alg, mat_vec(ad, px.coords))
             report.add(

@@ -342,7 +342,3 @@ def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericR
             f"evaluations {eval_ranks}"
         )
     return GenericRankResult(symbolic, tuple(prime_samples), tuple(eval_ranks), det)
-
-
-def generic_rank(entries, *, seed: int = 0, samples: int = 3) -> int:
-    return generic_rank_detail(entries, seed=seed, samples=samples).rank

@@ -406,7 +406,7 @@ def test_rref_calls_do_not_depend_on_process_history(monkeypatch):
     import sys
 
     import nilab.linalg as linalg_module
-    from nilab.invariants import taylor_terms
+    from nilab.invariants import directional_scalar_derivative
 
     calls = []
     real_rref = linalg_module.rref
@@ -430,7 +430,7 @@ def test_rref_calls_do_not_depend_on_process_history(monkeypatch):
     so8 = build_algebra("D", 4)
     orbit = [rref_calls(lambda: analyze_orbit(so8, Partition((7, 1)))) for _ in range(2)]
     assert orbit[0] == orbit[1] > 0
-    sl5 = build_algebra("A", 4)  # generator 4 has exponent 4: five nodes
+    sl5 = build_algebra("A", 4)  # generator 4 has degree 5: six nodes
     x, y = sl5.random_element(random.Random(1)), sl5.random_element(random.Random(2))
-    taylor = [rref_calls(lambda: taylor_terms(sl5, 4, x, y)) for _ in range(2)]
-    assert taylor[0] == taylor[1]
+    scalar = [rref_calls(lambda: directional_scalar_derivative(sl5, 4, x, y)) for _ in range(2)]
+    assert scalar[0] == scalar[1]

@@ -21,13 +21,14 @@ from nilab import (
     build_algebra,
     eval_generator,
     generators,
+    mixed_term,
     pfaffian,
     solve,
     taylor_terms,
     trace_form,
 )
 from nilab.algebras import _nonzero_columns
-from nilab.invariants import _gradient_raw, gradient_derivative
+from nilab.invariants import _gradient_raw, bivariate_terms, gradient_derivative
 from nilab.linalg import interpolate_vector_poly
 
 SCALES = [Rat(1), Rat(5), Rat(-3, 2)]
@@ -158,16 +159,66 @@ def test_trace_gradient_matches_rational_power(family, rank, scale):
         assert list(_gradient_raw(alg, gen.index_j, x).coords) == reference_coords(alg, rows)
 
 
+def element_over(alg, rng, q):
+    """Random coordinates whose least common denominator is exactly q."""
+    coords = [Rat(rng.randint(-4, 4), q) for _ in range(alg.dim)]
+    coords[0] = Rat(1, q)
+    return alg.element(coords)
+
+
+def gradient_coords(alg, j, point):
+    return list(_gradient_raw(alg, j, point).coords)
+
+
 @pytest.mark.parametrize("scale", SCALES)
-@pytest.mark.parametrize("family,rank", TRACE_ALGEBRAS + [("D", 3)])
+@pytest.mark.parametrize("family,rank", TRACE_ALGEBRAS + [("D", 3), ("D", 4)])
 def test_gradient_derivative_matches_interpolation_on_fractions(family, rank, scale):
+    # reference: the gradient at s = 0..m+1 along x + s y, interpolated (the
+    # extra node checks the degree); x and y have denominators 2 and 3, so a
+    # wrong power of either shows
     alg = build_algebra(family, rank, form_scale=scale)
     rng = random.Random(6)
     for _ in range(2):
-        x, y = fractional_element(alg, rng), fractional_element(alg, rng)
+        x, y = element_over(alg, rng, 2), element_over(alg, rng, 3)
         for gen in generators(alg):
-            expected = taylor_terms(alg, gen.index_j, x, y).terms[1]
-            assert gradient_derivative(alg, gen.index_j, x, y) == expected
+            j, m = gen.index_j, gen.exponent
+            samples = [(s, gradient_coords(alg, j, x + y.scale(s))) for s in range(m + 2)]
+            expected = [alg.element(c) for c in interpolate_vector_poly(samples, m)]
+            assert gradient_derivative(alg, j, x, y) == expected[1]
+            assert list(taylor_terms(alg, j, x, y).terms) == expected
+
+
+@pytest.mark.parametrize(
+    "family,rank,scale",
+    [
+        ("A", 3, Rat(5)),
+        ("B", 2, Rat(-3, 2)),
+        ("C", 3, Rat(1)),
+        ("D", 3, Rat(-3, 2)),
+        ("D", 4, Rat(5)),
+    ],
+)
+def test_bivariate_terms_match_grid_interpolation_on_fractions(family, rank, scale):
+    # reference: the gradient on the grid x + t u + s y, t, s = 0..m,
+    # interpolated in s and then in t; x, y, u have denominators 2, 3 and 5.
+    # mixed_term asks for one term only, so it takes a pruned expansion.
+    alg = build_algebra(family, rank, form_scale=scale)
+    rng = random.Random(8)
+    x, y, u = (element_over(alg, rng, q) for q in (2, 3, 5))
+    for gen in generators(alg):
+        j, m = gen.index_j, gen.exponent
+        per_t = []
+        for t in range(m + 1):
+            base = x + u.scale(t)
+            samples = [(s, gradient_coords(alg, j, base + y.scale(s))) for s in range(m + 1)]
+            per_t.append(interpolate_vector_poly(samples, m))
+        table = bivariate_terms(alg, j, x, u, y)
+        for b in range(m + 1):
+            by_t = interpolate_vector_poly([(t, per_t[t][b]) for t in range(m + 1)], m)
+            for a in range(m + 1):
+                assert table[a][b] == alg.element(by_t[a])
+                weight = Rat(math.factorial(a) * math.factorial(b))
+                assert mixed_term(alg, j, x, u, a, y, b) == table[a][b].scale(weight)
 
 
 @pytest.mark.parametrize("scale", [Rat(1), Rat(-3, 2)])

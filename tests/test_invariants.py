@@ -25,7 +25,13 @@ from nilab import (
     triangular_decomposition,
     verify_field_identities,
 )
-from nilab.invariants import bivariate_terms, directional_scalar_derivative, gradient_derivative
+from nilab.invariants import (
+    _gradient_raw,
+    bivariate_terms,
+    directional_scalar_derivative,
+    gradient_derivative,
+)
+from nilab.linalg import interpolate_vector_poly
 
 
 def E(n, i, j):
@@ -314,21 +320,30 @@ def test_scaled_form_rescales_gradients():
     assert list(g_scaled.coords) == [c / 5 for c in g_plain.coords]
 
 
+def interpolated_line(alg, j, x, y):
+    """Reference Taylor terms of P_j along x + s y: the gradient sampled at
+    s = 0..m+1 and interpolated; the extra node checks the degree."""
+    m = generators(alg)[j - 1].exponent
+    samples = [(s, list(_gradient_raw(alg, j, x + y.scale(s)).coords)) for s in range(m + 2)]
+    return [alg.element(c) for c in interpolate_vector_poly(samples, m)]
+
+
 def test_gradient_derivative_matches_interpolation():
-    # closed-form first derivative against the interpolated Taylor term,
-    # at random points and at a triple, for every generator
+    # closed-form first derivative and Taylor terms against interpolated
+    # gradient values, at random points and at a triple, for every generator
     rng = random.Random(17)
-    for family, rank in [("A", 3), ("B", 2), ("C", 3), ("D", 4)]:
+    for family, rank in [("A", 3), ("B", 2), ("C", 3), ("D", 3), ("D", 4)]:
         alg = build_algebra(family, rank)
         t = principal_triplet(alg)
-        points = [(alg.random_element(rng), alg.random_element(rng)) for _ in range(3)]
+        points = [(alg.random_element(rng), alg.random_element(rng)) for _ in range(2)]
         points.append((t.e, t.h))
         kinds = set()
         for gen in generators(alg):
             kinds.add(gen.kind)
             for x, y in points:
-                expected = taylor_terms(alg, gen.index_j, x, y).terms[1]
-                assert gradient_derivative(alg, gen.index_j, x, y) == expected
+                expected = interpolated_line(alg, gen.index_j, x, y)
+                assert gradient_derivative(alg, gen.index_j, x, y) == expected[1]
+                assert list(taylor_terms(alg, gen.index_j, x, y).terms) == expected
         assert kinds == ({"trace", "pfaffian"} if family == "D" else {"trace"})
 
 
@@ -362,9 +377,11 @@ def test_pfaffian_gradient_pairs_with_every_basis_vector(rank):
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 3)])
-def test_field_identity_suite_reads_first_derivatives_from_gradient_derivative(
-    monkeypatch, family, rank
-):
+def test_field_identity_suite_reads_the_line_expansion(monkeypatch, family, rank):
+    # every derivative term of the suite comes from _line_terms: adding the
+    # base point x to each term other than P itself ((0, 0)) and P(y) ((0, m))
+    # keeps taylor_terms' endpoint checks quiet and must fail the checks
+    # built on derivatives
     import nilab.invariants as invariants_module
 
     grid_calls = []
@@ -377,20 +394,47 @@ def test_field_identity_suite_reads_first_derivatives_from_gradient_derivative(
     monkeypatch.setattr(invariants_module, "bivariate_terms", counting_grid)
     alg = build_algebra(family, rank)
     samples = make_samples(alg, 2, 0)
-    js = [gen.index_j for gen in generators(alg)]
-    assert all(verify_field_identities(alg, j, samples).passed for j in js)
+    gens = generators(alg)
+    assert all(verify_field_identities(alg, gen.index_j, samples).passed for gen in gens)
 
-    real_derivative = invariants_module.gradient_derivative
+    real_terms = invariants_module._line_terms
 
-    def perturbed(alg, j, x, y):
-        return real_derivative(alg, j, x, y) + alg.basis_element(0)
+    def perturbed(alg, j, x, y, u, wanted):
+        m = generators(alg)[j - 1].exponent
+        terms = real_terms(alg, j, x, y, u, wanted)
+        return {
+            key: term if key in ((0, 0), (0, m)) else term + x for key, term in terms.items()
+        }
 
-    monkeypatch.setattr(invariants_module, "gradient_derivative", perturbed)
-    for j in js:
-        report = verify_field_identities(alg, j, samples)
+    monkeypatch.setattr(invariants_module, "_line_terms", perturbed)
+    for gen in gens:
+        report = verify_field_identities(alg, gen.index_j, samples)
         results = {item.name: item.passed for item in report.items}
         for idx in range(len(samples)):
+            assert results[f"gradient-pairing[{idx}]"] is True
             assert results[f"derivative-propagation[{idx}]"] is False
-            assert results[f"equivariance[{idx}]"] is False
-            assert results[f"taylor-exchange[{idx}]"] is True
+            if gen.exponent >= 2:
+                # for m = 1 these checks read only (0, 0) and the top term
+                # (0, 1), which the perturbation leaves alone
+                assert results[f"equivariance[{idx}]"] is False
+                assert results[f"taylor-exchange[{idx}]"] is False
+                assert results[f"taylor-reconstruction[{idx}]"] is False
     assert grid_calls == []
+
+
+def test_field_identity_suite_builds_one_center_per_sample(monkeypatch):
+    import nilab.invariants as invariants_module
+
+    calls = []
+    real = invariants_module.centralizer
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(invariants_module, "centralizer", counting)
+    alg = build_algebra("D", 3)
+    samples = make_samples(alg, 3, 0)
+    for gen in generators(alg):
+        assert verify_field_identities(alg, gen.index_j, samples).passed
+    assert calls == [sample.x for sample in samples]
