@@ -17,7 +17,7 @@ from .algebras import (
     h_graduation,
     normalizer_of,
     trace_form,
-    unipotent_ad,
+    unipotent_conjugate,
 )
 from .errors import (
     ContractError,

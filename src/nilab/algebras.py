@@ -21,13 +21,14 @@ patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, and every matrix comes back
 to coordinates through the one checked read-off, coords_of_rows.
 
-Every matrix, an N x N realization or a dim x dim map such as ad(x) or
-exp(ad n), is a list of row lists, the one form linalg works on.  An
-element's N x N matrix is kept integer-scaled: integer rows R and one
-positive common denominator d with x = R / d, cleared once from its
-coordinates (as Bareiss clears denominators before eliminating).  Brackets,
-products, traces and the read-off then run on Python ints, and only the
-coordinates that come back out are rationals.
+Every matrix, an N x N realization or a dim x dim map such as ad(x), is a
+list of row lists, the one form linalg works on.  An element's N x N matrix
+is kept integer-scaled: integer rows R and one positive common denominator
+d with x = R / d, cleared once from its coordinates (as Bareiss clears
+denominators before eliminating).  Brackets, products, traces, the
+unipotent conjugation and the read-off then run on Python ints, and only
+the coordinates that come back out are rationals.  The ad(h)-grading of a
+diagonal h is read off the matrix positions of the basis, not solved for.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .errors import (
     UnsupportedAlgebraError,
 )
 from .linalg import inverse, mat_mul, rank_kernel, rref
-
-_FACTORIALS = [math.factorial(k) for k in range(40)]
 
 
 def _zero_rows(n):
@@ -465,7 +464,7 @@ class Element:
         return f"Element({self.algebra.name}, [{', '.join(str(c) for c in self.coords)}])"
 
 
-def _same_algebra(x: Element, y: Element):
+def _same_algebra(x, y):
     if x.algebra is not y.algebra:
         raise ContractError("elements belong to different algebra realizations")
 
@@ -660,71 +659,66 @@ def normalizer_of(s: Subspace) -> Subspace:
 
 
 def h_graduation(h: Element, s: Subspace):
-    """Eigenspace decomposition of s under ad(h).
+    """Weight-space decomposition of s under ad(h), for a diagonal h.
 
-    Requires s to be ad(h)-stable and the restriction to be diagonalizable
-    with rational eigenvalues (always true for the h of an sl(2)-triple);
-    raises GraduationError otherwise.  Pieces come back sorted by ascending
-    eigenvalue and their dimensions sum to dim s.
+    Basis vector k is a weight vector of ad(h): if its first nonzero entry
+    is at (i, j), its weight is h_ii - h_jj (the mirrored so/sp entry has the
+    same weight because h lies in g).  So s is ad(h)-stable exactly when
+    each echelon row of s is a weight vector, and the rows of one weight,
+    with their pivots, are the echelon basis of that piece.  Pieces come
+    back sorted by ascending weight and their dimensions sum to dim s.
+
+    h must be diagonal, as every h of a triple built here is; a non-diagonal
+    h or an unstable s raises GraduationError, and an h from another
+    realization raises ContractError.
     """
-    k = s.dim
-    if k == 0:
-        return []
-    cols = []
-    for b in s.basis:
-        c = s.coords_of(bracket(h, b))
-        if c is None:
+    _same_algebra(h, s)
+    alg = s.algebra
+    rows, den = h.int_rows()
+    if any(v for i, row in enumerate(rows) for j, v in enumerate(row) if i != j):
+        raise GraduationError("h is not diagonal")
+    weights = [
+        Rat(rows[i][i] - rows[j][j], den)
+        for i, j, _ in (entries[0] for entries in alg._basis_sparse)
+    ]
+    pieces = {}
+    for row, pivot in zip(s.rows, s.pivots):
+        mu = weights[pivot]
+        if any(c and weights[q] != mu for q, c in enumerate(row)):
             raise GraduationError("subspace is not stable under ad(h)")
-        cols.append(c)
-    den = math.lcm(*(int(cols[b][a].denominator) for a in range(k) for b in range(k)))
-    scaled = [[cols[b][a] * den for b in range(k)] for a in range(k)]
-    bound = max(int(sum(abs(v) for v in row)) for row in scaled)
-    pieces = []
-    total = 0
-    for mu in range(-bound, bound + 1):
-        work = [list(row) for row in scaled]
-        for i in range(k):
-            work[i][i] -= mu
-        _, kernel = rank_kernel(work, k)
-        if not kernel:
-            continue
-        elements = []
-        for coeffs in kernel:
-            acc = s.algebra.zero()
-            for a, c in enumerate(coeffs):
-                if c:
-                    acc = acc + s.basis[a].scale(c)
-            elements.append(acc)
-        pieces.append((Rat(mu, den), Subspace.from_elements(s.algebra, elements)))
-        total += len(kernel)
-        if total == k:
-            break
-    if total != k:
-        raise GraduationError(
-            "ad(h) restriction is not diagonalizable with rational eigenvalues"
-        )
-    return pieces
+        pieces.setdefault(mu, []).append((row, pivot))
+    return [(mu, Subspace(alg, *zip(*pieces[mu]))) for mu in sorted(pieces)]
 
 
-def unipotent_ad(n: Element):
-    """Exact exp(ad n) for ad-nilpotent n, as the rows of a dim x dim matrix.
+def unipotent_conjugate(n: Element, x: Element) -> Element:
+    """Ad(exp n) x = exp(n) x exp(-n), for a nilpotent n.
 
-    This is the adjoint action of the unipotent group element exp(n),
-    usable for group-level invariance checks without leaving the rationals.
+    With n = R / d and R^(K+1) = 0, exp(+-n) = E+- / D for D = d^K K! and
+    the integer matrices E+- = sum_k (+-1)^k R^k D / (d^k k!); the product
+    E+ X E- of integer rows is read back once over D^2 dx, which also checks
+    that it lies in g.  A non-nilpotent n, or n and x from different
+    realizations, raises ContractError.
     """
-    dim = n.algebra.dim
-    a = ad_matrix(n)
-    result = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-    term = a
-    k = 1
-    while any(any(row) for row in term):
-        if k > dim:
-            raise ContractError("element is not ad-nilpotent")
-        c = Rat(1, _FACTORIALS[k])
-        for out, row in zip(result, term):
+    _same_algebra(n, x)
+    r, d = n.int_rows()
+    size = n.algebra.matrix_size_N
+    powers = []  # R^0, ..., R^K
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    while any(any(row) for row in power):
+        if len(powers) == size:
+            raise ContractError("element is not nilpotent")
+        powers.append(power)
+        power = mat_mul(power, r)
+    top = len(powers) - 1
+    big = d**top * math.factorial(top)
+    plus, minus = _zero_int_rows(size), _zero_int_rows(size)
+    for k, power in enumerate(powers):
+        c = big // (d**k * math.factorial(k))
+        for p_row, m_row, row in zip(plus, minus, power):
             for j, v in enumerate(row):
                 if v:
-                    out[j] += c * v
-        term = mat_mul(term, a)
-        k += 1
-    return result
+                    p_row[j] += c * v
+                    m_row[j] += (-c if k % 2 else c) * v
+    xr, dx = x.int_rows()
+    rows = mat_mul(mat_mul(plus, xr), minus)
+    return Element(x.algebra, x.algebra.coords_of_rows(rows, big * big * dx))

@@ -40,10 +40,10 @@ from .algebras import (
     centralizer,
     h_graduation,
     trace_form,
-    unipotent_ad,
+    unipotent_conjugate,
 )
 from .errors import ContractError, IdentityError, InternalError, NilabError
-from .linalg import interpolate_vector_poly, mat_mul, mat_vec
+from .linalg import interpolate_vector_poly, mat_mul
 from .reports import CheckReport
 from .triples import Triplet, principal_triplet
 
@@ -317,8 +317,9 @@ class IdentitySample:
     n: Element
 
     @cached_property
-    def ad_exp(self):
-        return unipotent_ad(self.n)
+    def moved(self) -> Element:
+        """Ad(exp n) x, shared by every generator."""
+        return unipotent_conjugate(self.n, self.x)
 
     @cached_property
     def center(self) -> Subspace:
@@ -401,12 +402,10 @@ def verify_field_identities(alg: AlgebraRealization, j: int, samples) -> CheckRe
             membership = sample.center.contains(px)
             report.add(f"center-membership{tag}", membership)
 
-            ad = sample.ad_exp
-            moved = Element(alg, mat_vec(ad, x.coords))
-            expected = Element(alg, mat_vec(ad, px.coords))
             report.add(
                 f"unipotent-invariance{tag}",
-                _gradient_raw(alg, j, moved) == expected,
+                _gradient_raw(alg, j, sample.moved)
+                == unipotent_conjugate(sample.n, px),
             )
         except NilabError as exc:  # record, never throw
             report.add(f"sample-error{tag}", False, str(exc))

@@ -1,5 +1,6 @@
 """Algebra realizations: brackets, trace form, subspace calculus."""
 
+import math
 import random
 from collections import Counter
 
@@ -31,7 +32,7 @@ from nilab import (
     rank_kernel,
     sl2_complete,
     trace_form,
-    unipotent_ad,
+    unipotent_conjugate,
     valid_partitions,
 )
 from nilab.linalg import mat_mul, mat_vec
@@ -362,17 +363,103 @@ def test_h_graduation_rejects_unstable_subspace():
         h_graduation(t.h, line_f)
 
 
+def test_h_graduation_rejects_non_diagonal_h():
+    # a conjugate of a diagonal h is still semisimple, but the weights are
+    # read off matrix positions, so only a diagonal h is accepted
+    alg = build_algebra("A", 2)
+    t = principal_triplet(alg)
+    h = unipotent_conjugate(t.e, t.h)
+    assert h != t.h
+    with pytest.raises(GraduationError):
+        h_graduation(h, alg.full_space())
+
+
+def test_h_graduation_rejects_mixed_algebras():
+    alg, other = build_algebra("A", 1), build_algebra("A", 1)
+    with pytest.raises(ContractError):
+        h_graduation(principal_triplet(other).h, alg.full_space())
+
+
+def eigenvalue_scan(h, s):
+    """The ad(h)-graduation of s solved for: the kernel of ad(h)|_s - mu for
+    every integer mu / den in the Gershgorin range, each read back as an
+    echelon subspace.  Reference for h_graduation."""
+    k = s.dim
+    cols = [s.coords_of(bracket(h, b)) for b in s.basis]
+    assert all(c is not None for c in cols)
+    den = math.lcm(*(int(cols[b][a].denominator) for a in range(k) for b in range(k)))
+    scaled = [[cols[b][a] * den for b in range(k)] for a in range(k)]
+    bound = max(int(sum(abs(v) for v in row)) for row in scaled)
+    pieces = []
+    for mu in range(-bound, bound + 1):
+        work = [list(row) for row in scaled]
+        for i in range(k):
+            work[i][i] -= mu
+        piece = _span_of_kernel(s, work)
+        if piece.dim:
+            pieces.append((Rat(mu, den), piece))
+    assert sum(sp.dim for _, sp in pieces) == k
+    return pieces
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("A", 5), ("B", 3), ("C", 3), ("D", 4)])
+def test_h_graduation_matches_eigenvalue_scan(family, rank):
+    alg = build_algebra(family, rank)
+    for p in valid_partitions(alg):
+        if all(part == 1 for part in p.parts):
+            continue
+        t = sl2_complete(alg, nilpotent_from_partition(alg, p))
+        for s in (alg.full_space(), centralizer(t.e)):
+            got = [(mu, sp.rows, sp.pivots) for mu, sp in h_graduation(t.h, s)]
+            want = [(mu, sp.rows, sp.pivots) for mu, sp in eigenvalue_scan(t.h, s)]
+            assert got == want, p
+
+
+def exp_ad(n):
+    """exp(ad n) = sum_k ad(n)^k / k! as a dim x dim matrix, summed until
+    ad(n)^k vanishes.  Reference for unipotent_conjugate."""
+    a = ad_matrix(n)
+    out = identity(n.algebra.dim)
+    term = a
+    k = 1
+    while any(any(row) for row in term):
+        assert k <= n.algebra.dim, "n is not ad-nilpotent"
+        c = Rat(1, math.factorial(k))
+        out = [[u + c * v for u, v in zip(ro, rt)] for ro, rt in zip(out, term)]
+        term = mat_mul(term, a)
+        k += 1
+    return out
+
+
+def _fractional(alg, coords, rng):
+    return Element(alg, [c * Rat(1, rng.randint(2, 5)) for c in coords])
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+def test_unipotent_conjugate_matches_exp_ad_series(family, rank):
+    alg = build_algebra(family, rank)
+    rng = random.Random(f"conjugate:{family}{rank}")
+    for _ in range(5):
+        n = _fractional(alg, alg.random_upper_nilpotent(rng).coords, rng)
+        x = _fractional(alg, alg.random_element(rng).coords, rng)
+        assert unipotent_conjugate(n, x) == Element(alg, mat_vec(exp_ad(n), x.coords))
+
+
+# The unipotent adjoint action Ad(exp n) = exp(ad n), applied as
+# unipotent_conjugate(n, .).
+
+
 def test_unipotent_ad_of_zero_is_identity():
     alg = build_algebra("A", 1)
-    assert unipotent_ad(alg.zero()) == identity(alg.dim)
+    for k in range(alg.dim):
+        b = alg.basis_element(k)
+        assert unipotent_conjugate(alg.zero(), b) == b
 
 
 def test_unipotent_ad_moves_f():
     alg = build_algebra("A", 1)
     t = principal_triplet(alg)
-    ad = unipotent_ad(t.e)
-    moved = Element(alg, mat_vec(ad, t.f.coords))
-    assert moved == t.f + t.h - t.e
+    assert unipotent_conjugate(t.e, t.f) == t.f + t.h - t.e
 
 
 def test_unipotent_ad_preserves_gram():
@@ -380,29 +467,36 @@ def test_unipotent_ad_preserves_gram():
     gram = gram_matrix(alg)
     rng = random.Random(41)
     for _ in range(5):
-        ad = unipotent_ad(alg.random_upper_nilpotent(rng))
-        assert mat_mul(mat_mul(transpose(ad), gram), ad) == gram
+        n = alg.random_upper_nilpotent(rng)
+        moved = [unipotent_conjugate(n, alg.basis_element(k)) for k in range(alg.dim)]
+        assert [[trace_form(x, y) for y in moved] for x in moved] == gram
 
 
 def test_unipotent_ad_inverse_and_automorphism():
     alg = build_algebra("B", 2)
     rng = random.Random(43)
     n = alg.random_upper_nilpotent(rng)
-    ad = unipotent_ad(n)
-    assert mat_mul(ad, unipotent_ad(-n)) == identity(alg.dim)
+    for k in range(alg.dim):
+        b = alg.basis_element(k)
+        assert unipotent_conjugate(-n, unipotent_conjugate(n, b)) == b
     for _ in range(10):
         x, y = alg.random_element(rng), alg.random_element(rng)
-        ax = Element(alg, mat_vec(ad, x.coords))
-        ay = Element(alg, mat_vec(ad, y.coords))
-        moved = Element(alg, mat_vec(ad, bracket(x, y).coords))
-        assert bracket(ax, ay) == moved
+        ax, ay = unipotent_conjugate(n, x), unipotent_conjugate(n, y)
+        assert bracket(ax, ay) == unipotent_conjugate(n, bracket(x, y))
 
 
 def test_unipotent_ad_rejects_non_nilpotent():
     alg = build_algebra("A", 1)
     h = alg.from_matrix([[1, 0], [0, -1]])
     with pytest.raises(ContractError):
-        unipotent_ad(h)
+        unipotent_conjugate(h, h)
+
+
+def test_unipotent_conjugate_rejects_mixed_algebras():
+    alg, other = build_algebra("A", 1), build_algebra("A", 1)
+    e = alg.from_matrix(E(2, 0, 1))
+    with pytest.raises(ContractError):
+        unipotent_conjugate(e, other.from_matrix(E(2, 1, 0)))
 
 
 def test_coordinate_round_trip():

@@ -9,6 +9,7 @@ from nilab import (
     Partition,
     Poly,
     Rat,
+    Subspace,
     analyze_orbit,
     bracket_matrix,
     build_algebra,
@@ -24,6 +25,7 @@ from nilab import (
     sweep,
     valid_partitions,
 )
+from nilab.linalg import mat_mul
 
 
 def E(n, i, j):
@@ -434,3 +436,39 @@ def test_rref_calls_do_not_depend_on_process_history(monkeypatch):
     x, y = sl5.random_element(random.Random(1)), sl5.random_element(random.Random(2))
     scalar = [rref_calls(lambda: directional_scalar_derivative(sl5, 4, x, y)) for _ in range(2)]
     assert scalar[0] == scalar[1]
+
+
+def _powers_of(e, step):
+    """e^k for k = 1, 1 + step, 1 + 2 step, ... while nonzero, as elements
+    (step 1 or 2)."""
+    rows = e.matrix_rows()
+    factor = rows if step == 1 else mat_mul(rows, rows)
+    out = []
+    while any(any(row) for row in rows):
+        out.append(e.algebra.from_matrix(rows))
+        rows = mat_mul(rows, factor)
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 4), ("A", 5), ("A", 6), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5)],
+)
+def test_center_of_centralizer_is_spanned_by_powers_of_e(family, rank):
+    # Yakimova (2009): delta = z(z(e)) is spanned by the powers e^k (A) or the
+    # odd powers (B, C, D), except in B/D when l1, l2 are odd and l2 > l3,
+    # where it has one more dimension; the gradients then miss it unless the
+    # Pfaffian supplies it (two-part D partitions)
+    alg = build_algebra(family, rank)
+    for p in valid_partitions(alg):
+        if all(part == 1 for part in p.parts):
+            continue
+        e = nilpotent_from_partition(alg, p)
+        pd = build_pair_data(alg, sl2_complete(alg, e))
+        powers = _powers_of(e, 1 if family == "A" else 2)
+        assert all(pd.delta.contains(x) for x in powers), p
+        l1, l2, l3 = (list(p.parts) + [0, 0])[:3]
+        extra = family in "BD" and l1 % 2 == 1 and l2 % 2 == 1 and l2 > l3
+        span = Subspace.from_elements(alg, powers)
+        assert pd.delta.dim == span.dim + extra, p
+        assert pd.hypothesis_ok == (not extra or (family == "D" and l3 == 0)), p

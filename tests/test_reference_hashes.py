@@ -4,8 +4,8 @@ in bench/reference_hashes.json.
 The benchmark checks every operation against those hashes; this test checks
 a few cheap orbits and the three verify suites, so that a kernel change that
 alters any output fails here too.  The reference file is only read.  The so(6)
-verify suite, which no benchmark workload runs, is pinned by a hash kept
-here.
+verify suite and the `decompose` output, which no benchmark workload runs,
+are pinned by hashes kept here.
 """
 
 import contextlib
@@ -51,15 +51,19 @@ def test_orbit_report_matches_reference_hash(reference, family, n, parts):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference[f"{family}{n}:{partition}"]
 
 
-def verify_hash(family, rank):
-    """SHA-256 of the benchmark's canonical text of a seed-0 verify suite:
-    stdout, then the exit code."""
+def cli_hash(argv):
+    """SHA-256 of the benchmark's canonical text of a CLI run: stdout, then
+    the exit code."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.run(["verify", "--family", family, "--rank", str(rank), "--seed", "0"])
+        code = cli.run(argv)
     assert code == cli.EXIT_OK
     text = f"{buf.getvalue()}exit {code}\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def verify_hash(family, rank):
+    return cli_hash(["verify", "--family", family, "--rank", str(rank), "--seed", "0"])
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 2)])
@@ -72,3 +76,19 @@ def test_pfaffian_verify_output_matches_pinned_hash():
     # Pfaffian generator's field identities, ladders and decomposition on so(6)
     expected = "ed11bc3c85f0f6a245247edb8f1f56662f355bb254b28e568f3a5e4c6c939804"
     assert verify_hash("D", 3) == expected
+
+
+# `decompose` (triangular decomposition, checked against the ad(h)-graduation)
+# is run by no benchmark workload, so its output is pinned here.
+DECOMPOSE_HASHES = {
+    ("A", 3): "cd669e5dfde2cef2399992ce97a15f953e4dd7cd0ac50a481ae228745665827a",
+    ("B", 3): "68d6c12e26d466934a0a84c4138c4b3aafe171f619bb52eceba48a2aa8194e89",
+    ("C", 3): "6f7443f670fec2f1ef4f518e4f8f3524db62fb13e6d9c792bc1c69a4c3bef507",
+    ("D", 4): "3e1b03aecb76fa03687833e8e203eb19328cd05f97a08f0390c8b983f18a9a22",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(DECOMPOSE_HASHES))
+def test_decompose_output_matches_pinned_hash(family, rank):
+    expected = DECOMPOSE_HASHES[(family, rank)]
+    assert cli_hash(["decompose", "--family", family, "--rank", str(rank)]) == expected

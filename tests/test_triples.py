@@ -16,10 +16,10 @@ from nilab import (
     principal_triplet,
     rank_kernel,
     sl2_complete,
-    unipotent_ad,
+    unipotent_conjugate,
+    valid_partitions,
 )
-from nilab.algebras import Element
-from nilab.linalg import mat_mul, mat_vec
+from nilab.linalg import mat_mul
 
 
 def E(n, i, j):
@@ -150,8 +150,7 @@ def test_sl2_complete_general_fallback():
     alg = build_algebra("A", 2)
     e = nilpotent_from_partition(alg, Partition((3,)))
     e21 = alg.from_matrix(E(3, 1, 0))
-    ad = unipotent_ad(e21.scale(2))
-    moved = Element(alg, mat_vec(ad, e.coords))
+    moved = unipotent_conjugate(e21.scale(2), e)
     assert moved != e
     t = sl2_complete(alg, moved)
     assert t.e == moved
@@ -189,21 +188,33 @@ def test_h_has_integer_spectrum():
             assert int(lam) % 2 == 0
 
 
+def _nonzero_orbit_triples():
+    """The triple of every nonzero orbit with matrix size N <= 10, then the
+    principal triple of A1-A9, B1-B5, C1-C5 and D2-D6."""
+    ranks = {"A": range(1, 10), "B": range(1, 6), "C": range(1, 6), "D": range(2, 7)}
+    for family, family_ranks in ranks.items():
+        for rank in family_ranks:
+            alg = build_algebra(family, rank)
+            if alg.matrix_size_N <= 10:
+                for p in valid_partitions(alg):
+                    if any(part > 1 for part in p.parts):
+                        yield sl2_complete(alg, nilpotent_from_partition(alg, p))
+            else:
+                yield principal_triplet(alg)
+
+
 def test_h_integer_diagonal():
     # closed-form path (sl) and the linear-system path (so/sp) both land on
-    # a weighted-diagonal grading element with integer entries
-    cases = [
-        ("A", 3, [(4,), (3, 1), (2, 2), (2, 1, 1)]),
-        ("B", 2, [(5,), (3, 1, 1), (2, 2, 1)]),
-        ("C", 2, [(4,), (2, 2), (2, 1, 1)]),
-        ("D", 3, [(5, 1), (3, 3)]),
-    ]
-    for family, rank, parts_list in cases:
-        alg = build_algebra(family, rank)
-        for parts in parts_list:
-            t = sl2_complete(alg, nilpotent_from_partition(alg, Partition(parts)))
-            for i in range(alg.matrix_size_N):
-                assert t.h.matrix_rows()[i][i].denominator == 1
+    # a diagonal grading element with integer entries; h_graduation reads
+    # its weights off the diagonal and relies on this
+    count = 0
+    for t in _nonzero_orbit_triples():
+        rows = t.h.matrix_rows()
+        for i, row in enumerate(rows):
+            assert row[i].denominator == 1
+            assert all(v == 0 for j, v in enumerate(row) if j != i)
+        count += 1
+    assert count > 100
 
 
 @pytest.mark.parametrize(
