@@ -65,7 +65,7 @@ from .invariants import (
     triangular_decomposition,
     verify_field_identities,
 )
-from .linalg import det, interpolate_vector_poly, inverse, rank_kernel, solve
+from .linalg import interpolate_vector_poly, inverse, rank_kernel, solve
 from .poly import Poly, generic_rank_detail, poly_det
 from .reports import CheckItem, CheckReport
 from .triples import (

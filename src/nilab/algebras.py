@@ -520,7 +520,7 @@ class Subspace:
 
     @classmethod
     def from_coord_rows(cls, algebra, rows) -> "Subspace":
-        work = [list(map(Rat, r)) for r in rows]
+        work = list(rows)
         pivots = rref(work, algebra.dim)
         return cls(algebra, work[: len(pivots)], pivots)
 

@@ -1,22 +1,26 @@
 """Exact linear algebra over the rationals.
 
 Scalars are always-reduced arbitrary-precision rationals (see _scalar);
-there is no floating point anywhere, so every rank / kernel / determinant
-decision is discrete and reproducible.  Pivot choice is deterministic
-(first nonzero entry in column order), which makes echelon forms, kernel
-bases and solver output identical across runs and platforms.
+there is no floating point anywhere, so every rank / kernel decision is
+discrete and reproducible.  Pivot choice is deterministic (first nonzero
+entry in column order), which makes echelon forms, kernel bases and solver
+output identical across runs and platforms.
 
 A matrix is a list of row lists.  Its entries are Rat, or Python ints for
 the integer-scaled N x N matrices of algebra elements (integer rows over one
 common denominator, see algebras.Element.int_rows); mat_mul keeps the type
-of its inputs, ints in and ints out, and the eliminations coerce to Rat.
-Only rref changes its input (it works in place); the other functions copy
-what they eliminate.  A row of the wrong length, or a non-square input
-where a square one is needed, raises ShapeError.  The pipeline's matrices
-(ad maps of nilpotent elements, stacked bracket blocks) are mostly zero, so
-the loops skip zero entries: products and row updates only touch positions
-where both factors are nonzero.  Skipping a zero never changes a value,
-only the number of rational operations spent reaching it.
+of its inputs, ints in and ints out.  rref, rank_kernel, solve and inverse
+read one integer Gauss-Jordan elimination (_gauss_jordan): each row is
+cleared of its denominators once, the elimination runs on Python ints, and
+a Rat is made only for each nonzero entry of the result.  Only rref changes
+its input (it replaces the rows of the list); the other functions copy what
+they eliminate.  A row of the wrong length, or a non-square input where a
+square one is needed, raises ShapeError.  The pipeline's matrices (ad maps
+of nilpotent elements, stacked bracket blocks) are mostly zero, so the
+loops skip zeros: products only touch positions where both factors are
+nonzero, and an elimination step leaves every row with a zero in the pivot
+column untouched.  Skipping a zero never changes a value, only the number
+of operations spent reaching it.
 """
 
 from __future__ import annotations
@@ -26,17 +30,6 @@ from functools import lru_cache
 
 from ._scalar import ONE, Rat, ZERO
 from .errors import ContractError, DegreeMismatchError, ShapeError
-
-
-def _rat_rows(rows, ncols: int):
-    """Fresh copies of the rows with every entry a Rat; ShapeError unless
-    every row has ncols entries."""
-    out = []
-    for row in rows:
-        if len(row) != ncols:
-            raise ShapeError(f"expected rows of {ncols} entries, got one of {len(row)}")
-        out.append([v if type(v) is Rat else Rat(v) for v in row])
-    return out
 
 
 def mat_mul(a, b):
@@ -72,36 +65,80 @@ def mat_vec(rows, vec):
     return out
 
 
+def _int_rows(rows, width: int):
+    """Fresh primitive integer copies of the rows: each row times the lcm of
+    its denominators, divided by its content.  Only nonzero entries are
+    read.  ShapeError unless every row has width entries."""
+    a = []
+    for row in rows:
+        if len(row) != width:
+            raise ShapeError(f"expected rows of {width} entries, got one of {len(row)}")
+        if all(type(v) is int for v in row):
+            out = list(row)
+        else:
+            nz = [(j, v) for j, v in enumerate(row) if v is not ZERO]
+            if not all(type(v) is Rat or type(v) is int for _, v in nz):
+                nz = [(j, Rat(v)) for j, v in nz]
+            den = math.lcm(*{v.denominator for _, v in nz})
+            out = [0] * width
+            for j, v in nz:
+                out[j] = v.numerator * (den // v.denominator)
+        g = math.gcd(*out)
+        a.append([v // g for v in out] if g > 1 else out)
+    return a
+
+
+def _gauss_jordan(a, ncols: int):
+    """In-place integer Gauss-Jordan elimination of primitive integer rows
+    (see _int_rows); returns the pivot columns, all among the first ncols.
+
+    Columns are scanned left to right and the pivot is the first remaining
+    row with a nonzero entry.  Only the rows with a nonzero entry f in the
+    pivot column change: with pivot p and g = gcd(p, f), row <- (p/g) row -
+    (f/g) pivot row, divided by its content.  So every row stays primitive
+    and a nonzero multiple of the row rational Gauss-Jordan would hold: the
+    reduced echelon form is each pivot row over its pivot entry.
+    """
+    pivots = []
+    r = 0
+    nrows = len(a)
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = a[i][c]
+            if f and i != r:
+                g = math.gcd(pv, f)
+                mp, mf = pv // g, f // g
+                new = [mp * x - mf * y if y else mp * x for x, y in zip(a[i], prow)]
+                g = math.gcd(*new)
+                a[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def rref(rows, ncols: int):
     """In-place reduced row echelon form of a list of row lists.
 
     Returns the pivot column indices.  Pivot choice is the first row with a
     nonzero entry in the current column, scanning columns left to right.
+    The list's rows are replaced by Rat rows: the pivot rows divided by
+    their pivot, then the rows past the rank, zero in the first ncols
+    columns and, past them, a nonzero multiple of what rational
+    elimination leaves there.
     """
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [v * inv for v in rows[r]]
-        rr = rows[r]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
-        pivots.append(c)
-        r += 1
+    a = _int_rows(rows, len(rows[0]) if rows else ncols)
+    pivots = _gauss_jordan(a, ncols)
+    for r, row in enumerate(a):
+        pv = row[pivots[r]] if r < len(pivots) else 1
+        rows[r] = [Rat(v, pv) if v else ZERO for v in row]
     return pivots
 
 
@@ -113,9 +150,8 @@ def rank_kernel(rows, ncols: int):
     negated echelon coefficients at the pivot columns.  Returned as
     coordinate lists, ordered by ascending free column.
     """
-    work = _rat_rows(rows, ncols)
-    pivots = rref(work, ncols)
-    rank = len(pivots)
+    a = _int_rows(rows, ncols)
+    pivots = _gauss_jordan(a, ncols)
     pivot_set = set(pivots)
     kernel = []
     for f in range(ncols):
@@ -123,49 +159,11 @@ def rank_kernel(rows, ncols: int):
             continue
         vec = [ZERO] * ncols
         vec[f] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -work[r][f]
+        for row, c in zip(a, pivots):
+            if row[f]:
+                vec[c] = Rat(-row[f], row[c])
         kernel.append(vec)
-    return rank, kernel
-
-
-def det(rows):
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Rows are first cleared of denominators so the elimination runs over the
-    integers; the scaling is divided back out at the end.
-    """
-    n = len(rows)
-    rows = _rat_rows(rows, n)
-    if n == 0:
-        return ONE
-    a = []
-    scale = ONE
-    for row in rows:
-        den = math.lcm(*(int(v.denominator) for v in row))
-        scale *= den
-        a.append([int(v.numerator) * (den // int(v.denominator)) for v in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            p = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    p = i
-                    break
-            if p is None:
-                return ZERO
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return Rat(sign * a[n - 1][n - 1]) / scale
+    return len(pivots), kernel
 
 
 def solve(rows, ncols: int, rhs):
@@ -177,29 +175,26 @@ def solve(rows, ncols: int, rhs):
     """
     if len(rhs) != len(rows):
         raise ShapeError("right-hand side length mismatch")
-    work = _rat_rows(rows, ncols)
-    for row, b in zip(work, rhs):
-        row.append(Rat(b))
-    pivots = rref(work, ncols)
-    for i in range(len(pivots), len(work)):
-        if work[i][ncols] != 0:
-            return None
+    a = _int_rows([[*row, b] for row, b in zip(rows, rhs)], ncols + 1)
+    pivots = _gauss_jordan(a, ncols)
+    if any(row[ncols] for row in a[len(pivots) :]):
+        return None
     x = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = work[r][ncols]
+    for row, c in zip(a, pivots):
+        if row[ncols]:
+            x[c] = Rat(row[ncols], row[c])
     return x
 
 
 def inverse(rows):
     """Exact inverse of a square matrix, as rows; ShapeError if singular."""
     n = len(rows)
-    work = _rat_rows(rows, n)
-    for i, row in enumerate(work):
-        row.extend(ONE if j == i else ZERO for j in range(n))
-    pivots = rref(work, n)
-    if len(pivots) != n:
+    # each identity row is scaled together with its row of the matrix
+    eye = [[ZERO] * i + [ONE] + [ZERO] * (n - 1 - i) for i in range(n)]
+    a = _int_rows([[*row, *e] for row, e in zip(rows, eye)], 2 * n)
+    if len(_gauss_jordan(a, n)) != n:
         raise ShapeError("matrix is singular")
-    return [row[n:] for row in work]
+    return [[Rat(v, row[r]) if v else ZERO for v in row[n:]] for r, row in enumerate(a)]
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,8 @@ from nilab import (
     build_pair_data,
     convolution_at,
     det_shape_check,
+    generators,
+    gradient,
     index_pair,
     normalizer_decomposition_check,
     nilpotent_from_partition,
@@ -472,3 +474,27 @@ def test_center_of_centralizer_is_spanned_by_powers_of_e(family, rank):
         span = Subspace.from_elements(alg, powers)
         assert pd.delta.dim == span.dim + extra, p
         assert pd.hypothesis_ok == (not extra or (family == "D" and l3 == 0)), p
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_pfaffian_gradient_is_the_extra_center_element(rank):
+    # on the two-part D partitions with odd distinct parts, delta is one
+    # dimension larger than the span of the odd powers of e, yet the
+    # hypothesis holds: the Pfaffian gradient Q(e) supplies that dimension
+    alg = build_algebra("D", rank)
+    j = next(g.index_j for g in generators(alg) if g.kind == "pfaffian")
+    two_odd = [
+        p
+        for p in valid_partitions(alg)
+        if len(p.parts) == 2 and all(part % 2 for part in p.parts) and p.parts[0] > p.parts[1]
+    ]
+    assert len(two_odd) == rank // 2  # (7,1), (5,3); (9,1), (7,3); (11,1), (9,3), (7,5)
+    for p in two_odd:
+        e = nilpotent_from_partition(alg, p)
+        pd = build_pair_data(alg, sl2_complete(alg, e))
+        q = gradient(alg, j, e)
+        powers = _powers_of(e, 2)
+        assert pd.delta.contains(q), p
+        assert not Subspace.from_elements(alg, powers).contains(q), p
+        assert Subspace.from_elements(alg, powers + [q]).same_space(pd.delta), p
+        assert pd.hypothesis_ok, p

@@ -1,5 +1,6 @@
 """Exact linear algebra: rank/kernel, determinant, solving, interpolation."""
 
+import math
 import random
 
 import pytest
@@ -9,15 +10,16 @@ from hypothesis import strategies as st
 from nilab import (
     ContractError,
     DegreeMismatchError,
+    Poly,
     Rat,
     ShapeError,
-    det,
     interpolate_vector_poly,
     inverse,
+    poly_det,
     rank_kernel,
     solve,
 )
-from nilab.linalg import _vandermonde_inverse, mat_mul, mat_vec, rref
+from nilab.linalg import _gauss_jordan, _int_rows, _vandermonde_inverse, mat_mul, mat_vec, rref
 
 
 def identity(n):
@@ -34,6 +36,12 @@ def sparse_rows(rng, nrows, ncols):
         [Rat(rng.randint(-3, 3)) if rng.random() < 0.3 else Rat(0) for _ in range(ncols)]
         for _ in range(nrows)
     ]
+
+
+def det(rows):
+    """Determinant of a rational matrix through poly_det, the one Bareiss
+    elimination, on constant polynomials in no variables."""
+    return poly_det([[Poly.const((), v) for v in row] for row in rows]).eval(())
 
 
 def cofactor_det(rows):
@@ -81,6 +89,192 @@ def test_rref_matches_dense_reference_on_sparse_matrices():
         work = [list(r) for r in rows]
         assert rref(work, ncols) == expected_pivots
         assert work == expected_rows
+
+
+def fraction_rows(rng, nrows, ncols, density):
+    """Random entries p/q with q in 2..7; each entry is nonzero with
+    probability density."""
+    return [
+        [
+            Rat(rng.randint(-9, 9), rng.randint(2, 7)) if rng.random() < density else Rat(0)
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+
+
+def deficient_rows(rng, nrows, ncols, rank, density):
+    """nrows rows spanning at most rank dimensions: rank random rows and
+    rational combinations of them (zero rows when rank is 0), shuffled."""
+    base = fraction_rows(rng, rank, ncols, density)
+    rows = list(base)
+    while len(rows) < nrows:
+        coeffs = [Rat(rng.randint(-3, 3), rng.randint(1, 4)) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), Rat(0)) for j in range(ncols)])
+    rng.shuffle(rows)
+    return rows
+
+
+def kernel_test_matrices(seed):
+    """(rows, ncols): sparse and dense fractional matrices, rank-deficient
+    ones with zero rows, and matrices of Python ints."""
+    rng = random.Random(seed)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        yield fraction_rows(rng, nrows, ncols, 0.25), ncols
+        yield fraction_rows(rng, nrows, ncols, 1.0), ncols
+        rank = rng.randint(0, min(nrows, ncols))
+        rows = deficient_rows(rng, nrows, ncols, rank, rng.choice((0.3, 1.0)))
+        rows.insert(rng.randint(0, nrows), [Rat(0)] * ncols)
+        yield rows, ncols
+        yield [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)], ncols
+    yield [[0, 0, 0], [0, 0, 0]], 3
+    yield [[Rat(0)] * 4, [Rat(1, 2), Rat(0), Rat(-3, 7), Rat(0)], [Rat(0)] * 4], 4
+
+
+def reference_kernel(rows, ncols):
+    """Kernel basis read off the textbook elimination, one vector per free
+    column: 1 there, minus the echelon coefficients at the pivot columns."""
+    reduced, pivots = dense_rref(rows, ncols)
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Rat(0)] * ncols
+        vec[f] = Rat(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][f]
+        kernel.append(vec)
+    return len(pivots), kernel
+
+
+def all_rat(rows):
+    return all(type(v) is Rat for row in rows for v in row)
+
+
+def test_integer_kernel_matches_rational_gauss_jordan():
+    for rows, ncols in kernel_test_matrices(31):
+        rows = [[Rat(v) for v in row] for row in rows]
+        expected_rows, expected_pivots = dense_rref(rows, ncols)
+        work = [list(r) for r in rows]
+        assert rref(work, ncols) == expected_pivots
+        assert work == expected_rows and all_rat(work)
+        rank, kernel = rank_kernel(rows, ncols)
+        assert (rank, kernel) == reference_kernel(rows, ncols) and all_rat(kernel)
+
+
+def test_integer_kernel_takes_int_rows_and_leaves_them_unchanged():
+    for rows, ncols in kernel_test_matrices(37):
+        before = [list(r) for r in rows]
+        as_rat = [[Rat(v) for v in row] for row in rows]
+        assert rank_kernel(rows, ncols) == rank_kernel(as_rat, ncols)
+        work = list(rows)  # rref replaces the rows of the list, not their entries
+        assert rref(work, ncols) == dense_rref(as_rat, ncols)[1]
+        assert work == dense_rref(as_rat, ncols)[0] and all_rat(work)
+        assert rows == before
+
+
+def test_rref_of_rows_wider_than_ncols():
+    # pivots only among the first ncols columns; the pivot rows are reduced
+    # over the full width, and each row past the rank is zero on the first
+    # ncols columns and a nonzero multiple of the textbook row past them
+    rng = random.Random(41)
+    for _ in range(60):
+        nrows, ncols, extra = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 3)
+        rank = rng.randint(0, min(nrows, ncols))
+        left = deficient_rows(rng, nrows, ncols, rank, rng.choice((0.3, 1.0)))
+        rows = [row + fraction_rows(rng, 1, extra, 0.5)[0] for row in left]
+        expected_rows, expected_pivots = dense_rref(rows, ncols)
+        work = [list(r) for r in rows]
+        assert rref(work, ncols) == expected_pivots
+        rank = len(expected_pivots)
+        assert work[:rank] == expected_rows[:rank] and all_rat(work)
+        for got, want in zip(work[rank:], expected_rows[rank:]):
+            assert not any(got[:ncols]) and not any(want[:ncols])
+            nonzero = [(g, w) for g, w in zip(got, want) if g or w]
+            assert all(g and w for g, w in nonzero)
+            assert len({g / w for g, w in nonzero}) <= 1
+
+
+def reference_solve(rows, ncols, rhs):
+    reduced, pivots = dense_rref([list(r) + [Rat(b)] for r, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in reduced[len(pivots) :]):
+        return None
+    x = [Rat(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][ncols]
+    return x
+
+
+def test_solve_matches_rational_reference():
+    rng = random.Random(43)
+    consistent = inconsistent = 0
+    for rows, ncols in kernel_test_matrices(43):
+        rows = [[Rat(v) for v in row] for row in rows]
+        x0 = fraction_rows(rng, 1, ncols, 0.7)[0]
+        for rhs in (mat_vec(rows, x0), fraction_rows(rng, 1, len(rows), 1.0)[0]):
+            x = solve(rows, ncols, rhs)
+            assert x == reference_solve(rows, ncols, rhs)
+            if x is None:
+                inconsistent += 1
+            else:
+                consistent += 1
+                assert mat_vec(rows, x) == rhs and all(type(v) is Rat for v in x)
+    assert consistent > 50 and inconsistent > 20
+    # inconsistent by construction: row 2 is row 0 + row 1, its rhs is not
+    rows = [[Rat(1, 2), Rat(0), Rat(3)], [Rat(0), Rat(2, 3), Rat(-1)]]
+    rows.append([a + b for a, b in zip(*rows)])
+    assert solve(rows, 3, [Rat(1), Rat(1, 5), Rat(6, 5)]) == reference_solve(
+        rows, 3, [Rat(1), Rat(1, 5), Rat(6, 5)]
+    )
+    assert solve(rows, 3, [Rat(1), Rat(1, 5), Rat(7, 5)]) is None
+
+
+def test_inverse_matches_rational_reference():
+    rng = random.Random(47)
+    invertible = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = fraction_rows(rng, n, n, rng.choice((0.4, 1.0)))
+        eye = [[Rat(int(i == j)) for j in range(n)] for i in range(n)]
+        reduced, pivots = dense_rref([r + e for r, e in zip(rows, eye)], n)
+        if len(pivots) < n:
+            with pytest.raises(ShapeError):
+                inverse(rows)
+            continue
+        invertible += 1
+        got = inverse(rows)
+        assert got == [row[n:] for row in reduced] and all_rat(got)
+        assert mat_mul(rows, got) == eye
+    assert invertible > 20
+    with pytest.raises(ShapeError):
+        inverse(deficient_rows(rng, 4, 4, 3, 1.0))
+
+
+def test_elimination_keeps_primitive_multiples_of_the_textbook_rows():
+    # every integer row is primitive (its content is 1) and a nonzero
+    # multiple of the row the rational elimination holds
+    for rows, ncols in kernel_test_matrices(53):
+        rows = [[Rat(v) for v in row] for row in rows]
+        expected_rows, expected_pivots = dense_rref(rows, ncols)
+        a = _int_rows(rows, ncols)
+        assert all(math.gcd(*row) == 1 for row in a if any(row))
+        assert _gauss_jordan(a, ncols) == expected_pivots
+        for row, want in zip(a, expected_rows):
+            assert all(type(v) is int for v in row)
+            assert not any(row) or math.gcd(*row) == 1
+            nonzero = [(g, w) for g, w in zip(row, want) if g or w]
+            assert all(g and w for g, w in nonzero)
+            assert len({Rat(g) / w for g, w in nonzero}) <= 1
+
+
+def test_rows_with_zero_in_the_pivot_column_stay_untouched():
+    # row 1 has a zero in the other pivot columns, so it is never rebuilt;
+    # row 2 becomes 2 row 2 - row 0 = (0, 0, 7, -1), then row 0 becomes
+    # 7 row 0 - row 2 = (14, 0, 0, 22), divided by its content 2
+    a = [[2, 0, 1, 3], [0, -1, 0, 5], [1, 0, 4, 1]]
+    rows = list(a)
+    assert _gauss_jordan(a, 4) == [0, 1, 2]
+    assert a == [[7, 0, 0, 11], [0, -1, 0, 5], [0, 0, 7, -1]]
+    assert a[1] is rows[1]
 
 
 def test_rat_always_reduced_positive_denominator():

@@ -4,8 +4,8 @@ in bench/reference_hashes.json.
 The benchmark checks every operation against those hashes; this test checks
 a few cheap orbits and the three verify suites, so that a kernel change that
 alters any output fails here too.  The reference file is only read.  The so(6)
-verify suite and the `decompose` output, which no benchmark workload runs,
-are pinned by hashes kept here.
+verify suite, the `decompose` output and the C10 and D10 `table` sweeps,
+which no benchmark workload runs, are pinned by hashes kept here.
 """
 
 import contextlib
@@ -51,13 +51,13 @@ def test_orbit_report_matches_reference_hash(reference, family, n, parts):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == reference[f"{family}{n}:{partition}"]
 
 
-def cli_hash(argv):
+def cli_hash(argv, exit_code=cli.EXIT_OK):
     """SHA-256 of the benchmark's canonical text of a CLI run: stdout, then
-    the exit code."""
+    the exit code, which must be exit_code."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.run(argv)
-    assert code == cli.EXIT_OK
+    assert code == exit_code
     text = f"{buf.getvalue()}exit {code}\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -92,3 +92,19 @@ DECOMPOSE_HASHES = {
 def test_decompose_output_matches_pinned_hash(family, rank):
     expected = DECOMPOSE_HASHES[(family, rank)]
     assert cli_hash(["decompose", "--family", family, "--rank", str(rank)]) == expected
+
+
+# The largest sweeps `table` accepts for C and D, which reach the biggest
+# eliminations (sp(10) and so(10) centralizers) that no other test runs.  D10
+# contains orbits that violate the spanning hypothesis, so it exits 2.
+TABLE_HASHES = {
+    ("C", 10): (cli.EXIT_OK, "ad896b30f1a7f38684632f2f590e0cf941754e62d473320c1a245fc0c37b4d17"),
+    ("D", 10): (cli.EXIT_HYPOTHESIS, "be3f7257feac411c8c2fd1dab6a5eb45260ebb060a663a581f62db1f22d9f59f"),
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(TABLE_HASHES))
+def test_table_output_matches_pinned_hash(family, n):
+    code, expected = TABLE_HASHES[(family, n)]
+    argv = ["table", "--family", family, "--n", str(n), "--seed", "0"]
+    assert cli_hash(argv, code) == expected

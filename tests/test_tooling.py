@@ -1,5 +1,5 @@
 """Guards for the tools around the library: the benchmark tracer's layer
-list and the demo scripts."""
+list, the demo scripts and `python -m nilab`."""
 
 import importlib
 import importlib.util
@@ -71,13 +71,26 @@ def test_bracket_makes_one_traced_read_off():
     assert tracer.stats["algebras.coords_of_rows"][0] == 1
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def _run_from_checkout(*args):
+    """Run the interpreter with these arguments, with src/ first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    result = _run_from_checkout(str(demo))
     assert result.returncode == 0, result.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    result = _run_from_checkout("-m", "nilab", "--version")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == nilab.__version__
+    result = _run_from_checkout("-m", "nilab", "table", "--family", "A", "--n", "11")
+    assert result.returncode == 3, result.stderr
