@@ -5,12 +5,12 @@ stdlib Fraction otherwise.  Both are arbitrary-precision rationals that
 are always reduced with a positive denominator, so every computation is
 bit-identical under either backend.
 
-Rat is the type of coordinates, of the results of the eliminations in
-linalg and of polynomial coefficients.  The N x N matrices of algebra
-elements are not kept in Rat: they are Python-int rows over one common
-denominator (see algebras.Element.int_rows), and a rational is made only
-for each coordinate read back from such a matrix.  The eliminations run on
-Python ints in the same way (see linalg._gauss_jordan).
+Rat is the type of the coordinates a caller reads, of the results of the
+eliminations in linalg and of polynomial coefficients.  Algebra elements
+are not kept in Rat: an element is Python-int numerators over one common
+denominator, and so is its N x N matrix (see algebras.Element), and a
+rational is made only when its coordinates are read.  The eliminations run
+on Python ints in the same way (see linalg._gauss_jordan).
 """
 
 try:

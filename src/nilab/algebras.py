@@ -19,16 +19,18 @@ The invariant pairing is the defining-representation trace form tr(xy)
 the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, and every matrix comes back
-to coordinates through the one checked read-off, coords_of_rows.
+to an element through the one checked read-off, coords_of_rows.
 
 Every matrix, an N x N realization or a dim x dim map such as ad(x), is a
-list of row lists, the one form linalg works on.  An element's N x N matrix
-is kept integer-scaled: integer rows R and one positive common denominator
-d with x = R / d, cleared once from its coordinates (as Bareiss clears
-denominators before eliminating).  Brackets, products, traces, the
-unipotent conjugation and the read-off then run on Python ints, and only
-the coordinates that come back out are rationals.  The ad(h)-grading of a
-diagonal h is read off the matrix positions of the basis, not solved for.
+list of row lists, the one form linalg works on.  An element holds integer
+numerators over one positive common denominator d, in lowest terms, and
+its N x N matrix is kept integer-scaled in the same way: integer rows R
+with x = R / d (as Bareiss clears denominators before eliminating).
+Element arithmetic, brackets, products, traces, the unipotent conjugation,
+the read-off and subspace membership run on Python ints; a rational is made
+only where a caller reads coordinates (Element.coords, Subspace.coords_of,
+ad_matrix).  The ad(h)-grading of a diagonal h is read off the matrix
+positions of the basis, not solved for.
 """
 
 from __future__ import annotations
@@ -244,17 +246,17 @@ class AlgebraRealization:
             if q not in pivot_set
         )
 
-    def coords_of_rows(self, rows, den=1, num=1):
-        """Coordinates in the basis of the N x N matrix (num / den) * rows,
-        for integer rows and integers num, den != 0.
+    def coords_of_rows(self, rows, den=1, num=1) -> "Element":
+        """The element with the N x N matrix (num / den) * rows, for integer
+        rows and integers num, den != 0.
 
         Each coordinate of rows, times D0, is read off as an integer from
         the entries at the basis pivot positions, through the precomputed
         nonzero entries of the integer inverse pivot block; zero matrix
         entries are skipped.  Every non-pivot entry is then checked in
         integers, sum_k C_k b_k == R_ij D0, so a matrix outside the span
-        raises ContractError.  Only then is each nonzero coordinate made a
-        rational, num C_k / (D0 den).
+        raises ContractError.  The element is num C_k / (D0 den), kept as
+        integers in lowest terms.
         """
         d0 = self._coord_den
         coords = []
@@ -273,48 +275,49 @@ class AlgebraRealization:
                     acc += c * b
             if acc != rows[i][j] * d0:
                 raise ContractError("matrix does not lie in the algebra")
-        scale = d0 * den
-        return [Rat(c * num, scale) if c else ZERO for c in coords]
+        if num != 1:
+            coords = [c * num for c in coords]
+        return _element(self, coords, d0 * den)
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
 
     def zero(self) -> "Element":
-        return Element(self, [ZERO] * self.dim)
+        return _element(self, [0] * self.dim, 1)
 
     def basis_element(self, k) -> "Element":
-        coords = [ZERO] * self.dim
-        coords[k] = ONE
-        return Element(self, coords)
+        num = [0] * self.dim
+        num[k] = 1
+        return _element(self, num, 1)
 
     def from_matrix(self, rows) -> "Element":
         """The element with these N x N matrix rows (ShapeError unless the
-        matrix is N x N, ContractError unless it lies in the algebra)."""
+        matrix is N x N; ContractError if it does not lie in the algebra or
+        an entry is a float)."""
         n = self.matrix_size_N
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ShapeError("matrix size does not match the realization")
-        int_rows, den = _clear_denominators([[Rat(v) for v in r] for r in rows])
-        return Element(self, self.coords_of_rows(int_rows, den))
+        int_rows, den = _clear_denominators([[_rat(v) for v in r] for r in rows])
+        return self.coords_of_rows(int_rows, den)
 
     def full_space(self) -> "Subspace":
-        return Subspace.from_coord_rows(
-            self, [self.basis_element(k).coords for k in range(self.dim)]
-        )
+        return Subspace.from_elements(self, [self.basis_element(k) for k in range(self.dim)])
 
     def random_element(self, rng, bound: int = 3) -> "Element":
-        return Element(self, [Rat(rng.randint(-bound, bound)) for _ in range(self.dim)])
+        return _element(self, [rng.randint(-bound, bound) for _ in range(self.dim)], 1)
 
     def random_upper_nilpotent(self, rng, bound: int = 2) -> "Element":
         """Random combination of the strictly-upper-triangular basis matrices
-        (ad-nilpotent by construction); resampled once if it comes out zero."""
+        (ad-nilpotent by construction).  A zero draw is redrawn, up to 8
+        draws in all; if all 8 are zero, the zero element is returned."""
         for _ in range(8):
-            coords = [ZERO] * self.dim
+            num = [0] * self.dim
             for k in self._upper_indices:
-                coords[k] = Rat(rng.randint(-bound, bound))
-            el = Element(self, coords)
+                num[k] = rng.randint(-bound, bound)
+            el = _element(self, num, 1)
             if not el.is_zero():
                 return el
-        return Element(self, coords)
+        return el
 
     def describe(self) -> dict:
         return {
@@ -378,36 +381,52 @@ def _commutator_rows(a, a_cols, b, b_cols):
 
 
 class Element:
-    """A vector of the algebra, stored as exact coordinates in the basis.
+    """A vector of the algebra: integer numerators num over one positive
+    denominator den, in lowest terms (gcd(den, *num) = 1; den = 1 for the
+    zero vector), so equal elements have equal num and den.
 
-    Its N x N matrix is built once, when first needed, in integer-scaled
-    form (see int_rows); no rational copy of it is kept.
+    den is the least common denominator of the coordinates.  Arithmetic,
+    comparison and hashing run on these integers; coords, a tuple of Rat,
+    is built only when first read.  The N x N matrix is likewise built once,
+    when first needed, in integer-scaled form (see int_rows).
     """
 
-    __slots__ = ("algebra", "coords", "_int")
+    __slots__ = ("algebra", "num", "den", "_coords", "_int")
 
     def __init__(self, algebra: AlgebraRealization, coords):
-        coords = tuple([c if type(c) is Rat else Rat(c) for c in coords])
+        """Coordinates may be ints, Rats or strings such as "-3/4"; a float
+        raises ContractError."""
+        coords = [_rat(c) for c in coords]
         if len(coords) != algebra.dim:
             raise ContractError("coordinate length does not match the algebra dimension")
+        # every c is reduced, so their lcm leaves gcd(den, *num) = 1
+        den = math.lcm(*(c.denominator for c in coords))
         self.algebra = algebra
-        self.coords = coords
+        self.num = tuple([c.numerator * (den // c.denominator) for c in coords])
+        self.den = den
+        self._coords = None
         self._int = None
+
+    @property
+    def coords(self):
+        """The coordinates as a tuple of Rat (ZERO for the zeros), built
+        once, on first read."""
+        if self._coords is None:
+            den = self.den
+            self._coords = tuple([Rat(v, den) if v else ZERO for v in self.num])
+        return self._coords
 
     def _int_form(self):
         """(R, d, columns of the nonzero entries of each row of R): the
         cached integer-scaled matrix."""
         if self._int is None:
-            alg = self.algebra
-            n = alg.matrix_size_N
-            den = math.lcm(*(c.denominator for c in self.coords if c))
+            n = self.algebra.matrix_size_N
             rows = _zero_int_rows(n)
-            for c, entries in zip(self.coords, alg._basis_sparse):
+            for c, entries in zip(self.num, self.algebra._basis_sparse):
                 if c:
-                    c = c.numerator * (den // c.denominator)
                     for i, j, v in entries:
                         rows[i][j] += c * v
-            self._int = (rows, den, _nonzero_columns(rows))
+            self._int = (rows, self.den, _nonzero_columns(rows))
         return self._int
 
     def int_rows(self):
@@ -423,7 +442,7 @@ class Element:
         return [[Rat(v, den) for v in row] for row in rows]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_nilpotent(self) -> bool:
         n = self.algebra.matrix_size_N
@@ -436,32 +455,84 @@ class Element:
         return not any(any(row) for row in power)
 
     def __add__(self, other: "Element") -> "Element":
-        _same_algebra(self, other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "Element") -> "Element":
-        _same_algebra(self, other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, [-c for c in self.coords])
+        return _element(self.algebra, [-v for v in self.num], self.den)
 
     def scale(self, c) -> "Element":
-        c = Rat(c)
-        return Element(self.algebra, [c * v for v in self.coords])
+        if type(c) is int:
+            p, q = c, 1
+        else:
+            c = _rat(c)
+            p, q = c.numerator, c.denominator
+        return _element(self.algebra, [p * v for v in self.num], self.den * q)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)
             and self.algebra is other.algebra
-            and self.coords == other.coords
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.den, self.num))
 
     def __repr__(self) -> str:
         return f"Element({self.algebra.name}, [{', '.join(str(c) for c in self.coords)}])"
+
+
+def _rat(value):
+    """value as a Rat.  A float raises ContractError: its binary value is
+    rarely the rational that was meant (0.1 is 3602879701896397/2^55)."""
+    if type(value) is Rat:
+        return value
+    if isinstance(value, float):
+        raise ContractError(f"float {value!r} is not exact; give an int, a Rat or a string")
+    return Rat(value)
+
+
+def _element(algebra, num, den):
+    """The element num / den, for integers num and an integer den != 0,
+    brought to lowest terms with a positive denominator."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [v // g for v in num]
+        den //= g
+    x = Element.__new__(Element)
+    x.algebra = algebra
+    x.num = tuple(num)
+    x.den = den
+    x._coords = None
+    x._int = None
+    return x
+
+
+def _sum(x, y, sign):
+    """x + sign * y for sign = +-1."""
+    _same_algebra(x, y)
+    den = math.lcm(x.den, y.den)
+    fx, fy = den // x.den, sign * (den // y.den)
+    return _element(x.algebra, [a * fx + b * fy for a, b in zip(x.num, y.num)], den)
+
+
+def _combination(algebra, elements, coeffs):
+    """sum_i coeffs[i] * elements[i], for Rat coefficients, in integers."""
+    den = math.lcm(*(c.denominator * x.den for c, x in zip(coeffs, elements) if c))
+    acc = [0] * algebra.dim
+    for c, x in zip(coeffs, elements):
+        if c:
+            f = c.numerator * (den // (c.denominator * x.den))
+            for q, v in enumerate(x.num):
+                if v:
+                    acc[q] += f * v
+    return _element(algebra, acc, den)
 
 
 def _same_algebra(x, y):
@@ -475,7 +546,7 @@ def bracket(x: Element, y: Element) -> Element:
     alg = x.algebra
     a, dx, a_cols = x._int_form()
     b, dy, b_cols = y._int_form()
-    return Element(alg, alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx * dy))
+    return alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx * dy)
 
 
 def trace_form(x: Element, y: Element):
@@ -496,7 +567,7 @@ def ad_matrix(x: Element):
     alg = x.algebra
     a, dx, a_cols = x._int_form()
     columns = [
-        alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx)
+        alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx).coords
         for b, b_cols in alg._basis_int
     ]
     return [list(row) for row in zip(*columns)]
@@ -506,10 +577,14 @@ class Subspace:
     """A subspace of the algebra, stored as a deterministic echelon basis.
 
     The rows are the reduced row echelon form of the generating coordinate
-    vectors, so equal subspaces have equal row lists.
+    vectors, so equal subspaces have equal row lists.  Because they are
+    reduced, a vector v lies in the span exactly when v = sum_r v[c_r] R_r,
+    c_r the pivot of row r; the pivot entries agree by construction, so
+    membership is a check of the non-pivot entries, run in integers (see
+    _checks).
     """
 
-    __slots__ = ("algebra", "rows", "pivots", "_basis", "_bracket_table")
+    __slots__ = ("algebra", "rows", "pivots", "_basis", "_bracket_table", "_check_table")
 
     def __init__(self, algebra: AlgebraRealization, rows, pivots):
         self.algebra = algebra
@@ -517,6 +592,7 @@ class Subspace:
         self.pivots = tuple(pivots)
         self._basis = None
         self._bracket_table = None
+        self._check_table = None
 
     @classmethod
     def from_coord_rows(cls, algebra, rows) -> "Subspace":
@@ -526,7 +602,8 @@ class Subspace:
 
     @classmethod
     def from_elements(cls, algebra, elements) -> "Subspace":
-        return cls.from_coord_rows(algebra, [e.coords for e in elements])
+        # a positive multiple of a row has the same echelon form
+        return cls.from_coord_rows(algebra, [e.num for e in elements])
 
     @property
     def dim(self) -> int:
@@ -538,37 +615,61 @@ class Subspace:
             self._basis = [Element(self.algebra, r) for r in self.rows]
         return self._basis
 
-    def _eliminate(self, coords):
-        """(coefficients in this basis, residual) of a coordinate vector."""
-        residual = list(coords)
-        out = []
-        for r, c in enumerate(self.pivots):
-            f = residual[c]
-            out.append(f)
-            if f:
-                row = self.rows[r]
-                residual = [a - f * b if b else a for a, b in zip(residual, row)]
-        return out, residual
+    def _checks(self):
+        """Per non-pivot column q: (q, D_q, the pairs (c_r, D_q R_r[q]) for
+        the rows r with R_r[q] != 0), D_q the lcm of their denominators.
+        Built once per subspace."""
+        if self._check_table is None:
+            pivots = set(self.pivots)
+            table = []
+            for q in range(self.algebra.dim):
+                if q in pivots:
+                    continue
+                entries = [(c, row[q]) for c, row in zip(self.pivots, self.rows) if row[q]]
+                d = math.lcm(*(v.denominator for _, v in entries))
+                pairs = tuple((c, v.numerator * (d // v.denominator)) for c, v in entries)
+                table.append((q, d, pairs))
+            self._check_table = tuple(table)
+        return self._check_table
+
+    def _residual(self, num):
+        """For the vector v = num / den, the integers den D_q (v[q] -
+        sum_r v[c_r] R_r[q]) at the non-pivot columns q, in the order of
+        _checks; all zero exactly when v lies in the span."""
+        for q, d, pairs in self._checks():
+            acc = num[q] * d
+            for c, v in pairs:
+                x = num[c]
+                if x:
+                    acc -= x * v
+            yield acc
 
     def reduce(self, coords):
         """Residual of a coordinate vector after reduction by the basis;
         zero exactly when the vector lies in the subspace."""
-        return self._eliminate(coords)[1]
+        x = Element(self.algebra, coords)
+        out = [ZERO] * self.algebra.dim
+        for (q, d, _), r in zip(self._checks(), self._residual(x.num)):
+            if r:
+                out[q] = Rat(r, d * x.den)
+        return out
 
     def contains(self, element: Element) -> bool:
-        return not any(self.reduce(element.coords))
+        return not any(self._residual(element.num))
 
     def coords_of(self, element: Element):
         """Coefficients of element in this basis, or None if not a member."""
-        out, residual = self._eliminate(element.coords)
-        return None if any(residual) else tuple(out)
+        if any(self._residual(element.num)):
+            return None
+        num, den = element.num, element.den
+        return tuple([Rat(num[c], den) if num[c] else ZERO for c in self.pivots])
 
     def same_space(self, other: "Subspace") -> bool:
         return self.rows == other.rows
 
     def bracket_table(self):
-        """Coordinates in this basis of [b_a, b_b] for every a < b, as
-        table[a][b - a - 1].
+        """The nonzero coordinates in this basis of [b_a, b_b], as pairs
+        (t, coordinate t), for every a < b, as table[a][b - a - 1].
 
         Each unordered pair is bracketed once and the table is kept, so the
         center and the normalizer share it; [b_b, b_a] is its negative and
@@ -581,10 +682,13 @@ class Subspace:
             for a, x in enumerate(basis):
                 row = []
                 for y in basis[a + 1 :]:
-                    coords = self.coords_of(bracket(x, y))
-                    if coords is None:
+                    br = bracket(x, y)
+                    if not self.contains(br):
                         raise ContractError("subspace is not closed under the bracket")
-                    row.append(coords)
+                    num, den = br.num, br.den
+                    row.append(tuple(
+                        (t, Rat(num[c], den)) for t, c in enumerate(self.pivots) if num[c]
+                    ))
                 table.append(row)
             self._bracket_table = table
         return self._bracket_table
@@ -599,17 +703,6 @@ def centralizer(x: Element) -> Subspace:
     return Subspace.from_coord_rows(x.algebra, kernel)
 
 
-def _combine(rows, coeffs, length):
-    """sum_i coeffs[i] * rows[i] as a coordinate list."""
-    out = [ZERO] * length
-    for c, row in zip(coeffs, rows):
-        if c:
-            for q, v in enumerate(row):
-                if v:
-                    out[q] += c * v
-    return out
-
-
 def center_of(s: Subspace) -> Subspace:
     """{c in s : [c, u] = 0 for every basis vector u of s}.
 
@@ -622,14 +715,13 @@ def center_of(s: Subspace) -> Subspace:
     k = s.dim
     rows = {}
     for a, line in enumerate(s.bracket_table()):
-        for b, coords in enumerate(line, start=a + 1):
-            for t, c in enumerate(coords):
-                if c:  # coord_t [b_a, b_b] = c and coord_t [b_b, b_a] = -c
-                    rows.setdefault((b, t), [ZERO] * k)[a] = c
-                    rows.setdefault((a, t), [ZERO] * k)[b] = -c
+        for b, terms in enumerate(line, start=a + 1):
+            for t, c in terms:  # coord_t [b_a, b_b] = c and coord_t [b_b, b_a] = -c
+                rows.setdefault((b, t), [ZERO] * k)[a] = c
+                rows.setdefault((a, t), [ZERO] * k)[b] = -c
     _, kernel = rank_kernel(list(rows.values()), k)
-    return Subspace.from_coord_rows(
-        s.algebra, [_combine(s.rows, x, s.algebra.dim) for x in kernel]
+    return Subspace.from_elements(
+        s.algebra, [_combination(s.algebra, s.basis, x) for x in kernel]
     )
 
 
@@ -650,12 +742,16 @@ def normalizer_of(s: Subspace) -> Subspace:
     for u in s.basis:
         if not candidates:
             break
-        images = [s.reduce(bracket(y, u).coords) for y in candidates]
+        # column y holds the residual of [y, u] mod s; over the common
+        # denominator of the brackets, row q is den D_q times the rational
+        # row, so the kernel is the same
+        images = [bracket(y, u) for y in candidates]
+        den = math.lcm(*(v.den for v in images))
+        images = [[r * (den // v.den) for r in s._residual(v.num)] for v in images]
         _, kernel = rank_kernel([r for r in zip(*images) if any(r)], len(candidates))
         if len(kernel) < len(candidates):
-            coords = [y.coords for y in candidates]
-            candidates = [Element(alg, _combine(coords, x, alg.dim)) for x in kernel]
-    return Subspace.from_coord_rows(alg, list(s.rows) + [y.coords for y in candidates])
+            candidates = [_combination(alg, candidates, x) for x in kernel]
+    return Subspace.from_coord_rows(alg, list(s.rows) + [y.num for y in candidates])
 
 
 def h_graduation(h: Element, s: Subspace):
@@ -721,4 +817,4 @@ def unipotent_conjugate(n: Element, x: Element) -> Element:
                     m_row[j] += (-c if k % 2 else c) * v
     xr, dx = x.int_rows()
     rows = mat_mul(mat_mul(plus, xr), minus)
-    return Element(x.algebra, x.algebra.coords_of_rows(rows, big * big * dx))
+    return x.algebra.coords_of_rows(rows, big * big * dx)

@@ -181,7 +181,7 @@ def normalizer_decomposition_check(pd: PairData) -> CheckReport:
         f"dim eta {pd.eta.dim}, dim z {pd.zcent.dim}, dim delta {pd.delta.dim}",
     )
     combined = Subspace.from_coord_rows(
-        alg, list(pd.zcent.rows) + [y.coords for y in pd.y_vec]
+        alg, list(pd.zcent.rows) + [y.num for y in pd.y_vec]
     )
     report.add("normalizer-span", combined.same_space(pd.eta))
     if not report.passed:
@@ -409,10 +409,8 @@ def convolution_at(pd: PairData, i: int, j: int) -> ConvolutionResult:
     alphas = mat_vec(pd._z_in_delta_inverse, coords)
     c_observed = None
     if not grad.is_zero():
-        for gc, bc in zip(grad.coords, br.coords):
-            if gc:
-                c_observed = bc / gc
-                break
+        q = next(q for q, v in enumerate(grad.num) if v)
+        c_observed = Rat(br.num[q] * grad.den, br.den * grad.num[q])
         if br != grad.scale(c_observed):
             raise IdentityError(
                 f"[y_{i}, z_{j}] is not proportional to the convolution gradient"

@@ -222,8 +222,7 @@ def _line_terms(alg: AlgebraRealization, j: int, x: Element, y, u, wanted):
             rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
                     for i, line in enumerate(rows)]
             den *= n
-        coords = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
-        out[(a, b)] = Element(alg, coords)
+        out[(a, b)] = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
     return out
 
 

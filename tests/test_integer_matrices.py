@@ -267,8 +267,10 @@ def test_from_matrix_round_trips_fractional_elements(family, rank):
     x = fractional_element(alg, random.Random(8))
     assert alg.from_matrix(dense(alg, x)) == x
     rows, den = x.int_rows()
-    assert alg.coords_of_rows(rows, den) == list(x.coords)
-    assert alg.coords_of_rows(rows, den, -3) == [-3 * c for c in x.coords]
+    assert alg.coords_of_rows(rows, den) == x
+    assert alg.coords_of_rows(rows, den).coords == x.coords
+    assert alg.coords_of_rows(rows, den, -3) == x.scale(-3)
+    assert alg.coords_of_rows(rows, den, -3).coords == tuple(-3 * c for c in x.coords)
 
 
 def rescaled_basis_algebra(family, rank, factor):
