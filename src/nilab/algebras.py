@@ -36,6 +36,8 @@ positions of the basis, not solved for.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 from ._scalar import ONE, Rat, ZERO, rat_str
 from .errors import (
@@ -127,6 +129,16 @@ def _form_matrix(family, n):
             m[i][n - 1 - i] = ONE if i < half else -ONE
         return m
     return None
+
+
+@dataclass(frozen=True)
+class InvariantGenerator:
+    """One homogeneous generator of the invariant polynomials."""
+
+    index_j: int  # 1-based position, ascending degree
+    degree: int
+    exponent: int
+    kind: str  # "trace" or "pfaffian"
 
 
 class AlgebraRealization:
@@ -244,6 +256,15 @@ class AlgebraRealization:
             (q // n, q % n, tuple((k, int(vec[q])) for k, vec in enumerate(vecs) if vec[q]))
             for q in range(n * n)
             if q not in pivot_set
+        )
+
+    @cached_property
+    def _generators(self):
+        """The InvariantGenerator of each degree, in order, built once, on
+        first use (see invariants.generators)."""
+        return tuple(
+            InvariantGenerator(i + 1, d, d - 1, k)
+            for i, (d, k) in enumerate(zip(self.generator_degrees, self.generator_kinds))
         )
 
     def coords_of_rows(self, rows, den=1, num=1) -> "Element":
@@ -561,16 +582,26 @@ def trace_form(x: Element, y: Element):
     return Rat(acc, dx * dy) * x.algebra.form_scale
 
 
-def ad_matrix(x: Element):
-    """Rows of the matrix of ad(x): column k holds the coordinates of
-    [x, basis_k]."""
+def _ad_columns(x: Element):
+    """(C, D): integer columns C_k and one positive integer D with
+    [x, basis_k] = C_k / D, D = D0 dx the denominator every read-off of
+    [x, basis_k] shares."""
     alg = x.algebra
     a, dx, a_cols = x._int_form()
-    columns = [
-        alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx).coords
-        for b, b_cols in alg._basis_int
-    ]
-    return [list(row) for row in zip(*columns)]
+    den = alg._coord_den * dx
+    columns = []
+    for b, b_cols in alg._basis_int:
+        col = alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx)
+        f = den // col.den
+        columns.append([v * f for v in col.num])
+    return columns, den
+
+
+def ad_matrix(x: Element):
+    """Rows of the matrix of ad(x): column k holds the coordinates of
+    [x, basis_k], as Rat."""
+    columns, den = _ad_columns(x)
+    return [[Rat(v, den) if v else ZERO for v in row] for row in zip(*columns)]
 
 
 class Subspace:
@@ -698,8 +729,10 @@ class Subspace:
 
 
 def centralizer(x: Element) -> Subspace:
-    """z(x) = {y : [x, y] = 0}, the kernel of ad(x)."""
-    _, kernel = rank_kernel(ad_matrix(x), x.algebra.dim)
+    """z(x) = {y : [x, y] = 0}, the kernel of ad(x), eliminated on the
+    integer columns of ad(x) over their one common denominator."""
+    columns, _ = _ad_columns(x)
+    _, kernel = rank_kernel(list(zip(*columns)), x.algebra.dim)
     return Subspace.from_coord_rows(x.algebra, kernel)
 
 

@@ -4,12 +4,15 @@ Subcommands:
 
   verify       identity suites for one algebra (field identities for every
                generator, sl(2) ladders, gradient independence, triangular
-               decomposition, shifted-gradient rank)
-  index        the full pipeline for one nilpotent orbit
+               decomposition, shifted-gradient rank; ranks up to
+               VERIFY_MAX_RANK = 6)
+  index        the full pipeline for one nilpotent orbit (matrix sizes up
+               to ORBIT_MAX_N = 20)
   table        the pipeline swept over every valid partition of a size
                (matrix sizes up to TABLE_MAX_N = 10)
   decompose    the triangular decomposition bases
-  convolution  the alpha table and proportionality-constant audit
+  convolution  the alpha table and proportionality-constant audit (matrix
+               sizes up to ORBIT_MAX_N = 20)
 
 Exit codes: 0 all checks passed; 1 a check failed; 2 the orbit violates
 the spanning hypothesis (reported, not a failure); 3 usage error.  Output
@@ -63,10 +66,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_HYPOTHESIS = 2
 EXIT_USAGE = 3
 
-# Largest matrix size a table sweep accepts.  The number of orbits grows
-# like the partition count of n and the per-orbit work with dim g, so larger
-# sizes are refused before any algebra is built.
+# Largest sizes the commands accept; larger ones are refused before any
+# algebra is built.  A table sweep's orbit count grows like the partition
+# count of n and its per-orbit work with dim g.  For one orbit (index,
+# convolution) the set-up memory grows roughly like N^4 and the slowest
+# orbit of a size, the minimal one, like N^6: on a 2-vCPU host the minimal
+# orbit of sl(20) takes 11 s and 125 MB, that of sl(16) 2.9 s and 52 MB.
+# The verify suites grow with the rank through the generator degrees: the
+# slowest rank-6 suite, B6, takes 31 s there (B5 8.5 s, A8 9.3 s).
 TABLE_MAX_N = 10
+ORBIT_MAX_N = 20
+VERIFY_MAX_RANK = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,9 +117,16 @@ def _emit(args, payload: dict, rows=None) -> None:
         sys.stdout.write(text)
 
 
+def _require_at_most(args, flag: str, cap: int) -> None:
+    value = getattr(args, flag)
+    if value > cap:
+        raise ContractError(f"{args.command} supports --{flag} up to {cap}, got {value}")
+
+
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise ContractError(f"--samples must be at least 1, got {args.samples}")
+    _require_at_most(args, "rank", VERIFY_MAX_RANK)
     alg = build_algebra(args.family, args.rank)
     samples = make_samples(alg, args.samples, args.seed)
     checks = []
@@ -160,6 +177,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    _require_at_most(args, "n", ORBIT_MAX_N)
     alg = build_algebra(args.family, _family_rank_for_size(args.family, args.n))
     partition = Partition.parse(args.partition)
     _validate_partition(alg, partition)  # usage errors exit 3, not 1
@@ -215,8 +233,7 @@ def _sweep_workers() -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.n > TABLE_MAX_N:
-        raise ContractError(f"table supports --n up to {TABLE_MAX_N}, got {args.n}")
+    _require_at_most(args, "n", TABLE_MAX_N)
     reports = sweep(args.family, args.n, seed=args.seed, workers=_sweep_workers())
     alg = build_algebra(args.family, _family_rank_for_size(args.family, args.n))
     payload = {
@@ -255,6 +272,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_convolution(args) -> int:
+    _require_at_most(args, "n", ORBIT_MAX_N)
     alg = build_algebra(args.family, _family_rank_for_size(args.family, args.n))
     partition = Partition.parse(args.partition)
     _validate_partition(alg, partition)
@@ -310,14 +328,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None)
 
-    p_verify = sub.add_parser("verify", help="run the identity suites")
+    p_verify = sub.add_parser(
+        "verify",
+        help=f"run the identity suites (--rank up to {VERIFY_MAX_RANK})",
+        description=f"The identity suites for one algebra. Supported ranks: up to "
+        f"{VERIFY_MAX_RANK}; larger ranks are a usage error (exit 3).",
+    )
     common(p_verify, needs_rank=True)
     p_verify.add_argument(
         "--samples", type=int, default=20, help="random sample points (at least 1)"
     )
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_index = sub.add_parser("index", help="pipeline for one orbit")
+    p_index = sub.add_parser(
+        "index",
+        help=f"pipeline for one orbit (--n up to {ORBIT_MAX_N})",
+        description=f"The pipeline on one nilpotent orbit. Supported sizes: --n up "
+        f"to {ORBIT_MAX_N}; larger sizes are a usage error (exit 3).",
+    )
     common(p_index, needs_n=True, needs_partition=True)
     p_index.set_defaults(func=_cmd_index)
 
@@ -336,7 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_dec, needs_rank=True, seeded=False)
     p_dec.set_defaults(func=_cmd_decompose)
 
-    p_conv = sub.add_parser("convolution", help="alpha table and constant audit")
+    p_conv = sub.add_parser(
+        "convolution",
+        help=f"alpha table and constant audit (--n up to {ORBIT_MAX_N})",
+        description=f"The alpha table and constant audit of one nilpotent orbit. "
+        f"Supported sizes: --n up to {ORBIT_MAX_N}; larger sizes are a usage "
+        f"error (exit 3).",
+    )
     common(p_conv, needs_n=True, needs_partition=True, seeded=False)
     p_conv.set_defaults(func=_cmd_convolution)
     return parser

@@ -48,7 +48,7 @@ from .errors import (
     NilabError,
     PartitionError,
 )
-from .invariants import _gradient_raw, generators, gradient_derivative
+from .invariants import _line_table, generators
 from .linalg import inverse, mat_vec
 from .poly import Poly, generic_rank_detail, poly_det
 from .reports import CheckReport
@@ -77,6 +77,7 @@ class PairData:
     hypothesis_ok: bool
     distinct_exponents: bool
     all_gradients: tuple
+    _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def s(self) -> int:
@@ -93,6 +94,21 @@ class PairData:
         """
         z_cols = [self.delta.coords_of(z) for z in self.z_vec]
         return inverse([list(row) for row in zip(*z_cols)])
+
+    def derivative(self, i: int, j: int) -> Element:
+        """dQ_i(e).z_j, i and j 1-based positions in the selected family.
+
+        One packed chain along z_j gives this derivative for every i, and
+        it is kept per direction, so all pairs take s expansions, not s^2.
+        """
+        row = self._derivatives.get(j)
+        if row is None:
+            table = _line_table(
+                self.algebra, self.selected_indices, self.triplet.e, self.z_vec[j - 1], None,
+                [(0, 1)],
+            )
+            row = self._derivatives[j] = tuple(table[k][(0, 1)] for k in self.selected_indices)
+        return row[i - 1]
 
     def require_hypothesis(self):
         if not self.hypothesis_ok:
@@ -117,7 +133,10 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
     zcent = centralizer(e)
     delta = center_of(zcent)
     eta = normalizer_of(zcent)
-    grads = tuple(_gradient_raw(alg, gen.index_j, e) for gen in generators(alg))
+    # every P_j(e) off one power chain of e, every y_j off one chain along h
+    all_js = [gen.index_j for gen in generators(alg)]
+    values = _line_table(alg, all_js, e, None, None, [(0, 0)])
+    grads = tuple(values[j][(0, 0)] for j in all_js)
     for gen, g in zip(generators(alg), grads):
         if not delta.contains(g):
             raise IdentityError(
@@ -136,7 +155,8 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
                 selected.append(gen.index_j)
                 chosen.append(g)
     z_vec = tuple(grads[j - 1] for j in selected)
-    y_vec = tuple(gradient_derivative(alg, j, e, h) for j in selected)
+    slopes = _line_table(alg, selected, e, h, None, [(0, 1)]) if selected else {}
+    y_vec = tuple(slopes[j][(0, 1)] for j in selected)
     span = Subspace.from_elements(alg, list(z_vec))
     hypothesis_ok = span.dim == len(selected) and span.dim == delta.dim
     return PairData(
@@ -389,12 +409,9 @@ def convolution_at(pd: PairData, i: int, j: int) -> ConvolutionResult:
     s = pd.s
     if not (1 <= i <= s and 1 <= j <= s):
         raise IdentityError(f"pair index ({i},{j}) out of range 1..{s}")
-    alg = pd.algebra
-    e = pd.triplet.e
-    ji, jj = pd.selected_indices[i - 1], pd.selected_indices[j - 1]
     mi, mj = pd.pair_exponents[i - 1], pd.pair_exponents[j - 1]
-    d_ij = gradient_derivative(alg, ji, e, pd.z_vec[j - 1])
-    d_ji = d_ij if i == j else gradient_derivative(alg, jj, e, pd.z_vec[i - 1])
+    d_ij = pd.derivative(i, j)
+    d_ji = pd.derivative(j, i)
     br = bracket(pd.y_vec[i - 1], pd.z_vec[j - 1])
     if br != d_ij.scale(2 * mj):
         raise IdentityError(

@@ -10,7 +10,13 @@ of S x), formed on the element's integer rows, scaled and read through the
 one checked read-off; no Gram matrix is formed.  P itself, its first
 derivatives, the Taylor terms along a line and the mixed terms in two
 directions all come from one closed-form expansion, _line_terms, of
-P(x + s y + t u) in s and t.  Interpolation is kept only as the independent
+P(x + s y + t u) in s and t.  It packs the integer rows as
+M = X + B Y + B^(T+1) U (Kronecker substitution), evaluates the generator's
+matrix on M with plain integer products, and reads the t^a s^b term off as
+a balanced base-B digit; B = 2^K with K from a proven bound on the
+coefficients (_digit_width).  The trace-kind gradients are prefixes of one
+power chain M, M^2, ..., so _line_table reads every generator off one
+chain per direction.  Interpolation is kept only as the independent
 oracle: scalar values of p_j at integer nodes give <dp_j(x), y>, which the
 gradient pairing check and gradient(check=True) compare against.
 
@@ -34,6 +40,7 @@ from ._scalar import Rat
 from .algebras import (
     AlgebraRealization,
     Element,
+    InvariantGenerator,
     Subspace,
     bracket,
     center_of,
@@ -48,21 +55,10 @@ from .reports import CheckReport
 from .triples import Triplet, principal_triplet
 
 
-@dataclass(frozen=True)
-class InvariantGenerator:
-    """One homogeneous generator of the invariant polynomials."""
-
-    index_j: int  # 1-based position, ascending degree
-    degree: int
-    exponent: int
-    kind: str  # "trace" or "pfaffian"
-
-
 def generators(alg: AlgebraRealization):
-    return tuple(
-        InvariantGenerator(i + 1, d, d - 1, k)
-        for i, (d, k) in enumerate(zip(alg.generator_degrees, alg.generator_kinds))
-    )
+    """The generators of the invariant polynomials, by ascending degree, as
+    a tuple of InvariantGenerator built once per realization."""
+    return alg._generators
 
 
 def _generator(alg: AlgebraRealization, j: int) -> InvariantGenerator:
@@ -129,29 +125,106 @@ def eval_generator(alg: AlgebraRealization, j: int, x: Element):
     return Rat(pfaffian(rows[::-1]), den ** (alg.matrix_size_N // 2))
 
 
-def _minor_series(rows, idx, memo, keep):
-    """The signed-minor recursion of _pfaffian on entries held as
-    {(a, b): int} coefficient maps, truncated to keep[len(idx) // 2]."""
-    if not idx:
-        return {(0, 0): 1}
-    cached = memo.get(idx)
-    if cached is not None:
-        return cached
-    wanted = keep[len(idx) // 2]
-    total = {}
-    sign = 1
-    for k in range(1, len(idx)):
-        entry = rows[idx[0]][idx[k]]
-        if entry:
-            rest = _minor_series(rows, idx[1:k] + idx[k + 1 :], memo, keep)
-            for (a1, b1), v1 in entry.items():
-                for (a2, b2), v2 in rest.items():
-                    key = (a1 + a2, b1 + b2)
-                    if key in wanted:
-                        total[key] = total.get(key, 0) + sign * v1 * v2
-        sign = -sign
-    memo[idx] = total
-    return total
+def _digit_width(n: int, gens, rows) -> int:
+    """K, the bits per digit of the packed evaluation in _line_table, for
+    the generators gens on N x N integer matrices rows = (X, Y[, U]).
+
+    Let S = |X| + |Y| + |U|, |.| the largest absolute entry.  An entry of
+    (X + sY + tU)^m is a sum over N^(m-1) index paths of products of m
+    entries whose coefficients sum in absolute value to at most S, so each
+    of its coefficients is at most N^(m-1) S^m.  An order-(N-2) minor
+    Pfaffian is a sum of (N-3)!! products of m = r - 1 such entries, so its
+    coefficients are at most (N-3)!! S^m.  With K = bit_length(bound) + 2
+    every coefficient is below B/4 = 2^(K-2) in absolute value.
+    """
+    size = sum(max(max(map(abs, row)) for row in r) for r in rows)
+    bound = max(
+        (n ** (gen.exponent - 1) if gen.kind == "trace" else math.prod(range(n - 3, 0, -2)))
+        * size**gen.exponent
+        for gen in gens
+    )
+    return bound.bit_length() + 2
+
+
+def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
+    """{j: _line_terms(alg, j, x, y, u, wanted)} for the generators j in js,
+    all read off one packed evaluation.
+
+    With X, Y, U the integer rows of x, y, u and T the largest exponent in
+    js, the entries of X + sY + tU are packed into single integers
+    M = X + B Y + B^(T+1) U, B = 2^K with K from _digit_width (Kronecker
+    substitution).  Every generator's matrix then evaluates on M with the
+    integer code as it is: the trace kind reads the power M^m off one chain
+    M, M^2, ..., M^T shared by all of js, the Pfaffian kind the memoized
+    signed minor Pfaffians of S M.  The t^a s^b coefficient d of an entry
+    v is its balanced base-B digit at index i = a (T + 1) + b, |d| < B/4.
+    Adding O = (B/2) sum_{i<L} B^i, L one past the highest index wanted,
+    turns the low L digits of v + O into d + B/2, plain base-B digits in
+    (0, B) -- digits past L only add a multiple of B^L -- so each is
+    ((v + O) >> iK & (B - 1)) - B/2.
+    """
+    gens = [_generator(alg, j) for j in js]
+    n = alg.matrix_size_N
+    (xr, dx), (yr, dy), (ur, du) = [
+        v.int_rows() if v is not None else (None, 1) for v in (x, y, u)
+    ]
+    top = max(gen.exponent for gen in gens)
+    width = _digit_width(n, gens, [r for r in (xr, yr, ur) if r is not None])
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    packed = xr
+    for rows, shift in ((yr, width), (ur, (top + 1) * width)):
+        if rows is not None:
+            packed = [[a + (b << shift) for a, b in zip(pr, line)] for pr, line in zip(packed, rows)]
+    keys = [(a, b, (a * (top + 1) + b) * width) for a, b in wanted]
+    digits = 1 + max((shift for a, b, shift in keys if a + b <= top), default=0) // width
+    offset = half * (((1 << (digits * width)) - 1) // mask)
+    chain_top = max((gen.exponent for gen in gens if gen.kind == "trace"), default=1)
+    powers = [None, packed]  # powers[k] = M^k
+    while len(powers) <= chain_top:
+        powers.append(mat_mul(powers[-1], packed))
+    table = {}
+    for gen in gens:
+        m = gen.exponent
+        if gen.kind == "trace":
+            matrix = powers[m]
+        else:
+            # dPf(S x).y = sum_{a<b} c_ab y[n-1-a][b] with c_ab the signed
+            # minor Pfaffians of S x.  That is tr(M y) / 2 for the element M
+            # of so(n) with M[b][n-1-a] = c_ab and M[a][n-1-b] = -c_ab, so P
+            # is M / (2 form_scale).
+            entries = packed[::-1]
+            memo = {}
+            matrix = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(a + 1, n):
+                    minor = tuple(i for i in range(n) if i != a and i != b)
+                    value = _pfaffian(entries, minor, memo)
+                    c = value if (a + b) % 2 else -value
+                    matrix[b][n - 1 - a] = c
+                    matrix[a][n - 1 - b] = -c
+        lifted = [[v + offset if v else 0 for v in line] for line in matrix]
+        # P is degree / form_scale (trace kind) or 1 / (2 form_scale) times
+        # the matrix; the factor is folded into the one checked read-off,
+        # which raises ContractError if the matrix is not in g
+        factor = (Rat(gen.degree) if gen.kind == "trace" else Rat(1, 2)) / alg.form_scale
+        out = table[gen.index_j] = {}
+        for a, b, shift in keys:
+            if a + b > m:
+                out[(a, b)] = alg.zero()
+                continue
+            rows = [[((w >> shift) & mask) - half if w else 0 for w in line] for line in lifted]
+            den = dx ** (m - a - b) * dy**b * du**a
+            # project onto g along the trace form: odd powers of so/sp
+            # elements and the Pfaffian's M already lie in g; for sl(n)
+            # subtract the trace part, (n rows - tr I) / (n den)
+            tr = sum(rows[i][i] for i in range(n)) if alg.family == "A" else 0
+            if tr:
+                rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
+                        for i, line in enumerate(rows)]
+                den *= n
+            out[(a, b)] = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
+    return table
 
 
 def _line_terms(alg: AlgebraRealization, j: int, x: Element, y, u, wanted):
@@ -162,68 +235,9 @@ def _line_terms(alg: AlgebraRealization, j: int, x: Element, y, u, wanted):
     P_j is homogeneous of degree m, the exponent, so on the integer rows
     X, Y, U of x = X/dx, y = Y/dy, u = U/du term (a, b) is the t^a s^b
     coefficient of the same expression in X + sY + tU over
-    dx^(m-a-b) dy^b du^a.  The trace kind expands (X + sY + tU)^m by
-    E'[a][b] = E[a][b] X + E[a][b-1] Y + E[a-1][b] U; the Pfaffian kind runs
-    the signed-minor recursion on the entries of S(X + sY + tU).  A degree-k
-    stage keeps only the (a', b') that can still reach a wanted key in the
-    m - k factors left, and only the wanted terms are read off.
+    dx^(m-a-b) dy^b du^a, read off one packed evaluation (_line_table).
     """
-    gen = _generator(alg, j)
-    m = gen.exponent
-    n = alg.matrix_size_N
-    live = [(a, b) for a, b in wanted if a + b <= m]
-    keep = [
-        {(p, q) for a, b in live for p in range(a + 1) for q in range(b + 1)
-         if p + q <= k and a + b - p - q <= m - k}
-        for k in range(m + 1)
-    ]
-    inputs = (((0, 0), x), ((0, 1), y), ((1, 0), u))
-    parts = [(key, *v.int_rows()) for key, v in inputs if v is not None]
-    dens = {key: den for key, _, den in parts}
-    if gen.kind == "trace":
-        coeffs = {key: rows for key, rows, _ in parts if key in keep[1]}
-        for k in range(2, m + 1):
-            new = {}
-            for p, q in keep[k]:
-                prods = [mat_mul(coeffs[(p - dp, q - dq)], rows)
-                         for (dp, dq), rows, _ in parts if (p - dp, q - dq) in coeffs]
-                new[(p, q)] = prods[0] if len(prods) == 1 else [
-                    [sum(vs) for vs in zip(*group)] for group in zip(*prods)]
-            coeffs = new
-    else:
-        # dPf(S x).y = sum_{a<b} c_ab y[n-1-a][b] with c_ab the signed minor
-        # Pfaffians of S x.  That is tr(M y) / 2 for the element M of so(n)
-        # with M[b][n-1-a] = c_ab and M[a][n-1-b] = -c_ab, so P is
-        # M / (2 form_scale).
-        entries = [[{key: rows[n - 1 - i][c] for key, rows, _ in parts if rows[n - 1 - i][c]}
-                    for c in range(n)] for i in range(n)]
-        memo = {}
-        coeffs = {key: [[0] * n for _ in range(n)] for key in live}
-        for a in range(n):
-            for b in range(a + 1, n):
-                minor = tuple(i for i in range(n) if i != a and i != b)
-                for key, value in _minor_series(entries, minor, memo, keep).items():
-                    c = value if (a + b) % 2 else -value
-                    coeffs[key][b][n - 1 - a] = c
-                    coeffs[key][a][n - 1 - b] = -c
-    # P is degree / form_scale (trace kind) or 1 / (2 form_scale) times the
-    # matrix; the factor is folded into the one checked read-off, which
-    # raises ContractError if the matrix is not in g
-    factor = (Rat(gen.degree) if gen.kind == "trace" else Rat(1, 2)) / alg.form_scale
-    out = {key: alg.zero() for key in wanted}
-    for a, b in live:
-        rows = coeffs[(a, b)]
-        den = dens[(0, 0)] ** (m - a - b) * dens.get((0, 1), 1) ** b * dens.get((1, 0), 1) ** a
-        # project onto g along the trace form: odd powers of so/sp elements
-        # and the Pfaffian's M already lie in g; for sl(n) subtract the trace
-        # part, (n rows - tr I) / (n den)
-        tr = sum(rows[i][i] for i in range(n)) if alg.family == "A" else 0
-        if tr:
-            rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
-                    for i, line in enumerate(rows)]
-            den *= n
-        out[(a, b)] = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
-    return out
+    return _line_table(alg, (j,), x, y, u, wanted)[j]
 
 
 def _gradient_raw(alg: AlgebraRealization, j: int, x: Element) -> Element:
@@ -281,8 +295,7 @@ def taylor_terms(alg: AlgebraRealization, j: int, x: Element, y: Element) -> Tay
 
 
 def gradient_derivative(alg: AlgebraRealization, j: int, x: Element, y: Element) -> Element:
-    """First derivative dP_j(x).y: term (0, 1) of the line expansion, which
-    for the trace kind costs three integer products per degree."""
+    """First derivative dP_j(x).y: term (0, 1) of the line expansion."""
     return _line_terms(alg, j, x, y, None, [(0, 1)])[(0, 1)]
 
 

@@ -321,12 +321,12 @@ def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericR
     for row in entries:
         for p in row:
             if not p.is_linear_form():
-                raise ContractError("generic_rank requires linear-form entries")
+                raise ContractError("generic_rank_detail requires linear-form entries")
     symbolic, det = _eliminate(entries)
     nvars = max(1, len(variables))
     pool = _PRIMES if nvars <= len(_PRIMES) else _primes_below(_LARGE_PRIME_BOUND)
     if nvars > len(pool):
-        raise ContractError(f"generic_rank supports at most {len(pool)} variables")
+        raise ContractError(f"generic_rank_detail supports at most {len(pool)} variables")
     rng = random.Random(f"generic-rank:{seed}")
     prime_samples = []
     eval_ranks = []

@@ -163,6 +163,26 @@ def test_table_rejects_sizes_above_the_supported_range(monkeypatch, capsys):
     assert f"up to {cli.TABLE_MAX_N}" in capsys.readouterr().err
 
 
+def test_orbit_and_verify_commands_reject_sizes_above_their_caps(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an out-of-range size must not start any work")
+
+    monkeypatch.setattr(cli, "build_algebra", must_not_run)
+    for argv, cap in (
+        (["index", "--family", "A", "--partition", "2,1", "--n"], cli.ORBIT_MAX_N),
+        (["convolution", "--family", "D", "--partition", "3,1", "--n"], cli.ORBIT_MAX_N),
+        (["verify", "--family", "B", "--rank"], cli.VERIFY_MAX_RANK),
+    ):
+        for size in (cap + 1, 100):
+            code, out = run_capture(argv + [str(size)])
+            assert code == EXIT_USAGE, argv
+            assert out == ""
+            assert f"{argv[0]} supports --{argv[-1][2:]} up to {cap}, got {size}" in (
+                capsys.readouterr().err
+            )
+        assert f"up to {cap}" in cli.build_parser().format_help()
+
+
 def test_flags_offered_only_where_they_act(monkeypatch, capsys):
     # --format is a table option and --seed drives no decompose/convolution
     # output, so argparse refuses them elsewhere before any work

@@ -27,6 +27,7 @@ from nilab import (
     sweep,
     valid_partitions,
 )
+from nilab.invariants import gradient_derivative
 from nilab.linalg import mat_mul
 
 
@@ -229,26 +230,31 @@ def test_convolution_observed_is_twice_reference():
                     assert conv.c_observed == 2 * conv.c_reference
 
 
-def test_convolution_entries_take_one_first_derivative_per_ordered_pair(monkeypatch):
-    # pairs i <= j need d_ij and d_ji; on the diagonal they are the same
-    # derivative, so an orbit with s selected gradients takes s^2, not s(s+1)
+def test_convolution_entries_take_one_packed_expansion_per_direction(monkeypatch):
+    # d_ij = dQ_i(e).z_j for every i comes off one packed chain along z_j,
+    # so an orbit with s selected gradients takes s expansions, not s^2
     import nilab.index as index_module
 
     calls = []
-    real = index_module.gradient_derivative
+    real = index_module._line_table
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
     for family, rank, parts in [("A", 3, (4,)), ("C", 3, (6,)), ("D", 4, (5, 3))]:
-        _, pd = pair_data_for(family, rank, parts)
-        monkeypatch.setattr(index_module, "gradient_derivative", counting)
+        alg, pd = pair_data_for(family, rank, parts)
+        monkeypatch.setattr(index_module, "_line_table", counting)
         calls.clear()
         entries = list(index_module.convolution_entries(pd))
         monkeypatch.undo()
         assert len(entries) == pd.s * (pd.s + 1) // 2
-        assert pd.s >= 2 and len(calls) == pd.s**2
+        assert pd.s >= 2 and len(calls) == pd.s
+        assert sorted(pd.z_vec.index(args[3]) for args in calls) == list(range(pd.s))
+        e = pd.triplet.e
+        for i, ji in enumerate(pd.selected_indices, start=1):
+            for j, zj in enumerate(pd.z_vec, start=1):
+                assert pd.derivative(i, j) == gradient_derivative(alg, ji, e, zj)
 
 
 def test_hypothesis_refusal_paths():

@@ -6,6 +6,8 @@ test here recomputes the same quantity with rational matrices only (products
 written out in the test, coordinates from a rational solve over the
 flattened basis) on elements whose coordinates have denominators 2, 3 and 6
 and mixed signs, so a scaling or denominator slip shows as a mismatch.
+The packed line expansion is also compared with the coefficient-wise
+expansion it replaced, kept here as reference_line_terms.
 """
 
 import math
@@ -28,8 +30,15 @@ from nilab import (
     trace_form,
 )
 from nilab.algebras import _nonzero_columns
-from nilab.invariants import _gradient_raw, bivariate_terms, gradient_derivative
-from nilab.linalg import interpolate_vector_poly
+from nilab.invariants import (
+    _digit_width,
+    _gradient_raw,
+    _line_table,
+    _line_terms,
+    bivariate_terms,
+    gradient_derivative,
+)
+from nilab.linalg import interpolate_vector_poly, mat_mul
 
 SCALES = [Rat(1), Rat(5), Rat(-3, 2)]
 TRACE_ALGEBRAS = [("A", 2), ("A", 3), ("B", 2), ("C", 3)]
@@ -201,7 +210,7 @@ def test_gradient_derivative_matches_interpolation_on_fractions(family, rank, sc
 def test_bivariate_terms_match_grid_interpolation_on_fractions(family, rank, scale):
     # reference: the gradient on the grid x + t u + s y, t, s = 0..m,
     # interpolated in s and then in t; x, y, u have denominators 2, 3 and 5.
-    # mixed_term asks for one term only, so it takes a pruned expansion.
+    # mixed_term asks for one term only, so it reads a single digit.
     alg = build_algebra(family, rank, form_scale=scale)
     rng = random.Random(8)
     x, y, u = (element_over(alg, rng, q) for q in (2, 3, 5))
@@ -219,6 +228,136 @@ def test_bivariate_terms_match_grid_interpolation_on_fractions(family, rank, sca
                 assert table[a][b] == alg.element(by_t[a])
                 weight = Rat(math.factorial(a) * math.factorial(b))
                 assert mixed_term(alg, j, x, u, a, y, b) == table[a][b].scale(weight)
+
+
+def _reference_minor_series(rows, idx, memo, keep):
+    """The signed-minor Pfaffian recursion on entries held as {(a, b): int}
+    coefficient maps, truncated to keep[len(idx) // 2]."""
+    if not idx:
+        return {(0, 0): 1}
+    cached = memo.get(idx)
+    if cached is not None:
+        return cached
+    wanted = keep[len(idx) // 2]
+    total = {}
+    sign = 1
+    for k in range(1, len(idx)):
+        entry = rows[idx[0]][idx[k]]
+        if entry:
+            rest = _reference_minor_series(rows, idx[1:k] + idx[k + 1 :], memo, keep)
+            for (a1, b1), v1 in entry.items():
+                for (a2, b2), v2 in rest.items():
+                    key = (a1 + a2, b1 + b2)
+                    if key in wanted:
+                        total[key] = total.get(key, 0) + sign * v1 * v2
+        sign = -sign
+    memo[idx] = total
+    return total
+
+
+def reference_line_terms(alg, j, x, y, u, wanted):
+    """({(a, b): integer matrix}, {(a, b): element}): the t^a s^b
+    coefficient matrix of the generator's matrix on X + sY + tU, before
+    projection and scaling, and the term of P_j(x + s y + t u) read off
+    from it, for the keys with a + b <= m.  This is the coefficient-wise
+    expansion the packed evaluation replaced: the trace kind runs
+    E'[a][b] = E[a][b] X + E[a][b-1] Y + E[a-1][b] U, keeping at degree k
+    only the keys that can still reach a wanted one; the Pfaffian kind runs
+    the signed-minor recursion on entries in Z[s, t]."""
+    gen = generators(alg)[j - 1]
+    m = gen.exponent
+    n = alg.matrix_size_N
+    live = [(a, b) for a, b in wanted if a + b <= m]
+    keep = [
+        {(p, q) for a, b in live for p in range(a + 1) for q in range(b + 1)
+         if p + q <= k and a + b - p - q <= m - k}
+        for k in range(m + 1)
+    ]
+    parts = [(key, *v.int_rows()) for key, v in (((0, 0), x), ((0, 1), y), ((1, 0), u))]
+    dens = {key: den for key, _, den in parts}
+    if gen.kind == "trace":
+        coeffs = {key: rows for key, rows, _ in parts if key in keep[1]}
+        for k in range(2, m + 1):
+            new = {}
+            for p, q in keep[k]:
+                prods = [mat_mul(coeffs[(p - dp, q - dq)], rows)
+                         for (dp, dq), rows, _ in parts if (p - dp, q - dq) in coeffs]
+                new[(p, q)] = [[sum(vs) for vs in zip(*group)] for group in zip(*prods)]
+            coeffs = new
+    else:
+        entries = [[{key: rows[n - 1 - i][c] for key, rows, _ in parts if rows[n - 1 - i][c]}
+                    for c in range(n)] for i in range(n)]
+        memo = {}
+        coeffs = {key: [[0] * n for _ in range(n)] for key in live}
+        for a in range(n):
+            for b in range(a + 1, n):
+                minor = tuple(i for i in range(n) if i != a and i != b)
+                for key, value in _reference_minor_series(entries, minor, memo, keep).items():
+                    c = value if (a + b) % 2 else -value
+                    coeffs[key][b][n - 1 - a] = c
+                    coeffs[key][a][n - 1 - b] = -c
+    factor = (Rat(gen.degree) if gen.kind == "trace" else Rat(1, 2)) / alg.form_scale
+    terms = {}
+    for a, b in live:
+        rows = coeffs[(a, b)]
+        den = dens[(0, 0)] ** (m - a - b) * dens[(0, 1)] ** b * dens[(1, 0)] ** a
+        tr = sum(rows[i][i] for i in range(n)) if alg.family == "A" else 0
+        if tr:
+            rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
+                    for i, line in enumerate(rows)]
+            den *= n
+        terms[(a, b)] = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
+    return {key: coeffs[key] for key in live}, terms
+
+
+def large_element(alg, rng):
+    """Numerators up to 10^30 in size over two denominators up to 10^9."""
+    dens = [rng.randint(1, 10**9) for _ in range(2)]
+    return alg.element(
+        [Rat(rng.randint(-10**30, 10**30), rng.choice(dens)) for _ in range(alg.dim)]
+    )
+
+
+@pytest.mark.parametrize(
+    "family,rank,scale",
+    [
+        ("A", 1, Rat(1)),
+        ("A", 3, Rat(-3, 2)),
+        ("B", 2, Rat(5)),
+        ("C", 3, Rat(1)),
+        ("D", 3, Rat(-3, 2)),
+        ("D", 4, Rat(1)),
+        ("D", 5, Rat(5)),
+    ],
+)
+def test_packed_line_expansion_matches_coefficientwise_reference(family, rank, scale):
+    # every (a, b) key, including those past the degree, on small integer,
+    # fractional, large and zero points; the coefficients the reference
+    # computes stay below B/4 for the digit width the code chose
+    alg = build_algebra(family, rank, form_scale=scale)
+    rng = random.Random(f"packed:{family}{rank}")
+    makers = [lambda: alg.random_element(rng), lambda: fractional_element(alg, rng), alg.zero]
+    if rank < 5:  # on D5 the degree-8 generator makes large points cost seconds
+        makers.append(lambda: large_element(alg, rng))
+    k = len(makers)
+    points = [(makers[i](), makers[(i + 1) % k](), makers[(i + 2) % k]()) for i in range(k)]
+    n = alg.matrix_size_N
+    for x, y, u in points:
+        for gen in generators(alg):
+            j, m = gen.index_j, gen.exponent
+            keys = [(a, b) for a in range(m + 2) for b in range(m + 2)]
+            raw, want = reference_line_terms(alg, j, x, y, u, keys)
+            got = _line_terms(alg, j, x, y, u, keys)
+            for key in keys:
+                assert got[key] == want.get(key, alg.zero()), (j, key)
+            width = _digit_width(n, [gen], [v.int_rows()[0] for v in (x, y, u)])
+            biggest = max(abs(v) for rows in raw.values() for line in rows for v in line)
+            assert 4 * biggest < 2**width
+        # the multi-generator form reads every generator off the one chain
+        js = [gen.index_j for gen in generators(alg)]
+        table = _line_table(alg, js, x, y, None, [(0, 0), (0, 1), (0, 2)])
+        for j in js:
+            assert table[j] == _line_terms(alg, j, x, y, None, [(0, 0), (0, 1), (0, 2)])
 
 
 @pytest.mark.parametrize("scale", [Rat(1), Rat(-3, 2)])
