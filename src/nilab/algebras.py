@@ -19,7 +19,9 @@ The invariant pairing is the defining-representation trace form tr(xy)
 the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, and every matrix comes back
-to an element through the one checked read-off, coords_of_rows.
+to an element through the one checked read-off, coords_of_rows.  Brackets
+of a subalgebra's basis vectors come back as coordinates in that basis
+through one checked pivot read, Subspace._split.
 
 Every matrix, an N x N realization or a dim x dim map such as ad(x), is a
 list of row lists, the one form linalg works on.  An element holds integer
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from ._scalar import ONE, Rat, ZERO, rat_str
 from .errors import (
@@ -438,8 +441,8 @@ class Element:
         return self._coords
 
     def _int_form(self):
-        """(R, d, columns of the nonzero entries of each row of R): the
-        cached integer-scaled matrix."""
+        """(R, d, columns of the nonzero entries of each row of R, the
+        largest absolute entry of R): the cached integer-scaled matrix."""
         if self._int is None:
             n = self.algebra.matrix_size_N
             rows = _zero_int_rows(n)
@@ -447,14 +450,15 @@ class Element:
                 if c:
                     for i, j, v in entries:
                         rows[i][j] += c * v
-            self._int = (rows, self.den, _nonzero_columns(rows))
+            top = max(map(abs, chain.from_iterable(rows)))
+            self._int = (rows, self.den, _nonzero_columns(rows), top)
         return self._int
 
     def int_rows(self):
         """(R, d): integer rows R and a positive integer d with x = R / d,
         d the least common denominator of the coordinates.  R is the cached
         matrix itself and must not be changed."""
-        rows, den, _ = self._int_form()
+        rows, den, _, _ = self._int_form()
         return rows, den
 
     def matrix_rows(self):
@@ -565,15 +569,15 @@ def bracket(x: Element, y: Element) -> Element:
     """Lie bracket [x, y] = xy - yx, back in basis coordinates."""
     _same_algebra(x, y)
     alg = x.algebra
-    a, dx, a_cols = x._int_form()
-    b, dy, b_cols = y._int_form()
+    a, dx, a_cols, _ = x._int_form()
+    b, dy, b_cols, _ = y._int_form()
     return alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx * dy)
 
 
 def trace_form(x: Element, y: Element):
     """Invariant pairing tr(xy), times the realization's form_scale."""
     _same_algebra(x, y)
-    a, dx, a_cols = x._int_form()
+    a, dx, a_cols, _ = x._int_form()
     b, dy = y.int_rows()
     acc = 0
     for i, (ai, cols) in enumerate(zip(a, a_cols)):
@@ -587,7 +591,7 @@ def _ad_columns(x: Element):
     [x, basis_k] = C_k / D, D = D0 dx the denominator every read-off of
     [x, basis_k] shares."""
     alg = x.algebra
-    a, dx, a_cols = x._int_form()
+    a, dx, a_cols, _ = x._int_form()
     den = alg._coord_den * dx
     columns = []
     for b, b_cols in alg._basis_int:
@@ -613,9 +617,17 @@ class Subspace:
     c_r the pivot of row r; the pivot entries agree by construction, so
     membership is a check of the non-pivot entries, run in integers (see
     _checks).
+
+    Brackets of s do not go through coordinates on all of g.  For the
+    integer N x N matrix C of a commutator, _split reads only the
+    coordinates at the pivots of s off the entries of C and checks, as one
+    integer matrix equality, that C is their combination of the basis
+    matrices; that one equality is membership in g and in s together.
     """
 
-    __slots__ = ("algebra", "rows", "pivots", "_basis", "_bracket_table", "_check_table")
+    __slots__ = (
+        "algebra", "rows", "pivots", "_basis", "_bracket_table", "_check_table", "_split_table"
+    )
 
     def __init__(self, algebra: AlgebraRealization, rows, pivots):
         self.algebra = algebra
@@ -624,6 +636,7 @@ class Subspace:
         self._basis = None
         self._bracket_table = None
         self._check_table = None
+        self._split_table = None
 
     @classmethod
     def from_coord_rows(cls, algebra, rows) -> "Subspace":
@@ -698,28 +711,77 @@ class Subspace:
     def same_space(self, other: "Subspace") -> bool:
         return self.rows == other.rows
 
+    def _split(self, rows):
+        """(G, residual) for integer N x N rows C.
+
+        G_t = sum _coord_terms[c_t] . C is D0 times the coordinate of C at
+        the pivot c_t of row t, read off the entries of C alone.  residual
+        holds the nonzero entries, by flat position i N + j, of
+        D0 Dz C - sum_t G_t (Dz R_t), R_t the N x N matrix of row t and Dz
+        the common denominator of the rows.  It is empty exactly when C lies
+        in s: then C is the combination of the R_t with its own pivot
+        coordinates, and a combination of the R_t lies in s.  For C in g the
+        residual is the matrix of C minus its reduction by the basis, so it
+        vanishes on the same vectors as the coordinate residual of _checks.
+        The pivot reads and the matrices Dz R_t are built once per subspace.
+        """
+        if self._split_table is None:
+            alg = self.algebra
+            n = alg.matrix_size_N
+            forms = [x.int_rows() for x in self.basis]
+            dz = math.lcm(*(d for _, d in forms))
+            mats = tuple(
+                tuple((i * n + j, v * (dz // d)) for i, line in enumerate(r)
+                      for j, v in enumerate(line) if v)
+                for r, d in forms
+            )
+            reads = tuple(alg._coord_terms[c] for c in self.pivots)
+            self._split_table = (reads, mats, alg._coord_den * dz)
+        reads, mats, scale = self._split_table
+        g = []
+        for terms in reads:
+            acc = 0
+            for i, j, c in terms:
+                v = rows[i][j]
+                if v:
+                    acc += c * v
+            g.append(acc)
+        res = [v * scale for row in rows for v in row]
+        for gt, entries in zip(g, mats):
+            if gt:
+                for p, v in entries:
+                    res[p] -= gt * v
+        return g, {p: v for p, v in enumerate(res) if v}
+
     def bracket_table(self):
         """The nonzero coordinates in this basis of [b_a, b_b], as pairs
         (t, coordinate t), for every a < b, as table[a][b - a - 1].
 
-        Each unordered pair is bracketed once and the table is kept, so the
+        Each unordered pair is multiplied out once, as the integer
+        commutator C of the basis matrices, and the table is kept, so the
         center and the normalizer share it; [b_b, b_a] is its negative and
-        [b_a, b_a] is zero.  A bracket outside the span raises ContractError:
-        building the table is the exact check that s is a subalgebra.
+        [b_a, b_a] is zero.  A zero C has no coordinates.  Otherwise _split
+        reads the coordinates at the pivots of s, G_t / (D0 dx dy), and its
+        residual is the exact check that C lies in s: a nonzero residual
+        raises ContractError, so building the table checks that s is a
+        subalgebra.
         """
         if self._bracket_table is None:
-            basis = self.basis
+            d0 = self.algebra._coord_den
+            forms = [x._int_form() for x in self.basis]
             table = []
-            for a, x in enumerate(basis):
+            for a, (x, dx, x_cols, _) in enumerate(forms):
                 row = []
-                for y in basis[a + 1 :]:
-                    br = bracket(x, y)
-                    if not self.contains(br):
+                for y, dy, y_cols, _ in forms[a + 1 :]:
+                    c = _commutator_rows(x, x_cols, y, y_cols)
+                    if not any(map(any, c)):
+                        row.append(())
+                        continue
+                    g, residual = self._split(c)
+                    if residual:
                         raise ContractError("subspace is not closed under the bracket")
-                    num, den = br.num, br.den
-                    row.append(tuple(
-                        (t, Rat(num[c], den)) for t, c in enumerate(self.pivots) if num[c]
-                    ))
+                    den = d0 * dx * dy
+                    row.append(tuple((t, Rat(v, den)) for t, v in enumerate(g) if v))
                 table.append(row)
             self._bracket_table = table
         return self._bracket_table
@@ -766,7 +828,11 @@ def normalizer_of(s: Subspace) -> Subspace:
     the vectors y spanned by the basis directions off the pivots of s with
     [y, u] in s for all u.  That candidate set is refined one u at a time:
     after each u only the kernel of y -> [y, u] mod s is kept, so later u
-    bracket fewer vectors and ad(u) is never built on all of g.
+    bracket fewer vectors and ad(u) is never built on all of g.  The map
+    y -> [y, u] mod s is the residual of s._split on the integer commutator
+    of y and u, on its nonzero matrix entries.  Its kernel is that of the
+    coordinate residual, since g -> N x N matrices is injective, so the
+    normalizer's echelon rows do not depend on which residual is used.
     """
     alg = s.algebra
     s.bracket_table()  # closure check: only then does s lie in its normalizer
@@ -775,13 +841,19 @@ def normalizer_of(s: Subspace) -> Subspace:
     for u in s.basis:
         if not candidates:
             break
-        # column y holds the residual of [y, u] mod s; over the common
-        # denominator of the brackets, row q is den D_q times the rational
-        # row, so the kernel is the same
-        images = [bracket(y, u) for y in candidates]
-        den = math.lcm(*(v.den for v in images))
-        images = [[r * (den // v.den) for r in s._residual(v.num)] for v in images]
-        _, kernel = rank_kernel([r for r in zip(*images) if any(r)], len(candidates))
+        # column y holds the residual of C = [Y, U] = dy du [y, u]; scaled
+        # by den / dy, every column is the same multiple of the residual of
+        # [y, u], so the kernel is that of y -> [y, u] mod s
+        b, _, b_cols, _ = u._int_form()
+        den = math.lcm(*(y.den for y in candidates))
+        images = []
+        for y in candidates:
+            a, dy, a_cols, _ = y._int_form()
+            c = _commutator_rows(a, a_cols, b, b_cols)
+            images.append((s._split(c)[1] if any(map(any, c)) else {}, den // dy))
+        entries = sorted(set().union(*(r for r, _ in images)))
+        rows = [[r.get(p, 0) * f for r, f in images] for p in entries]
+        _, kernel = rank_kernel(rows, len(candidates))
         if len(kernel) < len(candidates):
             candidates = [_combination(alg, candidates, x) for x in kernel]
     return Subspace.from_coord_rows(alg, list(s.rows) + [y.num for y in candidates])

@@ -10,7 +10,8 @@ Subcommands:
                to ORBIT_MAX_N = 20)
   table        the pipeline swept over every valid partition of a size
                (matrix sizes up to TABLE_MAX_N = 10)
-  decompose    the triangular decomposition bases
+  decompose    the triangular decomposition bases (ranks up to
+               DECOMPOSE_MAX_RANK = 12)
   convolution  the alpha table and proportionality-constant audit (matrix
                sizes up to ORBIT_MAX_N = 20)
 
@@ -73,10 +74,14 @@ EXIT_USAGE = 3
 # orbit of a size, the minimal one, like N^6: on a 2-vCPU host the minimal
 # orbit of sl(20) takes 11 s and 125 MB, that of sl(16) 2.9 s and 52 MB.
 # The verify suites grow with the rank through the generator degrees: the
-# slowest rank-6 suite, B6, takes 31 s there (B5 8.5 s, A8 9.3 s).
+# slowest rank-6 suite, B6, takes 31 s there (B5 8.5 s, A8 9.3 s).  The
+# decomposition of a rank is slowest on B, the largest matrix size: B12
+# (so(25)) takes 2.0 s and 38 MB there, B14 3.7 s and 55 MB, A24 3.9 s and
+# 97 MB.
 TABLE_MAX_N = 10
 ORBIT_MAX_N = 20
 VERIFY_MAX_RANK = 6
+DECOMPOSE_MAX_RANK = 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,6 +256,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _require_at_most(args, "rank", DECOMPOSE_MAX_RANK)
     alg = build_algebra(args.family, args.rank)
     decomposition = triangular_decomposition(alg)
     payload = {
@@ -360,7 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=["json", "csv"], default="json")
     p_table.set_defaults(func=_cmd_table)
 
-    p_dec = sub.add_parser("decompose", help="triangular decomposition bases")
+    p_dec = sub.add_parser(
+        "decompose",
+        help=f"triangular decomposition bases (--rank up to {DECOMPOSE_MAX_RANK})",
+        description=f"The triangular decomposition bases of one algebra. Supported "
+        f"ranks: up to {DECOMPOSE_MAX_RANK}; larger ranks are a usage error (exit 3).",
+    )
     common(p_dec, needs_rank=True, seeded=False)
     p_dec.set_defaults(func=_cmd_decompose)
 

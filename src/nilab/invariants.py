@@ -125,19 +125,20 @@ def eval_generator(alg: AlgebraRealization, j: int, x: Element):
     return Rat(pfaffian(rows[::-1]), den ** (alg.matrix_size_N // 2))
 
 
-def _digit_width(n: int, gens, rows) -> int:
+def _digit_width(n: int, gens, size: int) -> int:
     """K, the bits per digit of the packed evaluation in _line_table, for
-    the generators gens on N x N integer matrices rows = (X, Y[, U]).
+    the generators gens on N x N integer matrices X, Y[, U] with
+    size = S = |X| + |Y| + |U|, |.| the largest absolute entry (each
+    element keeps it with its integer form).
 
-    Let S = |X| + |Y| + |U|, |.| the largest absolute entry.  An entry of
-    (X + sY + tU)^m is a sum over N^(m-1) index paths of products of m
-    entries whose coefficients sum in absolute value to at most S, so each
-    of its coefficients is at most N^(m-1) S^m.  An order-(N-2) minor
-    Pfaffian is a sum of (N-3)!! products of m = r - 1 such entries, so its
-    coefficients are at most (N-3)!! S^m.  With K = bit_length(bound) + 2
-    every coefficient is below B/4 = 2^(K-2) in absolute value.
+    An entry of (X + sY + tU)^m is a sum over N^(m-1) index paths of
+    products of m entries whose coefficients sum in absolute value to at
+    most S, so each of its coefficients is at most N^(m-1) S^m.  An
+    order-(N-2) minor Pfaffian is a sum of (N-3)!! products of m = r - 1
+    such entries, so its coefficients are at most (N-3)!! S^m.  With
+    K = bit_length(bound) + 2 every coefficient is below B/4 = 2^(K-2) in
+    absolute value.
     """
-    size = sum(max(max(map(abs, row)) for row in r) for r in rows)
     bound = max(
         (n ** (gen.exponent - 1) if gen.kind == "trace" else math.prod(range(n - 3, 0, -2)))
         * size**gen.exponent
@@ -165,11 +166,11 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
     """
     gens = [_generator(alg, j) for j in js]
     n = alg.matrix_size_N
-    (xr, dx), (yr, dy), (ur, du) = [
-        v.int_rows() if v is not None else (None, 1) for v in (x, y, u)
+    (xr, dx, _, sx), (yr, dy, _, sy), (ur, du, _, su) = [
+        v._int_form() if v is not None else (None, 1, None, 0) for v in (x, y, u)
     ]
     top = max(gen.exponent for gen in gens)
-    width = _digit_width(n, gens, [r for r in (xr, yr, ur) if r is not None])
+    width = _digit_width(n, gens, sx + sy + su)
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     packed = xr

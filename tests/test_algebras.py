@@ -8,8 +8,6 @@ import pytest
 
 import nilab.algebras
 import nilab.index
-import nilab.invariants
-import nilab.triples
 from nilab import (
     ContractError,
     Element,
@@ -607,23 +605,38 @@ def test_normalizer_of_rejects_non_subalgebra():
         normalizer_of(Subspace.from_elements(alg, [e, f]))
 
 
-def _count_brackets(monkeypatch, modules, log):
-    def counting(x, y):
-        log.append((x.coords, y.coords))
-        return bracket(x, y)
+def _count_products(monkeypatch, log):
+    """Log the integer matrices of every commutator product the library
+    multiplies out (brackets, ad(x) columns, the bracket table and the
+    normalizer residuals all go through _commutator_rows)."""
+    product = nilab.algebras._commutator_rows
 
-    for module in modules:
-        monkeypatch.setattr(module, "bracket", counting)
+    def counting(a, a_cols, b, b_cols):
+        log.append((_matrix_key(a), _matrix_key(b)))
+        return product(a, a_cols, b, b_cols)
+
+    monkeypatch.setattr(nilab.algebras, "_commutator_rows", counting)
+
+
+def _matrix_key(rows):
+    return tuple(map(tuple, rows))
+
+
+def _basis_keys(s):
+    return {_matrix_key(x.int_rows()[0]) for x in s.basis}
 
 
 def test_center_of_brackets_each_pair_once(monkeypatch):
     alg = build_algebra("A", 3)
     z = centralizer(nilpotent_from_partition(alg, Partition((2, 1, 1))))
     log = []
-    _count_brackets(monkeypatch, [nilab.algebras], log)
+    _count_products(monkeypatch, log)
     center_of(z)
     k = z.dim
+    members = _basis_keys(z)
     assert k == 9 and len(log) == k * (k - 1) // 2
+    assert len({frozenset(pair) for pair in log}) == len(log)
+    assert all(set(pair) <= members for pair in log)
 
 
 def test_build_pair_data_brackets_no_pair_of_z_twice(monkeypatch):
@@ -631,11 +644,111 @@ def test_build_pair_data_brackets_no_pair_of_z_twice(monkeypatch):
     e = nilpotent_from_partition(alg, Partition((3, 3, 1)))
     triple = sl2_complete(alg, e)
     log = []
-    modules = [nilab.algebras, nilab.index, nilab.invariants, nilab.triples]
-    _count_brackets(monkeypatch, modules, log)
+    _count_products(monkeypatch, log)
+
+    def centralizer_then_count(x):
+        # ad(e) multiplies e by basis matrices that may also be basis
+        # matrices of z; that computes z, so counting starts once z exists
+        z = centralizer(x)
+        log.clear()
+        return z
+
+    monkeypatch.setattr(nilab.index, "centralizer", centralizer_then_count)
     pd = build_pair_data(alg, triple)
-    members = {row for row in pd.zcent.rows}
+    members = _basis_keys(pd.zcent)
     pairs = Counter(frozenset(pair) for pair in log if set(pair) <= members)
     k = pd.zcent.dim
     assert len(pairs) == k * (k - 1) // 2
     assert set(pairs.values()) == {1}
+
+
+# The bracket table as it was built before the pivot read: every bracket read
+# off on all of g, checked for membership, then read at the pivots of s.
+
+
+def reference_bracket_table(s):
+    table = []
+    for a, x in enumerate(s.basis):
+        row = []
+        for y in s.basis[a + 1 :]:
+            br = bracket(x, y)
+            if not s.contains(br):
+                raise ContractError("subspace is not closed under the bracket")
+            row.append(
+                tuple((t, Rat(br.num[c], br.den)) for t, c in enumerate(s.pivots) if br.num[c])
+            )
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 3), ("A", 4), ("A", 5), ("B", 3), ("C", 3), ("D", 4)]
+)
+def test_bracket_table_matches_bracket_and_membership_reference(family, rank):
+    alg = build_algebra(family, rank)
+    for p in valid_partitions(alg):
+        if all(part == 1 for part in p.parts):
+            continue
+        z = centralizer(nilpotent_from_partition(alg, p))
+        for s in (z, center_of(z), normalizer_of(z)):
+            assert s.bracket_table() == reference_bracket_table(s), p
+
+
+def test_bracket_table_rejects_a_bracket_that_differs_only_off_the_pivots():
+    # s = span(h1, E12 + E13) in sl(3): [h1, E12 + E13] = 2 E12 + E13 has
+    # coordinate 2 at the pivot of E12 + E13, where 2 (E12 + E13) agrees
+    # with it; the two differ only at E13, off the pivots of s
+    alg = build_algebra("A", 2)
+    h1 = alg.from_matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    v = alg.from_matrix([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    br = bracket(h1, v)
+    assert br == alg.from_matrix([[0, 2, 1], [0, 0, 0], [0, 0, 0]])
+    for build in (reference_bracket_table, Subspace.bracket_table, center_of, normalizer_of):
+        s = Subspace.from_elements(alg, [h1, v])
+        assert [br.num[c] for c in s.pivots] == [0, 2 * br.den]
+        with pytest.raises(ContractError):
+            build(s)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("D", 5)])
+def test_normalizer_matches_brute_force_on_every_orbit(family, rank):
+    alg = build_algebra(family, rank)
+    for p in valid_partitions(alg):
+        if any(part > 1 for part in p.parts):
+            z = centralizer(nilpotent_from_partition(alg, p))
+            assert normalizer_of(z).same_space(brute_normalizer(z)), p
+
+
+# Elashvili's conjecture, proved for the classical algebras (Panyushev 2003,
+# Yakimova 2006): ind z(e) = rank g.  The index of z is dim z minus the rank
+# of the skew matrix (xi([b_a, b_b])) at a generic xi in z*, so a random
+# integer xi reaches rank dim z - rank g, and no xi exceeds it.
+
+
+def _skew_rank(s, xi):
+    k = s.dim
+    m = [[0] * k for _ in range(k)]
+    for a, line in enumerate(s.bracket_table()):
+        for b, terms in enumerate(line, start=a + 1):
+            v = sum((xi[t] * c for t, c in terms), Rat(0))
+            m[a][b], m[b][a] = v, -v
+    return rank_kernel(m, k)[0] if k else 0
+
+
+@pytest.mark.parametrize(
+    "family,ranks", [("A", (4, 5, 6, 7)), ("B", (3, 4)), ("C", (3, 4)), ("D", (4, 5, 6))]
+)
+def test_centralizer_index_equals_rank(family, ranks):
+    for rank in ranks:
+        alg = build_algebra(family, rank)
+        rng = random.Random(f"index:{family}{rank}")
+        for p in valid_partitions(alg):
+            z = centralizer(nilpotent_from_partition(alg, p))
+            want = z.dim - alg.rank_r
+            best = 0
+            for _ in range(3):
+                xi = [rng.randint(-50, 50) for _ in range(z.dim)]
+                best = max(best, _skew_rank(z, xi))
+                if best >= want:
+                    break
+            assert best == want, (alg.name, p)

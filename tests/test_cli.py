@@ -183,6 +183,20 @@ def test_orbit_and_verify_commands_reject_sizes_above_their_caps(monkeypatch, ca
         assert f"up to {cap}" in cli.build_parser().format_help()
 
 
+def test_decompose_rejects_ranks_above_its_cap(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an out-of-range rank must not start any work")
+
+    monkeypatch.setattr(cli, "build_algebra", must_not_run)
+    cap = cli.DECOMPOSE_MAX_RANK
+    for family in "ABCD":
+        for rank in (cap + 1, 100):
+            code, out = run_capture(["decompose", "--family", family, "--rank", str(rank)])
+            assert code == EXIT_USAGE and out == ""
+            assert f"decompose supports --rank up to {cap}, got {rank}" in capsys.readouterr().err
+    assert f"up to {cap}" in cli.build_parser().format_help()
+
+
 def test_flags_offered_only_where_they_act(monkeypatch, capsys):
     # --format is a table option and --seed drives no decompose/convolution
     # output, so argparse refuses them elsewhere before any work

@@ -350,7 +350,10 @@ def test_packed_line_expansion_matches_coefficientwise_reference(family, rank, s
             got = _line_terms(alg, j, x, y, u, keys)
             for key in keys:
                 assert got[key] == want.get(key, alg.zero()), (j, key)
-            width = _digit_width(n, [gen], [v.int_rows()[0] for v in (x, y, u)])
+            # the largest entry each element keeps with its integer form
+            tops = [max(abs(c) for line in w.int_rows()[0] for c in line) for w in (x, y, u)]
+            assert tops == [w._int_form()[3] for w in (x, y, u)]
+            width = _digit_width(n, [gen], sum(tops))
             biggest = max(abs(v) for rows in raw.values() for line in rows for v in line)
             assert 4 * biggest < 2**width
         # the multi-generator form reads every generator off the one chain
