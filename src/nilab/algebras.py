@@ -31,8 +31,12 @@ with x = R / d (as Bareiss clears denominators before eliminating).
 Element arithmetic, brackets, products, traces, the unipotent conjugation,
 the read-off and subspace membership run on Python ints; a rational is made
 only where a caller reads coordinates (Element.coords, Subspace.coords_of,
-ad_matrix).  The ad(h)-grading of a diagonal h is read off the matrix
-positions of the basis, not solved for.
+Subspace.rows, ad_matrix).  A subspace keeps its reduced echelon basis as
+primitive integer rows, so the centralizer, its center and its normalizer
+are each built from integer eliminations alone, the centralizer and the
+center from one echelon kernel each (linalg.echelon_kernel).  The
+ad(h)-grading of a diagonal h is read off the matrix positions of the
+basis, not solved for.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .errors import (
     ShapeError,
     UnsupportedAlgebraError,
 )
-from .linalg import inverse, mat_mul, rank_kernel, rref
+from .linalg import echelon_kernel, echelon_rows, inverse, mat_mul, rref
 
 
 def _zero_rows(n):
@@ -547,17 +551,17 @@ def _sum(x, y, sign):
     return _element(x.algebra, [a * fx + b * fy for a, b in zip(x.num, y.num)], den)
 
 
-def _combination(algebra, elements, coeffs):
-    """sum_i coeffs[i] * elements[i], for Rat coefficients, in integers."""
-    den = math.lcm(*(c.denominator * x.den for c, x in zip(coeffs, elements) if c))
-    acc = [0] * algebra.dim
-    for c, x in zip(coeffs, elements):
+def _primitive_combination(vectors, coeffs, width):
+    """sum_i coeffs[i] vectors[i] for integer vectors and coefficients,
+    divided by its content."""
+    acc = [0] * width
+    for c, vec in zip(coeffs, vectors):
         if c:
-            f = c.numerator * (den // (c.denominator * x.den))
-            for q, v in enumerate(x.num):
+            for q, v in enumerate(vec):
                 if v:
-                    acc[q] += f * v
-    return _element(algebra, acc, den)
+                    acc[q] += c * v
+    g = math.gcd(*acc)
+    return [v // g for v in acc] if g > 1 else acc
 
 
 def _same_algebra(x, y):
@@ -609,12 +613,16 @@ def ad_matrix(x: Element):
 
 
 class Subspace:
-    """A subspace of the algebra, stored as a deterministic echelon basis.
+    """A subspace of the algebra, stored as its reduced row echelon basis.
 
-    The rows are the reduced row echelon form of the generating coordinate
-    vectors, so equal subspaces have equal row lists.  Because they are
-    reduced, a vector v lies in the span exactly when v = sum_r v[c_r] R_r,
-    c_r the pivot of row r; the pivot entries agree by construction, so
+    The basis is kept as primitive integer rows I_r (num_rows), each
+    positive at its pivot c_r, as linalg.echelon_rows and echelon_kernel
+    leave them: the reduced echelon row is R_r = I_r / I_r[c_r], so equal
+    subspaces have equal rows.  Basis vector r is the element with
+    numerators I_r over I_r[c_r], read straight off the row; rows, the R_r
+    as tuples of Rat, is built only when a caller reads it.  Because the
+    rows are reduced, a vector v lies in the span exactly when
+    v = sum_r v[c_r] R_r; the pivot entries agree by construction, so
     membership is a check of the non-pivot entries, run in integers (see
     _checks).
 
@@ -626,23 +634,27 @@ class Subspace:
     """
 
     __slots__ = (
-        "algebra", "rows", "pivots", "_basis", "_bracket_table", "_check_table", "_split_table"
+        "algebra", "num_rows", "pivots", "_rows", "_basis", "_int_brackets", "_bracket_table",
+        "_check_table", "_split_table",
     )
 
-    def __init__(self, algebra: AlgebraRealization, rows, pivots):
+    def __init__(self, algebra: AlgebraRealization, num_rows, pivots):
+        """num_rows: the reduced echelon basis as primitive integer rows,
+        each positive at its pivot (see linalg.echelon_rows)."""
         self.algebra = algebra
-        self.rows = tuple(tuple(r) for r in rows)
+        self.num_rows = tuple(tuple(r) for r in num_rows)
         self.pivots = tuple(pivots)
+        self._rows = None
         self._basis = None
+        self._int_brackets = None
         self._bracket_table = None
         self._check_table = None
         self._split_table = None
 
     @classmethod
     def from_coord_rows(cls, algebra, rows) -> "Subspace":
-        work = list(rows)
-        pivots = rref(work, algebra.dim)
-        return cls(algebra, work[: len(pivots)], pivots)
+        pivots, num_rows = echelon_rows(rows, algebra.dim)
+        return cls(algebra, num_rows, pivots)
 
     @classmethod
     def from_elements(cls, algebra, elements) -> "Subspace":
@@ -651,17 +663,30 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.num_rows)
+
+    @property
+    def rows(self):
+        """The reduced echelon rows as tuples of Rat, built once, on first
+        read."""
+        if self._rows is None:
+            self._rows = tuple(
+                tuple(Rat(v, row[c]) if v else ZERO for v in row)
+                for row, c in zip(self.num_rows, self.pivots)
+            )
+        return self._rows
 
     @property
     def basis(self):
         if self._basis is None:
-            self._basis = [Element(self.algebra, r) for r in self.rows]
+            self._basis = [
+                _element(self.algebra, row, row[c]) for row, c in zip(self.num_rows, self.pivots)
+            ]
         return self._basis
 
     def _checks(self):
         """Per non-pivot column q: (q, D_q, the pairs (c_r, D_q R_r[q]) for
-        the rows r with R_r[q] != 0), D_q the lcm of their denominators.
+        the rows r with R_r[q] != 0), D_q the lcm of their pivot entries.
         Built once per subspace."""
         if self._check_table is None:
             pivots = set(self.pivots)
@@ -669,10 +694,11 @@ class Subspace:
             for q in range(self.algebra.dim):
                 if q in pivots:
                     continue
-                entries = [(c, row[q]) for c, row in zip(self.pivots, self.rows) if row[q]]
-                d = math.lcm(*(v.denominator for _, v in entries))
-                pairs = tuple((c, v.numerator * (d // v.denominator)) for c, v in entries)
-                table.append((q, d, pairs))
+                entries = [
+                    (c, row[q], row[c]) for c, row in zip(self.pivots, self.num_rows) if row[q]
+                ]
+                d = math.lcm(*(p for _, _, p in entries))
+                table.append((q, d, tuple((c, v * (d // p)) for c, v, p in entries)))
             self._check_table = tuple(table)
         return self._check_table
 
@@ -709,7 +735,7 @@ class Subspace:
         return tuple([Rat(num[c], den) if num[c] else ZERO for c in self.pivots])
 
     def same_space(self, other: "Subspace") -> bool:
-        return self.rows == other.rows
+        return self.num_rows == other.num_rows
 
     def _split(self, rows):
         """(G, residual) for integer N x N rows C.
@@ -753,26 +779,24 @@ class Subspace:
                     res[p] -= gt * v
         return g, {p: v for p, v in enumerate(res) if v}
 
-    def bracket_table(self):
-        """The nonzero coordinates in this basis of [b_a, b_b], as pairs
-        (t, coordinate t), for every a < b, as table[a][b - a - 1].
+    def _brackets(self):
+        """The nonzero pairs (t, G_t) of _split for [I_a, I_b], the
+        commutator of the integer matrices of basis vectors a < b, as
+        table[a][b - a - 1]: G_t is D0 times the coordinate t of [I_a, I_b],
+        I_a = I_a[c_a] b_a the integer row of basis vector a.
 
-        Each unordered pair is multiplied out once, as the integer
-        commutator C of the basis matrices, and the table is kept, so the
-        center and the normalizer share it; [b_b, b_a] is its negative and
-        [b_a, b_a] is zero.  A zero C has no coordinates.  Otherwise _split
-        reads the coordinates at the pivots of s, G_t / (D0 dx dy), and its
-        residual is the exact check that C lies in s: a nonzero residual
-        raises ContractError, so building the table checks that s is a
-        subalgebra.
+        Each unordered pair is multiplied out once and the table is kept, so
+        the center, the normalizer and bracket_table share it.  A zero
+        commutator has no coordinates.  Otherwise the residual of _split is
+        the exact check that it lies in s: a nonzero residual raises
+        ContractError, so building the table checks that s is a subalgebra.
         """
-        if self._bracket_table is None:
-            d0 = self.algebra._coord_den
+        if self._int_brackets is None:
             forms = [x._int_form() for x in self.basis]
             table = []
-            for a, (x, dx, x_cols, _) in enumerate(forms):
+            for a, (x, _, x_cols, _) in enumerate(forms):
                 row = []
-                for y, dy, y_cols, _ in forms[a + 1 :]:
+                for y, _, y_cols, _ in forms[a + 1 :]:
                     c = _commutator_rows(x, x_cols, y, y_cols)
                     if not any(map(any, c)):
                         row.append(())
@@ -780,10 +804,30 @@ class Subspace:
                     g, residual = self._split(c)
                     if residual:
                         raise ContractError("subspace is not closed under the bracket")
-                    den = d0 * dx * dy
-                    row.append(tuple((t, Rat(v, den)) for t, v in enumerate(g) if v))
+                    row.append(tuple((t, v) for t, v in enumerate(g) if v))
                 table.append(row)
-            self._bracket_table = table
+            self._int_brackets = table
+        return self._int_brackets
+
+    def bracket_table(self):
+        """The nonzero coordinates in this basis of [b_a, b_b], as pairs
+        (t, coordinate t), for every a < b, as table[a][b - a - 1]; [b_b, b_a]
+        is the negative and [b_a, b_a] is zero.
+
+        Read off the integer table of _brackets: coordinate t is
+        G_t / (D0 I_a[c_a] I_b[c_b]).  Building it checks that s is a
+        subalgebra (ContractError otherwise).
+        """
+        if self._bracket_table is None:
+            d0 = self.algebra._coord_den
+            dens = [row[c] for row, c in zip(self.num_rows, self.pivots)]
+            self._bracket_table = [
+                [
+                    tuple((t, Rat(g, d0 * dens[a] * dens[b])) for t, g in terms)
+                    for b, terms in enumerate(line, start=a + 1)
+                ]
+                for a, line in enumerate(self._brackets())
+            ]
         return self._bracket_table
 
     def __repr__(self) -> str:
@@ -791,39 +835,48 @@ class Subspace:
 
 
 def centralizer(x: Element) -> Subspace:
-    """z(x) = {y : [x, y] = 0}, the kernel of ad(x), eliminated on the
-    integer columns of ad(x) over their one common denominator."""
+    """z(x) = {y : [x, y] = 0}, the kernel of ad(x), from one elimination of
+    the integer columns of ad(x) over their one common denominator:
+    linalg.echelon_kernel returns the kernel already as z's echelon basis."""
     columns, _ = _ad_columns(x)
-    _, kernel = rank_kernel(list(zip(*columns)), x.algebra.dim)
-    return Subspace.from_coord_rows(x.algebra, kernel)
+    pivots, rows = echelon_kernel(list(zip(*columns)), x.algebra.dim)
+    return Subspace(x.algebra, rows, pivots)
 
 
 def center_of(s: Subspace) -> Subspace:
     """{c in s : [c, u] = 0 for every basis vector u of s}.
 
     s must be closed under the bracket (checked; ContractError otherwise).
-    The brackets come from s.bracket_table(), one per unordered pair of basis
-    vectors, already in s-coordinates.  The center is the kernel of the
-    k^2 x k matrix with entry coord_t([b_a, b_u]) in row (u, t), column a;
-    only its nonzero rows are built, from the nonzero table entries.
+    The brackets come from the integer table of s, one per unordered pair of
+    basis vectors, already at the pivots of s.  With I_a the integer row of
+    basis vector a, c = sum_a w_a I_a is central exactly when w lies in the
+    kernel of the integer k^2 x k matrix with entry G_t([I_a, I_u]) in row
+    (u, t), column a; only its nonzero rows are built.  The echelon kernel
+    W of that matrix gives the center's echelon basis directly: sum_a W_a I_a
+    is W_a I_a[c_a] at each pivot c_a of s and zero left of c_f, f the first
+    nonzero of W, so the rows stay reduced and echelon and their pivots are
+    the c_f of the pivots f of W.
     """
     k = s.dim
     rows = {}
-    for a, line in enumerate(s.bracket_table()):
+    for a, line in enumerate(s._brackets()):
         for b, terms in enumerate(line, start=a + 1):
-            for t, c in terms:  # coord_t [b_a, b_b] = c and coord_t [b_b, b_a] = -c
-                rows.setdefault((b, t), [ZERO] * k)[a] = c
-                rows.setdefault((a, t), [ZERO] * k)[b] = -c
-    _, kernel = rank_kernel(list(rows.values()), k)
-    return Subspace.from_elements(
-        s.algebra, [_combination(s.algebra, s.basis, x) for x in kernel]
+            for t, g in terms:  # G_t [I_a, I_b] = g and G_t [I_b, I_a] = -g
+                rows.setdefault((b, t), [0] * k)[a] = g
+                rows.setdefault((a, t), [0] * k)[b] = -g
+    free, kernel = echelon_kernel(list(rows.values()), k)
+    dim = s.algebra.dim
+    return Subspace(
+        s.algebra,
+        [_primitive_combination(s.num_rows, w, dim) for w in kernel],
+        [s.pivots[f] for f in free],
     )
 
 
 def normalizer_of(s: Subspace) -> Subspace:
     """{y : [y, u] in s for every basis vector u of s}.
 
-    s must be a subalgebra (checked through s.bracket_table(); ContractError
+    s must be a subalgebra (checked through its bracket table; ContractError
     otherwise).  Then s lies in its normalizer, so the normalizer is s plus
     the vectors y spanned by the basis directions off the pivots of s with
     [y, u] in s for all u.  That candidate set is refined one u at a time:
@@ -832,31 +885,32 @@ def normalizer_of(s: Subspace) -> Subspace:
     y -> [y, u] mod s is the residual of s._split on the integer commutator
     of y and u, on its nonzero matrix entries.  Its kernel is that of the
     coordinate residual, since g -> N x N matrices is injective, so the
-    normalizer's echelon rows do not depend on which residual is used.
+    normalizer's echelon rows do not depend on which residual is used.  The
+    candidates are integer vectors over denominator 1, each kept with its
+    integer matrix, and each cut keeps the primitive integer kernel.
     """
     alg = s.algebra
-    s.bracket_table()  # closure check: only then does s lie in its normalizer
+    s._brackets()  # closure check: only then does s lie in its normalizer
     pivots = set(s.pivots)
     candidates = [alg.basis_element(q) for q in range(alg.dim) if q not in pivots]
     for u in s.basis:
         if not candidates:
             break
-        # column y holds the residual of C = [Y, U] = dy du [y, u]; scaled
-        # by den / dy, every column is the same multiple of the residual of
-        # [y, u], so the kernel is that of y -> [y, u] mod s
         b, _, b_cols, _ = u._int_form()
-        den = math.lcm(*(y.den for y in candidates))
         images = []
         for y in candidates:
-            a, dy, a_cols, _ = y._int_form()
+            a, _, a_cols, _ = y._int_form()
             c = _commutator_rows(a, a_cols, b, b_cols)
-            images.append((s._split(c)[1] if any(map(any, c)) else {}, den // dy))
-        entries = sorted(set().union(*(r for r, _ in images)))
-        rows = [[r.get(p, 0) * f for r, f in images] for p in entries]
-        _, kernel = rank_kernel(rows, len(candidates))
+            images.append(s._split(c)[1] if any(map(any, c)) else {})
+        entries = sorted(set().union(*images))
+        rows = [[r.get(p, 0) for r in images] for p in entries]
+        _, kernel = echelon_kernel(rows, len(candidates))
         if len(kernel) < len(candidates):
-            candidates = [_combination(alg, candidates, x) for x in kernel]
-    return Subspace.from_coord_rows(alg, list(s.rows) + [y.num for y in candidates])
+            nums = [y.num for y in candidates]
+            candidates = [
+                _element(alg, _primitive_combination(nums, w, alg.dim), 1) for w in kernel
+            ]
+    return Subspace.from_coord_rows(alg, list(s.num_rows) + [y.num for y in candidates])
 
 
 def h_graduation(h: Element, s: Subspace):
@@ -883,7 +937,7 @@ def h_graduation(h: Element, s: Subspace):
         for i, j, _ in (entries[0] for entries in alg._basis_sparse)
     ]
     pieces = {}
-    for row, pivot in zip(s.rows, s.pivots):
+    for row, pivot in zip(s.num_rows, s.pivots):
         mu = weights[pivot]
         if any(c and weights[q] != mu for q, c in enumerate(row)):
             raise GraduationError("subspace is not stable under ad(h)")

@@ -78,6 +78,7 @@ class PairData:
     distinct_exponents: bool
     all_gradients: tuple
     _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _brackets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def s(self) -> int:
@@ -109,6 +110,15 @@ class PairData:
             )
             row = self._derivatives[j] = tuple(table[k][(0, 1)] for k in self.selected_indices)
         return row[i - 1]
+
+    def bracket(self, i: int, j: int) -> Element:
+        """[y_i, z_j], i and j 1-based positions in the selected family,
+        computed once per ordered pair and kept, so bracket_matrix and the
+        convolution audit share it."""
+        v = self._brackets.get((i, j))
+        if v is None:
+            v = self._brackets[i, j] = bracket(self.y_vec[i - 1], self.z_vec[j - 1])
+        return v
 
     def require_hypothesis(self):
         if not self.hypothesis_ok:
@@ -201,7 +211,7 @@ def normalizer_decomposition_check(pd: PairData) -> CheckReport:
         f"dim eta {pd.eta.dim}, dim z {pd.zcent.dim}, dim delta {pd.delta.dim}",
     )
     combined = Subspace.from_coord_rows(
-        alg, list(pd.zcent.rows) + [y.num for y in pd.y_vec]
+        alg, list(pd.zcent.num_rows) + [y.num for y in pd.y_vec]
     )
     report.add("normalizer-span", combined.same_space(pd.eta))
     if not report.passed:
@@ -230,7 +240,7 @@ def bracket_matrix(pd: PairData) -> BracketTensor:
         vrow = []
         erow = []
         for j in range(s):
-            v = bracket(pd.y_vec[i], pd.z_vec[j])
+            v = pd.bracket(i + 1, j + 1)
             c = pd.delta.coords_of(v)
             if c is None:
                 raise IdentityError(
@@ -412,12 +422,12 @@ def convolution_at(pd: PairData, i: int, j: int) -> ConvolutionResult:
     mi, mj = pd.pair_exponents[i - 1], pd.pair_exponents[j - 1]
     d_ij = pd.derivative(i, j)
     d_ji = pd.derivative(j, i)
-    br = bracket(pd.y_vec[i - 1], pd.z_vec[j - 1])
+    br = pd.bracket(i, j)
     if br != d_ij.scale(2 * mj):
         raise IdentityError(
             f"[y_{i}, z_{j}] != 2 m'_{j} dQ_{i}(e).Q_{j}(e): derivative audit failed"
         )
-    if br != bracket(pd.y_vec[j - 1], pd.z_vec[i - 1]):
+    if br != pd.bracket(j, i):
         raise IdentityError(f"bracket symmetry failed at ({i},{j})")
     grad = d_ij + d_ji
     coords = pd.delta.coords_of(grad)

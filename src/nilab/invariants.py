@@ -532,7 +532,7 @@ def triangular_decomposition(
             f"!= ({r}, {half}, {half})"
         )
     everything = Subspace.from_coord_rows(
-        alg, list(h_space.rows) + list(n_plus.rows) + list(n_minus.rows)
+        alg, list(h_space.num_rows) + list(n_plus.num_rows) + list(n_minus.num_rows)
     )
     if everything.dim != alg.dim:
         raise IdentityError("ladders do not span the whole algebra")
@@ -540,8 +540,8 @@ def triangular_decomposition(
     zero_piece = next((sp for lam, sp in pieces if lam == 0), None)
     if zero_piece is None or not zero_piece.same_space(h_space):
         raise IdentityError("zero graduation piece differs from the P_j(h) span")
-    pos_rows = [row for lam, sp in pieces if lam > 0 for row in sp.rows]
-    neg_rows = [row for lam, sp in pieces if lam < 0 for row in sp.rows]
+    pos_rows = [row for lam, sp in pieces if lam > 0 for row in sp.num_rows]
+    neg_rows = [row for lam, sp in pieces if lam < 0 for row in sp.num_rows]
     if not Subspace.from_coord_rows(alg, pos_rows).same_space(n_plus):
         raise IdentityError("positive graduation does not match n_+")
     if not Subspace.from_coord_rows(alg, neg_rows).same_space(n_minus):

@@ -9,11 +9,14 @@ output identical across runs and platforms.
 A matrix is a list of row lists.  Its entries are Rat, or Python ints for
 the integer-scaled N x N matrices of algebra elements (integer rows over one
 common denominator, see algebras.Element.int_rows); mat_mul keeps the type
-of its inputs, ints in and ints out.  rref, rank_kernel, solve and inverse
-read one integer Gauss-Jordan elimination (_gauss_jordan): each row is
-cleared of its denominators once, the elimination runs on Python ints, and
-a Rat is made only for each nonzero entry of the result.  Only rref changes
-its input (it replaces the rows of the list); the other functions copy what
+of its inputs, ints in and ints out.  rref, rank_kernel, echelon_rows,
+echelon_kernel, solve and inverse read one integer Gauss-Jordan elimination
+(_gauss_jordan): each row is cleared of its denominators once, the
+elimination runs on Python ints, and a Rat is made only for each nonzero
+entry of the result.  echelon_rows and echelon_kernel make no Rat at all:
+they return reduced echelon bases as primitive integer rows, positive at
+their pivots, the form algebras.Subspace keeps.  Only rref changes its
+input (it replaces the rows of the list); the other functions copy what
 they eliminate.  A row of the wrong length, or a non-square input where a
 square one is needed, raises ShapeError.  The pipeline's matrices (ad maps
 of nilpotent elements, stacked bracket blocks) are mostly zero, so the
@@ -65,19 +68,26 @@ def mat_vec(rows, vec):
     return out
 
 
+_INT = frozenset({int})
+_INT_RAT = frozenset({int, Rat})
+
+
 def _int_rows(rows, width: int):
     """Fresh primitive integer copies of the rows: each row times the lcm of
     its denominators, divided by its content.  Only nonzero entries are
-    read.  ShapeError unless every row has width entries."""
+    read; an entry that is neither an int nor a Rat (a string such as
+    "3/4") is read through Rat.  ShapeError unless every row has width
+    entries."""
     a = []
     for row in rows:
         if len(row) != width:
             raise ShapeError(f"expected rows of {width} entries, got one of {len(row)}")
-        if all(type(v) is int for v in row):
+        types = set(map(type, row))
+        if types <= _INT:
             out = list(row)
         else:
             nz = [(j, v) for j, v in enumerate(row) if v is not ZERO]
-            if not all(type(v) is Rat or type(v) is int for _, v in nz):
+            if not types <= _INT_RAT:
                 nz = [(j, Rat(v)) for j, v in nz]
             den = math.lcm(*{v.denominator for _, v in nz})
             out = [0] * width
@@ -164,6 +174,52 @@ def rank_kernel(rows, ncols: int):
                 vec[c] = Rat(-row[f], row[c])
         kernel.append(vec)
     return len(pivots), kernel
+
+
+def echelon_rows(rows, ncols: int):
+    """(pivots, basis): the reduced row echelon basis of the row space as
+    primitive integer rows, each positive at its pivot.
+
+    Row r is rref's row r times the least positive integer that clears its
+    denominators, so equal row spaces give equal rows.  The input is not
+    changed.
+    """
+    a = _int_rows(rows, ncols)
+    pivots = _gauss_jordan(a, ncols)
+    return pivots, [row if row[c] > 0 else [-v for v in row] for row, c in zip(a, pivots)]
+
+
+def echelon_kernel(rows, ncols: int):
+    """(pivots, basis): the reduced row echelon basis of the kernel, in the
+    form echelon_rows gives, from one elimination.
+
+    The pivot columns are scanned right to left (a left-to-right scan of the
+    reversed columns).  A pivot row is then zero at every free column right
+    of its pivot, so the kernel vector of free column f -- positive at f,
+    zero at every other free column -- has its first nonzero entry at f.
+    These vectors are already reduced and echelon, with the free columns as
+    their pivots: no second elimination is needed.
+    """
+    a = _int_rows(rows, ncols)
+    for row in a:
+        row.reverse()
+    last = ncols - 1
+    pivot_rows = [(last - c, row, row[c]) for row, c in zip(a, _gauss_jordan(a, ncols))]
+    pivot_set = {c for c, _, _ in pivot_rows}
+    free, basis = [], []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        used = [(c, row[last - f], p) for c, row, p in pivot_rows if row[last - f]]
+        scale = math.lcm(*(p for _, _, p in used))
+        vec = [0] * ncols
+        vec[f] = scale
+        for c, v, p in used:
+            vec[c] = -v * (scale // p)
+        g = math.gcd(*vec)
+        free.append(f)
+        basis.append([v // g for v in vec] if g > 1 else vec)
+    return free, basis
 
 
 def solve(rows, ncols: int, rhs):

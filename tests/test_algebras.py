@@ -35,7 +35,8 @@ from nilab import (
     unipotent_conjugate,
     valid_partitions,
 )
-from nilab.linalg import mat_mul, mat_vec
+from nilab.invariants import make_samples
+from nilab.linalg import mat_mul, mat_vec, rref
 
 EXPECTED_DIMS = {
     ("A", 1): 3,
@@ -708,6 +709,125 @@ def test_bracket_table_rejects_a_bracket_that_differs_only_off_the_pivots():
         assert [br.num[c] for c in s.pivots] == [0, 2 * br.den]
         with pytest.raises(ContractError):
             build(s)
+
+
+# The subspace calculus as it ran on Rat before the integer echelon rows:
+# rank_kernel on rational matrices, the echelon form through rref, and the
+# normalizer's candidates rebuilt with _combination after every cut.
+
+
+def _combination(algebra, elements, coeffs):
+    """sum_i coeffs[i] * elements[i], for Rat coefficients, in integers."""
+    den = math.lcm(*(c.denominator * x.den for c, x in zip(coeffs, elements) if c))
+    acc = [0] * algebra.dim
+    for c, x in zip(coeffs, elements):
+        if c:
+            f = c.numerator * (den // (c.denominator * x.den))
+            for q, v in enumerate(x.num):
+                if v:
+                    acc[q] += f * v
+    return nilab.algebras._element(algebra, acc, den)
+
+
+def reference_span(alg, vectors):
+    """(rows, pivots) of the span, through rref: the Rat rows a Subspace
+    reports and its pivots."""
+    work = [list(v) for v in vectors]
+    pivots = rref(work, alg.dim)
+    return tuple(tuple(r) for r in work[: len(pivots)]), tuple(pivots)
+
+
+def reference_centralizer(x):
+    _, kernel = rank_kernel(ad_matrix(x), x.algebra.dim)
+    return reference_span(x.algebra, kernel)
+
+
+def reference_center(s):
+    k = s.dim
+    rows = {}
+    for a, line in enumerate(s.bracket_table()):
+        for b, terms in enumerate(line, start=a + 1):
+            for t, c in terms:
+                rows.setdefault((b, t), [Rat(0)] * k)[a] = c
+                rows.setdefault((a, t), [Rat(0)] * k)[b] = -c
+    _, kernel = rank_kernel(list(rows.values()), k)
+    return reference_span(s.algebra, [_combination(s.algebra, s.basis, x).num for x in kernel])
+
+
+def reference_normalizer(s):
+    alg = s.algebra
+    s.bracket_table()
+    pivots = set(s.pivots)
+    candidates = [alg.basis_element(q) for q in range(alg.dim) if q not in pivots]
+    for u in s.basis:
+        if not candidates:
+            break
+        b, _, b_cols, _ = u._int_form()
+        den = math.lcm(*(y.den for y in candidates))
+        images = []
+        for y in candidates:
+            a, dy, a_cols, _ = y._int_form()
+            c = nilab.algebras._commutator_rows(a, a_cols, b, b_cols)
+            images.append((s._split(c)[1] if any(map(any, c)) else {}, den // dy))
+        entries = sorted(set().union(*(r for r, _ in images)))
+        rows = [[r.get(p, 0) * f for r, f in images] for p in entries]
+        _, kernel = rank_kernel(rows, len(candidates))
+        if len(kernel) < len(candidates):
+            candidates = [_combination(alg, candidates, x) for x in kernel]
+    return reference_span(alg, list(s.rows) + [y.num for y in candidates])
+
+
+def assert_matches_reference(s, want, label):
+    """s has the reference's Rat rows and pivots, and keeps them as
+    primitive integer rows, positive at their pivots."""
+    assert (s.rows, s.pivots) == want, label
+    for num, row, c in zip(s.num_rows, s.rows, s.pivots):
+        assert num[c] > 0 and math.gcd(*num) == 1, label
+        assert tuple(Rat(v, num[c]) for v in num) == row, label
+    for x, num, c in zip(s.basis, s.num_rows, s.pivots):
+        assert x.num == num and x.den == num[c], label
+
+
+def _check_subspace_calculus(x, label):
+    z = centralizer(x)
+    assert_matches_reference(z, reference_centralizer(x), f"z {label}")
+    assert_matches_reference(center_of(z), reference_center(z), f"delta {label}")
+    assert_matches_reference(normalizer_of(z), reference_normalizer(z), f"eta {label}")
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 3), ("C", 3), ("D", 4)]
+)
+def test_integer_subspaces_match_the_rational_reference_on_every_orbit(family, rank):
+    alg = build_algebra(family, rank)
+    for p in valid_partitions(alg):
+        if any(part > 1 for part in p.parts):
+            _check_subspace_calculus(nilpotent_from_partition(alg, p), p)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 2)])
+def test_integer_subspaces_match_the_rational_reference_on_dense_samples(family, rank):
+    alg = build_algebra(family, rank)
+    for k, sample in enumerate(make_samples(alg, 3, 0)):
+        for name in ("x", "y", "n"):
+            _check_subspace_calculus(getattr(sample, name), f"{name}[{k}]")
+
+
+def test_center_rows_are_primitive_where_the_kernel_combination_is_not():
+    # s = span(3 h0 - 2 E12, E02, 3 h1 + 4 E12) in sl(3): its center is spanned
+    # by row 0 - row 2 = 3 (h0 - h1 - 2 E12), whose content 3 must be divided out
+    alg = build_algebra("A", 2)
+    s = Subspace.from_elements(
+        alg,
+        [
+            alg.from_matrix([[3, 0, 0], [0, -3, -2], [0, 0, 0]]),
+            alg.from_matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+            alg.from_matrix([[0, 0, 0], [0, 3, 4], [0, 0, -3]]),
+        ],
+    )
+    center = center_of(s)
+    assert_matches_reference(center, reference_center(s), "delta")
+    assert center.basis == [alg.from_matrix([[1, 0, 0], [0, -2, -2], [0, 0, 1]])]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("D", 5)])

@@ -1,11 +1,15 @@
 """The index pipeline: pair data, the bracket matrix, and its invariants."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilab import (
     HypothesisViolation,
+    IdentityError,
     Partition,
     Poly,
     Rat,
@@ -257,6 +261,42 @@ def test_convolution_entries_take_one_packed_expansion_per_direction(monkeypatch
                 assert pd.derivative(i, j) == gradient_derivative(alg, ji, e, zj)
 
 
+def test_bracket_matrix_and_convolution_audit_share_one_bracket_per_pair(monkeypatch):
+    # [y_i, z_j] is computed once per ordered pair, for bracket_matrix and the
+    # convolution audit together, and equals a fresh bracket
+    import nilab.index as index_module
+
+    real = index_module.bracket
+    for family, rank, parts in [("A", 3, (4,)), ("C", 3, (6,)), ("D", 4, (5, 3))]:
+        _, pd = pair_data_for(family, rank, parts)
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(index_module, "bracket", counting)
+        a = bracket_matrix(pd)
+        list(index_module.convolution_entries(pd))
+        monkeypatch.undo()
+        pairs = {(pd.y_vec.index(x), pd.z_vec.index(y)) for x, y in calls}
+        assert len(calls) == len(pairs) == pd.s**2 and pd.s >= 2
+        for i in range(pd.s):
+            for j in range(pd.s):
+                assert a.vectors[i][j] == real(pd.y_vec[i], pd.z_vec[j])
+
+
+def test_convolution_audit_compares_the_two_brackets_of_a_pair():
+    # the symmetry check reads [y_j, z_i] as its own bracket, not [y_i, z_j]
+    _, pd = pair_data_for("A", 3, (4,))
+    wrong = pd.bracket(1, 2).scale(2)
+    pd._brackets[2, 1] = wrong
+    with pytest.raises(IdentityError, match="symmetry"):
+        convolution_at(pd, 1, 2)
+    with pytest.raises(IdentityError, match="symmetric"):
+        bracket_matrix(pd)
+
+
 def test_hypothesis_refusal_paths():
     alg = build_algebra("D", 4)
     e = nilpotent_from_partition(alg, Partition((3, 3, 1, 1)))
@@ -412,37 +452,39 @@ def test_so8_nonzero_index_is_consistent():
 
 def test_rref_calls_do_not_depend_on_process_history(monkeypatch):
     # no lazily filled cache may run an elimination on first use only, or
-    # per-call work would depend on what ran earlier in the process
+    # per-call work would depend on what ran earlier in the process; rref,
+    # rank_kernel, echelon_rows, echelon_kernel, solve and inverse each run
+    # one _gauss_jordan, so counting it counts every elimination
     import sys
 
     import nilab.linalg as linalg_module
     from nilab.invariants import directional_scalar_derivative
 
     calls = []
-    real_rref = linalg_module.rref
+    real_elimination = linalg_module._gauss_jordan
 
-    def counting_rref(rows, ncols):
+    def counting_elimination(a, ncols):
         calls.append(ncols)
-        return real_rref(rows, ncols)
+        return real_elimination(a, ncols)
 
     for name, module in sorted(sys.modules.items()):
         if name == "nilab" or name.startswith("nilab."):
             for key, value in list(vars(module).items()):
-                if value is real_rref:
-                    monkeypatch.setattr(module, key, counting_rref)
+                if value is real_elimination:
+                    monkeypatch.setattr(module, key, counting_elimination)
     linalg_module._vandermonde_inverse.cache_clear()
 
-    def rref_calls(fn):
+    def eliminations(fn):
         before = len(calls)
         fn()
         return len(calls) - before
 
     so8 = build_algebra("D", 4)
-    orbit = [rref_calls(lambda: analyze_orbit(so8, Partition((7, 1)))) for _ in range(2)]
+    orbit = [eliminations(lambda: analyze_orbit(so8, Partition((7, 1)))) for _ in range(2)]
     assert orbit[0] == orbit[1] > 0
     sl5 = build_algebra("A", 4)  # generator 4 has degree 5: six nodes
     x, y = sl5.random_element(random.Random(1)), sl5.random_element(random.Random(2))
-    scalar = [rref_calls(lambda: directional_scalar_derivative(sl5, 4, x, y)) for _ in range(2)]
+    scalar = [eliminations(lambda: directional_scalar_derivative(sl5, 4, x, y)) for _ in range(2)]
     assert scalar[0] == scalar[1]
 
 
@@ -504,3 +546,54 @@ def test_pfaffian_gradient_is_the_extra_center_element(rank):
         assert not Subspace.from_elements(alg, powers).contains(q), p
         assert Subspace.from_elements(alg, powers + [q]).same_space(pd.delta), p
         assert pd.hypothesis_ok, p
+
+
+# Measured rules (checked on every nonzero orbit up to A n=12, B n=15, C n=14
+# and D n=16), drawn here at random within those sizes.  With l1 >= l2 >= l3
+# the largest parts (0 past the last):
+# - hypothesis_ok is False exactly on the B/D partitions with l1, l2 odd and
+#   l2 > l3, except the two-part D ones;
+# - where it holds, ind(eta, delta) = 1 exactly on the two-part D partitions
+#   of rank >= 4 with both parts odd and l2 >= 3, and 0 everywhere else
+#   ((3,3) in so(6) = sl(4) has ind 0).
+
+_RULE_RANKS = {"A": range(1, 12), "B": range(2, 8), "C": range(2, 8), "D": range(3, 9)}
+
+
+@lru_cache(maxsize=None)
+def _rule_algebra(family, rank):
+    alg = build_algebra(family, rank)
+    live = [p for p in valid_partitions(alg) if any(part > 1 for part in p.parts)]
+    return alg, live, [p for p in live if len(p.parts) == 2]
+
+
+@st.composite
+def measured_orbits(draw):
+    family = draw(st.sampled_from("ABCD"))
+    rank = draw(st.sampled_from(_RULE_RANKS[family]))
+    _, live, two_part = _rule_algebra(family, rank)
+    # two-part partitions are rare among the valid ones but carry ind = 1
+    pool = draw(st.sampled_from([live, two_part])) if two_part else live
+    return family, rank, draw(st.sampled_from(pool)).parts
+
+
+@settings(max_examples=40, deadline=None)
+@given(measured_orbits())
+@example(("D", 3, (3, 3)))  # so(6) = sl(4): ind 0
+@example(("D", 4, (5, 3)))  # ind 1
+@example(("D", 4, (7, 1)))  # principal: ind 0
+@example(("B", 3, (3, 3, 1)))  # hypothesis violated
+def test_measured_rules_for_the_hypothesis_and_the_index(orbit):
+    family, rank, parts = orbit
+    alg = _rule_algebra(family, rank)[0]
+    p = Partition(parts)
+    l1, l2, l3 = (list(p.parts) + [0, 0])[:3]
+    odd_top = l1 % 2 == 1 and l2 % 2 == 1
+    two_part_d = alg.family == "D" and l3 == 0
+    expected_ok = not (alg.family in "BD" and odd_top and l2 > l3) or two_part_d
+    e = nilpotent_from_partition(alg, p)
+    pd = build_pair_data(alg, sl2_complete(alg, e))
+    assert pd.hypothesis_ok == expected_ok, (alg.name, p)
+    if pd.hypothesis_ok:
+        expected_ind = int(two_part_d and alg.rank_r >= 4 and odd_top and l2 >= 3)
+        assert index_pair(pd, bracket_matrix(pd)).ind == expected_ind, (alg.name, p)

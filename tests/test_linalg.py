@@ -19,7 +19,16 @@ from nilab import (
     rank_kernel,
     solve,
 )
-from nilab.linalg import _gauss_jordan, _int_rows, _vandermonde_inverse, mat_mul, mat_vec, rref
+from nilab.linalg import (
+    _gauss_jordan,
+    _int_rows,
+    _vandermonde_inverse,
+    echelon_kernel,
+    echelon_rows,
+    mat_mul,
+    mat_vec,
+    rref,
+)
 
 
 def identity(n):
@@ -275,6 +284,89 @@ def test_rows_with_zero_in_the_pivot_column_stay_untouched():
     assert _gauss_jordan(a, 4) == [0, 1, 2]
     assert a == [[7, 0, 0, 11], [0, -1, 0, 5], [0, 0, 7, -1]]
     assert a[1] is rows[1]
+
+
+def assert_echelon_form(pivots, basis, want_rows, want_pivots):
+    """basis is want_rows (rational reduced echelon rows) as primitive
+    integer rows, each positive at its pivot."""
+    assert pivots == want_pivots and len(basis) == len(want_rows)
+    for row, c, want in zip(basis, pivots, want_rows):
+        assert all(type(v) is int for v in row)
+        assert row[c] > 0 and math.gcd(*row) == 1
+        assert [Rat(v, row[c]) for v in row] == want
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(rows, ncols) of every shape: no rows, more rows than columns, zero
+    and full-rank matrices, with fractional and string entries."""
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    entry = st.one_of(
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=-4, max_value=4),
+        st.builds(Rat, st.integers(-5, 5), st.integers(1, 4)),
+        st.sampled_from(["3/4", "-2", "0"]),
+    )
+    kind = draw(st.sampled_from(["random", "zero", "full", "sparse"]))
+    if kind == "zero":
+        return [[0] * ncols for _ in range(draw(st.integers(0, 4)))], ncols
+    if kind == "full":
+        # upper triangular with a nonzero diagonal, rows shuffled
+        rows = [
+            [draw(st.integers(1, 5)) if j == i else draw(st.integers(-3, 3)) if j > i else 0
+             for j in range(ncols)]
+            for i in range(ncols)
+        ]
+        return draw(st.permutations(rows)), ncols
+    nrows = draw(st.integers(min_value=0, max_value=8))
+    if kind == "sparse":
+        entry = st.one_of(st.just(0), st.just(0), entry)
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)], ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_right_to_left_kernel_is_the_echelon_form_of_the_kernel(case):
+    # the kernel from one right-to-left elimination is already in reduced
+    # echelon form: rref of rank_kernel's vectors, as echelon_rows gives it
+    rows, ncols = case
+    before = [list(r) for r in rows]
+    rank, kernel = rank_kernel(rows, ncols)
+    reduced = [list(v) for v in kernel]
+    want_pivots = rref(reduced, ncols)
+    got_pivots, basis = echelon_kernel(rows, ncols)
+    assert len(basis) == ncols - rank
+    assert_echelon_form(got_pivots, basis, reduced[: len(want_pivots)], want_pivots)
+    assert echelon_rows(kernel, ncols) == (got_pivots, basis)
+    assert rows == before
+    as_rat = [[Rat(v) for v in row] for row in rows]
+    for vec in basis:
+        assert not any(mat_vec(as_rat, vec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_inputs())
+def test_echelon_rows_are_the_positive_primitive_rref_rows(case):
+    rows, ncols = case
+    work = [list(r) for r in rows]
+    pivots = rref(work, ncols)
+    got = echelon_rows(rows, ncols)
+    assert_echelon_form(*got, work[: len(pivots)], pivots)
+
+
+def test_echelon_kernel_edge_shapes():
+    assert echelon_kernel([], 3) == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert echelon_kernel([[0, 0, 0], [0, 0, 0]], 3) == echelon_kernel([], 3)
+    assert echelon_kernel([[2, 1], [1, 1]], 2) == ([], [])
+    assert echelon_kernel([], 0) == ([], [])
+    # free column 0 is left of pivot column 1: the kernel vector starts at 0
+    assert echelon_kernel([[2, -3]], 2) == ([0], [[3, 2]])
+    assert rank_kernel([[2, -3]], 2)[1] == [[Rat(3, 2), Rat(1)]]
+    for fn in (echelon_kernel, echelon_rows, rank_kernel):
+        with pytest.raises(ShapeError):
+            fn([[1, 2, 3]], 2)  # rows wider than ncols
+        with pytest.raises(ShapeError):
+            fn([[1, 2], [1, 2, 3]], 2)
 
 
 def test_rat_always_reduced_positive_denominator():
