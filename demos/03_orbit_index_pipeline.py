@@ -15,16 +15,13 @@ from nilab import (
     det_shape_check,
     index_pair,
     normalizer_decomposition_check,
-    nilpotent_from_partition,
-    sl2_complete,
     structure_checks,
+    triple_from_partition,
 )
 from nilab.index import symbolic_bracket_matrix
 
 alg = build_algebra("A", 2)
-e = nilpotent_from_partition(alg, Partition((3,)))
-triple = sl2_complete(alg, e)
-pd = build_pair_data(alg, triple)
+pd = build_pair_data(alg, triple_from_partition(alg, Partition((3,))))
 
 print(f"orbit: partition (3) in {alg.name}")
 print(f"dims: g {alg.dim}, z {pd.zcent.dim}, delta {pd.delta.dim}, eta {pd.eta.dim}")

@@ -75,4 +75,5 @@ from .triples import (
     principal_partition,
     principal_triplet,
     sl2_complete,
+    triple_from_partition,
 )

@@ -57,9 +57,8 @@ from .reports import CheckReport, coords_strs
 from .triples import (
     Partition,
     _validate_partition,
-    nilpotent_from_partition,
     principal_triplet,
-    sl2_complete,
+    triple_from_partition,
 )
 
 EXIT_OK = 0
@@ -282,12 +281,10 @@ def _cmd_convolution(args) -> int:
     alg = build_algebra(args.family, _family_rank_for_size(args.family, args.n))
     partition = Partition.parse(args.partition)
     _validate_partition(alg, partition)
-    e = nilpotent_from_partition(alg, partition)
-    if e.is_zero():
+    if all(part == 1 for part in partition.parts):
         print("zero orbit has no pipeline", file=sys.stderr)
         return EXIT_USAGE
-    triple = sl2_complete(alg, e)
-    pd = build_pair_data(alg, triple)
+    pd = build_pair_data(alg, triple_from_partition(alg, partition))
     if not pd.hypothesis_ok:
         payload = {
             "meta": _meta(args, alg, partition),

@@ -56,8 +56,7 @@ from .triples import (
     Partition,
     Triplet,
     _validate_partition,
-    nilpotent_from_partition,
-    sl2_complete,
+    triple_from_partition,
 )
 
 
@@ -547,9 +546,7 @@ def analyze_orbit(alg: AlgebraRealization, partition: Partition, *, seed: int = 
         report.note = "e = 0"
         return report
     try:
-        e = nilpotent_from_partition(alg, partition)
-        triple = sl2_complete(alg, e)
-        pd = build_pair_data(alg, triple)
+        pd = build_pair_data(alg, triple_from_partition(alg, partition))
         report.dims = {
             "g": alg.dim,
             "z": pd.zcent.dim,

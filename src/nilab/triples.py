@@ -1,36 +1,42 @@
-"""Nilpotent elements from partitions, completed to sl(2)-triples.
+"""Nilpotent orbits from partitions, with their sl(2)-triples.
 
-For sl(n) a partition gives the usual block Jordan nilpotent.  For the
-orthogonal and symplectic families the element is assembled from blocks
-carrying their natural invariant bilinear forms (one Jordan block with an
-alternating-sign antidiagonal form for an unconstrained part, a hyperbolic
-pair of blocks for the parts whose multiplicity the family constrains) and
-then conjugated into the fixed split realization by an explicit rational
-congruence of forms.  Correctness is intrinsic, not shape-based: the result
-is checked to lie in the algebra, be nilpotent, and have the right Jordan
-type, and a triple through it always exists.
+A partition gives a block triple (h0, e0, f0) in closed form
+(Collingwood-McGovern, ch. 5).  One Jordan block N_d carries
+h0 = diag(d-1, d-3, ..., 1-d) and f0[t+1][t] = (t+1)(d-1-t); a pair of
+blocks diag(N_d, -N_d^T), used for the parts whose multiplicity the
+orthogonal or symplectic family constrains, carries
+(diag(H, -H), diag(N, -N^T), diag(F, -F^T)).  For sl(n) each part is one
+block and the block triple is the triple.  For so/sp the blocks carry
+invariant bilinear forms (an alternating-sign antidiagonal form on one
+block, a hyperbolic form on a pair) that assemble to a form G, and one
+rational congruence T with T^t S T = G, S the realization's form, carries
+all three into the split realization: T is built by matching
+hyperbolic-plane decompositions of G and S.  Correctness is intrinsic, not
+shape-based: each matrix is read back through the checked coordinate
+read-off, so it lies in the algebra; e is checked to have the right Jordan
+type; and Triplet checks the three bracket relations.
 
-Completion prefers the closed-form block triple for Jordan-shaped sl(n)
-input and otherwise runs a constructive Jacobson-Morozov: both steps are
-plain rational linear systems, with the echelon-first solution taken so
-results are deterministic.
+sl2_complete completes an arbitrary nonzero nilpotent e: Jordan-shaped
+sl(n) input gets the same block triple, any other input a constructive
+Jacobson-Morozov step, two plain rational linear systems with the
+echelon-first solution taken so that results are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._scalar import ONE, Rat, ZERO
+from ._scalar import ZERO
 from .algebras import (
     AlgebraRealization,
     Element,
-    _zero_rows,
+    _zero_int_rows,
     ad_matrix,
     bracket,
     centralizer,
 )
 from .errors import ContractError, InternalError, PartitionError
-from .linalg import inverse, mat_mul, rank_kernel, solve
+from .linalg import echelon_rows, mat_mul, solve
 
 
 @dataclass(frozen=True)
@@ -109,73 +115,70 @@ def _validate_partition(alg: AlgebraRealization, p: Partition):
                 )
 
 
-def _jordan_rows(n, parts):
-    rows = _zero_rows(n)
+def _pieces(alg: AlgebraRealization, p: Partition):
+    """The blocks of the construction, ("single", d) or ("pair", d), in
+    order along the diagonal.  Each part of an sl(n) partition is a single
+    block; for so/sp the sizes descend and each size comes in pairs, with
+    a single block left for an odd multiplicity (validated: only sizes the
+    family does not constrain have one)."""
+    if alg.family == "A":
+        return [("single", d) for d in p.parts]
+    pieces = []
+    for d in sorted(set(p.parts), reverse=True):
+        mult = p.multiplicity(d)
+        pieces.extend(("pair", d) for _ in range(mult // 2))
+        if mult % 2:
+            pieces.append(("single", d))
+    return pieces
+
+
+def _block_triple(n, pieces):
+    """Integer rows (h0, e0, f0) of the block triple of the pieces: per
+    block (H, N, F), and (-H, -N^T, -F^T) for the second block of a pair."""
+    h, e, f = _zero_int_rows(n), _zero_int_rows(n), _zero_int_rows(n)
     off = 0
-    for d in parts:
-        for t in range(d - 1):
-            rows[off + t][off + t + 1] = ONE
-        off += d
-    return rows
+    for kind, d in pieces:
+        blocks = [(off, 1)] if kind == "single" else [(off, 1), (off + d, -1)]
+        for start, sign in blocks:
+            for t in range(d):
+                h[start + t][start + t] = sign * (d - 1 - 2 * t)
+            for t in range(d - 1):
+                i, j = start + t, start + t + 1
+                if sign < 0:
+                    i, j = j, i
+                e[i][j] = sign
+                f[j][i] = sign * (t + 1) * (d - 1 - t)
+        off += len(blocks) * d
+    return h, e, f
 
 
-def _form_value(g_rows, u, v):
-    acc = ZERO
-    for i, ui in enumerate(u):
-        if ui:
-            gi = g_rows[i]
-            for j, vj in enumerate(v):
-                if vj and gi[j]:
-                    acc += ui * gi[j] * vj
-    return acc
+def _hyperbolic_basis(alg: AlgebraRealization, pieces):
+    """(G, U): the invariant form G of the so/sp block triple of the pieces,
+    and U = 2 T^{-1} for the congruence T with T^t S T = G, as integer rows.
 
-
-def _unit(n, k):
-    vec = [ZERO] * n
-    vec[k] = ONE
-    return vec
-
-
-def _so_sp_nilpotent_rows(alg: AlgebraRealization, p: Partition):
-    """Nilpotent of the given Jordan type inside the split so/sp realization.
-
-    Builds the block element e0 and its invariant form G on a scratch basis,
-    then finds T with T^t S T = G (S the realization's form) by matching the
-    hyperbolic-plane decompositions of both forms; T e0 T^{-1} is the result.
+    The columns of U are a decomposition of G into hyperbolic pairs (u, w),
+    G(u, w) = 1, plus one anisotropic line when N is odd, each doubled to
+    stay integral.  Pair i goes to columns i and N-1-i and the line to the
+    middle column, the positions of the split decomposition of S.
     """
     n = alg.matrix_size_N
     symmetric = alg.family in ("B", "D")
-
-    # Pieces: descending size; family-constrained sizes occur in pairs.
-    sizes = sorted(set(p.parts), reverse=True)
-    pieces = []  # ("single", d) or ("pair", d)
-    for d in sizes:
-        mult = p.multiplicity(d)
-        pieces.extend(("pair", d) for _ in range(mult // 2))
-        if mult % 2:  # validated: only unconstrained sizes have odd multiplicity
-            pieces.append(("single", d))
-
     singles = sum(1 for kind, _ in pieces if kind == "single")
     want_plus = (singles + 1) // 2  # leftover middle must pair to +1 when N is odd
 
-    e0 = _zero_rows(n)
-    g = _zero_rows(n)
-    hyper = []  # (u, w) with G(u,w) = +1 (and G(w,u) = +1 resp. -1)
+    g = _zero_int_rows(n)
+    hyper = []  # (u, w) as {row: entry} with G(u, w) = 4
     plus_mids = []
     minus_mids = []
-
     off = 0
     seen_singles = 0
     for kind, d in pieces:
         if kind == "pair":
             # diag(N_d, -N_d^T) preserves [[0, I], [c I, 0]], c = +1/-1
-            for t in range(d - 1):
-                e0[off + t][off + t + 1] = ONE
-                e0[off + d + t + 1][off + d + t] = -ONE
             for t in range(d):
-                g[off + t][off + d + t] = ONE
-                g[off + d + t][off + t] = ONE if symmetric else -ONE
-                hyper.append((_unit(n, off + t), _unit(n, off + d + t)))
+                g[off + t][off + d + t] = 1
+                g[off + d + t][off + t] = 1 if symmetric else -1
+                hyper.append(({off + t: 2}, {off + d + t: 2}))
             off += 2 * d
         else:
             # one Jordan block; invariant form is antidiagonal with
@@ -188,52 +191,44 @@ def _so_sp_nilpotent_rows(alg: AlgebraRealization, p: Partition):
                 seen_singles += 1
             else:
                 sign = 1
-            for t in range(d - 1):
-                e0[off + t][off + t + 1] = ONE
             for t in range(d):
-                g[off + t][off + d - 1 - t] = Rat(sign * (-1) ** t)
-            half = d // 2
-            for t in range(half):
-                b = Rat(sign * (-1) ** t)
-                hyper.append((_unit(n, off + t), [v / b for v in _unit(n, off + d - 1 - t)]))
+                g[off + t][off + d - 1 - t] = sign * (-1) ** t
+            for t in range(d // 2):
+                hyper.append(({off + t: 2}, {off + d - 1 - t: 2 * sign * (-1) ** t}))
             if d % 2:
-                mid = _unit(n, off + (d - 1) // 2)
+                mid = off + (d - 1) // 2
                 (plus_mids if sign * (-1) ** ((d - 1) // 2) > 0 else minus_mids).append(mid)
             off += d
 
     # A (+1, -1) pair of middles spans a hyperbolic plane over the rationals.
-    if len(minus_mids) > len(plus_mids):
-        raise InternalError("middle sign balancing failed")
     for pv, mv in zip(plus_mids, minus_mids):
-        u = [a + b for a, b in zip(pv, mv)]
-        w = [(a - b) / 2 for a, b in zip(pv, mv)]
-        hyper.append((u, w))
+        hyper.append(({pv: 2, mv: 2}, {pv: 1, mv: -1}))
     leftover = plus_mids[len(minus_mids) :]
-    if len(leftover) != n % 2:
+    if len(hyper) != n // 2 or len(leftover) != n % 2:
         raise InternalError("hyperbolic decomposition does not match the form")
 
-    # Columns of P: the G-decomposition; columns of Q: the matching split
-    # decomposition of the realization's form.  Both satisfy X^t form X = K.
-    p_cols = []
-    q_cols = []
-    for idx, (u, w) in enumerate(hyper):
-        p_cols.extend([u, w])
-        q_cols.extend([_unit(n, idx), _unit(n, n - 1 - idx)])
+    u = _zero_int_rows(n)
+    for i, pair in enumerate(hyper):
+        for col, vec in zip((i, n - 1 - i), pair):
+            for row, v in vec.items():
+                u[row][col] = v
     if leftover:
-        p_cols.append(leftover[0])
-        q_cols.append(_unit(n, (n - 1) // 2))
+        u[leftover[0]][n // 2] = 2
+    return g, u
 
-    for a, ua in enumerate(p_cols):
-        for b, ub in enumerate(p_cols):
-            gval = _form_value(g, ua, ub)
-            sval = _form_value(alg.form, q_cols[a], q_cols[b])
-            if gval != sval:
-                raise InternalError("form decompositions disagree")
 
-    p_rows = [list(row) for row in zip(*p_cols)]
-    q_rows = [list(row) for row in zip(*q_cols)]
-    t_rows = mat_mul(q_rows, inverse(p_rows))
-    return mat_mul(mat_mul(t_rows, e0), inverse(t_rows))
+def _congruence(alg: AlgebraRealization, g, u):
+    """2T from (G, U) of _hyperbolic_basis, after checking U^t G U = 4S.
+
+    That identity says T^t S T = G for T = (U/2)^{-1}, and S is a signed
+    permutation (S^t S = 1), so T = S^t (U/2)^t G: no inversion.  A
+    mismatch raises InternalError.
+    """
+    ug = mat_mul([list(col) for col in zip(*u)], g)
+    s = [[int(v) for v in row] for row in alg.form]
+    if mat_mul(ug, u) != [[4 * v for v in row] for row in s]:
+        raise InternalError("form decompositions disagree")
+    return mat_mul([list(col) for col in zip(*s)], ug)
 
 
 def _check_jordan_type(e: Element, p: Partition):
@@ -241,82 +236,69 @@ def _check_jordan_type(e: Element, p: Partition):
     rows, _ = e.int_rows()  # ranks of powers do not see the denominator
     power = rows
     for k in range(1, p.parts[0] + 1):
-        rank, _ = rank_kernel(power, n)
-        expected_nullity = sum(min(part, k) for part in p.parts)
-        if n - rank != expected_nullity:
+        pivots, _ = echelon_rows(power, n)
+        if n - len(pivots) != sum(min(part, k) for part in p.parts):
             raise InternalError(f"constructed nilpotent has wrong Jordan type at power {k}")
         power = mat_mul(power, rows)
 
 
-def nilpotent_from_partition(alg: AlgebraRealization, p: Partition) -> Element:
-    """A nilpotent element of the given Jordan type in the realization."""
+def _partition_triple(alg: AlgebraRealization, p: Partition):
+    """(h, e, f) of the block triple of p, carried into the realization
+    (X -> T X T^{-1} for so/sp), with e checked for its Jordan type."""
     _validate_partition(alg, p)
-    if alg.family == "A":
-        return alg.from_matrix(_jordan_rows(alg.matrix_size_N, p.parts))
-    rows = _so_sp_nilpotent_rows(alg, p)
-    e = alg.from_matrix(rows)
+    pieces = _pieces(alg, p)
+    rows = _block_triple(alg.matrix_size_N, pieces)
+    den = 1
+    if alg.family != "A":
+        g, u = _hyperbolic_basis(alg, pieces)
+        t = _congruence(alg, g, u)
+        rows = [mat_mul(mat_mul(t, x), u) for x in rows]
+        den = 4  # (2T) X (2T^{-1})
+    h, e, f = (alg.coords_of_rows(x, den) for x in rows)
     _check_jordan_type(e, p)
-    return e
+    return h, e, f
+
+
+def nilpotent_from_partition(alg: AlgebraRealization, p: Partition) -> Element:
+    """A nilpotent element of the given Jordan type in the realization: the
+    e of triple_from_partition (zero for the partition 1, ..., 1)."""
+    return _partition_triple(alg, p)[1]
+
+
+def triple_from_partition(alg: AlgebraRealization, p: Partition) -> Triplet:
+    """The sl(2)-triple (h, e, f) through nilpotent_from_partition(alg, p),
+    built in closed form, with a diagonal integer h.  PartitionError for a
+    partition that is not a Jordan type of the realization, ContractError
+    for the zero orbit."""
+    h, e, f = _partition_triple(alg, p)
+    if e.is_zero():
+        raise ContractError("cannot complete the zero element")
+    return Triplet(h, e, f)
 
 
 def _jordan_blocks_of(e: Element):
     """Block sizes when e is exactly a 0/1 superdiagonal Jordan pattern,
     else None."""
-    n = e.algebra.matrix_size_N
-    rows = e.matrix_rows()
-    for i in range(n):
-        for j in range(n):
-            v = rows[i][j]
-            if j == i + 1:
-                if v != 0 and v != 1:
-                    return None
-            elif v != 0:
-                return None
-    blocks = []
-    size = 1
-    for i in range(n - 1):
-        if rows[i][i + 1] == 1:
-            size += 1
+    rows, den = e.int_rows()
+    superdiagonal = [rows[i][i + 1] for i in range(len(rows) - 1)]
+    nonzero = sum(1 for row in rows for v in row if v)
+    if any(v not in (0, den) for v in superdiagonal) or nonzero != sum(map(bool, superdiagonal)):
+        return None
+    blocks = [1]
+    for v in superdiagonal:
+        if v:
+            blocks[-1] += 1
         else:
-            blocks.append(size)
-            size = 1
-    blocks.append(size)
+            blocks.append(1)
     return blocks
 
 
-def _closed_form_triple(alg: AlgebraRealization, e: Element, blocks) -> Triplet:
-    n = alg.matrix_size_N
-    h_rows = _zero_rows(n)
-    f_rows = _zero_rows(n)
-    off = 0
-    for d in blocks:
-        for t in range(d):
-            h_rows[off + t][off + t] = Rat(d - 1 - 2 * t)
-        for t in range(d - 1):
-            f_rows[off + t + 1][off + t] = Rat((t + 1) * (d - 1 - t))
-        off += d
-    return Triplet(alg.from_matrix(h_rows), e, alg.from_matrix(f_rows))
-
-
-def sl2_complete(alg: AlgebraRealization, e: Element) -> Triplet:
-    """Complete a nonzero nilpotent e to an sl(2)-triple (h, e, f).
-
-    Jordan-shaped sl(n) input gets the closed-form block triple (small
-    integers, deterministic).  Otherwise h is found inside the image of
-    ad(e) by solving [e, [e, w]] = -2e and f by the stacked linear system
-    [e, f] = h, [h, f] = -2f; both systems are consistent for any nonzero
-    nilpotent in characteristic zero, so a failure raises InternalError.
-    """
-    if e.algebra is not alg:
-        raise ContractError("element does not belong to the given algebra")
-    if e.is_zero():
-        raise ContractError("cannot complete the zero element")
-    if not e.is_nilpotent():
-        raise ContractError("element is not nilpotent")
-    if alg.family == "A":
-        blocks = _jordan_blocks_of(e)
-        if blocks is not None:
-            return _closed_form_triple(alg, e, blocks)
+def _jacobson_morozov(alg: AlgebraRealization, e: Element) -> Triplet:
+    """The triple through a nonzero nilpotent e from two linear systems: h
+    inside the image of ad(e), solving [e, [e, w]] = -2e, then f from the
+    stacked system [e, f] = h, [h, f] = -2f.  Both are consistent for any
+    nonzero nilpotent in characteristic zero, so a failure raises
+    InternalError."""
     dim = alg.dim
     ade = ad_matrix(e)
     w = solve(mat_mul(ade, ade), dim, [-2 * c for c in e.coords])
@@ -333,6 +315,28 @@ def sl2_complete(alg: AlgebraRealization, e: Element) -> Triplet:
     return Triplet(h, e, Element(alg, f))
 
 
+def sl2_complete(alg: AlgebraRealization, e: Element) -> Triplet:
+    """Complete a nonzero nilpotent e to an sl(2)-triple (h, e, f).
+
+    Jordan-shaped sl(n) input gets the closed-form block triple (small
+    integers, deterministic); any other input the Jacobson-Morozov step
+    (echelon-first solutions, deterministic).  triple_from_partition builds
+    the triple of a partition's orbit directly.
+    """
+    if e.algebra is not alg:
+        raise ContractError("element does not belong to the given algebra")
+    if e.is_zero():
+        raise ContractError("cannot complete the zero element")
+    if not e.is_nilpotent():
+        raise ContractError("element is not nilpotent")
+    if alg.family == "A":
+        blocks = _jordan_blocks_of(e)
+        if blocks is not None:
+            h, _, f = _block_triple(alg.matrix_size_N, [("single", d) for d in blocks])
+            return Triplet(alg.coords_of_rows(h), e, alg.coords_of_rows(f))
+    return _jacobson_morozov(alg, e)
+
+
 def principal_partition(alg: AlgebraRealization) -> Partition:
     n = alg.matrix_size_N
     if alg.family in ("A", "B", "C"):
@@ -342,8 +346,7 @@ def principal_partition(alg: AlgebraRealization) -> Partition:
 
 def principal_triplet(alg: AlgebraRealization) -> Triplet:
     """Triple through a regular nilpotent (centralizer dimension = rank)."""
-    e = nilpotent_from_partition(alg, principal_partition(alg))
-    triple = sl2_complete(alg, e)
-    if centralizer(e).dim != alg.rank_r:
+    triple = triple_from_partition(alg, principal_partition(alg))
+    if centralizer(triple.e).dim != alg.rank_r:
         raise InternalError("principal nilpotent is not regular in this realization")
     return triple

@@ -118,6 +118,17 @@ def test_zero_orbit_index_is_skip():
     assert payload["results"]["note"] == "e = 0"
 
 
+def test_zero_orbit_convolution_is_a_usage_error(monkeypatch, capsys):
+    # refused before any triple is built
+    def no_triple(alg, partition):
+        raise AssertionError("triple built for the zero orbit")
+
+    monkeypatch.setattr(cli, "triple_from_partition", no_triple)
+    argv = ["convolution", "--family", "D", "--n", "8", "--partition", "1,1,1,1,1,1,1,1"]
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "zero orbit has no pipeline\n")
+
+
 def test_table_rejects_non_integer_threads(monkeypatch, capsys):
     monkeypatch.setenv("NILAB_THREADS", "abc")
     assert run(["table", "--family", "A", "--n", "3"]) == EXIT_USAGE

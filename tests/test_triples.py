@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from nilab import (
     ContractError,
+    InternalError,
     Partition,
     PartitionError,
     bracket,
@@ -16,10 +17,12 @@ from nilab import (
     principal_triplet,
     rank_kernel,
     sl2_complete,
+    triple_from_partition,
     unipotent_conjugate,
     valid_partitions,
 )
 from nilab.linalg import mat_mul
+from nilab.triples import _congruence, _hyperbolic_basis, _jacobson_morozov, _pieces
 
 
 def E(n, i, j):
@@ -188,25 +191,21 @@ def test_h_has_integer_spectrum():
             assert int(lam) % 2 == 0
 
 
-def _nonzero_orbit_triples():
-    """The triple of every nonzero orbit with matrix size N <= 10, then the
-    principal triple of A1-A9, B1-B5, C1-C5 and D2-D6."""
-    ranks = {"A": range(1, 10), "B": range(1, 6), "C": range(1, 6), "D": range(2, 7)}
+def _nonzero_orbit_triples(a_ranks=range(1, 10)):
+    """triple_from_partition on every nonzero orbit of the A ranks given
+    (A1-A9 by default), B1-B5, C1-C5 and D2-D6."""
+    ranks = {"A": a_ranks, "B": range(1, 6), "C": range(1, 6), "D": range(2, 7)}
     for family, family_ranks in ranks.items():
         for rank in family_ranks:
             alg = build_algebra(family, rank)
-            if alg.matrix_size_N <= 10:
-                for p in valid_partitions(alg):
-                    if any(part > 1 for part in p.parts):
-                        yield sl2_complete(alg, nilpotent_from_partition(alg, p))
-            else:
-                yield principal_triplet(alg)
+            for p in valid_partitions(alg):
+                if any(part > 1 for part in p.parts):
+                    yield triple_from_partition(alg, p)
 
 
 def test_h_integer_diagonal():
-    # closed-form path (sl) and the linear-system path (so/sp) both land on
-    # a diagonal grading element with integer entries; h_graduation reads
-    # its weights off the diagonal and relies on this
+    # h_graduation reads the weights of h off its diagonal and relies on
+    # every triple built from a partition having a diagonal integer h
     count = 0
     for t in _nonzero_orbit_triples():
         rows = t.h.matrix_rows()
@@ -215,6 +214,55 @@ def test_h_integer_diagonal():
             assert all(v == 0 for j, v in enumerate(row) if j != i)
         count += 1
     assert count > 100
+
+
+def test_triple_from_partition_matches_the_general_solve():
+    # the closed form is the triple the Jacobson-Morozov solve picks, on
+    # every orbit: same h and f through the same e
+    count = 0
+    for t in _nonzero_orbit_triples(a_ranks=range(1, 7)):
+        ref = _jacobson_morozov(t.algebra, t.e)
+        assert (ref.h, ref.e, ref.f) == (t.h, t.e, t.f)
+        if t.algebra.family == "A":  # the shortcut of sl2_complete
+            assert sl2_complete(t.algebra, t.e) == t
+        count += 1
+    assert count == 183
+
+
+def test_triple_from_partition_zero_orbit_and_family_constraints():
+    b3 = build_algebra("B", 3)
+    with pytest.raises(ContractError):
+        triple_from_partition(b3, Partition((1,) * 7))
+    with pytest.raises(PartitionError):
+        triple_from_partition(b3, Partition((4, 3)))
+    assert nilpotent_from_partition(b3, Partition((1,) * 7)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "family,rank,parts",
+    [
+        ("B", 4, (5, 3, 1)),  # three single blocks: two middles pair up
+        ("B", 3, (3, 3, 1)),  # a pair of odd blocks and a single
+        ("C", 3, (2, 2, 1, 1)),  # pairs only
+        ("C", 3, (4, 2)),  # even single blocks
+        ("D", 4, (3, 3, 1, 1)),
+        ("D", 4, (5, 1, 1, 1)),
+        ("D", 2, (2, 2)),
+    ],
+)
+def test_congruence_rejects_a_wrong_sign_in_a_hyperbolic_pair(family, rank, parts):
+    """U^t G U = 4S is the one check on the congruence: flipping the sign of
+    any hyperbolic pair's w (column N-1-i of U) breaks it."""
+    alg = build_algebra(family, rank)
+    n = alg.matrix_size_N
+    g, u = _hyperbolic_basis(alg, _pieces(alg, Partition(parts)))
+    _congruence(alg, g, u)
+    for col in range(n - n // 2, n):
+        bad = [list(row) for row in u]
+        for row in bad:
+            row[col] = -row[col]
+        with pytest.raises(InternalError, match="form decompositions disagree"):
+            _congruence(alg, g, bad)
 
 
 @pytest.mark.parametrize(
