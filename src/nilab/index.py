@@ -25,9 +25,6 @@ alpha coefficients reported per pair.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -628,38 +625,11 @@ def valid_partitions(alg: AlgebraRealization):
     return out
 
 
-_worker_algebra = None  # set once per sweep worker process by _init_sweep_worker
-
-
-def _init_sweep_worker(family, rank):
-    global _worker_algebra
-    _worker_algebra = build_algebra(family, rank)
-
-
-def _sweep_worker(args):
-    parts, seed = args
-    return analyze_orbit(_worker_algebra, Partition(parts), seed=seed)
-
-
-def sweep(family: str, n: int, *, seed: int = 0, workers: int = 1):
+def sweep(family: str, n: int, *, seed: int = 0):
     """Run the pipeline on every valid partition of matrix size n.
 
     Per-orbit errors are captured in the reports and never abort the sweep;
-    output order is the deterministic partition order regardless of the
-    worker count.  The worker processes are capped at the number of orbits
-    and of CPUs, and each builds the algebra once.
+    output order is the deterministic partition order.
     """
-    rank = _family_rank_for_size(family, n)
-    alg = build_algebra(family, rank)
-    parts_list = valid_partitions(alg)
-    workers = min(workers, len(parts_list), os.cpu_count() or 1)
-    if workers > 1:
-        tasks = [(p.parts, seed) for p in parts_list]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_sweep_worker,
-            initargs=(alg.family, rank),
-        ) as pool:
-            return list(pool.map(_sweep_worker, tasks))
-    return [analyze_orbit(alg, p, seed=seed) for p in parts_list]
+    alg = build_algebra(family, _family_rank_for_size(family, n))
+    return [analyze_orbit(alg, p, seed=seed) for p in valid_partitions(alg)]

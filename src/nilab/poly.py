@@ -26,6 +26,7 @@ _PRIMES = (
     227, 229,
 )
 _LARGE_PRIME_BOUND = 10_000  # pool for more variables than _PRIMES has
+_RANK_CHECK_SAMPLES = 3  # prime points that cross-check a generic rank
 
 
 def _primes_below(bound: int) -> tuple:
@@ -306,12 +307,13 @@ class GenericRankResult:
     det: Poly | None  # determinant from the same elimination; None unless square
 
 
-def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericRankResult:
+def generic_rank_detail(entries, *, seed: int = 0) -> GenericRankResult:
     """Generic rank of a matrix of homogeneous linear forms.
 
     Rank is computed symbolically over the polynomial ring by the one
     right-to-left fraction-free elimination (_eliminate), which also yields
-    the determinant of a square matrix; the rank is then cross-checked by evaluating the variables at `samples` seeded tuples of
+    the determinant of a square matrix; the rank is then cross-checked by
+    evaluating the variables at _RANK_CHECK_SAMPLES seeded tuples of
     distinct primes and taking the max evaluated rank; disagreement with
     the symbolic result raises InternalError.  The primes are drawn from
     _PRIMES for up to 50 variables and from the primes below
@@ -330,7 +332,7 @@ def generic_rank_detail(entries, *, seed: int = 0, samples: int = 3) -> GenericR
     rng = random.Random(f"generic-rank:{seed}")
     prime_samples = []
     eval_ranks = []
-    for _ in range(max(3, samples)):
+    for _ in range(_RANK_CHECK_SAMPLES):
         primes = tuple(rng.sample(pool, nvars))[: len(variables)]
         point = [Rat(p) for p in primes]
         rank, _ = rank_kernel([[p.eval(point) for p in row] for row in entries], ncols)

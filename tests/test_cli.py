@@ -129,22 +129,6 @@ def test_zero_orbit_convolution_is_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "zero orbit has no pipeline\n")
 
 
-def test_table_rejects_non_integer_threads(monkeypatch, capsys):
-    monkeypatch.setenv("NILAB_THREADS", "abc")
-    assert run(["table", "--family", "A", "--n", "3"]) == EXIT_USAGE
-    assert "NILAB_THREADS" in capsys.readouterr().err
-
-
-def test_table_thread_counts_give_identical_output(monkeypatch):
-    outputs = []
-    for value in ("0", "2"):
-        monkeypatch.setenv("NILAB_THREADS", value)
-        code, out = run_capture(["table", "--family", "A", "--n", "3"])
-        assert code == EXIT_OK
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
 def test_verify_rejects_fewer_than_one_sample(capsys):
     for samples in ("0", "-1"):
         code, out = run_capture(
@@ -153,6 +137,24 @@ def test_verify_rejects_fewer_than_one_sample(capsys):
         assert code == EXIT_USAGE
         assert out == ""
     assert "--samples" in capsys.readouterr().err
+
+
+def test_verify_rejects_samples_above_its_cap(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an out-of-range sample count must not start any work")
+
+    monkeypatch.setattr(cli, "build_algebra", must_not_run)
+    monkeypatch.setattr(cli, "make_samples", must_not_run)
+    cap = cli.VERIFY_MAX_SAMPLES
+    for samples in (cap + 1, 10**9):
+        code, out = run_capture(
+            ["verify", "--family", "B", "--rank", "4", "--samples", str(samples)]
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert f"verify supports --samples up to {cap}, got {samples}" in (
+            capsys.readouterr().err
+        )
+    assert f"--samples up to {cap}" in " ".join(cli.build_parser().format_help().split())
 
 
 def test_bad_matrix_sizes_exit_3():

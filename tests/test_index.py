@@ -14,6 +14,7 @@ from nilab import (
     Poly,
     Rat,
     Subspace,
+    Triplet,
     analyze_orbit,
     bracket_matrix,
     build_algebra,
@@ -29,6 +30,7 @@ from nilab import (
     sl2_complete,
     structure_checks,
     sweep,
+    triple_from_partition,
     valid_partitions,
 )
 from nilab.invariants import gradient_derivative
@@ -368,22 +370,37 @@ def test_sweep_captures_per_orbit_results():
     assert d["const_audit"]["1,1"]["c_reference"] == "1/2"
 
 
-def test_sweep_parallel_matches_serial():
-    serial = [rep.to_dict() for rep in sweep("A", 4, seed=3)]
-    parallel = [rep.to_dict() for rep in sweep("A", 4, seed=3, workers=2)]
-    assert serial == parallel
+def _swap_middle(x):
+    """x conjugated by the swap of basis vectors r-1 and r of the 2r-space:
+    it keeps the antidiagonal form and has determinant -1."""
+    rows, den = x.int_rows()
+    order = list(range(len(rows)))
+    r = len(rows) // 2
+    order[r - 1], order[r] = r, r - 1
+    return x.algebra.coords_of_rows([[rows[i][j] for j in order] for i in order], den)
 
 
-def test_sweep_caps_workers_at_cpu_count(monkeypatch):
+@pytest.mark.parametrize("rank", [4, 6, 8])
+def test_very_even_twins_share_their_invariants(rank, monkeypatch):
+    # a very even partition labels two SO(2r)-orbits; the swap carries the
+    # constructed triple to a triple of the other orbit
     import nilab.index as index_module
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a single CPU must not start a worker pool")
-
-    monkeypatch.setattr(index_module.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(index_module, "ProcessPoolExecutor", no_pool)
-    capped = [rep.to_dict() for rep in sweep("A", 3, seed=3, workers=8)]
-    assert capped == [rep.to_dict() for rep in sweep("A", 3, seed=3)]
+    alg = build_algebra("D", rank)
+    very_even = [p for p in valid_partitions(alg) if all(d % 2 == 0 for d in p.parts)]
+    assert len(very_even) == {4: 2, 6: 3, 8: 5}[rank]
+    for partition in very_even:
+        triple = triple_from_partition(alg, partition)
+        twin = Triplet(*(_swap_middle(x) for x in (triple.h, triple.e, triple.f)))
+        assert twin.e != triple.e
+        original = analyze_orbit(alg, partition)
+        monkeypatch.setattr(index_module, "triple_from_partition", lambda *_: twin)
+        mirrored = analyze_orbit(alg, partition)
+        monkeypatch.undo()
+        assert not original.error and not mirrored.error, partition
+        assert mirrored.dims == original.dims, partition
+        assert mirrored.hypothesis_ok == original.hypothesis_ok, partition
+        assert mirrored.ind == original.ind, partition
 
 
 def test_analyze_orbit_computes_one_determinant(monkeypatch):

@@ -90,6 +90,16 @@ def test_demo_runs(demo):
     assert result.returncode == 0, result.stderr
 
 
+def test_import_loads_no_process_pool_modules():
+    probe = (
+        "import sys, nilab; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    result = _run_from_checkout("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_python_dash_m_runs_the_cli():
     result = _run_from_checkout("-m", "nilab", "--version")
     assert result.returncode == 0, result.stderr
