@@ -19,9 +19,11 @@ The invariant pairing is the defining-representation trace form tr(xy)
 the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, and every matrix comes back
-to an element through the one checked read-off, coords_of_rows.  Brackets
-of a subalgebra's basis vectors come back as coordinates in that basis
-through one checked pivot read, Subspace._split.
+to an element through the one checked read-off, coords_of_rows.  A
+subspace has one membership check, Subspace._split, on integer N x N
+matrices: it serves contains and coords_of, and it brings brackets of a
+subalgebra's basis vectors back as coordinates in that basis through one
+checked pivot read.
 
 Every matrix, an N x N realization or a dim x dim map such as ad(x), is a
 list of row lists, the one form linalg works on.  An element holds integer
@@ -622,20 +624,20 @@ class Subspace:
     numerators I_r over I_r[c_r], read straight off the row; rows, the R_r
     as tuples of Rat, is built only when a caller reads it.  Because the
     rows are reduced, a vector v lies in the span exactly when
-    v = sum_r v[c_r] R_r; the pivot entries agree by construction, so
-    membership is a check of the non-pivot entries, run in integers (see
-    _checks).
+    v = sum_r v[c_r] R_r, and then its coordinates are the v[c_r].
 
-    Brackets of s do not go through coordinates on all of g.  For the
-    integer N x N matrix C of a commutator, _split reads only the
-    coordinates at the pivots of s off the entries of C and checks, as one
-    integer matrix equality, that C is their combination of the basis
-    matrices; that one equality is membership in g and in s together.
+    Every membership check is the one integer check of _split, on N x N
+    matrices: for the integer matrix C of a vector or of a commutator, it
+    reads only the coordinates at the pivots of s off the entries of C and
+    checks, as one integer matrix equality, that C is their combination of
+    the basis matrices; that one equality is membership in g and in s
+    together.  contains and coords_of run it on an element's matrix, and
+    brackets of s run it on commutators, without coordinates on all of g.
     """
 
     __slots__ = (
         "algebra", "num_rows", "pivots", "_rows", "_basis", "_int_brackets", "_bracket_table",
-        "_check_table", "_split_table",
+        "_split_table",
     )
 
     def __init__(self, algebra: AlgebraRealization, num_rows, pivots):
@@ -648,7 +650,6 @@ class Subspace:
         self._basis = None
         self._int_brackets = None
         self._bracket_table = None
-        self._check_table = None
         self._split_table = None
 
     @classmethod
@@ -684,52 +685,15 @@ class Subspace:
             ]
         return self._basis
 
-    def _checks(self):
-        """Per non-pivot column q: (q, D_q, the pairs (c_r, D_q R_r[q]) for
-        the rows r with R_r[q] != 0), D_q the lcm of their pivot entries.
-        Built once per subspace."""
-        if self._check_table is None:
-            pivots = set(self.pivots)
-            table = []
-            for q in range(self.algebra.dim):
-                if q in pivots:
-                    continue
-                entries = [
-                    (c, row[q], row[c]) for c, row in zip(self.pivots, self.num_rows) if row[q]
-                ]
-                d = math.lcm(*(p for _, _, p in entries))
-                table.append((q, d, tuple((c, v * (d // p)) for c, v, p in entries)))
-            self._check_table = tuple(table)
-        return self._check_table
-
-    def _residual(self, num):
-        """For the vector v = num / den, the integers den D_q (v[q] -
-        sum_r v[c_r] R_r[q]) at the non-pivot columns q, in the order of
-        _checks; all zero exactly when v lies in the span."""
-        for q, d, pairs in self._checks():
-            acc = num[q] * d
-            for c, v in pairs:
-                x = num[c]
-                if x:
-                    acc -= x * v
-            yield acc
-
-    def reduce(self, coords):
-        """Residual of a coordinate vector after reduction by the basis;
-        zero exactly when the vector lies in the subspace."""
-        x = Element(self.algebra, coords)
-        out = [ZERO] * self.algebra.dim
-        for (q, d, _), r in zip(self._checks(), self._residual(x.num)):
-            if r:
-                out[q] = Rat(r, d * x.den)
-        return out
-
     def contains(self, element: Element) -> bool:
-        return not any(self._residual(element.num))
+        """Whether element lies in the span: the residual of _split on its
+        integer matrix is empty."""
+        return not self._split(element.int_rows()[0])[1]
 
     def coords_of(self, element: Element):
-        """Coefficients of element in this basis, or None if not a member."""
-        if any(self._residual(element.num)):
+        """Coefficients of element in this basis, or None if not a member
+        (see contains); for a member they are its entries at the pivots."""
+        if not self.contains(element):
             return None
         num, den = element.num, element.den
         return tuple([Rat(num[c], den) if num[c] else ZERO for c in self.pivots])
@@ -744,23 +708,27 @@ class Subspace:
         the pivot c_t of row t, read off the entries of C alone.  residual
         holds the nonzero entries, by flat position i N + j, of
         D0 Dz C - sum_t G_t (Dz R_t), R_t the N x N matrix of row t and Dz
-        the common denominator of the rows.  It is empty exactly when C lies
+        the lcm of the pivot entries I_t[c_t].  It is empty exactly when C lies
         in s: then C is the combination of the R_t with its own pivot
         coordinates, and a combination of the R_t lies in s.  For C in g the
-        residual is the matrix of C minus its reduction by the basis, so it
-        vanishes on the same vectors as the coordinate residual of _checks.
-        The pivot reads and the matrices Dz R_t are built once per subspace.
+        residual is D0 Dz times the matrix of C minus its reduction by the
+        basis, which is linear in C.  The pivot reads and the matrices Dz R_t,
+        summed off the nonzero entries of the basis matrices of g, are built
+        once per subspace.
         """
         if self._split_table is None:
             alg = self.algebra
             n = alg.matrix_size_N
-            forms = [x.int_rows() for x in self.basis]
-            dz = math.lcm(*(d for _, d in forms))
-            mats = tuple(
-                tuple((i * n + j, v * (dz // d)) for i, line in enumerate(r)
-                      for j, v in enumerate(line) if v)
-                for r, d in forms
-            )
+            dz = math.lcm(*(row[c] for row, c in zip(self.num_rows, self.pivots)))
+            mats = []
+            for row, c in zip(self.num_rows, self.pivots):
+                f = dz // row[c]
+                acc = {}
+                for v, entries in zip(row, alg._basis_sparse):
+                    if v:
+                        for i, j, b in entries:
+                            acc[i * n + j] = acc.get(i * n + j, 0) + f * v * b
+                mats.append(tuple((p, v) for p, v in acc.items() if v))
             reads = tuple(alg._coord_terms[c] for c in self.pivots)
             self._split_table = (reads, mats, alg._coord_den * dz)
         reads, mats, scale = self._split_table
@@ -883,11 +851,10 @@ def normalizer_of(s: Subspace) -> Subspace:
     after each u only the kernel of y -> [y, u] mod s is kept, so later u
     bracket fewer vectors and ad(u) is never built on all of g.  The map
     y -> [y, u] mod s is the residual of s._split on the integer commutator
-    of y and u, on its nonzero matrix entries.  Its kernel is that of the
-    coordinate residual, since g -> N x N matrices is injective, so the
-    normalizer's echelon rows do not depend on which residual is used.  The
-    candidates are integer vectors over denominator 1, each kept with its
-    integer matrix, and each cut keeps the primitive integer kernel.
+    of y and u, on its nonzero matrix entries; it is linear in y and
+    vanishes exactly when [y, u] lies in s.  The candidates are integer
+    vectors over denominator 1, each kept with its integer matrix, and each
+    cut keeps the primitive integer kernel.
     """
     alg = s.algebra
     s._brackets()  # closure check: only then does s lie in its normalizer

@@ -7,13 +7,14 @@ For a nilpotent e with triple (h, e, f):
   eta   = normalizer of z in the algebra.
 
 The working hypothesis is that delta is spanned by the gradient values
-P_j(e); when the exponents are pairwise distinct the nonzero P_j(e) are
-selected, otherwise a maximal independent subfamily is taken greedily by
-ascending degree (flagged, since the antidiagonal/determinant conclusions
-require distinct exponents).  Writing z_j for the selected gradients at e
-and y_j for their derivatives along h, eta = z + span{y_j}, and the s x s
-matrix A = ([y_i, z_j]) -- symmetric, entries in delta, pseudo-triangular
--- determines the index:
+P_j(e); a maximal independent subfamily is selected greedily by ascending
+degree, as the pivot columns of one echelon form.  When the exponents are
+pairwise distinct this is every nonzero P_j(e), since those have distinct
+ad(h)-weights 2 m_j; duplicated exponents are flagged, since the
+antidiagonal/determinant conclusions require distinct exponents.  Writing
+z_j for the selected gradients at e and y_j for their derivatives along h,
+eta = z + span{y_j}, and the s x s matrix A = ([y_i, z_j]) -- symmetric,
+entries in delta, pseudo-triangular -- determines the index:
 
   ind(eta, delta) = dim delta - generic rank of A,
 
@@ -46,7 +47,7 @@ from .errors import (
     PartitionError,
 )
 from .invariants import _line_table, generators
-from .linalg import inverse, mat_vec
+from .linalg import echelon_rows, inverse, mat_vec
 from .poly import Poly, generic_rank_detail, poly_det
 from .reports import CheckReport
 from .triples import (
@@ -72,7 +73,6 @@ class PairData:
     eta: Subspace
     hypothesis_ok: bool
     distinct_exponents: bool
-    all_gradients: tuple
     _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _brackets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -148,23 +148,13 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
             raise IdentityError(
                 f"gradient {gen.index_j} at e is outside the center of the centralizer"
             )
-    if alg.distinct_exponents:
-        selected = [gen.index_j for gen, g in zip(generators(alg), grads) if not g.is_zero()]
-    else:
-        selected = []
-        chosen = []
-        for gen, g in zip(generators(alg), grads):
-            if g.is_zero():
-                continue
-            trial = Subspace.from_elements(alg, chosen + [g])
-            if trial.dim == len(chosen) + 1:
-                selected.append(gen.index_j)
-                chosen.append(g)
+    # the pivot columns of the gradients, as columns in ascending degree,
+    # are the greedy maximal independent pick
+    pivots, _ = echelon_rows(list(zip(*(g.num for g in grads))), len(grads))
+    selected = [all_js[k] for k in pivots]
     z_vec = tuple(grads[j - 1] for j in selected)
     slopes = _line_table(alg, selected, e, h, None, [(0, 1)]) if selected else {}
     y_vec = tuple(slopes[j][(0, 1)] for j in selected)
-    span = Subspace.from_elements(alg, list(z_vec))
-    hypothesis_ok = span.dim == len(selected) and span.dim == delta.dim
     return PairData(
         algebra=alg,
         triplet=triplet,
@@ -175,9 +165,8 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
         delta=delta,
         zcent=zcent,
         eta=eta,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=len(selected) == delta.dim,
         distinct_exponents=alg.distinct_exponents,
-        all_gradients=grads,
     )
 
 

@@ -16,10 +16,10 @@ shape-based: each matrix is read back through the checked coordinate
 read-off, so it lies in the algebra; e is checked to have the right Jordan
 type; and Triplet checks the three bracket relations.
 
-sl2_complete completes an arbitrary nonzero nilpotent e: Jordan-shaped
-sl(n) input gets the same block triple, any other input a constructive
+sl2_complete completes an arbitrary nonzero nilpotent e by a constructive
 Jacobson-Morozov step, two plain rational linear systems with the
-echelon-first solution taken so that results are deterministic.
+echelon-first solution taken so that results are deterministic; on e of a
+partition's orbit it gives the same triple as the closed form.
 """
 
 from __future__ import annotations
@@ -276,23 +276,6 @@ def triple_from_partition(alg: AlgebraRealization, p: Partition) -> Triplet:
     return Triplet(h, e, f)
 
 
-def _jordan_blocks_of(e: Element):
-    """Block sizes when e is exactly a 0/1 superdiagonal Jordan pattern,
-    else None."""
-    rows, den = e.int_rows()
-    superdiagonal = [rows[i][i + 1] for i in range(len(rows) - 1)]
-    nonzero = sum(1 for row in rows for v in row if v)
-    if any(v not in (0, den) for v in superdiagonal) or nonzero != sum(map(bool, superdiagonal)):
-        return None
-    blocks = [1]
-    for v in superdiagonal:
-        if v:
-            blocks[-1] += 1
-        else:
-            blocks.append(1)
-    return blocks
-
-
 def _jacobson_morozov(alg: AlgebraRealization, e: Element) -> Triplet:
     """The triple through a nonzero nilpotent e from two linear systems: h
     inside the image of ad(e), solving [e, [e, w]] = -2e, then f from the
@@ -316,12 +299,10 @@ def _jacobson_morozov(alg: AlgebraRealization, e: Element) -> Triplet:
 
 
 def sl2_complete(alg: AlgebraRealization, e: Element) -> Triplet:
-    """Complete a nonzero nilpotent e to an sl(2)-triple (h, e, f).
-
-    Jordan-shaped sl(n) input gets the closed-form block triple (small
-    integers, deterministic); any other input the Jacobson-Morozov step
-    (echelon-first solutions, deterministic).  triple_from_partition builds
-    the triple of a partition's orbit directly.
+    """Complete a nonzero nilpotent e to an sl(2)-triple (h, e, f) by the
+    Jacobson-Morozov step (echelon-first solutions, deterministic).
+    triple_from_partition builds the triple of a partition's orbit directly,
+    in closed form.
     """
     if e.algebra is not alg:
         raise ContractError("element does not belong to the given algebra")
@@ -329,11 +310,6 @@ def sl2_complete(alg: AlgebraRealization, e: Element) -> Triplet:
         raise ContractError("cannot complete the zero element")
     if not e.is_nilpotent():
         raise ContractError("element is not nilpotent")
-    if alg.family == "A":
-        blocks = _jordan_blocks_of(e)
-        if blocks is not None:
-            h, _, f = _block_triple(alg.matrix_size_N, [("single", d) for d in blocks])
-            return Triplet(alg.coords_of_rows(h), e, alg.coords_of_rows(f))
     return _jacobson_morozov(alg, e)
 
 

@@ -569,13 +569,24 @@ def brute_center(s):
     return _span_of_kernel(s, m)
 
 
+def reduce_by_rows(s, vec):
+    """vec minus its reduction by the reduced echelon rows of s, eliminated
+    in Rat pivot by pivot: zero exactly when vec lies in s."""
+    out = list(vec)
+    for row, c in zip(s.rows, s.pivots):
+        x = out[c]
+        if x:
+            out = [v - x * r for v, r in zip(out, row)]
+    return out
+
+
 def brute_normalizer(s):
     """Kernel of y -> ([y, u] mod s)_u on all of g, from ad(u) for every u."""
     alg = s.algebra
     rows = []
     for u in s.basis:
         adu = ad_matrix(u)
-        reduced = [s.reduce([row[k] for row in adu]) for k in range(alg.dim)]
+        reduced = [reduce_by_rows(s, [row[k] for row in adu]) for k in range(alg.dim)]
         rows.extend(transpose(reduced))
     _, kernel = rank_kernel(rows, alg.dim)
     return Subspace.from_coord_rows(alg, kernel)

@@ -22,7 +22,7 @@ from nilab import (
     valid_partitions,
 )
 from nilab.linalg import mat_mul
-from nilab.triples import _congruence, _hyperbolic_basis, _jacobson_morozov, _pieces
+from nilab.triples import _congruence, _hyperbolic_basis, _pieces
 
 
 def E(n, i, j):
@@ -149,7 +149,8 @@ def test_sl2_complete_closed_form_sl3_subregular():
 
 
 def test_sl2_complete_general_fallback():
-    # conjugated nilpotent: not Jordan-shaped, so the linear-system path runs
+    # a conjugated nilpotent, off the block shape of the closed form,
+    # still completes to a triple through the same e
     alg = build_algebra("A", 2)
     e = nilpotent_from_partition(alg, Partition((3,)))
     e21 = alg.from_matrix(E(3, 1, 0))
@@ -217,14 +218,11 @@ def test_h_integer_diagonal():
 
 
 def test_triple_from_partition_matches_the_general_solve():
-    # the closed form is the triple the Jacobson-Morozov solve picks, on
-    # every orbit: same h and f through the same e
+    # the closed form is the triple the Jacobson-Morozov solve of
+    # sl2_complete picks, on every orbit: same h and f through the same e
     count = 0
     for t in _nonzero_orbit_triples(a_ranks=range(1, 7)):
-        ref = _jacobson_morozov(t.algebra, t.e)
-        assert (ref.h, ref.e, ref.f) == (t.h, t.e, t.f)
-        if t.algebra.family == "A":  # the shortcut of sl2_complete
-            assert sl2_complete(t.algebra, t.e) == t
+        assert sl2_complete(t.algebra, t.e) == t
         count += 1
     assert count == 183
 
