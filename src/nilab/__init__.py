@@ -67,12 +67,11 @@ from .invariants import (
 )
 from .linalg import interpolate_vector_poly, inverse, rank_kernel, solve
 from .poly import Poly, generic_rank_detail, poly_det
-from .reports import CheckItem, CheckReport
+from .reports import CheckReport
 from .triples import (
     Partition,
     Triplet,
     nilpotent_from_partition,
-    principal_partition,
     principal_triplet,
     sl2_complete,
     triple_from_partition,

@@ -12,7 +12,11 @@ The antidiagonal ("split") forms make the Borel subalgebra literally upper
 triangular, so nilpotent elements, triples and gradings stay rational.
 
 Basis order is row-major over matrix positions and documented in each
-builder, fixed once so that coordinates and reports are reproducible.
+builder, fixed once so that coordinates and reports are reproducible.  A
+builder returns each basis matrix as its nonzero integer entries (i, j, v)
+in row-major order, and the forms S and J are integer rows, so the
+realization is built in integers: the read-off's pivots come from one
+integer elimination (linalg.echelon_rows) of the flattened basis.
 
 The invariant pairing is the defining-representation trace form tr(xy)
 (optionally rescaled); it is a nonzero multiple of the Killing form, with
@@ -46,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from ._scalar import ONE, Rat, ZERO, rat_str
 from .errors import (
@@ -55,29 +58,21 @@ from .errors import (
     ShapeError,
     UnsupportedAlgebraError,
 )
-from .linalg import echelon_kernel, echelon_rows, inverse, mat_mul, rref
-
-
-def _zero_rows(n):
-    return [[ZERO] * n for _ in range(n)]
+from .linalg import echelon_kernel, echelon_rows, inverse, mat_mul
 
 
 def _sl_basis(n):
-    # Row-major over positions (i, j): off-diagonal (i, j) gives E_ij;
-    # diagonal (i, i) with i < n-1 gives E_ii - E_{i+1,i+1}; (n-1, n-1) skipped.
+    # Each basis matrix as its nonzero entries (i, j, v), row-major, as in
+    # every builder.  Row-major over positions (i, j): off-diagonal (i, j)
+    # gives E_ij; diagonal (i, i) with i < n-1 gives E_ii - E_{i+1,i+1};
+    # (n-1, n-1) skipped.
     basis = []
     for i in range(n):
         for j in range(n):
-            if i == j:
-                if i < n - 1:
-                    m = _zero_rows(n)
-                    m[i][i] = ONE
-                    m[i + 1][i + 1] = -ONE
-                    basis.append(m)
-            else:
-                m = _zero_rows(n)
-                m[i][j] = ONE
-                basis.append(m)
+            if i != j:
+                basis.append([(i, j, 1)])
+            elif i < n - 1:
+                basis.append([(i, i, 1), (i + 1, i + 1, -1)])
     return basis
 
 
@@ -85,7 +80,8 @@ def _so_basis(n):
     # x in so(n) iff x_{ij} = -x_{s(j) s(i)} with s(i) = n-1-i (0-based);
     # representatives are the lexicographically smaller member of each
     # orbit pair {(i,j), (s(j),s(i))}, scanned row-major; antidiagonal
-    # positions (j = s(i)) are forced to zero and skipped.
+    # positions (j = s(i)) are forced to zero and skipped.  The entries are
+    # +1 at (i, j) and -1 at the mirror.
     basis = []
     for i in range(n):
         for j in range(n):
@@ -94,50 +90,38 @@ def _so_basis(n):
             pi, pj = n - 1 - j, n - 1 - i
             if (pi, pj) < (i, j):
                 continue
-            m = _zero_rows(n)
-            m[i][j] = ONE
-            m[pi][pj] = -ONE
-            basis.append(m)
+            basis.append([(i, j, 1), (pi, pj, -1)])
     return basis
 
 
 def _sp_basis(n):
     # x in sp(n) iff x_{ij} = -eps(i) eps(j) x_{s(j) s(i)}, eps = +1 on the
-    # first half, -1 on the second; antidiagonal positions are free.
+    # first half, -1 on the second; antidiagonal positions are free.  The
+    # entries are +1 at (i, j) and -eps(i) eps(j) at the mirror.
     half = n // 2
     basis = []
     for i in range(n):
         for j in range(n):
             pi, pj = n - 1 - j, n - 1 - i
             if (pi, pj) == (i, j):
-                m = _zero_rows(n)
-                m[i][j] = ONE
-                basis.append(m)
+                basis.append([(i, j, 1)])
                 continue
             if (pi, pj) < (i, j):
                 continue
             ei = 1 if i < half else -1
             ej = 1 if j < half else -1
-            m = _zero_rows(n)
-            m[i][j] = ONE
-            m[pi][pj] = Rat(-ei * ej)
-            basis.append(m)
+            basis.append([(i, j, 1), (pi, pj, -ei * ej)])
     return basis
 
 
 def _form_matrix(family, n):
-    if family in ("B", "D"):
-        m = _zero_rows(n)
-        for i in range(n):
-            m[i][n - 1 - i] = ONE
-        return m
-    if family == "C":
-        half = n // 2
-        m = _zero_rows(n)
-        for i in range(n):
-            m[i][n - 1 - i] = ONE if i < half else -ONE
-        return m
-    return None
+    # S (B, D) or J (C): antidiagonal, J with -1 below the center
+    if family == "A":
+        return None
+    m = _zero_int_rows(n)
+    for i in range(n):
+        m[i][n - 1 - i] = -1 if family == "C" and i >= n // 2 else 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -151,7 +135,8 @@ class InvariantGenerator:
 
 
 class AlgebraRealization:
-    """A classical simple Lie algebra as N x N rational matrices.
+    """A classical simple Lie algebra as N x N matrices, spanned by integer
+    basis matrices.
 
     Built through build_algebra; immutable afterwards and safe to share.
     """
@@ -218,38 +203,36 @@ class AlgebraRealization:
         self.exponents = tuple(d - 1 for d in degrees)
         self.distinct_exponents = len(set(self.exponents)) == rank_r
         self.dim = len(basis)
-        # The basis matrices have integer entries.  Products read them as
-        # ints: (i, j, value) triples in row-major order, and integer rows
-        # with the columns of their nonzero entries.
-        self._basis_sparse = [
-            [(i, j, int(rows[i][j])) for i in range(n) for j in range(n) if rows[i][j]]
-            for rows in basis
-        ]
+        # Each basis matrix is its nonzero integer entries (i, j, value) in
+        # row-major order; products also read it as integer rows with the
+        # columns of their nonzero entries.
+        self._basis_sparse = basis
         self._basis_int = []
-        for entries in self._basis_sparse:
+        for entries in basis:
             rows = _zero_int_rows(n)
-            cols = [[] for _ in range(n)]
             for i, j, v in entries:
                 rows[i][j] = v
-                cols[i].append(j)
-            self._basis_int.append((rows, cols))
+            self._basis_int.append((rows, _nonzero_columns(rows)))
         self._upper_indices = tuple(
-            k
-            for k, entries in enumerate(self._basis_sparse)
-            if all(i < j for i, j, _ in entries)
+            k for k, entries in enumerate(basis) if all(i < j for i, j, _ in entries)
         )
-        self._init_coordinatizer(basis)
+        self._init_coordinatizer()
 
-    def _init_coordinatizer(self, basis):
-        # The pivot positions of the flattened basis determine a matrix's
-        # coordinates: coords = inv * (entries at the pivots).  The inverse
-        # pivot block is kept as integers times the lcm D0 of its
-        # denominators.  Both it and the basis are mostly zero, so only their
-        # nonzero entries are kept, each with the matrix position it reads.
+    def _init_coordinatizer(self):
+        # The pivot positions of the flattened integer basis, from one
+        # integer elimination, determine a matrix's coordinates:
+        # coords = inv * (entries at the pivots).  The inverse pivot block is
+        # kept as integers times the lcm D0 of its denominators.  Both it and
+        # the basis are mostly zero, so only their nonzero entries are kept,
+        # each with the matrix position it reads.
         n = self.matrix_size_N
-        vecs = [[v for line in rows for v in line] for rows in basis]
-        work = [list(v) for v in vecs]
-        pivots = rref(work, n * n)
+        vecs = []
+        for entries in self._basis_sparse:
+            vec = [0] * (n * n)
+            for i, j, v in entries:
+                vec[i * n + j] = v
+            vecs.append(vec)
+        pivots, _ = echelon_rows(vecs, n * n)
         if len(pivots) != self.dim:
             raise ContractError("basis matrices are not linearly independent")
         inv = inverse([[vec[p] for vec in vecs] for p in pivots])
@@ -262,7 +245,7 @@ class AlgebraRealization:
         )
         pivot_set = set(pivots)
         self._nonpivot_terms = tuple(
-            (q // n, q % n, tuple((k, int(vec[q])) for k, vec in enumerate(vecs) if vec[q]))
+            (q // n, q % n, tuple((k, vec[q]) for k, vec in enumerate(vecs) if vec[q]))
             for q in range(n * n)
             if q not in pivot_set
         )
@@ -447,8 +430,8 @@ class Element:
         return self._coords
 
     def _int_form(self):
-        """(R, d, columns of the nonzero entries of each row of R, the
-        largest absolute entry of R): the cached integer-scaled matrix."""
+        """(R, d, columns of the nonzero entries of each row of R): the
+        cached integer-scaled matrix."""
         if self._int is None:
             n = self.algebra.matrix_size_N
             rows = _zero_int_rows(n)
@@ -456,15 +439,14 @@ class Element:
                 if c:
                     for i, j, v in entries:
                         rows[i][j] += c * v
-            top = max(map(abs, chain.from_iterable(rows)))
-            self._int = (rows, self.den, _nonzero_columns(rows), top)
+            self._int = (rows, self.den, _nonzero_columns(rows))
         return self._int
 
     def int_rows(self):
         """(R, d): integer rows R and a positive integer d with x = R / d,
         d the least common denominator of the coordinates.  R is the cached
         matrix itself and must not be changed."""
-        rows, den, _, _ = self._int_form()
+        rows, den, _ = self._int_form()
         return rows, den
 
     def matrix_rows(self):
@@ -575,15 +557,15 @@ def bracket(x: Element, y: Element) -> Element:
     """Lie bracket [x, y] = xy - yx, back in basis coordinates."""
     _same_algebra(x, y)
     alg = x.algebra
-    a, dx, a_cols, _ = x._int_form()
-    b, dy, b_cols, _ = y._int_form()
+    a, dx, a_cols = x._int_form()
+    b, dy, b_cols = y._int_form()
     return alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx * dy)
 
 
 def trace_form(x: Element, y: Element):
     """Invariant pairing tr(xy), times the realization's form_scale."""
     _same_algebra(x, y)
-    a, dx, a_cols, _ = x._int_form()
+    a, dx, a_cols = x._int_form()
     b, dy = y.int_rows()
     acc = 0
     for i, (ai, cols) in enumerate(zip(a, a_cols)):
@@ -597,7 +579,7 @@ def _ad_columns(x: Element):
     [x, basis_k] = C_k / D, D = D0 dx the denominator every read-off of
     [x, basis_k] shares."""
     alg = x.algebra
-    a, dx, a_cols, _ = x._int_form()
+    a, dx, a_cols = x._int_form()
     den = alg._coord_den * dx
     columns = []
     for b, b_cols in alg._basis_int:
@@ -762,9 +744,9 @@ class Subspace:
         if self._int_brackets is None:
             forms = [x._int_form() for x in self.basis]
             table = []
-            for a, (x, _, x_cols, _) in enumerate(forms):
+            for a, (x, _, x_cols) in enumerate(forms):
                 row = []
-                for y, _, y_cols, _ in forms[a + 1 :]:
+                for y, _, y_cols in forms[a + 1 :]:
                     c = _commutator_rows(x, x_cols, y, y_cols)
                     if not any(map(any, c)):
                         row.append(())
@@ -863,10 +845,10 @@ def normalizer_of(s: Subspace) -> Subspace:
     for u in s.basis:
         if not candidates:
             break
-        b, _, b_cols, _ = u._int_form()
+        b, _, b_cols = u._int_form()
         images = []
         for y in candidates:
-            a, _, a_cols, _ = y._int_form()
+            a, _, a_cols = y._int_form()
             c = _commutator_rows(a, a_cols, b, b_cols)
             images.append(s._split(c)[1] if any(map(any, c)) else {})
         entries = sorted(set().union(*images))

@@ -35,6 +35,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from ._scalar import Rat
 from .algebras import (
@@ -128,8 +129,7 @@ def eval_generator(alg: AlgebraRealization, j: int, x: Element):
 def _digit_width(n: int, gens, size: int) -> int:
     """K, the bits per digit of the packed evaluation in _line_table, for
     the generators gens on N x N integer matrices X, Y[, U] with
-    size = S = |X| + |Y| + |U|, |.| the largest absolute entry (each
-    element keeps it with its integer form).
+    size = S = |X| + |Y| + |U|, |.| the largest absolute entry.
 
     An entry of (X + sY + tU)^m is a sum over N^(m-1) index paths of
     products of m entries whose coefficients sum in absolute value to at
@@ -166,11 +166,11 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
     """
     gens = [_generator(alg, j) for j in js]
     n = alg.matrix_size_N
-    (xr, dx, _, sx), (yr, dy, _, sy), (ur, du, _, su) = [
-        v._int_form() if v is not None else (None, 1, None, 0) for v in (x, y, u)
-    ]
+    forms = [v.int_rows() if v is not None else (None, 1) for v in (x, y, u)]
+    (xr, dx), (yr, dy), (ur, du) = forms
     top = max(gen.exponent for gen in gens)
-    width = _digit_width(n, gens, sx + sy + su)
+    size = sum(max(map(abs, chain.from_iterable(rows))) for rows, _ in forms if rows is not None)
+    width = _digit_width(n, gens, size)
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     packed = xr

@@ -9,18 +9,20 @@ output identical across runs and platforms.
 A matrix is a list of row lists.  Its entries are Rat, or Python ints for
 the integer-scaled N x N matrices of algebra elements (integer rows over one
 common denominator, see algebras.Element.int_rows); mat_mul keeps the type
-of its inputs, ints in and ints out.  rref, rank_kernel, echelon_rows,
-echelon_kernel, solve and inverse read one integer Gauss-Jordan elimination
-(_gauss_jordan): each row is cleared of its denominators once, the
-elimination runs on Python ints, and a Rat is made only for each nonzero
-entry of the result.  echelon_rows and echelon_kernel make no Rat at all:
-they return reduced echelon bases as primitive integer rows, positive at
-their pivots, the form algebras.Subspace keeps.  Only rref changes its
-input (it replaces the rows of the list); the other functions copy what
-they eliminate.  A row of the wrong length, or a non-square input where a
-square one is needed, raises ShapeError.  The pipeline's matrices (ad maps
-of nilpotent elements, stacked bracket blocks) are mostly zero, so the
-loops skip zeros: products only touch positions where both factors are
+of its inputs, ints in and ints out.  The pipeline's eliminations are
+echelon_rows and echelon_kernel, for every subspace and every numeric rank,
+and solve and inverse; rref and rank_kernel return the same results in
+rational form and are kept as references.  All six read one integer
+Gauss-Jordan elimination (_gauss_jordan): each row is cleared of its
+denominators once, the elimination runs on Python ints, and a Rat is made
+only for each nonzero entry of the result.  echelon_rows and echelon_kernel
+make no Rat at all: they return reduced echelon bases as primitive integer
+rows, positive at their pivots, the form algebras.Subspace keeps.  Only rref
+changes its input (it replaces the rows of the list); the other functions
+copy what they eliminate.  A row of the wrong length, or a non-square input
+where a square one is needed, raises ShapeError.  The pipeline's matrices
+(ad maps of nilpotent elements, stacked bracket blocks) are mostly zero, so
+the loops skip zeros: products only touch positions where both factors are
 nonzero, and an elimination step leaves every row with a zero in the pivot
 column untouched.  Skipping a zero never changes a value, only the number
 of operations spent reaching it.
@@ -135,7 +137,8 @@ def _gauss_jordan(a, ncols: int):
 
 
 def rref(rows, ncols: int):
-    """In-place reduced row echelon form of a list of row lists.
+    """In-place reduced row echelon form of a list of row lists: the
+    rational reference for echelon_rows, which gives the same pivots.
 
     Returns the pivot column indices.  Pivot choice is the first row with a
     nonzero entry in the current column, scanning columns left to right.
@@ -153,7 +156,9 @@ def rref(rows, ncols: int):
 
 
 def rank_kernel(rows, ncols: int):
-    """Exact rank and kernel of the matrix with these rows and ncols columns.
+    """Exact rank and kernel of the matrix with these rows and ncols
+    columns, in rational form: the reference for the pivot count of
+    echelon_rows and for echelon_kernel.
 
     The kernel basis is in reduced column-echelon form: vector k for free
     column f has entry 1 at f, entry 0 at every other free column, and the

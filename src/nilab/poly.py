@@ -17,7 +17,7 @@ from math import isqrt
 
 from ._scalar import ONE, Rat, ZERO
 from .errors import ContractError, InternalError, ShapeError
-from .linalg import rank_kernel
+from .linalg import echelon_rows
 
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -335,7 +335,7 @@ def generic_rank_detail(entries, *, seed: int = 0) -> GenericRankResult:
     for _ in range(_RANK_CHECK_SAMPLES):
         primes = tuple(rng.sample(pool, nvars))[: len(variables)]
         point = [Rat(p) for p in primes]
-        rank, _ = rank_kernel([[p.eval(point) for p in row] for row in entries], ncols)
+        rank = len(echelon_rows([[p.eval(point) for p in row] for row in entries], ncols)[0])
         prime_samples.append(primes)
         eval_ranks.append(rank)
     if max(eval_ranks) != symbolic:

@@ -225,7 +225,7 @@ def _congruence(alg: AlgebraRealization, g, u):
     mismatch raises InternalError.
     """
     ug = mat_mul([list(col) for col in zip(*u)], g)
-    s = [[int(v) for v in row] for row in alg.form]
+    s = alg.form
     if mat_mul(ug, u) != [[4 * v for v in row] for row in s]:
         raise InternalError("form decompositions disagree")
     return mat_mul([list(col) for col in zip(*s)], ug)

@@ -111,6 +111,40 @@ def test_basis_satisfies_defining_equations(family, rank):
             assert all(x + y == 0 for rl, rr in zip(left, right) for x, y in zip(rl, rr))
 
 
+STANDARD_BASES = (
+    [("A", r) for r in range(1, 9)]
+    + [(f, r) for f in "BC" for r in range(1, 9)]
+    + [("D", r) for r in range(2, 9)]
+)
+
+
+@pytest.mark.parametrize("family,rank", STANDARD_BASES)
+def test_form_is_an_integer_signed_permutation(family, rank):
+    # triples._congruence inverts the form S as its transpose: S^T S = I,
+    # with S symmetric for so(n) and skew for sp(n)
+    s = build_algebra(family, rank).form
+    if family == "A":
+        assert s is None
+        return
+    n = len(s)
+    assert all(type(v) is int for row in s for v in row)
+    st = transpose(s)  # an integer S with S^T S = I is a signed permutation
+    assert mat_mul(st, s) == [[int(i == j) for j in range(n)] for i in range(n)]
+    sign = -1 if family == "C" else 1
+    assert st == [[sign * v for v in row] for row in s]
+
+
+@pytest.mark.parametrize("family,rank", STANDARD_BASES)
+def test_standard_bases_read_off_with_integer_pivot_inverse(family, rank):
+    # each basis matrix is its nonzero integer entries in row-major order
+    # (h_graduation reads its weight off the first), and the pivot block has
+    # an integer inverse, so D0 = 1; only a rescaled basis reaches D0 > 1
+    alg = build_algebra(family, rank)
+    assert alg._coord_den == 1
+    assert all(type(v) is int and v for b in alg._basis_sparse for _, _, v in b)
+    assert all(b == sorted(b) for b in alg._basis_sparse)
+
+
 @pytest.mark.parametrize(
     "family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3)]
 )
@@ -773,11 +807,11 @@ def reference_normalizer(s):
     for u in s.basis:
         if not candidates:
             break
-        b, _, b_cols, _ = u._int_form()
+        b, _, b_cols = u._int_form()
         den = math.lcm(*(y.den for y in candidates))
         images = []
         for y in candidates:
-            a, dy, a_cols, _ = y._int_form()
+            a, dy, a_cols = y._int_form()
             c = nilab.algebras._commutator_rows(a, a_cols, b, b_cols)
             images.append((s._split(c)[1] if any(map(any, c)) else {}, den // dy))
         entries = sorted(set().union(*(r for r, _ in images)))

@@ -469,9 +469,10 @@ def test_so8_nonzero_index_is_consistent():
 
 def test_rref_calls_do_not_depend_on_process_history(monkeypatch):
     # no lazily filled cache may run an elimination on first use only, or
-    # per-call work would depend on what ran earlier in the process; rref,
-    # rank_kernel, echelon_rows, echelon_kernel, solve and inverse each run
-    # one _gauss_jordan, so counting it counts every elimination
+    # per-call work would depend on what ran earlier in the process; every
+    # linalg elimination (echelon_rows, echelon_kernel, solve and inverse,
+    # which the pipeline calls, and the references rref and rank_kernel)
+    # runs one _gauss_jordan, so counting it counts every elimination
     import sys
 
     import nilab.linalg as linalg_module
@@ -503,6 +504,36 @@ def test_rref_calls_do_not_depend_on_process_history(monkeypatch):
     x, y = sl5.random_element(random.Random(1)), sl5.random_element(random.Random(2))
     scalar = [eliminations(lambda: directional_scalar_derivative(sl5, 4, x, y)) for _ in range(2)]
     assert scalar[0] == scalar[1]
+
+
+def test_pipeline_runs_no_rational_elimination(monkeypatch):
+    # rref and rank_kernel are kept as rational references only: building a
+    # realization and analyzing an orbit must not reach either of them
+    import sys
+
+    import nilab.linalg as linalg_module
+
+    references = (linalg_module.rref, linalg_module.rank_kernel)
+
+    def forbidden(fn):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the pipeline called linalg.{fn.__name__}")
+
+        return call
+
+    for name, module in sorted(sys.modules.items()):
+        if name == "nilab" or name.startswith("nilab."):
+            for key, value in list(vars(module).items()):
+                if any(value is fn for fn in references):
+                    monkeypatch.setattr(module, key, forbidden(value))
+    for family, rank, parts in [
+        ("A", 3, (3, 1)),
+        ("B", 3, (3, 3, 1)),
+        ("C", 3, (4, 2)),
+        ("D", 4, (5, 3)),
+    ]:
+        report = analyze_orbit(build_algebra(family, rank), Partition(parts))
+        assert not report.skipped and report.error == "", (family, parts, report.error)
 
 
 def _powers_of(e, step):

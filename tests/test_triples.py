@@ -13,7 +13,6 @@ from nilab import (
     build_algebra,
     centralizer,
     nilpotent_from_partition,
-    principal_partition,
     principal_triplet,
     rank_kernel,
     sl2_complete,
@@ -22,7 +21,7 @@ from nilab import (
     valid_partitions,
 )
 from nilab.linalg import mat_mul
-from nilab.triples import _congruence, _hyperbolic_basis, _pieces
+from nilab.triples import _congruence, _hyperbolic_basis, _pieces, principal_partition
 
 
 def E(n, i, j):
