@@ -13,6 +13,8 @@ rational is made only when its coordinates are read.  The eliminations run
 on Python ints in the same way (see linalg._gauss_jordan).
 """
 
+from .errors import ContractError
+
 try:
     from gmpy2 import mpq as Rat
 except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
@@ -20,6 +22,17 @@ except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
 
 ZERO = Rat(0)
 ONE = Rat(1)
+
+
+def as_rat(value):
+    """value as a Rat: an int, a Rat or a string such as "-3/4".  A float
+    raises ContractError: its binary value is rarely the rational that was
+    meant (0.1 is 3602879701896397/2^55)."""
+    if type(value) is Rat:
+        return value
+    if isinstance(value, float):
+        raise ContractError(f"float {value!r} is not exact; give an int, a Rat or a string")
+    return Rat(value)
 
 
 def rat_str(value) -> str:

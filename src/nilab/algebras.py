@@ -10,6 +10,10 @@ Families and realizations (all with integer structure constants):
 
 The antidiagonal ("split") forms make the Borel subalgebra literally upper
 triangular, so nilpotent elements, triples and gradings stay rational.
+What sets the families apart is stated once, in _FAMILIES: the name, the
+least rank, the matrix size (whose inverse, _family_rank_for_size, sits
+beside it) and the Killing/trace ratio; so and sp share one basis builder,
+_form_basis, read off the form.
 
 Basis order is row-major over matrix positions and documented in each
 builder, fixed once so that coordinates and reports are reproducible.  A
@@ -49,12 +53,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
-from ._scalar import ONE, Rat, ZERO, rat_str
+from ._scalar import ONE, Rat, ZERO, as_rat, rat_str
 from .errors import (
     ContractError,
     GraduationError,
+    PartitionError,
     ShapeError,
     UnsupportedAlgebraError,
 )
@@ -76,41 +80,26 @@ def _sl_basis(n):
     return basis
 
 
-def _so_basis(n):
-    # x in so(n) iff x_{ij} = -x_{s(j) s(i)} with s(i) = n-1-i (0-based);
-    # representatives are the lexicographically smaller member of each
-    # orbit pair {(i,j), (s(j),s(i))}, scanned row-major; antidiagonal
-    # positions (j = s(i)) are forced to zero and skipped.  The entries are
-    # +1 at (i, j) and -1 at the mirror.
+def _form_basis(form):
+    # x in so(n) or sp(n) iff x^T S + S x = 0 for the antidiagonal form S,
+    # that is x_{ij} = c x_{s(j) s(i)} with s(i) = n-1-i (0-based) and
+    # c = -S[i][s(i)] S[j][s(j)].  Representatives are the lexicographically
+    # smaller member of each pair {(i,j), (s(j),s(i))}, scanned row-major,
+    # with entries +1 at (i, j) and c at the mirror.  A position that is its
+    # own mirror (j = s(i)) is free when c = 1 (sp) and forced to zero when
+    # c = -1 (so).
+    n = len(form)
+    sign = [form[i][n - 1 - i] for i in range(n)]
     basis = []
     for i in range(n):
         for j in range(n):
-            if i + j == n - 1:
-                continue
-            pi, pj = n - 1 - j, n - 1 - i
-            if (pi, pj) < (i, j):
-                continue
-            basis.append([(i, j, 1), (pi, pj, -1)])
-    return basis
-
-
-def _sp_basis(n):
-    # x in sp(n) iff x_{ij} = -eps(i) eps(j) x_{s(j) s(i)}, eps = +1 on the
-    # first half, -1 on the second; antidiagonal positions are free.  The
-    # entries are +1 at (i, j) and -eps(i) eps(j) at the mirror.
-    half = n // 2
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            pi, pj = n - 1 - j, n - 1 - i
-            if (pi, pj) == (i, j):
-                basis.append([(i, j, 1)])
-                continue
-            if (pi, pj) < (i, j):
-                continue
-            ei = 1 if i < half else -1
-            ej = 1 if j < half else -1
-            basis.append([(i, j, 1), (pi, pj, -ei * ej)])
+            mirror = (n - 1 - j, n - 1 - i)
+            c = -sign[i] * sign[j]
+            if mirror == (i, j):
+                if c == 1:
+                    basis.append([(i, j, 1)])
+            elif (i, j) < mirror:
+                basis.append([(i, j, 1), (*mirror, c)])
     return basis
 
 
@@ -122,6 +111,35 @@ def _form_matrix(family, n):
     for i in range(n):
         m[i][n - 1 - i] = -1 if family == "C" and i >= n // 2 else 1
     return m
+
+
+# What sets the families apart: the name prefix, the least rank, the matrix
+# size N = a r + b as (a, b), and the Killing/trace ratio c N + d as (c, d).
+# The form, the basis and the generator degrees follow from the family and N.
+_FAMILIES = {
+    "A": ("sl", 1, (1, 1), (2, 0)),
+    "B": ("so", 1, (2, 1), (1, -2)),
+    "C": ("sp", 1, (2, 0), (1, 2)),
+    "D": ("so", 2, (2, 0), (1, -2)),
+}
+
+
+def _matrix_size(family, rank_r):
+    a, b = _FAMILIES[family][2]
+    return a * rank_r + b
+
+
+def _family_rank_for_size(family: str, n: int) -> int:
+    """The rank whose matrix size is n, the inverse of _matrix_size;
+    PartitionError for an unknown family or a size of the wrong parity."""
+    family = family.upper()
+    if family not in _FAMILIES:
+        raise PartitionError(f"unknown family {family!r}")
+    a, b = _FAMILIES[family][2]
+    rank_r, rest = divmod(n - b, a)
+    if rest:
+        raise PartitionError(f"{family} family needs {'odd' if b else 'even'} matrix size")
+    return rank_r
 
 
 @dataclass(frozen=True)
@@ -143,65 +161,37 @@ class AlgebraRealization:
 
     def __init__(self, family, rank_r, *, form_scale=ONE):
         family = family.upper()
-        if family == "A":
-            if rank_r < 1:
-                raise UnsupportedAlgebraError("A_r needs r >= 1")
-            n = rank_r + 1
-            basis = _sl_basis(n)
-            degrees = list(range(2, n + 1))
-            kinds = ["trace"] * rank_r
-            killing_ratio = Rat(2 * n)
-            simple = True
-            name = f"sl({n})"
-        elif family == "B":
-            if rank_r < 1:
-                raise UnsupportedAlgebraError("B_r needs r >= 1")
-            n = 2 * rank_r + 1
-            basis = _so_basis(n)
-            degrees = [2 * k for k in range(1, rank_r + 1)]
-            kinds = ["trace"] * rank_r
-            killing_ratio = Rat(n - 2)
-            simple = True
-            name = f"so({n})"
-        elif family == "C":
-            if rank_r < 1:
-                raise UnsupportedAlgebraError("C_r needs r >= 1")
-            n = 2 * rank_r
-            basis = _sp_basis(n)
-            degrees = [2 * k for k in range(1, rank_r + 1)]
-            kinds = ["trace"] * rank_r
-            killing_ratio = Rat(n + 2)
-            simple = True
-            name = f"sp({n})"
-        elif family == "D":
-            if rank_r < 2:
-                raise UnsupportedAlgebraError("D_r needs r >= 2")
-            n = 2 * rank_r
-            basis = _so_basis(n)
-            pairs = [(2 * k, "trace") for k in range(1, rank_r)] + [(rank_r, "pfaffian")]
-            pairs.sort(key=lambda dk: (dk[0], 0 if dk[1] == "trace" else 1))
-            degrees = [d for d, _ in pairs]
-            kinds = [k for _, k in pairs]
-            killing_ratio = Rat(n - 2)
-            simple = rank_r != 2  # D_2 = so(4) is semisimple, not simple
-            name = f"so({n})"
-        else:
+        if family not in _FAMILIES:
             raise UnsupportedAlgebraError(f"unknown family {family!r}")
-
+        prefix, least_rank, _, (c, d) = _FAMILIES[family]
+        if rank_r < least_rank:
+            raise UnsupportedAlgebraError(f"{family}_r needs r >= {least_rank}")
+        self.form_scale = as_rat(form_scale)
+        if self.form_scale == 0:
+            raise ContractError("form_scale must be nonzero")
+        n = _matrix_size(family, rank_r)
         self.family = family
         self.rank_r = rank_r
         self.matrix_size_N = n
-        self.name = name
-        self.simple = simple
+        self.name = f"{prefix}({n})"
+        self.simple = (family, rank_r) != ("D", 2)  # D_2 = so(4) is semisimple, not simple
         self.form = _form_matrix(family, n)
-        self.form_scale = Rat(form_scale)
-        if self.form_scale == 0:
-            raise ContractError("form_scale must be nonzero")
-        self.killing_ratio = killing_ratio
-        self.generator_degrees = tuple(degrees)
-        self.generator_kinds = tuple(kinds)
-        self.exponents = tuple(d - 1 for d in degrees)
+        self.killing_ratio = Rat(c * n + d)
+        # tr(x^k) for k = 2..N on sl(N); on so/sp the odd powers are
+        # traceless, and on so(2r) the Pfaffian, of degree r, replaces tr(x^2r)
+        pairs = [(k, "trace") for k in range(2, n + 1, 1 if self.form is None else 2)]
+        if family == "D":
+            pairs[-1] = (rank_r, "pfaffian")
+            pairs.sort(key=lambda dk: (dk[0], dk[1] != "trace"))
+        # the InvariantGenerator of each degree, in order (see invariants.generators)
+        self._generators = tuple(
+            InvariantGenerator(i + 1, k, k - 1, kind) for i, (k, kind) in enumerate(pairs)
+        )
+        self.generator_degrees = tuple(g.degree for g in self._generators)
+        self.generator_kinds = tuple(g.kind for g in self._generators)
+        self.exponents = tuple(g.exponent for g in self._generators)
         self.distinct_exponents = len(set(self.exponents)) == rank_r
+        basis = _sl_basis(n) if self.form is None else _form_basis(self.form)
         self.dim = len(basis)
         # Each basis matrix is its nonzero integer entries (i, j, value) in
         # row-major order; products also read it as integer rows with the
@@ -248,15 +238,6 @@ class AlgebraRealization:
             (q // n, q % n, tuple((k, vec[q]) for k, vec in enumerate(vecs) if vec[q]))
             for q in range(n * n)
             if q not in pivot_set
-        )
-
-    @cached_property
-    def _generators(self):
-        """The InvariantGenerator of each degree, in order, built once, on
-        first use (see invariants.generators)."""
-        return tuple(
-            InvariantGenerator(i + 1, d, d - 1, k)
-            for i, (d, k) in enumerate(zip(self.generator_degrees, self.generator_kinds))
         )
 
     def coords_of_rows(self, rows, den=1, num=1) -> "Element":
@@ -310,7 +291,7 @@ class AlgebraRealization:
         n = self.matrix_size_N
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ShapeError("matrix size does not match the realization")
-        int_rows, den = _clear_denominators([[_rat(v) for v in r] for r in rows])
+        int_rows, den = _clear_denominators([[as_rat(v) for v in r] for r in rows])
         return self.coords_of_rows(int_rows, den)
 
     def full_space(self) -> "Subspace":
@@ -409,7 +390,7 @@ class Element:
     def __init__(self, algebra: AlgebraRealization, coords):
         """Coordinates may be ints, Rats or strings such as "-3/4"; a float
         raises ContractError."""
-        coords = [_rat(c) for c in coords]
+        coords = [as_rat(c) for c in coords]
         if len(coords) != algebra.dim:
             raise ContractError("coordinate length does not match the algebra dimension")
         # every c is reduced, so their lcm leaves gcd(den, *num) = 1
@@ -480,7 +461,7 @@ class Element:
         if type(c) is int:
             p, q = c, 1
         else:
-            c = _rat(c)
+            c = as_rat(c)
             p, q = c.numerator, c.denominator
         return _element(self.algebra, [p * v for v in self.num], self.den * q)
 
@@ -497,16 +478,6 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self.algebra.name}, [{', '.join(str(c) for c in self.coords)}])"
-
-
-def _rat(value):
-    """value as a Rat.  A float raises ContractError: its binary value is
-    rarely the rational that was meant (0.1 is 3602879701896397/2^55)."""
-    if type(value) is Rat:
-        return value
-    if isinstance(value, float):
-        raise ContractError(f"float {value!r} is not exact; give an int, a Rat or a string")
-    return Rat(value)
 
 
 def _element(algebra, num, den):

@@ -32,10 +32,9 @@ import sys
 
 from . import __version__
 from ._scalar import rat_str
-from .algebras import build_algebra
+from .algebras import _family_rank_for_size, build_algebra
 from .errors import ContractError, HypothesisViolation, NilabError, IdentityError
 from .index import (
-    _family_rank_for_size,
     analyze_orbit,
     bracket_matrix,
     build_pair_data,

@@ -34,6 +34,7 @@ from .algebras import (
     AlgebraRealization,
     Element,
     Subspace,
+    _family_rank_for_size,
     bracket,
     build_algebra,
     center_of,
@@ -574,21 +575,6 @@ def analyze_orbit(alg: AlgebraRealization, partition: Partition, *, seed: int = 
     except NilabError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
     return report
-
-
-def _family_rank_for_size(family: str, n: int) -> int:
-    family = family.upper()
-    if family == "A":
-        return n - 1
-    if family == "B":
-        if n % 2 == 0:
-            raise PartitionError("B family needs odd matrix size")
-        return (n - 1) // 2
-    if family in ("C", "D"):
-        if n % 2 == 1:
-            raise PartitionError(f"{family} family needs even matrix size")
-        return n // 2
-    raise PartitionError(f"unknown family {family!r}")
 
 
 def _partitions_desc(n: int, max_part: int | None = None):

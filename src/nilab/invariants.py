@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from ._scalar import Rat
+from ._scalar import Rat, as_rat
 from .algebras import (
     AlgebraRealization,
     Element,
@@ -556,7 +556,7 @@ def mf_shift_rank(alg: AlgebraRealization, triplet: Triplet, t_samples) -> int:
     half the dimension of the nilpotent orbit of e, that is
     (dim g - dim z(e)) / 2.
     """
-    t_samples = [Rat(t) for t in t_samples]
+    t_samples = [as_rat(t) for t in t_samples]
     max_m = max(alg.exponents)
     distinct_nonzero = {t for t in t_samples if t != 0}
     if len(distinct_nonzero) < max_m + 1:

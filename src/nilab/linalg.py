@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._scalar import ONE, Rat, ZERO
+from ._scalar import ONE, Rat, ZERO, as_rat
 from .errors import ContractError, DegreeMismatchError, ShapeError
 
 
@@ -78,8 +78,8 @@ def _int_rows(rows, width: int):
     """Fresh primitive integer copies of the rows: each row times the lcm of
     its denominators, divided by its content.  Only nonzero entries are
     read; an entry that is neither an int nor a Rat (a string such as
-    "3/4") is read through Rat.  ShapeError unless every row has width
-    entries."""
+    "3/4") is read through as_rat, so a float raises ContractError.
+    ShapeError unless every row has width entries."""
     a = []
     for row in rows:
         if len(row) != width:
@@ -90,7 +90,7 @@ def _int_rows(rows, width: int):
         else:
             nz = [(j, v) for j, v in enumerate(row) if v is not ZERO]
             if not types <= _INT_RAT:
-                nz = [(j, Rat(v)) for j, v in nz]
+                nz = [(j, as_rat(v)) for j, v in nz]
             den = math.lcm(*{v.denominator for _, v in nz})
             out = [0] * width
             for j, v in nz:
@@ -286,13 +286,14 @@ def _vandermonde_inverse(nodes):
 def interpolate_vector_poly(samples, degree: int):
     """Exact coefficients c_0..c_degree of a vector-valued polynomial.
 
-    samples: iterable of (t, value-vector) pairs at pairwise-distinct t.
+    samples: iterable of (t, value-vector) pairs at pairwise-distinct t,
+    with int, Rat or string entries (a float raises ContractError).
     Solves the Vandermonde system on the first degree+1 samples and checks
     any remaining samples against the result; a mismatch means the data has
     higher degree than declared and raises DegreeMismatchError.
     """
     samples = list(samples)
-    nodes = [Rat(t) for t, _ in samples]
+    nodes = [as_rat(t) for t, _ in samples]
     if len(set(nodes)) != len(nodes):
         raise ContractError("interpolation nodes must be pairwise distinct")
     if len(samples) < degree + 1:
@@ -303,25 +304,22 @@ def interpolate_vector_poly(samples, degree: int):
     for _, v in samples:
         if len(v) != width:
             raise ShapeError("sample vectors have inconsistent lengths")
+    values = [[as_rat(x) for x in v] for _, v in samples]
     vinv = _vandermonde_inverse(tuple(nodes[: degree + 1]))
     coeffs = []
     for k in range(degree + 1):
         vrow = vinv[k]
         coeffs.append(
-            [
-                sum((vrow[i] * samples[i][1][j] for i in range(degree + 1)), ZERO)
-                for j in range(width)
-            ]
+            [sum((vrow[i] * values[i][j] for i in range(degree + 1)), ZERO) for j in range(width)]
         )
-    for t, value in samples[degree + 1 :]:
-        t = Rat(t)
+    for t, value in zip(nodes[degree + 1 :], values[degree + 1 :]):
         acc = [ZERO] * width
         p = ONE
         for c in coeffs:
             for j in range(width):
                 acc[j] += p * c[j]
             p = p * t
-        if acc != [Rat(v) for v in value]:
+        if acc != value:
             raise DegreeMismatchError(
                 f"samples are not reproduced by a degree-{degree} polynomial"
             )

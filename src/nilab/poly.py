@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from math import isqrt
 
-from ._scalar import ONE, Rat, ZERO
+from ._scalar import ONE, Rat, ZERO, as_rat
 from .errors import ContractError, InternalError, ShapeError
 from .linalg import echelon_rows
 
@@ -45,7 +45,7 @@ class Poly:
         for exp, coeff in terms.items():
             if len(exp) != nv:
                 raise ShapeError("exponent length does not match variable count")
-            coeff = Rat(coeff)
+            coeff = as_rat(coeff)
             if coeff != 0:
                 clean[tuple(exp)] = coeff
         self.terms = clean
@@ -56,7 +56,7 @@ class Poly:
 
     @classmethod
     def const(cls, variables, value) -> "Poly":
-        return cls(variables, {(0,) * len(tuple(variables)): Rat(value)})
+        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
     def variable(cls, variables, index: int) -> "Poly":
@@ -71,10 +71,11 @@ class Poly:
         variables = tuple(variables)
         terms = {}
         for k, c in enumerate(coeffs):
-            if c != 0:
+            c = as_rat(c)
+            if c:
                 exp = [0] * len(variables)
                 exp[k] = 1
-                terms[tuple(exp)] = Rat(c)
+                terms[tuple(exp)] = c
         return cls(variables, terms)
 
     def is_zero(self) -> bool:
@@ -117,7 +118,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = Rat(other)
+            c = as_rat(other)
             return Poly(self.variables, {e: c * v for e, v in self.terms.items()})
         self._check_same_vars(other)
         out = {}
@@ -141,7 +142,7 @@ class Poly:
         """Exact value at a point given as a sequence, one value per variable."""
         if len(point) != len(self.variables):
             raise ShapeError("point length does not match variable count")
-        point = [Rat(v) for v in point]
+        point = [as_rat(v) for v in point]
         total = ZERO
         for exp, c in self.terms.items():
             term = c

@@ -101,18 +101,18 @@ def _validate_partition(alg: AlgebraRealization, p: Partition):
         raise PartitionError(
             f"partition sums to {p.total}, matrix size is {alg.matrix_size_N}"
         )
-    if alg.family in ("B", "D"):
-        for d in set(p.parts):
-            if d % 2 == 0 and p.multiplicity(d) % 2 != 0:
-                raise PartitionError(
-                    "orthogonal families need even parts with even multiplicity"
-                )
-    elif alg.family == "C":
-        for d in set(p.parts):
-            if d % 2 == 1 and p.multiplicity(d) % 2 != 0:
-                raise PartitionError(
-                    "symplectic family needs odd parts with even multiplicity"
-                )
+    if alg.form is None:
+        return
+    # Jordan blocks of the paired parity come in pairs: even sizes in so(N),
+    # odd ones in sp(N)
+    paired = 1 if alg.family == "C" else 0
+    for d in set(p.parts):
+        if d % 2 == paired and p.multiplicity(d) % 2:
+            raise PartitionError(
+                "symplectic family needs odd parts with even multiplicity"
+                if paired
+                else "orthogonal families need even parts with even multiplicity"
+            )
 
 
 def _pieces(alg: AlgebraRealization, p: Partition):

@@ -14,6 +14,7 @@ from nilab import (
     ShapeError,
     GraduationError,
     Partition,
+    PartitionError,
     Poly,
     Rat,
     Subspace,
@@ -35,6 +36,7 @@ from nilab import (
     unipotent_conjugate,
     valid_partitions,
 )
+from nilab.index import _family_rank_for_size
 from nilab.invariants import make_samples
 from nilab.linalg import mat_mul, mat_vec, rref
 
@@ -95,6 +97,35 @@ def test_unsupported_families():
         build_algebra("E", 6)
     with pytest.raises(UnsupportedAlgebraError):
         build_algebra("A", 0)
+
+
+# matrix size N of rank r: sl(r+1), so(2r+1), sp(2r), so(2r)
+CLOSED_FORM_SIZES = {
+    "A": lambda r: r + 1, "B": lambda r: 2 * r + 1, "C": lambda r: 2 * r, "D": lambda r: 2 * r
+}
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_size_to_rank_inverts_the_rank_to_size_map(family):
+    for rank in range(1, 13):
+        n = nilab.algebras._matrix_size(family, rank)
+        assert n == CLOSED_FORM_SIZES[family](rank)
+        assert _family_rank_for_size(family, n) == rank
+        assert _family_rank_for_size(family.lower(), n) == rank
+        if rank <= 4 and (family, rank) != ("D", 1):
+            assert build_algebra(family, rank).matrix_size_N == n
+
+
+def test_size_to_rank_keeps_its_messages():
+    for family, n, message in [
+        ("B", 6, "B family needs odd matrix size"),
+        ("C", 5, "C family needs even matrix size"),
+        ("d", 7, "D family needs even matrix size"),
+        ("E", 8, "unknown family 'E'"),
+    ]:
+        with pytest.raises(PartitionError) as info:
+            _family_rank_for_size(family, n)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("family,rank", sorted(EXPECTED_DIMS))
@@ -917,3 +948,67 @@ def test_centralizer_index_equals_rank(family, ranks):
                 if best >= want:
                     break
             assert best == want, (alg.name, p)
+
+
+# For e nilpotent, z = z(e), delta its center and eta the normalizer of z,
+# dim eta minus the largest rank of the skew matrix (xi([b_a, b_b])) over a few
+# integer xi in eta* is an upper bound on ind eta (a generic xi reaches the
+# largest rank, a sampled one may fall short).  On every nonzero orbit below
+# that bound is rank g - dim delta.
+
+
+def _nonzero_orbits(alg):
+    return [p for p in valid_partitions(alg) if any(part > 1 for part in p.parts)]
+
+
+@pytest.mark.parametrize(
+    "family,ranks", [("A", (3, 4, 5)), ("B", (3, 4)), ("C", (3, 4)), ("D", (4, 5))]
+)
+def test_normalizer_index_bound_is_rank_minus_center_dim(family, ranks):
+    for rank in ranks:
+        alg = build_algebra(family, rank)
+        rng = random.Random(f"eta-index:{family}{rank}")
+        for p in _nonzero_orbits(alg):
+            z = centralizer(nilpotent_from_partition(alg, p))
+            delta, eta = center_of(z), normalizer_of(z)
+            want = eta.dim - (alg.rank_r - delta.dim)
+            best = 0
+            for _ in range(3):
+                xi = [rng.randint(-50, 50) for _ in range(eta.dim)]
+                best = max(best, _skew_rank(eta, xi))
+                if best >= want:
+                    break
+            assert eta.dim - best == alg.rank_r - delta.dim, (alg.name, p)
+
+
+def preimage_of_center(e, delta):
+    """{y : [e, y] in delta}, the kernel of y -> [e, y] reduced by the echelon
+    rows of delta, through the rational reference elimination."""
+    alg = e.algebra
+    columns = []
+    for k in range(alg.dim):
+        v = list(bracket(e, alg.basis_element(k)).coords)
+        for row, c in zip(delta.rows, delta.pivots):
+            if v[c]:
+                v = [x - v[c] * r for x, r in zip(v, row)]
+        columns.append(v)
+    _, kernel = rank_kernel([list(r) for r in zip(*columns)], alg.dim)
+    return Subspace.from_coord_rows(alg, kernel)
+
+
+@pytest.mark.parametrize(
+    "family,ranks",
+    [("A", (1, 2, 3, 4, 5, 6)), ("B", (1, 2, 3, 4)), ("C", (1, 2, 3, 4)), ("D", (2, 3, 4))],
+)
+def test_normalizer_is_the_preimage_of_the_center(family, ranks):
+    # y normalizes z = z(e) iff [e, y] lies in delta: e lies in z, so [e, y] is
+    # in z, and by Jacobi [[e, y], u] = [e, [y, u]] = 0 for u in z, so [e, y]
+    # centralizes z, and the centralizer of z in g lies in z.  Conversely
+    # [[y, u], e] = [y, [u, e]] - [u, [y, e]] = 0 for u in z.
+    for rank in ranks:
+        alg = build_algebra(family, rank)
+        for p in _nonzero_orbits(alg):
+            e = nilpotent_from_partition(alg, p)
+            z = centralizer(e)
+            preimage = preimage_of_center(e, center_of(z))
+            assert normalizer_of(z).same_space(preimage), (alg.name, p)

@@ -16,16 +16,21 @@ import pytest
 from nilab import (
     ContractError,
     Element,
+    Poly,
     Rat,
     Subspace,
     bracket,
     build_algebra,
     center_of,
     centralizer,
+    interpolate_vector_poly,
     normalizer_of,
     principal_triplet,
+    rank_kernel,
+    solve,
 )
-from nilab.linalg import mat_mul
+from nilab.invariants import mf_shift_rank
+from nilab.linalg import _int_rows, mat_mul
 
 ALGEBRAS = [("A", 3), ("B", 2), ("C", 2), ("D", 4)]  # sl(4), so(5), sp(4), so(8)
 ZERO = Rat(0)
@@ -199,3 +204,36 @@ def test_floats_are_rejected(bad):
         alg.basis_element(0).scale(bad)
     # the exact spellings of the same values stay accepted
     assert alg.from_matrix([["1/2", 0], [0, Rat(-1, 2)]]) == Element(alg, ["1/2", 0, 0])
+
+
+def _shift_rank_with(shift):
+    alg = build_algebra("A", 1)
+    return mf_shift_rank(alg, principal_triplet(alg), [shift, 1, 2])
+
+
+# Every entry point that takes scalars refuses a float, as Element does: the
+# float 0.1 would otherwise be read as 3602879701896397/36028797018963968.
+FLOAT_ENTRY_POINTS = {
+    "solve-matrix": lambda x: solve([[x]], 1, [1]),
+    "solve-rhs": lambda x: solve([[1]], 1, [x]),
+    "rank_kernel": lambda x: rank_kernel([[1, x]], 2),
+    "_int_rows": lambda x: _int_rows([[Rat(1, 3), x]], 2),
+    "interpolate-node": lambda x: interpolate_vector_poly([(x, [1]), (1, [2])], 1),
+    "interpolate-value": lambda x: interpolate_vector_poly([(0, [x]), (1, [2])], 1),
+    "Poly": lambda x: Poly(("a",), {(1,): x}),
+    "Poly.const": lambda x: Poly.const(("a",), x),
+    "Poly.linear": lambda x: Poly.linear(("a", "b"), [1, x]),
+    "Poly.eval": lambda x: Poly.variable(("a",), 0).eval([x]),
+    "Poly.mul": lambda x: Poly.variable(("a",), 0) * x,
+    "Poly.rmul": lambda x: x * Poly.variable(("a",), 0),
+    "mf_shift_rank": _shift_rank_with,
+    "form_scale": lambda x: build_algebra("A", 1, form_scale=x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [0.1, 0.0])
+def test_floats_are_rejected_at_every_entry_point(entry, bad):
+    with pytest.raises(ContractError, match="is not exact"):
+        FLOAT_ENTRY_POINTS[entry](bad)
+    FLOAT_ENTRY_POINTS[entry]("1/2")  # the exact spelling stays accepted

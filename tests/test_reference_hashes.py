@@ -5,7 +5,8 @@ The benchmark checks every operation against those hashes; this test checks
 a few cheap orbits and the three verify suites, so that a kernel change that
 alters any output fails here too.  The reference file is only read.  The so(6)
 verify suite, the `decompose` output and the C10 and D10 `table` sweeps,
-which no benchmark workload runs, are pinned by hashes kept here.
+which no benchmark workload runs, are pinned by hashes kept here, and so is
+the realization of every algebra up to rank 9.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import pytest
 
 from nilab import Partition, analyze_orbit, build_algebra, cli
 from nilab.index import _family_rank_for_size
+from nilab.invariants import generators
 
 REFERENCE_FILE = Path(__file__).resolve().parent.parent / "bench" / "reference_hashes.json"
 
@@ -108,3 +110,73 @@ def test_table_output_matches_pinned_hash(family, n):
     code, expected = TABLE_HASHES[(family, n)]
     argv = ["table", "--family", family, "--n", str(n), "--seed", "0"]
     assert cli_hash(argv, code) == expected
+
+
+# The realization of every algebra up to rank 9 is pinned entry by entry: the
+# sparse basis, the read-off (its denominator, pivot terms and non-pivot
+# checks), the form, the upper-triangular basis indices, describe() and the
+# invariant generators.  A refactor of the builders or of the constructor
+# must leave all of them unchanged, since every report is read through them.
+REALIZATION_HASHES = {
+    "A1": "a0262c252dfe882023cb7610ddbb6715a89a5722083e7e5ac4b799ca3ffcf72c",
+    "A2": "ef43c2fd734d44519781748ff34499b855fd1af950d900b8076c0142712e41f5",
+    "A3": "5e17225c38494939b2606579aeff6954c316019557f82e615d84e167151673cd",
+    "A4": "c703f9c82aacd74abe3a93664a45da8c4505a8535ce61fe0626d4d23d98a63c5",
+    "A5": "1f749b6dcb1ef2b8f5ac3bdb71370e720bf472b5153f1cd5413905e3c9b4ea4b",
+    "A6": "bc277f233d24c4be550ac42fc8c4aacd43b1d5d62be6c6b5149d6c77da1f33d1",
+    "A7": "6ef62c77d372205b5803a60e4c64bee7f4881cbc7039a27ab5f6cff2dc8d2050",
+    "A8": "3c963bfaf1e4185dbc3413730c2370514ec035186457e4436d6028e5229da479",
+    "A9": "080569f0280fc6c0f67da61203ed96e97582a011c340141f3ca4273e82b1940b",
+    "B1": "3fb333f9331afcf5e4e03c349e70dbf620c624033a904309158349f23abd95a0",
+    "B2": "057e04f402ad5085c3d2c46986201a10b861a4829be62ed99173735fa97cca67",
+    "B3": "a2747cb73a4be2e34d07ed826ab0cdceace4bd0f9540067bdb8774fe0ef8e725",
+    "B4": "3e7fe7aef7ae27d467ef4dc22a079af2669540c196de570d822e97d39f89ebad",
+    "B5": "69a56f14d67f77026afae3012405e2c89a61a5bb1ab18952623491a33020a8f8",
+    "B6": "03e94ce7659c87ae7ce3b757ac26c14698c04448c67ecd2e94cbcfba24609437",
+    "B7": "16686a03ed8209bd43b01359dfb408cd310164568588aa60f09a11041d7d4592",
+    "B8": "a7ece3df326fc617259675e7a01dd1076b6d4ec0adf0bd8ec4723b08ccc695a0",
+    "B9": "0a220bd6e01fb6fd8f49597234ee4bef82c2225039b6946752fb8c92e6914cef",
+    "C1": "7a7312f2e00872a8e9564e95b4002b0c9628277548b577137938404a6f8e3d83",
+    "C2": "da53776d738437883ad3dac263cc9497684b86e85c98171e55f7da148e8af4ff",
+    "C3": "0da87e87428362f6172a45cabc80fb342aae6c2f25040c8bd50de481d64bd8c3",
+    "C4": "ecb6c7b5af688806d1acd794b1272d5f1d4a5487e93f0a741c00839c5fac355c",
+    "C5": "a5b96c1ded9531389f4575621a24cb8acf67785263e0a0c09f7b912b04d2732e",
+    "C6": "cac28e4de9771fcf9d1bc61e956c4ae8253a7b2bd0fa9c1132b11f76877339c6",
+    "C7": "8599841fd7ab1c4661422450c930650ebb903e51e54195c2d8e6b3b23077b15c",
+    "C8": "b774dd1c164a299d0cc449fb186498f482ff88b836293b468fc4f80cad94b242",
+    "C9": "f2d85c4967327982cfe414bd3a65a13962c6de86af6a8255b76d508ddb988412",
+    "D2": "0259e06c9f7a0ae718268fd2ae55501fe341041cb38f46b2cd483e52a9bbd7a2",
+    "D3": "5b40c17960cbf1680a33e3d394d4e737b674d27ef082ed82fd8a404ef258eaf0",
+    "D4": "1b0298e12b87457cd62c70c4b6296fec5502f08be4d62dc28b0852c0cc41f2b5",
+    "D5": "3a4fbe5ac3891e76c3001bba3774bd083c7d43cb8bc6df68e25b686d30d750b9",
+    "D6": "5fca6194b0b0feaf6acdec0a063054bffec9f3adc9b9330dad2cdf2ac6496e53",
+    "D7": "07d639cc491acefe317629884074a3c7361db290a7d84715db096bd21caa633c",
+    "D8": "f371393b7a9c7f1b66aada3ca2df803b63c203dc2932459d58640b9fafd44a1c",
+    "D9": "8b40cddf8a4aac9967a98d5757972f64dd00f73f50e234e368a94e3ca2c1561a",
+}
+
+
+def _canon(value):
+    if isinstance(value, (list, tuple)):
+        return tuple(_canon(v) for v in value)
+    return value
+
+
+def realization_hash(alg):
+    parts = (
+        _canon(alg._basis_sparse),
+        alg._coord_den,
+        _canon(alg._coord_terms),
+        _canon(alg._nonpivot_terms),
+        _canon(alg.form),
+        _canon(alg._upper_indices),
+        json.dumps(alg.describe(), sort_keys=True),
+        tuple(repr(g) for g in generators(alg)),
+    )
+    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REALIZATION_HASHES))
+def test_realization_matches_pinned_hash(name):
+    alg = build_algebra(name[0], int(name[1:]))
+    assert realization_hash(alg) == REALIZATION_HASHES[name]
