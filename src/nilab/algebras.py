@@ -42,15 +42,17 @@ Element arithmetic, brackets, products, traces, the unipotent conjugation,
 the read-off and subspace membership run on Python ints; a rational is made
 only where a caller reads coordinates (Element.coords, Subspace.coords_of,
 Subspace.rows, ad_matrix).  A subspace keeps its reduced echelon basis as
-primitive integer rows, so the centralizer, its center and its normalizer
-are each built from integer eliminations alone, the centralizer and the
-center from one echelon kernel each (linalg.echelon_kernel).  The
-ad(h)-grading of a diagonal h is read off the matrix positions of the
-basis, not solved for.
+primitive integer rows, and each subspace built here is one integer echelon
+kernel (linalg.echelon_kernel): the center off the bracket table of s, the
+others off _bracket_rows(x, t), the rows of y -> [x, y] mod t, whose kernel
+is preimage(x, t); the centralizer is the preimage of 0 and normalizer_of(s)
+stacks the rows over the basis of s.  The ad(h)-grading of a diagonal h is
+read off the matrix positions of the basis, not solved for.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +64,7 @@ from .errors import (
     ShapeError,
     UnsupportedAlgebraError,
 )
-from .linalg import echelon_kernel, echelon_rows, inverse, mat_mul
+from .linalg import _int_rows, echelon_kernel, echelon_rows, inverse, mat_mul
 
 
 def _sl_basis(n):
@@ -506,19 +508,6 @@ def _sum(x, y, sign):
     return _element(x.algebra, [a * fx + b * fy for a, b in zip(x.num, y.num)], den)
 
 
-def _primitive_combination(vectors, coeffs, width):
-    """sum_i coeffs[i] vectors[i] for integer vectors and coefficients,
-    divided by its content."""
-    acc = [0] * width
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            for q, v in enumerate(vec):
-                if v:
-                    acc[q] += c * v
-    g = math.gcd(*acc)
-    return [v // g for v in acc] if g > 1 else acc
-
-
 def _same_algebra(x, y):
     if x.algebra is not y.algebra:
         raise ContractError("elements belong to different algebra realizations")
@@ -545,10 +534,11 @@ def trace_form(x: Element, y: Element):
     return Rat(acc, dx * dy) * x.algebra.form_scale
 
 
+@functools.lru_cache(maxsize=1)
 def _ad_columns(x: Element):
-    """(C, D): integer columns C_k and one positive integer D with
-    [x, basis_k] = C_k / D, D = D0 dx the denominator every read-off of
-    [x, basis_k] shares."""
+    """(C, D): integer columns C_k, as tuples, and one positive integer D
+    with [x, basis_k] = C_k / D, D = D0 dx the denominator every read-off of
+    [x, basis_k] shares.  One entry is cached: an orbit reads ad(e) once."""
     alg = x.algebra
     a, dx, a_cols = x._int_form()
     den = alg._coord_den * dx
@@ -556,8 +546,8 @@ def _ad_columns(x: Element):
     for b, b_cols in alg._basis_int:
         col = alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx)
         f = den // col.den
-        columns.append([v * f for v in col.num])
-    return columns, den
+        columns.append(tuple([v * f for v in col.num]))
+    return tuple(columns), den
 
 
 def ad_matrix(x: Element):
@@ -707,8 +697,8 @@ class Subspace:
         I_a = I_a[c_a] b_a the integer row of basis vector a.
 
         Each unordered pair is multiplied out once and the table is kept, so
-        the center, the normalizer and bracket_table share it.  A zero
-        commutator has no coordinates.  Otherwise the residual of _split is
+        the center, the normalizer's closure check and bracket_table share
+        it.  A zero commutator has no coordinates.  Otherwise the residual of _split is
         the exact check that it lies in s: a nonzero residual raises
         ContractError, so building the table checks that s is a subalgebra.
         """
@@ -755,13 +745,36 @@ class Subspace:
         return f"Subspace({self.algebra.name}, dim={self.dim})"
 
 
-def centralizer(x: Element) -> Subspace:
-    """z(x) = {y : [x, y] = 0}, the kernel of ad(x), from one elimination of
-    the integer columns of ad(x) over their one common denominator:
-    linalg.echelon_kernel returns the kernel already as z's echelon basis."""
+def _bracket_rows(x: Element, t: Subspace):
+    """The nonzero integer rows of y -> [x, y] mod t: column k is D_t C_k -
+    sum_r C_k[c_r] (D_t / I_r[c_r]) I_r, for C_k the integer column of ad(x)
+    and D_t the lcm of t's pivot entries.  Every column is at the one scale
+    D_t D, so the rows have the kernel of the map (a scale per column would
+    not)."""
     columns, _ = _ad_columns(x)
-    pivots, rows = echelon_kernel(list(zip(*columns)), x.algebra.dim)
+    dt = math.lcm(*(row[c] for row, c in zip(t.num_rows, t.pivots)))
+    terms = [(c, dt // row[c], row) for row, c in zip(t.num_rows, t.pivots)]
+    reduced = []
+    for col in columns:
+        out = [dt * v for v in col]
+        for c, f, row in terms:
+            if col[c]:
+                out = [v - col[c] * f * r for v, r in zip(out, row)]
+        reduced.append(out)
+    return [row for row in zip(*reduced) if any(row)]
+
+
+def preimage(x: Element, t: Subspace) -> Subspace:
+    """{y : [x, y] in t}, from one echelon kernel of _bracket_rows(x, t).
+    x and t from different realizations raise ContractError."""
+    _same_algebra(x, t)
+    pivots, rows = echelon_kernel(_bracket_rows(x, t), x.algebra.dim)
     return Subspace(x.algebra, rows, pivots)
+
+
+def centralizer(x: Element) -> Subspace:
+    """z(x) = {y : [x, y] = 0}, the preimage of the zero subspace."""
+    return preimage(x, Subspace(x.algebra, (), ()))
 
 
 def center_of(s: Subspace) -> Subspace:
@@ -786,51 +799,21 @@ def center_of(s: Subspace) -> Subspace:
                 rows.setdefault((b, t), [0] * k)[a] = g
                 rows.setdefault((a, t), [0] * k)[b] = -g
     free, kernel = echelon_kernel(list(rows.values()), k)
-    dim = s.algebra.dim
-    return Subspace(
-        s.algebra,
-        [_primitive_combination(s.num_rows, w, dim) for w in kernel],
-        [s.pivots[f] for f in free],
-    )
+    # the rows sum_a W_a I_a, each divided by its content
+    combined = _int_rows(mat_mul(kernel, s.num_rows), s.algebra.dim)
+    return Subspace(s.algebra, combined, [s.pivots[f] for f in free])
 
 
 def normalizer_of(s: Subspace) -> Subspace:
-    """{y : [y, u] in s for every basis vector u of s}.
-
-    s must be a subalgebra (checked through its bracket table; ContractError
-    otherwise).  Then s lies in its normalizer, so the normalizer is s plus
-    the vectors y spanned by the basis directions off the pivots of s with
-    [y, u] in s for all u.  That candidate set is refined one u at a time:
-    after each u only the kernel of y -> [y, u] mod s is kept, so later u
-    bracket fewer vectors and ad(u) is never built on all of g.  The map
-    y -> [y, u] mod s is the residual of s._split on the integer commutator
-    of y and u, on its nonzero matrix entries; it is linear in y and
-    vanishes exactly when [y, u] lies in s.  The candidates are integer
-    vectors over denominator 1, each kept with its integer matrix, and each
-    cut keeps the primitive integer kernel.
-    """
-    alg = s.algebra
-    s._brackets()  # closure check: only then does s lie in its normalizer
-    pivots = set(s.pivots)
-    candidates = [alg.basis_element(q) for q in range(alg.dim) if q not in pivots]
-    for u in s.basis:
-        if not candidates:
-            break
-        b, _, b_cols = u._int_form()
-        images = []
-        for y in candidates:
-            a, _, a_cols = y._int_form()
-            c = _commutator_rows(a, a_cols, b, b_cols)
-            images.append(s._split(c)[1] if any(map(any, c)) else {})
-        entries = sorted(set().union(*images))
-        rows = [[r.get(p, 0) for r in images] for p in entries]
-        _, kernel = echelon_kernel(rows, len(candidates))
-        if len(kernel) < len(candidates):
-            nums = [y.num for y in candidates]
-            candidates = [
-                _element(alg, _primitive_combination(nums, w, alg.dim), 1) for w in kernel
-            ]
-    return Subspace.from_coord_rows(alg, list(s.num_rows) + [y.num for y in candidates])
+    """{y : [u, y] in s for every basis vector u of s}, by its definition: one
+    echelon kernel of the _bracket_rows(u, s) stacked over the u.  s must be
+    a subalgebra (checked through its bracket table; ContractError
+    otherwise).  The pipeline takes the normalizer of z(e) as
+    preimage(e, center_of(z)) instead (see nilab.index)."""
+    s._brackets()  # closure check
+    rows = [row for u in s.basis for row in _bracket_rows(u, s)]
+    pivots, kernel = echelon_kernel(rows, s.algebra.dim)
+    return Subspace(s.algebra, kernel, pivots)
 
 
 def h_graduation(h: Element, s: Subspace):

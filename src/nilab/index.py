@@ -4,7 +4,11 @@ For a nilpotent e with triple (h, e, f):
 
   z     = centralizer of e,
   delta = center of z,
-  eta   = normalizer of z in the algebra.
+  eta   = normalizer of z in the algebra = {y : [e, y] in delta}:
+
+if [y, z] lies in z, then [e, y] lies in z (as e does) and is central there:
+[[e, y], u] = [e, [y, u]] - [y, [e, u]] = 0 for u in z (Jacobi).  If [e, y]
+lies in delta, then [[y, u], e] = [y, [u, e]] - [u, [y, e]] = 0: [y, u] in z.
 
 The working hypothesis is that delta is spanned by the gradient values
 P_j(e); a maximal independent subfamily is selected greedily by ascending
@@ -39,7 +43,7 @@ from .algebras import (
     build_algebra,
     center_of,
     centralizer,
-    normalizer_of,
+    preimage,
 )
 from .errors import (
     HypothesisViolation,
@@ -139,7 +143,7 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
     e, h = triplet.e, triplet.h
     zcent = centralizer(e)
     delta = center_of(zcent)
-    eta = normalizer_of(zcent)
+    eta = preimage(e, delta)
     # every P_j(e) off one power chain of e, every y_j off one chain along h
     all_js = [gen.index_j for gen in generators(alg)]
     values = _line_table(alg, all_js, e, None, None, [(0, 0)])

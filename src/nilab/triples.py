@@ -24,6 +24,7 @@ partition's orbit it gives the same triple as the closed form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from ._scalar import ZERO
@@ -46,7 +47,10 @@ class Partition:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        try:
+            parts = tuple(operator.index(p) for p in self.parts)
+        except TypeError as exc:
+            raise PartitionError(f"parts must be integers, got {self.parts!r}") from exc
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise PartitionError("empty partition")

@@ -36,6 +36,7 @@ from nilab import (
     unipotent_conjugate,
     valid_partitions,
 )
+from nilab.algebras import preimage
 from nilab.index import _family_rank_for_size
 from nilab.invariants import make_samples
 from nilab.linalg import mat_mul, mat_vec, rref
@@ -682,6 +683,15 @@ def test_normalizer_of_rejects_non_subalgebra():
         normalizer_of(Subspace.from_elements(alg, [e, f]))
 
 
+def test_preimage_rejects_mixed_algebras():
+    alg, other = build_algebra("A", 1), build_algebra("A", 1)
+    e = other.from_matrix(E(2, 0, 1))
+    with pytest.raises(ContractError):
+        preimage(e, alg.full_space())
+    with pytest.raises(ContractError):
+        preimage(e, Subspace.from_coord_rows(alg, []))
+
+
 def _count_products(monkeypatch, log):
     """Log the integer matrices of every commutator product the library
     multiplies out (brackets, ad(x) columns, the bracket table and the
@@ -906,13 +916,19 @@ def test_center_rows_are_primitive_where_the_kernel_combination_is_not():
     assert center.basis == [alg.from_matrix([[1, 0, 0], [0, -2, -2], [0, 0, 1]])]
 
 
-@pytest.mark.parametrize("family,rank", [("A", 4), ("D", 5)])
+@pytest.mark.parametrize(
+    "family,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("D", 5)]
+)
 def test_normalizer_matches_brute_force_on_every_orbit(family, rank):
     alg = build_algebra(family, rank)
     for p in valid_partitions(alg):
         if any(part > 1 for part in p.parts):
-            z = centralizer(nilpotent_from_partition(alg, p))
-            assert normalizer_of(z).same_space(brute_normalizer(z)), p
+            e = nilpotent_from_partition(alg, p)
+            z = centralizer(e)
+            want = brute_normalizer(z)
+            assert normalizer_of(z).same_space(want), p
+            # the pipeline's eta, {y : [e, y] in delta}
+            assert preimage(e, center_of(z)).same_space(want), p
 
 
 # Elashvili's conjecture, proved for the classical algebras (Panyushev 2003,
@@ -1001,14 +1017,15 @@ def preimage_of_center(e, delta):
     [("A", (1, 2, 3, 4, 5, 6)), ("B", (1, 2, 3, 4)), ("C", (1, 2, 3, 4)), ("D", (2, 3, 4))],
 )
 def test_normalizer_is_the_preimage_of_the_center(family, ranks):
-    # y normalizes z = z(e) iff [e, y] lies in delta: e lies in z, so [e, y] is
-    # in z, and by Jacobi [[e, y], u] = [e, [y, u]] = 0 for u in z, so [e, y]
-    # centralizes z, and the centralizer of z in g lies in z.  Conversely
-    # [[y, u], e] = [y, [u, e]] - [u, [y, e]] = 0 for u in z.
+    # y normalizes z = z(e) iff [e, y] lies in delta (proof in the nilab.index
+    # module docstring); the library's preimage is checked against the
+    # rational one here
     for rank in ranks:
         alg = build_algebra(family, rank)
         for p in _nonzero_orbits(alg):
             e = nilpotent_from_partition(alg, p)
             z = centralizer(e)
-            preimage = preimage_of_center(e, center_of(z))
-            assert normalizer_of(z).same_space(preimage), (alg.name, p)
+            delta = center_of(z)
+            want = preimage_of_center(e, delta)
+            assert normalizer_of(z).same_space(want), (alg.name, p)
+            assert preimage(e, delta).same_space(want), (alg.name, p)

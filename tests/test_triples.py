@@ -67,6 +67,13 @@ def test_partition_validation():
         Partition.parse("3,x")
 
 
+@pytest.mark.parametrize("parts", [(2.5, 1.5), (3.0, 1.0), ("3", "1")])
+def test_partition_rejects_non_integer_parts(parts):
+    # a float part is refused, not truncated (2.5, 1.5 once became 2, 1)
+    with pytest.raises(PartitionError):
+        Partition(parts)
+
+
 def test_partition_family_constraints():
     b2 = build_algebra("B", 2)
     with pytest.raises(PartitionError):
