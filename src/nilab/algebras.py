@@ -28,10 +28,14 @@ the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, and every matrix comes back
 to an element through the one checked read-off, coords_of_rows.  A
-subspace has one membership check, Subspace._split, on integer N x N
-matrices: it serves contains and coords_of, and it brings brackets of a
-subalgebra's basis vectors back as coordinates in that basis through one
-checked pivot read.
+subspace has one membership check, Subspace._split, on the nonzero entries
+of an integer N x N matrix: it serves contains and coords_of, it brings
+brackets of a subalgebra's basis vectors back as coordinates in that basis
+through one checked pivot read, and, on all of g as a subspace, it reads
+the columns of ad(x).  The subspace layer multiplies sparse matrices
+(_commutator_entries), since the basis matrices of z(e) are weight vectors
+with few nonzero entries; brackets of general elements, whose matrices are
+mostly full, stay on dense integer rows (_commutator_rows).
 
 Every matrix, an N x N realization or a dim x dim map such as ad(x), is a
 list of row lists, the one form linalg works on.  An element holds integer
@@ -196,15 +200,8 @@ class AlgebraRealization:
         basis = _sl_basis(n) if self.form is None else _form_basis(self.form)
         self.dim = len(basis)
         # Each basis matrix is its nonzero integer entries (i, j, value) in
-        # row-major order; products also read it as integer rows with the
-        # columns of their nonzero entries.
+        # row-major order.
         self._basis_sparse = basis
-        self._basis_int = []
-        for entries in basis:
-            rows = _zero_int_rows(n)
-            for i, j, v in entries:
-                rows[i][j] = v
-            self._basis_int.append((rows, _nonzero_columns(rows)))
         self._upper_indices = tuple(
             k for k, entries in enumerate(basis) if all(i < j for i, j, _ in entries)
         )
@@ -216,8 +213,15 @@ class AlgebraRealization:
         # coords = inv * (entries at the pivots).  The inverse pivot block is
         # kept as integers times the lcm D0 of its denominators.  Both it and
         # the basis are mostly zero, so only their nonzero entries are kept,
-        # each with the matrix position it reads.
+        # each with the matrix position it reads.  The ad(x) columns read
+        # each basis matrix as sparse rows (see _sparse_rows) and go through
+        # the full space, which is built on first use.
         n = self.matrix_size_N
+        self._basis_rows = [
+            _sparse_rows(n, {i * n + j: v for i, j, v in entries})
+            for entries in self._basis_sparse
+        ]
+        self._full = None
         vecs = []
         for entries in self._basis_sparse:
             vec = [0] * (n * n)
@@ -297,7 +301,12 @@ class AlgebraRealization:
         return self.coords_of_rows(int_rows, den)
 
     def full_space(self) -> "Subspace":
-        return Subspace.from_elements(self, [self.basis_element(k) for k in range(self.dim)])
+        """All of g as a Subspace (unit rows, every coordinate a pivot),
+        built once, on first call."""
+        if self._full is None:
+            unit = [[int(q == k) for q in range(self.dim)] for k in range(self.dim)]
+            self._full = Subspace(self, unit, range(self.dim))
+        return self._full
 
     def random_element(self, rng, bound: int = 3) -> "Element":
         return _element(self, [rng.randint(-bound, bound) for _ in range(self.dim)], 1)
@@ -348,9 +357,15 @@ def _zero_int_rows(n):
     return [[0] * n for _ in range(n)]
 
 
-def _nonzero_columns(rows):
-    """Per row, the columns of its nonzero entries."""
-    return [[j for j, v in enumerate(row) if v] for row in rows]
+def _sparse_rows(n, entries):
+    """The N x N integer matrix with these nonzero entries {i N + j: value}
+    as sparse rows, the form _commutator_entries reads: {i: [(j, value),
+    ...]} over its nonzero rows."""
+    rows = {}
+    for p, v in entries.items():
+        i, j = divmod(p, n)
+        rows.setdefault(i, []).append((j, v))
+    return rows
 
 
 def _clear_denominators(rows):
@@ -361,8 +376,9 @@ def _clear_denominators(rows):
 
 
 def _commutator_rows(a, a_cols, b, b_cols):
-    """ab - ba for integer matrices a and b, accumulated into one output
-    over the nonzero entries listed, per row, in a_cols and b_cols."""
+    """ab - ba for dense integer matrices a and b, accumulated into one
+    output over the nonzero entries listed, per row, in a_cols and b_cols:
+    the product of general elements, whose matrices are mostly full."""
     out = _zero_int_rows(len(a))
     for oi, ai, bi, ai_cols, bi_cols in zip(out, a, b, a_cols, b_cols):
         for t in ai_cols:
@@ -376,6 +392,27 @@ def _commutator_rows(a, a_cols, b, b_cols):
     return out
 
 
+def _commutator_entries(a, b, n):
+    """ab - ba as {i N + j: value} over its nonzero entries, for integer
+    matrices a and b given as sparse rows: the products walk the nonzero
+    entries only, row by row, and no N x N matrix is filled."""
+    out = {}
+    get = out.get
+    for i, ai in a.items():
+        base = i * n
+        for t, v in ai:
+            for j, w in b.get(t, ()):
+                p = base + j
+                out[p] = get(p, 0) + v * w
+    for i, bi in b.items():
+        base = i * n
+        for t, v in bi:
+            for j, w in a.get(t, ()):
+                p = base + j
+                out[p] = get(p, 0) - v * w
+    return {p: v for p, v in out.items() if v}
+
+
 class Element:
     """A vector of the algebra: integer numerators num over one positive
     denominator den, in lowest terms (gcd(den, *num) = 1; den = 1 for the
@@ -384,10 +421,13 @@ class Element:
     den is the least common denominator of the coordinates.  Arithmetic,
     comparison and hashing run on these integers; coords, a tuple of Rat,
     is built only when first read.  The N x N matrix is likewise built once,
-    when first needed, in integer-scaled form (see int_rows).
+    when first needed, in integer-scaled form (see int_rows), and so are the
+    nonzero columns of its rows, which only the dense products read
+    (_int_form).  A membership check reads neither: it takes the nonzero
+    entries (_entries), and so do the sparse products of the subspace layer.
     """
 
-    __slots__ = ("algebra", "num", "den", "_coords", "_int")
+    __slots__ = ("algebra", "num", "den", "_coords", "_int", "_cols")
 
     def __init__(self, algebra: AlgebraRealization, coords):
         """Coordinates may be ints, Rats or strings such as "-3/4"; a float
@@ -402,6 +442,7 @@ class Element:
         self.den = den
         self._coords = None
         self._int = None
+        self._cols = None
 
     @property
     def coords(self):
@@ -412,25 +453,40 @@ class Element:
             self._coords = tuple([Rat(v, den) if v else ZERO for v in self.num])
         return self._coords
 
-    def _int_form(self):
-        """(R, d, columns of the nonzero entries of each row of R): the
-        cached integer-scaled matrix."""
-        if self._int is None:
-            n = self.algebra.matrix_size_N
-            rows = _zero_int_rows(n)
-            for c, entries in zip(self.num, self.algebra._basis_sparse):
-                if c:
-                    for i, j, v in entries:
-                        rows[i][j] += c * v
-            self._int = (rows, self.den, _nonzero_columns(rows))
-        return self._int
+    def _entries(self):
+        """The nonzero entries of R (see int_rows) as {i N + j: value},
+        summed off the nonzero coordinates and the basis entries; not
+        cached."""
+        n = self.algebra.matrix_size_N
+        acc = {}
+        get = acc.get
+        for c, entries in zip(self.num, self.algebra._basis_sparse):
+            if c:
+                for i, j, v in entries:
+                    p = i * n + j
+                    acc[p] = get(p, 0) + c * v
+        return {p: v for p, v in acc.items() if v}
 
     def int_rows(self):
         """(R, d): integer rows R and a positive integer d with x = R / d,
         d the least common denominator of the coordinates.  R is the cached
         matrix itself and must not be changed."""
-        rows, den, _ = self._int_form()
-        return rows, den
+        if self._int is None:
+            rows = _zero_int_rows(self.algebra.matrix_size_N)
+            for c, entries in zip(self.num, self.algebra._basis_sparse):
+                if c:
+                    for i, j, v in entries:
+                        rows[i][j] += c * v
+            self._int = (rows, self.den)
+        return self._int
+
+    def _int_form(self):
+        """(R, d, the columns of the nonzero entries of each row of R): what
+        the dense products read, the columns built once, on first use."""
+        rows, den = self.int_rows()
+        if self._cols is None:
+            self._cols = [[j for j, v in enumerate(row) if v] for row in rows]
+        return rows, den, self._cols
 
     def matrix_rows(self):
         """The N x N matrix as fresh row lists of rationals."""
@@ -497,6 +553,7 @@ def _element(algebra, num, den):
     x.den = den
     x._coords = None
     x._int = None
+    x._cols = None
     return x
 
 
@@ -537,17 +594,21 @@ def trace_form(x: Element, y: Element):
 @functools.lru_cache(maxsize=1)
 def _ad_columns(x: Element):
     """(C, D): integer columns C_k, as tuples, and one positive integer D
-    with [x, basis_k] = C_k / D, D = D0 dx the denominator every read-off of
-    [x, basis_k] shares.  One entry is cached: an orbit reads ad(e) once."""
+    with [x, basis_k] = C_k / D, D = D0 dx.  Column k is the G of the full
+    space's _split of the sparse commutator of R_x and basis_k: D0 times
+    every coordinate, with the check that it lies in g.  One entry is
+    cached: an orbit reads ad(e) once."""
     alg = x.algebra
-    a, dx, a_cols = x._int_form()
-    den = alg._coord_den * dx
+    n = alg.matrix_size_N
+    a = _sparse_rows(n, x._entries())
+    full = alg.full_space()
     columns = []
-    for b, b_cols in alg._basis_int:
-        col = alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx)
-        f = den // col.den
-        columns.append(tuple([v * f for v in col.num]))
-    return tuple(columns), den
+    for b in alg._basis_rows:
+        col, inside = full._split(_commutator_entries(a, b, n))
+        if not inside:
+            raise ContractError("matrix does not lie in the algebra")
+        columns.append(tuple(col))
+    return tuple(columns), alg._coord_den * x.den
 
 
 def ad_matrix(x: Element):
@@ -569,13 +630,14 @@ class Subspace:
     rows are reduced, a vector v lies in the span exactly when
     v = sum_r v[c_r] R_r, and then its coordinates are the v[c_r].
 
-    Every membership check is the one integer check of _split, on N x N
-    matrices: for the integer matrix C of a vector or of a commutator, it
-    reads only the coordinates at the pivots of s off the entries of C and
-    checks, as one integer matrix equality, that C is their combination of
-    the basis matrices; that one equality is membership in g and in s
-    together.  contains and coords_of run it on an element's matrix, and
-    brackets of s run it on commutators, without coordinates on all of g.
+    Every membership check is the one integer check of _split, on the
+    nonzero entries of N x N matrices: for the integer matrix C of a vector
+    or of a commutator, it reads only the coordinates at the pivots of s off
+    the entries of C and checks, as one integer matrix equality, that C is
+    their combination of the basis matrices; that one equality is
+    membership in g and in s together.  contains and coords_of run it on an
+    element's matrix, and brackets of s run it on commutators, without
+    coordinates on all of g.
     """
 
     __slots__ = (
@@ -629,9 +691,11 @@ class Subspace:
         return self._basis
 
     def contains(self, element: Element) -> bool:
-        """Whether element lies in the span: the residual of _split on its
-        integer matrix is empty."""
-        return not self._split(element.int_rows()[0])[1]
+        """Whether element lies in the span: the check of _split on the
+        nonzero entries of its integer matrix.  An element of another
+        realization raises ContractError."""
+        _same_algebra(element, self)
+        return self._split(element._entries())[1]
 
     def coords_of(self, element: Element):
         """Coefficients of element in this basis, or None if not a member
@@ -644,20 +708,22 @@ class Subspace:
     def same_space(self, other: "Subspace") -> bool:
         return self.num_rows == other.num_rows
 
-    def _split(self, rows):
-        """(G, residual) for integer N x N rows C.
+    def _split(self, entries):
+        """(G, inside) for the integer N x N matrix C with these nonzero
+        entries {i N + j: value}.
 
         G_t = sum _coord_terms[c_t] . C is D0 times the coordinate of C at
-        the pivot c_t of row t, read off the entries of C alone.  residual
-        holds the nonzero entries, by flat position i N + j, of
-        D0 Dz C - sum_t G_t (Dz R_t), R_t the N x N matrix of row t and Dz
-        the lcm of the pivot entries I_t[c_t].  It is empty exactly when C lies
-        in s: then C is the combination of the R_t with its own pivot
-        coordinates, and a combination of the R_t lies in s.  For C in g the
-        residual is D0 Dz times the matrix of C minus its reduction by the
-        basis, which is linear in C.  The pivot reads and the matrices Dz R_t,
-        summed off the nonzero entries of the basis matrices of g, are built
-        once per subspace.
+        the pivot c_t of row t, read off the entries of C alone through an
+        inverted index, position -> [(t, coefficient)].  inside says whether
+        D0 Dz C - sum_t G_t (Dz R_t) is zero, R_t the N x N matrix of row t
+        and Dz the lcm of the pivot entries I_t[c_t]; it is checked on every
+        position that C or an R_t with G_t != 0 touches, since every other
+        position is zero on both sides.  It is zero exactly when C lies in
+        s: then C is the combination of the R_t with its own pivot
+        coordinates, and a combination of the R_t lies in s.  The check
+        stops at the first nonzero position.  The index and the nonzero
+        entries of the matrices Dz R_t, summed off the nonzero entries of
+        the basis matrices of g, are built once per subspace.
         """
         if self._split_table is None:
             alg = self.algebra
@@ -667,28 +733,29 @@ class Subspace:
             for row, c in zip(self.num_rows, self.pivots):
                 f = dz // row[c]
                 acc = {}
-                for v, entries in zip(row, alg._basis_sparse):
+                for v, basis_entries in zip(row, alg._basis_sparse):
                     if v:
-                        for i, j, b in entries:
+                        for i, j, b in basis_entries:
                             acc[i * n + j] = acc.get(i * n + j, 0) + f * v * b
                 mats.append(tuple((p, v) for p, v in acc.items() if v))
-            reads = tuple(alg._coord_terms[c] for c in self.pivots)
+            reads = {}
+            for t, c in enumerate(self.pivots):
+                for i, j, coef in alg._coord_terms[c]:
+                    reads.setdefault(i * n + j, []).append((t, coef))
             self._split_table = (reads, mats, alg._coord_den * dz)
         reads, mats, scale = self._split_table
-        g = []
-        for terms in reads:
-            acc = 0
-            for i, j, c in terms:
-                v = rows[i][j]
-                if v:
-                    acc += c * v
-            g.append(acc)
-        res = [v * scale for row in rows for v in row]
-        for gt, entries in zip(g, mats):
+        g = [0] * len(mats)
+        res = {}
+        for p, v in entries.items():
+            for t, coef in reads.get(p, ()):
+                g[t] += coef * v
+            res[p] = v * scale
+        get = res.get
+        for gt, mat in zip(g, mats):
             if gt:
-                for p, v in entries:
-                    res[p] -= gt * v
-        return g, {p: v for p, v in enumerate(res) if v}
+                for p, v in mat:
+                    res[p] = get(p, 0) - gt * v
+        return g, not any(res.values())
 
     def _brackets(self):
         """The nonzero pairs (t, G_t) of _split for [I_a, I_b], the
@@ -696,24 +763,26 @@ class Subspace:
         table[a][b - a - 1]: G_t is D0 times the coordinate t of [I_a, I_b],
         I_a = I_a[c_a] b_a the integer row of basis vector a.
 
-        Each unordered pair is multiplied out once and the table is kept, so
-        the center, the normalizer's closure check and bracket_table share
-        it.  A zero commutator has no coordinates.  Otherwise the residual of _split is
-        the exact check that it lies in s: a nonzero residual raises
-        ContractError, so building the table checks that s is a subalgebra.
+        Each unordered pair is multiplied once, as sparse matrices
+        (_commutator_entries), and the table is kept, so the center, the
+        normalizer's closure check and bracket_table share it.  A zero
+        commutator has no coordinates.  Otherwise _split checks that it lies
+        in s and raises ContractError if it does not, so building the table
+        checks that s is a subalgebra.
         """
         if self._int_brackets is None:
-            forms = [x._int_form() for x in self.basis]
+            n = self.algebra.matrix_size_N
+            forms = [_sparse_rows(n, x._entries()) for x in self.basis]
             table = []
-            for a, (x, _, x_cols) in enumerate(forms):
+            for a, x in enumerate(forms):
                 row = []
-                for y, _, y_cols in forms[a + 1 :]:
-                    c = _commutator_rows(x, x_cols, y, y_cols)
-                    if not any(map(any, c)):
+                for y in forms[a + 1 :]:
+                    c = _commutator_entries(x, y, n)
+                    if not c:
                         row.append(())
                         continue
-                    g, residual = self._split(c)
-                    if residual:
+                    g, inside = self._split(c)
+                    if not inside:
                         raise ContractError("subspace is not closed under the bracket")
                     row.append(tuple((t, v) for t, v in enumerate(g) if v))
                 table.append(row)
@@ -785,20 +854,36 @@ def center_of(s: Subspace) -> Subspace:
     basis vectors, already at the pivots of s.  With I_a the integer row of
     basis vector a, c = sum_a w_a I_a is central exactly when w lies in the
     kernel of the integer k^2 x k matrix with entry G_t([I_a, I_u]) in row
-    (u, t), column a; only its nonzero rows are built.  The echelon kernel
-    W of that matrix gives the center's echelon basis directly: sum_a W_a I_a
+    (u, t), column a; only its nonzero rows are built, and each distinct
+    one, up to a scalar, is eliminated once.  The echelon kernel W of that
+    matrix gives the center's echelon basis directly: sum_a W_a I_a
     is W_a I_a[c_a] at each pivot c_a of s and zero left of c_f, f the first
     nonzero of W, so the rows stay reduced and echelon and their pivots are
     the c_f of the pivots f of W.
     """
     k = s.dim
-    rows = {}
+    rows = {}  # (u, t) -> {a: entry}, filled in ascending a
     for a, line in enumerate(s._brackets()):
         for b, terms in enumerate(line, start=a + 1):
             for t, g in terms:  # G_t [I_a, I_b] = g and G_t [I_b, I_a] = -g
-                rows.setdefault((b, t), [0] * k)[a] = g
-                rows.setdefault((a, t), [0] * k)[b] = -g
-    free, kernel = echelon_kernel(list(rows.values()), k)
+                rows.setdefault((b, t), {})[a] = g
+                rows.setdefault((a, t), {})[b] = -g
+    # Most rows repeat up to a scalar.  Each distinct row, divided by its
+    # content and signed positive at its first entry, is eliminated once:
+    # the row space, so the kernel, is the same.
+    distinct = {}
+    for row in rows.values():
+        g = math.gcd(*row.values())
+        if row[next(iter(row))] < 0:
+            g = -g
+        distinct[tuple([(a, v // g) for a, v in row.items()])] = None
+    dense = []
+    for row in distinct:
+        vec = [0] * k
+        for a, v in row:
+            vec[a] = v
+        dense.append(vec)
+    free, kernel = echelon_kernel(dense, k)
     # the rows sum_a W_a I_a, each divided by its content
     combined = _int_rows(mat_mul(kernel, s.num_rows), s.algebra.dim)
     return Subspace(s.algebra, combined, [s.pivots[f] for f in free])

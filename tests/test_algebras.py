@@ -39,7 +39,7 @@ from nilab import (
 from nilab.algebras import preimage
 from nilab.index import _family_rank_for_size
 from nilab.invariants import make_samples
-from nilab.linalg import mat_mul, mat_vec, rref
+from nilab.linalg import _int_rows, echelon_kernel, mat_mul, mat_vec, rref
 
 EXPECTED_DIMS = {
     ("A", 1): 3,
@@ -693,24 +693,35 @@ def test_preimage_rejects_mixed_algebras():
 
 
 def _count_products(monkeypatch, log):
-    """Log the integer matrices of every commutator product the library
-    multiplies out (brackets, ad(x) columns, the bracket table and the
-    normalizer residuals all go through _commutator_rows)."""
-    product = nilab.algebras._commutator_rows
+    """Log the integer matrices, as sets of nonzero entries (i, j, v), of
+    every commutator product the library multiplies out: bracket goes
+    through _commutator_rows on dense rows, and the ad(x) columns and the
+    bracket table through _commutator_entries on sparse rows."""
+    dense = nilab.algebras._commutator_rows
+    sparse = nilab.algebras._commutator_entries
 
-    def counting(a, a_cols, b, b_cols):
-        log.append((_matrix_key(a), _matrix_key(b)))
-        return product(a, a_cols, b, b_cols)
+    def counting_dense(a, a_cols, b, b_cols):
+        log.append((_dense_key(a), _dense_key(b)))
+        return dense(a, a_cols, b, b_cols)
 
-    monkeypatch.setattr(nilab.algebras, "_commutator_rows", counting)
+    def counting_sparse(a, b, n):
+        log.append((_sparse_key(a), _sparse_key(b)))
+        return sparse(a, b, n)
+
+    monkeypatch.setattr(nilab.algebras, "_commutator_rows", counting_dense)
+    monkeypatch.setattr(nilab.algebras, "_commutator_entries", counting_sparse)
 
 
-def _matrix_key(rows):
-    return tuple(map(tuple, rows))
+def _dense_key(rows):
+    return frozenset((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+
+
+def _sparse_key(rows):
+    return frozenset((i, j, v) for i, row in rows.items() for j, v in row)
 
 
 def _basis_keys(s):
-    return {_matrix_key(x.int_rows()[0]) for x in s.basis}
+    return {_dense_key(x.int_rows()[0]) for x in s.basis}
 
 
 def test_center_of_brackets_each_pair_once(monkeypatch):
@@ -797,6 +808,205 @@ def test_bracket_table_rejects_a_bracket_that_differs_only_off_the_pivots():
             build(s)
 
 
+# The subspace layer as it ran before the sparse products: every commutator
+# filled into a zero N x N matrix, the pivot read and the residual of _split
+# taken over all N^2 positions, ad(x) columns read through coords_of_rows,
+# and every row of the center's k^2 x k matrix eliminated.
+
+
+def dense_form(x):
+    """(R, d, the columns of the nonzero entries of each row of R)."""
+    rows, den = x.int_rows()
+    return rows, den, [[j for j, v in enumerate(row) if v] for row in rows]
+
+
+def dense_commutator_rows(a, a_cols, b, b_cols):
+    """ab - ba for dense integer matrices, over the nonzero columns listed."""
+    out = [[0] * len(a) for _ in a]
+    for oi, ai, bi, ai_cols, bi_cols in zip(out, a, b, a_cols, b_cols):
+        for t in ai_cols:
+            v, bt = ai[t], b[t]
+            for j in b_cols[t]:
+                oi[j] += v * bt[j]
+        for t in bi_cols:
+            v, at = bi[t], a[t]
+            for j in a_cols[t]:
+                oi[j] -= v * at[j]
+    return out
+
+
+def dense_split_table(s):
+    """(the pivot reads of s, the nonzero entries of Dz R_t, D0 Dz)."""
+    alg = s.algebra
+    n = alg.matrix_size_N
+    dz = math.lcm(*(row[c] for row, c in zip(s.num_rows, s.pivots)))
+    mats = []
+    for row, c in zip(s.num_rows, s.pivots):
+        acc = {}
+        for v, entries in zip(row, alg._basis_sparse):
+            for i, j, b in entries:
+                acc[i * n + j] = acc.get(i * n + j, 0) + (dz // row[c]) * v * b
+        mats.append(tuple((p, v) for p, v in acc.items() if v))
+    return tuple(alg._coord_terms[c] for c in s.pivots), mats, alg._coord_den * dz
+
+
+def dense_split(table, rows):
+    """(G, residual) for dense integer rows C: G_t read at the pivot of row
+    t, residual the nonzero entries of D0 Dz C - sum_t G_t Dz R_t over all
+    N^2 positions."""
+    reads, mats, scale = table
+    g = [sum(c * rows[i][j] for i, j, c in terms) for terms in reads]
+    res = [v * scale for row in rows for v in row]
+    for gt, entries in zip(g, mats):
+        for p, v in entries:
+            res[p] -= gt * v
+    return g, {p: v for p, v in enumerate(res) if v}
+
+
+def dense_bracket_table(s):
+    split = dense_split_table(s)
+    forms = [dense_form(x) for x in s.basis]
+    table = []
+    for a, (x, _, x_cols) in enumerate(forms):
+        row = []
+        for y, _, y_cols in forms[a + 1 :]:
+            c = dense_commutator_rows(x, x_cols, y, y_cols)
+            if not any(map(any, c)):
+                row.append(())
+                continue
+            g, residual = dense_split(split, c)
+            if residual:
+                raise ContractError("subspace is not closed under the bracket")
+            row.append(tuple((t, v) for t, v in enumerate(g) if v))
+        table.append(row)
+    return table
+
+
+def dense_ad_columns(x):
+    """The integer ad(x) columns at the one denominator D0 dx, each product
+    read off on all of g through coords_of_rows."""
+    alg = x.algebra
+    a, dx, a_cols = dense_form(x)
+    den = alg._coord_den * dx
+    columns = []
+    for k in range(alg.dim):
+        b, _, b_cols = dense_form(alg.basis_element(k))
+        col = alg.coords_of_rows(dense_commutator_rows(a, a_cols, b, b_cols), dx)
+        columns.append([v * (den // col.den) for v in col.num])
+    return columns
+
+
+def dense_preimage(x, t):
+    """(num_rows, pivots) of {y : [x, y] in t}: the ad(x) columns reduced by
+    the rows of t at the one scale D_t, then one echelon kernel."""
+    dt = math.lcm(*(row[c] for row, c in zip(t.num_rows, t.pivots)))
+    reduced = []
+    for col in dense_ad_columns(x):
+        out = [dt * v for v in col]
+        for row, c in zip(t.num_rows, t.pivots):
+            out = [v - col[c] * (dt // row[c]) * r for v, r in zip(out, row)]
+        reduced.append(out)
+    pivots, rows = echelon_kernel([r for r in zip(*reduced) if any(r)], x.algebra.dim)
+    return tuple(map(tuple, rows)), tuple(pivots)
+
+
+def dense_center(s):
+    """(num_rows, pivots) of the center of s, from every row of the k^2 x k
+    matrix of the dense bracket table."""
+    k = s.dim
+    rows = {}
+    for a, line in enumerate(dense_bracket_table(s)):
+        for b, terms in enumerate(line, start=a + 1):
+            for t, g in terms:
+                rows.setdefault((b, t), [0] * k)[a] = g
+                rows.setdefault((a, t), [0] * k)[b] = -g
+    free, kernel = echelon_kernel(list(rows.values()), k)
+    combined = _int_rows(mat_mul(kernel, s.num_rows), s.algebra.dim)
+    return tuple(map(tuple, combined)), tuple(s.pivots[f] for f in free)
+
+
+def _table_or_error(build, s):
+    try:
+        return build(s)
+    except ContractError:
+        return "not closed"
+
+
+def _check_sparse_against_dense(x, label):
+    zero = Subspace.from_coord_rows(x.algebra, [])
+    z = centralizer(x)
+    assert (z.num_rows, z.pivots) == dense_preimage(x, zero), label
+    delta = center_of(z)
+    assert (delta.num_rows, delta.pivots) == dense_center(z), label
+    eta = preimage(x, delta)
+    assert (eta.num_rows, eta.pivots) == dense_preimage(x, delta), label
+    for s in (z, delta, eta):
+        want = _table_or_error(dense_bracket_table, s)
+        assert _table_or_error(Subspace._brackets, s) == want, label
+
+
+@pytest.mark.parametrize(
+    "family,ranks",
+    [("A", (1, 2, 3, 4, 5, 6)), ("B", (2, 3, 4)), ("C", (2, 3, 4)), ("D", (3, 4, 5))],
+)
+def test_sparse_subspace_layer_matches_the_dense_reference_on_every_orbit(family, ranks):
+    for rank in ranks:
+        alg = build_algebra(family, rank)
+        for p in _nonzero_orbits(alg):
+            _check_sparse_against_dense(nilpotent_from_partition(alg, p), (alg.name, p))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 2)])
+def test_sparse_subspace_layer_matches_the_dense_reference_on_dense_samples(family, rank):
+    alg = build_algebra(family, rank)
+    for k, sample in enumerate(make_samples(alg, 3, 0)):
+        for name in ("x", "y", "n"):
+            _check_sparse_against_dense(getattr(sample, name), f"{name}[{k}]")
+
+
+def test_bracket_table_rejects_a_bracket_that_no_pivot_reads():
+    # s = span(E01, E12) in sl(3): [E01, E12] = E02 is nonzero only at (0, 2),
+    # a position the pivot reads of s never look at, so every coordinate
+    # read at the pivots is 0 and only the residual there shows it lies
+    # outside s
+    alg = build_algebra("A", 2)
+    a, b = alg.from_matrix(E(3, 0, 1)), alg.from_matrix(E(3, 1, 2))
+    br = bracket(a, b)
+    assert br == alg.from_matrix(E(3, 0, 2))
+    for build in (Subspace._brackets, Subspace.bracket_table, center_of, normalizer_of):
+        s = Subspace.from_elements(alg, [a, b])
+        assert not s.contains(br)
+        assert s._split(br._entries())[0] == [0, 0]
+        with pytest.raises(ContractError):
+            build(s)
+
+
+def test_membership_rejects_an_element_of_another_realization():
+    # a B2 basis matrix is 5 x 5, an A4 one too, but the coordinates of B2
+    # do not index the pivots of A4
+    full = build_algebra("A", 4).full_space()
+    x = build_algebra("B", 2).basis_element(0)
+    for check in (full.contains, full.coords_of):
+        with pytest.raises(ContractError):
+            check(x)
+    twin = build_algebra("A", 1)
+    with pytest.raises(ContractError):
+        build_algebra("A", 1).full_space().contains(twin.basis_element(0))
+
+
+def test_membership_builds_no_matrix_form_of_the_element():
+    # contains and coords_of read the nonzero entries only; the dense rows
+    # and their nonzero columns are built by the first product
+    alg = build_algebra("C", 3)
+    z = centralizer(nilpotent_from_partition(alg, Partition((2, 2, 1, 1))))
+    x = z.basis[-1]
+    y = nilab.algebras._element(alg, x.num, x.den)
+    assert z.contains(y) and z.coords_of(y) == (0,) * (z.dim - 1) + (1,)
+    assert (y._int, y._cols) == (None, None)
+    bracket(y, y)
+    assert y._int is not None and y._cols is not None
+
+
 # The subspace calculus as it ran on Rat before the integer echelon rows:
 # rank_kernel on rational matrices, the echelon form through rref, and the
 # normalizer's candidates rebuilt with _combination after every cut.
@@ -843,18 +1053,19 @@ def reference_center(s):
 def reference_normalizer(s):
     alg = s.algebra
     s.bracket_table()
+    split = dense_split_table(s)
     pivots = set(s.pivots)
     candidates = [alg.basis_element(q) for q in range(alg.dim) if q not in pivots]
     for u in s.basis:
         if not candidates:
             break
-        b, _, b_cols = u._int_form()
+        b, _, b_cols = dense_form(u)
         den = math.lcm(*(y.den for y in candidates))
         images = []
         for y in candidates:
-            a, dy, a_cols = y._int_form()
-            c = nilab.algebras._commutator_rows(a, a_cols, b, b_cols)
-            images.append((s._split(c)[1] if any(map(any, c)) else {}, den // dy))
+            a, dy, a_cols = dense_form(y)
+            c = dense_commutator_rows(a, a_cols, b, b_cols)
+            images.append((dense_split(split, c)[1] if any(map(any, c)) else {}, den // dy))
         entries = sorted(set().union(*(r for r, _ in images)))
         rows = [[r.get(p, 0) * f for r, f in images] for p in entries]
         _, kernel = rank_kernel(rows, len(candidates))

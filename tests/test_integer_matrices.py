@@ -418,10 +418,7 @@ def rescaled_basis_algebra(family, rank, factor):
     runs with D0 = factor, which the standard bases (D0 = 1) never reach."""
     alg = build_algebra(family, rank)
     alg._basis_sparse = [[(i, j, factor * v) for i, j, v in b] for b in alg._basis_sparse]
-    alg._basis_int = [
-        ([[factor * v for v in line] for line in rows], cols) for rows, cols in alg._basis_int
-    ]
-    alg._init_coordinatizer()
+    alg._init_coordinatizer()  # also rebuilds the sparse rows products read
     return alg
 
 

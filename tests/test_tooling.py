@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nilab
+import nilab.algebras
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_FILE = ROOT / "bench" / "tracer.py"
@@ -38,9 +39,17 @@ def test_every_tracer_target_resolves():
         assert callable(_resolve(module_name, attr)), f"{module_name}.{attr}"
 
 
-def test_tracer_installs_and_removes_every_layer():
+def test_tracer_installs_and_removes_every_layer(monkeypatch):
     tracer_module = _load_tracer()
     originals = {(m, a): _resolve(m, a) for m, a, _ in tracer_module.TARGETS}
+    reads = []
+    split = nilab.algebras.Subspace._split
+
+    def counting_split(self, entries):
+        reads.append(self.dim)
+        return split(self, entries)
+
+    monkeypatch.setattr(nilab.algebras.Subspace, "_split", counting_split)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -49,8 +58,8 @@ def test_tracer_installs_and_removes_every_layer():
         sl2 = nilab.build_algebra("A", 1)
         nilab.centralizer(sl2.basis_element(0))
         assert tracer.stats["algebras.centralizer"][0] == 1
-        # ad(e) is read off once per basis vector, by the class-level layer
-        assert tracer.stats["algebras.coords_of_rows"][0] == sl2.dim == 3
+        # ad(e) is read off once per basis vector, by the full space's _split
+        assert reads == [sl2.dim] * sl2.dim == [3, 3, 3]
     finally:
         tracer.uninstall()
     for (module_name, attr), original in originals.items():
