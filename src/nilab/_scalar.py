@@ -1,9 +1,6 @@
-"""Exact rational scalar type of the package.
-
-gmpy2's mpq when available (noticeably faster once numerators grow),
-stdlib Fraction otherwise.  Both are arbitrary-precision rationals that
-are always reduced with a positive denominator, so every computation is
-bit-identical under either backend.
+"""Exact rational scalar type of the package: the stdlib Fraction, an
+arbitrary-precision rational that is always reduced with a positive
+denominator.
 
 Rat is the type of the coordinates a caller reads, of the results of the
 eliminations in linalg and of polynomial coefficients.  Algebra elements
@@ -13,12 +10,9 @@ rational is made only when its coordinates are read.  The eliminations run
 on Python ints in the same way (see linalg._gauss_jordan).
 """
 
-from .errors import ContractError
+from fractions import Fraction as Rat
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    from fractions import Fraction as Rat
+from .errors import ContractError
 
 ZERO = Rat(0)
 ONE = Rat(1)

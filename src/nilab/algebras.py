@@ -19,8 +19,9 @@ Basis order is row-major over matrix positions and documented in each
 builder, fixed once so that coordinates and reports are reproducible.  A
 builder returns each basis matrix as its nonzero integer entries (i, j, v)
 in row-major order, and the forms S and J are integer rows, so the
-realization is built in integers: the read-off's pivots come from one
-integer elimination (linalg.echelon_rows) of the flattened basis.
+realization is built in integers.  The basis is its own echelon form: each
+basis matrix starts with a 1 at a position where no earlier one starts, so
+the read-off is an integer forward substitution set up with no elimination.
 
 The invariant pairing is the defining-representation trace form tr(xy)
 (optionally rescaled); it is a nonzero multiple of the Killing form, with
@@ -68,7 +69,7 @@ from .errors import (
     ShapeError,
     UnsupportedAlgebraError,
 )
-from .linalg import _int_rows, echelon_kernel, echelon_rows, inverse, mat_mul
+from .linalg import _int_rows, echelon_kernel, echelon_rows, mat_mul
 
 
 def _sl_basis(n):
@@ -208,57 +209,58 @@ class AlgebraRealization:
         self._init_coordinatizer()
 
     def _init_coordinatizer(self):
-        # The pivot positions of the flattened integer basis, from one
-        # integer elimination, determine a matrix's coordinates:
-        # coords = inv * (entries at the pivots).  The inverse pivot block is
-        # kept as integers times the lcm D0 of its denominators.  Both it and
-        # the basis are mostly zero, so only their nonzero entries are kept,
-        # each with the matrix position it reads.  The ad(x) columns read
-        # each basis matrix as sparse rows (see _sparse_rows) and go through
-        # the full space, which is built on first use.
+        # The basis is its own echelon form: each basis matrix lists its
+        # entries row-major, and its first entry, its pivot p_k, is 1 at a
+        # position where no earlier basis matrix starts.  The pivot block is
+        # then unit lower triangular, so coordinate k of a matrix R is read
+        # by forward substitution, R[p_k] - sum_{k' < k} b_k'[p_k] coordinate
+        # k'; _coord_terms[k] is that integer form over the pivot positions,
+        # and every other position q is checked against sum_k b_k[q]
+        # coordinate k (_nonpivot_terms), both read off one index, position
+        # -> [(k, entry)].  The ad(x) columns read each basis matrix as
+        # sparse rows (see _sparse_rows) and go through the full space,
+        # which is built on first use.
         n = self.matrix_size_N
         self._basis_rows = [
             _sparse_rows(n, {i * n + j: v for i, j, v in entries})
             for entries in self._basis_sparse
         ]
         self._full = None
-        vecs = []
-        for entries in self._basis_sparse:
-            vec = [0] * (n * n)
-            for i, j, v in entries:
-                vec[i * n + j] = v
-            vecs.append(vec)
-        pivots, _ = echelon_rows(vecs, n * n)
-        if len(pivots) != self.dim:
-            raise ContractError("basis matrices are not linearly independent")
-        inv = inverse([[vec[p] for vec in vecs] for p in pivots])
-        terms = [[(p, c) for p, c in zip(pivots, line) if c] for line in inv]
-        d0 = math.lcm(*(c.denominator for line in terms for _, c in line))
-        self._coord_den = d0
+        index = {}  # position -> [(k, entry)], in ascending k
+        terms = []  # per coordinate, {pivot position: coefficient}
+        pivots = set()
+        last = -1
+        for k, entries in enumerate(self._basis_sparse):
+            positions = [i * n + j for i, j, _ in entries]
+            if entries[0][2] != 1 or positions[0] <= last or positions != sorted(set(positions)):
+                raise ContractError("basis matrices are not in unit echelon form")
+            p = last = positions[0]
+            pivots.add(p)
+            line = {p: 1}
+            for k_prev, b in index.get(p, ()):  # only earlier matrices are indexed yet
+                for q, c in terms[k_prev].items():
+                    line[q] = line.get(q, 0) - b * c
+            terms.append(line)
+            for q, (_, _, v) in zip(positions, entries):
+                index.setdefault(q, []).append((k, v))
         self._coord_terms = tuple(
-            tuple((p // n, p % n, c.numerator * (d0 // c.denominator)) for p, c in line)
-            for line in terms
+            tuple((q // n, q % n, c) for q, c in sorted(line.items()) if c) for line in terms
         )
-        pivot_set = set(pivots)
         self._nonpivot_terms = tuple(
-            (q // n, q % n, tuple((k, vec[q]) for k, vec in enumerate(vecs) if vec[q]))
-            for q in range(n * n)
-            if q not in pivot_set
+            (q // n, q % n, tuple(index.get(q, ()))) for q in range(n * n) if q not in pivots
         )
 
     def coords_of_rows(self, rows, den=1, num=1) -> "Element":
         """The element with the N x N matrix (num / den) * rows, for integer
         rows and integers num, den != 0.
 
-        Each coordinate of rows, times D0, is read off as an integer from
-        the entries at the basis pivot positions, through the precomputed
-        nonzero entries of the integer inverse pivot block; zero matrix
-        entries are skipped.  Every non-pivot entry is then checked in
-        integers, sum_k C_k b_k == R_ij D0, so a matrix outside the span
-        raises ContractError.  The element is num C_k / (D0 den), kept as
-        integers in lowest terms.
+        Each coordinate of rows is read off as an integer from the entries
+        at the basis pivot positions, through the precomputed integer forms
+        of the forward substitution; zero matrix entries are skipped.  Every
+        non-pivot entry is then checked in integers, sum_k C_k b_k == R_ij,
+        so a matrix outside the span raises ContractError.  The element is
+        num C_k / den, kept as integers in lowest terms.
         """
-        d0 = self._coord_den
         coords = []
         for terms in self._coord_terms:
             acc = 0
@@ -273,11 +275,11 @@ class AlgebraRealization:
                 c = coords[k]
                 if c:
                     acc += c * b
-            if acc != rows[i][j] * d0:
+            if acc != rows[i][j]:
                 raise ContractError("matrix does not lie in the algebra")
         if num != 1:
             coords = [c * num for c in coords]
-        return _element(self, coords, d0 * den)
+        return _element(self, coords, den)
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
@@ -593,11 +595,10 @@ def trace_form(x: Element, y: Element):
 
 @functools.lru_cache(maxsize=1)
 def _ad_columns(x: Element):
-    """(C, D): integer columns C_k, as tuples, and one positive integer D
-    with [x, basis_k] = C_k / D, D = D0 dx.  Column k is the G of the full
-    space's _split of the sparse commutator of R_x and basis_k: D0 times
-    every coordinate, with the check that it lies in g.  One entry is
-    cached: an orbit reads ad(e) once."""
+    """The integer columns C_k, as tuples, with [x, basis_k] = C_k / dx for
+    x = R_x / dx.  Column k is the G of the full space's _split of the
+    sparse commutator of R_x and basis_k: every coordinate, with the check
+    that it lies in g.  One entry is cached: an orbit reads ad(e) once."""
     alg = x.algebra
     n = alg.matrix_size_N
     a = _sparse_rows(n, x._entries())
@@ -608,14 +609,13 @@ def _ad_columns(x: Element):
         if not inside:
             raise ContractError("matrix does not lie in the algebra")
         columns.append(tuple(col))
-    return tuple(columns), alg._coord_den * x.den
+    return tuple(columns)
 
 
 def ad_matrix(x: Element):
     """Rows of the matrix of ad(x): column k holds the coordinates of
     [x, basis_k], as Rat."""
-    columns, den = _ad_columns(x)
-    return [[Rat(v, den) if v else ZERO for v in row] for row in zip(*columns)]
+    return [[Rat(v, x.den) if v else ZERO for v in row] for row in zip(*_ad_columns(x))]
 
 
 class Subspace:
@@ -712,10 +712,10 @@ class Subspace:
         """(G, inside) for the integer N x N matrix C with these nonzero
         entries {i N + j: value}.
 
-        G_t = sum _coord_terms[c_t] . C is D0 times the coordinate of C at
-        the pivot c_t of row t, read off the entries of C alone through an
-        inverted index, position -> [(t, coefficient)].  inside says whether
-        D0 Dz C - sum_t G_t (Dz R_t) is zero, R_t the N x N matrix of row t
+        G_t = sum _coord_terms[c_t] . C is the coordinate of C at the pivot
+        c_t of row t, read off the entries of C alone through an inverted
+        index, position -> [(t, coefficient)].  inside says whether
+        Dz C - sum_t G_t (Dz R_t) is zero, R_t the N x N matrix of row t
         and Dz the lcm of the pivot entries I_t[c_t]; it is checked on every
         position that C or an R_t with G_t != 0 touches, since every other
         position is zero on both sides.  It is zero exactly when C lies in
@@ -742,14 +742,14 @@ class Subspace:
             for t, c in enumerate(self.pivots):
                 for i, j, coef in alg._coord_terms[c]:
                     reads.setdefault(i * n + j, []).append((t, coef))
-            self._split_table = (reads, mats, alg._coord_den * dz)
-        reads, mats, scale = self._split_table
+            self._split_table = (reads, mats, dz)
+        reads, mats, dz = self._split_table
         g = [0] * len(mats)
         res = {}
         for p, v in entries.items():
             for t, coef in reads.get(p, ()):
                 g[t] += coef * v
-            res[p] = v * scale
+            res[p] = v * dz
         get = res.get
         for gt, mat in zip(g, mats):
             if gt:
@@ -760,7 +760,7 @@ class Subspace:
     def _brackets(self):
         """The nonzero pairs (t, G_t) of _split for [I_a, I_b], the
         commutator of the integer matrices of basis vectors a < b, as
-        table[a][b - a - 1]: G_t is D0 times the coordinate t of [I_a, I_b],
+        table[a][b - a - 1]: G_t is the coordinate t of [I_a, I_b],
         I_a = I_a[c_a] b_a the integer row of basis vector a.
 
         Each unordered pair is multiplied once, as sparse matrices
@@ -795,15 +795,14 @@ class Subspace:
         is the negative and [b_a, b_a] is zero.
 
         Read off the integer table of _brackets: coordinate t is
-        G_t / (D0 I_a[c_a] I_b[c_b]).  Building it checks that s is a
+        G_t / (I_a[c_a] I_b[c_b]).  Building it checks that s is a
         subalgebra (ContractError otherwise).
         """
         if self._bracket_table is None:
-            d0 = self.algebra._coord_den
             dens = [row[c] for row, c in zip(self.num_rows, self.pivots)]
             self._bracket_table = [
                 [
-                    tuple((t, Rat(g, d0 * dens[a] * dens[b])) for t, g in terms)
+                    tuple((t, Rat(g, dens[a] * dens[b])) for t, g in terms)
                     for b, terms in enumerate(line, start=a + 1)
                 ]
                 for a, line in enumerate(self._brackets())
@@ -818,13 +817,12 @@ def _bracket_rows(x: Element, t: Subspace):
     """The nonzero integer rows of y -> [x, y] mod t: column k is D_t C_k -
     sum_r C_k[c_r] (D_t / I_r[c_r]) I_r, for C_k the integer column of ad(x)
     and D_t the lcm of t's pivot entries.  Every column is at the one scale
-    D_t D, so the rows have the kernel of the map (a scale per column would
+    D_t dx, so the rows have the kernel of the map (a scale per column would
     not)."""
-    columns, _ = _ad_columns(x)
     dt = math.lcm(*(row[c] for row, c in zip(t.num_rows, t.pivots)))
     terms = [(c, dt // row[c], row) for row, c in zip(t.num_rows, t.pivots)]
     reduced = []
-    for col in columns:
+    for col in _ad_columns(x):
         out = [dt * v for v in col]
         for c, f, row in terms:
             if col[c]:

@@ -66,16 +66,16 @@ EXIT_USAGE = 3
 # Largest sizes the commands accept; larger ones are refused before any
 # algebra is built.  A table sweep's orbit count grows like the partition
 # count of n and its per-orbit work with dim g.  For one orbit (index,
-# convolution) the set-up memory grows roughly like N^4 and the slowest
-# orbit of a size, the minimal one, like N^6: on a 2-vCPU host the minimal
-# orbit of sl(20) takes 11 s and 125 MB, that of sl(16) 2.9 s and 52 MB.
+# convolution), on a 2-vCPU host, the minimal orbit of sl(20) takes about
+# 0.8 s and 30 MB, that of sl(16) 0.5 s and 22 MB, and the principal orbit
+# of sl(20) about 1 s.
 # The verify suites grow with the rank through the generator degrees: the
 # slowest rank-6 suite, B6, takes 31 s there (B5 8.5 s, A8 9.3 s).  Every
 # verify sample is built up front and checked against every generator: B4
 # takes 2.2 s with the default 20 samples and 9.7 s with 100.  The
 # decomposition of a rank is slowest on B, the largest matrix size: B12
-# (so(25)) takes 2.0 s and 38 MB there, B14 3.7 s and 55 MB, A24 3.9 s and
-# 97 MB.
+# (so(25)) takes 1.4 s and 34 MB there, B14 2.4 s and 48 MB, A24 4.0 s and
+# 89 MB.
 TABLE_MAX_N = 10
 ORBIT_MAX_N = 20
 VERIFY_MAX_RANK = 6

@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 import nilab.algebras
 import nilab.index
+import nilab.linalg
 from nilab import (
     ContractError,
     Element,
@@ -39,7 +41,7 @@ from nilab import (
 from nilab.algebras import preimage
 from nilab.index import _family_rank_for_size
 from nilab.invariants import make_samples
-from nilab.linalg import _int_rows, echelon_kernel, mat_mul, mat_vec, rref
+from nilab.linalg import _int_rows, echelon_kernel, echelon_rows, inverse, mat_mul, mat_vec, rref
 
 EXPECTED_DIMS = {
     ("A", 1): 3,
@@ -169,12 +171,78 @@ def test_form_is_an_integer_signed_permutation(family, rank):
 @pytest.mark.parametrize("family,rank", STANDARD_BASES)
 def test_standard_bases_read_off_with_integer_pivot_inverse(family, rank):
     # each basis matrix is its nonzero integer entries in row-major order
-    # (h_graduation reads its weight off the first), and the pivot block has
-    # an integer inverse, so D0 = 1; only a rescaled basis reaches D0 > 1
+    # (h_graduation reads its weight off the first), and the basis is in unit
+    # echelon form: each first entry is 1, at a position where no earlier
+    # basis matrix starts.  So the pivot block is unit lower triangular, its
+    # inverse is integer, and coordinate k is read last at its own pivot.
     alg = build_algebra(family, rank)
-    assert alg._coord_den == 1
+    n = alg.matrix_size_N
     assert all(type(v) is int and v for b in alg._basis_sparse for _, _, v in b)
-    assert all(b == sorted(b) for b in alg._basis_sparse)
+    assert all(b == sorted(set(b)) for b in alg._basis_sparse)
+    firsts = [b[0] for b in alg._basis_sparse]
+    assert all(v == 1 for _, _, v in firsts)
+    positions = [i * n + j for i, j, _ in firsts]
+    assert positions == sorted(set(positions))
+    assert [terms[-1] for terms in alg._coord_terms] == firsts
+
+
+def generic_read_off(alg):
+    """(_coord_terms, _nonpivot_terms) by the generic route: the pivots of one
+    elimination of the flattened dense basis and the inverse of the pivot
+    block, which must be integer."""
+    n = alg.matrix_size_N
+    vecs = []
+    for entries in alg._basis_sparse:
+        vec = [0] * (n * n)
+        for i, j, v in entries:
+            vec[i * n + j] = v
+        vecs.append(vec)
+    pivots, _ = echelon_rows(vecs, n * n)
+    assert len(pivots) == alg.dim
+    inv = inverse([[vec[p] for vec in vecs] for p in pivots])
+    assert math.lcm(*(c.denominator for line in inv for c in line)) == 1
+    coord_terms = tuple(
+        tuple((p // n, p % n, int(c)) for p, c in zip(pivots, line) if c) for line in inv
+    )
+    pivot_set = set(pivots)
+    nonpivot_terms = tuple(
+        (q // n, q % n, tuple((k, vec[q]) for k, vec in enumerate(vecs) if vec[q]))
+        for q in range(n * n)
+        if q not in pivot_set
+    )
+    return coord_terms, nonpivot_terms
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_read_off_matches_the_generic_route_up_to_size_20(family):
+    least = 2 if family == "D" else 1
+    ranks = [r for r in range(least, 21) if nilab.algebras._matrix_size(family, r) <= 20]
+    for rank in ranks:
+        alg = build_algebra(family, rank)
+        assert (alg._coord_terms, alg._nonpivot_terms) == generic_read_off(alg), (family, rank)
+
+
+@pytest.mark.parametrize(
+    "family,ranks", [("A", (3, 9)), ("B", (2, 6)), ("C", (2, 6)), ("D", (3, 6))]
+)
+def test_build_algebra_runs_no_elimination(monkeypatch, family, ranks):
+    # the basis is its own echelon form, so the read-off is set up without
+    # one elimination; every linalg elimination runs one _gauss_jordan
+    real_elimination = nilab.linalg._gauss_jordan
+    calls = []
+
+    def counting_elimination(a, ncols):
+        calls.append(ncols)
+        return real_elimination(a, ncols)
+
+    for name, module in sorted(sys.modules.items()):
+        if name == "nilab" or name.startswith("nilab."):
+            for key, value in list(vars(module).items()):
+                if value is real_elimination:
+                    monkeypatch.setattr(module, key, counting_elimination)
+    for rank in ranks:
+        build_algebra(family, rank)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -836,7 +904,7 @@ def dense_commutator_rows(a, a_cols, b, b_cols):
 
 
 def dense_split_table(s):
-    """(the pivot reads of s, the nonzero entries of Dz R_t, D0 Dz)."""
+    """(the pivot reads of s, the nonzero entries of Dz R_t, Dz)."""
     alg = s.algebra
     n = alg.matrix_size_N
     dz = math.lcm(*(row[c] for row, c in zip(s.num_rows, s.pivots)))
@@ -847,12 +915,12 @@ def dense_split_table(s):
             for i, j, b in entries:
                 acc[i * n + j] = acc.get(i * n + j, 0) + (dz // row[c]) * v * b
         mats.append(tuple((p, v) for p, v in acc.items() if v))
-    return tuple(alg._coord_terms[c] for c in s.pivots), mats, alg._coord_den * dz
+    return tuple(alg._coord_terms[c] for c in s.pivots), mats, dz
 
 
 def dense_split(table, rows):
     """(G, residual) for dense integer rows C: G_t read at the pivot of row
-    t, residual the nonzero entries of D0 Dz C - sum_t G_t Dz R_t over all
+    t, residual the nonzero entries of Dz C - sum_t G_t Dz R_t over all
     N^2 positions."""
     reads, mats, scale = table
     g = [sum(c * rows[i][j] for i, j, c in terms) for terms in reads]
@@ -883,16 +951,15 @@ def dense_bracket_table(s):
 
 
 def dense_ad_columns(x):
-    """The integer ad(x) columns at the one denominator D0 dx, each product
+    """The integer ad(x) columns at the one denominator dx, each product
     read off on all of g through coords_of_rows."""
     alg = x.algebra
     a, dx, a_cols = dense_form(x)
-    den = alg._coord_den * dx
     columns = []
     for k in range(alg.dim):
         b, _, b_cols = dense_form(alg.basis_element(k))
         col = alg.coords_of_rows(dense_commutator_rows(a, a_cols, b, b_cols), dx)
-        columns.append([v * (den // col.den) for v in col.num])
+        columns.append([v * (dx // col.den) for v in col.num])
     return columns
 
 

@@ -413,9 +413,8 @@ def test_from_matrix_round_trips_fractional_elements(family, rank):
 
 
 def rescaled_basis_algebra(family, rank, factor):
-    """The realization with every basis matrix multiplied by factor.  Its
-    inverse pivot block is 1/factor times an integer matrix, so the read-off
-    runs with D0 = factor, which the standard bases (D0 = 1) never reach."""
+    """The realization with every basis matrix multiplied by factor, so the
+    first entry of each is factor rather than 1."""
     alg = build_algebra(family, rank)
     alg._basis_sparse = [[(i, j, factor * v) for i, j, v in b] for b in alg._basis_sparse]
     alg._init_coordinatizer()  # also rebuilds the sparse rows products read
@@ -423,18 +422,27 @@ def rescaled_basis_algebra(family, rank, factor):
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("D", 3)])
-def test_read_off_with_non_integral_pivot_inverse(family, rank):
-    alg = rescaled_basis_algebra(family, rank, 6)
-    assert alg._coord_den == 6
-    rng = random.Random(9)
-    x, y = fractional_element(alg, rng), fractional_element(alg, rng)
-    xm, ym = dense(alg, x), dense(alg, y)
-    assert alg.from_matrix(xm) == x
-    xy, yx = product(xm, ym), product(ym, xm)
-    expected = reference_coords(alg, [[a - b for a, b in zip(r, s)] for r, s in zip(xy, yx)])
-    assert list(bracket(x, y).coords) == expected
-    outside = [list(line) for line in xm]
-    outside[0][0] += Rat(1, 6)  # breaks the trace (A, C) or the form symmetry (D)
-    assert reference_coords(alg, outside) is None
+def test_read_off_refuses_a_rescaled_basis(family, rank):
+    # the read-off is a forward substitution through a unit pivot block; a
+    # basis whose first entries are not 1 is refused, not read at a scale
     with pytest.raises(ContractError):
-        alg.from_matrix(outside)
+        rescaled_basis_algebra(family, rank, 6)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+def test_read_off_refuses_first_positions_out_of_order(family, rank):
+    # two basis matrices swapped: the later one starts before the earlier
+    alg = build_algebra(family, rank)
+    alg._basis_sparse[0], alg._basis_sparse[1] = alg._basis_sparse[1], alg._basis_sparse[0]
+    with pytest.raises(ContractError):
+        alg._init_coordinatizer()
+
+
+def test_read_off_refuses_entries_out_of_row_major_order():
+    # E00 + E22 - 2 E11 lies in sl(3) and starts with 1 at (0, 0), but its
+    # entries are not listed row-major
+    alg = build_algebra("A", 2)
+    k = alg._basis_sparse.index([(0, 0, 1), (1, 1, -1)])
+    alg._basis_sparse[k] = [(0, 0, 1), (2, 2, 1), (1, 1, -2)]
+    with pytest.raises(ContractError):
+        alg._init_coordinatizer()

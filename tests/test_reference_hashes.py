@@ -165,7 +165,7 @@ def _canon(value):
 def realization_hash(alg):
     parts = (
         _canon(alg._basis_sparse),
-        alg._coord_den,
+        1,  # the read-off's scale, now always 1; kept so the pinned hashes hold
         _canon(alg._coord_terms),
         _canon(alg._nonpivot_terms),
         _canon(alg.form),

@@ -6,6 +6,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -115,3 +116,15 @@ def test_python_dash_m_runs_the_cli():
     assert result.stdout.strip() == nilab.__version__
     result = _run_from_checkout("-m", "nilab", "table", "--family", "A", "--n", "11")
     assert result.returncode == 3, result.stderr
+
+
+def test_build_algebra_set_up_memory_stays_small():
+    # the read-off is set up off the sparse basis; dense N^2-wide copies of
+    # the basis, eliminated as a set-up step, took about 10.6 MB on sl(20)
+    tracemalloc.start()
+    try:
+        nilab.build_algebra("A", 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
