@@ -36,7 +36,7 @@ print("P_1(x) == 2x:", p1 == x.scale(2))
 
 # The defining pairing: <dp_j(x), y> = T(P_j(x), y), with the left side
 # recovered purely from scalar values of p_j along the line x + t y.
-p2 = gradient(alg, 2, x)  # check=True re-derives the pairing internally
+p2 = gradient(alg, 2, x)  # re-derives the pairing on five seeded directions
 print("pairing T(P_2(x), y) =", trace_form(p2, y))
 
 # Equivariance: dP(x).[y,x] = [y, P(x)].  The directional derivative is the

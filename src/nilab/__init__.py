@@ -4,7 +4,7 @@ orbits, and the index of the normalizer of a centralizer."""
 
 __version__ = "0.1.0"
 
-from ._scalar import Rat, rat_str
+from ._scalar import Rat
 from .algebras import (
     AlgebraRealization,
     Element,

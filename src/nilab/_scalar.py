@@ -27,8 +27,3 @@ def as_rat(value):
     if isinstance(value, float):
         raise ContractError(f"float {value!r} is not exact; give an int, a Rat or a string")
     return Rat(value)
-
-
-def rat_str(value) -> str:
-    """Canonical lossless string form: "p/q", or "p" when q == 1."""
-    return str(value)

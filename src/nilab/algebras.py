@@ -46,11 +46,11 @@ with x = R / d (as Bareiss clears denominators before eliminating).
 Element arithmetic, brackets, products, traces, the unipotent conjugation,
 the read-off and subspace membership run on Python ints; a rational is made
 only where a caller reads coordinates (Element.coords, Subspace.coords_of,
-Subspace.rows, ad_matrix).  A subspace keeps its reduced echelon basis as
-primitive integer rows, and each subspace built here is one integer echelon
-kernel (linalg.echelon_kernel): the center off the bracket table of s, the
-others off _bracket_rows(x, t), the rows of y -> [x, y] mod t, whose kernel
-is preimage(x, t); the centralizer is the preimage of 0 and normalizer_of(s)
+ad_matrix).  A subspace keeps its reduced echelon basis as primitive integer
+rows, and each subspace built here is one integer echelon kernel
+(linalg.echelon_kernel): the center off the bracket table of s, the others
+off _bracket_rows(x, t), the rows of y -> [x, y] mod t, whose kernel is
+preimage(x, t); the centralizer is the preimage of 0 and normalizer_of(s)
 stacks the rows over the basis of s.  The ad(h)-grading of a diagonal h is
 read off the matrix positions of the basis, not solved for.
 """
@@ -61,7 +61,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._scalar import ONE, Rat, ZERO, as_rat, rat_str
+from ._scalar import ONE, Rat, ZERO, as_rat
 from .errors import (
     ContractError,
     GraduationError,
@@ -338,8 +338,8 @@ class AlgebraRealization:
             "generator_kinds": list(self.generator_kinds),
             "exponents": list(self.exponents),
             "distinct_exponents": self.distinct_exponents,
-            "killing_to_trace_ratio": rat_str(self.killing_ratio),
-            "form_scale": rat_str(self.form_scale),
+            "killing_to_trace_ratio": str(self.killing_ratio),
+            "form_scale": str(self.form_scale),
         }
 
     def __repr__(self) -> str:
@@ -625,8 +625,7 @@ class Subspace:
     positive at its pivot c_r, as linalg.echelon_rows and echelon_kernel
     leave them: the reduced echelon row is R_r = I_r / I_r[c_r], so equal
     subspaces have equal rows.  Basis vector r is the element with
-    numerators I_r over I_r[c_r], read straight off the row; rows, the R_r
-    as tuples of Rat, is built only when a caller reads it.  Because the
+    numerators I_r over I_r[c_r], read straight off the row.  Because the
     rows are reduced, a vector v lies in the span exactly when
     v = sum_r v[c_r] R_r, and then its coordinates are the v[c_r].
 
@@ -640,10 +639,7 @@ class Subspace:
     coordinates on all of g.
     """
 
-    __slots__ = (
-        "algebra", "num_rows", "pivots", "_rows", "_basis", "_int_brackets", "_bracket_table",
-        "_split_table",
-    )
+    __slots__ = ("algebra", "num_rows", "pivots", "_basis", "_int_brackets", "_split_table")
 
     def __init__(self, algebra: AlgebraRealization, num_rows, pivots):
         """num_rows: the reduced echelon basis as primitive integer rows,
@@ -651,10 +647,8 @@ class Subspace:
         self.algebra = algebra
         self.num_rows = tuple(tuple(r) for r in num_rows)
         self.pivots = tuple(pivots)
-        self._rows = None
         self._basis = None
         self._int_brackets = None
-        self._bracket_table = None
         self._split_table = None
 
     @classmethod
@@ -664,23 +658,17 @@ class Subspace:
 
     @classmethod
     def from_elements(cls, algebra, elements) -> "Subspace":
+        """The span of elements of algebra; an element of another
+        realization raises ContractError."""
+        elements = list(elements)
+        if any(e.algebra is not algebra for e in elements):
+            raise ContractError("elements belong to different algebra realizations")
         # a positive multiple of a row has the same echelon form
         return cls.from_coord_rows(algebra, [e.num for e in elements])
 
     @property
     def dim(self) -> int:
         return len(self.num_rows)
-
-    @property
-    def rows(self):
-        """The reduced echelon rows as tuples of Rat, built once, on first
-        read."""
-        if self._rows is None:
-            self._rows = tuple(
-                tuple(Rat(v, row[c]) if v else ZERO for v in row)
-                for row, c in zip(self.num_rows, self.pivots)
-            )
-        return self._rows
 
     @property
     def basis(self):
@@ -706,6 +694,9 @@ class Subspace:
         return tuple([Rat(num[c], den) if num[c] else ZERO for c in self.pivots])
 
     def same_space(self, other: "Subspace") -> bool:
+        """Whether the spans are equal, that is their reduced echelon rows;
+        a subspace of another realization raises ContractError."""
+        _same_algebra(self, other)
         return self.num_rows == other.num_rows
 
     def _split(self, entries):
@@ -764,11 +755,11 @@ class Subspace:
         I_a = I_a[c_a] b_a the integer row of basis vector a.
 
         Each unordered pair is multiplied once, as sparse matrices
-        (_commutator_entries), and the table is kept, so the center, the
-        normalizer's closure check and bracket_table share it.  A zero
-        commutator has no coordinates.  Otherwise _split checks that it lies
-        in s and raises ContractError if it does not, so building the table
-        checks that s is a subalgebra.
+        (_commutator_entries), and the table is kept, so the center and the
+        normalizer's closure check share it.  A zero commutator has no
+        coordinates.  Otherwise _split checks that it lies in s and raises
+        ContractError if it does not, so building the table checks that s is
+        a subalgebra.
         """
         if self._int_brackets is None:
             n = self.algebra.matrix_size_N
@@ -788,26 +779,6 @@ class Subspace:
                 table.append(row)
             self._int_brackets = table
         return self._int_brackets
-
-    def bracket_table(self):
-        """The nonzero coordinates in this basis of [b_a, b_b], as pairs
-        (t, coordinate t), for every a < b, as table[a][b - a - 1]; [b_b, b_a]
-        is the negative and [b_a, b_a] is zero.
-
-        Read off the integer table of _brackets: coordinate t is
-        G_t / (I_a[c_a] I_b[c_b]).  Building it checks that s is a
-        subalgebra (ContractError otherwise).
-        """
-        if self._bracket_table is None:
-            dens = [row[c] for row, c in zip(self.num_rows, self.pivots)]
-            self._bracket_table = [
-                [
-                    tuple((t, Rat(g, dens[a] * dens[b])) for t, g in terms)
-                    for b, terms in enumerate(line, start=a + 1)
-                ]
-                for a, line in enumerate(self._brackets())
-            ]
-        return self._bracket_table
 
     def __repr__(self) -> str:
         return f"Subspace({self.algebra.name}, dim={self.dim})"

@@ -31,7 +31,6 @@ import os
 import sys
 
 from . import __version__
-from ._scalar import rat_str
 from .algebras import _family_rank_for_size, build_algebra
 from .errors import ContractError, HypothesisViolation, NilabError, IdentityError
 from .index import (
@@ -289,7 +288,7 @@ def _cmd_convolution(args) -> int:
     table = {}
     audit = {}
     for key, alphas, entry in convolution_entries(pd):
-        table[key] = [rat_str(a) for a in alphas]
+        table[key] = [str(a) for a in alphas]
         audit[key] = entry
     payload = {
         "meta": _meta(args, alg, partition),

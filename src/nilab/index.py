@@ -22,7 +22,10 @@ entries in delta, pseudo-triangular -- determines the index:
 
   ind(eta, delta) = dim delta - generic rank of A,
 
-with A read as a matrix of linear forms in delta coordinates.  The same
+the corank of A over delta, with A read as a matrix of linear forms in
+delta coordinates.  It is not the defect ind eta - (rank g - dim delta):
+on the so(2r) orbits (2r-3, 3), r = 4..7, ind is 1 while
+ind eta = rank g - dim delta.  The same
 brackets are audited against the convolution gradients: [y_i, z_j] is an
 exact multiple of grad B(Q_i, Q_j)(e), whose delta coordinates are the
 alpha coefficients reported per pair.
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._scalar import ONE, Rat, ZERO, rat_str
+from ._scalar import ONE, Rat, ZERO
 from .algebras import (
     AlgebraRealization,
     Element,
@@ -319,9 +322,11 @@ class IndexResult:
 
 
 def index_pair(pd: PairData, a: BracketTensor, *, seed: int = 0) -> IndexResult:
-    """ind(eta, delta) = dim delta - generic rank of A, with the
-    determinant-based zero test reported as a cross-check; rank and
-    determinant come from one elimination of A."""
+    """ind(eta, delta) = dim delta - generic rank of A, the corank of A over
+    delta, with the determinant-based zero test reported as a cross-check;
+    rank and determinant come from one elimination of A.  On the so(2r)
+    orbits (2r-3, 3), r = 4..7, ind is 1 while the defect
+    ind eta - (rank g - dim delta) is 0."""
     pd.require_hypothesis()
     detail = generic_rank_detail(symbolic_bracket_matrix(pd, a), seed=seed)
     ind = pd.delta.dim - detail.rank
@@ -447,10 +452,10 @@ def convolution_entries(pd: PairData):
         for j in range(i, pd.s + 1):
             conv = convolution_at(pd, i, j)
             audit = {
-                "c_observed": rat_str(conv.c_observed)
+                "c_observed": str(conv.c_observed)
                 if conv.c_observed is not None
                 else None,
-                "c_reference": rat_str(conv.c_reference),
+                "c_reference": str(conv.c_reference),
             }
             yield f"{i},{j}", conv.alphas, audit
 
@@ -513,10 +518,10 @@ class OrbitReport:
             "det_consistent": self.det_consistent,
             "det": self.det_text,
             "epsilon": self.epsilon,
-            "betas": [rat_str(b) for b in self.betas],
-            "gamma": rat_str(self.gamma) if self.gamma is not None else None,
+            "betas": [str(b) for b in self.betas],
+            "gamma": str(self.gamma) if self.gamma is not None else None,
             "gamma_nonzero": self.gamma_nonzero,
-            "alphas": {k: [rat_str(a) for a in v] for k, v in self.alphas.items()},
+            "alphas": {k: [str(a) for a in v] for k, v in self.alphas.items()},
             "const_audit": dict(self.const_audit),
             "prime_samples": [list(p) for p in self.prime_samples],
             "checks": list(self.checks),

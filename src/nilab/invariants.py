@@ -18,7 +18,7 @@ coefficients (_digit_width).  The trace-kind gradients are prefixes of one
 power chain M, M^2, ..., so _line_table reads every generator off one
 chain per direction.  Interpolation is kept only as the independent
 oracle: scalar values of p_j at integer nodes give <dp_j(x), y>, which the
-gradient pairing check and gradient(check=True) compare against.
+pairing check of verify_field_identities and gradient compare against.
 
 The suite functions at the bottom verify, exactly and sample by sample,
 the invariance identities the fields satisfy: equivariance, Taylor
@@ -256,21 +256,19 @@ def directional_scalar_derivative(alg, j, x, y):
     return coeffs[1][0]
 
 
-def gradient(alg: AlgebraRealization, j: int, x: Element, *, check: bool = True) -> Element:
-    """Gradient field of the j-th generator at x.
-
-    With check=True (the default) the defining pairing <dp_j(x), y> =
-    T(P_j(x), y) is re-derived from scalar values of p_j on five seeded
-    directions and compared exactly; a mismatch raises InternalError.
+def gradient(alg: AlgebraRealization, j: int, x: Element) -> Element:
+    """Gradient field of the j-th generator at x, checked: the defining
+    pairing <dp_j(x), y> = T(P_j(x), y) is re-derived from scalar values of
+    p_j on five seeded directions and compared exactly; a mismatch raises
+    InternalError.  The pipeline reads the unchecked line expansion
+    (_line_table), and verify_field_identities checks the pairing itself.
     """
     value = _gradient_raw(alg, j, x)
-    if check:
-        rng = random.Random(f"gradient-check:{alg.family}:{alg.rank_r}:{j}")
-        for _ in range(5):
-            y = alg.random_element(rng, 2)
-            lhs = directional_scalar_derivative(alg, j, x, y)
-            if lhs != trace_form(value, y):
-                raise InternalError("gradient does not match the scalar derivative")
+    rng = random.Random(f"gradient-check:{alg.family}:{alg.rank_r}:{j}")
+    for _ in range(5):
+        y = alg.random_element(rng, 2)
+        if directional_scalar_derivative(alg, j, x, y) != trace_form(value, y):
+            raise InternalError("gradient does not match the scalar derivative")
     return value
 
 

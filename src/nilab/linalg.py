@@ -31,7 +31,6 @@ of operations spent reaching it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from ._scalar import ONE, Rat, ZERO, as_rat
 from .errors import ContractError, DegreeMismatchError, ShapeError
@@ -258,39 +257,16 @@ def inverse(rows):
     return [[Rat(v, row[r]) if v else ZERO for v in row[n:]] for r, row in enumerate(a)]
 
 
-@lru_cache(maxsize=None)
-def _vandermonde_inverse(nodes):
-    """Inverse of the Vandermonde matrix (nodes[i]^k), built in closed form.
-
-    Column i holds the coefficients of the Lagrange basis polynomial
-    L_i(t) = prod_{l != i} (t - t_l) / (t_i - t_l), so no elimination runs
-    and the cached value costs the same work whenever it is first needed.
-    Returned as a tuple of row tuples, so the cached value cannot be changed.
-    """
-    n = len(nodes)
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, ti in enumerate(nodes):
-        coeffs = [ONE]  # ascending coefficients of prod (t - t_l), l != i
-        denom = ONE
-        for l, tl in enumerate(nodes):
-            if l != i:
-                coeffs = [ZERO] + coeffs
-                for k in range(len(coeffs) - 1):
-                    coeffs[k] -= tl * coeffs[k + 1]
-                denom *= ti - tl
-        for k, c in enumerate(coeffs):
-            rows[k][i] = c / denom
-    return tuple(tuple(row) for row in rows)
-
-
 def interpolate_vector_poly(samples, degree: int):
     """Exact coefficients c_0..c_degree of a vector-valued polynomial.
 
     samples: iterable of (t, value-vector) pairs at pairwise-distinct t,
     with int, Rat or string entries (a float raises ContractError).
-    Solves the Vandermonde system on the first degree+1 samples and checks
-    any remaining samples against the result; a mismatch means the data has
-    higher degree than declared and raises DegreeMismatchError.
+    Interpolates the first degree+1 samples by Newton divided differences,
+    O(degree^2) per value column, and expands the Newton form into monomial
+    coefficients; then checks any remaining samples against the result.  A
+    mismatch means the data has higher degree than declared and raises
+    DegreeMismatchError.
     """
     samples = list(samples)
     nodes = [as_rat(t) for t, _ in samples]
@@ -305,13 +281,20 @@ def interpolate_vector_poly(samples, degree: int):
         if len(v) != width:
             raise ShapeError("sample vectors have inconsistent lengths")
     values = [[as_rat(x) for x in v] for _, v in samples]
-    vinv = _vandermonde_inverse(tuple(nodes[: degree + 1]))
-    coeffs = []
-    for k in range(degree + 1):
-        vrow = vinv[k]
-        coeffs.append(
-            [sum((vrow[i] * values[i][j] for i in range(degree + 1)), ZERO) for j in range(width)]
-        )
+    columns = []
+    for column in zip(*values[: degree + 1]):
+        # c[i] becomes the divided difference f[t_0, ..., t_i], in place
+        c = list(column)
+        for k in range(1, degree + 1):
+            for i in range(degree, k - 1, -1):
+                c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - k])
+        # expand the Newton form by Horner: poly <- poly (t - t_i) + c[i]
+        poly = [c[degree]]
+        for i in range(degree - 1, -1, -1):
+            t = nodes[i]
+            poly = [c[i] - t * poly[0], *[a - t * b for a, b in zip(poly, poly[1:])], poly[-1]]
+        columns.append(poly)
+    coeffs = [[poly[k] for poly in columns] for k in range(degree + 1)]
     for t, value in zip(nodes[degree + 1 :], values[degree + 1 :]):
         acc = [ZERO] * width
         p = ONE

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._scalar import rat_str
-
 
 @dataclass
 class CheckItem:
@@ -55,4 +53,4 @@ class CheckReport:
 
 
 def coords_strs(element) -> list:
-    return [rat_str(c) for c in element.coords]
+    return [str(c) for c in element.coords]

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -22,6 +23,7 @@ from nilab import (
     Subspace,
     UnsupportedAlgebraError,
     ad_matrix,
+    analyze_orbit,
     bracket,
     build_algebra,
     build_pair_data,
@@ -72,6 +74,32 @@ def transpose(rows):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+# Rational views of a subspace for the references below, which eliminate in
+# Rat; cached per subspace, since the references read them again and again.
+
+
+@lru_cache(maxsize=16)
+def rat_rows(s):
+    """The reduced echelon rows of s as tuples of Rat, I_r / I_r[c_r]."""
+    return tuple(tuple(Rat(v, row[c]) for v in row) for row, c in zip(s.num_rows, s.pivots))
+
+
+@lru_cache(maxsize=16)
+def rat_bracket_table(s):
+    """The nonzero coordinates (t, coordinate t) in the basis of s of
+    [b_a, b_b], for every a < b, as table[a][b - a - 1]: the integer table
+    of Subspace._brackets over I_a[c_a] I_b[c_b].  Building it checks that s
+    is a subalgebra (ContractError otherwise)."""
+    dens = [row[c] for row, c in zip(s.num_rows, s.pivots)]
+    return [
+        [
+            tuple((t, Rat(g, dens[a] * dens[b])) for t, g in terms)
+            for b, terms in enumerate(line, start=a + 1)
+        ]
+        for a, line in enumerate(s._brackets())
+    ]
 
 
 @pytest.mark.parametrize("family,rank", sorted(EXPECTED_DIMS))
@@ -544,8 +572,8 @@ def test_h_graduation_matches_eigenvalue_scan(family, rank):
             continue
         t = sl2_complete(alg, nilpotent_from_partition(alg, p))
         for s in (alg.full_space(), centralizer(t.e)):
-            got = [(mu, sp.rows, sp.pivots) for mu, sp in h_graduation(t.h, s)]
-            want = [(mu, sp.rows, sp.pivots) for mu, sp in eigenvalue_scan(t.h, s)]
+            got = [(mu, sp.num_rows, sp.pivots) for mu, sp in h_graduation(t.h, s)]
+            want = [(mu, sp.num_rows, sp.pivots) for mu, sp in eigenvalue_scan(t.h, s)]
             assert got == want, p
 
 
@@ -687,10 +715,11 @@ def test_serializable_description():
 def _span_of_kernel(s, m):
     """Subspace spanned by sum_a x_a b_a over the kernel vectors x of m."""
     _, kernel = rank_kernel(m, s.dim)
+    basis = rat_rows(s)
     rows = []
     for x in kernel:
         rows.append(
-            [sum((x[a] * row[q] for a, row in enumerate(s.rows)), Rat(0)) for q in range(s.algebra.dim)]
+            [sum((x[a] * row[q] for a, row in enumerate(basis)), Rat(0)) for q in range(s.algebra.dim)]
         )
     return Subspace.from_coord_rows(s.algebra, rows)
 
@@ -707,7 +736,7 @@ def reduce_by_rows(s, vec):
     """vec minus its reduction by the reduced echelon rows of s, eliminated
     in Rat pivot by pivot: zero exactly when vec lies in s."""
     out = list(vec)
-    for row, c in zip(s.rows, s.pivots):
+    for row, c in zip(rat_rows(s), s.pivots):
         x = out[c]
         if x:
             out = [v - x * r for v, r in zip(out, row)]
@@ -749,6 +778,28 @@ def test_normalizer_of_rejects_non_subalgebra():
     f = alg.from_matrix(E(2, 1, 0))
     with pytest.raises(ContractError):
         normalizer_of(Subspace.from_elements(alg, [e, f]))
+
+
+def test_same_space_and_from_elements_reject_other_realizations():
+    # so(5) and sp(4) have dimension 10, sl(4) and so(6) 15: equal integer
+    # rows or coordinates do not make their subspaces comparable
+    for (f1, r1), (f2, r2) in [(("B", 2), ("C", 2)), (("A", 3), ("D", 3))]:
+        alg, other = build_algebra(f1, r1), build_algebra(f2, r2)
+        assert alg.dim == other.dim
+        with pytest.raises(ContractError):
+            alg.full_space().same_space(other.full_space())
+        with pytest.raises(ContractError):
+            Subspace.from_elements(alg, [other.basis_element(0), other.basis_element(1)])
+    # another build of the same algebra is another realization too, and a
+    # dimension mismatch is the same contract violation, not a ShapeError
+    so5 = build_algebra("B", 2)
+    for other in (build_algebra("B", 2), build_algebra("A", 2)):
+        with pytest.raises(ContractError):
+            so5.full_space().same_space(other.full_space())
+        with pytest.raises(ContractError):
+            Subspace.from_elements(so5, [other.basis_element(0)])
+    basis = [so5.basis_element(k) for k in range(so5.dim)]
+    assert Subspace.from_elements(so5, iter(basis)).same_space(so5.full_space())
 
 
 def test_preimage_rejects_mixed_algebras():
@@ -857,7 +908,7 @@ def test_bracket_table_matches_bracket_and_membership_reference(family, rank):
             continue
         z = centralizer(nilpotent_from_partition(alg, p))
         for s in (z, center_of(z), normalizer_of(z)):
-            assert s.bracket_table() == reference_bracket_table(s), p
+            assert rat_bracket_table(s) == reference_bracket_table(s), p
 
 
 def test_bracket_table_rejects_a_bracket_that_differs_only_off_the_pivots():
@@ -869,7 +920,7 @@ def test_bracket_table_rejects_a_bracket_that_differs_only_off_the_pivots():
     v = alg.from_matrix([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
     br = bracket(h1, v)
     assert br == alg.from_matrix([[0, 2, 1], [0, 0, 0], [0, 0, 0]])
-    for build in (reference_bracket_table, Subspace.bracket_table, center_of, normalizer_of):
+    for build in (reference_bracket_table, Subspace._brackets, center_of, normalizer_of):
         s = Subspace.from_elements(alg, [h1, v])
         assert [br.num[c] for c in s.pivots] == [0, 2 * br.den]
         with pytest.raises(ContractError):
@@ -1040,7 +1091,7 @@ def test_bracket_table_rejects_a_bracket_that_no_pivot_reads():
     a, b = alg.from_matrix(E(3, 0, 1)), alg.from_matrix(E(3, 1, 2))
     br = bracket(a, b)
     assert br == alg.from_matrix(E(3, 0, 2))
-    for build in (Subspace._brackets, Subspace.bracket_table, center_of, normalizer_of):
+    for build in (Subspace._brackets, center_of, normalizer_of):
         s = Subspace.from_elements(alg, [a, b])
         assert not s.contains(br)
         assert s._split(br._entries())[0] == [0, 0]
@@ -1108,7 +1159,7 @@ def reference_centralizer(x):
 def reference_center(s):
     k = s.dim
     rows = {}
-    for a, line in enumerate(s.bracket_table()):
+    for a, line in enumerate(rat_bracket_table(s)):
         for b, terms in enumerate(line, start=a + 1):
             for t, c in terms:
                 rows.setdefault((b, t), [Rat(0)] * k)[a] = c
@@ -1119,7 +1170,7 @@ def reference_center(s):
 
 def reference_normalizer(s):
     alg = s.algebra
-    s.bracket_table()
+    s._brackets()  # closure check
     split = dense_split_table(s)
     pivots = set(s.pivots)
     candidates = [alg.basis_element(q) for q in range(alg.dim) if q not in pivots]
@@ -1138,16 +1189,15 @@ def reference_normalizer(s):
         _, kernel = rank_kernel(rows, len(candidates))
         if len(kernel) < len(candidates):
             candidates = [_combination(alg, candidates, x) for x in kernel]
-    return reference_span(alg, list(s.rows) + [y.num for y in candidates])
+    return reference_span(alg, list(rat_rows(s)) + [y.num for y in candidates])
 
 
 def assert_matches_reference(s, want, label):
     """s has the reference's Rat rows and pivots, and keeps them as
     primitive integer rows, positive at their pivots."""
-    assert (s.rows, s.pivots) == want, label
-    for num, row, c in zip(s.num_rows, s.rows, s.pivots):
+    assert (rat_rows(s), s.pivots) == want, label
+    for num, c in zip(s.num_rows, s.pivots):
         assert num[c] > 0 and math.gcd(*num) == 1, label
-        assert tuple(Rat(v, num[c]) for v in num) == row, label
     for x, num, c in zip(s.basis, s.num_rows, s.pivots):
         assert x.num == num and x.den == num[c], label
 
@@ -1218,7 +1268,7 @@ def test_normalizer_matches_brute_force_on_every_orbit(family, rank):
 def _skew_rank(s, xi):
     k = s.dim
     m = [[0] * k for _ in range(k)]
-    for a, line in enumerate(s.bracket_table()):
+    for a, line in enumerate(rat_bracket_table(s)):
         for b, terms in enumerate(line, start=a + 1):
             v = sum((xi[t] * c for t, c in terms), Rat(0))
             m[a][b], m[b][a] = v, -v
@@ -1275,6 +1325,29 @@ def test_normalizer_index_bound_is_rank_minus_center_dim(family, ranks):
             assert eta.dim - best == alg.rank_r - delta.dim, (alg.name, p)
 
 
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
+def test_normalizer_index_is_rank_minus_center_dim_on_d_orbits_with_a_part_3(rank):
+    # so(2r), partition (2r - 3, 3): dim eta is odd, and a skew matrix has
+    # even rank, so ind eta is odd; with the sampled bound ind eta <= 1 that
+    # makes ind eta = 1 = rank g - dim delta exactly.  The reported ind,
+    # dim delta - rank A, is 1 there too, so it is not the defect
+    # ind eta - (rank g - dim delta), which is 0.
+    alg = build_algebra("D", rank)
+    p = Partition((2 * rank - 3, 3))
+    z = centralizer(nilpotent_from_partition(alg, p))
+    delta, eta = center_of(z), normalizer_of(z)
+    assert eta.dim == 2 * rank + 1 and alg.rank_r - delta.dim == 1, p
+    rng = random.Random(f"eta-index-exact:D{rank}")
+    best = 0
+    for _ in range(3):
+        best = max(best, _skew_rank(eta, [rng.randint(-50, 50) for _ in range(eta.dim)]))
+        if best == eta.dim - 1:
+            break
+    assert best == eta.dim - 1, p
+    report = analyze_orbit(alg, p)
+    assert report.hypothesis_ok and report.ind == 1, p
+
+
 def preimage_of_center(e, delta):
     """{y : [e, y] in delta}, the kernel of y -> [e, y] reduced by the echelon
     rows of delta, through the rational reference elimination."""
@@ -1282,7 +1355,7 @@ def preimage_of_center(e, delta):
     columns = []
     for k in range(alg.dim):
         v = list(bracket(e, alg.basis_element(k)).coords)
-        for row, c in zip(delta.rows, delta.pivots):
+        for row, c in zip(rat_rows(delta), delta.pivots):
             if v[c]:
                 v = [x - v[c] * r for x, r in zip(v, row)]
         columns.append(v)

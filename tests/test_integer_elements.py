@@ -113,16 +113,20 @@ def test_equal_elements_from_three_routes_compare_and_hash_equal(family, rank):
     assert negated == x.scale(-2)
 
 
-def eliminate(s, coords):
+def rat_rows(s):
+    """The reduced echelon rows of s as tuples of Rat, I_r / I_r[c_r]."""
+    return [tuple(Rat(v, row[c]) for v in row) for row, c in zip(s.num_rows, s.pivots)]
+
+
+def eliminate(s, rows, coords):
     """(coefficients in the basis of s, residual): reduction of a coordinate
-    vector against the echelon rows of s, row by row in Rat."""
+    vector against the echelon rows of s (rat_rows), row by row in Rat."""
     residual = list(coords)
     out = []
-    for r, c in enumerate(s.pivots):
+    for row, c in zip(rows, s.pivots):
         f = residual[c]
         out.append(f)
         if f:
-            row = s.rows[r]
             residual = [a - f * b if b else a for a, b in zip(residual, row)]
     return out, residual
 
@@ -136,14 +140,14 @@ def reference_subspaces(alg, rng):
         yield Subspace.from_coord_rows(alg, gens)
 
 
-def probe_vectors(alg, s, rng):
-    """Members (combinations of the basis with fractional coefficients,
-    including zero) and vectors that are mostly not members: random
-    vectors and members moved at one coordinate."""
+def probe_vectors(alg, rows, rng):
+    """Members (combinations of the echelon rows with fractional
+    coefficients, including zero) and vectors that are mostly not members:
+    random vectors and members moved at one coordinate."""
     yield alg.zero()
     for _ in range(4):
-        coeffs = [Rat(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(s.dim)]
-        member = [sum((c * row[q] for c, row in zip(coeffs, s.rows)), ZERO)
+        coeffs = [Rat(rng.randint(-4, 4), rng.randint(1, 5)) for _ in rows]
+        member = [sum((c * row[q] for c, row in zip(coeffs, rows)), ZERO)
                   for q in range(alg.dim)]
         yield Element(alg, member)
         member[rng.randrange(alg.dim)] += Rat(1, rng.randint(1, 4))
@@ -158,9 +162,10 @@ def test_membership_matches_rational_elimination(family, rank):
     seen = {True: 0, False: 0}
     fractional_rows = 0
     for s in reference_subspaces(alg, rng):
-        fractional_rows += any(v.denominator > 1 for row in s.rows for v in row)
-        for x in probe_vectors(alg, s, rng):
-            out, residual = eliminate(s, x.coords)
+        rows = rat_rows(s)
+        fractional_rows += any(v.denominator > 1 for row in rows for v in row)
+        for x in probe_vectors(alg, rows, rng):
+            out, residual = eliminate(s, rows, x.coords)
             member = not any(residual)
             seen[member] += 1
             assert s.contains(x) == member

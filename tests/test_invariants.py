@@ -5,6 +5,7 @@ import random
 import pytest
 
 from nilab import (
+    InternalError,
     Partition,
     Poly,
     Rat,
@@ -115,7 +116,7 @@ def test_gradient_matches_scalar_derivative_all_families():
         alg = build_algebra(family, rank)
         x = alg.random_element(rng)
         for gen in generators(alg):
-            p = gradient(alg, gen.index_j, x, check=False)
+            p = gradient(alg, gen.index_j, x)
             for _ in range(3):
                 y = alg.random_element(rng)
                 assert trace_form(p, y) == directional_scalar_derivative(
@@ -130,10 +131,25 @@ def test_gradient_homogeneity():
         for gen in generators(alg):
             x = alg.random_element(rng)
             c = Rat(rng.randint(1, 5), rng.randint(1, 5))
-            scaled = gradient(alg, gen.index_j, x.scale(c), check=False)
-            assert scaled == gradient(alg, gen.index_j, x, check=False).scale(
+            scaled = gradient(alg, gen.index_j, x.scale(c))
+            assert scaled == gradient(alg, gen.index_j, x).scale(
                 c**gen.exponent
             )
+
+
+def test_gradient_always_checks_the_pairing(monkeypatch):
+    # a gradient that is off by a factor fails the pairing with the scalar
+    # derivative, which gradient checks on every call
+    import nilab.invariants as invariants_module
+
+    alg = build_algebra("A", 2)
+    x = alg.random_element(random.Random(41))
+    real = invariants_module._gradient_raw
+    monkeypatch.setattr(
+        invariants_module, "_gradient_raw", lambda alg, j, x: real(alg, j, x).scale(2)
+    )
+    with pytest.raises(InternalError):
+        gradient(alg, 2, x)
 
 
 def test_taylor_terms_sl2():
@@ -148,7 +164,7 @@ def test_taylor_terms_endpoints_sl3():
     t = principal_triplet(alg)
     e13 = alg.from_matrix(E(3, 0, 2))
     tt = taylor_terms(alg, 2, t.h, t.e)
-    assert tt.terms[0] == gradient(alg, 2, t.h, check=False)
+    assert tt.terms[0] == gradient(alg, 2, t.h)
     assert tt.terms[2] == e13.scale(3)
 
 
@@ -157,7 +173,7 @@ def test_taylor_terms_zero_direction():
     rng = random.Random(31)
     x = alg.random_element(rng)
     tt = taylor_terms(alg, 2, x, alg.zero())
-    assert tt.terms[0] == gradient(alg, 2, x, check=False)
+    assert tt.terms[0] == gradient(alg, 2, x)
     assert all(term.is_zero() for term in tt.terms[1:])
 
 
@@ -165,7 +181,7 @@ def test_mixed_term_order_zero_is_gradient():
     alg = build_algebra("A", 2)
     rng = random.Random(37)
     x, u, y = (alg.random_element(rng) for _ in range(3))
-    assert mixed_term(alg, 2, x, u, 0, y, 0) == gradient(alg, 2, x, check=False)
+    assert mixed_term(alg, 2, x, u, 0, y, 0) == gradient(alg, 2, x)
 
 
 def test_mixed_term_frozen_sl3_value():
@@ -261,7 +277,7 @@ def test_kostant_independence_weights_sp4():
     # exponents 1 and 3: h-weights of the P_j(e) are 2 and 6
     alg = build_algebra("C", 2)
     t = principal_triplet(alg)
-    grads = [gradient(alg, g.index_j, t.e, check=False) for g in generators(alg)]
+    grads = [gradient(alg, g.index_j, t.e) for g in generators(alg)]
     assert bracket(t.h, grads[0]) == grads[0].scale(2)
     assert bracket(t.h, grads[1]) == grads[1].scale(6)
     kostant_independence(alg, t)
@@ -351,7 +367,7 @@ def test_gradient_derivative_matches_interpolation():
 @pytest.mark.parametrize("scale", [1, 5])
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_pfaffian_gradient_checked(rank, scale):
-    # gradient(check=True) re-derives T(P(x), y) from scalar Pfaffian values
+    # gradient re-derives T(P(x), y) from scalar Pfaffian values
     # and raises InternalError on a mismatch; the read-off raises if the
     # element built from the minor Pfaffians is not in so(2r)
     alg = build_algebra("D", rank, form_scale=scale)
@@ -360,8 +376,8 @@ def test_pfaffian_gradient_checked(rank, scale):
     rng = random.Random(53 + rank)
     t = principal_triplet(alg)
     for x in (alg.random_element(rng), t.e, t.h):
-        p = gradient(alg, j, x, check=True)
-        unscaled = gradient(plain, j, plain.element(x.coords), check=False)
+        p = gradient(alg, j, x)
+        unscaled = gradient(plain, j, plain.element(x.coords))
         assert list(p.coords) == [c / scale for c in unscaled.coords]
 
 
@@ -371,7 +387,7 @@ def test_pfaffian_gradient_pairs_with_every_basis_vector(rank):
     alg = build_algebra("D", rank, form_scale=5)
     (j,) = [gen.index_j for gen in generators(alg) if gen.kind == "pfaffian"]
     x = alg.random_element(random.Random(59))
-    p = gradient(alg, j, x, check=False)
+    p = gradient(alg, j, x)
     for k in range(alg.dim):
         b = alg.basis_element(k)
         assert trace_form(p, b) == directional_scalar_derivative(alg, j, x, b)

@@ -22,7 +22,6 @@ from nilab import (
 from nilab.linalg import (
     _gauss_jordan,
     _int_rows,
-    _vandermonde_inverse,
     echelon_kernel,
     echelon_rows,
     mat_mul,
@@ -511,19 +510,35 @@ def test_interpolate_round_trip_property(coeff_ints):
     assert interpolate_vector_poly(samples, len(coeffs) - 1) == coeffs
 
 
-def test_vandermonde_inverse_matches_elimination():
-    node_sets = [
-        (Rat(5),),
-        (Rat(0), Rat(1)),
-        (Rat(0), Rat(1), Rat(2), Rat(3)),
-        tuple(Rat(t) for t in range(10)),
-        (Rat(1, 2), Rat(-3), Rat(7, 5), Rat(2)),
-        (Rat(-2, 3), Rat(1, 7), Rat(9, 4)),
-    ]
-    for nodes in node_sets:
-        n = len(nodes)
-        vander = [[t**k for k in range(n)] for t in nodes]
-        assert [list(row) for row in _vandermonde_inverse(nodes)] == inverse(vander)
+def test_interpolate_rational_nodes_vector_values_and_extra_samples():
+    # distinct rational nodes in any order, degrees 0-6, widths 1-4 and up
+    # to two extra samples: consistent ones give the coefficients back, and
+    # moving one entry of the last extra sample raises DegreeMismatchError
+    rng = random.Random(67)
+
+    def rational():
+        return Rat(rng.randint(-9, 9), rng.randint(1, 6))
+
+    mismatches = 0
+    for _ in range(150):
+        degree, width, extra = rng.randint(0, 6), rng.randint(1, 4), rng.randint(0, 2)
+        coeffs = [[rational() for _ in range(width)] for _ in range(degree + 1)]
+        nodes = set()
+        while len(nodes) < degree + 1 + extra:
+            nodes.add(rational())
+        samples = [
+            (t, [sum((c[j] * t**k for k, c in enumerate(coeffs)), Rat(0)) for j in range(width)])
+            for t in rng.sample(sorted(nodes), len(nodes))
+        ]
+        assert interpolate_vector_poly(samples, degree) == coeffs
+        if extra:
+            t, value = samples[-1]
+            moved = list(value)
+            moved[rng.randrange(width)] += Rat(rng.randint(1, 9), rng.randint(1, 6))
+            with pytest.raises(DegreeMismatchError):
+                interpolate_vector_poly([*samples[:-1], (t, moved)], degree)
+            mismatches += 1
+    assert mismatches > 50
 
 
 def test_ragged_rows_raise_shape_error():

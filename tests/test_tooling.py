@@ -1,5 +1,5 @@
 """Guards for the tools around the library: the benchmark tracer's layer
-list, the demo scripts and `python -m nilab`."""
+list, the package's public names, the demo scripts and `python -m nilab`."""
 
 import importlib
 import importlib.util
@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -92,6 +93,40 @@ def _run_from_checkout(*args):
         [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=120,
     )
+
+
+# Every name nilab/__init__.py binds, dunders aside; a change to the public
+# surface has to change this list too.
+PUBLIC_NAMES = [
+    "AlgebraRealization", "BracketTensor", "CheckReport", "ContractError",
+    "ConvolutionResult", "DegreeMismatchError", "Element", "GraduationError",
+    "HypothesisViolation", "IdentityError", "IndexResult", "InternalError",
+    "InvariantGenerator", "NilabError", "OrbitReport", "PairData", "Partition",
+    "PartitionError", "Poly", "Rat", "ShapeError", "Subspace", "TaylorTerms",
+    "Triplet", "UnsupportedAlgebraError", "ad_matrix", "analyze_orbit",
+    "bivariate_terms", "bracket", "bracket_matrix", "build_algebra",
+    "build_pair_data", "center_of", "centralizer", "convolution_at",
+    "det_shape_check", "eval_generator", "generators", "generic_rank_detail",
+    "gradient", "h_graduation", "index_pair", "interpolate_vector_poly",
+    "inverse", "kostant_independence", "make_samples", "mf_shift_rank",
+    "mixed_term", "nilpotent_from_partition", "normalizer_decomposition_check",
+    "normalizer_of", "pfaffian", "poly_det", "principal_triplet", "rank_kernel",
+    "sl2_complete", "sl2_vectors", "solve", "structure_checks", "sweep",
+    "taylor_terms", "trace_form", "triangular_decomposition",
+    "triple_from_partition", "unipotent_conjugate", "valid_partitions",
+    "verify_field_identities",
+]
+
+
+def test_public_names_are_pinned():
+    # module objects are left out: an imported submodule such as
+    # nilab.linalg becomes an attribute of the package
+    bound = sorted(
+        name
+        for name, value in vars(nilab).items()
+        if not (name.startswith("__") and name.endswith("__")) and not isinstance(value, ModuleType)
+    )
+    assert bound == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
