@@ -28,15 +28,14 @@ The invariant pairing is the defining-representation trace form tr(xy)
 the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, and every matrix comes back
-to an element through the one checked read-off, coords_of_rows.  A
-subspace has one membership check, Subspace._split, on the nonzero entries
-of an integer N x N matrix: it serves contains and coords_of, it brings
-brackets of a subalgebra's basis vectors back as coordinates in that basis
-through one checked pivot read, and, on all of g as a subspace, it reads
-the columns of ad(x).  The subspace layer multiplies sparse matrices
-(_commutator_entries), since the basis matrices of z(e) are weight vectors
-with few nonzero entries; brackets of general elements, whose matrices are
-mostly full, stay on dense integer rows (_commutator_rows).
+to g through the one checked read-off, coords_of_rows (brackets, ad(x)
+columns, gradients, triples, Ad(exp n)).  A subspace has one membership
+check, Subspace._split, on the nonzero entries of an integer N x N matrix:
+it serves contains and coords_of, and brings brackets of a subalgebra's
+basis vectors back as coordinates in that basis.  Every product walks the
+nonzero entries of the sparse rows each element builds once (_sparse_form);
+a commutator comes out as dense rows for the read-off (_commutator_rows)
+or as its nonzero entries for _split (_commutator_entries).
 
 Every matrix, an N x N realization or a dim x dim map such as ad(x), is a
 list of row lists, the one form linalg works on.  An element holds integer
@@ -214,69 +213,59 @@ class AlgebraRealization:
         # position where no earlier basis matrix starts.  The pivot block is
         # then unit lower triangular, so coordinate k of a matrix R is read
         # by forward substitution, R[p_k] - sum_{k' < k} b_k'[p_k] coordinate
-        # k'; _coord_terms[k] is that integer form over the pivot positions,
-        # and every other position q is checked against sum_k b_k[q]
-        # coordinate k (_nonpivot_terms), both read off one index, position
-        # -> [(k, entry)].  The ad(x) columns read each basis matrix as
-        # sparse rows (see _sparse_rows) and go through the full space,
-        # which is built on first use.
+        # k', as coords_of_rows runs it on a matrix.  As an integer form over
+        # the pivot positions it lets Subspace._split read coordinates off
+        # the nonzero entries of a sparse matrix alone: _pivot_reads holds
+        # these forms by position, (i, j, ((k, coefficient), ...)) for each
+        # pivot (i, j).  The products read each basis matrix as sparse rows
+        # (_basis_rows).
         n = self.matrix_size_N
-        self._basis_rows = [
-            _sparse_rows(n, {i * n + j: v for i, j, v in entries})
-            for entries in self._basis_sparse
-        ]
+        self._basis_rows = [_sparse_rows([1], [entries]) for entries in self._basis_sparse]
         self._full = None
-        index = {}  # position -> [(k, entry)], in ascending k
+        index = {}  # position -> [(k, entry)] over the basis matrices so far
         terms = []  # per coordinate, {pivot position: coefficient}
-        pivots = set()
+        reads = {}  # pivot position -> [(k, coefficient)], the same forms
         last = -1
         for k, entries in enumerate(self._basis_sparse):
             positions = [i * n + j for i, j, _ in entries]
             if entries[0][2] != 1 or positions[0] <= last or positions != sorted(set(positions)):
                 raise ContractError("basis matrices are not in unit echelon form")
             p = last = positions[0]
-            pivots.add(p)
             line = {p: 1}
             for k_prev, b in index.get(p, ()):  # only earlier matrices are indexed yet
                 for q, c in terms[k_prev].items():
                     line[q] = line.get(q, 0) - b * c
             terms.append(line)
+            for q, c in line.items():
+                if c:
+                    reads.setdefault(q, []).append((k, c))
             for q, (_, _, v) in zip(positions, entries):
                 index.setdefault(q, []).append((k, v))
-        self._coord_terms = tuple(
-            tuple((q // n, q % n, c) for q, c in sorted(line.items()) if c) for line in terms
-        )
-        self._nonpivot_terms = tuple(
-            (q // n, q % n, tuple(index.get(q, ()))) for q in range(n * n) if q not in pivots
-        )
+        self._pivot_reads = tuple((q // n, q % n, tuple(reads[q])) for q in sorted(reads))
 
     def coords_of_rows(self, rows, den=1, num=1) -> "Element":
         """The element with the N x N matrix (num / den) * rows, for integer
-        rows and integers num, den != 0.
+        rows and integers num, den != 0: the one read-off from a matrix to g.
 
-        Each coordinate of rows is read off as an integer from the entries
-        at the basis pivot positions, through the precomputed integer forms
-        of the forward substitution; zero matrix entries are skipped.  Every
-        non-pivot entry is then checked in integers, sum_k C_k b_k == R_ij,
-        so a matrix outside the span raises ContractError.  The element is
-        num C_k / den, kept as integers in lowest terms.
+        The forward substitution runs on a copy of rows: in basis order, the
+        integer coordinate C_k is the entry of the copy at the pivot p_k,
+        where b_k is 1 and no later basis matrix has an entry, and C_k b_k
+        is subtracted at once.  So sum_k C_k b_k leaves the copy, and the
+        rest must be zero: a matrix outside the span raises ContractError.
+        The element is num C_k / den in lowest terms; with num = den = 1
+        its numerators are the C_k themselves.
         """
+        rest = [row[:] for row in rows]
         coords = []
-        for terms in self._coord_terms:
-            acc = 0
-            for i, j, c in terms:
-                v = rows[i][j]
-                if v:
-                    acc += c * v
-            coords.append(acc)
-        for i, j, terms in self._nonpivot_terms:
-            acc = 0
-            for k, b in terms:
-                c = coords[k]
-                if c:
-                    acc += c * b
-            if acc != rows[i][j]:
-                raise ContractError("matrix does not lie in the algebra")
+        for entries in self._basis_sparse:
+            i, j, _ = entries[0]
+            c = rest[i][j]
+            coords.append(c)
+            if c:
+                for i, j, b in entries:
+                    rest[i][j] -= c * b
+        if any(map(any, rest)):
+            raise ContractError("matrix does not lie in the algebra")
         if num != 1:
             coords = [c * num for c in coords]
         return _element(self, coords, den)
@@ -359,15 +348,20 @@ def _zero_int_rows(n):
     return [[0] * n for _ in range(n)]
 
 
-def _sparse_rows(n, entries):
-    """The N x N integer matrix with these nonzero entries {i N + j: value}
-    as sparse rows, the form _commutator_entries reads: {i: [(j, value),
-    ...]} over its nonzero rows."""
+def _sparse_rows(num, basis):
+    """sum_k num_k b_k, for integers num_k and basis matrices b_k given as
+    entries (i, j, v), as sparse rows, the form both commutator products
+    read: {i: [(j, value), ...]} over the nonzero entries, by row."""
     rows = {}
-    for p, v in entries.items():
-        i, j = divmod(p, n)
-        rows.setdefault(i, []).append((j, v))
-    return rows
+    for c, entries in zip(num, basis):
+        if c:
+            for i, j, v in entries:
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = {j: c * v}
+                else:
+                    row[j] = row.get(j, 0) + c * v
+    return {i: [(j, v) for j, v in row.items() if v] for i, row in rows.items()}
 
 
 def _clear_denominators(rows):
@@ -377,20 +371,21 @@ def _clear_denominators(rows):
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
-def _commutator_rows(a, a_cols, b, b_cols):
-    """ab - ba for dense integer matrices a and b, accumulated into one
-    output over the nonzero entries listed, per row, in a_cols and b_cols:
-    the product of general elements, whose matrices are mostly full."""
-    out = _zero_int_rows(len(a))
-    for oi, ai, bi, ai_cols, bi_cols in zip(out, a, b, a_cols, b_cols):
-        for t in ai_cols:
-            v, bt = ai[t], b[t]
-            for j in b_cols[t]:
-                oi[j] += v * bt[j]
-        for t in bi_cols:
-            v, at = bi[t], a[t]
-            for j in a_cols[t]:
-                oi[j] -= v * at[j]
+def _commutator_rows(a, b, n):
+    """ab - ba as dense N x N integer rows, for integer matrices a and b
+    given as sparse rows (see _sparse_rows): the products walk the nonzero
+    entries only, and the rows go to the read-off, coords_of_rows."""
+    out = _zero_int_rows(n)
+    for i, ai in a.items():
+        oi = out[i]
+        for t, v in ai:
+            for j, w in b.get(t, ()):
+                oi[j] += v * w
+    for i, bi in b.items():
+        oi = out[i]
+        for t, v in bi:
+            for j, w in a.get(t, ()):
+                oi[j] -= v * w
     return out
 
 
@@ -423,13 +418,12 @@ class Element:
     den is the least common denominator of the coordinates.  Arithmetic,
     comparison and hashing run on these integers; coords, a tuple of Rat,
     is built only when first read.  The N x N matrix is likewise built once,
-    when first needed, in integer-scaled form (see int_rows), and so are the
-    nonzero columns of its rows, which only the dense products read
-    (_int_form).  A membership check reads neither: it takes the nonzero
-    entries (_entries), and so do the sparse products of the subspace layer.
+    when first needed, in integer-scaled form (see int_rows), and so are its
+    sparse rows (_sparse_form), which every product reads.  A membership
+    check reads neither: it takes the nonzero entries (_entries).
     """
 
-    __slots__ = ("algebra", "num", "den", "_coords", "_int", "_cols")
+    __slots__ = ("algebra", "num", "den", "_coords", "_int", "_sparse")
 
     def __init__(self, algebra: AlgebraRealization, coords):
         """Coordinates may be ints, Rats or strings such as "-3/4"; a float
@@ -444,7 +438,7 @@ class Element:
         self.den = den
         self._coords = None
         self._int = None
-        self._cols = None
+        self._sparse = None
 
     @property
     def coords(self):
@@ -482,13 +476,12 @@ class Element:
             self._int = (rows, self.den)
         return self._int
 
-    def _int_form(self):
-        """(R, d, the columns of the nonzero entries of each row of R): what
-        the dense products read, the columns built once, on first use."""
-        rows, den = self.int_rows()
-        if self._cols is None:
-            self._cols = [[j for j, v in enumerate(row) if v] for row in rows]
-        return rows, den, self._cols
+    def _sparse_form(self):
+        """R (see int_rows) as sparse rows (see _sparse_rows), what every
+        product reads; built once, on first use, and not to be changed."""
+        if self._sparse is None:
+            self._sparse = _sparse_rows(self.num, self.algebra._basis_sparse)
+        return self._sparse
 
     def matrix_rows(self):
         """The N x N matrix as fresh row lists of rationals."""
@@ -555,7 +548,7 @@ def _element(algebra, num, den):
     x.den = den
     x._coords = None
     x._int = None
-    x._cols = None
+    x._sparse = None
     return x
 
 
@@ -576,40 +569,32 @@ def bracket(x: Element, y: Element) -> Element:
     """Lie bracket [x, y] = xy - yx, back in basis coordinates."""
     _same_algebra(x, y)
     alg = x.algebra
-    a, dx, a_cols = x._int_form()
-    b, dy, b_cols = y._int_form()
-    return alg.coords_of_rows(_commutator_rows(a, a_cols, b, b_cols), dx * dy)
+    rows = _commutator_rows(x._sparse_form(), y._sparse_form(), alg.matrix_size_N)
+    return alg.coords_of_rows(rows, x.den * y.den)
 
 
 def trace_form(x: Element, y: Element):
     """Invariant pairing tr(xy), times the realization's form_scale."""
     _same_algebra(x, y)
-    a, dx, a_cols = x._int_form()
-    b, dy = y.int_rows()
+    n = x.algebra.matrix_size_N
+    b = {t * n + j: w for t, row in y._sparse_form().items() for j, w in row}
     acc = 0
-    for i, (ai, cols) in enumerate(zip(a, a_cols)):
-        for j in cols:
-            acc += ai[j] * b[j][i]
-    return Rat(acc, dx * dy) * x.algebra.form_scale
+    for i, ai in x._sparse_form().items():
+        for t, v in ai:
+            acc += v * b.get(t * n + i, 0)
+    return Rat(acc, x.den * y.den) * x.algebra.form_scale
 
 
 @functools.lru_cache(maxsize=1)
 def _ad_columns(x: Element):
     """The integer columns C_k, as tuples, with [x, basis_k] = C_k / dx for
-    x = R_x / dx.  Column k is the G of the full space's _split of the
-    sparse commutator of R_x and basis_k: every coordinate, with the check
-    that it lies in g.  One entry is cached: an orbit reads ad(e) once."""
+    x = R_x / dx: the commutator of R_x and basis_k read through
+    coords_of_rows at den 1, which keeps the raw integers.  One entry is
+    cached: an orbit reads ad(e) once."""
     alg = x.algebra
     n = alg.matrix_size_N
-    a = _sparse_rows(n, x._entries())
-    full = alg.full_space()
-    columns = []
-    for b in alg._basis_rows:
-        col, inside = full._split(_commutator_entries(a, b, n))
-        if not inside:
-            raise ContractError("matrix does not lie in the algebra")
-        columns.append(tuple(col))
-    return tuple(columns)
+    a = x._sparse_form()
+    return tuple(alg.coords_of_rows(_commutator_rows(a, b, n)).num for b in alg._basis_rows)
 
 
 def ad_matrix(x: Element):
@@ -636,7 +621,7 @@ class Subspace:
     their combination of the basis matrices; that one equality is
     membership in g and in s together.  contains and coords_of run it on an
     element's matrix, and brackets of s run it on commutators, without
-    coordinates on all of g.
+    coordinates on all of g (that read-off is coords_of_rows).
     """
 
     __slots__ = ("algebra", "num_rows", "pivots", "_basis", "_int_brackets", "_split_table")
@@ -703,18 +688,18 @@ class Subspace:
         """(G, inside) for the integer N x N matrix C with these nonzero
         entries {i N + j: value}.
 
-        G_t = sum _coord_terms[c_t] . C is the coordinate of C at the pivot
-        c_t of row t, read off the entries of C alone through an inverted
-        index, position -> [(t, coefficient)].  inside says whether
-        Dz C - sum_t G_t (Dz R_t) is zero, R_t the N x N matrix of row t
-        and Dz the lcm of the pivot entries I_t[c_t]; it is checked on every
-        position that C or an R_t with G_t != 0 touches, since every other
-        position is zero on both sides.  It is zero exactly when C lies in
-        s: then C is the combination of the R_t with its own pivot
-        coordinates, and a combination of the R_t lies in s.  The check
-        stops at the first nonzero position.  The index and the nonzero
-        entries of the matrices Dz R_t, summed off the nonzero entries of
-        the basis matrices of g, are built once per subspace.
+        G_t is the coordinate of C at the pivot c_t of row t, read off the
+        entries of C alone through the realization's index of pivot reads
+        (_pivot_reads), kept for the c_t as position -> [(t, coefficient)].
+        inside says whether Dz C - sum_t G_t (Dz R_t) is zero, R_t the
+        N x N matrix of row t and Dz the lcm of the pivot entries I_t[c_t];
+        it is checked on every position that C or an R_t with G_t != 0
+        touches, since every other position is zero on both sides.  It is
+        zero exactly when C lies in s: then C is the combination of the R_t
+        with its own pivot coordinates, and a combination of the R_t lies in
+        s.  The check stops at the first nonzero position.  The reads and
+        the nonzero entries of the matrices Dz R_t, summed off the nonzero
+        entries of the basis matrices of g, are built once per subspace.
         """
         if self._split_table is None:
             alg = self.algebra
@@ -729,10 +714,12 @@ class Subspace:
                         for i, j, b in basis_entries:
                             acc[i * n + j] = acc.get(i * n + j, 0) + f * v * b
                 mats.append(tuple((p, v) for p, v in acc.items() if v))
+            at = {c: t for t, c in enumerate(self.pivots)}
             reads = {}
-            for t, c in enumerate(self.pivots):
-                for i, j, coef in alg._coord_terms[c]:
-                    reads.setdefault(i * n + j, []).append((t, coef))
+            for i, j, terms in alg._pivot_reads:
+                line = [(at[k], coef) for k, coef in terms if k in at]
+                if line:
+                    reads[i * n + j] = line
             self._split_table = (reads, mats, dz)
         reads, mats, dz = self._split_table
         g = [0] * len(mats)
@@ -763,7 +750,7 @@ class Subspace:
         """
         if self._int_brackets is None:
             n = self.algebra.matrix_size_N
-            forms = [_sparse_rows(n, x._entries()) for x in self.basis]
+            forms = [x._sparse_form() for x in self.basis]
             table = []
             for a, x in enumerate(forms):
                 row = []

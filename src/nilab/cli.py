@@ -64,17 +64,17 @@ EXIT_USAGE = 3
 
 # Largest sizes the commands accept; larger ones are refused before any
 # algebra is built.  A table sweep's orbit count grows like the partition
-# count of n and its per-orbit work with dim g.  For one orbit (index,
-# convolution), on a 2-vCPU host, the minimal orbit of sl(20) takes about
-# 0.8 s and 30 MB, that of sl(16) 0.5 s and 22 MB, and the principal orbit
-# of sl(20) about 1 s.
+# count of n and its per-orbit work with dim g.  Whole commands, start-up
+# included, median of three runs on a 2-vCPU host: the sl(10) table takes
+# about 0.9 s; one orbit (index, convolution) of sl(20) 0.5 s and 29 MB
+# (minimal) or 0.7 s and 22 MB (principal), the minimal orbit of sl(16)
+# 0.3 s and 22 MB.
 # The verify suites grow with the rank through the generator degrees: the
-# slowest rank-6 suite, B6, takes 31 s there (B5 8.5 s, A8 9.3 s).  Every
+# slowest rank-6 suite, B6, takes about 19 s (C6 15 s, B5 4.0 s).  Every
 # verify sample is built up front and checked against every generator: B4
-# takes 2.2 s with the default 20 samples and 9.7 s with 100.  The
+# takes 1.3 s with the default 20 samples and 5.6 s with 100.  The
 # decomposition of a rank is slowest on B, the largest matrix size: B12
-# (so(25)) takes 1.4 s and 34 MB there, B14 2.4 s and 48 MB, A24 4.0 s and
-# 89 MB.
+# (so(25)) takes 0.7 s and 34 MB.
 TABLE_MAX_N = 10
 ORBIT_MAX_N = 20
 VERIFY_MAX_RANK = 6

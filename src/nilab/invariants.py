@@ -111,9 +111,12 @@ def eval_generator(alg: AlgebraRealization, j: int, x: Element):
 
     Both are evaluated on the integer rows R of x = R / d: tr(x^degree) is
     tr(R^(degree-1) R) / d^degree, read as sum_ij P_ij R_ji with no last
-    product formed, and Pf(S x) = Pf(S R) / d^(N/2).
+    product formed, and Pf(S x) = Pf(S R) / d^(N/2).  An x of another
+    realization raises ContractError.
     """
     gen = _generator(alg, j)
+    if x.algebra is not alg:
+        raise ContractError("element does not belong to the given algebra")
     rows, den = x.int_rows()
     if gen.kind == "trace":
         power = _power(rows, gen.degree - 1)
@@ -162,9 +165,12 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
     Adding O = (B/2) sum_{i<L} B^i, L one past the highest index wanted,
     turns the low L digits of v + O into d + B/2, plain base-B digits in
     (0, B) -- digits past L only add a multiple of B^L -- so each is
-    ((v + O) >> iK & (B - 1)) - B/2.
+    ((v + O) >> iK & (B - 1)) - B/2.  An x, y or u of another realization
+    raises ContractError.
     """
     gens = [_generator(alg, j) for j in js]
+    if any(v is not None and v.algebra is not alg for v in (x, y, u)):
+        raise ContractError("element does not belong to the given algebra")
     n = alg.matrix_size_N
     forms = [v.int_rows() if v is not None else (None, 1) for v in (x, y, u)]
     (xr, dx), (yr, dy), (ur, du) = forms

@@ -211,13 +211,23 @@ def test_standard_bases_read_off_with_integer_pivot_inverse(family, rank):
     assert all(v == 1 for _, _, v in firsts)
     positions = [i * n + j for i, j, _ in firsts]
     assert positions == sorted(set(positions))
-    assert [terms[-1] for terms in alg._coord_terms] == firsts
+    assert [terms[-1] for terms in coord_terms(alg)] == firsts
+
+
+def coord_terms(alg):
+    """Per coordinate k, the pivot reads (i, j, coefficient) of the forward
+    substitution in ascending position, read off _pivot_reads."""
+    out = [[] for _ in range(alg.dim)]
+    for i, j, terms in alg._pivot_reads:
+        for k, c in terms:
+            out[k].append((i, j, c))
+    return tuple(map(tuple, out))
 
 
 def generic_read_off(alg):
-    """(_coord_terms, _nonpivot_terms) by the generic route: the pivots of one
-    elimination of the flattened dense basis and the inverse of the pivot
-    block, which must be integer."""
+    """_pivot_reads by the generic route: the pivots of one elimination of
+    the flattened dense basis and the inverse of the pivot block, which must
+    be integer."""
     n = alg.matrix_size_N
     vecs = []
     for entries in alg._basis_sparse:
@@ -229,16 +239,10 @@ def generic_read_off(alg):
     assert len(pivots) == alg.dim
     inv = inverse([[vec[p] for vec in vecs] for p in pivots])
     assert math.lcm(*(c.denominator for line in inv for c in line)) == 1
-    coord_terms = tuple(
-        tuple((p // n, p % n, int(c)) for p, c in zip(pivots, line) if c) for line in inv
+    return tuple(
+        (p // n, p % n, tuple((k, int(line[col])) for k, line in enumerate(inv) if line[col]))
+        for col, p in enumerate(pivots)
     )
-    pivot_set = set(pivots)
-    nonpivot_terms = tuple(
-        (q // n, q % n, tuple((k, vec[q]) for k, vec in enumerate(vecs) if vec[q]))
-        for q in range(n * n)
-        if q not in pivot_set
-    )
-    return coord_terms, nonpivot_terms
 
 
 @pytest.mark.parametrize("family", "ABCD")
@@ -247,7 +251,34 @@ def test_read_off_matches_the_generic_route_up_to_size_20(family):
     ranks = [r for r in range(least, 21) if nilab.algebras._matrix_size(family, r) <= 20]
     for rank in ranks:
         alg = build_algebra(family, rank)
-        assert (alg._coord_terms, alg._nonpivot_terms) == generic_read_off(alg), (family, rank)
+        assert alg._pivot_reads == generic_read_off(alg), (family, rank)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 5)]
+    + [(f, r) for f in "BC" for r in range(1, 4)]
+    + [("D", r) for r in range(2, 5)],
+)
+def test_read_off_returns_each_basis_matrix_and_refuses_any_non_pivot_entry(family, rank):
+    # every basis matrix reads back to its unit vector, and a 1 added at any
+    # position no coordinate is read from leaves the coordinates as they
+    # were, so only the residual, at that one position, refuses it
+    alg = build_algebra(family, rank)
+    n = alg.matrix_size_N
+    pivots = {(i, j) for i, j, _ in alg._pivot_reads}
+    others = [(i, j) for i in range(n) for j in range(n) if (i, j) not in pivots]
+    assert len(others) == n * n - alg.dim
+    for k in range(alg.dim):
+        rows = [[0] * n for _ in range(n)]
+        for i, j, v in alg._basis_sparse[k]:
+            rows[i][j] = v
+        assert alg.coords_of_rows(rows) == alg.basis_element(k)
+        for i, j in others:
+            rows[i][j] += 1
+            with pytest.raises(ContractError):
+                alg.coords_of_rows(rows)
+            rows[i][j] -= 1
 
 
 @pytest.mark.parametrize(
@@ -813,26 +844,18 @@ def test_preimage_rejects_mixed_algebras():
 
 def _count_products(monkeypatch, log):
     """Log the integer matrices, as sets of nonzero entries (i, j, v), of
-    every commutator product the library multiplies out: bracket goes
-    through _commutator_rows on dense rows, and the ad(x) columns and the
-    bracket table through _commutator_entries on sparse rows."""
-    dense = nilab.algebras._commutator_rows
-    sparse = nilab.algebras._commutator_entries
+    every commutator product the library multiplies out, all on sparse
+    rows: bracket and the ad(x) columns go through _commutator_rows, which
+    writes dense rows for the read-off, and the bracket table through
+    _commutator_entries."""
+    for name in ("_commutator_rows", "_commutator_entries"):
+        product = getattr(nilab.algebras, name)
 
-    def counting_dense(a, a_cols, b, b_cols):
-        log.append((_dense_key(a), _dense_key(b)))
-        return dense(a, a_cols, b, b_cols)
+        def counting(a, b, n, product=product):
+            log.append((_sparse_key(a), _sparse_key(b)))
+            return product(a, b, n)
 
-    def counting_sparse(a, b, n):
-        log.append((_sparse_key(a), _sparse_key(b)))
-        return sparse(a, b, n)
-
-    monkeypatch.setattr(nilab.algebras, "_commutator_rows", counting_dense)
-    monkeypatch.setattr(nilab.algebras, "_commutator_entries", counting_sparse)
-
-
-def _dense_key(rows):
-    return frozenset((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+        monkeypatch.setattr(nilab.algebras, name, counting)
 
 
 def _sparse_key(rows):
@@ -840,7 +863,7 @@ def _sparse_key(rows):
 
 
 def _basis_keys(s):
-    return {_dense_key(x.int_rows()[0]) for x in s.basis}
+    return {_sparse_key(x._sparse_form()) for x in s.basis}
 
 
 def test_center_of_brackets_each_pair_once(monkeypatch):
@@ -966,7 +989,7 @@ def dense_split_table(s):
             for i, j, b in entries:
                 acc[i * n + j] = acc.get(i * n + j, 0) + (dz // row[c]) * v * b
         mats.append(tuple((p, v) for p, v in acc.items() if v))
-    return tuple(alg._coord_terms[c] for c in s.pivots), mats, dz
+    return tuple(coord_terms(alg)[c] for c in s.pivots), mats, dz
 
 
 def dense_split(table, rows):
@@ -1113,16 +1136,16 @@ def test_membership_rejects_an_element_of_another_realization():
 
 
 def test_membership_builds_no_matrix_form_of_the_element():
-    # contains and coords_of read the nonzero entries only; the dense rows
-    # and their nonzero columns are built by the first product
+    # contains and coords_of read the nonzero entries only; the first
+    # product builds the sparse rows it reads, and never the dense rows
     alg = build_algebra("C", 3)
     z = centralizer(nilpotent_from_partition(alg, Partition((2, 2, 1, 1))))
     x = z.basis[-1]
     y = nilab.algebras._element(alg, x.num, x.den)
     assert z.contains(y) and z.coords_of(y) == (0,) * (z.dim - 1) + (1,)
-    assert (y._int, y._cols) == (None, None)
+    assert (y._int, y._sparse) == (None, None)
     bracket(y, y)
-    assert y._int is not None and y._cols is not None
+    assert y._int is None and y._sparse is not None
 
 
 # The subspace calculus as it ran on Rat before the integer echelon rows:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from nilab import (
+    ContractError,
     InternalError,
     Partition,
     Poly,
@@ -53,6 +54,34 @@ def test_generator_metadata():
     ]
     for g in gens:
         assert g.exponent == g.degree - 1
+
+
+@pytest.mark.parametrize(
+    "family,rank,other",
+    [("A", 2, ("B", 2)), ("C", 2, ("A", 3)), ("A", 2, ("A", 2))],
+)
+def test_invariant_layer_refuses_elements_of_another_realization(family, rank, other):
+    # the last case is a twin: an equal-looking A2 built apart, whose 3 x 3
+    # rows the read-off of alg would otherwise take as its own
+    alg = build_algebra(family, rank)
+    rng = random.Random(3)
+    v = alg.random_element(rng)
+    w = build_algebra(*other).random_element(rng)
+    calls = [
+        lambda: eval_generator(alg, 1, w),
+        lambda: _gradient_raw(alg, 1, w),
+        lambda: gradient(alg, 1, w),
+        lambda: taylor_terms(alg, 1, v, w),
+        lambda: taylor_terms(alg, 1, w, v),
+        lambda: gradient_derivative(alg, 1, v, w),
+        lambda: bivariate_terms(alg, 1, v, w, v),
+        lambda: bivariate_terms(alg, 1, v, v, w),
+        lambda: mixed_term(alg, 1, v, w, 1, v, 0),
+        lambda: mixed_term(alg, 1, v, v, 0, w, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ContractError, match="does not belong"):
+            call()
 
 
 def test_eval_generator_values():

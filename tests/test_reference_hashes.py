@@ -162,12 +162,33 @@ def _canon(value):
     return value
 
 
+def read_off_terms(alg):
+    """The read-off as two tables, the form the pinned hashes were taken in:
+    per coordinate, its pivot reads (i, j, coefficient) in ascending
+    position, from _pivot_reads; and per non-pivot position (i, j), in
+    row-major order, the basis entries there as (k, entry), from
+    _basis_sparse."""
+    n = alg.matrix_size_N
+    coord_terms = [[] for _ in range(alg.dim)]
+    for i, j, terms in alg._pivot_reads:
+        for k, c in terms:
+            coord_terms[k].append((i, j, c))
+    at = {}
+    for k, entries in enumerate(alg._basis_sparse):
+        for i, j, v in entries:
+            at.setdefault((i, j), []).append((k, v))
+    pivots = {(i, j) for i, j, _ in alg._pivot_reads}
+    nonpivot_terms = [
+        (i, j, at.get((i, j), ())) for i in range(n) for j in range(n) if (i, j) not in pivots
+    ]
+    return coord_terms, nonpivot_terms
+
+
 def realization_hash(alg):
     parts = (
         _canon(alg._basis_sparse),
         1,  # the read-off's scale, now always 1; kept so the pinned hashes hold
-        _canon(alg._coord_terms),
-        _canon(alg._nonpivot_terms),
+        *map(_canon, read_off_terms(alg)),
         _canon(alg.form),
         _canon(alg._upper_indices),
         json.dumps(alg.describe(), sort_keys=True),

@@ -60,8 +60,10 @@ def test_tracer_installs_and_removes_every_layer(monkeypatch):
         sl2 = nilab.build_algebra("A", 1)
         nilab.centralizer(sl2.basis_element(0))
         assert tracer.stats["algebras.centralizer"][0] == 1
-        # ad(e) is read off once per basis vector, by the full space's _split
-        assert reads == [sl2.dim] * sl2.dim == [3, 3, 3]
+        # ad(e) is read off once per basis vector, by the traced read-off
+        # of g, and no subspace's _split takes part
+        assert tracer.stats["algebras.coords_of_rows"][0] == sl2.dim == 3
+        assert reads == []
     finally:
         tracer.uninstall()
     for (module_name, attr), original in originals.items():
