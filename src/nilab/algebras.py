@@ -892,13 +892,25 @@ def h_graduation(h: Element, s: Subspace):
 def unipotent_conjugate(n: Element, x: Element) -> Element:
     """Ad(exp n) x = exp(n) x exp(-n), for a nilpotent n.
 
-    With n = R / d and R^(K+1) = 0, exp(+-n) = E+- / D for D = d^K K! and
-    the integer matrices E+- = sum_k (+-1)^k R^k D / (d^k k!); the product
-    E+ X E- of integer rows is read back once over D^2 dx, which also checks
-    that it lies in g.  A non-nilpotent n, or n and x from different
-    realizations, raises ContractError.
+    With exp(+-n) = E+- / D (see _exp_pair), the product E+ X E- of integer
+    rows is read back once over D^2 dx, which also checks that it lies in g.
+    A non-nilpotent n, or n and x from different realizations, raises
+    ContractError.
     """
     _same_algebra(n, x)
+    plus, minus, big = _exp_pair(n)
+    xr, dx = x.int_rows()
+    rows = mat_mul(mat_mul(plus, xr), minus)
+    return x.algebra.coords_of_rows(rows, big * big * dx)
+
+
+@functools.lru_cache(maxsize=1)
+def _exp_pair(n: Element):
+    """(E+, E-, D) with exp(+-n) = E+- / D: for n = R / d and R^(K+1) = 0,
+    D = d^K K! and the integer matrices E+- = sum_k (+-1)^k R^k D / (d^k k!).
+    One entry is cached, so a verify sample's moved point and the conjugate
+    of every P_j(x) share one pair; a non-nilpotent n raises ContractError
+    on every call, since exceptions are not cached."""
     r, d = n.int_rows()
     size = n.algebra.matrix_size_N
     powers = []  # R^0, ..., R^K
@@ -918,6 +930,4 @@ def unipotent_conjugate(n: Element, x: Element) -> Element:
                 if v:
                     p_row[j] += c * v
                     m_row[j] += (-c if k % 2 else c) * v
-    xr, dx = x.int_rows()
-    rows = mat_mul(mat_mul(plus, xr), minus)
-    return x.algebra.coords_of_rows(rows, big * big * dx)
+    return plus, minus, big

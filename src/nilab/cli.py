@@ -41,7 +41,6 @@ from .index import (
     sweep,
 )
 from .invariants import (
-    generators,
     kostant_independence,
     make_samples,
     mf_shift_rank,
@@ -70,9 +69,9 @@ EXIT_USAGE = 3
 # (minimal) or 0.7 s and 22 MB (principal), the minimal orbit of sl(16)
 # 0.3 s and 22 MB.
 # The verify suites grow with the rank through the generator degrees: the
-# slowest rank-6 suite, B6, takes about 19 s (C6 15 s, B5 4.0 s).  Every
-# verify sample is built up front and checked against every generator: B4
-# takes 1.3 s with the default 20 samples and 5.6 s with 100.  The
+# slowest rank-6 suite, B6, takes about 17 s (C6 14 s, B5 3.7 s).  Every
+# verify sample is built up front, then checked for all generators at once:
+# B4 takes 1.2 s with the default 20 samples and 4.5 s with 100.  The
 # decomposition of a rank is slowest on B, the largest matrix size: B12
 # (so(25)) takes 0.7 s and 34 MB.
 TABLE_MAX_N = 10
@@ -133,9 +132,7 @@ def _cmd_verify(args) -> int:
     _require_at_most(args, "samples", VERIFY_MAX_SAMPLES)
     alg = build_algebra(args.family, args.rank)
     samples = make_samples(alg, args.samples, args.seed)
-    checks = []
-    for gen in generators(alg):
-        checks.append(verify_field_identities(alg, gen.index_j, samples).to_dict())
+    checks = [report.to_dict() for report in verify_field_identities(alg, samples)]
     triple = principal_triplet(alg)
     ladder = CheckReport(f"{alg.name} sl(2) ladders")
     try:

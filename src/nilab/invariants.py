@@ -20,12 +20,13 @@ chain per direction.  Interpolation is kept only as the independent
 oracle: scalar values of p_j at integer nodes give <dp_j(x), y>, which the
 pairing check of verify_field_identities and gradient compare against.
 
-The suite functions at the bottom verify, exactly and sample by sample,
-the invariance identities the fields satisfy: equivariance, Taylor
-exchange symmetry, the bracket propagation rule for derivatives,
-membership of P(x) in the center of the centralizer, invariance under
-unipotent adjoint action, and the sl(2) eigenvector relations attached to
-a triple.
+The suite functions at the bottom verify exactly the invariance identities
+the fields satisfy: equivariance, Taylor exchange symmetry, the bracket
+propagation rule for derivatives, membership of P(x) in the center of the
+centralizer, invariance under unipotent adjoint action, and the sl(2)
+eigenvector relations attached to a triple.  verify_field_identities runs
+sample by sample and reads each line it checks off one packed evaluation
+for every generator.
 """
 
 from __future__ import annotations
@@ -292,11 +293,17 @@ def taylor_terms(alg: AlgebraRealization, j: int, x: Element, y: Element) -> Tay
     m = _generator(alg, j).exponent
     line = _line_terms(alg, j, x, y, None, [(0, k) for k in range(m + 1)])
     terms = tuple(line[(0, k)] for k in range(m + 1))
-    if terms[0] != _gradient_raw(alg, j, x):
-        raise InternalError("constant Taylor term is not P(x)")
-    if terms[m] != _gradient_raw(alg, j, y):
-        raise InternalError("top Taylor term is not P(y)")
+    _check_endpoints(terms, _gradient_raw(alg, j, x), _gradient_raw(alg, j, y))
     return TaylorTerms(j, x, y, terms)
+
+
+def _check_endpoints(terms, px, py):
+    """The Taylor terms of P along x + s y start at P(x) and end at P(y);
+    InternalError otherwise."""
+    if terms[0] != px:
+        raise InternalError("constant Taylor term is not P(x)")
+    if terms[-1] != py:
+        raise InternalError("top Taylor term is not P(y)")
 
 
 def gradient_derivative(alg: AlgebraRealization, j: int, x: Element, y: Element) -> Element:
@@ -359,74 +366,74 @@ def make_samples(alg: AlgebraRealization, count: int, seed: int):
     return out
 
 
-def verify_field_identities(alg: AlgebraRealization, j: int, samples) -> CheckReport:
-    """Exact per-sample verification of the invariance identities of P_j.
+def verify_field_identities(alg: AlgebraRealization, samples) -> list:
+    """Exact verification of the invariance identities of every P_j, one
+    CheckReport per generator, in j order.
 
-    Every derivative term comes from the one line expansion; the pairing
-    check compares the gradient with interpolated scalar values of p_j.
-    Failures are recorded in the report, never raised.
+    The samples are checked one at a time, and every line a check reads is
+    one packed evaluation for all generators (_line_table): P at x, at y
+    and at the moved point, the slope along [y, x], the Taylor terms along
+    x + s y and y + s x, the propagation rows along x + s y + t [z, x] and
+    x + s y + t [z, y], and P at x + (m + 1) y once per distinct exponent m.
+    The pairing check compares each gradient with interpolated scalar
+    values of p_j.  Failures are recorded, never raised: a NilabError
+    becomes sample-error in every report that reads the failing step.
     """
-    gen = _generator(alg, j)
-    m = gen.exponent
-    report = CheckReport(f"{alg.name} generator {j} (degree {gen.degree})")
+    gens = generators(alg)
+    js = [gen.index_j for gen in gens]
+    top = max(alg.exponents)
+    taylor, rows = [(0, k) for k in range(top + 1)], [(1, k) for k in range(top + 1)]
+    reports = [CheckReport(f"{alg.name} generator {g.index_j} (degree {g.degree})") for g in gens]
     for idx, sample in enumerate(samples):
         x, y, z = sample.x, sample.y, sample.z
         tag = f"[{idx}]"
         try:
-            px = _gradient_raw(alg, j, x)
-
-            pairing_ok = trace_form(px, y) == directional_scalar_derivative(alg, j, x, y)
-            report.add(f"gradient-pairing{tag}", pairing_ok)
-
-            lhs = gradient_derivative(alg, j, x, bracket(y, x))
-            report.add(f"equivariance{tag}", lhs == bracket(y, px))
-
-            tx = taylor_terms(alg, j, x, y)
-            ty = taylor_terms(alg, j, y, x)
-            report.add(
-                f"taylor-exchange{tag}",
-                all(tx.terms[k] == ty.terms[m - k] for k in range(m + 1)),
+            px, py, pmoved = (
+                _line_table(alg, js, v, None, None, [(0, 0)]) for v in (x, y, sample.moved)
             )
-
-            # the expansion really terminates at degree m: its terms rebuild
-            # P at x + (m + 1) y, evaluated directly
-            extra = Rat(m + 1)
-            acc = alg.zero()
-            power = Rat(1)
-            for term in tx.terms:
-                acc = acc + term.scale(power)
-                power = power * extra
-            report.add(
-                f"taylor-reconstruction{tag}",
-                acc == _gradient_raw(alg, j, x + y.scale(extra)),
-            )
-
+            slope = _line_table(alg, js, x, bracket(y, x), None, [(0, 1)])
+            along_y = _line_table(alg, js, x, y, None, taylor)
+            along_x = _line_table(alg, js, y, x, None, taylor)
             # row[k] = d^(1+k) P_j(x).u.y^(k) / k!, the t s^k term along
             # x + s y + t u, for u = [z, x] and u = [z, y]
-            row_keys = [(1, k) for k in range(m + 1)]
-            row_zx = _line_terms(alg, j, x, y, bracket(z, x), row_keys)
-            row_zy = _line_terms(alg, j, x, y, bracket(z, y), row_keys)
-            propagation = True
-            for k in range(m + 1):
-                rhs = row_zx[(1, k)]
-                if k >= 1:
-                    rhs = rhs + row_zy[(1, k - 1)]
-                if bracket(z, tx.terms[k]) != rhs:
-                    propagation = False
-                    break
-            report.add(f"derivative-propagation{tag}", propagation)
-
-            membership = sample.center.contains(px)
-            report.add(f"center-membership{tag}", membership)
-
-            report.add(
-                f"unipotent-invariance{tag}",
-                _gradient_raw(alg, j, sample.moved)
-                == unipotent_conjugate(sample.n, px),
-            )
+            row_zx = _line_table(alg, js, x, y, bracket(z, x), rows)
+            row_zy = _line_table(alg, js, x, y, bracket(z, y), rows)
         except NilabError as exc:  # record, never throw
-            report.add(f"sample-error{tag}", False, str(exc))
-    return report
+            for report in reports:
+                report.add(f"sample-error{tag}", False, str(exc))
+            continue
+        rebuilt = {}  # exponent m -> P at x + (m + 1) y
+        for gen, report in zip(gens, reports):
+            j, m = gen.index_j, gen.exponent
+            try:
+                p, q = px[j][(0, 0)], py[j][(0, 0)]
+                pairing_ok = trace_form(p, y) == directional_scalar_derivative(alg, j, x, y)
+                report.add(f"gradient-pairing{tag}", pairing_ok)
+                report.add(f"equivariance{tag}", slope[j][(0, 1)] == bracket(y, p))
+                tx = [along_y[j][key] for key in taylor[: m + 1]]
+                ty = [along_x[j][key] for key in taylor[: m + 1]]
+                _check_endpoints(tx, p, q)
+                _check_endpoints(ty, q, p)
+                report.add(f"taylor-exchange{tag}", tx == ty[::-1])
+                # the expansion really terminates at degree m: its terms
+                # rebuild P at x + (m + 1) y, evaluated directly
+                acc = sum((term.scale((m + 1) ** k) for k, term in enumerate(tx)), alg.zero())
+                if m not in rebuilt:
+                    same = [g.index_j for g in gens if g.exponent == m]
+                    rebuilt[m] = _line_table(alg, same, x + y.scale(m + 1), None, None, [(0, 0)])
+                report.add(f"taylor-reconstruction{tag}", acc == rebuilt[m][j][(0, 0)])
+                propagation = all(
+                    bracket(z, tx[k])
+                    == (row_zx[j][(1, k)] + row_zy[j][(1, k - 1)] if k else row_zx[j][(1, 0)])
+                    for k in range(m + 1)
+                )
+                report.add(f"derivative-propagation{tag}", propagation)
+                report.add(f"center-membership{tag}", sample.center.contains(p))
+                moved_ok = pmoved[j][(0, 0)] == unipotent_conjugate(sample.n, p)
+                report.add(f"unipotent-invariance{tag}", moved_ok)
+            except NilabError as exc:  # record, never throw
+                report.add(f"sample-error{tag}", False, str(exc))
+    return reports
 
 
 @dataclass(frozen=True)

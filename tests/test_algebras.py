@@ -42,7 +42,7 @@ from nilab import (
 )
 from nilab.algebras import preimage
 from nilab.index import _family_rank_for_size
-from nilab.invariants import make_samples
+from nilab.invariants import make_samples, verify_field_identities
 from nilab.linalg import _int_rows, echelon_kernel, echelon_rows, inverse, mat_mul, mat_vec, rref
 
 EXPECTED_DIMS = {
@@ -683,6 +683,38 @@ def test_unipotent_ad_rejects_non_nilpotent():
     h = alg.from_matrix([[1, 0], [0, -1]])
     with pytest.raises(ContractError):
         unipotent_conjugate(h, h)
+
+
+def test_unipotent_conjugate_builds_exp_n_once_and_never_caches_a_refusal():
+    # one E+- pair per nilpotent n serves every conjugation by n; a refused
+    # n is not cached, so it raises on every call, also between hits
+    alg = build_algebra("B", 2)
+    rng = random.Random(47)
+    n = alg.random_upper_nilpotent(rng)
+    h = principal_triplet(alg).h
+    xs = [alg.random_element(rng) for _ in range(3)]
+    want = [Element(alg, mat_vec(exp_ad(n), x.coords)) for x in xs]
+    build = nilab.algebras._exp_pair
+    build.cache_clear()
+    for _ in range(2):
+        for x, expected in zip(xs, want):
+            assert unipotent_conjugate(n, x) == expected
+            with pytest.raises(ContractError, match="not nilpotent"):
+                unipotent_conjugate(h, x)
+    assert build.cache_info().currsize == 1
+    build.cache_clear()
+    assert [unipotent_conjugate(n, x) for x in xs] == want
+    assert (build.cache_info().misses, build.cache_info().hits) == (1, 2)
+
+
+def test_verify_sample_shares_one_exp_n_pair():
+    alg = build_algebra("A", 3)
+    samples = make_samples(alg, 3, 0)
+    build = nilab.algebras._exp_pair
+    build.cache_clear()
+    assert all(report.passed for report in verify_field_identities(alg, samples))
+    # each sample's moved point builds the pair; its three P_j(x) reuse it
+    assert (build.cache_info().misses, build.cache_info().hits) == (3, 9)
 
 
 def test_unipotent_conjugate_rejects_mixed_algebras():

@@ -5,8 +5,9 @@ import io
 import json
 from contextlib import redirect_stdout
 
-from nilab import cli
+from nilab import ContractError, cli
 from nilab.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_USAGE,
@@ -31,6 +32,51 @@ def test_verify_passes_and_reports_json():
     assert payload["meta"]["family"] == "A"
     assert payload["meta"]["rank"] == 2
     assert {"meta", "checks", "results"} <= set(payload)
+
+
+def test_verify_output_is_stable_across_runs_in_one_process():
+    # the one-entry caches (ad(x) columns, exp(+-n)) must not carry one run's
+    # state into the next
+    argv = ["verify", "--family", "A", "--rank", "3"]
+    first = run_capture(argv)
+    assert run_capture(["verify", "--family", "B", "--rank", "2"])[0] == EXIT_OK
+    assert run_capture(argv) == first
+    assert first[0] == EXIT_OK
+
+
+def test_verify_records_a_failing_read_off_and_exits_1(monkeypatch):
+    # on so(8) the Pfaffian and tr x^4 share exponent 3, so P at x + 4 y is
+    # the one line with two generators: failing it at the second point it
+    # meets (sample 1) must fail both their reports, in JSON, without a
+    # traceback
+    import nilab.invariants as invariants_module
+
+    real = invariants_module._line_table
+    points = []
+
+    def failing(alg, js, x, *args):
+        if len(js) == 2:
+            if x not in points:
+                points.append(x)
+            if points.index(x) == 1:
+                raise ContractError("injected read-off failure")
+        return real(alg, js, x, *args)
+
+    monkeypatch.setattr(invariants_module, "_line_table", failing)
+    code, out = run_capture(["verify", "--family", "D", "--rank", "4", "--samples", "3"])
+    assert code == EXIT_CHECK_FAILED
+    payload = json.loads(out)
+    assert payload["results"]["all_pass"] is False
+    failed = {
+        check["name"]: [item for item in check["items"] if not item["pass"]]
+        for check in payload["checks"]
+        if not check["pass"]
+    }
+    error = {"name": "sample-error[1]", "pass": False, "details": "injected read-off failure"}
+    assert failed == {
+        "so(8) generator 2 (degree 4)": [error],
+        "so(8) generator 3 (degree 4)": [error],
+    }
 
 
 def test_index_json_fields():

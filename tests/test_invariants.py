@@ -5,8 +5,10 @@ import random
 import pytest
 
 from nilab import (
+    CheckReport,
     ContractError,
     InternalError,
+    NilabError,
     Partition,
     Poly,
     Rat,
@@ -27,10 +29,12 @@ from nilab import (
     taylor_terms,
     trace_form,
     triangular_decomposition,
+    unipotent_conjugate,
     verify_field_identities,
 )
 from nilab.invariants import (
     _gradient_raw,
+    _line_terms,
     bivariate_terms,
     directional_scalar_derivative,
     gradient_derivative,
@@ -263,8 +267,11 @@ def test_exchange_specific_pair_sl3():
 def test_field_identity_suite_passes(family, rank):
     alg = build_algebra(family, rank)
     samples = make_samples(alg, 8, 0)
-    for gen in generators(alg):
-        report = verify_field_identities(alg, gen.index_j, samples)
+    reports = verify_field_identities(alg, samples)
+    assert [r.name for r in reports] == [
+        f"{alg.name} generator {g.index_j} (degree {g.degree})" for g in generators(alg)
+    ]
+    for report in reports:
         assert report.passed, report.summary()
 
 
@@ -274,7 +281,7 @@ def test_field_identity_suite_zero_sample():
 
     z = alg.zero()
     sample = IdentitySample(x=z, y=z, z=z, n=z)
-    report = verify_field_identities(alg, 1, [sample])
+    (report,) = verify_field_identities(alg, [sample])
     assert report.passed
 
 
@@ -424,10 +431,10 @@ def test_pfaffian_gradient_pairs_with_every_basis_vector(rank):
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 3)])
 def test_field_identity_suite_reads_the_line_expansion(monkeypatch, family, rank):
-    # every derivative term of the suite comes from _line_terms: adding the
+    # every derivative term of the suite comes from _line_table: adding the
     # base point x to each term other than P itself ((0, 0)) and P(y) ((0, m))
-    # keeps taylor_terms' endpoint checks quiet and must fail the checks
-    # built on derivatives
+    # keeps the Taylor endpoint checks quiet and must fail the checks built
+    # on derivatives
     import nilab.invariants as invariants_module
 
     grid_calls = []
@@ -441,20 +448,22 @@ def test_field_identity_suite_reads_the_line_expansion(monkeypatch, family, rank
     alg = build_algebra(family, rank)
     samples = make_samples(alg, 2, 0)
     gens = generators(alg)
-    assert all(verify_field_identities(alg, gen.index_j, samples).passed for gen in gens)
+    assert all(report.passed for report in verify_field_identities(alg, samples))
 
-    real_terms = invariants_module._line_terms
+    real_table = invariants_module._line_table
 
-    def perturbed(alg, j, x, y, u, wanted):
-        m = generators(alg)[j - 1].exponent
-        terms = real_terms(alg, j, x, y, u, wanted)
+    def perturbed(alg, js, x, y, u, wanted):
+        table = real_table(alg, js, x, y, u, wanted)
         return {
-            key: term if key in ((0, 0), (0, m)) else term + x for key, term in terms.items()
+            j: {
+                key: term if key in ((0, 0), (0, generators(alg)[j - 1].exponent)) else term + x
+                for key, term in terms.items()
+            }
+            for j, terms in table.items()
         }
 
-    monkeypatch.setattr(invariants_module, "_line_terms", perturbed)
-    for gen in gens:
-        report = verify_field_identities(alg, gen.index_j, samples)
+    monkeypatch.setattr(invariants_module, "_line_table", perturbed)
+    for gen, report in zip(gens, verify_field_identities(alg, samples)):
         results = {item.name: item.passed for item in report.items}
         for idx in range(len(samples)):
             assert results[f"gradient-pairing[{idx}]"] is True
@@ -466,6 +475,157 @@ def test_field_identity_suite_reads_the_line_expansion(monkeypatch, family, rank
                 assert results[f"taylor-exchange[{idx}]"] is False
                 assert results[f"taylor-reconstruction[{idx}]"] is False
     assert grid_calls == []
+
+
+def reference_field_identities(alg, j, samples):
+    """The identity suite of one generator, run through the per-generator
+    entry points, kept as the reference for verify_field_identities."""
+    gen = generators(alg)[j - 1]
+    m = gen.exponent
+    report = CheckReport(f"{alg.name} generator {j} (degree {gen.degree})")
+    for idx, sample in enumerate(samples):
+        x, y, z = sample.x, sample.y, sample.z
+        tag = f"[{idx}]"
+        try:
+            px = _gradient_raw(alg, j, x)
+
+            pairing_ok = trace_form(px, y) == directional_scalar_derivative(alg, j, x, y)
+            report.add(f"gradient-pairing{tag}", pairing_ok)
+
+            lhs = gradient_derivative(alg, j, x, bracket(y, x))
+            report.add(f"equivariance{tag}", lhs == bracket(y, px))
+
+            tx = taylor_terms(alg, j, x, y)
+            ty = taylor_terms(alg, j, y, x)
+            report.add(
+                f"taylor-exchange{tag}",
+                all(tx.terms[k] == ty.terms[m - k] for k in range(m + 1)),
+            )
+
+            extra = Rat(m + 1)
+            acc = alg.zero()
+            power = Rat(1)
+            for term in tx.terms:
+                acc = acc + term.scale(power)
+                power = power * extra
+            report.add(
+                f"taylor-reconstruction{tag}",
+                acc == _gradient_raw(alg, j, x + y.scale(extra)),
+            )
+
+            row_keys = [(1, k) for k in range(m + 1)]
+            row_zx = _line_terms(alg, j, x, y, bracket(z, x), row_keys)
+            row_zy = _line_terms(alg, j, x, y, bracket(z, y), row_keys)
+            propagation = True
+            for k in range(m + 1):
+                rhs = row_zx[(1, k)]
+                if k >= 1:
+                    rhs = rhs + row_zy[(1, k - 1)]
+                if bracket(z, tx.terms[k]) != rhs:
+                    propagation = False
+                    break
+            report.add(f"derivative-propagation{tag}", propagation)
+
+            membership = sample.center.contains(px)
+            report.add(f"center-membership{tag}", membership)
+
+            report.add(
+                f"unipotent-invariance{tag}",
+                _gradient_raw(alg, j, sample.moved) == unipotent_conjugate(sample.n, px),
+            )
+        except NilabError as exc:
+            report.add(f"sample-error{tag}", False, str(exc))
+    return report
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+     ("D", 3), ("D", 4)],
+)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_field_identity_suite_matches_the_per_generator_reference(family, rank, seed):
+    alg = build_algebra(family, rank)
+    samples = make_samples(alg, 2, seed)
+    got = [report.to_dict() for report in verify_field_identities(alg, samples)]
+    want = [
+        reference_field_identities(alg, gen.index_j, samples).to_dict()
+        for gen in generators(alg)
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 4), ("D", 4)])
+def test_field_identity_suite_evaluates_each_line_once_for_every_generator(
+    monkeypatch, family, rank
+):
+    # eight lines per sample cover every generator; P at x + (m + 1) y adds
+    # one call per distinct exponent m, covering the generators of that m
+    import nilab.invariants as invariants_module
+
+    calls = []
+    real = invariants_module._line_table
+
+    def counting(alg, js, *args):
+        calls.append(tuple(js))
+        return real(alg, js, *args)
+
+    monkeypatch.setattr(invariants_module, "_line_table", counting)
+    alg = build_algebra(family, rank)
+    samples = make_samples(alg, 2, 0)
+    assert all(report.passed for report in verify_field_identities(alg, samples))
+    every = tuple(gen.index_j for gen in generators(alg))
+    groups = sorted(
+        tuple(gen.index_j for gen in generators(alg) if gen.exponent == m)
+        for m in set(alg.exponents)
+    )
+    assert len(calls) == len(samples) * (8 + len(groups))
+    per_sample = len(calls) // len(samples)
+    for start in range(0, len(calls), per_sample):
+        block = calls[start : start + per_sample]
+        assert sorted(js for js in block if js != every) == [g for g in groups if g != every]
+        assert block.count(every) == 8 + (every in groups)
+
+
+@pytest.mark.parametrize("line", ["taylor-y-to-x", "reconstruction-m3"])
+def test_field_identity_suite_records_a_failing_read_off_in_every_report_that_reads_it(
+    monkeypatch, line
+):
+    # so(8): the Pfaffian and tr x^4 share exponent 3, so P at x + 4 y is one
+    # call for the two of them; the Taylor line along y + s x is read by all
+    alg = build_algebra("D", 4)
+    samples = make_samples(alg, 3, 0)
+    bad = samples[1]
+    if line == "taylor-y-to-x":
+        readers = {gen.index_j for gen in generators(alg)}
+        fails = lambda js, x, y, wanted: x == bad.y and y == bad.x and len(wanted) > 1
+    else:
+        readers = {gen.index_j for gen in generators(alg) if gen.exponent == 3}
+        fails = lambda js, x, y, wanted: x == bad.x + bad.y.scale(4)
+    assert len(readers) >= 2
+    import nilab.invariants as invariants_module
+
+    real = invariants_module._line_table
+
+    def failing(alg, js, x, y, u, wanted):
+        if fails(js, x, y, wanted):
+            raise ContractError("injected read-off failure")
+        return real(alg, js, x, y, u, wanted)
+
+    monkeypatch.setattr(invariants_module, "_line_table", failing)
+    reports = verify_field_identities(alg, samples)
+    for gen, report in zip(generators(alg), reports):
+        names = [item.name for item in report.items]
+        failures = [item.to_dict() for item in report.failures()]
+        if gen.index_j in readers:
+            assert failures == [
+                {"name": "sample-error[1]", "pass": False, "details": "injected read-off failure"}
+            ]
+            # the checks of the other samples all ran
+            assert sum(name.endswith("[0]") for name in names) == 7
+            assert sum(name.endswith("[2]") for name in names) == 7
+        else:
+            assert failures == [] and len(names) == 21
 
 
 def test_field_identity_suite_builds_one_center_per_sample(monkeypatch):
@@ -481,6 +641,5 @@ def test_field_identity_suite_builds_one_center_per_sample(monkeypatch):
     monkeypatch.setattr(invariants_module, "centralizer", counting)
     alg = build_algebra("D", 3)
     samples = make_samples(alg, 3, 0)
-    for gen in generators(alg):
-        assert verify_field_identities(alg, gen.index_j, samples).passed
+    assert all(report.passed for report in verify_field_identities(alg, samples))
     assert calls == [sample.x for sample in samples]

@@ -4,9 +4,10 @@ in bench/reference_hashes.json.
 The benchmark checks every operation against those hashes; this test checks
 a few cheap orbits and the three verify suites, so that a kernel change that
 alters any output fails here too.  The reference file is only read.  The so(6)
-verify suite, the `decompose` output and the C10 and D10 `table` sweeps,
-which no benchmark workload runs, are pinned by hashes kept here, and so is
-the realization of every algebra up to rank 9.
+verify suite, the A4 and D4 suites on three samples, the `decompose` output
+and the C10 and D10 `table` sweeps, which no benchmark workload runs, are
+pinned by hashes kept here, and so is the realization of every algebra up to
+rank 9.
 """
 
 import contextlib
@@ -78,6 +79,21 @@ def test_pfaffian_verify_output_matches_pinned_hash():
     # Pfaffian generator's field identities, ladders and decomposition on so(6)
     expected = "ed11bc3c85f0f6a245247edb8f1f56662f355bb254b28e568f3a5e4c6c939804"
     assert verify_hash("D", 3) == expected
+
+
+# The A4 and D4 suites, which no benchmark workload runs, on three samples.
+# On D4 the Pfaffian and tr x^4 share exponent 3, so the two generators with
+# equal m read one line.
+VERIFY_HASHES = {
+    ("A", 4): "b8b71ebe87eed4699a8559c3fba35c8814599d8ed9c2e1f8ea3edfe21ecdc510",
+    ("D", 4): "75c56a5997a92fcf564a8e20edbc31000f51c635bd0660cf80feca4ec0cb6b27",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(VERIFY_HASHES))
+def test_verify_output_on_three_samples_matches_pinned_hash(family, rank):
+    argv = ["verify", "--family", family, "--rank", str(rank), "--samples", "3", "--seed", "0"]
+    assert cli_hash(argv) == VERIFY_HASHES[(family, rank)]
 
 
 # `decompose` (triangular decomposition, checked against the ad(h)-graduation)
