@@ -28,14 +28,16 @@ The invariant pairing is the defining-representation trace form tr(xy)
 the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, and every matrix comes back
-to g through the one checked read-off, coords_of_rows (brackets, ad(x)
-columns, gradients, triples, Ad(exp n)).  A subspace has one membership
-check, Subspace._split, on the nonzero entries of an integer N x N matrix:
-it serves contains and coords_of, and brings brackets of a subalgebra's
-basis vectors back as coordinates in that basis.  Every product walks the
+to g through one checked forward substitution: coords_of_rows on dense
+rows (brackets, ad(x) columns, gradients, triples, Ad(exp n)), and
+_coords_of_entries on the nonzero entries of a commutator for a
+subalgebra's bracket table.  A subspace is a coordinate object with one
+reduction, Subspace._reduce, of a coordinate vector on g modulo its rows:
+it serves contains and coords_of, the bracket table's closure check and
+the rows of y -> [x, y] mod t (_bracket_rows).  Every product walks the
 nonzero entries of the sparse rows each element builds once (_sparse_form);
-a commutator comes out as dense rows for the read-off (_commutator_rows)
-or as its nonzero entries for _split (_commutator_entries).
+a commutator comes out as dense rows (_commutator_rows) or as its nonzero
+entries (_commutator_entries).
 
 Every matrix, an N x N realization or a dim x dim map such as ad(x), is a
 list of row lists, the one form linalg works on.  An element holds integer
@@ -43,20 +45,21 @@ numerators over one positive common denominator d, in lowest terms, and
 its N x N matrix is kept integer-scaled in the same way: integer rows R
 with x = R / d (as Bareiss clears denominators before eliminating).
 Element arithmetic, brackets, products, traces, the unipotent conjugation,
-the read-off and subspace membership run on Python ints; a rational is made
-only where a caller reads coordinates (Element.coords, Subspace.coords_of,
-ad_matrix).  A subspace keeps its reduced echelon basis as primitive integer
-rows, and each subspace built here is one integer echelon kernel
-(linalg.echelon_kernel): the center off the bracket table of s, the others
-off _bracket_rows(x, t), the rows of y -> [x, y] mod t, whose kernel is
-preimage(x, t); the centralizer is the preimage of 0 and normalizer_of(s)
-stacks the rows over the basis of s.  The ad(h)-grading of a diagonal h is
-read off the matrix positions of the basis, not solved for.
+the read-off and the subspace reduction run on Python ints; a rational is
+made only where a caller reads coordinates (Element.coords,
+Subspace.coords_of, ad_matrix).  A subspace keeps its reduced echelon basis
+as primitive integer rows, and each subspace built here is one integer
+echelon kernel (linalg.echelon_kernel): the center off the bracket table of
+s, the others off _bracket_rows(x, t), whose kernel is preimage(x, t); the
+centralizer is the preimage of 0 and normalizer_of(s) stacks the rows over
+the basis of s.  The ad(h)-grading of a diagonal h is read off the matrix
+positions of the basis, not solved for.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -211,37 +214,25 @@ class AlgebraRealization:
         # The basis is its own echelon form: each basis matrix lists its
         # entries row-major, and its first entry, its pivot p_k, is 1 at a
         # position where no earlier basis matrix starts.  The pivot block is
-        # then unit lower triangular, so coordinate k of a matrix R is read
-        # by forward substitution, R[p_k] - sum_{k' < k} b_k'[p_k] coordinate
-        # k', as coords_of_rows runs it on a matrix.  As an integer form over
-        # the pivot positions it lets Subspace._split read coordinates off
-        # the nonzero entries of a sparse matrix alone: _pivot_reads holds
-        # these forms by position, (i, j, ((k, coefficient), ...)) for each
-        # pivot (i, j).  The products read each basis matrix as sparse rows
-        # (_basis_rows).
+        # then unit lower triangular, so the coordinates of a matrix are read
+        # by forward substitution: in ascending position, C_k is what is left
+        # at p_k once every earlier C_k' b_k' is subtracted.  coords_of_rows
+        # runs it on dense rows, _coords_of_entries on nonzero entries, which
+        # find each basis matrix by its pivot in _pivot_terms: position
+        # i N + j -> (k, the later entries of b_k as (position, value)).  The
+        # products read each basis matrix as sparse rows (_basis_rows).
         n = self.matrix_size_N
         self._basis_rows = [_sparse_rows([1], [entries]) for entries in self._basis_sparse]
         self._full = None
-        index = {}  # position -> [(k, entry)] over the basis matrices so far
-        terms = []  # per coordinate, {pivot position: coefficient}
-        reads = {}  # pivot position -> [(k, coefficient)], the same forms
+        self._pivot_terms = {}
         last = -1
         for k, entries in enumerate(self._basis_sparse):
             positions = [i * n + j for i, j, _ in entries]
             if entries[0][2] != 1 or positions[0] <= last or positions != sorted(set(positions)):
                 raise ContractError("basis matrices are not in unit echelon form")
-            p = last = positions[0]
-            line = {p: 1}
-            for k_prev, b in index.get(p, ()):  # only earlier matrices are indexed yet
-                for q, c in terms[k_prev].items():
-                    line[q] = line.get(q, 0) - b * c
-            terms.append(line)
-            for q, c in line.items():
-                if c:
-                    reads.setdefault(q, []).append((k, c))
-            for q, (_, _, v) in zip(positions, entries):
-                index.setdefault(q, []).append((k, v))
-        self._pivot_reads = tuple((q // n, q % n, tuple(reads[q])) for q in sorted(reads))
+            last = positions[0]
+            tail = tuple((q, v) for q, (_, _, v) in zip(positions[1:], entries[1:]))
+            self._pivot_terms[last] = (k, tail)
 
     def coords_of_rows(self, rows, den=1, num=1) -> "Element":
         """The element with the N x N matrix (num / den) * rows, for integer
@@ -269,6 +260,40 @@ class AlgebraRealization:
         if num != 1:
             coords = [c * num for c in coords]
         return _element(self, coords, den)
+
+    def _coords_of_entries(self, entries):
+        """The integer coordinates of the integer N x N matrix with these
+        nonzero entries {i N + j: value}, as a list, or None if the matrix
+        does not lie in the algebra: the forward substitution of
+        coords_of_rows on the nonzero entries alone.
+
+        A heap yields the positions in ascending order.  Subtracting C_k b_k
+        at the pivot p_k changes only later positions, and each one it fills
+        in joins the heap, so a position is final when it is popped: at a
+        pivot it is the coordinate, anywhere else it must be zero.
+        """
+        rest = dict(entries)
+        heap = list(rest)
+        heapq.heapify(heap)
+        coords = [0] * self.dim
+        pivot_terms = self._pivot_terms
+        while heap:
+            p = heapq.heappop(heap)
+            c = rest[p]
+            if not c:
+                continue
+            hit = pivot_terms.get(p)
+            if hit is None:
+                return None
+            k, tail = hit
+            coords[k] = c
+            for q, b in tail:
+                if q in rest:
+                    rest[q] -= c * b
+                else:
+                    rest[q] = -c * b
+                    heapq.heappush(heap, q)
+        return coords
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
@@ -420,7 +445,7 @@ class Element:
     is built only when first read.  The N x N matrix is likewise built once,
     when first needed, in integer-scaled form (see int_rows), and so are its
     sparse rows (_sparse_form), which every product reads.  A membership
-    check reads neither: it takes the nonzero entries (_entries).
+    check reads neither: it reduces num (see Subspace._reduce).
     """
 
     __slots__ = ("algebra", "num", "den", "_coords", "_int", "_sparse")
@@ -448,20 +473,6 @@ class Element:
             den = self.den
             self._coords = tuple([Rat(v, den) if v else ZERO for v in self.num])
         return self._coords
-
-    def _entries(self):
-        """The nonzero entries of R (see int_rows) as {i N + j: value},
-        summed off the nonzero coordinates and the basis entries; not
-        cached."""
-        n = self.algebra.matrix_size_N
-        acc = {}
-        get = acc.get
-        for c, entries in zip(self.num, self.algebra._basis_sparse):
-            if c:
-                for i, j, v in entries:
-                    p = i * n + j
-                    acc[p] = get(p, 0) + c * v
-        return {p: v for p, v in acc.items() if v}
 
     def int_rows(self):
         """(R, d): integer rows R and a positive integer d with x = R / d,
@@ -614,17 +625,15 @@ class Subspace:
     rows are reduced, a vector v lies in the span exactly when
     v = sum_r v[c_r] R_r, and then its coordinates are the v[c_r].
 
-    Every membership check is the one integer check of _split, on the
-    nonzero entries of N x N matrices: for the integer matrix C of a vector
-    or of a commutator, it reads only the coordinates at the pivots of s off
-    the entries of C and checks, as one integer matrix equality, that C is
-    their combination of the basis matrices; that one equality is
-    membership in g and in s together.  contains and coords_of run it on an
-    element's matrix, and brackets of s run it on commutators, without
-    coordinates on all of g (that read-off is coords_of_rows).
+    A subspace works in coordinates on g alone: every membership check is
+    the one integer reduction _reduce of a coordinate vector modulo the
+    rows.  contains and coords_of reduce an element's numerators,
+    _bracket_rows the columns of ad(x), and the bracket table the
+    commutators of basis vectors, once they are read back to g
+    (AlgebraRealization._coords_of_entries).
     """
 
-    __slots__ = ("algebra", "num_rows", "pivots", "_basis", "_int_brackets", "_split_table")
+    __slots__ = ("algebra", "num_rows", "pivots", "_basis", "_int_brackets", "_reduction")
 
     def __init__(self, algebra: AlgebraRealization, num_rows, pivots):
         """num_rows: the reduced echelon basis as primitive integer rows,
@@ -634,7 +643,7 @@ class Subspace:
         self.pivots = tuple(pivots)
         self._basis = None
         self._int_brackets = None
-        self._split_table = None
+        self._reduction = None
 
     @classmethod
     def from_coord_rows(cls, algebra, rows) -> "Subspace":
@@ -664,19 +673,22 @@ class Subspace:
         return self._basis
 
     def contains(self, element: Element) -> bool:
-        """Whether element lies in the span: the check of _split on the
-        nonzero entries of its integer matrix.  An element of another
-        realization raises ContractError."""
+        """Whether element lies in the span: whether _reduce leaves no
+        remainder of its numerators.  An element of another realization
+        raises ContractError."""
         _same_algebra(element, self)
-        return self._split(element._entries())[1]
+        return not any(self._reduce(element.num)[1])
 
     def coords_of(self, element: Element):
         """Coefficients of element in this basis, or None if not a member
-        (see contains); for a member they are its entries at the pivots."""
-        if not self.contains(element):
+        (see contains): for a member, its coordinates at the pivots, the G
+        of _reduce over the element's denominator."""
+        _same_algebra(element, self)
+        g, rest = self._reduce(element.num)
+        if any(rest):
             return None
-        num, den = element.num, element.den
-        return tuple([Rat(num[c], den) if num[c] else ZERO for c in self.pivots])
+        den = element.den
+        return tuple([Rat(v, den) if v else ZERO for v in g])
 
     def same_space(self, other: "Subspace") -> bool:
         """Whether the spans are equal, that is their reduced echelon rows;
@@ -684,59 +696,33 @@ class Subspace:
         _same_algebra(self, other)
         return self.num_rows == other.num_rows
 
-    def _split(self, entries):
-        """(G, inside) for the integer N x N matrix C with these nonzero
-        entries {i N + j: value}.
+    def _reduce(self, coords):
+        """(G, rest) for an integer coordinate vector C on g: G_t = C[c_t],
+        the entry of C at the pivot of row t, and the remainder
+        rest = Dz C - sum_t G_t (Dz / I_t[c_t]) I_t, a list, with Dz the lcm
+        of the pivot entries I_t[c_t].
 
-        G_t is the coordinate of C at the pivot c_t of row t, read off the
-        entries of C alone through the realization's index of pivot reads
-        (_pivot_reads), kept for the c_t as position -> [(t, coefficient)].
-        inside says whether Dz C - sum_t G_t (Dz R_t) is zero, R_t the
-        N x N matrix of row t and Dz the lcm of the pivot entries I_t[c_t];
-        it is checked on every position that C or an R_t with G_t != 0
-        touches, since every other position is zero on both sides.  It is
-        zero exactly when C lies in s: then C is the combination of the R_t
-        with its own pivot coordinates, and a combination of the R_t lies in
-        s.  The check stops at the first nonzero position.  The reads and
-        the nonzero entries of the matrices Dz R_t, summed off the nonzero
-        entries of the basis matrices of g, are built once per subspace.
+        Since the rows are reduced, rest is zero exactly when C lies in s,
+        and then C = sum_t G_t R_t.  Dz and the nonzero entries of each
+        scaled row (Dz / I_t[c_t]) I_t are built once per subspace.
         """
-        if self._split_table is None:
-            alg = self.algebra
-            n = alg.matrix_size_N
+        if self._reduction is None:
             dz = math.lcm(*(row[c] for row, c in zip(self.num_rows, self.pivots)))
-            mats = []
-            for row, c in zip(self.num_rows, self.pivots):
-                f = dz // row[c]
-                acc = {}
-                for v, basis_entries in zip(row, alg._basis_sparse):
-                    if v:
-                        for i, j, b in basis_entries:
-                            acc[i * n + j] = acc.get(i * n + j, 0) + f * v * b
-                mats.append(tuple((p, v) for p, v in acc.items() if v))
-            at = {c: t for t, c in enumerate(self.pivots)}
-            reads = {}
-            for i, j, terms in alg._pivot_reads:
-                line = [(at[k], coef) for k, coef in terms if k in at]
-                if line:
-                    reads[i * n + j] = line
-            self._split_table = (reads, mats, dz)
-        reads, mats, dz = self._split_table
-        g = [0] * len(mats)
-        res = {}
-        for p, v in entries.items():
-            for t, coef in reads.get(p, ()):
-                g[t] += coef * v
-            res[p] = v * dz
-        get = res.get
-        for gt, mat in zip(g, mats):
+            self._reduction = dz, tuple(
+                (c, tuple((q, (dz // row[c]) * v) for q, v in enumerate(row) if v))
+                for row, c in zip(self.num_rows, self.pivots)
+            )
+        dz, terms = self._reduction
+        g = [coords[c] for c, _ in terms]
+        rest = [dz * v for v in coords]
+        for gt, (_, row) in zip(g, terms):
             if gt:
-                for p, v in mat:
-                    res[p] = get(p, 0) - gt * v
-        return g, not any(res.values())
+                for q, v in row:
+                    rest[q] -= gt * v
+        return g, rest
 
     def _brackets(self):
-        """The nonzero pairs (t, G_t) of _split for [I_a, I_b], the
+        """The nonzero pairs (t, G_t) of _reduce for [I_a, I_b], the
         commutator of the integer matrices of basis vectors a < b, as
         table[a][b - a - 1]: G_t is the coordinate t of [I_a, I_b],
         I_a = I_a[c_a] b_a the integer row of basis vector a.
@@ -744,12 +730,13 @@ class Subspace:
         Each unordered pair is multiplied once, as sparse matrices
         (_commutator_entries), and the table is kept, so the center and the
         normalizer's closure check share it.  A zero commutator has no
-        coordinates.  Otherwise _split checks that it lies in s and raises
-        ContractError if it does not, so building the table checks that s is
-        a subalgebra.
+        coordinates.  Otherwise its nonzero entries are read back to g
+        (_coords_of_entries) and reduced modulo s; a remainder raises
+        ContractError, so building the table checks that s is a subalgebra.
         """
         if self._int_brackets is None:
-            n = self.algebra.matrix_size_N
+            alg = self.algebra
+            n = alg.matrix_size_N
             forms = [x._sparse_form() for x in self.basis]
             table = []
             for a, x in enumerate(forms):
@@ -759,8 +746,11 @@ class Subspace:
                     if not c:
                         row.append(())
                         continue
-                    g, inside = self._split(c)
-                    if not inside:
+                    coords = alg._coords_of_entries(c)
+                    if coords is None:
+                        raise ContractError("commutator does not lie in the algebra")
+                    g, rest = self._reduce(coords)
+                    if any(rest):
                         raise ContractError("subspace is not closed under the bracket")
                     row.append(tuple((t, v) for t, v in enumerate(g) if v))
                 table.append(row)
@@ -772,20 +762,12 @@ class Subspace:
 
 
 def _bracket_rows(x: Element, t: Subspace):
-    """The nonzero integer rows of y -> [x, y] mod t: column k is D_t C_k -
-    sum_r C_k[c_r] (D_t / I_r[c_r]) I_r, for C_k the integer column of ad(x)
-    and D_t the lcm of t's pivot entries.  Every column is at the one scale
-    D_t dx, so the rows have the kernel of the map (a scale per column would
-    not)."""
-    dt = math.lcm(*(row[c] for row, c in zip(t.num_rows, t.pivots)))
-    terms = [(c, dt // row[c], row) for row, c in zip(t.num_rows, t.pivots)]
-    reduced = []
-    for col in _ad_columns(x):
-        out = [dt * v for v in col]
-        for c, f, row in terms:
-            if col[c]:
-                out = [v - col[c] * f * r for v, r in zip(out, row)]
-        reduced.append(out)
+    """The nonzero integer rows of y -> [x, y] mod t: column k is the
+    remainder of t._reduce on C_k, the integer column of ad(x), that is
+    D_t C_k - sum_r C_k[c_r] (D_t / I_r[c_r]) I_r with D_t the lcm of t's
+    pivot entries.  Every column is at the one scale D_t dx, so the rows
+    have the kernel of the map (a scale per column would not)."""
+    reduced = [t._reduce(col)[1] for col in _ad_columns(x)]
     return [row for row in zip(*reduced) if any(row)]
 
 

@@ -41,6 +41,7 @@ from .index import (
     sweep,
 )
 from .invariants import (
+    _decomposition_from_ladders,
     kostant_independence,
     make_samples,
     mf_shift_rank,
@@ -135,10 +136,12 @@ def _cmd_verify(args) -> int:
     checks = [report.to_dict() for report in verify_field_identities(alg, samples)]
     triple = principal_triplet(alg)
     ladder = CheckReport(f"{alg.name} sl(2) ladders")
+    ladder_error = None
     try:
-        sl2_vectors(alg, triple)
+        ladders = sl2_vectors(alg, triple)
         ladder.add("eigen-ladders", True)
     except IdentityError as exc:
+        ladder_error = exc
         ladder.add("eigen-ladders", False, str(exc))
     checks.append(ladder.to_dict())
     try:
@@ -149,7 +152,9 @@ def _cmd_verify(args) -> int:
         checks.append(failed.to_dict())
     tri = CheckReport(f"{alg.name} triangular decomposition")
     try:
-        decomposition = triangular_decomposition(alg, triple)
+        if ladder_error is not None:  # the decomposition is built from the ladders
+            raise ladder_error
+        decomposition = _decomposition_from_ladders(alg, ladders)
         tri.add(
             "dims",
             True,

@@ -306,11 +306,6 @@ def _check_endpoints(terms, px, py):
         raise InternalError("top Taylor term is not P(y)")
 
 
-def gradient_derivative(alg: AlgebraRealization, j: int, x: Element, y: Element) -> Element:
-    """First derivative dP_j(x).y: term (0, 1) of the line expansion."""
-    return _line_terms(alg, j, x, y, None, [(0, 1)])[(0, 1)]
-
-
 def bivariate_terms(alg: AlgebraRealization, j: int, x: Element, u: Element, y: Element):
     """Table c[a][b] with d^{a+b} P_j(x).u^(a).y^(b) = a! b! c[a][b]: the
     t^a s^b coefficients of P_j(x + t u + s y), zero when a + b exceeds the
@@ -529,7 +524,15 @@ def triangular_decomposition(
     """
     if triplet is None:
         triplet = principal_triplet(alg)
-    family = sl2_vectors(alg, triplet)
+    return _decomposition_from_ladders(alg, sl2_vectors(alg, triplet))
+
+
+def _decomposition_from_ladders(
+    alg: AlgebraRealization, family: Sl2VectorFamily
+) -> TriangularDecomposition:
+    """triangular_decomposition from ladders already built by sl2_vectors,
+    so that a caller that reports on the ladders builds them once."""
+    triplet = family.triplet
     r = alg.rank_r
     h_space = Subspace.from_elements(alg, [row[0] for row in family.v])
     plus_vecs = [vec for row in family.v for vec in row[1:]]

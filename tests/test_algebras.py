@@ -216,18 +216,21 @@ def test_standard_bases_read_off_with_integer_pivot_inverse(family, rank):
 
 def coord_terms(alg):
     """Per coordinate k, the pivot reads (i, j, coefficient) of the forward
-    substitution in ascending position, read off _pivot_reads."""
+    substitution in ascending position, read off generic_read_off."""
     out = [[] for _ in range(alg.dim)]
-    for i, j, terms in alg._pivot_reads:
+    for i, j, terms in generic_read_off(alg):
         for k, c in terms:
             out[k].append((i, j, c))
     return tuple(map(tuple, out))
 
 
+@lru_cache(maxsize=4)
 def generic_read_off(alg):
-    """_pivot_reads by the generic route: the pivots of one elimination of
-    the flattened dense basis and the inverse of the pivot block, which must
-    be integer."""
+    """The read-off by the generic route, as (i, j, ((k, coefficient), ...))
+    for each pivot position (i, j) in ascending order: coordinate k is the
+    sum of coefficient * R[i][j] over its pivot reads.  The pivots come from
+    one elimination of the flattened dense basis, the coefficients from the
+    inverse of the pivot block, which must be integer."""
     n = alg.matrix_size_N
     vecs = []
     for entries in alg._basis_sparse:
@@ -245,13 +248,66 @@ def generic_read_off(alg):
     )
 
 
+def ranks_up_to_size_20(family):
+    least = 2 if family == "D" else 1
+    return [r for r in range(least, 21) if nilab.algebras._matrix_size(family, r) <= 20]
+
+
+def entries_of(rows):
+    """The nonzero entries of an N x N matrix as {i N + j: value}."""
+    n = len(rows)
+    return {i * n + j: v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+
+
 @pytest.mark.parametrize("family", "ABCD")
 def test_read_off_matches_the_generic_route_up_to_size_20(family):
-    least = 2 if family == "D" else 1
-    ranks = [r for r in range(least, 21) if nilab.algebras._matrix_size(family, r) <= 20]
-    for rank in ranks:
+    # both forward substitutions, on dense rows and on nonzero entries, give
+    # what the integer inverse of the pivot block reads off the pivots
+    rng = random.Random(f"generic:{family}")
+    for rank in ranks_up_to_size_20(family):
         alg = build_algebra(family, rank)
-        assert alg._pivot_reads == generic_read_off(alg), (family, rank)
+        reads = generic_read_off(alg)
+        for _ in range(2):
+            rows, _ = alg.random_element(rng, 9).int_rows()
+            want = [0] * alg.dim
+            for i, j, terms in reads:
+                for k, c in terms:
+                    want[k] += c * rows[i][j]
+            assert list(alg.coords_of_rows(rows).num) == want, (family, rank)
+            assert alg._coords_of_entries(entries_of(rows)) == want, (family, rank)
+
+
+def _sparse_samples(alg, rng):
+    """Seeded integer elements with den 1: a dense one, three with three
+    nonzero coordinates, and on sl(n) two diagonal ones, diag(1, 0, ..., 0,
+    -1) and a random one with zeros, whose read-off cascades: the
+    coordinate at (i, i) fills in (i + 1, i + 1), the next pivot."""
+    dim, n = alg.dim, alg.matrix_size_N
+    out = [alg.random_element(rng, 9)]
+    for _ in range(3):
+        num = [0] * dim
+        for k in rng.sample(range(dim), min(3, dim)):
+            num[k] = rng.choice([-7, -2, -1, 1, 3, 8])
+        out.append(nilab.algebras._element(alg, num, 1))
+    if alg.family == "A":
+        diagonals = [[1] + [0] * (n - 2) + [-1], [rng.choice([0, 0, 2, -3]) for _ in range(n)]]
+        diagonals[1][-1] -= sum(diagonals[1])
+        for d in diagonals:
+            out.append(alg.from_matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+    return out
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_entry_read_off_agrees_with_coords_of_rows_up_to_size_20(family):
+    rng = random.Random(f"entries:{family}")
+    for rank in ranks_up_to_size_20(family):
+        alg = build_algebra(family, rank)
+        for x in _sparse_samples(alg, rng):
+            rows, den = x.int_rows()
+            assert den == 1
+            want = alg.coords_of_rows(rows).num
+            assert want == x.num
+            assert alg._coords_of_entries(entries_of(rows)) == list(want), (family, rank)
 
 
 @pytest.mark.parametrize(
@@ -263,21 +319,28 @@ def test_read_off_matches_the_generic_route_up_to_size_20(family):
 def test_read_off_returns_each_basis_matrix_and_refuses_any_non_pivot_entry(family, rank):
     # every basis matrix reads back to its unit vector, and a 1 added at any
     # position no coordinate is read from leaves the coordinates as they
-    # were, so only the residual, at that one position, refuses it
+    # were, so only the residual, at that one position, refuses it; on the
+    # nonzero entries alone the read-off returns None.  On so/sp these
+    # positions include the mirror of every pivot.
     alg = build_algebra(family, rank)
     n = alg.matrix_size_N
-    pivots = {(i, j) for i, j, _ in alg._pivot_reads}
+    pivots = {(i, j) for i, j, _ in generic_read_off(alg)}
     others = [(i, j) for i in range(n) for j in range(n) if (i, j) not in pivots]
     assert len(others) == n * n - alg.dim
+    unit = [0] * alg.dim
     for k in range(alg.dim):
         rows = [[0] * n for _ in range(n)]
         for i, j, v in alg._basis_sparse[k]:
             rows[i][j] = v
         assert alg.coords_of_rows(rows) == alg.basis_element(k)
+        unit[k] = 1
+        assert alg._coords_of_entries(entries_of(rows)) == unit
+        unit[k] = 0
         for i, j in others:
             rows[i][j] += 1
             with pytest.raises(ContractError):
                 alg.coords_of_rows(rows)
+            assert alg._coords_of_entries(entries_of(rows)) is None, (k, i, j)
             rows[i][j] -= 1
 
 
@@ -982,10 +1045,11 @@ def test_bracket_table_rejects_a_bracket_that_differs_only_off_the_pivots():
             build(s)
 
 
-# The subspace layer as it ran before the sparse products: every commutator
-# filled into a zero N x N matrix, the pivot read and the residual of _split
-# taken over all N^2 positions, ad(x) columns read through coords_of_rows,
-# and every row of the center's k^2 x k matrix eliminated.
+# The subspace layer as it ran before the sparse products and the reduction
+# in coordinates: every commutator filled into a zero N x N matrix, the
+# pivot read and the residual of the matrix-space split taken over all N^2
+# positions, ad(x) columns read through coords_of_rows, and every row of the
+# center's k^2 x k matrix eliminated.
 
 
 def dense_form(x):
@@ -1105,17 +1169,34 @@ def _table_or_error(build, s):
         return "not closed"
 
 
+def _check_reduction_against_dense(s, vectors, label):
+    """For each integer coordinate vector C, _reduce gives the split's G,
+    and its remainder, as a matrix, is the split's residual."""
+    alg = s.algebra
+    split = dense_split_table(s)
+    for vec in vectors:
+        g, rest = s._reduce(vec)
+        want_g, residual = dense_split(split, nilab.algebras._element(alg, vec, 1).int_rows()[0])
+        assert g == want_g, label
+        assert entries_of(nilab.algebras._element(alg, rest, 1).int_rows()[0]) == residual, label
+
+
 def _check_sparse_against_dense(x, label):
-    zero = Subspace.from_coord_rows(x.algebra, [])
+    alg = x.algebra
+    zero = Subspace.from_coord_rows(alg, [])
     z = centralizer(x)
     assert (z.num_rows, z.pivots) == dense_preimage(x, zero), label
     delta = center_of(z)
     assert (delta.num_rows, delta.pivots) == dense_center(z), label
     eta = preimage(x, delta)
     assert (eta.num_rows, eta.pivots) == dense_preimage(x, delta), label
+    units = [[int(q == k) for q in range(alg.dim)] for k in range(alg.dim)]
     for s in (z, delta, eta):
         want = _table_or_error(dense_bracket_table, s)
         assert _table_or_error(Subspace._brackets, s) == want, label
+        # what _bracket_rows reduces, the members of s and the basis of g
+        vectors = nilab.algebras._ad_columns(x) + s.num_rows + tuple(units)
+        _check_reduction_against_dense(s, vectors, label)
 
 
 @pytest.mark.parametrize(
@@ -1140,7 +1221,8 @@ def test_sparse_subspace_layer_matches_the_dense_reference_on_dense_samples(fami
 def test_bracket_table_rejects_a_bracket_that_no_pivot_reads():
     # s = span(E01, E12) in sl(3): [E01, E12] = E02 is nonzero only at (0, 2),
     # a position the pivot reads of s never look at, so every coordinate
-    # read at the pivots is 0 and only the residual there shows it lies
+    # read at the pivots is 0 and only the remainder (in coordinates) or
+    # the residual there (in the matrix-space reference) shows it lies
     # outside s
     alg = build_algebra("A", 2)
     a, b = alg.from_matrix(E(3, 0, 1)), alg.from_matrix(E(3, 1, 2))
@@ -1149,7 +1231,9 @@ def test_bracket_table_rejects_a_bracket_that_no_pivot_reads():
     for build in (Subspace._brackets, center_of, normalizer_of):
         s = Subspace.from_elements(alg, [a, b])
         assert not s.contains(br)
-        assert s._split(br._entries())[0] == [0, 0]
+        g, rest = s._reduce(br.num)
+        assert g == [0, 0] and any(rest)
+        assert dense_split(dense_split_table(s), br.int_rows()[0])[0] == [0, 0]
         with pytest.raises(ContractError):
             build(s)
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 
 from nilab import ContractError, cli
@@ -76,6 +77,57 @@ def test_verify_records_a_failing_read_off_and_exits_1(monkeypatch):
     assert failed == {
         "so(8) generator 2 (degree 4)": [error],
         "so(8) generator 3 (degree 4)": [error],
+    }
+
+
+def _count_calls(monkeypatch, module, name, log):
+    real = getattr(module, name)
+
+    def counting(*args):
+        log.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_verify_builds_the_sl2_ladders_once(monkeypatch):
+    # the ladders check and the triangular decomposition share one
+    # sl2_vectors, whose Taylor expansions are the only ones verify makes:
+    # two per generator
+    import nilab.invariants as invariants_module
+
+    want = run_capture(["verify", "--family", "A", "--rank", "3"])
+    log = []
+    for module in (cli, invariants_module):
+        _count_calls(monkeypatch, module, "sl2_vectors", log)
+    _count_calls(monkeypatch, invariants_module, "taylor_terms", log)
+    assert run_capture(["verify", "--family", "A", "--rank", "3"]) == want
+    assert Counter(log) == {"sl2_vectors": 1, "taylor_terms": 2 * 3}
+
+
+def test_verify_reports_a_broken_ladder_in_the_decomposition_too(monkeypatch):
+    # the decomposition is built from the ladders, so when they fail its
+    # dims item records the ladders' message, as the ladders check does
+    import nilab.invariants as invariants_module
+    from nilab import IdentityError
+
+    message = "[h, v_1,0] != 2k v: ladder broken"
+
+    def broken(alg, triplet):
+        raise IdentityError(message)
+
+    for module in (cli, invariants_module):
+        monkeypatch.setattr(module, "sl2_vectors", broken)
+    code, out = run_capture(["verify", "--family", "A", "--rank", "2", "--samples", "1"])
+    assert code == EXIT_CHECK_FAILED
+    failed = {
+        check["name"]: [item for item in check["items"] if not item["pass"]]
+        for check in json.loads(out)["checks"]
+        if not check["pass"]
+    }
+    assert failed == {
+        "sl(3) sl(2) ladders": [{"name": "eigen-ladders", "pass": False, "details": message}],
+        "sl(3) triangular decomposition": [{"name": "dims", "pass": False, "details": message}],
     }
 
 

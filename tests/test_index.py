@@ -34,8 +34,13 @@ from nilab import (
     triple_from_partition,
     valid_partitions,
 )
-from nilab.invariants import gradient_derivative
+from nilab.invariants import _line_terms
 from nilab.linalg import mat_mul
+
+
+def gradient_derivative(alg, j, x, y):
+    """First derivative dP_j(x).y: term (0, 1) of the line expansion."""
+    return _line_terms(alg, j, x, y, None, [(0, 1)])[(0, 1)]
 
 
 def E(n, i, j):

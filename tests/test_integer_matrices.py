@@ -35,9 +35,14 @@ from nilab.invariants import (
     _line_table,
     _line_terms,
     bivariate_terms,
-    gradient_derivative,
 )
 from nilab.linalg import interpolate_vector_poly, mat_mul
+
+
+def gradient_derivative(alg, j, x, y):
+    """First derivative dP_j(x).y: term (0, 1) of the line expansion."""
+    return _line_terms(alg, j, x, y, None, [(0, 1)])[(0, 1)]
+
 
 SCALES = [Rat(1), Rat(5), Rat(-3, 2)]
 TRACE_ALGEBRAS = [("A", 2), ("A", 3), ("B", 2), ("C", 3)]

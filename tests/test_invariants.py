@@ -37,9 +37,13 @@ from nilab.invariants import (
     _line_terms,
     bivariate_terms,
     directional_scalar_derivative,
-    gradient_derivative,
 )
 from nilab.linalg import interpolate_vector_poly
+
+
+def gradient_derivative(alg, j, x, y):
+    """First derivative dP_j(x).y: term (0, 1) of the line expansion."""
+    return _line_terms(alg, j, x, y, None, [(0, 1)])[(0, 1)]
 
 
 def E(n, i, j):

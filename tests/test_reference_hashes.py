@@ -21,6 +21,7 @@ import pytest
 from nilab import Partition, analyze_orbit, build_algebra, cli
 from nilab.index import _family_rank_for_size
 from nilab.invariants import generators
+from nilab.linalg import echelon_rows, inverse
 
 REFERENCE_FILE = Path(__file__).resolve().parent.parent / "bench" / "reference_hashes.json"
 
@@ -178,22 +179,45 @@ def _canon(value):
     return value
 
 
+def pivot_reads(alg):
+    """The read-off by the generic route, (i, j, ((k, coefficient), ...))
+    per pivot position (i, j) in ascending order: the pivots of one
+    elimination of the flattened dense basis, and the coefficients of
+    coordinate k from the inverse of the pivot block, which must be
+    integer."""
+    n = alg.matrix_size_N
+    vecs = []
+    for entries in alg._basis_sparse:
+        vec = [0] * (n * n)
+        for i, j, v in entries:
+            vec[i * n + j] = v
+        vecs.append(vec)
+    pivots, _ = echelon_rows(vecs, n * n)
+    inv = inverse([[vec[p] for vec in vecs] for p in pivots])
+    assert all(c.denominator == 1 for line in inv for c in line)
+    return tuple(
+        (p // n, p % n, tuple((k, int(line[col])) for k, line in enumerate(inv) if line[col]))
+        for col, p in enumerate(pivots)
+    )
+
+
 def read_off_terms(alg):
     """The read-off as two tables, the form the pinned hashes were taken in:
     per coordinate, its pivot reads (i, j, coefficient) in ascending
-    position, from _pivot_reads; and per non-pivot position (i, j), in
+    position, from pivot_reads; and per non-pivot position (i, j), in
     row-major order, the basis entries there as (k, entry), from
     _basis_sparse."""
     n = alg.matrix_size_N
+    reads = pivot_reads(alg)
     coord_terms = [[] for _ in range(alg.dim)]
-    for i, j, terms in alg._pivot_reads:
+    for i, j, terms in reads:
         for k, c in terms:
             coord_terms[k].append((i, j, c))
     at = {}
     for k, entries in enumerate(alg._basis_sparse):
         for i, j, v in entries:
             at.setdefault((i, j), []).append((k, v))
-    pivots = {(i, j) for i, j, _ in alg._pivot_reads}
+    pivots = {(i, j) for i, j, _ in reads}
     nonpivot_terms = [
         (i, j, at.get((i, j), ())) for i in range(n) for j in range(n) if (i, j) not in pivots
     ]

@@ -44,14 +44,22 @@ def test_every_tracer_target_resolves():
 def test_tracer_installs_and_removes_every_layer(monkeypatch):
     tracer_module = _load_tracer()
     originals = {(m, a): _resolve(m, a) for m, a, _ in tracer_module.TARGETS}
-    reads = []
-    split = nilab.algebras.Subspace._split
+    reductions, entry_reads = [], []
+    reduce = nilab.algebras.Subspace._reduce
+    read_entries = nilab.algebras.AlgebraRealization._coords_of_entries
 
-    def counting_split(self, entries):
-        reads.append(self.dim)
-        return split(self, entries)
+    def counting_reduce(self, coords):
+        reductions.append(self.dim)
+        return reduce(self, coords)
 
-    monkeypatch.setattr(nilab.algebras.Subspace, "_split", counting_split)
+    def counting_read_entries(self, entries):
+        entry_reads.append(len(entries))
+        return read_entries(self, entries)
+
+    monkeypatch.setattr(nilab.algebras.Subspace, "_reduce", counting_reduce)
+    monkeypatch.setattr(
+        nilab.algebras.AlgebraRealization, "_coords_of_entries", counting_read_entries
+    )
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -61,9 +69,11 @@ def test_tracer_installs_and_removes_every_layer(monkeypatch):
         nilab.centralizer(sl2.basis_element(0))
         assert tracer.stats["algebras.centralizer"][0] == 1
         # ad(e) is read off once per basis vector, by the traced read-off
-        # of g, and no subspace's _split takes part
+        # of g, not by the entry read-off, and each column is reduced once,
+        # modulo the zero subspace
         assert tracer.stats["algebras.coords_of_rows"][0] == sl2.dim == 3
-        assert reads == []
+        assert entry_reads == []
+        assert reductions == [0, 0, 0]
     finally:
         tracer.uninstall()
     for (module_name, attr), original in originals.items():
