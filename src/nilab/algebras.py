@@ -29,31 +29,36 @@ the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, and every matrix comes back
 to g through one checked forward substitution: coords_of_rows on dense
-rows (brackets, ad(x) columns, gradients, triples, Ad(exp n)), and
+rows (brackets, ad(x) columns, gradients, triples, Ad(exp n)), which reads
+each coordinate at its pivot and checks only the other positions, and
 _coords_of_entries on the nonzero entries of a commutator for a
-subalgebra's bracket table.  A subspace is a coordinate object with one
-reduction, Subspace._reduce, of a coordinate vector on g modulo its rows:
-it serves contains and coords_of, the bracket table's closure check and
-the rows of y -> [x, y] mod t (_bracket_rows).  Every product walks the
-nonzero entries of the sparse rows each element builds once (_sparse_form);
-a commutator comes out as dense rows (_commutator_rows) or as its nonzero
-entries (_commutator_entries).
+subalgebra's bracket table.  Every product walks the nonzero entries of the
+sparse rows each element builds once (_sparse_form); a commutator comes out
+as dense rows (_commutator_rows) or as its nonzero entries
+(_commutator_entries).
 
-Every matrix, an N x N realization or a dim x dim map such as ad(x), is a
-list of row lists, the one form linalg works on.  An element holds integer
-numerators over one positive common denominator d, in lowest terms, and
-its N x N matrix is kept integer-scaled in the same way: integer rows R
-with x = R / d (as Bareiss clears denominators before eliminating).
-Element arithmetic, brackets, products, traces, the unipotent conjugation,
-the read-off and the subspace reduction run on Python ints; a rational is
-made only where a caller reads coordinates (Element.coords,
-Subspace.coords_of, ad_matrix).  A subspace keeps its reduced echelon basis
-as primitive integer rows, and each subspace built here is one integer
-echelon kernel (linalg.echelon_kernel): the center off the bracket table of
-s, the others off _bracket_rows(x, t), whose kernel is preimage(x, t); the
-centralizer is the preimage of 0 and normalizer_of(s) stacks the rows over
-the basis of s.  The ad(h)-grading of a diagonal h is read off the matrix
-positions of the basis, not solved for.
+Every matrix, an N x N realization or a dim x dim map such as
+ad_matrix(x), is a list of row lists, the form linalg's dense functions
+work on.  An element holds integer numerators over one positive
+common denominator d, in lowest terms, and its N x N matrix is kept
+integer-scaled in the same way: integer rows R with x = R / d (as Bareiss
+clears denominators before eliminating).  Element arithmetic, brackets,
+products, traces, the unipotent conjugation, the read-off and the subspace
+reduction run on Python ints; a rational is made only where a caller reads
+coordinates (Element.coords, Subspace.coords_of, ad_matrix).
+
+The subspace layer works on nonzero entries only.  A subspace keeps its
+reduced echelon basis as primitive integer rows and has one reduction,
+Subspace._reduce, of a coordinate vector on g, given as its nonzero entries
+{q: value}, modulo its rows: it serves contains and coords_of, the bracket
+table's closure check and the rows of y -> [x, y] mod t (_bracket_rows),
+which reduce each ad(x) column once.  Each subspace built here is one
+sparse integer echelon kernel (linalg.echelon_kernel) of such rows: the
+center off the distinct rows of the bracket table of s, the others off
+_bracket_rows(x, t), whose kernel is preimage(x, t); the centralizer is the
+preimage of 0 and normalizer_of(s) stacks the rows over the basis of s.
+The ad(h)-grading of a diagonal h is read off the matrix positions of the
+basis, not solved for.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from ._scalar import ONE, Rat, ZERO, as_rat
 from .errors import (
@@ -216,11 +222,16 @@ class AlgebraRealization:
         # position where no earlier basis matrix starts.  The pivot block is
         # then unit lower triangular, so the coordinates of a matrix are read
         # by forward substitution: in ascending position, C_k is what is left
-        # at p_k once every earlier C_k' b_k' is subtracted.  coords_of_rows
-        # runs it on dense rows, _coords_of_entries on nonzero entries, which
-        # find each basis matrix by its pivot in _pivot_terms: position
-        # i N + j -> (k, the later entries of b_k as (position, value)).  The
-        # products read each basis matrix as sparse rows (_basis_rows).
+        # at p_k once every earlier C_k' b_k' is subtracted.
+        # _coords_of_entries runs it on nonzero entries, finding each basis
+        # matrix by its pivot in _pivot_terms: position i N + j -> (k, the
+        # later entries of b_k as (position, value)).  coords_of_rows reads
+        # dense rows through three tables: _pivot_cols, the pivot columns of
+        # each row in basis order; _chain, (k, the (k', value) of the tail
+        # entries of b_k at later pivots p_k'), for the b_k whose tail
+        # reaches one; _checks, (i, j, the (k, value) of the tail entries at
+        # (i, j)), for every position (i, j) that is no pivot.  The products
+        # read each basis matrix as sparse rows (_basis_rows).
         n = self.matrix_size_N
         self._basis_rows = [_sparse_rows([1], [entries]) for entries in self._basis_sparse]
         self._full = None
@@ -233,39 +244,58 @@ class AlgebraRealization:
             last = positions[0]
             tail = tuple((q, v) for q, (_, _, v) in zip(positions[1:], entries[1:]))
             self._pivot_terms[last] = (k, tail)
+        self._pivot_cols = [[] for _ in range(n)]
+        chain, off_pivot = [], {}
+        for p, (k, tail) in self._pivot_terms.items():
+            self._pivot_cols[p // n].append(p % n)
+            later = tuple((self._pivot_terms[q][0], v) for q, v in tail if q in self._pivot_terms)
+            if later:
+                chain.append((k, later))
+            for q, v in tail:
+                if q not in self._pivot_terms:
+                    off_pivot.setdefault(q, []).append((k, v))
+        self._chain = tuple(chain)
+        self._checks = tuple(
+            (q // n, q % n, tuple(off_pivot.get(q, ())))
+            for q in range(n * n)
+            if q not in self._pivot_terms
+        )
 
     def coords_of_rows(self, rows, den=1, num=1) -> "Element":
         """The element with the N x N matrix (num / den) * rows, for integer
         rows and integers num, den != 0: the one read-off from a matrix to g.
 
-        The forward substitution runs on a copy of rows: in basis order, the
-        integer coordinate C_k is the entry of the copy at the pivot p_k,
-        where b_k is 1 and no later basis matrix has an entry, and C_k b_k
-        is subtracted at once.  So sum_k C_k b_k leaves the copy, and the
-        rest must be zero: a matrix outside the span raises ContractError.
-        The element is num C_k / den in lowest terms; with num = den = 1
-        its numerators are the C_k themselves.
+        The forward substitution in one pass: every entry at a pivot p_k,
+        where b_k is 1, is read as C_k, and then, in basis order, C_k b_k is
+        subtracted at the later pivots its tail reaches (on sl(N), the
+        diagonal chain; on so/sp, none).  The coordinates then account for
+        every pivot, so the matrix is sum_k C_k b_k exactly when each
+        position that is no pivot holds the sum of the C_k b_k there; a
+        matrix outside the span raises ContractError.  The element is
+        num C_k / den in lowest terms; with num = den = 1 its numerators
+        are the C_k themselves.
         """
-        rest = [row[:] for row in rows]
-        coords = []
-        for entries in self._basis_sparse:
-            i, j, _ = entries[0]
-            c = rest[i][j]
-            coords.append(c)
+        coords = [row[j] for row, cols in zip(rows, self._pivot_cols) for j in cols]
+        for k, later in self._chain:
+            c = coords[k]
             if c:
-                for i, j, b in entries:
-                    rest[i][j] -= c * b
-        if any(map(any, rest)):
-            raise ContractError("matrix does not lie in the algebra")
+                for q, v in later:
+                    coords[q] -= c * v
+        for i, j, terms in self._checks:
+            rest = rows[i][j]
+            for k, v in terms:
+                rest -= coords[k] * v
+            if rest:
+                raise ContractError("matrix does not lie in the algebra")
         if num != 1:
             coords = [c * num for c in coords]
         return _element(self, coords, den)
 
     def _coords_of_entries(self, entries):
-        """The integer coordinates of the integer N x N matrix with these
-        nonzero entries {i N + j: value}, as a list, or None if the matrix
-        does not lie in the algebra: the forward substitution of
-        coords_of_rows on the nonzero entries alone.
+        """The nonzero integer coordinates {k: C_k}, in ascending k, of the
+        integer N x N matrix with these nonzero entries {i N + j: value}, or
+        None if the matrix does not lie in the algebra: the forward
+        substitution of coords_of_rows on the nonzero entries alone.
 
         A heap yields the positions in ascending order.  Subtracting C_k b_k
         at the pivot p_k changes only later positions, and each one it fills
@@ -275,7 +305,7 @@ class AlgebraRealization:
         rest = dict(entries)
         heap = list(rest)
         heapq.heapify(heap)
-        coords = [0] * self.dim
+        coords = {}
         pivot_terms = self._pivot_terms
         while heap:
             p = heapq.heappop(heap)
@@ -598,20 +628,31 @@ def trace_form(x: Element, y: Element):
 
 @functools.lru_cache(maxsize=1)
 def _ad_columns(x: Element):
-    """The integer columns C_k, as tuples, with [x, basis_k] = C_k / dx for
-    x = R_x / dx: the commutator of R_x and basis_k read through
-    coords_of_rows at den 1, which keeps the raw integers.  One entry is
-    cached: an orbit reads ad(e) once."""
+    """The integer columns C_k, as their nonzero entries {q: value}, with
+    [x, basis_k] = C_k / dx for x = R_x / dx: the commutator of R_x and
+    basis_k read through coords_of_rows at den 1, which keeps the raw
+    integers.  One entry is cached: an orbit reads ad(e) once."""
     alg = x.algebra
     n = alg.matrix_size_N
     a = x._sparse_form()
-    return tuple(alg.coords_of_rows(_commutator_rows(a, b, n)).num for b in alg._basis_rows)
+    return tuple(
+        _nonzero(alg.coords_of_rows(_commutator_rows(a, b, n)).num) for b in alg._basis_rows
+    )
+
+
+def _nonzero(vec):
+    """The nonzero entries {q: value} of a vector, in ascending q."""
+    return dict(compress(enumerate(vec), vec))
 
 
 def ad_matrix(x: Element):
     """Rows of the matrix of ad(x): column k holds the coordinates of
     [x, basis_k], as Rat."""
-    return [[Rat(v, x.den) if v else ZERO for v in row] for row in zip(*_ad_columns(x))]
+    columns = _ad_columns(x)
+    return [
+        [Rat(col[q], x.den) if q in col else ZERO for col in columns]
+        for q in range(x.algebra.dim)
+    ]
 
 
 class Subspace:
@@ -626,11 +667,11 @@ class Subspace:
     v = sum_r v[c_r] R_r, and then its coordinates are the v[c_r].
 
     A subspace works in coordinates on g alone: every membership check is
-    the one integer reduction _reduce of a coordinate vector modulo the
-    rows.  contains and coords_of reduce an element's numerators,
-    _bracket_rows the columns of ad(x), and the bracket table the
-    commutators of basis vectors, once they are read back to g
-    (AlgebraRealization._coords_of_entries).
+    the one integer reduction _reduce of a coordinate vector, as its
+    nonzero entries, modulo the rows.  contains and coords_of reduce an
+    element's numerators, _bracket_rows the columns of ad(x), and the
+    bracket table the commutators of basis vectors, once they are read back
+    to g (AlgebraRealization._coords_of_entries).
     """
 
     __slots__ = ("algebra", "num_rows", "pivots", "_basis", "_int_brackets", "_reduction")
@@ -677,18 +718,20 @@ class Subspace:
         remainder of its numerators.  An element of another realization
         raises ContractError."""
         _same_algebra(element, self)
-        return not any(self._reduce(element.num)[1])
+        return not self._reduce(_nonzero(element.num))[1]
 
     def coords_of(self, element: Element):
         """Coefficients of element in this basis, or None if not a member
         (see contains): for a member, its coordinates at the pivots, the G
         of _reduce over the element's denominator."""
         _same_algebra(element, self)
-        g, rest = self._reduce(element.num)
-        if any(rest):
+        g, rest = self._reduce(_nonzero(element.num))
+        if rest:
             return None
-        den = element.den
-        return tuple([Rat(v, den) if v else ZERO for v in g])
+        out = [ZERO] * self.dim
+        for t, v in g:
+            out[t] = Rat(v, element.den)
+        return tuple(out)
 
     def same_space(self, other: "Subspace") -> bool:
         """Whether the spans are equal, that is their reduced echelon rows;
@@ -697,28 +740,37 @@ class Subspace:
         return self.num_rows == other.num_rows
 
     def _reduce(self, coords):
-        """(G, rest) for an integer coordinate vector C on g: G_t = C[c_t],
-        the entry of C at the pivot of row t, and the remainder
-        rest = Dz C - sum_t G_t (Dz / I_t[c_t]) I_t, a list, with Dz the lcm
-        of the pivot entries I_t[c_t].
+        """(G, rest) for an integer coordinate vector C on g, given as its
+        nonzero entries {q: C_q} in ascending q: G, the nonzero pairs
+        (t, C[c_t]) of the entry of C at the pivot of row t, in ascending t,
+        and the remainder rest = Dz C - sum_t C[c_t] (Dz / I_t[c_t]) I_t, as
+        its nonzero entries {q: value}, with Dz the lcm of the pivot
+        entries I_t[c_t].
 
-        Since the rows are reduced, rest is zero exactly when C lies in s,
-        and then C = sum_t G_t R_t.  Dz and the nonzero entries of each
-        scaled row (Dz / I_t[c_t]) I_t are built once per subspace.
+        Since the rows are reduced, rest is empty exactly when C lies in s,
+        and then C = sum_t C[c_t] R_t.  Only the rows whose pivot C holds
+        are subtracted.  Dz and, by pivot, the row index t and the nonzero
+        entries of the scaled row (Dz / I_t[c_t]) I_t are built once per
+        subspace.
         """
         if self._reduction is None:
             dz = math.lcm(*(row[c] for row, c in zip(self.num_rows, self.pivots)))
-            self._reduction = dz, tuple(
-                (c, tuple((q, (dz // row[c]) * v) for q, v in enumerate(row) if v))
-                for row, c in zip(self.num_rows, self.pivots)
-            )
-        dz, terms = self._reduction
-        g = [coords[c] for c, _ in terms]
-        rest = [dz * v for v in coords]
-        for gt, (_, row) in zip(g, terms):
-            if gt:
+            self._reduction = dz, {
+                c: (t, tuple((q, (dz // row[c]) * v) for q, v in enumerate(row) if v))
+                for t, (row, c) in enumerate(zip(self.num_rows, self.pivots))
+            }
+        dz, by_pivot = self._reduction
+        rest = {q: dz * v for q, v in coords.items()} if dz != 1 else dict(coords)
+        g = []
+        for c, gt in coords.items():
+            hit = by_pivot.get(c)
+            if hit is not None:
+                t, row = hit
+                g.append((t, gt))
                 for q, v in row:
-                    rest[q] -= gt * v
+                    rest[q] = rest.get(q, 0) - gt * v
+        if g:
+            rest = {q: v for q, v in rest.items() if v}
         return g, rest
 
     def _brackets(self):
@@ -750,9 +802,9 @@ class Subspace:
                     if coords is None:
                         raise ContractError("commutator does not lie in the algebra")
                     g, rest = self._reduce(coords)
-                    if any(rest):
+                    if rest:
                         raise ContractError("subspace is not closed under the bracket")
-                    row.append(tuple((t, v) for t, v in enumerate(g) if v))
+                    row.append(tuple(g))
                 table.append(row)
             self._int_brackets = table
         return self._int_brackets
@@ -762,13 +814,21 @@ class Subspace:
 
 
 def _bracket_rows(x: Element, t: Subspace):
-    """The nonzero integer rows of y -> [x, y] mod t: column k is the
-    remainder of t._reduce on C_k, the integer column of ad(x), that is
+    """The nonzero integer rows of y -> [x, y] mod t, as their nonzero
+    entries {k: value} in ascending k: column k is the remainder of
+    t._reduce on C_k, the integer column of ad(x), that is
     D_t C_k - sum_r C_k[c_r] (D_t / I_r[c_r]) I_r with D_t the lcm of t's
     pivot entries.  Every column is at the one scale D_t dx, so the rows
     have the kernel of the map (a scale per column would not)."""
-    reduced = [t._reduce(col)[1] for col in _ad_columns(x)]
-    return [row for row in zip(*reduced) if any(row)]
+    rows = {}
+    for k, col in enumerate(_ad_columns(x)):
+        for q, v in t._reduce(col)[1].items():
+            row = rows.get(q)
+            if row is None:
+                rows[q] = {k: v}
+            else:
+                row[k] = v
+    return list(rows.values())
 
 
 def preimage(x: Element, t: Subspace) -> Subspace:
@@ -814,14 +874,10 @@ def center_of(s: Subspace) -> Subspace:
         g = math.gcd(*row.values())
         if row[next(iter(row))] < 0:
             g = -g
-        distinct[tuple([(a, v // g) for a, v in row.items()])] = None
-    dense = []
-    for row in distinct:
-        vec = [0] * k
-        for a, v in row:
-            vec[a] = v
-        dense.append(vec)
-    free, kernel = echelon_kernel(dense, k)
+        if g != 1:
+            row = {a: v // g for a, v in row.items()}
+        distinct[tuple(row.items())] = row
+    free, kernel = echelon_kernel(list(distinct.values()), k)
     # the rows sum_a W_a I_a, each divided by its content
     combined = _int_rows(mat_mul(kernel, s.num_rows), s.algebra.dim)
     return Subspace(s.algebra, combined, [s.pivots[f] for f in free])

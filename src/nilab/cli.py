@@ -66,11 +66,11 @@ EXIT_USAGE = 3
 # algebra is built.  A table sweep's orbit count grows like the partition
 # count of n and its per-orbit work with dim g.  Whole commands, start-up
 # included, median of three runs on a 2-vCPU host: the sl(10) table takes
-# about 0.9 s; one orbit (index, convolution) of sl(20) 0.5 s and 29 MB
-# (minimal) or 0.7 s and 22 MB (principal), the minimal orbit of sl(16)
-# 0.3 s and 22 MB.
+# about 0.8 s; one orbit (index, convolution) of sl(20) 0.55 s and 25 MB
+# (minimal) or 0.6 s and 21 MB (principal), the minimal orbit of sl(16)
+# 0.3 s and 21 MB.
 # The verify suites grow with the rank through the generator degrees: the
-# slowest rank-6 suite, B6, takes about 17 s (C6 14 s, B5 3.7 s).  Every
+# slowest rank-6 suite, B6, takes about 13 s (C6 13 s, B5 4.9 s).  Every
 # verify sample is built up front, then checked for all generators at once:
 # B4 takes 1.2 s with the default 20 samples and 4.5 s with 100.  The
 # decomposition of a rank is slowest on B, the largest matrix size: B12

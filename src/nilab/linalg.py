@@ -12,20 +12,25 @@ common denominator, see algebras.Element.int_rows); mat_mul keeps the type
 of its inputs, ints in and ints out.  The pipeline's eliminations are
 echelon_rows and echelon_kernel, for every subspace and every numeric rank,
 and solve and inverse; rref and rank_kernel return the same results in
-rational form and are kept as references.  All six read one integer
-Gauss-Jordan elimination (_gauss_jordan): each row is cleared of its
-denominators once, the elimination runs on Python ints, and a Rat is made
-only for each nonzero entry of the result.  echelon_rows and echelon_kernel
-make no Rat at all: they return reduced echelon bases as primitive integer
-rows, positive at their pivots, the form algebras.Subspace keeps.  Only rref
+rational form and are kept as references.  There are two integer
+eliminations: dense Gauss-Jordan for row spaces, solve and inverse
+(_gauss_jordan, which the references read too); sparse right-to-left for
+kernels (_sparse_elimination, which echelon_kernel reads).  Either clears
+each row of its denominators once and runs on Python ints, and a Rat is
+made only for each nonzero entry of the result.  echelon_rows and
+echelon_kernel make no Rat at all: they return reduced echelon bases as
+primitive integer rows, positive at their pivots, the form
+algebras.Subspace keeps.  echelon_kernel takes its rows as their nonzero
+entries {column: value}; every other function takes row lists.  Only rref
 changes its input (it replaces the rows of the list); the other functions
-copy what they eliminate.  A row of the wrong length, or a non-square input
-where a square one is needed, raises ShapeError.  The pipeline's matrices
-(ad maps of nilpotent elements, stacked bracket blocks) are mostly zero, so
-the loops skip zeros: products only touch positions where both factors are
-nonzero, and an elimination step leaves every row with a zero in the pivot
-column untouched.  Skipping a zero never changes a value, only the number
-of operations spent reaching it.
+copy what they eliminate.  A row of the wrong length, a column key outside
+0..ncols-1, or a non-square input where a square one is needed, raises
+ShapeError.  The pipeline's matrices (ad maps of nilpotent elements,
+stacked bracket blocks) are mostly zero, so the loops skip zeros: products
+only touch positions where both factors are nonzero, an elimination step
+leaves every row with a zero in the pivot column untouched, and the sparse
+elimination never stores a zero.  Skipping a zero never changes a value,
+only the number of operations spent reaching it.
 """
 
 from __future__ import annotations
@@ -193,32 +198,105 @@ def echelon_rows(rows, ncols: int):
     return pivots, [row if row[c] > 0 else [-v for v in row] for row, c in zip(a, pivots)]
 
 
-def echelon_kernel(rows, ncols: int):
-    """(pivots, basis): the reduced row echelon basis of the kernel, in the
-    form echelon_rows gives, from one elimination.
+def _int_maps(rows, ncols: int):
+    """Fresh primitive integer copies of sparse rows {column: value}: what
+    _int_rows does for dense rows, on the nonzero entries only.  A value
+    that is neither an int nor a Rat is read through as_rat, so a float
+    raises ContractError; ShapeError unless every column lies in
+    0..ncols-1.  Zero values are dropped, and so is a row with none left."""
+    a = []
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= ncols):
+            raise ShapeError(f"expected columns 0..{ncols - 1}, got {sorted(row)}")
+        types = set(map(type, row.values()))
+        if types <= _INT:
+            out = {j: v for j, v in row.items() if v}
+        else:
+            if not types <= _INT_RAT:
+                row = {j: as_rat(v) for j, v in row.items()}
+            nz = [(j, v) for j, v in row.items() if v]
+            den = math.lcm(*(v.denominator for _, v in nz))
+            out = {j: v.numerator * (den // v.denominator) for j, v in nz}
+        if out:
+            g = math.gcd(*out.values())
+            a.append({j: v // g for j, v in out.items()} if g > 1 else out)
+    return a
 
-    The pivot columns are scanned right to left (a left-to-right scan of the
-    reversed columns).  A pivot row is then zero at every free column right
-    of its pivot, so the kernel vector of free column f -- positive at f,
-    zero at every other free column -- has its first nonzero entry at f.
-    These vectors are already reduced and echelon, with the free columns as
-    their pivots: no second elimination is needed.
+
+def _sparse_elimination(a):
+    """Right-to-left integer Gauss-Jordan elimination of primitive sparse
+    rows (see _int_maps): {pivot column: pivot row}, the reduced echelon
+    basis of the row space for the columns read right to left.
+
+    Each row, in turn, is reduced by the pivot rows at the pivot columns it
+    holds: with f its entry at pivot c and p_c the pivot, the remainder is
+    L row - sum_c (L f / p_c) pivot row c, L the least positive integer
+    that keeps every term integral, divided by its content.  A pivot row is zero at
+    every other pivot column, so each subtraction leaves the other entries
+    at pivots alone.  A nonzero remainder becomes a pivot row at its
+    rightmost entry, and every earlier pivot row with an entry there is
+    cleared the same way.  So each pivot row's rightmost entry is its pivot
+    and the rows stay reduced; only rows with an entry at a pivot change.
     """
-    a = _int_rows(rows, ncols)
+    pivot_rows = {}
     for row in a:
-        row.reverse()
-    last = ncols - 1
-    pivot_rows = [(last - c, row, row[c]) for row, c in zip(a, _gauss_jordan(a, ncols))]
-    pivot_set = {c for c, _, _ in pivot_rows}
+        hits = [(c, row[c], pivot_rows[c]) for c in row if c in pivot_rows]
+        if hits:
+            row = _clear(row, hits)
+            if not row:
+                continue
+        c = max(row)
+        for d, prow in pivot_rows.items():
+            if c in prow:
+                pivot_rows[d] = _clear(prow, [(c, prow[c], row)])
+        pivot_rows[c] = row
+    return pivot_rows
+
+
+def _clear(row, hits):
+    """row times the least L > 0 that makes L f / p_c integral for every
+    (c, f, pivot row with pivot p_c at c) in hits, minus (L f / p_c) times
+    each pivot row, divided by its content: zero at every c, with its zero
+    entries dropped."""
+    scale = math.lcm(*(p[c] // math.gcd(p[c], f) for c, f, p in hits))
+    out = {j: scale * v for j, v in row.items()} if scale > 1 else dict(row)
+    for c, f, p in hits:
+        m = scale * f // p[c]
+        for j, v in p.items():
+            out[j] = out.get(j, 0) - m * v
+    out = {j: v for j, v in out.items() if v}
+    g = math.gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out
+
+
+def echelon_kernel(rows, ncols: int):
+    """(pivots, basis): the reduced row echelon basis of the kernel of the
+    matrix with these sparse rows {column: value} and ncols columns, in the
+    form echelon_rows gives, from one elimination of the nonzero entries.
+
+    The pivot columns are chosen right to left (_sparse_elimination).  A
+    pivot row is then zero at every free column right of its pivot, so the
+    kernel vector of free column f -- positive at f, zero at every other
+    free column -- has its first nonzero entry at f.  These vectors are
+    already reduced and echelon, with the free columns as their pivots: no
+    second elimination is needed.  The input is not changed.
+    """
+    pivot_rows = _sparse_elimination(_int_maps(rows, ncols))
+    used = {}  # free column f -> [(pivot c, entry at f, pivot entry)]
+    for c, row in pivot_rows.items():
+        p = row[c]
+        for f, v in row.items():
+            if f != c:
+                used.setdefault(f, []).append((c, v, p))
     free, basis = [], []
     for f in range(ncols):
-        if f in pivot_set:
+        if f in pivot_rows:
             continue
-        used = [(c, row[last - f], p) for c, row, p in pivot_rows if row[last - f]]
-        scale = math.lcm(*(p for _, _, p in used))
+        terms = used.get(f, ())
+        scale = math.lcm(*(p for _, _, p in terms))
         vec = [0] * ncols
         vec[f] = scale
-        for c, v, p in used:
+        for c, v, p in terms:
             vec[c] = -v * (scale // p)
         g = math.gcd(*vec)
         free.append(f)

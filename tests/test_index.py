@@ -476,26 +476,30 @@ def test_so8_nonzero_index_is_consistent():
 def test_rref_calls_do_not_depend_on_process_history(monkeypatch):
     # no lazily filled cache may run an elimination on first use only, or
     # per-call work would depend on what ran earlier in the process; every
-    # linalg elimination (echelon_rows, echelon_kernel, solve and inverse,
-    # which the pipeline calls, and the references rref and rank_kernel)
-    # runs one _gauss_jordan, so counting it counts every elimination
+    # linalg elimination runs one _gauss_jordan (echelon_rows, solve and
+    # inverse, which the pipeline calls, and the references rref and
+    # rank_kernel) or one _sparse_elimination (echelon_kernel), so counting
+    # both counts every elimination
     import sys
 
     import nilab.linalg as linalg_module
     from nilab.invariants import directional_scalar_derivative
 
     calls = []
-    real_elimination = linalg_module._gauss_jordan
+    real = (linalg_module._gauss_jordan, linalg_module._sparse_elimination)
 
-    def counting_elimination(a, ncols):
-        calls.append(ncols)
-        return real_elimination(a, ncols)
+    def counting(elimination):
+        def call(*args):
+            calls.append(elimination.__name__)
+            return elimination(*args)
+
+        return call
 
     for name, module in sorted(sys.modules.items()):
         if name == "nilab" or name.startswith("nilab."):
             for key, value in list(vars(module).items()):
-                if value is real_elimination:
-                    monkeypatch.setattr(module, key, counting_elimination)
+                if any(value is f for f in real):
+                    monkeypatch.setattr(module, key, counting(value))
 
     def eliminations(fn):
         before = len(calls)
@@ -505,6 +509,7 @@ def test_rref_calls_do_not_depend_on_process_history(monkeypatch):
     so8 = build_algebra("D", 4)
     orbit = [eliminations(lambda: analyze_orbit(so8, Partition((7, 1)))) for _ in range(2)]
     assert orbit[0] == orbit[1] > 0
+    assert set(calls) == {"_gauss_jordan", "_sparse_elimination"}  # both are seen
     sl5 = build_algebra("A", 4)  # generator 4 has degree 5: six nodes
     x, y = sl5.random_element(random.Random(1)), sl5.random_element(random.Random(2))
     scalar = [eliminations(lambda: directional_scalar_derivative(sl5, 4, x, y)) for _ in range(2)]

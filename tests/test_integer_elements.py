@@ -30,7 +30,7 @@ from nilab import (
     solve,
 )
 from nilab.invariants import mf_shift_rank
-from nilab.linalg import _int_rows, mat_mul
+from nilab.linalg import _int_rows, echelon_kernel, mat_mul
 
 ALGEBRAS = [("A", 3), ("B", 2), ("C", 2), ("D", 4)]  # sl(4), so(5), sp(4), so(8)
 ZERO = Rat(0)
@@ -222,6 +222,7 @@ FLOAT_ENTRY_POINTS = {
     "solve-matrix": lambda x: solve([[x]], 1, [1]),
     "solve-rhs": lambda x: solve([[1]], 1, [x]),
     "rank_kernel": lambda x: rank_kernel([[1, x]], 2),
+    "echelon_kernel": lambda x: echelon_kernel([{0: 1, 1: x}], 2),
     "_int_rows": lambda x: _int_rows([[Rat(1, 3), x]], 2),
     "interpolate-node": lambda x: interpolate_vector_poly([(x, [1]), (1, [2])], 1),
     "interpolate-value": lambda x: interpolate_vector_poly([(0, [x]), (1, [2])], 1),

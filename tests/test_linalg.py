@@ -285,6 +285,12 @@ def test_rows_with_zero_in_the_pivot_column_stay_untouched():
     assert a[1] is rows[1]
 
 
+def as_maps(rows):
+    """The rows as {column: value} over their nonzero entries, the form
+    echelon_kernel reads."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 def assert_echelon_form(pivots, basis, want_rows, want_pivots):
     """basis is want_rows (rational reduced echelon rows) as primitive
     integer rows, each positive at its pivot."""
@@ -333,11 +339,12 @@ def test_right_to_left_kernel_is_the_echelon_form_of_the_kernel(case):
     rank, kernel = rank_kernel(rows, ncols)
     reduced = [list(v) for v in kernel]
     want_pivots = rref(reduced, ncols)
-    got_pivots, basis = echelon_kernel(rows, ncols)
+    maps = as_maps(rows)
+    got_pivots, basis = echelon_kernel(maps, ncols)
     assert len(basis) == ncols - rank
     assert_echelon_form(got_pivots, basis, reduced[: len(want_pivots)], want_pivots)
     assert echelon_rows(kernel, ncols) == (got_pivots, basis)
-    assert rows == before
+    assert rows == before and maps == as_maps(rows)
     as_rat = [[Rat(v) for v in row] for row in rows]
     for vec in basis:
         assert not any(mat_vec(as_rat, vec))
@@ -355,17 +362,69 @@ def test_echelon_rows_are_the_positive_primitive_rref_rows(case):
 
 def test_echelon_kernel_edge_shapes():
     assert echelon_kernel([], 3) == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert echelon_kernel([[0, 0, 0], [0, 0, 0]], 3) == echelon_kernel([], 3)
-    assert echelon_kernel([[2, 1], [1, 1]], 2) == ([], [])
+    assert echelon_kernel(as_maps([[0, 0, 0], [0, 0, 0]]), 3) == echelon_kernel([], 3)
+    assert echelon_kernel([{0: 0, 2: 0}, {}], 3) == echelon_kernel([], 3)
+    assert echelon_kernel(as_maps([[2, 1], [1, 1]]), 2) == ([], [])
     assert echelon_kernel([], 0) == ([], [])
     # free column 0 is left of pivot column 1: the kernel vector starts at 0
-    assert echelon_kernel([[2, -3]], 2) == ([0], [[3, 2]])
+    assert echelon_kernel(as_maps([[2, -3]]), 2) == ([0], [[3, 2]])
     assert rank_kernel([[2, -3]], 2)[1] == [[Rat(3, 2), Rat(1)]]
-    for fn in (echelon_kernel, echelon_rows, rank_kernel):
+    for fn, form in ((echelon_kernel, as_maps), (echelon_rows, list), (rank_kernel, list)):
         with pytest.raises(ShapeError):
-            fn([[1, 2, 3]], 2)  # rows wider than ncols
+            fn(form([[1, 2, 3]]), 2)  # rows wider than ncols
         with pytest.raises(ShapeError):
-            fn([[1, 2], [1, 2, 3]], 2)
+            fn(form([[1, 2], [1, 2, 3]]), 2)
+
+
+def integer_rows_of_rank(rng, nrows, ncols, rank, fill):
+    """nrows integer rows spanning at most rank dimensions: rank random
+    rows with entries nonzero with probability fill, integer combinations
+    of them, one zero row and one duplicate row, shuffled."""
+    base = [[rng.randint(-6, 6) if rng.random() < fill else 0 for _ in range(ncols)]
+            for _ in range(rank)]
+    rows = [list(b) for b in base]
+    while len(rows) < nrows:
+        coeffs = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in base]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(ncols)])
+    rows.append([0] * ncols)
+    rows.append(list(rng.choice(rows)))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sparse_kernel_matches_the_rational_reference_on_seeded_matrices():
+    # echelon_kernel eliminates the nonzero entries right to left, rank_kernel
+    # runs the dense left-to-right elimination in rationals: they must span
+    # one kernel, so the sparse basis is the echelon form of the reference's
+    rng = random.Random(61)
+    shapes = fills = 0
+    for ncols in range(13):
+        for fill in (1.0, 0.1):
+            for _ in range(6):
+                nrows = rng.randint(0, 2 * ncols + 2)
+                rank = rng.randint(0, min(nrows, ncols))
+                rows = integer_rows_of_rank(rng, nrows, ncols, rank, fill)
+                want_rank, kernel = rank_kernel(rows, ncols)
+                maps = as_maps(rows)
+                pivots, basis = echelon_kernel(maps, ncols)
+                assert len(basis) == ncols - want_rank, (ncols, rows)
+                assert (pivots, basis) == echelon_rows(kernel, ncols), (ncols, rows)
+                assert all(not any(mat_vec(rows, vec)) for vec in basis)
+                assert maps == as_maps(rows)  # the input is not changed
+                shapes += 1
+                fills += fill < 1 and 0 < want_rank < ncols
+    assert shapes == 13 * 2 * 6 and fills > 10
+
+
+def test_echelon_kernel_refuses_a_column_outside_the_matrix():
+    # a sparse row names its columns, so a key past either end is what a
+    # dense row of the wrong length is: ShapeError, not a wider matrix
+    for row in ({0: 1, 2: 1}, {-1: 1}, {3: 0}, {5: 2, 0: 1}):
+        with pytest.raises(ShapeError):
+            echelon_kernel([{0: 1}, row], 2)
+    with pytest.raises(ShapeError):
+        echelon_kernel([{0: 1}], 0)
+    assert echelon_kernel([{1: 1}, {0: 0}], 2) == ([0], [[1, 0]])
 
 
 def test_rat_always_reduced_positive_denominator():
