@@ -895,36 +895,45 @@ def normalizer_of(s: Subspace) -> Subspace:
     return Subspace(s.algebra, kernel, pivots)
 
 
+def _weights(h: Element):
+    """The ad(h)-weight of each basis vector, for a diagonal h: basis
+    vector k is a weight vector of ad(h), and if its first nonzero entry
+    is at (i, j) its weight is h_ii - h_jj (the mirrored so/sp entry has
+    the same weight because h lies in g).  So [h, x] only scales each
+    coordinate of x by its weight.  A non-diagonal h raises GraduationError.
+    """
+    rows, den = h.int_rows()
+    if any(v for i, row in enumerate(rows) for j, v in enumerate(row) if i != j):
+        raise GraduationError("h is not diagonal")
+    return [
+        Rat(rows[i][i] - rows[j][j], den)
+        for i, j, _ in (entries[0] for entries in h.algebra._basis_sparse)
+    ]
+
+
 def h_graduation(h: Element, s: Subspace):
     """Weight-space decomposition of s under ad(h), for a diagonal h.
 
-    Basis vector k is a weight vector of ad(h): if its first nonzero entry
-    is at (i, j), its weight is h_ii - h_jj (the mirrored so/sp entry has the
-    same weight because h lies in g).  So s is ad(h)-stable exactly when
-    each echelon row of s is a weight vector, and the rows of one weight,
-    with their pivots, are the echelon basis of that piece.  Pieces come
-    back sorted by ascending weight and their dimensions sum to dim s.
+    Every basis vector is a weight vector of ad(h), with the weight
+    _weights reads off its first nonzero entry.  So s is ad(h)-stable
+    exactly when each echelon row of s is a weight vector, and the rows of
+    one weight, with their pivots, are the echelon basis of that piece.
+    Pieces come back sorted by ascending weight and their dimensions sum to
+    dim s.
 
     h must be diagonal, as every h of a triple built here is; a non-diagonal
     h or an unstable s raises GraduationError, and an h from another
     realization raises ContractError.
     """
     _same_algebra(h, s)
-    alg = s.algebra
-    rows, den = h.int_rows()
-    if any(v for i, row in enumerate(rows) for j, v in enumerate(row) if i != j):
-        raise GraduationError("h is not diagonal")
-    weights = [
-        Rat(rows[i][i] - rows[j][j], den)
-        for i, j, _ in (entries[0] for entries in alg._basis_sparse)
-    ]
+    weights = _weights(h)
     pieces = {}
     for row, pivot in zip(s.num_rows, s.pivots):
         mu = weights[pivot]
         if any(c and weights[q] != mu for q, c in enumerate(row)):
             raise GraduationError("subspace is not stable under ad(h)")
         pieces.setdefault(mu, []).append((row, pivot))
-    return [(mu, Subspace(alg, *zip(*pieces[mu]))) for mu in sorted(pieces)]
+    return [(mu, Subspace(s.algebra, *zip(*pieces[mu]))) for mu in sorted(pieces)]
 
 
 def unipotent_conjugate(n: Element, x: Element) -> Element:

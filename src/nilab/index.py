@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count
 
 from ._scalar import ONE, Rat, ZERO
 from .algebras import (
@@ -42,6 +43,7 @@ from .algebras import (
     Element,
     Subspace,
     _family_rank_for_size,
+    _weights,
     bracket,
     build_algebra,
     center_of,
@@ -178,16 +180,25 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
     )
 
 
+def _has_weight(weights, v: Element, lam) -> bool:
+    """[h, v] == lam v, for weights = _weights(h): [h, v] scales each
+    coordinate of v by its weight, so this holds exactly when every nonzero
+    coordinate of v has weight lam."""
+    return all(weights[q] == lam for q in compress(count(), v.num))
+
+
 def normalizer_decomposition_check(pd: PairData) -> CheckReport:
     """The normalizer decomposition eta = z + span{y_j} and its relations.
 
     Verified exactly: [e, y_j] = -2 m'_j z_j; [f, z_j] = -y_j; the y_j lie
     outside z and together with z fill eta, whose dimension is
-    dim z + dim delta; and the h-weights of y_j and z_j.
+    dim z + dim delta; and the h-weights of y_j and z_j, read off the
+    weights of the basis (_has_weight), with no bracket with h.
     """
     pd.require_hypothesis()
     alg = pd.algebra
-    h, e, f = pd.triplet.h, pd.triplet.e, pd.triplet.f
+    e, f = pd.triplet.e, pd.triplet.f
+    weights = _weights(pd.triplet.h)
     report = CheckReport(f"{alg.name} normalizer decomposition")
     for k, (j, m, zj, yj) in enumerate(
         zip(pd.selected_indices, pd.pair_exponents, pd.z_vec, pd.y_vec), start=1
@@ -195,8 +206,8 @@ def normalizer_decomposition_check(pd: PairData) -> CheckReport:
         report.add(f"e-bracket[{k}]", bracket(e, yj) == zj.scale(-2 * m))
         report.add(f"f-bracket[{k}]", bracket(f, zj) == -yj)
         report.add(f"outside-centralizer[{k}]", not pd.zcent.contains(yj))
-        report.add(f"h-weight-y[{k}]", bracket(h, yj) == yj.scale(2 * (m - 1)))
-        report.add(f"h-weight-z[{k}]", bracket(h, zj) == zj.scale(2 * m))
+        report.add(f"h-weight-y[{k}]", _has_weight(weights, yj, 2 * (m - 1)))
+        report.add(f"h-weight-z[{k}]", _has_weight(weights, zj, 2 * m))
         report.add(f"in-normalizer[{k}]", pd.eta.contains(yj))
     report.add(
         "normalizer-dim",
@@ -258,11 +269,13 @@ class StructureResult:
 
 def structure_checks(pd: PairData, a: BracketTensor) -> StructureResult:
     """Vanishing pattern, pseudo-triangularity, antidiagonal multiples and
-    h-weights of the bracket matrix (distinct exponents required)."""
+    h-weights of the bracket matrix (distinct exponents required); the
+    h-weights are read off the weights of the basis (_has_weight), with no
+    bracket with h."""
     pd.require_hypothesis()
     pd.require_distinct_exponents()
     alg = pd.algebra
-    h = pd.triplet.h
+    weights = _weights(pd.triplet.h)
     s = pd.s
     exponent_set = set(pd.pair_exponents)
     report = CheckReport(f"{alg.name} bracket matrix structure")
@@ -274,10 +287,7 @@ def structure_checks(pd: PairData, a: BracketTensor) -> StructureResult:
                 report.add(f"vanishing[{i + 1},{j + 1}]", v.is_zero())
             if i + j + 2 > s + 1:
                 report.add(f"pseudo-triangular[{i + 1},{j + 1}]", v.is_zero())
-            report.add(
-                f"h-weight[{i + 1},{j + 1}]",
-                bracket(h, v) == v.scale(2 * m_sum),
-            )
+            report.add(f"h-weight[{i + 1},{j + 1}]", _has_weight(weights, v, 2 * m_sum))
     zs_coords = pd.delta.coords_of(pd.z_vec[s - 1])
     betas = []
     for i in range(s):

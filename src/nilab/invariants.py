@@ -17,8 +17,10 @@ a balanced base-B digit; B = 2^K with K from a proven bound on the
 coefficients (_digit_width).  The trace-kind gradients are prefixes of one
 power chain M, M^2, ..., so _line_table reads every generator off one
 chain per direction.  Interpolation is kept only as the independent
-oracle: scalar values of p_j at integer nodes give <dp_j(x), y>, which the
-pairing check of verify_field_identities and gradient compare against.
+oracle: scalar values of p_j at the points x + t y, t = 0..deg_j, give
+<dp_j(x), y>, which the pairing check of verify_field_identities and
+gradient compare against.  It shares no code with _line_table: each point
+is one plain power chain of its integer rows, read for every generator.
 
 The suite functions at the bottom verify exactly the invariance identities
 the fields satisfy: equivariance, Taylor exchange symmetry, the bracket
@@ -98,36 +100,40 @@ def pfaffian(rows):
     return _pfaffian(rows, tuple(range(n)), {})
 
 
-def _power(rows, k):
-    """rows^k for k >= 1 (the input itself when k = 1)."""
-    power = rows
-    for _ in range(k - 1):
-        power = mat_mul(power, rows)
-    return power
+def _values(alg: AlgebraRealization, x: Element, gens):
+    """{j: p_j(x)} for the generators gens, given in ascending degree, off
+    one power chain of the integer rows R of x = R / d: tr(x^degree) is
+    tr(R^(degree-1) R) / d^degree, read as sum_ij P_ij R_ji with no last
+    product formed, and Pf(S x) = Pf(S R) / d^(N/2), S x being x with its
+    rows reversed (S is the antidiagonal-ones form).  An x of another
+    realization raises ContractError."""
+    if x.algebra is not alg:
+        raise ContractError("element does not belong to the given algebra")
+    rows, den = x.int_rows()
+    out = {}
+    power, k = rows, 1  # power = R^k
+    for gen in gens:
+        if gen.kind == "trace":
+            while k < gen.degree - 1:
+                power, k = mat_mul(power, rows), k + 1
+            acc = 0
+            for i, line in enumerate(power):
+                for t, v in enumerate(line):
+                    if v:
+                        acc += v * rows[t][i]
+            out[gen.index_j] = Rat(acc, den**gen.degree)
+        else:
+            out[gen.index_j] = Rat(pfaffian(rows[::-1]), den ** (alg.matrix_size_N // 2))
+    return out
 
 
 def eval_generator(alg: AlgebraRealization, j: int, x: Element):
     """Value of the j-th generator at x: tr(x^degree), or Pf(S x), where
-    S x is x with its rows reversed (S is the antidiagonal-ones form).
-
-    Both are evaluated on the integer rows R of x = R / d: tr(x^degree) is
-    tr(R^(degree-1) R) / d^degree, read as sum_ij P_ij R_ji with no last
-    product formed, and Pf(S x) = Pf(S R) / d^(N/2).  An x of another
+    S x is x with its rows reversed (S is the antidiagonal-ones form),
+    evaluated on the integer rows of x (see _values).  An x of another
     realization raises ContractError.
     """
-    gen = _generator(alg, j)
-    if x.algebra is not alg:
-        raise ContractError("element does not belong to the given algebra")
-    rows, den = x.int_rows()
-    if gen.kind == "trace":
-        power = _power(rows, gen.degree - 1)
-        acc = 0
-        for i, line in enumerate(power):
-            for t, v in enumerate(line):
-                if v:
-                    acc += v * rows[t][i]
-        return Rat(acc, den**gen.degree)
-    return Rat(pfaffian(rows[::-1]), den ** (alg.matrix_size_N // 2))
+    return _values(alg, x, (_generator(alg, j),))[j]
 
 
 def _digit_width(n: int, gens, size: int) -> int:
@@ -252,15 +258,27 @@ def _gradient_raw(alg: AlgebraRealization, j: int, x: Element) -> Element:
     return _line_terms(alg, j, x, None, None, [(0, 0)])[(0, 0)]
 
 
+def _scalar_derivatives(alg: AlgebraRealization, gens, x: Element, y: Element):
+    """{j: <dp_j(x), y>} for the generators gens, given in ascending
+    degree, each interpolated from the scalar values of p_j at x + t y,
+    t = 0..deg_j.  Each point is built once, for t up to the largest
+    degree, and its one power chain (_values) is read for every generator
+    whose degree reaches t."""
+    values = [
+        _values(alg, x + y.scale(t), [gen for gen in gens if gen.degree >= t])
+        for t in range(gens[-1].degree + 1)
+    ]
+    out = {}
+    for gen in gens:
+        j = gen.index_j
+        samples = [(Rat(t), [values[t][j]]) for t in range(gen.degree + 1)]
+        out[j] = interpolate_vector_poly(samples, gen.degree)[1][0]
+    return out
+
+
 def directional_scalar_derivative(alg, j, x, y):
     """<dp_j(x), y>, extracted from scalar values of p_j along x + t y."""
-    gen = _generator(alg, j)
-    samples = []
-    for t in range(gen.degree + 1):
-        point = x + y.scale(t)
-        samples.append((Rat(t), [eval_generator(alg, j, point)]))
-    coeffs = interpolate_vector_poly(samples, gen.degree)
-    return coeffs[1][0]
+    return _scalar_derivatives(alg, (_generator(alg, j),), x, y)[j]
 
 
 def gradient(alg: AlgebraRealization, j: int, x: Element) -> Element:
@@ -371,8 +389,10 @@ def verify_field_identities(alg: AlgebraRealization, samples) -> list:
     x + s y and y + s x, the propagation rows along x + s y + t [z, x] and
     x + s y + t [z, y], and P at x + (m + 1) y once per distinct exponent m.
     The pairing check compares each gradient with interpolated scalar
-    values of p_j.  Failures are recorded, never raised: a NilabError
-    becomes sample-error in every report that reads the failing step.
+    values of p_j, off one set of points x + t y per sample, each with one
+    power chain for every generator (_scalar_derivatives).  Failures are
+    recorded, never raised: a NilabError becomes sample-error in every
+    report that reads the failing step.
     """
     gens = generators(alg)
     js = [gen.index_j for gen in gens]
@@ -393,6 +413,7 @@ def verify_field_identities(alg: AlgebraRealization, samples) -> list:
             # x + s y + t u, for u = [z, x] and u = [z, y]
             row_zx = _line_table(alg, js, x, y, bracket(z, x), rows)
             row_zy = _line_table(alg, js, x, y, bracket(z, y), rows)
+            pairing = _scalar_derivatives(alg, gens, x, y)
         except NilabError as exc:  # record, never throw
             for report in reports:
                 report.add(f"sample-error{tag}", False, str(exc))
@@ -402,8 +423,7 @@ def verify_field_identities(alg: AlgebraRealization, samples) -> list:
             j, m = gen.index_j, gen.exponent
             try:
                 p, q = px[j][(0, 0)], py[j][(0, 0)]
-                pairing_ok = trace_form(p, y) == directional_scalar_derivative(alg, j, x, y)
-                report.add(f"gradient-pairing{tag}", pairing_ok)
+                report.add(f"gradient-pairing{tag}", trace_form(p, y) == pairing[j])
                 report.add(f"equivariance{tag}", slope[j][(0, 1)] == bracket(y, p))
                 tx = [along_y[j][key] for key in taylor[: m + 1]]
                 ty = [along_x[j][key] for key in taylor[: m + 1]]

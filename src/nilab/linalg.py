@@ -26,9 +26,10 @@ changes its input (it replaces the rows of the list); the other functions
 copy what they eliminate.  A row of the wrong length, a column key outside
 0..ncols-1, or a non-square input where a square one is needed, raises
 ShapeError.  The pipeline's matrices (ad maps of nilpotent elements,
-stacked bracket blocks) are mostly zero, so the loops skip zeros: products
-only touch positions where both factors are nonzero, an elimination step
-leaves every row with a zero in the pivot column untouched, and the sparse
+stacked bracket blocks, the inverse that maps delta coordinates to the
+alphas) are mostly zero, so the loops skip zeros: mat_mul and mat_vec only
+touch positions where both factors are nonzero, an elimination step leaves
+every row with a zero in the pivot column untouched, and the sparse
 elimination never stores a zero.  Skipping a zero never changes a value,
 only the number of operations spent reaching it.
 """
@@ -61,14 +62,16 @@ def mat_mul(a, b):
 
 
 def mat_vec(rows, vec):
-    """Matrix times a coordinate vector, skipping zero vector entries."""
+    """Matrix times a coordinate vector, skipping zero entries of both."""
+    nonzero = [(k, v) for k, v in enumerate(vec) if v]
     out = []
     for row in rows:
         if len(row) != len(vec):
             raise ShapeError("vector length mismatch")
         acc = ZERO
-        for w, v in zip(row, vec):
-            if v:
+        for k, v in nonzero:
+            w = row[k]
+            if w:
                 acc += w * v
         out.append(acc)
     return out

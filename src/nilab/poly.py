@@ -6,14 +6,18 @@ just enough polynomial algebra for the symbolic side of the bracket-matrix
 analysis: one fraction-free (Bareiss) elimination that scans pivot columns
 right to left and yields both the generic rank over the rational function
 field and, for a square matrix, the exact determinant; the rank carries a
-randomized prime-evaluation cross-check.
+randomized prime-evaluation cross-check.  Both run on Python ints: the
+matrix is cleared of its common denominator D once, each entry becomes an
+integer term map {exponent tuple -> nonzero int}, and a rational is made
+only for the determinant's coefficients, divided by D^s once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm, prod
+from operator import add, sub
 
 from ._scalar import ONE, Rat, ZERO, as_rat
 from .errors import ContractError, InternalError, ShapeError
@@ -152,42 +156,6 @@ class Poly:
             total += term
         return total
 
-    def lead(self):
-        """Lex-leading (exponent, coefficient); the polynomial must be nonzero."""
-        exp = max(self.terms)
-        return exp, self.terms[exp]
-
-    def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact quotient self / divisor in the polynomial ring.
-
-        Single-divisor lex division; since divisibility is guaranteed by
-        the fraction-free elimination that calls this, a nonzero remainder
-        means a bug and raises InternalError.
-        """
-        self._check_same_vars(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return Poly.zero(self.variables)
-        dlead, dcoeff = divisor.lead()
-        rem = dict(self.terms)
-        out = {}
-        while rem:
-            lexp = max(rem)
-            q = tuple(a - b for a, b in zip(lexp, dlead))
-            if any(e < 0 for e in q):
-                raise InternalError("polynomial division was not exact")
-            c = rem[lexp] / dcoeff
-            out[q] = out.get(q, ZERO) + c
-            for dexp, dc in divisor.terms.items():
-                m = tuple(a + b for a, b in zip(q, dexp))
-                nv = rem.get(m, ZERO) - c * dc
-                if nv == 0:
-                    rem.pop(m, None)
-                else:
-                    rem[m] = nv
-        return Poly(self.variables, out)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)
 
@@ -234,27 +202,86 @@ def _check_rect(entries):
     return nrows, ncols, variables
 
 
+def _cleared(entries):
+    """(D, rows): D the least common denominator of every coefficient of
+    the matrix, and each entry times D as an integer term map."""
+    den = lcm(*(c.denominator for row in entries for p in row for c in p.terms.values()))
+    return den, [
+        [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in row]
+        for row in entries
+    ]
+
+
+def _mul(a, b):
+    """Product of two integer term maps."""
+    out = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _sub(a, b):
+    """Difference a - b of two integer term maps."""
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        out[e] = get(e, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _quo(a, b):
+    """Exact quotient a / b of integer term maps, b nonzero, by lex division
+    on the leading term of b.  The fraction-free elimination only divides
+    where the quotient is a minor of an integer matrix, so a coefficient
+    that does not divide or a negative exponent means a bug and raises
+    InternalError."""
+    lead = max(b)
+    top = b[lead]
+    rem = dict(a)
+    out = {}
+    while rem:
+        e = max(rem)
+        q = tuple(map(sub, e, lead))
+        c, r = divmod(rem[e], top)
+        if r or any(v < 0 for v in q):
+            raise InternalError("polynomial division was not exact")
+        out[q] = c
+        for eb, cb in b.items():
+            m = tuple(map(add, q, eb))
+            v = rem.get(m, 0) - c * cb
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
+    return out
+
+
 def _eliminate(entries):
     """Rank and, for a square matrix, determinant by one fraction-free
     (Bareiss) elimination over the polynomial ring.
 
-    Pivot columns are scanned right to left, and the pivot in a column is
-    the first remaining row with a nonzero entry there.  After k pivots
-    every remaining entry is a (k+1)-minor of the input (Sylvester's
-    identity), so each division by the previous pivot is exact; a column
-    with no pivot is zero below the pivot rows and is skipped.  A square
-    matrix has full rank exactly when every column yields a pivot, and then
-    the last pivot is the determinant of the column-reversed matrix up to
-    the sign of the row swaps; reversing s columns contributes
-    (-1)^(s(s-1)/2).  This holds for any matrix; for a pseudo-triangular
-    one (zero below the antidiagonal) the scan meets the antidiagonal
-    first, no row swap happens and nothing fills in.
+    The matrix is cleared of its common denominator D once (_cleared) and
+    eliminated as integer term maps.  Pivot columns are scanned right to
+    left, and the pivot in a column is the first remaining row with a
+    nonzero entry there.  After k pivots every remaining entry is a
+    (k+1)-minor of the cleared matrix (Sylvester's identity), so each
+    division by the previous pivot is exact in Z[t] (_quo); a column with
+    no pivot is zero below the pivot rows and is skipped.  A square matrix
+    has full rank exactly when every column yields a pivot, and then the
+    last pivot is the determinant of the column-reversed cleared matrix up
+    to the sign of the row swaps; reversing s columns contributes
+    (-1)^(s(s-1)/2), and the determinant of the input is that over D^s.
+    This holds for any matrix; for a pseudo-triangular one (zero below the
+    antidiagonal) the scan meets the antidiagonal first, no row swap
+    happens and nothing fills in.
 
     Returns (rank, det), with det None when the matrix is not square.
     """
     nrows, ncols, variables = _check_rect(entries)
-    a = [list(row) for row in entries]
-    zero = Poly.zero(variables)
+    den, a = _cleared(entries)
     sign = 1
     prev = None
     pivot = None
@@ -262,7 +289,7 @@ def _eliminate(entries):
     for c in range(ncols - 1, -1, -1):
         if r == nrows:
             break
-        p = next((i for i in range(r, nrows) if not a[i][c].is_zero()), None)
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
         if p is None:
             continue
         if p != r:
@@ -274,18 +301,19 @@ def _eliminate(entries):
             row = a[i]
             f = row[c]
             for j in range(c):
-                num = row[j] * pivot - f * pivot_row[j]
-                row[j] = num if prev is None else num.exact_div(prev)
-            row[c] = zero
+                num = _sub(_mul(row[j], pivot), _mul(f, pivot_row[j]))
+                row[j] = num if prev is None else _quo(num, prev)
+            row[c] = {}
         prev = pivot
         r += 1
     if nrows != ncols:
         return r, None
     if r < nrows:
-        return r, zero
+        return r, Poly.zero(variables)
     if (nrows * (nrows - 1) // 2) % 2:
         sign = -sign
-    return r, pivot if sign == 1 else -pivot
+    scale = den**nrows
+    return r, Poly(variables, {e: Rat(sign * v, scale) for e, v in pivot.items()})
 
 
 def poly_det(entries) -> Poly:
@@ -316,7 +344,9 @@ def generic_rank_detail(entries, *, seed: int = 0) -> GenericRankResult:
     the determinant of a square matrix; the rank is then cross-checked by
     evaluating the variables at _RANK_CHECK_SAMPLES seeded tuples of
     distinct primes and taking the max evaluated rank; disagreement with
-    the symbolic result raises InternalError.  The primes are drawn from
+    the symbolic result raises InternalError.  The evaluated matrices are
+    the integer forms of the matrix cleared of its denominators (_cleared),
+    which have the same rank at every point.  The primes are drawn from
     _PRIMES for up to 50 variables and from the primes below
     _LARGE_PRIME_BOUND beyond that.
     """
@@ -326,6 +356,7 @@ def generic_rank_detail(entries, *, seed: int = 0) -> GenericRankResult:
             if not p.is_linear_form():
                 raise ContractError("generic_rank_detail requires linear-form entries")
     symbolic, det = _eliminate(entries)
+    _, forms = _cleared(entries)
     nvars = max(1, len(variables))
     pool = _PRIMES if nvars <= len(_PRIMES) else _primes_below(_LARGE_PRIME_BOUND)
     if nvars > len(pool):
@@ -335,8 +366,11 @@ def generic_rank_detail(entries, *, seed: int = 0) -> GenericRankResult:
     eval_ranks = []
     for _ in range(_RANK_CHECK_SAMPLES):
         primes = tuple(rng.sample(pool, nvars))[: len(variables)]
-        point = [Rat(p) for p in primes]
-        rank = len(echelon_rows([[p.eval(point) for p in row] for row in entries], ncols)[0])
+        values = [
+            [sum(c * prod(map(pow, primes, e)) for e, c in form.items()) for form in row]
+            for row in forms
+        ]
+        rank = len(echelon_rows(values, ncols)[0])
         prime_samples.append(primes)
         eval_ranks.append(rank)
     if max(eval_ranks) != symbolic:

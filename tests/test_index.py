@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilab import (
+    BracketTensor,
+    GraduationError,
     HypothesisViolation,
     IdentityError,
     Partition,
@@ -17,6 +20,7 @@ from nilab import (
     Subspace,
     Triplet,
     analyze_orbit,
+    bracket,
     bracket_matrix,
     build_algebra,
     build_pair_data,
@@ -32,8 +36,11 @@ from nilab import (
     structure_checks,
     sweep,
     triple_from_partition,
+    unipotent_conjugate,
     valid_partitions,
 )
+from nilab.algebras import _weights
+from nilab.index import _has_weight
 from nilab.invariants import _line_terms
 from nilab.linalg import mat_mul
 
@@ -707,3 +714,124 @@ def test_isomorphic_low_rank_algebras_give_the_same_report(left, right, exact):
     want = _isomorphism_view(*left, exact)
     assert want["hypothesis_ok"] and want["ind"] is not None
     assert _isomorphism_view(*right, exact) == want
+
+
+def failed_names(check, *args):
+    """The names of the failed items, from the IdentityError a check raises."""
+    with pytest.raises(IdentityError) as info:
+        check(*args)
+    return str(info.value).split("; ")
+
+
+@pytest.mark.parametrize(
+    "family,rank,parts", [("A", 3, (4,)), ("B", 3, (7,)), ("C", 3, (6,)), ("D", 4, (5, 3))]
+)
+def test_weight_table_decides_the_h_bracket_predicate(family, rank, parts):
+    # [h, v] == lam v exactly when every nonzero coordinate of v has weight
+    # lam: on sums of basis vectors of one weight, half of them with one
+    # basis vector of another weight added, against the bracket with h, for
+    # every weight of g and one that is none
+    alg, pd = pair_data_for(family, rank, parts)
+    h = pd.triplet.h
+    weights = _weights(h)
+    rng = random.Random(f"weights:{family}{rank}")
+    lams = sorted(set(weights)) + [max(weights) + 1]
+    outcomes = set()
+    for trial in range(40):
+        mu = rng.choice(lams[:-1])
+        same = [k for k, w in enumerate(weights) if w == mu]
+        ks = rng.sample(same, min(2, len(same)))
+        if trial % 2:
+            ks.append(rng.choice([k for k, w in enumerate(weights) if w != mu]))
+        v = alg.zero()
+        for k in ks:
+            v = v + alg.basis_element(k).scale(rng.choice((-3, -1, 2, Rat(1, 2))))
+        for lam in lams:
+            decided = _has_weight(weights, v, lam)
+            assert decided == (bracket(h, v) == v.scale(lam))
+            outcomes.add((trial % 2, decided))
+    assert outcomes == {(0, True), (0, False), (1, False)}
+    assert all(_has_weight(weights, alg.zero(), lam) for lam in lams)
+
+
+def other_weight(alg, weights, lam):
+    """A basis vector whose ad(h)-weight is not lam."""
+    return alg.basis_element(next(k for k, w in enumerate(weights) if w != lam))
+
+
+def test_normalizer_check_catches_a_component_of_another_weight():
+    alg, pd = pair_data_for("A", 3, (4,))
+    assert normalizer_decomposition_check(pd).passed
+    weights = _weights(pd.triplet.h)
+    for k, m in enumerate(pd.pair_exponents):
+        # z_s lies in z and has weight 2 m_s, which no y_j has: [e, y_k],
+        # z + span{y_j} and eta membership stay as they were, and only
+        # [f, z_k] = -y_k and the h-weight of y_k see it
+        ys = list(pd.y_vec)
+        ys[k] = ys[k] + pd.z_vec[-1]
+        bad = replace(pd, y_vec=tuple(ys))
+        assert failed_names(normalizer_decomposition_check, bad) == [
+            f"f-bracket[{k + 1}]",
+            f"h-weight-y[{k + 1}]",
+        ]
+        zs = list(pd.z_vec)
+        zs[k] = zs[k] + other_weight(alg, weights, 2 * m)
+        bad = replace(pd, z_vec=tuple(zs))
+        assert f"h-weight-z[{k + 1}]" in failed_names(normalizer_decomposition_check, bad)
+
+
+def test_structure_checks_catch_an_entry_of_another_weight():
+    alg, pd = pair_data_for("A", 3, (4,))
+    a = bracket_matrix(pd)
+    assert structure_checks(pd, a).report.passed
+    weights = _weights(pd.triplet.h)
+    exps = pd.pair_exponents
+    for i in range(pd.s):
+        for j in range(pd.s):
+            vectors = [list(row) for row in a.vectors]
+            lam = 2 * (exps[i] + exps[j] - 1)
+            vectors[i][j] = vectors[i][j] + other_weight(alg, weights, lam)
+            bad = BracketTensor(a.size, tuple(map(tuple, vectors)), a.entries)
+            names = failed_names(structure_checks, pd, bad)
+            assert f"h-weight[{i + 1},{j + 1}]" in names
+            if i + j + 2 <= pd.s + 1 and exps[i] + exps[j] - 1 in exps:
+                assert names == [f"h-weight[{i + 1},{j + 1}]"]
+
+
+def test_weight_checks_refuse_a_non_diagonal_h():
+    # Ad(exp e) moves h off the diagonal and keeps a valid triple; the
+    # weights are read off matrix positions, so the checks refuse it
+    # instead of passing
+    alg, pd = pair_data_for("A", 3, (4,))
+    e = pd.triplet.e
+    moved = Triplet(unipotent_conjugate(e, pd.triplet.h), e, unipotent_conjugate(e, pd.triplet.f))
+    assert moved.h != pd.triplet.h
+    bad = replace(pd, triplet=moved)
+    a = bracket_matrix(pd)
+    with pytest.raises(GraduationError):
+        normalizer_decomposition_check(bad)
+    with pytest.raises(GraduationError):
+        structure_checks(bad, a)
+    with pytest.raises(GraduationError):
+        _weights(moved.h)
+
+
+def test_weight_checks_bracket_nothing_with_h(monkeypatch):
+    import nilab.index as index_module
+
+    real = index_module.bracket
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    _, pd = pair_data_for("C", 3, (6,))
+    a = bracket_matrix(pd)  # the s^2 brackets [y_i, z_j], not counted here
+    monkeypatch.setattr(index_module, "bracket", counting)
+    normalizer_decomposition_check(pd)
+    structure_checks(pd, a)
+    h = pd.triplet.h
+    assert not any(x == h or y == h for x, y in calls)
+    # what is left: [e, y_j] and [f, z_j] of the normalizer relations
+    assert len(calls) == 2 * pd.s

@@ -647,3 +647,57 @@ def test_field_identity_suite_builds_one_center_per_sample(monkeypatch):
     samples = make_samples(alg, 3, 0)
     assert all(report.passed for report in verify_field_identities(alg, samples))
     assert calls == [sample.x for sample in samples]
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
+def test_pairing_oracle_builds_each_point_once_per_sample(monkeypatch, family, rank):
+    # the points x + t y, t = 0..max degree, are evaluated once per sample
+    # for every generator, and each p_j is still interpolated at its own
+    # t = 0..deg_j: the pairing values equal the per-generator oracle
+    import nilab.invariants as invariants_module
+
+    alg = build_algebra(family, rank)
+    gens = generators(alg)
+    samples = make_samples(alg, 2, 0)
+    calls = []
+    real = invariants_module._values
+
+    def counting(alg, x, chosen):
+        calls.append((x, tuple(gen.index_j for gen in chosen)))
+        return real(alg, x, chosen)
+
+    monkeypatch.setattr(invariants_module, "_values", counting)
+    assert all(report.passed for report in verify_field_identities(alg, samples))
+    top = max(gen.degree for gen in gens)
+    assert len(calls) == len(samples) * (top + 1)
+    for sample, start in zip(samples, range(0, len(calls), top + 1)):
+        for t, (x, js) in enumerate(calls[start : start + top + 1]):
+            assert x == sample.x + sample.y.scale(t)
+            assert js == tuple(gen.index_j for gen in gens if gen.degree >= t)
+    monkeypatch.undo()
+    x, y = samples[0].x, samples[0].y
+    shared = invariants_module._scalar_derivatives(alg, gens, x, y)
+    single = {gen.index_j: directional_scalar_derivative(alg, gen.index_j, x, y) for gen in gens}
+    assert shared == single
+
+
+def test_pairing_oracle_failure_is_a_sample_error_in_every_report(monkeypatch):
+    import nilab.invariants as invariants_module
+
+    alg = build_algebra("D", 4)
+    samples = make_samples(alg, 3, 0)
+    bad = samples[1].x + samples[1].y.scale(5)  # a point read by degree 6 only
+    real = invariants_module._values
+
+    def failing(alg, x, chosen):
+        if x == bad:
+            raise ContractError("injected oracle failure")
+        return real(alg, x, chosen)
+
+    monkeypatch.setattr(invariants_module, "_values", failing)
+    error = {"name": "sample-error[1]", "pass": False, "details": "injected oracle failure"}
+    for report in verify_field_identities(alg, samples):
+        names = [item.name for item in report.items]
+        assert [item.to_dict() for item in report.failures()] == [error]
+        assert sum(name.endswith("[0]") for name in names) == 7
+        assert sum(name.endswith("[2]") for name in names) == 7

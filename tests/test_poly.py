@@ -5,8 +5,17 @@ from itertools import permutations
 
 import pytest
 
-from nilab import ContractError, Poly, Rat, ShapeError, generic_rank_detail, poly_det, rank_kernel
-from nilab.poly import _eliminate, generic_rank_detail
+from nilab import (
+    ContractError,
+    InternalError,
+    Poly,
+    Rat,
+    ShapeError,
+    generic_rank_detail,
+    poly_det,
+    rank_kernel,
+)
+from nilab.poly import _cleared, _eliminate, _quo, generic_rank_detail
 
 V2 = ("x", "y")
 
@@ -33,10 +42,23 @@ def test_poly_no_zero_terms_stored():
     assert (x - x).is_zero()
 
 
+def int_terms(p):
+    """p as the elimination's integer term map (p must have integer
+    coefficients)."""
+    den, rows = _cleared([[p]])
+    assert den == 1
+    return rows[0][0]
+
+
 def test_exact_division():
+    # the elimination's integer quotient: exact, or InternalError
     x, y = x_(), y_()
     num = (x + y) * (x * x - 2 * y)
-    assert num.exact_div(x + y) == x * x - 2 * y
+    assert _quo(int_terms(num), int_terms(x + y)) == int_terms(x * x - 2 * y)
+    with pytest.raises(InternalError):  # a remainder y: a negative exponent
+        _quo(int_terms(num + y), int_terms(x + y))
+    with pytest.raises(InternalError):  # 2x / 3x is not integral
+        _quo(int_terms(2 * x), int_terms(3 * x))
 
 
 def test_poly_det_diagonal_and_antidiagonal():
@@ -244,3 +266,114 @@ def test_poly_det_rejects_non_square():
     x, y = x_(), y_()
     with pytest.raises(ShapeError):
         poly_det([[x, y]])
+
+
+def rational_linear_matrix(rng, nrows, ncols, variables, zero_share=0.3):
+    """Linear forms whose coefficients have denominators 1, 2, 3, 5 and 7."""
+    rows = []
+    for _ in range(nrows):
+        row = []
+        for _ in range(ncols):
+            if rng.random() < zero_share:
+                row.append(Poly.zero(variables))
+            else:
+                coeffs = [Rat(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7))) for _ in variables]
+                row.append(Poly.linear(variables, coeffs))
+        rows.append(row)
+    return rows
+
+
+def rational_eval_ranks(entries, detail):
+    """The rank of the matrix at each prime point of detail, evaluated in Rat
+    and ranked by the rational reference."""
+    ncols = len(entries[0])
+    ranks = []
+    for primes in detail.prime_samples:
+        point = [Rat(p) for p in primes]
+        ranks.append(rank_kernel([[p.eval(point) for p in row] for row in entries], ncols)[0])
+    return tuple(ranks)
+
+
+def test_integer_elimination_matches_leibniz_with_denominators():
+    # the elimination clears the common denominator D and divides det by
+    # D^s once: compare with the permutation expansion in Rat
+    rng = random.Random(61)
+    variables = ("a", "b", "c")
+    dens = set()
+    for size in range(1, 6):
+        for trial in range(8):
+            entries = rational_linear_matrix(rng, size, size, variables)
+            if size >= 2 and trial % 4 == 3:
+                entries = make_rank_deficient(rng, entries)
+            dens.update(c.denominator for row in entries for p in row for c in p.terms.values())
+            expected = leibniz_det(entries)
+            rank, det = _eliminate(entries)
+            assert det == expected
+            assert (rank == size) == (not expected.is_zero())
+            detail = generic_rank_detail(entries, seed=trial)
+            assert (detail.rank, detail.det) == (rank, expected)
+            assert detail.eval_ranks == rational_eval_ranks(entries, detail)
+    assert {2, 3, 5, 7} <= dens
+
+
+def test_integer_elimination_rank_on_rational_rectangular_matrices():
+    rng = random.Random(67)
+    variables = ("a", "b", "c")
+    for nrows, ncols in [(1, 3), (2, 4), (3, 2), (4, 3), (3, 5), (5, 4)]:
+        for trial in range(4):
+            entries = rational_linear_matrix(rng, nrows, ncols, variables, zero_share=0.4)
+            if trial % 2 and nrows >= 2:
+                entries[-1] = [p * Rat(3, 7) for p in entries[0]]  # repeated row
+            detail = generic_rank_detail(entries, seed=trial)
+            assert detail.det is None
+            assert detail.eval_ranks == rational_eval_ranks(entries, detail)
+            assert detail.rank == max(detail.eval_ranks) == _eliminate(entries)[0]
+
+
+def test_integer_elimination_row_swap_sign():
+    # the rightmost column's first nonzero entry is not in the first row,
+    # so the elimination swaps rows; its sign must reach the determinant
+    a, b = x_(), y_()
+    zero = Poly.zero(V2)
+    half = Poly.const(V2, Rat(1, 2))
+    cases = [
+        [[a, zero], [b, a]],
+        [[a * half, b, zero], [b, a, a], [a + b, b, a * half]],
+        [[b, a, zero], [a, zero, zero], [zero, b, a]],
+        [[zero, a, zero], [a, b, zero], [b, a, b * half]],
+    ]
+    for entries in cases:
+        assert entries[0][-1].is_zero()
+        expected = leibniz_det(entries)
+        assert not expected.is_zero()
+        assert poly_det(entries) == expected
+    assert poly_det(cases[0]) == a * a
+
+
+def test_integer_elimination_of_zero_variable_constants():
+    rng = random.Random(71)
+    for size in range(1, 6):
+        for trial in range(6):
+            entries = [
+                [Poly.const((), Rat(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))))
+                 for _ in range(size)]
+                for _ in range(size)
+            ]
+            if size >= 2 and trial % 3 == 0:
+                entries[-1] = [p * Rat(-5, 3) for p in entries[0]]
+            expected = leibniz_det(entries)
+            rank, det = _eliminate(entries)
+            assert det == expected and det.variables == ()
+            assert rank == rank_kernel([[p.eval(()) for p in row] for row in entries], size)[0]
+
+
+def test_prime_evaluation_reads_each_variable_at_its_own_prime():
+    # p1 t0 - p0 t1 vanishes at the first prime point (p0, p1) and nowhere
+    # else it is evaluated; a point with its primes permuted would not see it
+    probe = generic_rank_detail([[Poly.linear(V2, [1, 1])]], seed=3)
+    p0, p1 = probe.prime_samples[0]
+    entries = [[Poly.linear(V2, [p1, -p0])]]
+    detail = generic_rank_detail(entries, seed=3)
+    assert detail.prime_samples == probe.prime_samples
+    assert detail.eval_ranks == rational_eval_ranks(entries, detail)
+    assert detail.eval_ranks[0] == 0 and detail.rank == 1

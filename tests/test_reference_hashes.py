@@ -28,7 +28,9 @@ REFERENCE_FILE = Path(__file__).resolve().parent.parent / "bench" / "reference_h
 # (family, matrix size, partition): sp(6) principal; so(7) with a violated
 # hypothesis; so(8) with duplicated exponents, at index 0 and index 1; sl(7);
 # the minimal orbits of sl(7) and so(8), whose centralizers (dim 36 and 18)
-# are the largest the center and normalizer see.
+# are the largest the center and normalizer see; the principal orbits of
+# sl(9) and sl(10), whose 8 x 8 and 9 x 9 bracket matrices are the largest
+# determinants the elimination meets.
 ORBITS = [
     ("C", 6, (6,)),
     ("B", 7, (3, 3, 1)),
@@ -37,6 +39,8 @@ ORBITS = [
     ("A", 7, (4, 3)),
     ("A", 7, (2, 1, 1, 1, 1, 1)),
     ("D", 8, (2, 2, 1, 1, 1, 1)),
+    ("A", 9, (9,)),
+    ("A", 10, (10,)),
 ]
 
 
