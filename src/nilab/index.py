@@ -28,7 +28,12 @@ on the so(2r) orbits (2r-3, 3), r = 4..7, ind is 1 while
 ind eta = rank g - dim delta.  The same
 brackets are audited against the convolution gradients: [y_i, z_j] is an
 exact multiple of grad B(Q_i, Q_j)(e), whose delta coordinates are the
-alpha coefficients reported per pair.
+alpha coefficients reported per pair.  Its derivatives dQ_i(e).z_j need no
+expansion along z_j for the trace powers: z_j commutes with e (checked), so
+they are multiples of e^(m_i-1) z_j, one walk of products with e per
+direction.  normalizer-span and the index reuse what is already held: the
+remainders of the y_j modulo z, and one cleared copy of A, eliminated
+lazily (poly._eliminate).
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ from .algebras import (
     AlgebraRealization,
     Element,
     Subspace,
+    _commutator_entries,
     _family_rank_for_size,
+    _nonzero,
     _weights,
     bracket,
     build_algebra,
@@ -56,8 +63,8 @@ from .errors import (
     NilabError,
     PartitionError,
 )
-from .invariants import _line_table, generators
-from .linalg import echelon_rows, inverse, mat_vec
+from .invariants import _gradient_factor, _line_table, _read_gradient, generators
+from .linalg import _int_maps, _sparse_elimination, echelon_rows, inverse, mat_vec
 from .poly import Poly, generic_rank_detail, poly_det
 from .reports import CheckReport
 from .triples import (
@@ -103,18 +110,43 @@ class PairData:
         return inverse([list(row) for row in zip(*z_cols)])
 
     def derivative(self, i: int, j: int) -> Element:
-        """dQ_i(e).z_j, i and j 1-based positions in the selected family.
+        """dQ_i(e).z_j, i and j 1-based positions in the selected family,
+        kept per direction z_j for every i.
 
-        One packed chain along z_j gives this derivative for every i, and
-        it is kept per direction, so all pairs take s expansions, not s^2.
+        For the trace kind Q_i(x) = (deg_i / form_scale) proj(x^m_i), so
+        dQ_i(e).z = (deg_i / form_scale) proj(sum_a e^a z e^(m_i-1-a)), and
+        for z commuting with e the sum is m_i e^(m_i-1) z.  z_j lies in
+        delta, inside the centralizer of e, but the integer rows are checked
+        to commute (IdentityError naming j otherwise), so the formula never
+        rests on delta being right.  One walk W_0 = Z_j, W_k = E W_(k-1) on
+        sparse rows then gives every trace-kind d_ij, read off W_(m_i-1) at
+        den d_e^(m_i-1) d_z (_read_gradient).  D's Pfaffian generator takes
+        one packed expansion along z_j (_line_table), for itself alone.
         """
         row = self._derivatives.get(j)
         if row is None:
-            table = _line_table(
-                self.algebra, self.selected_indices, self.triplet.e, self.z_vec[j - 1], None,
-                [(0, 1)],
-            )
-            row = self._derivatives[j] = tuple(table[k][(0, 1)] for k in self.selected_indices)
+            alg = self.algebra
+            e, zj = self.triplet.e, self.z_vec[j - 1]
+            n = alg.matrix_size_N
+            es, walk = e._sparse_form(), [zj._sparse_form()]
+            if _commutator_entries(es, walk[0], n):
+                raise IdentityError(f"z_{j} does not commute with e")
+            row = []
+            for k in self.selected_indices:
+                gen = generators(alg)[k - 1]
+                m = gen.exponent
+                if gen.kind != "trace":
+                    row.append(_line_table(alg, (k,), e, zj, None, [(0, 1)])[k][(0, 1)])
+                    continue
+                while len(walk) < m:
+                    walk.append(_product_rows(es, walk[-1]))
+                rows = [[0] * n for _ in range(n)]
+                for a, line in walk[m - 1].items():
+                    for b, v in line:
+                        rows[a][b] = v
+                factor = _gradient_factor(alg, gen) * m
+                row.append(_read_gradient(alg, rows, e.den ** (m - 1) * zj.den, factor))
+            row = self._derivatives[j] = tuple(row)
         return row[i - 1]
 
     def bracket(self, i: int, j: int) -> Element:
@@ -137,6 +169,21 @@ class PairData:
             raise HypothesisViolation(
                 "duplicated exponents: distinct-exponent conclusions do not apply"
             )
+
+
+def _product_rows(a, b):
+    """ab as sparse rows (see algebras._sparse_rows), for integer matrices
+    a and b given as sparse rows; only nonzero entries are multiplied."""
+    out = {}
+    for i, ai in a.items():
+        line = {}
+        for t, v in ai:
+            for c, w in b.get(t, ()):
+                line[c] = line.get(c, 0) + v * w
+        line = [(c, v) for c, v in line.items() if v]
+        if line:
+            out[i] = line
+    return out
 
 
 def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
@@ -194,30 +241,41 @@ def normalizer_decomposition_check(pd: PairData) -> CheckReport:
     outside z and together with z fill eta, whose dimension is
     dim z + dim delta; and the h-weights of y_j and z_j, read off the
     weights of the basis (_has_weight), with no bracket with h.
+
+    normalizer-span, span(z + {y_j}) = eta, is decided without stacking
+    the dim z + s rows: it holds exactly when z lies in eta, every y_j lies
+    in eta, and dim z + rank{y_j mod z} = dim eta.  The remainders of the
+    y_j modulo z are those of zcent._reduce, which also decide
+    outside-centralizer, and their rank is one sparse elimination.
     """
     pd.require_hypothesis()
     alg = pd.algebra
     e, f = pd.triplet.e, pd.triplet.f
     weights = _weights(pd.triplet.h)
     report = CheckReport(f"{alg.name} normalizer decomposition")
+    rests, in_eta = [], []
     for k, (j, m, zj, yj) in enumerate(
         zip(pd.selected_indices, pd.pair_exponents, pd.z_vec, pd.y_vec), start=1
     ):
+        rests.append(pd.zcent._reduce(_nonzero(yj.num))[1])
+        in_eta.append(pd.eta.contains(yj))
         report.add(f"e-bracket[{k}]", bracket(e, yj) == zj.scale(-2 * m))
         report.add(f"f-bracket[{k}]", bracket(f, zj) == -yj)
-        report.add(f"outside-centralizer[{k}]", not pd.zcent.contains(yj))
+        report.add(f"outside-centralizer[{k}]", bool(rests[-1]))
         report.add(f"h-weight-y[{k}]", _has_weight(weights, yj, 2 * (m - 1)))
         report.add(f"h-weight-z[{k}]", _has_weight(weights, zj, 2 * m))
-        report.add(f"in-normalizer[{k}]", pd.eta.contains(yj))
+        report.add(f"in-normalizer[{k}]", in_eta[-1])
     report.add(
         "normalizer-dim",
         pd.eta.dim == pd.zcent.dim + pd.delta.dim,
         f"dim eta {pd.eta.dim}, dim z {pd.zcent.dim}, dim delta {pd.delta.dim}",
     )
-    combined = Subspace.from_coord_rows(
-        alg, list(pd.zcent.num_rows) + [y.num for y in pd.y_vec]
+    report.add(
+        "normalizer-span",
+        all(in_eta)
+        and pd.zcent.dim + len(_sparse_elimination(_int_maps(rests, alg.dim))) == pd.eta.dim
+        and not any(pd.eta._reduce(_nonzero(row))[1] for row in pd.zcent.num_rows),
     )
-    report.add("normalizer-span", combined.same_space(pd.eta))
     if not report.passed:
         raise IdentityError("; ".join(item.name for item in report.failures()))
     return report

@@ -218,27 +218,37 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
                     matrix[b][n - 1 - a] = c
                     matrix[a][n - 1 - b] = -c
         lifted = [[v + offset if v else 0 for v in line] for line in matrix]
-        # P is degree / form_scale (trace kind) or 1 / (2 form_scale) times
-        # the matrix; the factor is folded into the one checked read-off,
-        # which raises ContractError if the matrix is not in g
-        factor = (Rat(gen.degree) if gen.kind == "trace" else Rat(1, 2)) / alg.form_scale
+        factor = _gradient_factor(alg, gen)
         out = table[gen.index_j] = {}
         for a, b, shift in keys:
             if a + b > m:
                 out[(a, b)] = alg.zero()
                 continue
             rows = [[((w >> shift) & mask) - half if w else 0 for w in line] for line in lifted]
-            den = dx ** (m - a - b) * dy**b * du**a
-            # project onto g along the trace form: odd powers of so/sp
-            # elements and the Pfaffian's M already lie in g; for sl(n)
-            # subtract the trace part, (n rows - tr I) / (n den)
-            tr = sum(rows[i][i] for i in range(n)) if alg.family == "A" else 0
-            if tr:
-                rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
-                        for i, line in enumerate(rows)]
-                den *= n
-            out[(a, b)] = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
+            out[(a, b)] = _read_gradient(alg, rows, dx ** (m - a - b) * dy**b * du**a, factor)
     return table
+
+
+def _gradient_factor(alg: AlgebraRealization, gen: InvariantGenerator):
+    """P is this factor times the generator's matrix projected onto g:
+    degree / form_scale (trace kind) or 1 / (2 form_scale)."""
+    return (Rat(gen.degree) if gen.kind == "trace" else Rat(1, 2)) / alg.form_scale
+
+
+def _read_gradient(alg: AlgebraRealization, rows, den, factor):
+    """factor times the projection onto g, along the trace form, of the
+    matrix rows / den (integer rows, den != 0).  Odd powers of so/sp
+    elements, e^(2k) z for z in so/sp commuting with e, and the Pfaffian's
+    M already lie in g; for sl(n) the trace part is subtracted,
+    (n rows - tr I) / (n den).  The factor is folded into the one checked
+    read-off, which raises ContractError if the matrix is not in g."""
+    n = alg.matrix_size_N
+    tr = sum(rows[i][i] for i in range(n)) if alg.family == "A" else 0
+    if tr:
+        rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
+                for i, line in enumerate(rows)]
+        den *= n
+    return alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
 
 
 def _line_terms(alg: AlgebraRealization, j: int, x: Element, y, u, wanted):

@@ -259,32 +259,40 @@ def _quo(a, b):
     return out
 
 
-def _eliminate(entries):
+def _eliminate(den, a, variables):
     """Rank and, for a square matrix, determinant by one fraction-free
     (Bareiss) elimination over the polynomial ring.
 
-    The matrix is cleared of its common denominator D once (_cleared) and
-    eliminated as integer term maps.  Pivot columns are scanned right to
-    left, and the pivot in a column is the first remaining row with a
-    nonzero entry there.  After k pivots every remaining entry is a
-    (k+1)-minor of the cleared matrix (Sylvester's identity), so each
-    division by the previous pivot is exact in Z[t] (_quo); a column with
-    no pivot is zero below the pivot rows and is skipped.  A square matrix
-    has full rank exactly when every column yields a pivot, and then the
-    last pivot is the determinant of the column-reversed cleared matrix up
-    to the sign of the row swaps; reversing s columns contributes
+    a is the matrix cleared of its common denominator D (_cleared), as
+    integer term maps over variables; it is eliminated in place.  Pivot
+    columns are scanned right to left, and the pivot p_k of step k is the
+    first remaining row with a nonzero entry there.  Bareiss's step takes
+    each row below to (p_k row - f pivot row) / p_(k-1), f its entry in the
+    pivot column, p_0 = 1; after k steps every remaining entry is a
+    (k+1)-minor of the cleared matrix (Sylvester's identity).  A row with
+    f = 0 would only be scaled by p_k / p_(k-1), so it is left as it is and
+    keeps the index k' of the last pivot it was brought to: at step k it
+    stands for itself times p_(k-1) / p_k'.  With f != 0 it takes the step
+    divided by p_k' instead of p_(k-1), the factors cancelling; becoming
+    the pivot row, each entry is multiplied by p_(k-1) and divided by p_k'.
+    Either way the result is a minor, so each division is exact in Z[t]
+    (_quo).  A row swap carries the index with it; zero entries stay zero,
+    so the pivots are those of the eager elimination.  A column with no
+    pivot is zero below the pivot rows and is skipped.  A square matrix has
+    full rank exactly when every column yields a pivot, and then the last
+    pivot is the determinant of the column-reversed cleared matrix up to
+    the sign of the row swaps; reversing s columns contributes
     (-1)^(s(s-1)/2), and the determinant of the input is that over D^s.
-    This holds for any matrix; for a pseudo-triangular one (zero below the
-    antidiagonal) the scan meets the antidiagonal first, no row swap
-    happens and nothing fills in.
+    This holds for any matrix; on a pseudo-triangular one (zero below the
+    antidiagonal) no row swap happens and no row below a pivot is touched:
+    each pivot row is only brought up to date, by one product per entry.
 
     Returns (rank, det), with det None when the matrix is not square.
     """
-    nrows, ncols, variables = _check_rect(entries)
-    den, a = _cleared(entries)
+    nrows, ncols = len(a), len(a[0])
     sign = 1
-    prev = None
-    pivot = None
+    pivots = [None]  # pivots[k] = p_k; None stands for p_0 = 1
+    since = [0] * nrows  # row i was last brought to p_since[i]
     r = 0
     for c in range(ncols - 1, -1, -1):
         if r == nrows:
@@ -294,17 +302,29 @@ def _eliminate(entries):
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
+            since[r], since[p] = since[p], since[r]
             sign = -sign
         pivot_row = a[r]
+        k = since[r]
+        if k != len(pivots) - 1:
+            last, stale = pivots[-1], pivots[k]
+            for j in range(c + 1):
+                if pivot_row[j]:
+                    v = _mul(pivot_row[j], last)
+                    pivot_row[j] = v if stale is None else _quo(v, stale)
         pivot = pivot_row[c]
         for i in range(r + 1, nrows):
             row = a[i]
             f = row[c]
+            if not f:
+                continue
+            stale = pivots[since[i]]
             for j in range(c):
                 num = _sub(_mul(row[j], pivot), _mul(f, pivot_row[j]))
-                row[j] = num if prev is None else _quo(num, prev)
+                row[j] = num if stale is None else _quo(num, stale)
             row[c] = {}
-        prev = pivot
+            since[i] = len(pivots)
+        pivots.append(pivot)
         r += 1
     if nrows != ncols:
         return r, None
@@ -313,17 +333,17 @@ def _eliminate(entries):
     if (nrows * (nrows - 1) // 2) % 2:
         sign = -sign
     scale = den**nrows
-    return r, Poly(variables, {e: Rat(sign * v, scale) for e, v in pivot.items()})
+    return r, Poly(variables, {e: Rat(sign * v, scale) for e, v in pivots[-1].items()})
 
 
 def poly_det(entries) -> Poly:
     """Exact determinant of a square matrix of polynomials, from the one
     right-to-left fraction-free elimination that also gives the rank
     (see _eliminate)."""
-    n, ncols, _ = _check_rect(entries)
+    n, ncols, variables = _check_rect(entries)
     if n != ncols:
         raise ShapeError("determinant of a non-square matrix")
-    return _eliminate(entries)[1]
+    return _eliminate(*_cleared(entries), variables)[1]
 
 
 @dataclass(frozen=True)
@@ -344,9 +364,10 @@ def generic_rank_detail(entries, *, seed: int = 0) -> GenericRankResult:
     the determinant of a square matrix; the rank is then cross-checked by
     evaluating the variables at _RANK_CHECK_SAMPLES seeded tuples of
     distinct primes and taking the max evaluated rank; disagreement with
-    the symbolic result raises InternalError.  The evaluated matrices are
-    the integer forms of the matrix cleared of its denominators (_cleared),
-    which have the same rank at every point.  The primes are drawn from
+    the symbolic result raises InternalError.  The matrix is cleared of its
+    denominators once (_cleared): the prime points are evaluated on those
+    integer forms, which have the same rank at every point, and then the
+    elimination runs on them in place.  The primes are drawn from
     _PRIMES for up to 50 variables and from the primes below
     _LARGE_PRIME_BOUND beyond that.
     """
@@ -355,8 +376,7 @@ def generic_rank_detail(entries, *, seed: int = 0) -> GenericRankResult:
         for p in row:
             if not p.is_linear_form():
                 raise ContractError("generic_rank_detail requires linear-form entries")
-    symbolic, det = _eliminate(entries)
-    _, forms = _cleared(entries)
+    den, forms = _cleared(entries)
     nvars = max(1, len(variables))
     pool = _PRIMES if nvars <= len(_PRIMES) else _primes_below(_LARGE_PRIME_BOUND)
     if nvars > len(pool):
@@ -373,6 +393,7 @@ def generic_rank_detail(entries, *, seed: int = 0) -> GenericRankResult:
         rank = len(echelon_rows(values, ncols)[0])
         prime_samples.append(primes)
         eval_ranks.append(rank)
+    symbolic, det = _eliminate(den, forms, variables)
     if max(eval_ranks) != symbolic:
         raise InternalError(
             f"generic rank cross-check mismatch: symbolic {symbolic}, "

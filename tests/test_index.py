@@ -249,9 +249,11 @@ def test_convolution_observed_is_twice_reference():
                     assert conv.c_observed == 2 * conv.c_reference
 
 
-def test_convolution_entries_take_one_packed_expansion_per_direction(monkeypatch):
-    # d_ij = dQ_i(e).z_j for every i comes off one packed chain along z_j,
-    # so an orbit with s selected gradients takes s expansions, not s^2
+def test_convolution_derivatives_walk_the_powers_of_e_and_expand_only_the_pfaffian(monkeypatch):
+    # z_j commutes with e, so d_ij = dQ_i(e).z_j = m_i e^(m_i-1) z_j for the
+    # trace kind, read off one walk of products with e per direction: A and C
+    # take no packed expansion, and D takes one per direction z_j, for the
+    # Pfaffian generator alone
     import nilab.index as index_module
 
     calls = []
@@ -268,12 +270,53 @@ def test_convolution_entries_take_one_packed_expansion_per_direction(monkeypatch
         entries = list(index_module.convolution_entries(pd))
         monkeypatch.undo()
         assert len(entries) == pd.s * (pd.s + 1) // 2
-        assert pd.s >= 2 and len(calls) == pd.s
-        assert sorted(pd.z_vec.index(args[3]) for args in calls) == list(range(pd.s))
+        assert pd.s >= 2
+        pfaffians = [g.index_j for g in generators(alg) if g.kind == "pfaffian"]
+        if family == "D":
+            assert pfaffians[0] in pd.selected_indices
+            assert [tuple(args[1]) for args in calls] == [tuple(pfaffians)] * pd.s
+            assert sorted(pd.z_vec.index(args[3]) for args in calls) == list(range(pd.s))
+        else:
+            assert not pfaffians and calls == []
         e = pd.triplet.e
         for i, ji in enumerate(pd.selected_indices, start=1):
             for j, zj in enumerate(pd.z_vec, start=1):
                 assert pd.derivative(i, j) == gradient_derivative(alg, ji, e, zj)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
+def test_convolution_derivatives_match_the_line_expansion_on_every_orbit(family, rank):
+    # every pair of every orbit that satisfies the hypothesis, against the
+    # first derivative of the packed line expansion
+    alg = build_algebra(family, rank)
+    orbits = 0
+    for partition in valid_partitions(alg):
+        if all(p == 1 for p in partition.parts):
+            continue
+        pd = build_pair_data(alg, triple_from_partition(alg, partition))
+        if not pd.hypothesis_ok:
+            continue
+        e = pd.triplet.e
+        for i, ji in enumerate(pd.selected_indices, start=1):
+            for j, zj in enumerate(pd.z_vec, start=1):
+                expected = gradient_derivative(alg, ji, e, zj)
+                assert pd.derivative(i, j) == expected, (partition, i, j)
+        orbits += 1
+    assert orbits >= 3
+
+
+def test_convolution_derivative_refuses_a_direction_that_does_not_commute_with_e():
+    # the power-walk formula needs [e, z_j] = 0; y_1 does not commute with e
+    # ([e, y_1] = -2 m_1 z_1), so a z_2 moved by it must be refused by name
+    _, pd = pair_data_for("A", 3, (4,))
+    zs = list(pd.z_vec)
+    zs[1] = zs[1] + pd.y_vec[0]
+    bad = replace(pd, z_vec=tuple(zs))
+    with pytest.raises(IdentityError, match="z_2 does not commute with e"):
+        bad.derivative(1, 2)
+    with pytest.raises(IdentityError, match="z_2 does not commute with e"):
+        convolution_at(bad, 1, 2)
+    assert bad.derivative(3, 1) == pd.derivative(3, 1)
 
 
 def test_bracket_matrix_and_convolution_audit_share_one_bracket_per_pair(monkeypatch):
@@ -423,9 +466,9 @@ def test_analyze_orbit_computes_one_determinant(monkeypatch):
     calls = []
     real_eliminate = poly_module._eliminate
 
-    def counting_eliminate(entries):
-        calls.append(len(entries))
-        return real_eliminate(entries)
+    def counting_eliminate(den, a, variables):
+        calls.append(len(a))
+        return real_eliminate(den, a, variables)
 
     monkeypatch.setattr(poly_module, "_eliminate", counting_eliminate)
     alg = build_algebra("A", 3)
@@ -778,6 +821,71 @@ def test_normalizer_check_catches_a_component_of_another_weight():
         zs[k] = zs[k] + other_weight(alg, weights, 2 * m)
         bad = replace(pd, z_vec=tuple(zs))
         assert f"h-weight-z[{k + 1}]" in failed_names(normalizer_decomposition_check, bad)
+
+
+def stacked_span(pd, eta):
+    """The stacked definition of normalizer-span: the echelon rows of
+    z + span{y_j} against those of eta."""
+    rows = list(pd.zcent.num_rows) + [y.num for y in pd.y_vec]
+    return Subspace.from_coord_rows(pd.algebra, rows).same_space(eta)
+
+
+def test_normalizer_span_fails_when_any_of_its_three_facts_fails():
+    # span(z + {y_j}) = eta exactly when z lies in eta, every y_j lies in
+    # eta, and dim z + rank{y_j mod z} = dim eta: break each in turn
+    alg, pd = pair_data_for("A", 4, (3, 2))
+    assert pd.hypothesis_ok and pd.s >= 2 and pd.zcent.dim > pd.s
+    assert normalizer_decomposition_check(pd).passed and stacked_span(pd, pd.eta)
+    outside = next(x for x in (alg.basis_element(k) for k in range(alg.dim))
+                   if not pd.eta.contains(x))
+    z_row = pd.zcent.num_rows[-1]
+
+    # y_2 -> y_1 + a row of z: still in eta and outside z, but its
+    # remainder modulo z is that of y_1
+    ys = list(pd.y_vec)
+    ys[1] = ys[0] + pd.zcent.basis[-1]
+    bad = replace(pd, y_vec=tuple(ys))
+    names = failed_names(normalizer_decomposition_check, bad)
+    assert "normalizer-span" in names
+    assert not {"in-normalizer[2]", "outside-centralizer[2]", "normalizer-dim"} & set(names)
+    assert not stacked_span(bad, bad.eta)
+
+    # an eta of the right dimension, holding every y_j, missing one row of z
+    rows = [r for r in pd.zcent.num_rows if r != z_row] + [y.num for y in pd.y_vec]
+    bad = replace(pd, eta=Subspace.from_coord_rows(alg, rows + [outside.num]))
+    assert bad.eta.dim == pd.eta.dim and all(bad.eta.contains(y) for y in pd.y_vec)
+    assert failed_names(normalizer_decomposition_check, bad) == ["normalizer-span"]
+    assert not stacked_span(bad, bad.eta)
+
+    # an eta with one extra row
+    bad = replace(pd, eta=Subspace.from_coord_rows(alg, list(pd.eta.num_rows) + [outside.num]))
+    assert failed_names(normalizer_decomposition_check, bad) == [
+        "normalizer-dim",
+        "normalizer-span",
+    ]
+    assert not stacked_span(bad, bad.eta)
+
+
+def test_index_pair_clears_the_bracket_matrix_once(monkeypatch):
+    # the elimination and the prime evaluations read the same integer forms
+    import nilab.poly as poly_module
+
+    calls = []
+    real = poly_module._cleared
+
+    def counting(entries):
+        calls.append(len(entries))
+        return real(entries)
+
+    for family, rank, parts in [("A", 3, (4,)), ("C", 3, (6,)), ("D", 4, (5, 3))]:
+        _, pd = pair_data_for(family, rank, parts)
+        a = bracket_matrix(pd)
+        monkeypatch.setattr(poly_module, "_cleared", counting)
+        calls.clear()
+        idx = index_pair(pd, a)
+        monkeypatch.undo()
+        assert calls == [pd.s]
+        assert idx.rank == max(idx.eval_ranks)
 
 
 def test_structure_checks_catch_an_entry_of_another_weight():

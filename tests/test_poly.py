@@ -155,6 +155,11 @@ def test_generic_rank_detail_beyond_fifty_variables():
         generic_rank_detail([[Poly.linear(too_many, [1] * len(too_many))]])
 
 
+def eliminate(entries):
+    """(rank, det) of the one elimination, on the cleared matrix."""
+    return _eliminate(*_cleared(entries), entries[0][0].variables)
+
+
 def leibniz_det(entries):
     """Independent determinant oracle: the permutation expansion."""
     n = len(entries)
@@ -200,17 +205,18 @@ def make_rank_deficient(rng, entries):
 
 
 def test_elimination_det_matches_leibniz_on_linear_forms():
+    # at half zeros most steps leave some rows below the pivot untouched
     rng = random.Random(41)
     variables = ("a", "b", "c")
     deficient = 0
-    for size in range(1, 6):
+    for size, zero_share in [(size, share) for share in (0.3, 0.5) for size in range(1, 6)]:
         for trial in range(12):
-            entries = random_linear_matrix(rng, size, size, variables)
+            entries = random_linear_matrix(rng, size, size, variables, zero_share)
             if size >= 2 and trial % 3 == 0:
                 entries = make_rank_deficient(rng, entries)
             expected = leibniz_det(entries)
             assert poly_det(entries) == expected
-            rank, det = _eliminate(entries)
+            rank, det = eliminate(entries)
             assert det == expected
             assert (rank == size) == (not expected.is_zero())
             if rank < size:
@@ -239,6 +245,95 @@ def test_elimination_det_of_pseudo_triangular_matrix():
             assert leibniz_det(entries) == product
 
 
+def test_lazy_elimination_touches_no_row_below_a_pseudo_triangular_pivot(monkeypatch):
+    # every row below the pivot is zero in the pivot column, so no row is
+    # updated: each pivot row is only brought up to date when it is reached.
+    # It was never touched, so that is one product per entry, by the last
+    # pivot, and no division
+    import nilab.poly as poly_module
+
+    counts = {"mul": 0, "quo": 0}
+    real_mul, real_quo = poly_module._mul, poly_module._quo
+
+    def mul(a, b):
+        counts["mul"] += 1
+        return real_mul(a, b)
+
+    def quo(a, b):
+        counts["quo"] += 1
+        return real_quo(a, b)
+
+    monkeypatch.setattr(poly_module, "_mul", mul)
+    monkeypatch.setattr(poly_module, "_quo", quo)
+    rng = random.Random(7)
+    variables = ("a", "b")
+    for size in range(1, 7):
+        entries = [
+            [Poly.linear(variables, [rng.randint(1, 3), rng.randint(1, 3)])
+             if i + j <= size - 1 else Poly.zero(variables) for j in range(size)]
+            for i in range(size)
+        ]
+        counts.update(mul=0, quo=0)
+        rank, det = eliminate(entries)
+        assert (counts["mul"], counts["quo"]) == (size * (size - 1) // 2, 0)
+        product = Poly.const(variables, -1 if (size * (size - 1) // 2) % 2 else 1)
+        for i in range(size):
+            product = product * entries[i][size - 1 - i]
+        assert rank == size and det == product
+
+
+def test_lazy_elimination_catches_up_stale_rows_swapped_into_the_pivot_row():
+    # columns are read right to left, and a row is left at the last pivot it
+    # was brought to while its entry in the pivot column is zero
+    a, b = x_(), y_()
+    zero = Poly.zero(V2)
+    # row 1 is brought to the first pivot and row 2 to the second; row 3
+    # stays at the start for three pivots.  At the third pivot row 2 is zero
+    # in the column and the stale row 3 is swapped in; at the fourth the
+    # stale row 4 has an entry there and takes the step at once
+    entries = [
+        [a, b, zero, a, b],
+        [b, a, zero, b, a],
+        [a + b, a, zero, a - b, zero],
+        [b, a + b, a, zero, zero],
+        [a - b, b, b, zero, zero],
+    ]
+    expected = leibniz_det(entries)
+    assert not expected.is_zero()
+    assert eliminate(entries) == (5, expected)
+    assert poly_det(entries) == expected
+    # the same rows in other orders, and with a column of zeros
+    for perm in [(2, 0, 3, 1, 4), (3, 4, 2, 1, 0), (4, 3, 0, 2, 1)]:
+        rows = [entries[i] for i in perm]
+        assert eliminate(rows) == (5, leibniz_det(rows))
+    rows = [[zero if j == 1 else p for j, p in enumerate(row)] for row in entries]
+    assert eliminate(rows) == (4, Poly.zero(V2))
+    # row 2 is brought to the first pivot only; the stale row 3 is swapped
+    # past it at the third, and at the fourth it is swapped once more
+    entries = [
+        [a, a, zero, zero, a],
+        [b, a, a, a, zero],
+        [a, b, zero, zero, b],
+        [a, b, b, zero, zero],
+        [a + b, b, a, b, a - b],
+    ]
+    assert eliminate(entries) == (5, leibniz_det(entries))
+    # singular: rows 0 and 3 agree and row 4 is zero.  Row 2 is brought to
+    # the first pivot, then the stale row 5 is swapped past it, and then it
+    # is swapped into the pivot row past row 3, brought to the second pivot
+    entries = [
+        [zero, zero, zero, zero, b, zero],
+        [zero, zero, a + b, zero, zero, a - b],
+        [zero, zero, zero, zero, zero, b],
+        [zero, zero, zero, zero, b, zero],
+        [zero] * 6,
+        [zero, zero, zero, b, zero, zero],
+    ]
+    assert leibniz_det(entries).is_zero()
+    assert eliminate(entries) == (4, Poly.zero(V2))
+    assert generic_rank_detail(entries).rank == 4
+
+
 def test_elimination_handles_nonlinear_entries():
     x, y = x_(), y_()
     one = Poly.const(V2, 1)
@@ -250,12 +345,14 @@ def test_elimination_rank_on_rectangular_matrices():
     rng = random.Random(43)
     variables = ("a", "b", "c")
     point = [Rat(1009), Rat(1013), Rat(1019)]
-    for nrows, ncols in [(1, 4), (2, 5), (3, 4), (4, 2), (5, 3), (4, 6), (6, 4)]:
+    shapes = [(1, 4, 0.4), (2, 5, 0.4), (3, 4, 0.4), (4, 2, 0.4), (5, 3, 0.4), (4, 6, 0.4),
+              (6, 4, 0.4), (5, 2, 0.6), (7, 4, 0.6)]
+    for nrows, ncols, zero_share in shapes:
         for trial in range(6):
-            entries = random_linear_matrix(rng, nrows, ncols, variables, zero_share=0.4)
+            entries = random_linear_matrix(rng, nrows, ncols, variables, zero_share)
             if trial % 2 and nrows >= 2:
                 entries[-1] = [p * Rat(2) for p in entries[0]]  # repeated row
-            rank, det = _eliminate(entries)
+            rank, det = eliminate(entries)
             assert det is None
             at_point = [[p.eval(point) for p in row] for row in entries]
             assert rank == rank_kernel(at_point, ncols)[0]
@@ -307,7 +404,7 @@ def test_integer_elimination_matches_leibniz_with_denominators():
                 entries = make_rank_deficient(rng, entries)
             dens.update(c.denominator for row in entries for p in row for c in p.terms.values())
             expected = leibniz_det(entries)
-            rank, det = _eliminate(entries)
+            rank, det = eliminate(entries)
             assert det == expected
             assert (rank == size) == (not expected.is_zero())
             detail = generic_rank_detail(entries, seed=trial)
@@ -327,7 +424,7 @@ def test_integer_elimination_rank_on_rational_rectangular_matrices():
             detail = generic_rank_detail(entries, seed=trial)
             assert detail.det is None
             assert detail.eval_ranks == rational_eval_ranks(entries, detail)
-            assert detail.rank == max(detail.eval_ranks) == _eliminate(entries)[0]
+            assert detail.rank == max(detail.eval_ranks) == eliminate(entries)[0]
 
 
 def test_integer_elimination_row_swap_sign():
@@ -362,7 +459,7 @@ def test_integer_elimination_of_zero_variable_constants():
             if size >= 2 and trial % 3 == 0:
                 entries[-1] = [p * Rat(-5, 3) for p in entries[0]]
             expected = leibniz_det(entries)
-            rank, det = _eliminate(entries)
+            rank, det = eliminate(entries)
             assert det == expected and det.variables == ()
             assert rank == rank_kernel([[p.eval(()) for p in row] for row in entries], size)[0]
 

@@ -4,10 +4,10 @@ in bench/reference_hashes.json.
 The benchmark checks every operation against those hashes; this test checks
 a few cheap orbits and the three verify suites, so that a kernel change that
 alters any output fails here too.  The reference file is only read.  The so(6)
-verify suite, the A4 and D4 suites on three samples, the `decompose` output
-and the C10 and D10 `table` sweeps, which no benchmark workload runs, are
-pinned by hashes kept here, and so is the realization of every algebra up to
-rank 9.
+verify suite, the A4 and D4 suites on three samples, the `decompose` output,
+the C10 and D10 `table` sweeps and five orbits past the table cap, which no
+benchmark workload runs, are pinned by hashes kept here, and so is the
+realization of every algebra up to rank 9.
 """
 
 import contextlib
@@ -84,6 +84,26 @@ def test_pfaffian_verify_output_matches_pinned_hash():
     # Pfaffian generator's field identities, ladders and decomposition on so(6)
     expected = "ed11bc3c85f0f6a245247edb8f1f56662f355bb254b28e568f3a5e4c6c939804"
     assert verify_hash("D", 3) == expected
+
+
+# Orbit reports past the table cap, which no benchmark workload or table
+# hash reaches: the orbits of so(12) whose selected family holds the
+# Pfaffian, and the principal orbits of so(9) and so(11).
+ORBIT_HASHES = {
+    ("D", 12, (11, 1)): "1532b42708db00d2bc4de2bce584d48666d9a19b6838fb63b9cd17da71a48338",
+    ("D", 12, (9, 3)): "ae272628d52aa3f8cf5b10bf7b56449d1e365c2e64115f8ac6f9f60592602f10",
+    ("D", 12, (7, 5)): "4442428e5ddcaef954502dd513131c020452d2715e76973e7d2c376c147c85f5",
+    ("B", 9, (9,)): "fc88859af7ac10967b0277aad7fb438665828e13a51916a3c1cad853471a035f",
+    ("B", 11, (11,)): "07b3d3b2b02da34f7694828becb1ac49ab0161e404db9cb37054246a389aa3be",
+}
+
+
+@pytest.mark.parametrize("family,n,parts", sorted(ORBIT_HASHES))
+def test_orbit_report_beyond_the_table_cap_matches_pinned_hash(family, n, parts):
+    alg = build_algebra(family, _family_rank_for_size(family, n))
+    rep = analyze_orbit(alg, Partition(parts), seed=0)
+    text = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ORBIT_HASHES[(family, n, parts)]
 
 
 # The A4 and D4 suites, which no benchmark workload runs, on three samples.
