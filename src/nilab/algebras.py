@@ -1,6 +1,7 @@
 """Split matrix realizations of the classical simple Lie algebras.
 
-Families and realizations (all with integer structure constants):
+Families and realizations (all with integer structure constants, see
+below):
 
   A_r : sl(r+1), traceless matrices.
   B_r : so(2r+1) and D_r : so(2r), cut out by x^T S + S x = 0 with S the
@@ -27,15 +28,20 @@ The invariant pairing is the defining-representation trace form tr(xy)
 (optionally rescaled); it is a nonzero multiple of the Killing form, with
 the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
-is stored: trace_form multiplies the matrices, and every matrix comes back
-to g through one checked forward substitution: coords_of_rows on dense
-rows (brackets, ad(x) columns, gradients, triples, Ad(exp n)), which reads
+is stored: trace_form multiplies the matrices, walking the nonzero entries
+of the sparse rows each element builds once (_sparse_form), and every
+matrix comes back to g through one checked forward substitution:
+coords_of_rows on dense rows (gradients, triples, Ad(exp n)), which reads
 each coordinate at its pivot and checks only the other positions, and
-_coords_of_entries on the nonzero entries of a commutator for a
-subalgebra's bracket table.  Every product walks the nonzero entries of the
-sparse rows each element builds once (_sparse_form); a commutator comes out
-as dense rows (_commutator_rows) or as its nonzero entries
-(_commutator_entries).
+_coords_of_entries on the nonzero entries of a commutator of two basis
+matrices.
+
+Brackets need neither a matrix nor a read-off.  Each realization keeps one
+table of integer structure constants, [b_i, b_j] = sum_k c_ijk b_k, built
+row by row on first use (_bracket_row; build_algebra builds none), each
+commutator of two basis matrices read back to g once.  bracket, the ad(x)
+columns (_ad_columns) and a subspace's bracket table (_bracket_coords) are
+bilinear sums over the rows of the first factor's nonzero coordinates.
 
 Every matrix, an N x N realization or a dim x dim map such as
 ad_matrix(x), is a list of row lists, the form linalg's dense functions
@@ -171,7 +177,9 @@ class AlgebraRealization:
     """A classical simple Lie algebra as N x N matrices, spanned by integer
     basis matrices.
 
-    Built through build_algebra; immutable afterwards and safe to share.
+    Built through build_algebra; immutable afterwards and safe to share,
+    apart from the rows of its structure constants, which are filled in on
+    first use (_bracket_row) and are the same whichever caller builds them.
     """
 
     def __init__(self, family, rank_r, *, form_scale=ONE):
@@ -230,11 +238,12 @@ class AlgebraRealization:
         # each row in basis order; _chain, (k, the (k', value) of the tail
         # entries of b_k at later pivots p_k'), for the b_k whose tail
         # reaches one; _checks, (i, j, the (k, value) of the tail entries at
-        # (i, j)), for every position (i, j) that is no pivot.  The products
-        # read each basis matrix as sparse rows (_basis_rows).
+        # (i, j)), for every position (i, j) that is no pivot.  The rows of
+        # the structure constants (_rows) start empty; see _bracket_row.
         n = self.matrix_size_N
-        self._basis_rows = [_sparse_rows([1], [entries]) for entries in self._basis_sparse]
         self._full = None
+        self._rows = [None] * self.dim
+        self._by_index = None
         self._pivot_terms = {}
         last = -1
         for k, entries in enumerate(self._basis_sparse):
@@ -300,13 +309,26 @@ class AlgebraRealization:
         A heap yields the positions in ascending order.  Subtracting C_k b_k
         at the pivot p_k changes only later positions, and each one it fills
         in joins the heap, so a position is final when it is popped: at a
-        pivot it is the coordinate, anywhere else it must be zero.
+        pivot it is the coordinate, anywhere else it must be zero.  A matrix
+        of one or two entries that is c b_k, as most commutators of two
+        basis matrices are, is read without the heap.
         """
+        pivot_terms = self._pivot_terms
+        if 0 < len(entries) < 3:
+            p = min(entries)
+            hit = pivot_terms.get(p)
+            if hit is None:
+                return None
+            k, tail = hit
+            c = entries[p]
+            if len(tail) == len(entries) - 1 and (
+                not tail or entries.get(tail[0][0]) == c * tail[0][1]
+            ):
+                return {k: c}
         rest = dict(entries)
         heap = list(rest)
         heapq.heapify(heap)
         coords = {}
-        pivot_terms = self._pivot_terms
         while heap:
             p = heapq.heappop(heap)
             c = rest[p]
@@ -324,6 +346,56 @@ class AlgebraRealization:
                     rest[q] = -c * b
                     heapq.heappush(heap, q)
         return coords
+
+    def _bracket_row(self, i):
+        """Row i of the integer structure constants, {j: ((k, c_ijk), ...)}
+        with [b_i, b_j] = sum_k c_ijk b_k, over the j with a nonzero
+        commutator, k ascending; built on first use and kept in _rows.
+
+        Only a b_j that shares a matrix index with b_i can fail to commute
+        with it, so one walk over the entries (a, t) of b_i, through the
+        basis entries by row and by column, gives every nonzero commutator
+        of row i.  Each is read back to g once per basis pair: a row j
+        already built gives c_ijk = -c_jik, any other commutator goes through
+        the entry read-off, and one outside g raises ContractError.
+        """
+        n = self.matrix_size_N
+        if self._by_index is None:
+            by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
+            for j, entries in enumerate(self._basis_sparse):
+                for r, c, w in entries:
+                    by_row[r].append((j, r * n + c, w))
+                    by_col[c].append((j, r * n + c, w))
+            self._by_index = by_row, by_col
+        by_row, by_col = self._by_index
+        rows = self._rows
+        products, built = {}, set()
+        for a, t, v in self._basis_sparse[i]:
+            # b_i b_j at (a, c) for b_j at (t, c); -b_j b_i at (r, t) for b_j at (r, a)
+            for partners, shift, f in ((by_row[t], (a - t) * n, v), (by_col[a], t - a, -v)):
+                for j, p, w in partners:
+                    if rows[j] is not None:
+                        built.add(j)
+                        continue
+                    entries, q = products.get(j), p + shift
+                    if entries is None:
+                        products[j] = {q: f * w}
+                    else:
+                        entries[q] = entries.get(q, 0) + f * w
+        row = {}
+        for j in built:
+            terms = rows[j].get(i)
+            if terms:
+                row[j] = tuple([(k, -c) for k, c in terms])
+        for j, entries in products.items():
+            entries = {q: v for q, v in entries.items() if v}
+            if entries:
+                coords = self._coords_of_entries(entries)
+                if coords is None:
+                    raise ContractError("commutator of basis matrices does not lie in the algebra")
+                row[j] = tuple(coords.items())
+        rows[i] = row
+        return row
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
@@ -405,8 +477,8 @@ def _zero_int_rows(n):
 
 def _sparse_rows(num, basis):
     """sum_k num_k b_k, for integers num_k and basis matrices b_k given as
-    entries (i, j, v), as sparse rows, the form both commutator products
-    read: {i: [(j, value), ...]} over the nonzero entries, by row."""
+    entries (i, j, v), as sparse rows, the form trace_form and the matrix
+    products read: {i: [(j, value), ...]} over the nonzero entries, by row."""
     rows = {}
     for c, entries in zip(num, basis):
         if c:
@@ -426,45 +498,6 @@ def _clear_denominators(rows):
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
-def _commutator_rows(a, b, n):
-    """ab - ba as dense N x N integer rows, for integer matrices a and b
-    given as sparse rows (see _sparse_rows): the products walk the nonzero
-    entries only, and the rows go to the read-off, coords_of_rows."""
-    out = _zero_int_rows(n)
-    for i, ai in a.items():
-        oi = out[i]
-        for t, v in ai:
-            for j, w in b.get(t, ()):
-                oi[j] += v * w
-    for i, bi in b.items():
-        oi = out[i]
-        for t, v in bi:
-            for j, w in a.get(t, ()):
-                oi[j] -= v * w
-    return out
-
-
-def _commutator_entries(a, b, n):
-    """ab - ba as {i N + j: value} over its nonzero entries, for integer
-    matrices a and b given as sparse rows: the products walk the nonzero
-    entries only, row by row, and no N x N matrix is filled."""
-    out = {}
-    get = out.get
-    for i, ai in a.items():
-        base = i * n
-        for t, v in ai:
-            for j, w in b.get(t, ()):
-                p = base + j
-                out[p] = get(p, 0) + v * w
-    for i, bi in b.items():
-        base = i * n
-        for t, v in bi:
-            for j, w in a.get(t, ()):
-                p = base + j
-                out[p] = get(p, 0) - v * w
-    return {p: v for p, v in out.items() if v}
-
-
 class Element:
     """A vector of the algebra: integer numerators num over one positive
     denominator den, in lowest terms (gcd(den, *num) = 1; den = 1 for the
@@ -474,8 +507,9 @@ class Element:
     comparison and hashing run on these integers; coords, a tuple of Rat,
     is built only when first read.  The N x N matrix is likewise built once,
     when first needed, in integer-scaled form (see int_rows), and so are its
-    sparse rows (_sparse_form), which every product reads.  A membership
-    check reads neither: it reduces num (see Subspace._reduce).
+    sparse rows (_sparse_form), which trace_form reads.  A membership check
+    and a bracket read neither: they work on num (see Subspace._reduce and
+    bracket).
     """
 
     __slots__ = ("algebra", "num", "den", "_coords", "_int", "_sparse")
@@ -519,7 +553,8 @@ class Element:
 
     def _sparse_form(self):
         """R (see int_rows) as sparse rows (see _sparse_rows), what every
-        product reads; built once, on first use, and not to be changed."""
+        matrix product reads; built once, on first use, and not to be
+        changed."""
         if self._sparse is None:
             self._sparse = _sparse_rows(self.num, self.algebra._basis_sparse)
         return self._sparse
@@ -607,11 +642,59 @@ def _same_algebra(x, y):
 
 
 def bracket(x: Element, y: Element) -> Element:
-    """Lie bracket [x, y] = xy - yx, back in basis coordinates."""
+    """Lie bracket [x, y] = xy - yx, in basis coordinates: for x = X / dx
+    and y = Y / dy with integer numerators X and Y, the coordinate k is
+    sum_ij X_i Y_j c_ijk / (dx dy), summed over the rows of the structure
+    constants of x's nonzero coordinates (AlgebraRealization._bracket_row)
+    with no matrix and no read-off."""
     _same_algebra(x, y)
     alg = x.algebra
-    rows = _commutator_rows(x._sparse_form(), y._sparse_form(), alg.matrix_size_N)
-    return alg.coords_of_rows(rows, x.den * y.den)
+    rows = alg._rows
+    b = y.num
+    num = [0] * alg.dim
+    for i, ai in _nonzero(x.num).items():
+        row = rows[i]
+        if row is None:
+            row = alg._bracket_row(i)
+        for j, terms in row.items():
+            bj = b[j]
+            if bj:
+                f = ai * bj
+                for k, c in terms:
+                    num[k] += f * c
+    return _element(alg, num, x.den * y.den)
+
+
+def _bracket_coords(alg, a, b):
+    """The nonzero integer coordinates {k: value}, k ascending, of the
+    bracket sum_ij A_i B_j [b_i, b_j] of integer coordinate vectors A and
+    B, given as their nonzero entries a = {i: A_i} and b = {j: B_j}: the
+    sum of bracket for the sparse vectors of a bracket table.  Each row of
+    a's nonzero coordinates meets b by the shorter walk, over the row's
+    partners j or over b's nonzero j."""
+    acc = {}
+    get = acc.get
+    rows = alg._rows
+    size = len(b)
+    for i, ai in a.items():
+        row = rows[i]
+        if row is None:
+            row = alg._bracket_row(i)
+        if size < len(row):
+            for j, bj in b.items():
+                terms = row.get(j)
+                if terms:
+                    f = ai * bj
+                    for k, c in terms:
+                        acc[k] = get(k, 0) + f * c
+        else:
+            for j, terms in row.items():
+                bj = b.get(j)
+                if bj:
+                    f = ai * bj
+                    for k, c in terms:
+                        acc[k] = get(k, 0) + f * c
+    return {k: acc[k] for k in sorted(acc) if acc[k]} if acc else acc
 
 
 def trace_form(x: Element, y: Element):
@@ -628,16 +711,23 @@ def trace_form(x: Element, y: Element):
 
 @functools.lru_cache(maxsize=1)
 def _ad_columns(x: Element):
-    """The integer columns C_k, as their nonzero entries {q: value}, with
-    [x, basis_k] = C_k / dx for x = R_x / dx: the commutator of R_x and
-    basis_k read through coords_of_rows at den 1, which keeps the raw
-    integers.  One entry is cached: an orbit reads ad(e) once."""
+    """The integer columns C_k, as their nonzero entries {q: value} in
+    ascending q, with [x, basis_k] = C_k / dx for x = X / dx:
+    C_k[q] = sum_i X_i c_ikq over the rows of the structure constants of
+    x's nonzero coordinates.  One entry is cached: an orbit reads ad(e)
+    once."""
     alg = x.algebra
-    n = alg.matrix_size_N
-    a = x._sparse_form()
-    return tuple(
-        _nonzero(alg.coords_of_rows(_commutator_rows(a, b, n)).num) for b in alg._basis_rows
-    )
+    rows = alg._rows
+    columns = [{} for _ in range(alg.dim)]
+    for i, xi in _nonzero(x.num).items():
+        row = rows[i]
+        if row is None:
+            row = alg._bracket_row(i)
+        for j, terms in row.items():
+            col = columns[j]
+            for k, c in terms:
+                col[k] = col.get(k, 0) + xi * c
+    return tuple({q: col[q] for q in sorted(col) if col[q]} for col in columns)
 
 
 def _nonzero(vec):
@@ -670,8 +760,8 @@ class Subspace:
     the one integer reduction _reduce of a coordinate vector, as its
     nonzero entries, modulo the rows.  contains and coords_of reduce an
     element's numerators, _bracket_rows the columns of ad(x), and the
-    bracket table the commutators of basis vectors, once they are read back
-    to g (AlgebraRealization._coords_of_entries).
+    bracket table the coordinates of the brackets of basis vectors, summed
+    over the structure constants (_bracket_coords).
     """
 
     __slots__ = ("algebra", "num_rows", "pivots", "_basis", "_int_brackets", "_reduction")
@@ -775,37 +865,33 @@ class Subspace:
 
     def _brackets(self):
         """The nonzero pairs (t, G_t) of _reduce for [I_a, I_b], the
-        commutator of the integer matrices of basis vectors a < b, as
+        bracket of the integer rows of basis vectors a < b, as
         table[a][b - a - 1]: G_t is the coordinate t of [I_a, I_b],
         I_a = I_a[c_a] b_a the integer row of basis vector a.
 
-        Each unordered pair is multiplied once, as sparse matrices
-        (_commutator_entries), and the table is kept, so the center and the
-        normalizer's closure check share it.  A zero commutator has no
-        coordinates.  Otherwise its nonzero entries are read back to g
-        (_coords_of_entries) and reduced modulo s; a remainder raises
-        ContractError, so building the table checks that s is a subalgebra.
+        Each unordered pair is bracketed once, as a bilinear sum over the
+        structure constants (_bracket_coords), and the table is kept, so the
+        center and the normalizer's closure check share it.  A zero
+        commutator has no coordinates; any other is reduced modulo s, and a
+        remainder raises ContractError, so building the table checks that s
+        is a subalgebra.
         """
         if self._int_brackets is None:
             alg = self.algebra
-            n = alg.matrix_size_N
-            forms = [x._sparse_form() for x in self.basis]
+            vectors = [_nonzero(row) for row in self.num_rows]
             table = []
-            for a, x in enumerate(forms):
-                row = []
-                for y in forms[a + 1 :]:
-                    c = _commutator_entries(x, y, n)
-                    if not c:
-                        row.append(())
+            for a, x in enumerate(vectors):
+                line = []
+                for y in vectors[a + 1 :]:
+                    coords = _bracket_coords(alg, x, y)
+                    if not coords:
+                        line.append(())
                         continue
-                    coords = alg._coords_of_entries(c)
-                    if coords is None:
-                        raise ContractError("commutator does not lie in the algebra")
                     g, rest = self._reduce(coords)
                     if rest:
                         raise ContractError("subspace is not closed under the bracket")
-                    row.append(tuple(g))
-                table.append(row)
+                    line.append(tuple(g))
+                table.append(line)
             self._int_brackets = table
         return self._int_brackets
 
@@ -816,7 +902,8 @@ class Subspace:
 def _bracket_rows(x: Element, t: Subspace):
     """The nonzero integer rows of y -> [x, y] mod t, as their nonzero
     entries {k: value} in ascending k: column k is the remainder of
-    t._reduce on C_k, the integer column of ad(x), that is
+    t._reduce on C_k, the integer column of ad(x) summed over the
+    structure constants (_ad_columns), that is
     D_t C_k - sum_r C_k[c_r] (D_t / I_r[c_r]) I_r with D_t the lcm of t's
     pivot entries.  Every column is at the one scale D_t dx, so the rows
     have the kernel of the map (a scale per column would not)."""

@@ -47,7 +47,7 @@ from .algebras import (
     AlgebraRealization,
     Element,
     Subspace,
-    _commutator_entries,
+    _bracket_coords,
     _family_rank_for_size,
     _nonzero,
     _weights,
@@ -116,9 +116,9 @@ class PairData:
         For the trace kind Q_i(x) = (deg_i / form_scale) proj(x^m_i), so
         dQ_i(e).z = (deg_i / form_scale) proj(sum_a e^a z e^(m_i-1-a)), and
         for z commuting with e the sum is m_i e^(m_i-1) z.  z_j lies in
-        delta, inside the centralizer of e, but the integer rows are checked
-        to commute (IdentityError naming j otherwise), so the formula never
-        rests on delta being right.  One walk W_0 = Z_j, W_k = E W_(k-1) on
+        delta, inside the centralizer of e, but its bracket with e is checked
+        to vanish on the structure constants (IdentityError naming j
+        otherwise), so the formula never rests on delta being right.  One walk W_0 = Z_j, W_k = E W_(k-1) on
         sparse rows then gives every trace-kind d_ij, read off W_(m_i-1) at
         den d_e^(m_i-1) d_z (_read_gradient).  D's Pfaffian generator takes
         one packed expansion along z_j (_line_table), for itself alone.
@@ -128,9 +128,9 @@ class PairData:
             alg = self.algebra
             e, zj = self.triplet.e, self.z_vec[j - 1]
             n = alg.matrix_size_N
-            es, walk = e._sparse_form(), [zj._sparse_form()]
-            if _commutator_entries(es, walk[0], n):
+            if _bracket_coords(alg, _nonzero(e.num), _nonzero(zj.num)):
                 raise IdentityError(f"z_{j} does not commute with e")
+            es, walk = e._sparse_form(), [zj._sparse_form()]
             row = []
             for k in self.selected_indices:
                 gen = generators(alg)[k - 1]

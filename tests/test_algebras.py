@@ -37,6 +37,7 @@ from nilab import (
     rank_kernel,
     sl2_complete,
     trace_form,
+    triple_from_partition,
     unipotent_conjugate,
     valid_partitions,
 )
@@ -945,27 +946,21 @@ def test_preimage_rejects_mixed_algebras():
 
 
 def _count_products(monkeypatch, log):
-    """Log the integer matrices, as sets of nonzero entries (i, j, v), of
-    every commutator product the library multiplies out, all on sparse
-    rows: bracket and the ad(x) columns go through _commutator_rows, which
-    writes dense rows for the read-off, and the bracket table through
-    _commutator_entries."""
-    for name in ("_commutator_rows", "_commutator_entries"):
-        product = getattr(nilab.algebras, name)
+    """Log the integer coordinate vectors, as sets of nonzero entries
+    (q, value), of every pair _bracket_coords brackets: the pairs of the
+    bracket tables, and the commutation check of the convolution's
+    derivatives, which build_pair_data does not run."""
+    pair = nilab.algebras._bracket_coords
 
-        def counting(a, b, n, product=product):
-            log.append((_sparse_key(a), _sparse_key(b)))
-            return product(a, b, n)
+    def counting(alg, a, b):
+        log.append((frozenset(a.items()), frozenset(b.items())))
+        return pair(alg, a, b)
 
-        monkeypatch.setattr(nilab.algebras, name, counting)
-
-
-def _sparse_key(rows):
-    return frozenset((i, j, v) for i, row in rows.items() for j, v in row)
+    monkeypatch.setattr(nilab.algebras, "_bracket_coords", counting)
 
 
 def _basis_keys(s):
-    return {_sparse_key(x._sparse_form()) for x in s.basis}
+    return {frozenset(nonzero(row).items()) for row in s.num_rows}
 
 
 def test_center_of_brackets_each_pair_once(monkeypatch):
@@ -987,20 +982,14 @@ def test_build_pair_data_brackets_no_pair_of_z_twice(monkeypatch):
     triple = sl2_complete(alg, e)
     log = []
     _count_products(monkeypatch, log)
-
-    def centralizer_then_count(x):
-        # ad(e) multiplies e by basis matrices that may also be basis
-        # matrices of z; that computes z, so counting starts once z exists
-        z = centralizer(x)
-        log.clear()
-        return z
-
-    monkeypatch.setattr(nilab.index, "centralizer", centralizer_then_count)
     pd = build_pair_data(alg, triple)
     members = _basis_keys(pd.zcent)
-    pairs = Counter(frozenset(pair) for pair in log if set(pair) <= members)
+    # only the bracket table of z brackets pairs: ad(e) and the brackets of
+    # elements sum the structure constants without _bracket_coords
+    assert all(set(pair) <= members for pair in log)
+    pairs = Counter(frozenset(pair) for pair in log)
     k = pd.zcent.dim
-    assert len(pairs) == k * (k - 1) // 2
+    assert len(pairs) == len(log) == k * (k - 1) // 2
     assert set(pairs.values()) == {1}
 
 
@@ -1228,6 +1217,212 @@ def test_sparse_subspace_layer_matches_the_dense_reference_on_dense_samples(fami
             _check_sparse_against_dense(getattr(sample, name), f"{name}[{k}]")
 
 
+# The structure constants, and the routes they replaced: each bracket, each
+# ad(x) column and each pair of a bracket table multiplied out as matrices on
+# sparse rows and read back to g, bracket and ad(x) through coords_of_rows,
+# the bracket table through the entry read-off.
+
+STRUCTURE_ALGEBRAS = (
+    [("A", r) for r in range(1, 7)]
+    + [(f, r) for f in "BC" for r in range(1, 5)]
+    + [("D", r) for r in range(2, 6)]
+)
+
+
+def retired_commutator_rows(a, b, n):
+    """ab - ba as dense N x N integer rows, for integer matrices given as
+    sparse rows (see algebras._sparse_rows)."""
+    out = [[0] * n for _ in range(n)]
+    for i, ai in a.items():
+        for t, v in ai:
+            for j, w in b.get(t, ()):
+                out[i][j] += v * w
+    for i, bi in b.items():
+        for t, v in bi:
+            for j, w in a.get(t, ()):
+                out[i][j] -= v * w
+    return out
+
+
+def retired_commutator_entries(a, b, n):
+    """ab - ba as {i N + j: value} over its nonzero entries, for integer
+    matrices given as sparse rows."""
+    out = {}
+    for i, ai in a.items():
+        for t, v in ai:
+            for j, w in b.get(t, ()):
+                out[i * n + j] = out.get(i * n + j, 0) + v * w
+    for i, bi in b.items():
+        for t, v in bi:
+            for j, w in a.get(t, ()):
+                out[i * n + j] = out.get(i * n + j, 0) - v * w
+    return {p: v for p, v in out.items() if v}
+
+
+def retired_bracket(x, y):
+    alg = x.algebra
+    rows = retired_commutator_rows(x._sparse_form(), y._sparse_form(), alg.matrix_size_N)
+    return alg.coords_of_rows(rows, x.den * y.den)
+
+
+def retired_ad_columns(x):
+    alg = x.algebra
+    n = alg.matrix_size_N
+    a = x._sparse_form()
+    return tuple(
+        nonzero(alg.coords_of_rows(retired_commutator_rows(a, b, n)).num)
+        for b in (nilab.algebras._sparse_rows([1], [e]) for e in alg._basis_sparse)
+    )
+
+
+def retired_bracket_table(s):
+    alg = s.algebra
+    forms = [x._sparse_form() for x in s.basis]
+    table = []
+    for a, x in enumerate(forms):
+        line = []
+        for y in forms[a + 1 :]:
+            c = retired_commutator_entries(x, y, alg.matrix_size_N)
+            if not c:
+                line.append(())
+                continue
+            coords = alg._coords_of_entries(c)
+            if coords is None:
+                raise ContractError("commutator does not lie in the algebra")
+            g, rest = s._reduce(coords)
+            if rest:
+                raise ContractError("subspace is not closed under the bracket")
+            line.append(tuple(g))
+        table.append(line)
+    return table
+
+
+def full_table(alg):
+    """Every row of the structure constants, built in basis order."""
+    return [alg._rows[i] or alg._bracket_row(i) for i in range(alg.dim)]
+
+
+def basis_matrix(alg, k):
+    rows = [[0] * alg.matrix_size_N for _ in range(alg.matrix_size_N)]
+    for i, j, v in alg._basis_sparse[k]:
+        rows[i][j] = v
+    return rows
+
+
+@pytest.mark.parametrize("family,rank", STRUCTURE_ALGEBRAS)
+def test_structure_constants_match_the_dense_commutators(family, rank):
+    # row i holds the coordinates of [b_i, b_j], read off the dense product,
+    # for each partner j, and every other b_j commutes with b_i
+    alg = build_algebra(family, rank)
+    mats = [basis_matrix(alg, k) for k in range(alg.dim)]
+    for i, row in enumerate(full_table(alg)):
+        for j in range(alg.dim):
+            c = mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
+            if j in row:
+                assert dict(row[j]) == nonzero(alg.coords_of_rows(c).num), (i, j)
+                assert [k for k, _ in row[j]] == sorted(dict(row[j])), (i, j)
+            else:
+                assert not any(map(any, c)), (i, j)
+
+
+@pytest.mark.parametrize("family,rank", STRUCTURE_ALGEBRAS)
+def test_structure_constants_are_antisymmetric_in_any_build_order(family, rank):
+    alg = build_algebra(family, rank)
+    table = full_table(alg)
+    for i, row in enumerate(table):
+        for j in range(alg.dim):
+            assert [(k, -c) for k, c in row.get(j, ())] == list(table[j].get(i, ())), (i, j)
+    # rows built last to first take their other half from the other rows
+    again = build_algebra(family, rank)
+    assert [again._bracket_row(i) for i in reversed(range(again.dim))][::-1] == table
+
+
+@pytest.mark.parametrize("family,rank", STRUCTURE_ALGEBRAS)
+def test_jacobi_identity_on_random_triples(family, rank):
+    alg = build_algebra(family, rank)
+    rng = random.Random(f"jacobi:{family}{rank}")
+    for _ in range(4):
+        x, y, z = (_fractional(alg, alg.random_element(rng, 5).num, rng) for _ in range(3))
+        total = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
+        assert total.is_zero()
+
+
+def _check_table_routes_against_retired(x, others, label):
+    alg = x.algebra
+    assert nilab.algebras._ad_columns(x) == retired_ad_columns(x), label
+    z = centralizer(x)
+    delta = center_of(z)
+    eta = preimage(x, delta)
+    for s in (z, delta, eta):
+        want = _table_or_error(retired_bracket_table, s)
+        assert _table_or_error(Subspace._brackets, s) == want, label
+    for y in [*others, *z.basis, *eta.basis, alg.basis_element(alg.dim - 1)]:
+        assert bracket(x, y) == retired_bracket(x, y), label
+        assert bracket(y, x) == retired_bracket(y, x), label
+
+
+@pytest.mark.parametrize(
+    "family,ranks",
+    [("A", (1, 2, 3, 4, 5, 6)), ("B", (2, 3, 4)), ("C", (2, 3, 4)), ("D", (3, 4, 5))],
+)
+def test_table_routes_match_the_retired_matrix_routes_on_every_orbit(family, ranks):
+    for rank in ranks:
+        alg = build_algebra(family, rank)
+        for p in _nonzero_orbits(alg):
+            t = triple_from_partition(alg, p)
+            _check_table_routes_against_retired(t.e, [t.h, t.f], (alg.name, p))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 2)])
+def test_table_routes_match_the_retired_matrix_routes_on_dense_samples(family, rank):
+    alg = build_algebra(family, rank)
+    for k, sample in enumerate(make_samples(alg, 3, 0)):
+        points = [sample.x, sample.y, sample.n]
+        for name, x in zip("xyn", points):
+            _check_table_routes_against_retired(x, points, f"{name}[{k}]")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 9), ("B", 6), ("C", 6), ("D", 6)])
+def test_build_algebra_builds_no_row_of_the_structure_constants(family, rank):
+    alg = build_algebra(family, rank)
+    assert alg._rows == [None] * alg.dim and alg._by_index is None
+
+
+def test_bracket_builds_only_the_rows_of_the_first_factor():
+    alg = build_algebra("C", 3)
+    rng = random.Random(3)
+    x = nilab.algebras._element(alg, [0] * 4 + [2, -1] + [0] * (alg.dim - 7) + [5], 1)
+    y = alg.random_element(rng, 4)
+    want = bracket(x, y)
+    assert [i for i, row in enumerate(alg._rows) if row is not None] == [4, 5, alg.dim - 1]
+    assert want == retired_bracket(x, y)
+
+
+def test_a_basis_commutator_outside_the_algebra_fails_at_row_build(monkeypatch):
+    # the entry read-off is told that [b_i, b_j] lies outside g, for one
+    # pair; building row i refuses it and keeps no row, and a bracket that
+    # needs the row refuses it again, while other rows still build
+    alg = build_algebra("A", 2)
+    i, j = 1, 3  # E01 and E10
+    c = mat_sub(
+        mat_mul(basis_matrix(alg, i), basis_matrix(alg, j)),
+        mat_mul(basis_matrix(alg, j), basis_matrix(alg, i)),
+    )
+    target = entries_of(c)
+    read_entries = nilab.algebras.AlgebraRealization._coords_of_entries
+
+    def refusing(self, entries):
+        return None if entries == target else read_entries(self, entries)
+
+    monkeypatch.setattr(nilab.algebras.AlgebraRealization, "_coords_of_entries", refusing)
+    with pytest.raises(ContractError):
+        alg._bracket_row(i)
+    assert alg._rows[i] is None
+    with pytest.raises(ContractError):
+        bracket(alg.basis_element(i), alg.basis_element(0))
+    assert alg._bracket_row(2)
+
+
 def test_bracket_table_rejects_a_bracket_that_no_pivot_reads():
     # s = span(E01, E12) in sl(3): [E01, E12] = E02 is nonzero only at (0, 2),
     # a position the pivot reads of s never look at, so every coordinate
@@ -1262,8 +1457,9 @@ def test_membership_rejects_an_element_of_another_realization():
 
 
 def test_membership_builds_no_matrix_form_of_the_element():
-    # contains and coords_of read the nonzero entries only; the first
-    # product builds the sparse rows it reads, and never the dense rows
+    # contains and coords_of read the nonzero entries only, and bracket
+    # sums the structure constants on coordinates: none of them builds the
+    # dense rows or the sparse rows of the element's matrix
     alg = build_algebra("C", 3)
     z = centralizer(nilpotent_from_partition(alg, Partition((2, 2, 1, 1))))
     x = z.basis[-1]
@@ -1271,7 +1467,7 @@ def test_membership_builds_no_matrix_form_of_the_element():
     assert z.contains(y) and z.coords_of(y) == (0,) * (z.dim - 1) + (1,)
     assert (y._int, y._sparse) == (None, None)
     bracket(y, y)
-    assert y._int is None and y._sparse is not None
+    assert (y._int, y._sparse) == (None, None)
 
 
 # The subspace calculus as it ran on Rat before the integer echelon rows:

@@ -4,10 +4,10 @@ in bench/reference_hashes.json.
 The benchmark checks every operation against those hashes; this test checks
 a few cheap orbits and the three verify suites, so that a kernel change that
 alters any output fails here too.  The reference file is only read.  The so(6)
-verify suite, the A4 and D4 suites on three samples, the `decompose` output,
-the C10 and D10 `table` sweeps and five orbits past the table cap, which no
-benchmark workload runs, are pinned by hashes kept here, and so is the
-realization of every algebra up to rank 9.
+verify suite, the A4, B3, C3 and D4 suites on three samples, the `decompose`
+output, the C10 and D10 `table` sweeps and five orbits past the table cap,
+which no benchmark workload runs, are pinned by hashes kept here, and so is
+the realization of every algebra up to rank 9.
 """
 
 import contextlib
@@ -106,11 +106,14 @@ def test_orbit_report_beyond_the_table_cap_matches_pinned_hash(family, n, parts)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ORBIT_HASHES[(family, n, parts)]
 
 
-# The A4 and D4 suites, which no benchmark workload runs, on three samples.
-# On D4 the Pfaffian and tr x^4 share exponent 3, so the two generators with
-# equal m read one line.
+# The A4, B3, C3 and D4 suites, which no benchmark workload runs, on three
+# samples.  On D4 the Pfaffian and tr x^4 share exponent 3, so the two
+# generators with equal m read one line.  B3 and C3 bracket dense random
+# elements of so(7) and sp(6), a size no workload brackets.
 VERIFY_HASHES = {
     ("A", 4): "b8b71ebe87eed4699a8559c3fba35c8814599d8ed9c2e1f8ea3edfe21ecdc510",
+    ("B", 3): "2eff8a0cc0e024a0c56f2921e7fa8ae254e70c6b7831a855dd36caec04bd1c83",
+    ("C", 3): "5f0f554352887b6a1412e459e58b9920644ccaba6309698f80451af739ecdebe",
     ("D", 4): "75c56a5997a92fcf564a8e20edbc31000f51c635bd0660cf80feca4ec0cb6b27",
 }
 

@@ -68,11 +68,13 @@ def test_tracer_installs_and_removes_every_layer(monkeypatch):
         sl2 = nilab.build_algebra("A", 1)
         nilab.centralizer(sl2.basis_element(0))
         assert tracer.stats["algebras.centralizer"][0] == 1
-        # ad(e) is read off once per basis vector, by the traced read-off
-        # of g, not by the entry read-off, and each column is reduced once,
-        # modulo the zero subspace
-        assert tracer.stats["algebras.coords_of_rows"][0] == sl2.dim == 3
-        assert entry_reads == []
+        # ad(h), h = E00 - E11 the first basis vector, is summed from row 0
+        # of the structure constants, so no read-off of g is traced; building
+        # that row reads its two nonzero commutators, [h, E01] = 2 E01 and
+        # [h, E10] = -2 E10, once each through the entry read-off, and each
+        # column is reduced once, modulo the zero subspace
+        assert tracer.stats["algebras.coords_of_rows"][0] == 0
+        assert entry_reads == [1, 1]
         assert reductions == [0, 0, 0]
     finally:
         tracer.uninstall()
@@ -80,8 +82,9 @@ def test_tracer_installs_and_removes_every_layer(monkeypatch):
         assert _resolve(module_name, attr) is original, f"{module_name}.{attr}"
 
 
-def test_bracket_makes_one_traced_read_off():
-    # the traced coords_of_rows must keep seeing every coordinate read-off
+def test_bracket_makes_no_traced_read_off():
+    # bracket sums the structure constants on coordinates, so the traced
+    # coords_of_rows sees no read-off
     tracer_module = _load_tracer()
     alg = nilab.build_algebra("C", 2)
     x = alg.element([nilab.Rat(k - 4, 1 + k % 3) for k in range(alg.dim)])
@@ -93,7 +96,7 @@ def test_bracket_makes_one_traced_read_off():
     finally:
         tracer.uninstall()
     assert tracer.stats["algebras.bracket"][0] == 1
-    assert tracer.stats["algebras.coords_of_rows"][0] == 1
+    assert tracer.stats["algebras.coords_of_rows"][0] == 0
 
 
 def _run_from_checkout(*args):
