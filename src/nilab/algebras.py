@@ -31,10 +31,11 @@ patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, walking the nonzero entries
 of the sparse rows each element builds once (_sparse_form), and every
 matrix comes back to g through one checked forward substitution:
-coords_of_rows on dense rows (gradients, triples, Ad(exp n)), which reads
-each coordinate at its pivot and checks only the other positions, and
-_coords_of_entries on the nonzero entries of a commutator of two basis
-matrices.
+coords_of_rows on dense rows (the packed gradients, triples, Ad(exp n)),
+which reads each coordinate at its pivot and checks only the other
+positions, and _coords_of_entries on the nonzero entries of a commutator
+of two basis matrices or of a product of sparse rows (_product_rows: the
+orbit pipeline's walks of powers of e).
 
 Brackets need neither a matrix nor a read-off.  Each realization keeps one
 table of integer structure constants, [b_i, b_j] = sum_k c_ijk b_k, built
@@ -491,6 +492,21 @@ def _sparse_rows(num, basis):
     return {i: [(j, v) for j, v in row.items() if v] for i, row in rows.items()}
 
 
+def _product_rows(a, b):
+    """ab as sparse rows (see _sparse_rows), for integer matrices a and b
+    given as sparse rows; only nonzero entries are multiplied."""
+    out = {}
+    for i, ai in a.items():
+        line = {}
+        for t, v in ai:
+            for c, w in b.get(t, ()):
+                line[c] = line.get(c, 0) + v * w
+        line = [(c, v) for c, v in line.items() if v]
+        if line:
+            out[i] = line
+    return out
+
+
 def _clear_denominators(rows):
     """(R, d) with integer rows R and the least positive d such that the
     rational rows equal R / d."""
@@ -507,9 +523,9 @@ class Element:
     comparison and hashing run on these integers; coords, a tuple of Rat,
     is built only when first read.  The N x N matrix is likewise built once,
     when first needed, in integer-scaled form (see int_rows), and so are its
-    sparse rows (_sparse_form), which trace_form reads.  A membership check
-    and a bracket read neither: they work on num (see Subspace._reduce and
-    bracket).
+    sparse rows (_sparse_form), which trace_form and the sparse products
+    (_product_rows) read.  A membership check and a bracket read neither:
+    they work on num (see Subspace._reduce and bracket).
     """
 
     __slots__ = ("algebra", "num", "den", "_coords", "_int", "_sparse")

@@ -31,9 +31,13 @@ exact multiple of grad B(Q_i, Q_j)(e), whose delta coordinates are the
 alpha coefficients reported per pair.  Its derivatives dQ_i(e).z_j need no
 expansion along z_j for the trace powers: z_j commutes with e (checked), so
 they are multiples of e^(m_i-1) z_j, one walk of products with e per
-direction.  normalizer-span and the index reuse what is already held: the
-remainders of the y_j modulo z, and one cleared copy of A, eliminated
-lazily (poly._eliminate).
+direction.  Likewise every trace-kind P_j(e) is read off one walk of powers
+of e, and every y_j off the derivative of that walk along h; each of these
+sparse products comes back to g through the sparse read-off, on its nonzero
+entries, with no N x N matrix.  Only D's Pfaffian generator takes a packed
+expansion (invariants._line_table), for itself alone.  normalizer-span and
+the index reuse what is already held: the remainders of the y_j modulo z,
+and one cleared copy of A, eliminated lazily (poly._eliminate).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .algebras import (
     _bracket_coords,
     _family_rank_for_size,
     _nonzero,
+    _product_rows,
     _weights,
     bracket,
     build_algebra,
@@ -63,7 +68,7 @@ from .errors import (
     NilabError,
     PartitionError,
 )
-from .invariants import _gradient_factor, _line_table, _read_gradient, generators
+from .invariants import _gradient_factor, _line_table, _read_gradient_rows, generators
 from .linalg import _int_maps, _sparse_elimination, echelon_rows, inverse, mat_vec
 from .poly import Poly, generic_rank_detail, poly_det
 from .reports import CheckReport
@@ -98,6 +103,12 @@ class PairData:
         return len(self.selected_indices)
 
     @cached_property
+    def _h_weights(self):
+        """The ad(h)-weights of the basis (_weights), read once per orbit by
+        both checks that need them."""
+        return _weights(self.triplet.h)
+
+    @cached_property
     def _z_in_delta_inverse(self):
         """Inverse of the s x s matrix whose column k holds the delta
         coordinates of z_k, built once per orbit.
@@ -118,16 +129,16 @@ class PairData:
         for z commuting with e the sum is m_i e^(m_i-1) z.  z_j lies in
         delta, inside the centralizer of e, but its bracket with e is checked
         to vanish on the structure constants (IdentityError naming j
-        otherwise), so the formula never rests on delta being right.  One walk W_0 = Z_j, W_k = E W_(k-1) on
-        sparse rows then gives every trace-kind d_ij, read off W_(m_i-1) at
-        den d_e^(m_i-1) d_z (_read_gradient).  D's Pfaffian generator takes
+        otherwise), so the formula never rests on delta being right.  One
+        walk W_0 = Z_j, W_k = E W_(k-1) on sparse rows then gives every
+        trace-kind d_ij, read off the nonzero entries of W_(m_i-1) at den
+        d_e^(m_i-1) d_z (_read_gradient_rows).  D's Pfaffian generator takes
         one packed expansion along z_j (_line_table), for itself alone.
         """
         row = self._derivatives.get(j)
         if row is None:
             alg = self.algebra
             e, zj = self.triplet.e, self.z_vec[j - 1]
-            n = alg.matrix_size_N
             if _bracket_coords(alg, _nonzero(e.num), _nonzero(zj.num)):
                 raise IdentityError(f"z_{j} does not commute with e")
             es, walk = e._sparse_form(), [zj._sparse_form()]
@@ -140,12 +151,9 @@ class PairData:
                     continue
                 while len(walk) < m:
                     walk.append(_product_rows(es, walk[-1]))
-                rows = [[0] * n for _ in range(n)]
-                for a, line in walk[m - 1].items():
-                    for b, v in line:
-                        rows[a][b] = v
                 factor = _gradient_factor(alg, gen) * m
-                row.append(_read_gradient(alg, rows, e.den ** (m - 1) * zj.den, factor))
+                den = e.den ** (m - 1) * zj.den
+                row.append(_read_gradient_rows(alg, walk[m - 1], den, factor))
             row = self._derivatives[j] = tuple(row)
         return row[i - 1]
 
@@ -171,19 +179,50 @@ class PairData:
             )
 
 
-def _product_rows(a, b):
-    """ab as sparse rows (see algebras._sparse_rows), for integer matrices
-    a and b given as sparse rows; only nonzero entries are multiplied."""
-    out = {}
-    for i, ai in a.items():
-        line = {}
-        for t, v in ai:
-            for c, w in b.get(t, ()):
-                line[c] = line.get(c, 0) + v * w
-        line = [(c, v) for c, v in line.items() if v]
-        if line:
-            out[i] = line
-    return out
+def _gradients_at(alg: AlgebraRealization, e: Element, walk):
+    """(P_1(e), ..., P_r(e)).  The trace kind is read off the walk, the
+    powers walk[k] = E^k of the sparse integer rows of e = E / d_e,
+    extended here as needed: P_j(e) = factor proj(E^m) / d_e^m, through
+    the sparse read-off.  D's Pfaffian takes one packed evaluation at e
+    (_line_table)."""
+    grads = []
+    for gen in generators(alg):
+        j, m = gen.index_j, gen.exponent
+        if gen.kind != "trace":
+            grads.append(_line_table(alg, (j,), e, None, None, [(0, 0)])[j][(0, 0)])
+            continue
+        while len(walk) <= m:
+            walk.append(_product_rows(walk[1], walk[-1]))
+        grads.append(_read_gradient_rows(alg, walk[m], e.den**m, _gradient_factor(alg, gen)))
+    return grads
+
+
+def _slopes_at(alg: AlgebraRealization, e: Element, h: Element, walk, js):
+    """(dP_j(e).h for j in js), the y_j.  X^k has derivative
+    S_k = E S_(k-1) + H E^(k-1) along H at E, S_1 = H, with no use of
+    [h, e] = 2e: the product of the block row [E H] with the block column
+    [S_(k-1); E^(k-1)], walked on sparse rows alongside the powers E^k
+    that _gradients_at left in walk, so y_j = factor proj(S_m) /
+    (d_e^(m-1) d_h).  D's Pfaffian takes one packed expansion along h
+    (_line_table)."""
+    n = alg.matrix_size_N
+    es, hs = walk[1], h._sparse_form()
+    eh = {i: es.get(i, []) + [(t + n, v) for t, v in hs.get(i, ())] for i in es.keys() | hs.keys()}
+    slope = [None, hs]  # slope[k] = S_k
+    out = []
+    for j in js:
+        gen = generators(alg)[j - 1]
+        m = gen.exponent
+        if gen.kind != "trace":
+            out.append(_line_table(alg, (j,), e, h, None, [(0, 1)])[j][(0, 1)])
+            continue
+        while len(slope) <= m:
+            k = len(slope)
+            block = {**slope[k - 1], **{t + n: line for t, line in walk[k - 1].items()}}
+            slope.append(_product_rows(eh, block))
+        den = e.den ** (m - 1) * h.den
+        out.append(_read_gradient_rows(alg, slope[m], den, _gradient_factor(alg, gen)))
+    return tuple(out)
 
 
 def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
@@ -196,11 +235,10 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
     zcent = centralizer(e)
     delta = center_of(zcent)
     eta = preimage(e, delta)
-    # every P_j(e) off one power chain of e, every y_j off one chain along h
-    all_js = [gen.index_j for gen in generators(alg)]
-    values = _line_table(alg, all_js, e, None, None, [(0, 0)])
-    grads = tuple(values[j][(0, 0)] for j in all_js)
-    for gen, g in zip(generators(alg), grads):
+    gens = generators(alg)
+    walk = [None, e._sparse_form()]  # walk[k] = E^k, extended as needed
+    grads = _gradients_at(alg, e, walk)
+    for gen, g in zip(gens, grads):
         if not delta.contains(g):
             raise IdentityError(
                 f"gradient {gen.index_j} at e is outside the center of the centralizer"
@@ -208,10 +246,9 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
     # the pivot columns of the gradients, as columns in ascending degree,
     # are the greedy maximal independent pick
     pivots, _ = echelon_rows(list(zip(*(g.num for g in grads))), len(grads))
-    selected = [all_js[k] for k in pivots]
+    selected = [gens[k].index_j for k in pivots]
     z_vec = tuple(grads[j - 1] for j in selected)
-    slopes = _line_table(alg, selected, e, h, None, [(0, 1)]) if selected else {}
-    y_vec = tuple(slopes[j][(0, 1)] for j in selected)
+    y_vec = _slopes_at(alg, e, h, walk, selected)
     return PairData(
         algebra=alg,
         triplet=triplet,
@@ -251,7 +288,7 @@ def normalizer_decomposition_check(pd: PairData) -> CheckReport:
     pd.require_hypothesis()
     alg = pd.algebra
     e, f = pd.triplet.e, pd.triplet.f
-    weights = _weights(pd.triplet.h)
+    weights = pd._h_weights
     report = CheckReport(f"{alg.name} normalizer decomposition")
     rests, in_eta = [], []
     for k, (j, m, zj, yj) in enumerate(
@@ -333,7 +370,7 @@ def structure_checks(pd: PairData, a: BracketTensor) -> StructureResult:
     pd.require_hypothesis()
     pd.require_distinct_exponents()
     alg = pd.algebra
-    weights = _weights(pd.triplet.h)
+    weights = pd._h_weights
     s = pd.s
     exponent_set = set(pd.pair_exponents)
     report = CheckReport(f"{alg.name} bracket matrix structure")

@@ -46,6 +46,7 @@ from .algebras import (
     Element,
     InvariantGenerator,
     Subspace,
+    _element,
     bracket,
     center_of,
     centralizer,
@@ -241,7 +242,9 @@ def _read_gradient(alg: AlgebraRealization, rows, den, factor):
     elements, e^(2k) z for z in so/sp commuting with e, and the Pfaffian's
     M already lie in g; for sl(n) the trace part is subtracted,
     (n rows - tr I) / (n den).  The factor is folded into the one checked
-    read-off, which raises ContractError if the matrix is not in g."""
+    read-off, which raises ContractError if the matrix is not in g.  Its
+    caller is _line_table, whose digit rows are dense; the orbit pipeline's
+    sparse products of e are read by _read_gradient_rows."""
     n = alg.matrix_size_N
     tr = sum(rows[i][i] for i in range(n)) if alg.family == "A" else 0
     if tr:
@@ -249,6 +252,34 @@ def _read_gradient(alg: AlgebraRealization, rows, den, factor):
                 for i, line in enumerate(rows)]
         den *= n
     return alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
+
+
+def _read_gradient_rows(alg: AlgebraRealization, rows, den, factor):
+    """_read_gradient for a matrix given as sparse integer rows (see
+    algebras._sparse_rows), read on its nonzero entries alone: the orbit
+    pipeline's products of e.  For sl(n) the trace part touches only the
+    diagonal, n v - tr there and n v elsewhere over n den; the entries go
+    through the checked entry read-off (_coords_of_entries), and a matrix
+    outside g raises ContractError as coords_of_rows does."""
+    n = alg.matrix_size_N
+    entries = {i * n + j: v for i, line in rows.items() for j, v in line}
+    tr = sum(entries.get(i * (n + 1), 0) for i in range(n)) if alg.family == "A" else 0
+    if tr:
+        entries = {q: n * v for q, v in entries.items()}
+        for q in range(0, n * n, n + 1):
+            v = entries.get(q, 0) - tr
+            if v:
+                entries[q] = v
+            else:
+                del entries[q]
+        den *= n
+    coords = alg._coords_of_entries(entries)
+    if coords is None:
+        raise ContractError("matrix does not lie in the algebra")
+    num = [0] * alg.dim
+    for k, c in coords.items():
+        num[k] = c * factor.numerator
+    return _element(alg, num, den * factor.denominator)
 
 
 def _line_terms(alg: AlgebraRealization, j: int, x: Element, y, u, wanted):

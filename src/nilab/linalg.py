@@ -15,9 +15,10 @@ and solve and inverse; rref and rank_kernel return the same results in
 rational form and are kept as references.  There are two integer
 eliminations: dense Gauss-Jordan for row spaces, solve and inverse
 (_gauss_jordan, which the references read too); sparse right-to-left for
-kernels (_sparse_elimination, which echelon_kernel reads).  Either clears
-each row of its denominators once and runs on Python ints, and a Rat is
-made only for each nonzero entry of the result.  echelon_rows and
+kernels (_sparse_elimination, which echelon_kernel reads, and which ranks
+sparse rows for index's normalizer-span and triples' Jordan-type check).
+Either clears each row of its denominators once and runs on Python ints,
+and a Rat is made only for each nonzero entry of the result.  echelon_rows and
 echelon_kernel make no Rat at all: they return reduced echelon bases as
 primitive integer rows, positive at their pivots, the form
 algebras.Subspace keeps.  echelon_kernel takes its rows as their nonzero

@@ -14,7 +14,8 @@ all three into the split realization: T is built by matching
 hyperbolic-plane decompositions of G and S.  Correctness is intrinsic, not
 shape-based: each matrix is read back through the checked coordinate
 read-off, so it lies in the algebra; e is checked to have the right Jordan
-type; and Triplet checks the three bracket relations.
+type, from the ranks of its powers on sparse integer rows
+(_check_jordan_type); and Triplet checks the three bracket relations.
 
 sl2_complete completes an arbitrary nonzero nilpotent e by a constructive
 Jacobson-Morozov step, two plain rational linear systems with the
@@ -31,13 +32,14 @@ from ._scalar import ZERO
 from .algebras import (
     AlgebraRealization,
     Element,
+    _product_rows,
     _zero_int_rows,
     ad_matrix,
     bracket,
     centralizer,
 )
 from .errors import ContractError, InternalError, PartitionError
-from .linalg import echelon_rows, mat_mul, solve
+from .linalg import _int_maps, _sparse_elimination, mat_mul, solve
 
 
 @dataclass(frozen=True)
@@ -236,14 +238,18 @@ def _congruence(alg: AlgebraRealization, g, u):
 
 
 def _check_jordan_type(e: Element, p: Partition):
+    """InternalError unless e has Jordan type p: the kernel of e^k has
+    dimension sum_i min(p_i, k) for k = 1..p_1.  The powers are one walk of
+    products on the sparse integer rows of e (the denominator does not move
+    a rank), each ranked by one sparse elimination."""
     n = e.algebra.matrix_size_N
-    rows, _ = e.int_rows()  # ranks of powers do not see the denominator
+    rows = e._sparse_form()
     power = rows
     for k in range(1, p.parts[0] + 1):
-        pivots, _ = echelon_rows(power, n)
-        if n - len(pivots) != sum(min(part, k) for part in p.parts):
+        rank = len(_sparse_elimination(_int_maps([dict(line) for line in power.values()], n)))
+        if n - rank != sum(min(part, k) for part in p.parts):
             raise InternalError(f"constructed nilpotent has wrong Jordan type at power {k}")
-        power = mat_mul(power, rows)
+        power = _product_rows(power, rows)
 
 
 def _partition_triple(alg: AlgebraRealization, p: Partition):

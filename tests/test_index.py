@@ -40,9 +40,10 @@ from nilab import (
     valid_partitions,
 )
 from nilab.algebras import _weights
-from nilab.index import _has_weight
-from nilab.invariants import _line_terms
-from nilab.linalg import mat_mul
+from nilab.errors import ContractError
+from nilab.index import _gradients_at, _has_weight, _slopes_at
+from nilab.invariants import _line_table, _line_terms, _read_gradient, _read_gradient_rows
+from nilab.linalg import echelon_rows, mat_mul
 
 
 def gradient_derivative(alg, j, x, y):
@@ -317,6 +318,134 @@ def test_convolution_derivative_refuses_a_direction_that_does_not_commute_with_e
     with pytest.raises(IdentityError, match="z_2 does not commute with e"):
         convolution_at(bad, 1, 2)
     assert bad.derivative(3, 1) == pd.derivative(3, 1)
+
+
+WALK_ALGEBRAS = [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)]
+
+
+def nonzero_orbit_triples(alg):
+    return [
+        (p, triple_from_partition(alg, p))
+        for p in valid_partitions(alg)
+        if any(part > 1 for part in p.parts)
+    ]
+
+
+@pytest.mark.parametrize("family,rank", WALK_ALGEBRAS)
+def test_walk_values_and_slopes_match_the_line_expansion_on_every_orbit(family, rank):
+    # P_j(e) and y_j = dP_j(e).h off the sparse walk of e equal the (0, 0)
+    # and (0, 1) terms of the packed expansion along h, for every generator
+    # of every nonzero orbit, those that violate the hypothesis included,
+    # and build_pair_data keeps the selected ones
+    alg = build_algebra(family, rank)
+    js = [gen.index_j for gen in generators(alg)]
+    violated = 0
+    for partition, triplet in nonzero_orbit_triples(alg):
+        e, h = triplet.e, triplet.h
+        table = _line_table(alg, js, e, h, None, [(0, 0), (0, 1)])
+        walk = [None, e._sparse_form()]
+        assert _gradients_at(alg, e, walk) == [table[j][(0, 0)] for j in js], partition
+        assert _slopes_at(alg, e, h, walk, js) == tuple(table[j][(0, 1)] for j in js), partition
+        pd = build_pair_data(alg, triplet)
+        grads = [table[j][(0, 0)] for j in js]
+        pivots, _ = echelon_rows(list(zip(*(g.num for g in grads))), len(js))
+        assert pd.selected_indices == tuple(js[k] for k in pivots)
+        assert pd.z_vec == tuple(table[j][(0, 0)] for j in pd.selected_indices)
+        assert pd.y_vec == tuple(table[j][(0, 1)] for j in pd.selected_indices)
+        violated += not pd.hypothesis_ok
+    assert violated >= (family in "BD")
+
+
+def sparse_rows(rows):
+    return {
+        i: [(j, v) for j, v in enumerate(line) if v] for i, line in enumerate(rows) if any(line)
+    }
+
+
+@pytest.mark.parametrize("family,rank", WALK_ALGEBRAS)
+def test_sparse_read_off_matches_the_dense_read_off_on_the_walk_matrices(family, rank):
+    # E^k, S_k = sum_a E^a H E^(k-1-a) and E^(k-1) Z_j, formed densely here,
+    # read through the sparse read-off and through coords_of_rows with the sl
+    # projection (_read_gradient): the same element, or ContractError from
+    # both for a matrix outside g, as the even powers of so/sp elements are.
+    # Those matrices are traceless; H^2 and E F, which are not, take the sl
+    # projection
+    alg = build_algebra(family, rank)
+    n, factor = alg.matrix_size_N, Rat(3, 2)
+    outcomes = set()
+    for _, triplet in nonzero_orbit_triples(alg):
+        (e, de), (h, dh) = triplet.e.int_rows(), triplet.h.int_rows()
+        f, df = triplet.f.int_rows()
+        pd = build_pair_data(alg, triplet)
+        powers = [[[int(i == j) for j in range(n)] for i in range(n)]]  # powers[k] = E^k
+        for _ in range(max(alg.exponents)):
+            powers.append(mat_mul(powers[-1], e))
+        matrices = [(mat_mul(h, h), dh * dh), (mat_mul(e, f), de * df)]
+        matrices += [(powers[k], de**k) for k in range(1, len(powers))]
+        for k in range(1, len(powers)):
+            terms = [mat_mul(mat_mul(powers[a], h), powers[k - 1 - a]) for a in range(k)]
+            total = [list(map(sum, zip(*rows))) for rows in zip(*terms)]
+            matrices.append((total, de ** (k - 1) * dh))
+        for z in pd.z_vec:
+            zr, dz = z.int_rows()
+            matrices += [(mat_mul(powers[k], zr), de**k * dz) for k in range(len(powers))]
+        for rows, den in matrices:
+            try:
+                expected = _read_gradient(alg, rows, den, factor)
+            except ContractError:
+                expected = ContractError
+            try:
+                got = _read_gradient_rows(alg, sparse_rows(rows), den, factor)
+            except ContractError:
+                got = ContractError
+            assert got == expected
+            outcomes.add(expected is ContractError)
+    assert outcomes == ({False} if family == "A" else {False, True})
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4)])
+def test_sparse_read_off_refuses_a_matrix_outside_g(family, rank):
+    # E_00 is no so/sp matrix, alone or added to e; sl(n) has no such matrix
+    # once the trace part is taken off
+    alg = build_algebra(family, rank)
+    e = principal_triplet(alg).e
+    rows = {i: list(line) for i, line in e._sparse_form().items()}
+    rows.setdefault(0, []).append((0, 1))
+    for bad in ({0: [(0, 1)]}, {i: sorted(line) for i, line in rows.items()}):
+        with pytest.raises(ContractError, match="matrix does not lie in the algebra"):
+            _read_gradient_rows(alg, bad, 1, Rat(1))
+    assert _read_gradient_rows(alg, e._sparse_form(), e.den, Rat(1)) == e
+    assert _read_gradient_rows(alg, {}, 3, Rat(2)) == alg.zero()
+
+
+@pytest.mark.parametrize("family,rank", WALK_ALGEBRAS)
+def test_pair_data_expands_the_pfaffian_alone(monkeypatch, family, rank):
+    # build_pair_data reads the trace kind off the walk: no packed expansion
+    # on A, B and C; on D one for the Pfaffian's value, and one more along h
+    # for its slope when it is selected
+    import nilab.index as index_module
+
+    calls = []
+    real = index_module._line_table
+
+    def counting(alg, js, *args):
+        calls.append(tuple(js))
+        return real(alg, js, *args)
+
+    monkeypatch.setattr(index_module, "_line_table", counting)
+    alg = build_algebra(family, rank)
+    pfaffians = tuple(g.index_j for g in generators(alg) if g.kind == "pfaffian")
+    seen = set()
+    for _, triplet in nonzero_orbit_triples(alg):
+        calls.clear()
+        pd = build_pair_data(alg, triplet)
+        if not pfaffians:
+            assert calls == []
+            continue
+        selected = pfaffians[0] in pd.selected_indices
+        assert calls == [pfaffians] * (1 + selected)
+        seen.add(selected)
+    assert seen == (set() if family in "ABC" else {False, True})
 
 
 def test_bracket_matrix_and_convolution_audit_share_one_bracket_per_pair(monkeypatch):
@@ -943,3 +1072,27 @@ def test_weight_checks_bracket_nothing_with_h(monkeypatch):
     assert not any(x == h or y == h for x, y in calls)
     # what is left: [e, y_j] and [f, z_j] of the normalizer relations
     assert len(calls) == 2 * pd.s
+
+
+@pytest.mark.parametrize(
+    "family,rank,parts,reads",
+    [("A", 4, (5,), 1), ("C", 3, (6,), 1), ("D", 4, (5, 3), 1), ("B", 3, (3, 3, 1), 0)],
+)
+def test_analyze_orbit_reads_the_weights_of_h_once(monkeypatch, family, rank, parts, reads):
+    # normalizer_decomposition_check and structure_checks share one weight
+    # table per orbit (D4 has duplicated exponents, so only the first runs);
+    # an orbit that violates the hypothesis reaches neither
+    import nilab.index as index_module
+
+    calls = []
+    real = index_module._weights
+
+    def counting(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(index_module, "_weights", counting)
+    rep = analyze_orbit(build_algebra(family, rank), Partition(parts))
+    assert rep.passed and not rep.error
+    assert rep.hypothesis_ok == bool(reads)
+    assert len(calls) == reads

@@ -21,7 +21,13 @@ from nilab import (
     valid_partitions,
 )
 from nilab.linalg import mat_mul
-from nilab.triples import _congruence, _hyperbolic_basis, _pieces, principal_partition
+from nilab.triples import (
+    _check_jordan_type,
+    _congruence,
+    _hyperbolic_basis,
+    _pieces,
+    principal_partition,
+)
 
 
 def E(n, i, j):
@@ -130,6 +136,32 @@ def test_bcd_nilpotents_intrinsic(family, rank, parts):
     if not e.is_zero():
         t = sl2_complete(alg, e)
         assert t.e == e
+
+
+# (family, rank, Jordan type of e, claimed type, first power whose kernel
+# dimension tells them apart): at power 1 the numbers of parts differ; at
+# power 2 they agree and the sums of min(part, 2) differ, as for (3,1)
+# against (2,2): ranks 2 and 2 at power 1, then 1 and 0
+WRONG_JORDAN_TYPES = [
+    ("A", 3, (4,), (3, 1), 1),
+    ("A", 3, (3, 1), (2, 2), 2),
+    ("B", 3, (3, 3, 1), (3, 1, 1, 1, 1), 1),
+    ("B", 3, (3, 3, 1), (3, 2, 2), 2),
+    ("C", 3, (6,), (4, 2), 1),
+    ("C", 3, (4, 1, 1), (2, 2, 2), 2),
+    ("D", 4, (7, 1), (5, 1, 1, 1), 1),
+    ("D", 4, (3, 3, 1, 1), (2, 2, 2, 2), 2),
+]
+
+
+@pytest.mark.parametrize("family,rank,actual,claimed,power", WRONG_JORDAN_TYPES)
+def test_jordan_type_check_refuses_another_partition(family, rank, actual, claimed, power):
+    alg = build_algebra(family, rank)
+    e = nilpotent_from_partition(alg, Partition(actual))
+    assert jordan_type(e) == actual
+    _check_jordan_type(e, Partition(actual))
+    with pytest.raises(InternalError, match=f"wrong Jordan type at power {power}$"):
+        _check_jordan_type(e, Partition(claimed))
 
 
 def test_sl2_complete_closed_form_sl2():
