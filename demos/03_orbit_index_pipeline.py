@@ -39,13 +39,13 @@ for row in symbolic_bracket_matrix(pd, a):
 st = structure_checks(pd, a)
 print("structure:", st.report.summary(), "| betas =", [str(b) for b in st.betas])
 
-shape = det_shape_check(pd, a, st.betas)
+result = index_pair(pd, a)
+shape = det_shape_check(pd, a, st.betas, result.det)
 print(
     f"det A = {shape.det.text()}  (epsilon {shape.epsilon}, gamma {shape.gamma}, "
     f"nonzero {shape.gamma_nonzero})"
 )
 
-result = index_pair(pd, a)
 print(
     f"\nind(eta, delta) = dim delta - rank A = {result.dim_delta} - {result.rank} "
     f"= {result.ind}"

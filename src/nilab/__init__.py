@@ -9,13 +9,11 @@ from .algebras import (
     AlgebraRealization,
     Element,
     Subspace,
-    ad_matrix,
     bracket,
     build_algebra,
     center_of,
     centralizer,
     h_graduation,
-    normalizer_of,
     trace_form,
     unipotent_conjugate,
 )
@@ -51,7 +49,6 @@ from .index import (
 from .invariants import (
     InvariantGenerator,
     TaylorTerms,
-    bivariate_terms,
     eval_generator,
     generators,
     gradient,
@@ -65,8 +62,8 @@ from .invariants import (
     triangular_decomposition,
     verify_field_identities,
 )
-from .linalg import interpolate_vector_poly, inverse, rank_kernel, solve
-from .poly import Poly, generic_rank_detail, poly_det
+from .linalg import interpolate_vector_poly, inverse
+from .poly import Poly, generic_rank_detail
 from .reports import CheckReport
 from .triples import (
     Partition,

@@ -63,7 +63,8 @@ which reduce each ad(x) column once.  Each subspace built here is one
 sparse integer echelon kernel (linalg.echelon_kernel) of such rows: the
 center off the distinct rows of the bracket table of s, the others off
 _bracket_rows(x, t), whose kernel is preimage(x, t); the centralizer is the
-preimage of 0 and normalizer_of(s) stacks the rows over the basis of s.
+preimage of 0, and normalizer_of(s), the tests' reference for eta, stacks
+the rows over the basis of s.
 The ad(h)-grading of a diagonal h is read off the matrix positions of the
 basis, not solved for.
 """
@@ -753,7 +754,7 @@ def _nonzero(vec):
 
 def ad_matrix(x: Element):
     """Rows of the matrix of ad(x): column k holds the coordinates of
-    [x, basis_k], as Rat."""
+    [x, basis_k], as Rat; the tests' reference for _ad_columns."""
     columns = _ad_columns(x)
     return [
         [Rat(col[q], x.den) if q in col else ZERO for col in columns]
@@ -991,7 +992,7 @@ def normalizer_of(s: Subspace) -> Subspace:
     echelon kernel of the _bracket_rows(u, s) stacked over the u.  s must be
     a subalgebra (checked through its bracket table; ContractError
     otherwise).  The pipeline takes the normalizer of z(e) as
-    preimage(e, center_of(z)) instead (see nilab.index)."""
+    preimage(e, center_of(z)) instead (see nilab.index), tested against this."""
     s._brackets()  # closure check
     rows = [row for u in s.basis for row in _bracket_rows(u, s)]
     pivots, kernel = echelon_kernel(rows, s.algebra.dim)

@@ -70,7 +70,7 @@ from .errors import (
 )
 from .invariants import _gradient_factor, _line_table, _read_gradient_rows, generators
 from .linalg import _int_maps, _sparse_elimination, echelon_rows, inverse, mat_vec
-from .poly import Poly, generic_rank_detail, poly_det
+from .poly import Poly, generic_rank_detail
 from .reports import CheckReport
 from .triples import (
     Partition,
@@ -460,19 +460,14 @@ class DetShapeResult:
     betas: tuple
 
 
-def det_shape_check(pd: PairData, a: BracketTensor, betas=None, det=None) -> DetShapeResult:
+def det_shape_check(pd: PairData, a: BracketTensor, betas, det) -> DetShapeResult:
     """det A = epsilon * (prod beta_i) * (linear form of Q_s(e))^s, with
     epsilon the sign of the antidiagonal permutation.
 
-    betas and det default to structure_checks(pd, a).betas and
-    poly_det of A; pass the ones already computed (IndexResult.det) to
-    avoid recomputing them."""
+    betas are structure_checks(pd, a).betas and det is IndexResult.det,
+    both already computed by the pipeline."""
     pd.require_hypothesis()
     pd.require_distinct_exponents()
-    if betas is None:
-        betas = structure_checks(pd, a).betas
-    if det is None:
-        det = poly_det(symbolic_bracket_matrix(pd, a))
     s = pd.s
     variables = _delta_variables(pd.delta.dim)
     epsilon = -1 if (s * (s - 1) // 2) % 2 else 1

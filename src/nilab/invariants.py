@@ -368,7 +368,7 @@ def _check_endpoints(terms, px, py):
 def bivariate_terms(alg: AlgebraRealization, j: int, x: Element, u: Element, y: Element):
     """Table c[a][b] with d^{a+b} P_j(x).u^(a).y^(b) = a! b! c[a][b]: the
     t^a s^b coefficients of P_j(x + t u + s y), zero when a + b exceeds the
-    exponent."""
+    exponent; the tests' reference for mixed_term."""
     m = _generator(alg, j).exponent
     keys = [(a, b) for a in range(m + 1) for b in range(m + 1)]
     line = _line_terms(alg, j, x, y, u, keys)

@@ -11,12 +11,13 @@ the integer-scaled N x N matrices of algebra elements (integer rows over one
 common denominator, see algebras.Element.int_rows); mat_mul keeps the type
 of its inputs, ints in and ints out.  The pipeline's eliminations are
 echelon_rows and echelon_kernel, for every subspace and every numeric rank,
-and solve and inverse; rref and rank_kernel return the same results in
-rational form and are kept as references.  There are two integer
-eliminations: dense Gauss-Jordan for row spaces, solve and inverse
-(_gauss_jordan, which the references read too); sparse right-to-left for
-kernels (_sparse_elimination, which echelon_kernel reads, and which ranks
-sparse rows for index's normalizer-span and triples' Jordan-type check).
+and inverse; solve serves triples' Jacobson-Morozov step.  rref and
+rank_kernel return the same results in rational form and are kept as
+references.  There are two integer eliminations: dense Gauss-Jordan for
+row spaces, solve and inverse (_gauss_jordan, which the references read
+too); sparse right-to-left for kernels (_sparse_elimination, which
+echelon_kernel reads, and which ranks sparse rows for index's
+normalizer-span and triples' Jordan-type check).
 Either clears each row of its denominators once and runs on Python ints,
 and a Rat is made only for each nonzero entry of the result.  echelon_rows and
 echelon_kernel make no Rat at all: they return reduced echelon bases as

@@ -339,7 +339,8 @@ def _eliminate(den, a, variables):
 def poly_det(entries) -> Poly:
     """Exact determinant of a square matrix of polynomials, from the one
     right-to-left fraction-free elimination that also gives the rank
-    (see _eliminate)."""
+    (see _eliminate); the tests' reference, as the pipeline reads det A off
+    generic_rank_detail."""
     n, ncols, variables = _check_rect(entries)
     if n != ncols:
         raise ShapeError("determinant of a non-square matrix")

@@ -22,7 +22,6 @@ from nilab import (
     Rat,
     Subspace,
     UnsupportedAlgebraError,
-    ad_matrix,
     analyze_orbit,
     bracket,
     build_algebra,
@@ -31,20 +30,27 @@ from nilab import (
     centralizer,
     h_graduation,
     nilpotent_from_partition,
-    normalizer_of,
-    poly_det,
     principal_triplet,
-    rank_kernel,
     sl2_complete,
     trace_form,
     triple_from_partition,
     unipotent_conjugate,
     valid_partitions,
 )
-from nilab.algebras import preimage
+from nilab.algebras import ad_matrix, normalizer_of, preimage
 from nilab.index import _family_rank_for_size
 from nilab.invariants import make_samples, verify_field_identities
-from nilab.linalg import _int_rows, echelon_kernel, echelon_rows, inverse, mat_mul, mat_vec, rref
+from nilab.linalg import (
+    _int_rows,
+    echelon_kernel,
+    echelon_rows,
+    inverse,
+    mat_mul,
+    mat_vec,
+    rank_kernel,
+    rref,
+)
+from nilab.poly import poly_det
 
 EXPECTED_DIMS = {
     ("A", 1): 3,

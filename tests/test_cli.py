@@ -6,7 +6,9 @@ import json
 from collections import Counter
 from contextlib import redirect_stdout
 
-from nilab import ContractError, cli
+import pytest
+
+from nilab import ContractError, IdentityError, cli
 from nilab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_HYPOTHESIS,
@@ -150,6 +152,41 @@ def test_index_hypothesis_violation_exit_2():
     assert code == EXIT_HYPOTHESIS
     payload = json.loads(out)
     assert payload["results"]["hypothesis_ok"] is False
+
+
+def test_convolution_hypothesis_violation_exit_2():
+    code, out = run_capture(
+        ["convolution", "--family", "B", "--n", "7", "--partition", "3,3,1"]
+    )
+    assert code == EXIT_HYPOTHESIS
+    assert json.loads(out)["results"] == {"hypothesis_ok": False}
+
+
+@pytest.mark.parametrize(
+    "argv,orbits",
+    [
+        (["index", "--family", "A", "--n", "3", "--partition", "3"], 1),
+        (["table", "--family", "A", "--n", "3"], 2),  # (3) and (2,1) reach the stage
+    ],
+    ids=["index", "table"],
+)
+def test_a_failing_stage_is_reported_and_exits_1(monkeypatch, argv, orbits):
+    # analyze_orbit captures the stage's error in the report, so the command
+    # still writes its JSON
+    import nilab.index as index_module
+
+    def failing(pd, a):
+        raise IdentityError("injected structure failure")
+
+    monkeypatch.setattr(index_module, "structure_checks", failing)
+    code, out = run_capture(argv)
+    assert code == EXIT_CHECK_FAILED
+    results = json.loads(out)["results"]
+    if argv[0] == "index":
+        errors = [results["error"]]
+    else:
+        errors = [orbit["error"] for orbit in results["orbits"] if not orbit["skipped"]]
+    assert errors == ["IdentityError: injected structure failure"] * orbits
 
 
 def test_table_csv_columns():

@@ -63,6 +63,11 @@ def pair_data_for(family, rank, parts):
     return alg, build_pair_data(alg, sl2_complete(alg, e))
 
 
+def shape_of(pd, a):
+    """det_shape_check with the betas and det the pipeline passes it."""
+    return det_shape_check(pd, a, structure_checks(pd, a).betas, index_pair(pd, a).det)
+
+
 def test_pair_data_sl3_regular():
     alg, pd = pair_data_for("A", 2, (3,))
     e13 = alg.from_matrix(E(3, 0, 2))
@@ -177,8 +182,7 @@ def test_index_zero_cases(family, rank, parts, ind):
 
 def test_det_shape_sl3_frozen():
     _, pd = pair_data_for("A", 2, (3,))
-    a = bracket_matrix(pd)
-    shape = det_shape_check(pd, a)
+    shape = shape_of(pd, bracket_matrix(pd))
     variables = ("t0", "t1")
     t1 = Poly.variable(variables, 1)
     assert shape.det == Poly.const(variables, -576) * t1 * t1
@@ -189,16 +193,28 @@ def test_det_shape_sl3_frozen():
 
 def test_det_shape_sl2():
     _, pd = pair_data_for("A", 1, (2,))
-    shape = det_shape_check(pd, bracket_matrix(pd))
+    shape = shape_of(pd, bracket_matrix(pd))
     # det = 8 t0 = epsilon * gamma * (2 t0) with epsilon = 1, gamma = 4
     assert shape.det == Poly.linear(("t0",), [Rat(8)])
     assert shape.epsilon == 1
     assert shape.gamma == 4
 
 
+def test_det_shape_check_refuses_a_wrong_determinant():
+    _, pd = pair_data_for("A", 2, (3,))
+    a = bracket_matrix(pd)
+    betas, det = structure_checks(pd, a).betas, index_pair(pd, a).det
+    with pytest.raises(TypeError):
+        det_shape_check(pd, a)  # betas and det are required
+    with pytest.raises(
+        IdentityError, match="determinant does not match the antidiagonal product shape"
+    ):
+        det_shape_check(pd, a, betas, det + det)
+
+
 def test_det_shape_subregular_nonzero():
     _, pd = pair_data_for("A", 2, (2, 1))
-    shape = det_shape_check(pd, bracket_matrix(pd))
+    shape = shape_of(pd, bracket_matrix(pd))
     assert not shape.det.is_zero()
     assert shape.gamma_nonzero
 
@@ -210,8 +226,7 @@ def test_det_shape_subregular_nonzero():
 def test_det_shape_regular_gamma_nonzero(family, rank):
     alg = build_algebra(family, rank)
     pd = build_pair_data(alg, principal_triplet(alg))
-    a = bracket_matrix(pd)
-    shape = det_shape_check(pd, a)
+    shape = shape_of(pd, bracket_matrix(pd))
     assert shape.gamma_nonzero
     want_eps = -1 if (rank * (rank - 1) // 2) % 2 else 1
     assert shape.epsilon == want_eps
@@ -484,6 +499,44 @@ def test_convolution_audit_compares_the_two_brackets_of_a_pair():
         bracket_matrix(pd)
 
 
+# Each fault replaces one cached derivative of the pair (1, 2) on A3 (4), so
+# that one audit decision is the first to fail: the new value of d_12 or
+# d_21 from (pd, d_12, d_21), and the message expected.
+CONVOLUTION_FAULTS = {
+    "derivative-audit": (
+        (1, 2), lambda pd, d12, d21: d12 + pd.z_vec[0], "derivative audit failed"
+    ),
+    "left-the-center": (
+        (2, 1), lambda pd, d12, d21: d21 + pd.triplet.h, "left the center"
+    ),
+    "not-proportional": (
+        (2, 1), lambda pd, d12, d21: d21 + pd.z_vec[0], "is not proportional"
+    ),
+    "vanishing-gradient": (
+        (2, 1),
+        lambda pd, d12, d21: d12.scale(-1),
+        "bracket nonzero while the convolution gradient vanishes",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(CONVOLUTION_FAULTS))
+def test_convolution_audit_refuses_each_broken_derivative(fault):
+    (i, j), value, message = CONVOLUTION_FAULTS[fault]
+    _, pd = pair_data_for("A", 3, (4,))
+    convolution_at(pd, 1, 2)  # the unbroken pair passes
+    d12, d21 = pd.derivative(1, 2), pd.derivative(2, 1)
+    # h lies outside delta; z_1 lies in delta and is not proportional to
+    # [y_1, z_2]
+    assert not pd.delta.contains(pd.triplet.h) and pd.delta.contains(pd.z_vec[0])
+    assert Subspace.from_elements(pd.algebra, [pd.bracket(1, 2), pd.z_vec[0]]).dim == 2
+    row = list(pd._derivatives[j])
+    row[i - 1] = value(pd, d12, d21)
+    pd._derivatives[j] = tuple(row)
+    with pytest.raises(IdentityError, match=message):
+        convolution_at(pd, 1, 2)
+
+
 def test_hypothesis_refusal_paths():
     alg = build_algebra("D", 4)
     e = nilpotent_from_partition(alg, Partition((3, 3, 1, 1)))
@@ -503,11 +556,11 @@ def test_duplicate_exponent_refusal():
     assert not pd.distinct_exponents
     assert pd.hypothesis_ok
     a = bracket_matrix(pd)
-    index_pair(pd, a)  # index itself is fine
+    idx = index_pair(pd, a)  # index itself is fine
     with pytest.raises(HypothesisViolation):
         structure_checks(pd, a)
     with pytest.raises(HypothesisViolation):
-        det_shape_check(pd, a)
+        det_shape_check(pd, a, (), idx.det)
 
 
 def test_valid_partitions_families():
@@ -604,11 +657,6 @@ def test_analyze_orbit_computes_one_determinant(monkeypatch):
     rep = analyze_orbit(alg, Partition((4,)))
     assert rep.passed and rep.det_text
     assert calls == [3]
-    # on its own, det_shape_check still computes the determinant itself
-    _, pd = pair_data_for("A", 3, (4,))
-    shape = det_shape_check(pd, bracket_matrix(pd))
-    assert calls == [3, 3]
-    assert shape.det.text() == rep.det_text
 
 
 def test_seed_changes_only_prime_samples():

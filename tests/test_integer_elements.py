@@ -24,13 +24,11 @@ from nilab import (
     center_of,
     centralizer,
     interpolate_vector_poly,
-    normalizer_of,
     principal_triplet,
-    rank_kernel,
-    solve,
 )
+from nilab.algebras import normalizer_of
 from nilab.invariants import mf_shift_rank
-from nilab.linalg import _int_rows, echelon_kernel, mat_mul
+from nilab.linalg import _int_rows, echelon_kernel, mat_mul, rank_kernel, solve
 
 ALGEBRAS = [("A", 3), ("B", 2), ("C", 2), ("D", 4)]  # sl(4), so(5), sp(4), so(8)
 ZERO = Rat(0)

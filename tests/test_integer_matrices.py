@@ -18,17 +18,16 @@ import pytest
 from nilab import (
     ContractError,
     Rat,
-    ad_matrix,
     bracket,
     build_algebra,
     eval_generator,
     generators,
     mixed_term,
     pfaffian,
-    solve,
     taylor_terms,
     trace_form,
 )
+from nilab.algebras import ad_matrix
 from nilab.invariants import (
     _digit_width,
     _gradient_raw,
@@ -36,7 +35,7 @@ from nilab.invariants import (
     _line_terms,
     bivariate_terms,
 )
-from nilab.linalg import interpolate_vector_poly, mat_mul
+from nilab.linalg import interpolate_vector_poly, mat_mul, solve
 
 
 def gradient_derivative(alg, j, x, y):

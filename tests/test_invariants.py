@@ -23,7 +23,6 @@ from nilab import (
     nilpotent_from_partition,
     kostant_independence,
     pfaffian,
-    poly_det,
     principal_triplet,
     sl2_vectors,
     taylor_terms,
@@ -39,6 +38,7 @@ from nilab.invariants import (
     directional_scalar_derivative,
 )
 from nilab.linalg import interpolate_vector_poly
+from nilab.poly import poly_det
 
 
 def gradient_derivative(alg, j, x, y):

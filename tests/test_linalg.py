@@ -15,9 +15,6 @@ from nilab import (
     ShapeError,
     interpolate_vector_poly,
     inverse,
-    poly_det,
-    rank_kernel,
-    solve,
 )
 from nilab.linalg import (
     _gauss_jordan,
@@ -26,8 +23,11 @@ from nilab.linalg import (
     echelon_rows,
     mat_mul,
     mat_vec,
+    rank_kernel,
     rref,
+    solve,
 )
+from nilab.poly import poly_det
 
 
 def identity(n):

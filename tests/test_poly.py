@@ -12,10 +12,9 @@ from nilab import (
     Rat,
     ShapeError,
     generic_rank_detail,
-    poly_det,
-    rank_kernel,
 )
-from nilab.poly import _cleared, _eliminate, _quo, generic_rank_detail
+from nilab.linalg import rank_kernel
+from nilab.poly import _cleared, _eliminate, _quo, generic_rank_detail, poly_det
 
 V2 = ("x", "y")
 
@@ -357,6 +356,26 @@ def test_elimination_rank_on_rectangular_matrices():
             at_point = [[p.eval(point) for p in row] for row in entries]
             assert rank == rank_kernel(at_point, ncols)[0]
             assert generic_rank_detail(entries, seed=trial).det is None
+
+
+def test_generic_rank_cross_check_catches_a_lost_pivot(monkeypatch):
+    # the prime-point ranks check the symbolic rank: an echelon_rows that
+    # drops one pivot at every point must be refused
+    import nilab.poly as poly_module
+
+    real = poly_module.echelon_rows
+
+    def dropping(rows, ncols):
+        pivots, basis = real(rows, ncols)
+        return pivots[:-1], basis[:-1]
+
+    x, y = x_(), y_()
+    entries = [[x, y], [y, x]]
+    assert generic_rank_detail(entries).rank == 2
+    monkeypatch.setattr(poly_module, "echelon_rows", dropping)
+    message = r"generic rank cross-check mismatch: symbolic 2, evaluations \[1, 1, 1\]"
+    with pytest.raises(InternalError, match=message):
+        generic_rank_detail(entries)
 
 
 def test_poly_det_rejects_non_square():

@@ -118,18 +118,16 @@ PUBLIC_NAMES = [
     "HypothesisViolation", "IdentityError", "IndexResult", "InternalError",
     "InvariantGenerator", "NilabError", "OrbitReport", "PairData", "Partition",
     "PartitionError", "Poly", "Rat", "ShapeError", "Subspace", "TaylorTerms",
-    "Triplet", "UnsupportedAlgebraError", "ad_matrix", "analyze_orbit",
-    "bivariate_terms", "bracket", "bracket_matrix", "build_algebra",
-    "build_pair_data", "center_of", "centralizer", "convolution_at",
-    "det_shape_check", "eval_generator", "generators", "generic_rank_detail",
-    "gradient", "h_graduation", "index_pair", "interpolate_vector_poly",
-    "inverse", "kostant_independence", "make_samples", "mf_shift_rank",
-    "mixed_term", "nilpotent_from_partition", "normalizer_decomposition_check",
-    "normalizer_of", "pfaffian", "poly_det", "principal_triplet", "rank_kernel",
-    "sl2_complete", "sl2_vectors", "solve", "structure_checks", "sweep",
-    "taylor_terms", "trace_form", "triangular_decomposition",
-    "triple_from_partition", "unipotent_conjugate", "valid_partitions",
-    "verify_field_identities",
+    "Triplet", "UnsupportedAlgebraError", "analyze_orbit", "bracket",
+    "bracket_matrix", "build_algebra", "build_pair_data", "center_of",
+    "centralizer", "convolution_at", "det_shape_check", "eval_generator",
+    "generators", "generic_rank_detail", "gradient", "h_graduation",
+    "index_pair", "interpolate_vector_poly", "inverse", "kostant_independence",
+    "make_samples", "mf_shift_rank", "mixed_term", "nilpotent_from_partition",
+    "normalizer_decomposition_check", "pfaffian", "principal_triplet",
+    "sl2_complete", "sl2_vectors", "structure_checks", "sweep", "taylor_terms",
+    "trace_form", "triangular_decomposition", "triple_from_partition",
+    "unipotent_conjugate", "valid_partitions", "verify_field_identities",
 ]
 
 

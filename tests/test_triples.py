@@ -9,18 +9,18 @@ from nilab import (
     InternalError,
     Partition,
     PartitionError,
+    Triplet,
     bracket,
     build_algebra,
     centralizer,
     nilpotent_from_partition,
     principal_triplet,
-    rank_kernel,
     sl2_complete,
     triple_from_partition,
     unipotent_conjugate,
     valid_partitions,
 )
-from nilab.linalg import mat_mul
+from nilab.linalg import mat_mul, rank_kernel
 from nilab.triples import (
     _check_jordan_type,
     _congruence,
@@ -215,6 +215,22 @@ def test_triplet_relations_always_hold():
         assert bracket(t.h, t.e) == t.e.scale(2)
         assert bracket(t.h, t.f) == t.f.scale(-2)
         assert bracket(t.e, t.f) == t.h
+
+
+@pytest.mark.parametrize(
+    "broken,relation",
+    [
+        (lambda h, e, f: (h.scale(2), e, f), r"\[h,e\] = 2e"),
+        (lambda h, e, f: (h, e, f + e), r"\[h,f\] = -2f"),
+        (lambda h, e, f: (h, e, f.scale(2)), r"\[e,f\] = h"),
+    ],
+    ids=["h-e", "h-f", "e-f"],
+)
+def test_triplet_refuses_each_broken_relation(broken, relation):
+    t = principal_triplet(build_algebra("A", 2))
+    Triplet(t.h, t.e, t.f)
+    with pytest.raises(InternalError, match=f"triple relation {relation} failed"):
+        Triplet(*broken(t.h, t.e, t.f))
 
 
 def test_h_has_integer_spectrum():
