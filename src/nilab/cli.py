@@ -203,9 +203,15 @@ def _cmd_index(args) -> int:
         },
     }
     _emit(args, payload)
-    if report.error or (not report.skipped and report.hypothesis_ok and not report.passed):
+    return _orbits_exit_code([report])
+
+
+def _orbits_exit_code(reports) -> int:
+    """1 if an orbit raised or failed a check, else 2 if one violates the
+    hypothesis, else 0; a skipped orbit passes."""
+    if any(rep.error or (rep.hypothesis_ok and not rep.passed) for rep in reports):
         return EXIT_CHECK_FAILED
-    if not report.hypothesis_ok and not report.skipped:
+    if any(not rep.hypothesis_ok and not rep.skipped for rep in reports):
         return EXIT_HYPOTHESIS
     return EXIT_OK
 
@@ -239,12 +245,7 @@ def _cmd_table(args) -> int:
         "results": {"orbits": [rep.to_dict() for rep in reports]},
     }
     _emit(args, payload, rows=_csv_rows(reports) if args.format == "csv" else None)
-    failed = any(rep.error or (rep.hypothesis_ok and not rep.passed) for rep in reports)
-    if failed:
-        return EXIT_CHECK_FAILED
-    if any(not rep.hypothesis_ok and not rep.skipped for rep in reports):
-        return EXIT_HYPOTHESIS
-    return EXIT_OK
+    return _orbits_exit_code(reports)
 
 
 def _cmd_decompose(args) -> int:

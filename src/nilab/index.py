@@ -28,12 +28,11 @@ on the so(2r) orbits (2r-3, 3), r = 4..7, ind is 1 while
 ind eta = rank g - dim delta.  The same
 brackets are audited against the convolution gradients: [y_i, z_j] is an
 exact multiple of grad B(Q_i, Q_j)(e), whose delta coordinates are the
-alpha coefficients reported per pair.  Its derivatives dQ_i(e).z_j need no
-expansion along z_j for the trace powers: z_j commutes with e (checked), so
-they are multiples of e^(m_i-1) z_j, one walk of products with e per
-direction.  Likewise every trace-kind P_j(e) is read off one walk of powers
-of e, and every y_j off the derivative of that walk along h; each of these
-sparse products comes back to g through the sparse read-off, on its nonzero
+alpha coefficients reported per pair.  Every trace-kind P_j(e) is read off
+one walk of powers of e, and every first derivative off the derivative of
+that walk along a direction u (_slopes_at): the y_j along h, and the audit's
+dQ_i(e).z_j along z_j, one walk per direction.  Each of these sparse
+products comes back to g through the sparse read-off, on its nonzero
 entries, with no N x N matrix.  Only D's Pfaffian generator takes a packed
 expansion (invariants._line_table), for itself alone.  normalizer-span and
 the index reuse what is already held: the remainders of the y_j modulo z,
@@ -51,7 +50,6 @@ from .algebras import (
     AlgebraRealization,
     Element,
     Subspace,
-    _bracket_coords,
     _family_rank_for_size,
     _nonzero,
     _product_rows,
@@ -120,41 +118,27 @@ class PairData:
         z_cols = [self.delta.coords_of(z) for z in self.z_vec]
         return inverse([list(row) for row in zip(*z_cols)])
 
+    @cached_property
+    def _powers(self):
+        """[None, E, E^2, ...], the sparse powers of the integer rows of e
+        that _slopes_at reads, walked once per orbit for every direction."""
+        es = self.triplet.e._sparse_form()
+        walk = [None, es]
+        while len(walk) < max(self.pair_exponents):
+            walk.append(_product_rows(es, walk[-1]))
+        return walk
+
     def derivative(self, i: int, j: int) -> Element:
         """dQ_i(e).z_j, i and j 1-based positions in the selected family,
-        kept per direction z_j for every i.
-
-        For the trace kind Q_i(x) = (deg_i / form_scale) proj(x^m_i), so
-        dQ_i(e).z = (deg_i / form_scale) proj(sum_a e^a z e^(m_i-1-a)), and
-        for z commuting with e the sum is m_i e^(m_i-1) z.  z_j lies in
-        delta, inside the centralizer of e, but its bracket with e is checked
-        to vanish on the structure constants (IdentityError naming j
-        otherwise), so the formula never rests on delta being right.  One
-        walk W_0 = Z_j, W_k = E W_(k-1) on sparse rows then gives every
-        trace-kind d_ij, read off the nonzero entries of W_(m_i-1) at den
-        d_e^(m_i-1) d_z (_read_gradient_rows).  D's Pfaffian generator takes
-        one packed expansion along z_j (_line_table), for itself alone.
-        """
+        kept per direction z_j for every i: the slope walk of the y_j
+        (_slopes_at) along u = z_j.  It assumes nothing of [e, z_j], so the
+        derivative audit checks the same walk as the y_j against brackets."""
         row = self._derivatives.get(j)
         if row is None:
-            alg = self.algebra
-            e, zj = self.triplet.e, self.z_vec[j - 1]
-            if _bracket_coords(alg, _nonzero(e.num), _nonzero(zj.num)):
-                raise IdentityError(f"z_{j} does not commute with e")
-            es, walk = e._sparse_form(), [zj._sparse_form()]
-            row = []
-            for k in self.selected_indices:
-                gen = generators(alg)[k - 1]
-                m = gen.exponent
-                if gen.kind != "trace":
-                    row.append(_line_table(alg, (k,), e, zj, None, [(0, 1)])[k][(0, 1)])
-                    continue
-                while len(walk) < m:
-                    walk.append(_product_rows(es, walk[-1]))
-                factor = _gradient_factor(alg, gen) * m
-                den = e.den ** (m - 1) * zj.den
-                row.append(_read_gradient_rows(alg, walk[m - 1], den, factor))
-            row = self._derivatives[j] = tuple(row)
+            row = self._derivatives[j] = _slopes_at(
+                self.algebra, self.triplet.e, self.z_vec[j - 1], self._powers,
+                self.selected_indices,
+            )
         return row[i - 1]
 
     def bracket(self, i: int, j: int) -> Element:
@@ -197,30 +181,31 @@ def _gradients_at(alg: AlgebraRealization, e: Element, walk):
     return grads
 
 
-def _slopes_at(alg: AlgebraRealization, e: Element, h: Element, walk, js):
-    """(dP_j(e).h for j in js), the y_j.  X^k has derivative
-    S_k = E S_(k-1) + H E^(k-1) along H at E, S_1 = H, with no use of
-    [h, e] = 2e: the product of the block row [E H] with the block column
-    [S_(k-1); E^(k-1)], walked on sparse rows alongside the powers E^k
-    that _gradients_at left in walk, so y_j = factor proj(S_m) /
-    (d_e^(m-1) d_h).  D's Pfaffian takes one packed expansion along h
-    (_line_table)."""
+def _slopes_at(alg: AlgebraRealization, e: Element, u: Element, walk, js):
+    """(dP_j(e).u for j in js), along any direction u: the y_j for u = h,
+    the audit's d_ij for u = z_j.  X^k has derivative
+    S_k = E S_(k-1) + U E^(k-1) along U at E, S_1 = U, with no use of a
+    bracket of u with e: the product of the block row [E U] with the block
+    column [S_(k-1); E^(k-1)], walked on sparse rows alongside the powers
+    walk[k] = E^k, which must reach E^(m-1) for the largest trace exponent
+    m in js, so dP_j(e).u = factor proj(S_m) / (d_e^(m-1) d_u).  D's
+    Pfaffian takes one packed expansion along u (_line_table)."""
     n = alg.matrix_size_N
-    es, hs = walk[1], h._sparse_form()
-    eh = {i: es.get(i, []) + [(t + n, v) for t, v in hs.get(i, ())] for i in es.keys() | hs.keys()}
-    slope = [None, hs]  # slope[k] = S_k
+    es, us = walk[1], u._sparse_form()
+    eu = {i: es.get(i, []) + [(t + n, v) for t, v in us.get(i, ())] for i in es.keys() | us.keys()}
+    slope = [None, us]  # slope[k] = S_k
     out = []
     for j in js:
         gen = generators(alg)[j - 1]
         m = gen.exponent
         if gen.kind != "trace":
-            out.append(_line_table(alg, (j,), e, h, None, [(0, 1)])[j][(0, 1)])
+            out.append(_line_table(alg, (j,), e, u, None, [(0, 1)])[j][(0, 1)])
             continue
         while len(slope) <= m:
             k = len(slope)
             block = {**slope[k - 1], **{t + n: line for t, line in walk[k - 1].items()}}
-            slope.append(_product_rows(eh, block))
-        den = e.den ** (m - 1) * h.den
+            slope.append(_product_rows(eu, block))
+        den = e.den ** (m - 1) * u.den
         out.append(_read_gradient_rows(alg, slope[m], den, _gradient_factor(alg, gen)))
     return tuple(out)
 

@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from nilab import ContractError, IdentityError, cli
+from nilab import ContractError, HypothesisViolation, IdentityError, InternalError, cli
 from nilab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_HYPOTHESIS,
@@ -131,6 +131,46 @@ def test_verify_reports_a_broken_ladder_in_the_decomposition_too(monkeypatch):
         "sl(3) sl(2) ladders": [{"name": "eigen-ladders", "pass": False, "details": message}],
         "sl(3) triangular decomposition": [{"name": "dims", "pass": False, "details": message}],
     }
+
+
+def test_verify_records_a_failing_independence_check_and_exits_1(monkeypatch):
+    def failing(alg, triplet):
+        raise IdentityError("injected independence failure")
+
+    monkeypatch.setattr(cli, "kostant_independence", failing)
+    code, out = run_capture(["verify", "--family", "A", "--rank", "2", "--samples", "1"])
+    assert code == EXIT_CHECK_FAILED
+    failed = [check for check in json.loads(out)["checks"] if not check["pass"]]
+    assert failed == [
+        {
+            "name": "sl(3) gradient independence at regular e",
+            "pass": False,
+            "items": [
+                {"name": "independence", "pass": False, "details": "injected independence failure"}
+            ],
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "error,code,message",
+    [
+        (HypothesisViolation("injected"), EXIT_HYPOTHESIS, "nilab: injected\n"),
+        (InternalError("injected"), EXIT_CHECK_FAILED, "nilab: InternalError: injected\n"),
+    ],
+    ids=["hypothesis", "other"],
+)
+def test_an_error_raised_inside_a_command_sets_the_exit_code(
+    monkeypatch, capsys, error, code, message
+):
+    # a HypothesisViolation exits 2 and any other NilabError 1, each with its
+    # message on stderr and nothing on stdout
+    def failing(alg):
+        raise error
+
+    monkeypatch.setattr(cli, "triangular_decomposition", failing)
+    assert run(["decompose", "--family", "A", "--rank", "2"]) == code
+    assert capsys.readouterr() == ("", message)
 
 
 def test_index_json_fields():

@@ -266,10 +266,10 @@ def test_convolution_observed_is_twice_reference():
 
 
 def test_convolution_derivatives_walk_the_powers_of_e_and_expand_only_the_pfaffian(monkeypatch):
-    # z_j commutes with e, so d_ij = dQ_i(e).z_j = m_i e^(m_i-1) z_j for the
-    # trace kind, read off one walk of products with e per direction: A and C
-    # take no packed expansion, and D takes one per direction z_j, for the
-    # Pfaffian generator alone
+    # d_ij = dQ_i(e).z_j comes from the slope walk of the y_j along z_j, one
+    # walk over the powers of e per direction: A and C take no packed
+    # expansion, and D takes one per direction z_j, for the Pfaffian
+    # generator alone
     import nilab.index as index_module
 
     calls = []
@@ -321,16 +321,20 @@ def test_convolution_derivatives_match_the_line_expansion_on_every_orbit(family,
     assert orbits >= 3
 
 
-def test_convolution_derivative_refuses_a_direction_that_does_not_commute_with_e():
-    # the power-walk formula needs [e, z_j] = 0; y_1 does not commute with e
-    # ([e, y_1] = -2 m_1 z_1), so a z_2 moved by it must be refused by name
-    _, pd = pair_data_for("A", 3, (4,))
-    zs = list(pd.z_vec)
+def test_convolution_derivative_walks_a_moved_direction_and_the_audit_refuses_it():
+    # the slope walk assumes nothing of [e, z_j]: along z_2 moved by y_1,
+    # which does not commute with e ([e, y_1] = -2 m_1 z_1), each d_i2 is
+    # still the first derivative of the line expansion, so the audit refuses
+    # the pair because [y_1, z_2] no longer matches it; the other directions
+    # keep their derivatives
+    alg, pd = pair_data_for("A", 3, (4,))
+    e, zs = pd.triplet.e, list(pd.z_vec)
     zs[1] = zs[1] + pd.y_vec[0]
     bad = replace(pd, z_vec=tuple(zs))
-    with pytest.raises(IdentityError, match="z_2 does not commute with e"):
-        bad.derivative(1, 2)
-    with pytest.raises(IdentityError, match="z_2 does not commute with e"):
+    assert not bracket(e, zs[1]).is_zero()
+    for i, ji in enumerate(pd.selected_indices, start=1):
+        assert bad.derivative(i, 2) == gradient_derivative(alg, ji, e, zs[1])
+    with pytest.raises(IdentityError, match="derivative audit failed"):
         convolution_at(bad, 1, 2)
     assert bad.derivative(3, 1) == pd.derivative(3, 1)
 
@@ -369,6 +373,25 @@ def test_walk_values_and_slopes_match_the_line_expansion_on_every_orbit(family, 
         assert pd.y_vec == tuple(table[j][(0, 1)] for j in pd.selected_indices)
         violated += not pd.hypothesis_ok
     assert violated >= (family in "BD")
+
+
+@pytest.mark.parametrize("family,rank", WALK_ALGEBRAS)
+def test_slopes_match_the_line_expansion_along_random_directions(family, rank):
+    # the slope walk takes any direction u: along seeded random u, which do
+    # not commute with e, dP_j(e).u is the (0, 1) term of the packed
+    # expansion along u, for every generator of every nonzero orbit
+    alg = build_algebra(family, rank)
+    js = [gen.index_j for gen in generators(alg)]
+    rng = random.Random(f"slopes:{family}{rank}")
+    for partition, triplet in nonzero_orbit_triples(alg):
+        e = triplet.e
+        walk = [None, e._sparse_form()]
+        _gradients_at(alg, e, walk)  # walks the powers of e to every exponent
+        for _ in range(2):
+            u = alg.random_element(rng).scale(Rat(2, 3))
+            assert not bracket(e, u).is_zero()
+            table = _line_table(alg, js, e, u, None, [(0, 1)])
+            assert _slopes_at(alg, e, u, walk, js) == tuple(table[j][(0, 1)] for j in js), partition
 
 
 def sparse_rows(rows):
@@ -535,6 +558,48 @@ def test_convolution_audit_refuses_each_broken_derivative(fault):
     pd._derivatives[j] = tuple(row)
     with pytest.raises(IdentityError, match=message):
         convolution_at(pd, 1, 2)
+
+
+def test_build_pair_data_refuses_a_gradient_outside_the_center(monkeypatch):
+    # a center short of its first echelon row no longer holds P_1(e)
+    import nilab.index as index_module
+
+    real = index_module.center_of
+
+    def short(zcent):
+        delta = real(zcent)
+        return Subspace.from_coord_rows(delta.algebra, list(delta.num_rows[1:]))
+
+    alg = build_algebra("A", 3)
+    triplet = triple_from_partition(alg, Partition((4,)))
+    build_pair_data(alg, triplet)
+    monkeypatch.setattr(index_module, "center_of", short)
+    with pytest.raises(
+        IdentityError, match="gradient 1 at e is outside the center of the centralizer"
+    ):
+        build_pair_data(alg, triplet)
+
+
+def test_bracket_matrix_refuses_an_entry_outside_the_center():
+    # y_1 + f brackets z_1 to A_11 + [f, z_1] = A_11 - y_1, and y_1 lies
+    # outside delta
+    _, pd = pair_data_for("A", 3, (4,))
+    bracket_matrix(pd)
+    ys = list(pd.y_vec)
+    ys[0] = ys[0] + pd.triplet.f
+    with pytest.raises(
+        IdentityError, match=re.escape("[y_1, z_1] is not in the center of the centralizer")
+    ):
+        bracket_matrix(replace(pd, y_vec=tuple(ys)))
+
+
+def test_convolution_audit_refuses_a_pair_index_out_of_range():
+    _, pd = pair_data_for("A", 3, (4,))
+    for i, j in [(0, 1), (1, 4)]:
+        with pytest.raises(
+            IdentityError, match=re.escape(f"pair index ({i},{j}) out of range 1..3")
+        ):
+            convolution_at(pd, i, j)
 
 
 def test_hypothesis_refusal_paths():

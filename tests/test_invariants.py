@@ -1,12 +1,15 @@
 """Generator values, gradients, derivative extraction, identity suites."""
 
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
 from nilab import (
     CheckReport,
     ContractError,
+    IdentityError,
     InternalError,
     NilabError,
     Partition,
@@ -304,6 +307,55 @@ def test_sl2_vector_relations_all_families(family, rank):
     alg = build_algebra(family, rank)
     t = principal_triplet(alg)
     sl2_vectors(alg, t)  # raises IdentityError on any broken relation
+
+
+@pytest.mark.parametrize(
+    "ladder,message", [("e", "[e, v_1,0] != -2 v_(k+1)"), ("f", "[f, w_1,0] != 2 w_(k+1)")]
+)
+def test_sl2_vectors_refuse_a_scaled_ladder_term(monkeypatch, ladder, message):
+    # doubling term 1 of the Taylor expansion of P_1 along h + s e (the v
+    # ladder) or h + s f (the w ladder) breaks the step from term 0, which
+    # the h-eigenvalue checks alone would not see
+    import nilab.invariants as invariants_module
+
+    alg = build_algebra("A", 2)
+    t = principal_triplet(alg)
+    sl2_vectors(alg, t)
+    real = invariants_module.taylor_terms
+
+    def scaled(alg, j, x, y):
+        terms = real(alg, j, x, y)
+        if j != 1 or y != getattr(t, ladder):
+            return terms
+        return replace(terms, terms=(terms.terms[0], terms.terms[1].scale(2)) + terms.terms[2:])
+
+    monkeypatch.setattr(invariants_module, "taylor_terms", scaled)
+    with pytest.raises(IdentityError, match=re.escape(message + ": ladder broken")):
+        sl2_vectors(alg, t)
+
+
+@pytest.mark.parametrize(
+    "term,message", [(0, "constant Taylor term is not P(x)"), (-1, "top Taylor term is not P(y)")]
+)
+def test_taylor_terms_refuse_a_wrong_endpoint(monkeypatch, term, message):
+    # the line expansion's first or last term moved off P(x) or P(y)
+    import nilab.invariants as invariants_module
+
+    alg = build_algebra("A", 2)
+    x, y = alg.random_element(random.Random(1)), alg.random_element(random.Random(2))
+    taylor_terms(alg, 2, x, y)
+    real = invariants_module._line_terms
+
+    def shifted(alg, j, x, y, u, wanted):
+        line = real(alg, j, x, y, u, wanted)
+        if y is None:  # the endpoint values P(x) and P(y) themselves
+            return line
+        key = wanted[term]
+        return {**line, key: line[key] + x}
+
+    monkeypatch.setattr(invariants_module, "_line_terms", shifted)
+    with pytest.raises(InternalError, match=re.escape(message)):
+        taylor_terms(alg, 2, x, y)
 
 
 def test_kostant_independence_sl3():
