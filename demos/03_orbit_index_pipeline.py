@@ -40,7 +40,7 @@ st = structure_checks(pd, a)
 print("structure:", st.report.summary(), "| betas =", [str(b) for b in st.betas])
 
 result = index_pair(pd, a)
-shape = det_shape_check(pd, a, st.betas, result.det)
+shape = det_shape_check(pd, st.betas, result.det)
 print(
     f"det A = {shape.det.text()}  (epsilon {shape.epsilon}, gamma {shape.gamma}, "
     f"nonzero {shape.gamma_nonzero})"

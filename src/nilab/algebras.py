@@ -35,7 +35,7 @@ coords_of_rows on dense rows (the packed gradients, triples, Ad(exp n)),
 which reads each coordinate at its pivot and checks only the other
 positions, and _coords_of_entries on the nonzero entries of a commutator
 of two basis matrices or of a product of sparse rows (_product_rows: the
-orbit pipeline's walks of powers of e).
+one walk of an element's powers, _power_walk, and the slope walks on it).
 
 Brackets need neither a matrix nor a read-off.  Each realization keeps one
 table of integer structure constants, [b_i, b_j] = sum_k c_ijk b_k, built
@@ -585,14 +585,8 @@ class Element:
         return not any(self.num)
 
     def is_nilpotent(self) -> bool:
-        n = self.algebra.matrix_size_N
-        rows, _ = self.int_rows()
-        power = rows
-        for _ in range(n - 1):
-            if not any(any(row) for row in power):
-                return True
-            power = mat_mul(power, rows)
-        return not any(any(row) for row in power)
+        """Whether the walk of the matrix's powers (_power_walk) stops before R^N."""
+        return len(_power_walk(self)) <= self.algebra.matrix_size_N
 
     def __add__(self, other: "Element") -> "Element":
         return _sum(self, other, 1)
@@ -1058,27 +1052,41 @@ def unipotent_conjugate(n: Element, x: Element) -> Element:
 @functools.lru_cache(maxsize=1)
 def _exp_pair(n: Element):
     """(E+, E-, D) with exp(+-n) = E+- / D: for n = R / d and R^(K+1) = 0,
-    D = d^K K! and the integer matrices E+- = sum_k (+-1)^k R^k D / (d^k k!).
+    D = d^K K! and E+- = sum_k (+-1)^k R^k D / (d^k k!) over _power_walk(n).
     One entry is cached, so a verify sample's moved point and the conjugate
     of every P_j(x) share one pair; a non-nilpotent n raises ContractError
     on every call, since exceptions are not cached."""
-    r, d = n.int_rows()
+    walk = _power_walk(n)
     size = n.algebra.matrix_size_N
-    powers = []  # R^0, ..., R^K
-    power = [[int(i == j) for j in range(size)] for i in range(size)]
-    while any(any(row) for row in power):
-        if len(powers) == size:
-            raise ContractError("element is not nilpotent")
-        powers.append(power)
-        power = mat_mul(power, r)
-    top = len(powers) - 1
+    if len(walk) > size:
+        raise ContractError("element is not nilpotent")
+    d, top = n.den, len(walk) - 1
     big = d**top * math.factorial(top)
-    plus, minus = _zero_int_rows(size), _zero_int_rows(size)
-    for k, power in enumerate(powers):
+    plus = [[big if i == j else 0 for j in range(size)] for i in range(size)]
+    minus = [row[:] for row in plus]
+    for k in range(1, len(walk)):
         c = big // (d**k * math.factorial(k))
-        for p_row, m_row, row in zip(plus, minus, power):
-            for j, v in enumerate(row):
-                if v:
-                    p_row[j] += c * v
-                    m_row[j] += (-c if k % 2 else c) * v
+        for i, line in walk[k].items():
+            for j, v in line:
+                plus[i][j] += c * v
+                minus[i][j] += (-c if k % 2 else c) * v
     return plus, minus, big
+
+
+@functools.lru_cache(maxsize=1)
+def _power_walk(x: Element):
+    """[None, R, ..., R^K]: the powers of the integer rows of x = R / d as
+    sparse rows, up to the last nonzero one (zero past the end), or up to
+    R^N if x is not nilpotent.  The Jordan-type check, an orbit's P_j(e), y_j
+    and audit derivatives, is_nilpotent and exp(+-n) all read it; one entry
+    is cached, and the list is not to be changed."""
+    size = x.algebra.matrix_size_N
+    walk = [None]
+    # built afresh, not cached on x: every verify sample keeps its n alive
+    power = _sparse_rows(x.num, x.algebra._basis_sparse)
+    while power:
+        walk.append(power)
+        if len(walk) > size:
+            break
+        power = _product_rows(walk[1], power)
+    return walk

@@ -29,9 +29,10 @@ ind eta = rank g - dim delta.  The same
 brackets are audited against the convolution gradients: [y_i, z_j] is an
 exact multiple of grad B(Q_i, Q_j)(e), whose delta coordinates are the
 alpha coefficients reported per pair.  Every trace-kind P_j(e) is read off
-one walk of powers of e, and every first derivative off the derivative of
-that walk along a direction u (_slopes_at): the y_j along h, and the audit's
-dQ_i(e).z_j along z_j, one walk per direction.  Each of these sparse
+the one walk of the powers of e (algebras._power_walk, which the Jordan-type
+check, is_nilpotent and exp(+-n) read too), and every first derivative off
+its derivative along a direction u (_slopes_at): the y_j along h, and the
+audit's dQ_i(e).z_j along z_j, one slope walk per direction.  Each of these sparse
 products comes back to g through the sparse read-off, on its nonzero
 entries, with no N x N matrix.  Only D's Pfaffian generator takes a packed
 expansion (invariants._line_table), for itself alone.  normalizer-span and
@@ -52,6 +53,7 @@ from .algebras import (
     Subspace,
     _family_rank_for_size,
     _nonzero,
+    _power_walk,
     _product_rows,
     _weights,
     bracket,
@@ -118,16 +120,6 @@ class PairData:
         z_cols = [self.delta.coords_of(z) for z in self.z_vec]
         return inverse([list(row) for row in zip(*z_cols)])
 
-    @cached_property
-    def _powers(self):
-        """[None, E, E^2, ...], the sparse powers of the integer rows of e
-        that _slopes_at reads, walked once per orbit for every direction."""
-        es = self.triplet.e._sparse_form()
-        walk = [None, es]
-        while len(walk) < max(self.pair_exponents):
-            walk.append(_product_rows(es, walk[-1]))
-        return walk
-
     def derivative(self, i: int, j: int) -> Element:
         """dQ_i(e).z_j, i and j 1-based positions in the selected family,
         kept per direction z_j for every i: the slope walk of the y_j
@@ -136,8 +128,7 @@ class PairData:
         row = self._derivatives.get(j)
         if row is None:
             row = self._derivatives[j] = _slopes_at(
-                self.algebra, self.triplet.e, self.z_vec[j - 1], self._powers,
-                self.selected_indices,
+                self.algebra, self.triplet.e, self.z_vec[j - 1], self.selected_indices
             )
         return row[i - 1]
 
@@ -163,35 +154,35 @@ class PairData:
             )
 
 
-def _gradients_at(alg: AlgebraRealization, e: Element, walk):
-    """(P_1(e), ..., P_r(e)).  The trace kind is read off the walk, the
-    powers walk[k] = E^k of the sparse integer rows of e = E / d_e,
-    extended here as needed: P_j(e) = factor proj(E^m) / d_e^m, through
-    the sparse read-off.  D's Pfaffian takes one packed evaluation at e
-    (_line_table)."""
+def _gradients_at(alg: AlgebraRealization, e: Element):
+    """(P_1(e), ..., P_r(e)).  The trace kind is read off the powers E^k of
+    the sparse integer rows of e = E / d_e (_power_walk, zero past its end):
+    P_j(e) = factor proj(E^m) / d_e^m, through the sparse read-off.  D's
+    Pfaffian takes one packed evaluation at e (_line_table)."""
+    walk = _power_walk(e)
     grads = []
     for gen in generators(alg):
         j, m = gen.index_j, gen.exponent
         if gen.kind != "trace":
             grads.append(_line_table(alg, (j,), e, None, None, [(0, 0)])[j][(0, 0)])
             continue
-        while len(walk) <= m:
-            walk.append(_product_rows(walk[1], walk[-1]))
-        grads.append(_read_gradient_rows(alg, walk[m], e.den**m, _gradient_factor(alg, gen)))
+        power = walk[m] if m < len(walk) else {}
+        grads.append(_read_gradient_rows(alg, power, e.den**m, _gradient_factor(alg, gen)))
     return grads
 
 
-def _slopes_at(alg: AlgebraRealization, e: Element, u: Element, walk, js):
+def _slopes_at(alg: AlgebraRealization, e: Element, u: Element, js):
     """(dP_j(e).u for j in js), along any direction u: the y_j for u = h,
     the audit's d_ij for u = z_j.  X^k has derivative
     S_k = E S_(k-1) + U E^(k-1) along U at E, S_1 = U, with no use of a
     bracket of u with e: the product of the block row [E U] with the block
-    column [S_(k-1); E^(k-1)], walked on sparse rows alongside the powers
-    walk[k] = E^k, which must reach E^(m-1) for the largest trace exponent
-    m in js, so dP_j(e).u = factor proj(S_m) / (d_e^(m-1) d_u).  D's
-    Pfaffian takes one packed expansion along u (_line_table)."""
+    column [S_(k-1); E^(k-1)], walked on sparse rows beside the powers of e
+    (_power_walk, zero past its end), so dP_j(e).u = factor proj(S_m) /
+    (d_e^(m-1) d_u).  D's Pfaffian takes one packed expansion along u
+    (_line_table)."""
     n = alg.matrix_size_N
-    es, us = walk[1], u._sparse_form()
+    walk = _power_walk(e)
+    es, us = e._sparse_form(), u._sparse_form()
     eu = {i: es.get(i, []) + [(t + n, v) for t, v in us.get(i, ())] for i in es.keys() | us.keys()}
     slope = [None, us]  # slope[k] = S_k
     out = []
@@ -203,7 +194,8 @@ def _slopes_at(alg: AlgebraRealization, e: Element, u: Element, walk, js):
             continue
         while len(slope) <= m:
             k = len(slope)
-            block = {**slope[k - 1], **{t + n: line for t, line in walk[k - 1].items()}}
+            power = walk[k - 1] if k - 1 < len(walk) else {}
+            block = {**slope[k - 1], **{t + n: line for t, line in power.items()}}
             slope.append(_product_rows(eu, block))
         den = e.den ** (m - 1) * u.den
         out.append(_read_gradient_rows(alg, slope[m], den, _gradient_factor(alg, gen)))
@@ -221,8 +213,7 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
     delta = center_of(zcent)
     eta = preimage(e, delta)
     gens = generators(alg)
-    walk = [None, e._sparse_form()]  # walk[k] = E^k, extended as needed
-    grads = _gradients_at(alg, e, walk)
+    grads = _gradients_at(alg, e)
     for gen, g in zip(gens, grads):
         if not delta.contains(g):
             raise IdentityError(
@@ -233,7 +224,7 @@ def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
     pivots, _ = echelon_rows(list(zip(*(g.num for g in grads))), len(grads))
     selected = [gens[k].index_j for k in pivots]
     z_vec = tuple(grads[j - 1] for j in selected)
-    y_vec = _slopes_at(alg, e, h, walk, selected)
+    y_vec = _slopes_at(alg, e, h, selected)
     return PairData(
         algebra=alg,
         triplet=triplet,
@@ -445,7 +436,7 @@ class DetShapeResult:
     betas: tuple
 
 
-def det_shape_check(pd: PairData, a: BracketTensor, betas, det) -> DetShapeResult:
+def det_shape_check(pd: PairData, betas, det) -> DetShapeResult:
     """det A = epsilon * (prod beta_i) * (linear form of Q_s(e))^s, with
     epsilon the sign of the antidiagonal permutation.
 
@@ -654,7 +645,7 @@ def analyze_orbit(alg: AlgebraRealization, partition: Partition, *, seed: int = 
         if pd.distinct_exponents:
             structure = structure_checks(pd, a)
             report.checks.append(structure.report.to_dict())
-            shape = det_shape_check(pd, a, structure.betas, idx.det)
+            shape = det_shape_check(pd, structure.betas, idx.det)
             report.checks.append(shape.report.to_dict())
             report.betas = shape.betas
             report.gamma = shape.gamma

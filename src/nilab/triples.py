@@ -13,8 +13,8 @@ rational congruence T with T^t S T = G, S the realization's form, carries
 all three into the split realization: T is built by matching
 hyperbolic-plane decompositions of G and S.  Correctness is intrinsic, not
 shape-based: each matrix is read back through the checked coordinate
-read-off, so it lies in the algebra; e is checked to have the right Jordan
-type, from the ranks of its powers on sparse integer rows
+read-off, so it lies in the algebra; e's Jordan type is checked on the
+ranks of the walk of its powers that the orbit pipeline reads again
 (_check_jordan_type); and Triplet checks the three bracket relations.
 
 sl2_complete completes an arbitrary nonzero nilpotent e by a constructive
@@ -32,7 +32,7 @@ from ._scalar import ZERO
 from .algebras import (
     AlgebraRealization,
     Element,
-    _product_rows,
+    _power_walk,
     _zero_int_rows,
     ad_matrix,
     bracket,
@@ -239,17 +239,16 @@ def _congruence(alg: AlgebraRealization, g, u):
 
 def _check_jordan_type(e: Element, p: Partition):
     """InternalError unless e has Jordan type p: the kernel of e^k has
-    dimension sum_i min(p_i, k) for k = 1..p_1.  The powers are one walk of
-    products on the sparse integer rows of e (the denominator does not move
-    a rank), each ranked by one sparse elimination."""
+    dimension sum_i min(p_i, k) for k = 1..p_1.  The powers are the walk of
+    the sparse integer rows of e (_power_walk; the denominator does not move
+    a rank), zero past its end, each ranked by one sparse elimination."""
     n = e.algebra.matrix_size_N
-    rows = e._sparse_form()
-    power = rows
+    walk = _power_walk(e)
     for k in range(1, p.parts[0] + 1):
+        power = walk[k] if k < len(walk) else {}
         rank = len(_sparse_elimination(_int_maps([dict(line) for line in power.values()], n)))
         if n - rank != sum(min(part, k) for part in p.parts):
             raise InternalError(f"constructed nilpotent has wrong Jordan type at power {k}")
-        power = _product_rows(power, rows)
 
 
 def _partition_triple(alg: AlgebraRealization, p: Partition):

@@ -113,14 +113,14 @@ def test_criterion_6_regular_determinant_shape():
             alg = build_algebra(family, rank)
             pd = build_pair_data(alg, principal_triplet(alg))
             a = bracket_matrix(pd)
-            shape = det_shape_check(pd, a, structure_checks(pd, a).betas, index_pair(pd, a).det)
+            shape = det_shape_check(pd, structure_checks(pd, a).betas, index_pair(pd, a).det)
             assert shape.matches
             assert shape.gamma_nonzero
             assert shape.epsilon == (-1 if (rank * (rank - 1) // 2) % 2 else 1)
         alg = build_algebra("A", 2)
         pd = build_pair_data(alg, principal_triplet(alg))
         a = bracket_matrix(pd)
-        shape = det_shape_check(pd, a, structure_checks(pd, a).betas, index_pair(pd, a).det)
+        shape = det_shape_check(pd, structure_checks(pd, a).betas, index_pair(pd, a).det)
         t1 = Poly.variable(("t0", "t1"), 1)
         assert shape.det == Poly.const(("t0", "t1"), -576) * t1 * t1
         assert shape.betas == (Rat(8), Rat(8))

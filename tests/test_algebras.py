@@ -726,6 +726,21 @@ def test_unipotent_ad_of_zero_is_identity():
         assert unipotent_conjugate(alg.zero(), b) == b
 
 
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+def test_unipotent_conjugate_by_zero_is_the_identity_map(family, rank):
+    # the zero element walks no power, so exp(+-0) is the identity pair
+    # over D = 1 and every element comes back unchanged
+    alg = build_algebra(family, rank)
+    n = alg.matrix_size_N
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    zero = alg.zero()
+    assert nilab.algebras._power_walk(zero) == [None]
+    assert nilab.algebras._exp_pair(zero) == (identity, identity, 1)
+    rng = random.Random(f"zero:{family}{rank}")
+    for x in [alg.random_element(rng) for _ in range(3)] + [principal_triplet(alg).f]:
+        assert unipotent_conjugate(zero, x) == x
+
 def test_unipotent_ad_moves_f():
     alg = build_algebra("A", 1)
     t = principal_triplet(alg)

@@ -39,7 +39,7 @@ from nilab import (
     unipotent_conjugate,
     valid_partitions,
 )
-from nilab.algebras import _weights
+from nilab.algebras import _power_walk, _weights
 from nilab.errors import ContractError
 from nilab.index import _gradients_at, _has_weight, _slopes_at
 from nilab.invariants import _line_table, _line_terms, _read_gradient, _read_gradient_rows
@@ -65,7 +65,7 @@ def pair_data_for(family, rank, parts):
 
 def shape_of(pd, a):
     """det_shape_check with the betas and det the pipeline passes it."""
-    return det_shape_check(pd, a, structure_checks(pd, a).betas, index_pair(pd, a).det)
+    return det_shape_check(pd, structure_checks(pd, a).betas, index_pair(pd, a).det)
 
 
 def test_pair_data_sl3_regular():
@@ -205,11 +205,11 @@ def test_det_shape_check_refuses_a_wrong_determinant():
     a = bracket_matrix(pd)
     betas, det = structure_checks(pd, a).betas, index_pair(pd, a).det
     with pytest.raises(TypeError):
-        det_shape_check(pd, a)  # betas and det are required
+        det_shape_check(pd)  # betas and det are required
     with pytest.raises(
         IdentityError, match="determinant does not match the antidiagonal product shape"
     ):
-        det_shape_check(pd, a, betas, det + det)
+        det_shape_check(pd, betas, det + det)
 
 
 def test_det_shape_subregular_nonzero():
@@ -362,9 +362,8 @@ def test_walk_values_and_slopes_match_the_line_expansion_on_every_orbit(family, 
     for partition, triplet in nonzero_orbit_triples(alg):
         e, h = triplet.e, triplet.h
         table = _line_table(alg, js, e, h, None, [(0, 0), (0, 1)])
-        walk = [None, e._sparse_form()]
-        assert _gradients_at(alg, e, walk) == [table[j][(0, 0)] for j in js], partition
-        assert _slopes_at(alg, e, h, walk, js) == tuple(table[j][(0, 1)] for j in js), partition
+        assert _gradients_at(alg, e) == [table[j][(0, 0)] for j in js], partition
+        assert _slopes_at(alg, e, h, js) == tuple(table[j][(0, 1)] for j in js), partition
         pd = build_pair_data(alg, triplet)
         grads = [table[j][(0, 0)] for j in js]
         pivots, _ = echelon_rows(list(zip(*(g.num for g in grads))), len(js))
@@ -385,13 +384,67 @@ def test_slopes_match_the_line_expansion_along_random_directions(family, rank):
     rng = random.Random(f"slopes:{family}{rank}")
     for partition, triplet in nonzero_orbit_triples(alg):
         e = triplet.e
-        walk = [None, e._sparse_form()]
-        _gradients_at(alg, e, walk)  # walks the powers of e to every exponent
         for _ in range(2):
             u = alg.random_element(rng).scale(Rat(2, 3))
             assert not bracket(e, u).is_zero()
             table = _line_table(alg, js, e, u, None, [(0, 1)])
-            assert _slopes_at(alg, e, u, walk, js) == tuple(table[j][(0, 1)] for j in js), partition
+            assert _slopes_at(alg, e, u, js) == tuple(table[j][(0, 1)] for j in js), partition
+
+
+@pytest.mark.parametrize("family,rank", WALK_ALGEBRAS)
+def test_power_walk_lists_the_nonzero_powers_of_e(family, rank):
+    # for e of Jordan type p the walk is None, then E^1 .. E^(p_1 - 1), each
+    # nonzero and equal to the dense power; is_nilpotent reads its length,
+    # so it holds for e and 0 and fails for the diagonal h and a random x
+    alg = build_algebra(family, rank)
+    rng = random.Random(f"walk:{family}{rank}")
+    assert _power_walk(alg.zero()) == [None] and alg.zero().is_nilpotent()
+    for partition, triplet in nonzero_orbit_triples(alg):
+        e, h = triplet.e, triplet.h
+        walk = _power_walk(e)
+        assert len(walk) == partition.parts[0] and walk[0] is None, partition
+        rows, _ = e.int_rows()
+        power = rows
+        for k in range(1, len(walk)):
+            assert walk[k] and normalized(walk[k]) == normalized(sparse_rows(power)), partition
+            power = mat_mul(power, rows)
+        assert not any(any(row) for row in power)
+        assert e.is_nilpotent() and not h.is_nilpotent()
+        assert not alg.random_element(rng).is_nilpotent()
+
+
+@pytest.mark.parametrize("family,rank", WALK_ALGEBRAS)
+def test_slopes_walk_the_powers_of_an_e_that_nothing_walked_before(family, rank):
+    # _slopes_at needs no caller to have walked e first: with the walk cache
+    # emptied, the slopes along h and along a random u are the (0, 1) terms
+    # of the packed expansion
+    alg = build_algebra(family, rank)
+    js = [gen.index_j for gen in generators(alg)]
+    rng = random.Random(f"fresh:{family}{rank}")
+    for partition, triplet in nonzero_orbit_triples(alg):
+        e = triplet.e
+        for u in (triplet.h, alg.random_element(rng)):
+            table = _line_table(alg, js, e, u, None, [(0, 1)])
+            _power_walk.cache_clear()
+            assert _slopes_at(alg, e, u, js) == tuple(table[j][(0, 1)] for j in js), partition
+
+
+def test_analyze_orbit_walks_the_powers_of_e_once_per_orbit():
+    # the Jordan-type check walks e; the gradients, the y_j and the audit
+    # derivatives along each z_j read that walk again, and the zero orbit
+    # walks nothing
+    alg = build_algebra("A", 6)
+    _power_walk.cache_clear()
+    reports = [analyze_orbit(alg, p) for p in valid_partitions(alg)]
+    nonzero = [r for r in reports if not r.skipped]
+    assert (len(nonzero), len(reports)) == (14, 15)
+    assert all(r.passed and r.s for r in nonzero)
+    info = _power_walk.cache_info()
+    assert (info.misses, info.hits) == (14, sum(2 + r.s for r in nonzero))
+
+
+def normalized(rows):
+    return {i: sorted(line) for i, line in rows.items()}
 
 
 def sparse_rows(rows):
@@ -625,7 +678,7 @@ def test_duplicate_exponent_refusal():
     with pytest.raises(HypothesisViolation):
         structure_checks(pd, a)
     with pytest.raises(HypothesisViolation):
-        det_shape_check(pd, a, (), idx.det)
+        det_shape_check(pd, (), idx.det)
 
 
 def test_valid_partitions_families():

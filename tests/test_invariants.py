@@ -35,6 +35,7 @@ from nilab import (
     verify_field_identities,
 )
 from nilab.invariants import (
+    _decomposition_from_ladders,
     _gradient_raw,
     _line_terms,
     bivariate_terms,
@@ -333,6 +334,100 @@ def test_sl2_vectors_refuse_a_scaled_ladder_term(monkeypatch, ladder, message):
     with pytest.raises(IdentityError, match=re.escape(message + ": ladder broken")):
         sl2_vectors(alg, t)
 
+
+
+@pytest.mark.parametrize(
+    "ladder,edit,message",
+    [
+        ("e", "shift", "[h, v_1,0] != 2k v: ladder broken"),
+        ("f", "shift", "[h, w_1,0] != -2k w: ladder broken"),
+        ("e", "double", "(ad e)^1 v_1,0 != (-2)^(m-k) m! P(e)"),
+    ],
+)
+def test_sl2_vectors_refuse_a_wrong_eigenvalue_or_pumping(monkeypatch, ladder, edit, message):
+    # adding the ladder's own element to term 0 of P_1's expansion moves it
+    # off the 0-eigenspace of ad(h); doubling every term of the v ladder
+    # keeps each step and eigenvalue but breaks the pumping to P(e).  The
+    # endpoint values taylor_terms checks are left alone
+    import nilab.invariants as invariants_module
+
+    alg = build_algebra("A", 2)
+    t = principal_triplet(alg)
+    real = invariants_module.taylor_terms
+
+    def edited(alg, j, x, y):
+        terms = real(alg, j, x, y)
+        if j != 1 or y != getattr(t, ladder):
+            return terms
+        if edit == "shift":
+            return replace(terms, terms=(terms.terms[0] + y,) + terms.terms[1:])
+        return replace(terms, terms=tuple(term.scale(2) for term in terms.terms))
+
+    monkeypatch.setattr(invariants_module, "taylor_terms", edited)
+    with pytest.raises(IdentityError, match=re.escape(message)):
+        sl2_vectors(alg, t)
+
+
+def test_kostant_independence_refuses_dependent_gradients(monkeypatch):
+    # with P_2(e) replaced by 0 the gradients span a line, and the report's
+    # failing item is raised by name
+    import nilab.invariants as invariants_module
+
+    alg = build_algebra("A", 2)
+    t = principal_triplet(alg)
+    real = invariants_module._gradient_raw
+
+    def dependent(alg, j, x):
+        return alg.zero() if j == 2 else real(alg, j, x)
+
+    monkeypatch.setattr(invariants_module, "_gradient_raw", dependent)
+    with pytest.raises(IdentityError, match="^independent$"):
+        kostant_independence(alg, t)
+
+
+def _drop_last_v_row(fam):
+    return replace(fam, v=fam.v[:-1])
+
+
+def _w_ladders_from_v(fam):
+    return replace(fam, w=fam.v)
+
+
+def _tilt_a_v_row(fam):
+    (v0, v1), rest = fam.v[0], fam.v[1:]
+    return replace(fam, v=((v0 + v1, v1),) + rest)
+
+
+def _tilt_a_v_step(fam):
+    (v0, v1), rest = fam.v[0], fam.v[1:]
+    return replace(fam, v=((v0, v1 + fam.w[0][1]),) + rest)
+
+
+def _tilt_a_w_step(fam):
+    (w0, w1), rest = fam.w[0], fam.w[1:]
+    return replace(fam, w=((w0, w1 + fam.v[0][1]),) + rest)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_drop_last_v_row, "decomposition dims (1, 1, 3) != (2, 3, 3)"),
+        (_w_ladders_from_v, "ladders do not span the whole algebra"),
+        (_tilt_a_v_row, "zero graduation piece differs from the P_j(h) span"),
+        (_tilt_a_v_step, "positive graduation does not match n_+"),
+        (_tilt_a_w_step, "negative graduation does not match n_-"),
+    ],
+)
+def test_decomposition_refuses_each_edited_ladder_family(edit, message):
+    # on sl(3), ladders edited so that each check of the decomposition fails
+    # first: one ladder too few; the v ladders as the w ladders; P_1(h)
+    # tilted by v_1,1 into n_+; v_1,1 tilted by w_1,1 out of the positive
+    # graduation; w_1,1 tilted by v_1,1 out of the negative one
+    alg = build_algebra("A", 2)
+    fam = sl2_vectors(alg, principal_triplet(alg))
+    _decomposition_from_ladders(alg, fam)
+    with pytest.raises(IdentityError, match=re.escape(message)):
+        _decomposition_from_ladders(alg, edit(fam))
 
 @pytest.mark.parametrize(
     "term,message", [(0, "constant Taylor term is not P(x)"), (-1, "top Taylor term is not P(y)")]

@@ -396,3 +396,15 @@ def test_centralizer_dim_matches_closed_form(orbit):
     alg = build_algebra(family, {"A": n - 1, "B": (n - 1) // 2}.get(family, n // 2))
     e = nilpotent_from_partition(alg, Partition(parts))
     assert centralizer(e).dim == closed_form_centralizer_dim(family, parts)
+
+
+def test_principal_triplet_refuses_a_centralizer_of_the_wrong_dimension(monkeypatch):
+    # a principal nilpotent has a centralizer of dimension rank g; one that
+    # reads otherwise is refused
+    import nilab.triples as triples_module
+
+    alg = build_algebra("B", 2)
+    principal_triplet(alg)
+    monkeypatch.setattr(triples_module, "centralizer", lambda x: alg.full_space())
+    with pytest.raises(InternalError, match="principal nilpotent is not regular"):
+        principal_triplet(alg)
