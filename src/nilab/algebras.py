@@ -61,10 +61,15 @@ Subspace._reduce, of a coordinate vector on g, given as its nonzero entries
 table's closure check and the rows of y -> [x, y] mod t (_bracket_rows),
 which reduce each ad(x) column once.  Each subspace built here is one
 sparse integer echelon kernel (linalg.echelon_kernel) of such rows: the
-center off the distinct rows of the bracket table of s, the others off
-_bracket_rows(x, t), whose kernel is preimage(x, t); the centralizer is the
-preimage of 0, and normalizer_of(s), the tests' reference for eta, stacks
-the rows over the basis of s.
+center off the distinct rows of the bracket table of s (_central_kernel,
+which nilab.frame shares), the others off _bracket_rows(x, t), whose kernel
+is preimage(x, t); the centralizer is the preimage of 0, and
+normalizer_of(s) stacks the rows over the basis of s.  These kernels over g
+serve any element: verify's samples, principal_triplet and the triplets
+sl2_complete builds.  The orbit pipeline takes z(e) and its center off the
+Jordan-block frame of a partition's triple instead (nilab.frame), and eta
+as z + [f, delta] (nilab.index), and the tests hold both routes to these
+kernels.
 The ad(h)-grading of a diagonal h is read off the matrix positions of the
 basis, not solved for.
 """
@@ -957,16 +962,23 @@ def center_of(s: Subspace) -> Subspace:
     nonzero of W, so the rows stay reduced and echelon and their pivots are
     the c_f of the pivots f of W.
     """
-    k = s.dim
     rows = {}  # (u, t) -> {a: entry}, filled in ascending a
     for a, line in enumerate(s._brackets()):
         for b, terms in enumerate(line, start=a + 1):
             for t, g in terms:  # G_t [I_a, I_b] = g and G_t [I_b, I_a] = -g
                 rows.setdefault((b, t), {})[a] = g
                 rows.setdefault((a, t), {})[b] = -g
-    # Most rows repeat up to a scalar.  Each distinct row, divided by its
-    # content and signed positive at its first entry, is eliminated once:
-    # the row space, so the kernel, is the same.
+    free, kernel = _central_kernel(rows, s.dim)
+    # the rows sum_a W_a I_a, each divided by its content
+    combined = _int_rows(mat_mul(kernel, s.num_rows), s.algebra.dim)
+    return Subspace(s.algebra, combined, [s.pivots[f] for f in free])
+
+
+def _central_kernel(rows, k):
+    """echelon_kernel of the rows {(u, t): {a: entry}} of a bracket table
+    over k basis vectors.  Most rows repeat up to a scalar, so each
+    distinct row, divided by its content and signed positive at its first
+    entry, is eliminated once: the row space, so the kernel, is the same."""
     distinct = {}
     for row in rows.values():
         g = math.gcd(*row.values())
@@ -975,18 +987,16 @@ def center_of(s: Subspace) -> Subspace:
         if g != 1:
             row = {a: v // g for a, v in row.items()}
         distinct[tuple(row.items())] = row
-    free, kernel = echelon_kernel(list(distinct.values()), k)
-    # the rows sum_a W_a I_a, each divided by its content
-    combined = _int_rows(mat_mul(kernel, s.num_rows), s.algebra.dim)
-    return Subspace(s.algebra, combined, [s.pivots[f] for f in free])
+    return echelon_kernel(list(distinct.values()), k)
 
 
 def normalizer_of(s: Subspace) -> Subspace:
     """{y : [u, y] in s for every basis vector u of s}, by its definition: one
     echelon kernel of the _bracket_rows(u, s) stacked over the u.  s must be
     a subalgebra (checked through its bracket table; ContractError
-    otherwise).  The pipeline takes the normalizer of z(e) as
-    preimage(e, center_of(z)) instead (see nilab.index), tested against this."""
+    otherwise).  The pipeline takes the normalizer of z(e) as z + [f, delta]
+    instead (nilab.index._normalizer), which the tests hold to
+    preimage(e, center_of(z))."""
     s._brackets()  # closure check
     rows = [row for u in s.basis for row in _bracket_rows(u, s)]
     pivots, kernel = echelon_kernel(rows, s.algebra.dim)

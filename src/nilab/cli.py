@@ -65,16 +65,17 @@ EXIT_USAGE = 3
 # Largest sizes the commands accept; larger ones are refused before any
 # algebra is built.  A table sweep's orbit count grows like the partition
 # count of n and its per-orbit work with dim g.  Whole commands, start-up
-# included, median of three runs on a 2-vCPU host: the sl(10) table takes
-# about 0.2 s; one orbit (index, convolution) of sl(20) 0.12 s and 27 MB
-# (minimal) or 0.11 s and 22 MB (principal), the minimal orbit of sl(16)
-# 0.08 s and 22 MB.
+# included, median of three runs on a 2-vCPU host about half as fast as
+# the one the caps were set on: the sl(10) table takes about 0.3 s; one
+# orbit (index, convolution) of sl(20) 0.15 s and 20 MB (minimal) or
+# 0.23 s and 22 MB (principal), the minimal orbit of sl(16) 0.13 s and
+# 18 MB.
 # The verify suites grow with the rank through the generator degrees: the
-# slowest rank-6 suite, B6, takes about 5.3 s (C6 4.8 s, B5 1.3 s).  Every
-# verify sample is built up front, then checked for all generators at once:
-# B4 takes 0.36 s with the default 20 samples and 1.6 s with 100.  The
-# decomposition of a rank is slowest on B, the largest matrix size: B12
-# (so(25)) takes 0.24 s and 34 MB.
+# slowest rank-6 suite, B6, takes about 10.7 s there (C6 8.0 s, B5 2.3 s).
+# The verify samples are drawn one at a time, each checked for all
+# generators at once and then dropped: B4 takes 0.67 s with the default 20
+# samples and 2.8 s with 100.  The decomposition of a rank is slowest on
+# B, the largest matrix size: B12 (so(25)) takes 0.48 s and 34 MB.
 TABLE_MAX_N = 10
 ORBIT_MAX_N = 20
 VERIFY_MAX_RANK = 6

@@ -10,6 +10,14 @@ if [y, z] lies in z, then [e, y] lies in z (as e does) and is central there:
 [[e, y], u] = [e, [y, u]] - [y, [e, u]] = 0 for u in z (Jacobi).  If [e, y]
 lies in delta, then [[y, u], e] = [y, [u, e]] - [u, [y, e]] = 0: [y, u] in z.
 
+None of the three is a kernel over g on a partition's orbit.  z and delta
+come off the Jordan-block frame that triple_from_partition keeps on its
+triplet (nilab.frame), checked by [e, b] = 0 on the rows b of z and by the
+closed-form dim z (_frame_centralizer); a triplet without a frame, such as
+sl2_complete's, takes the kernels centralizer(e) and center_of(z).  For
+every triplet eta is z + [f, delta] (sl(2) theory, Kostant 1959), each
+[e, [f, d]] checked to lie in delta (_normalizer).
+
 The working hypothesis is that delta is spanned by the gradient values
 P_j(e); a maximal independent subfamily is selected greedily by ascending
 degree, as the pivot columns of one echelon form.  When the exponents are
@@ -52,6 +60,7 @@ from .algebras import (
     Element,
     Subspace,
     _family_rank_for_size,
+    _bracket_coords,
     _nonzero,
     _power_walk,
     _product_rows,
@@ -60,16 +69,25 @@ from .algebras import (
     build_algebra,
     center_of,
     centralizer,
-    preimage,
 )
 from .errors import (
     HypothesisViolation,
     IdentityError,
+    InternalError,
     NilabError,
     PartitionError,
 )
+from .frame import centralizer_dim, frame_subspaces
 from .invariants import _gradient_factor, _line_table, _read_gradient_rows, generators
-from .linalg import _int_maps, _sparse_elimination, echelon_rows, inverse, mat_vec
+from .linalg import (
+    _clear,
+    _int_maps,
+    _sparse_elimination,
+    echelon_maps,
+    echelon_rows,
+    inverse,
+    mat_vec,
+)
 from .poly import Poly, generic_rank_detail
 from .reports import CheckReport
 from .triples import (
@@ -202,16 +220,74 @@ def _slopes_at(alg: AlgebraRealization, e: Element, u: Element, js):
     return tuple(out)
 
 
+def _frame_centralizer(alg: AlgebraRealization, triplet: Triplet):
+    """(z, delta) off the triplet's Jordan-block frame (frame_subspaces),
+    with z checked on its own: [e, b] = 0 for every echelon row b of z,
+    summed over the structure constants, and dim z equal to the closed form
+    of the Jordan type (centralizer_dim), so z is all of z(e).  A failure
+    raises InternalError."""
+    frame = triplet.frame
+    zcent, delta = frame_subspaces(alg, frame)
+    if zcent.dim != centralizer_dim(alg.family, frame.parts):
+        raise InternalError("frame centralizer does not have the dimension of z(e)")
+    e = _nonzero(triplet.e.num)
+    if any(_bracket_coords(alg, e, _nonzero(row)) for row in zcent.num_rows):
+        raise InternalError("frame centralizer does not commute with e")
+    return zcent, delta
+
+
+def _normalizer(triplet: Triplet, zcent: Subspace, delta: Subspace) -> Subspace:
+    """eta = {y : [e, y] in delta} as z + [f, delta] (sl(2) theory: for
+    d in delta of ad(h)-weight w, [e, [f, d]] = [h, d] = w d, and a y in eta
+    is y' + sum [f, d_w] / w, y' in z, for [e, y] = sum d_w).
+
+    Each [f, d], over the basis vectors d of delta, is checked to satisfy
+    [e, [f, d]] in delta (InternalError otherwise) and reduced modulo z
+    (zcent._reduce).  The remainders, zero at the pivots of z, are put in
+    reduced echelon form, and their pivot columns are cleared from the rows
+    of z, so the union is the reduced echelon basis of eta, the rows
+    preimage(e, delta) gives."""
+    e, f = triplet.e, triplet.f
+    dim = zcent.algebra.dim
+    rests = []
+    for d in delta.basis:
+        fd = bracket(f, d)
+        if not delta.contains(bracket(e, fd)):
+            raise InternalError("[e, [f, d]] lies outside delta for a basis vector d")
+        rests.append(zcent._reduce(_nonzero(fd.num))[1])
+    pivots, extra = echelon_maps(rests, dim)
+    pivot_rows = [(c, _nonzero(row)) for c, row in zip(pivots, extra)]
+    rows = list(zip(pivots, extra))
+    for c, row in zip(zcent.pivots, zcent.num_rows):
+        hits = [(p, row[p], prow) for p, prow in pivot_rows if row[p]]
+        if hits:
+            cleared = _clear(_nonzero(row), hits)
+            row = [0] * dim
+            for q, v in cleared.items():
+                row[q] = v
+        rows.append((c, row))
+    rows.sort()
+    return Subspace(zcent.algebra, [row for _, row in rows], [c for c, _ in rows])
+
+
 def build_pair_data(alg: AlgebraRealization, triplet: Triplet) -> PairData:
     """Centralizer, center, normalizer and the selected gradient family.
+
+    z and delta come off the Jordan-block frame of a triple_from_partition
+    triplet (_frame_centralizer), and for any other triplet from the
+    kernels centralizer(e) and center_of(z), the reference the frame is
+    tested against; eta is z + [f, delta] for every triplet (_normalizer).
 
     hypothesis_ok = False is a reported state, not an error; downstream
     operations refuse with HypothesisViolation.
     """
     e, h = triplet.e, triplet.h
-    zcent = centralizer(e)
-    delta = center_of(zcent)
-    eta = preimage(e, delta)
+    if triplet.frame is None:
+        zcent = centralizer(e)
+        delta = center_of(zcent)
+    else:
+        zcent, delta = _frame_centralizer(alg, triplet)
+    eta = _normalizer(triplet, zcent, delta)
     gens = generators(alg)
     grads = _gradients_at(alg, e)
     for gen, g in zip(gens, grads):

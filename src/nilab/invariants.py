@@ -406,18 +406,17 @@ class IdentitySample:
 
 
 def make_samples(alg: AlgebraRealization, count: int, seed: int):
+    """Yield count IdentitySamples drawn from one seeded random stream, one
+    at a time: a sample and the matrix forms its elements cache are
+    released once the caller moves on (take a list to keep them)."""
     rng = random.Random(f"samples:{alg.family}:{alg.rank_r}:{seed}")
-    out = []
     for _ in range(count):
-        out.append(
-            IdentitySample(
-                x=alg.random_element(rng),
-                y=alg.random_element(rng),
-                z=alg.random_element(rng),
-                n=alg.random_upper_nilpotent(rng),
-            )
+        yield IdentitySample(
+            x=alg.random_element(rng),
+            y=alg.random_element(rng),
+            z=alg.random_element(rng),
+            n=alg.random_upper_nilpotent(rng),
         )
-    return out
 
 
 def verify_field_identities(alg: AlgebraRealization, samples) -> list:

@@ -10,20 +10,22 @@ A matrix is a list of row lists.  Its entries are Rat, or Python ints for
 the integer-scaled N x N matrices of algebra elements (integer rows over one
 common denominator, see algebras.Element.int_rows); mat_mul keeps the type
 of its inputs, ints in and ints out.  The pipeline's eliminations are
-echelon_rows and echelon_kernel, for every subspace and every numeric rank,
-and inverse; solve serves triples' Jacobson-Morozov step.  rref and
-rank_kernel return the same results in rational form and are kept as
-references.  There are two integer eliminations: dense Gauss-Jordan for
+echelon_rows, echelon_maps and echelon_kernel, for every subspace and every
+numeric rank, and inverse; solve serves triples' Jacobson-Morozov step.
+rref and rank_kernel return the same results in rational form and are kept
+as references.  There are two integer eliminations: dense Gauss-Jordan for
 row spaces, solve and inverse (_gauss_jordan, which the references read
-too); sparse right-to-left for kernels (_sparse_elimination, which
-echelon_kernel reads, and which ranks sparse rows for index's
-normalizer-span and triples' Jordan-type check).
+too); sparse for kernels and sparse row spaces (_sparse_elimination, right
+to left for echelon_kernel and the ranks of sparse rows in index's
+normalizer-span and triples' Jordan-type check, left to right for
+echelon_maps).
 Either clears each row of its denominators once and runs on Python ints,
-and a Rat is made only for each nonzero entry of the result.  echelon_rows and
-echelon_kernel make no Rat at all: they return reduced echelon bases as
-primitive integer rows, positive at their pivots, the form
-algebras.Subspace keeps.  echelon_kernel takes its rows as their nonzero
-entries {column: value}; every other function takes row lists.  Only rref
+and a Rat is made only for each nonzero entry of the result.  echelon_rows,
+echelon_maps and echelon_kernel make no Rat at all: they return reduced
+echelon bases as primitive integer rows, positive at their pivots, the form
+algebras.Subspace keeps.  echelon_maps and echelon_kernel take their rows as
+their nonzero entries {column: value}; every other function takes row
+lists.  Only rref
 changes its input (it replaces the rows of the list); the other functions
 copy what they eliminate.  A row of the wrong length, a column key outside
 0..ncols-1, or a non-square input where a square one is needed, raises
@@ -228,10 +230,11 @@ def _int_maps(rows, ncols: int):
     return a
 
 
-def _sparse_elimination(a):
+def _sparse_elimination(a, pick=max):
     """Right-to-left integer Gauss-Jordan elimination of primitive sparse
     rows (see _int_maps): {pivot column: pivot row}, the reduced echelon
-    basis of the row space for the columns read right to left.
+    basis of the row space for the columns read right to left, or left to
+    right for pick=min (a row's pivot is pick of its columns).
 
     Each row, in turn, is reduced by the pivot rows at the pivot columns it
     holds: with f its entry at pivot c and p_c the pivot, the remainder is
@@ -250,7 +253,7 @@ def _sparse_elimination(a):
             row = _clear(row, hits)
             if not row:
                 continue
-        c = max(row)
+        c = pick(row)
         for d, prow in pivot_rows.items():
             if c in prow:
                 pivot_rows[d] = _clear(prow, [(c, prow[c], row)])
@@ -272,6 +275,26 @@ def _clear(row, hits):
     out = {j: v for j, v in out.items() if v}
     g = math.gcd(*out.values())
     return {j: v // g for j, v in out.items()} if g > 1 else out
+
+
+def echelon_maps(rows, ncols: int):
+    """(pivots, basis) of echelon_rows for sparse rows {column: value}, from
+    one _sparse_elimination that takes each row's leftmost entry as its
+    pivot: a pivot row's leftmost entry stays its pivot as later pivot
+    rows, all zero left of their own pivot, are cleared from it, so the
+    pivot rows, signed positive at the pivot, are the reduced echelon rows.
+    The input is not changed."""
+    pivot_rows = _sparse_elimination(_int_maps(rows, ncols), min)
+    pivots = sorted(pivot_rows)
+    basis = []
+    for c in pivots:
+        row = pivot_rows[c]
+        sign = 1 if row[c] > 0 else -1
+        vec = [0] * ncols
+        for j, v in row.items():
+            vec[j] = sign * v
+        basis.append(vec)
+    return pivots, basis
 
 
 def echelon_kernel(rows, ncols: int):

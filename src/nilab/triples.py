@@ -16,6 +16,9 @@ shape-based: each matrix is read back through the checked coordinate
 read-off, so it lies in the algebra; e's Jordan type is checked on the
 ranks of the walk of its powers that the orbit pipeline reads again
 (_check_jordan_type); and Triplet checks the three bracket relations.
+The triplet keeps the Jordan-block frame it was built in (frame.BlockFrame:
+the chains of the blocks and, on so/sp, G and the congruence), from which
+the orbit pipeline reads z(e) and its center.
 
 sl2_complete completes an arbitrary nonzero nilpotent e by a constructive
 Jacobson-Morozov step, two plain rational linear systems with the
@@ -26,7 +29,7 @@ partition's orbit it gives the same triple as the closed form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._scalar import ZERO
 from .algebras import (
@@ -39,6 +42,7 @@ from .algebras import (
     centralizer,
 )
 from .errors import ContractError, InternalError, PartitionError
+from .frame import BlockFrame, block_frame
 from .linalg import _int_maps, _sparse_elimination, mat_mul, solve
 
 
@@ -82,11 +86,14 @@ class Partition:
 
 @dataclass(frozen=True)
 class Triplet:
-    """An sl(2)-triple (h, e, f); the defining brackets are checked exactly."""
+    """An sl(2)-triple (h, e, f); the defining brackets are checked exactly.
+    frame is the Jordan-block frame of a partition's triple
+    (triple_from_partition), None for any other, and is not compared."""
 
     h: Element
     e: Element
     f: Element
+    frame: BlockFrame = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         h, e, f = self.h, self.e, self.f
@@ -253,19 +260,23 @@ def _check_jordan_type(e: Element, p: Partition):
 
 def _partition_triple(alg: AlgebraRealization, p: Partition):
     """(h, e, f) of the block triple of p, carried into the realization
-    (X -> T X T^{-1} for so/sp), with e checked for its Jordan type."""
+    (X -> T X T^{-1} for so/sp), with e checked for its Jordan type, and
+    the BlockFrame of the construction."""
     _validate_partition(alg, p)
     pieces = _pieces(alg, p)
     rows = _block_triple(alg.matrix_size_N, pieces)
     den = 1
-    if alg.family != "A":
+    if alg.family == "A":
+        frame = block_frame(pieces)
+    else:
         g, u = _hyperbolic_basis(alg, pieces)
         t = _congruence(alg, g, u)
         rows = [mat_mul(mat_mul(t, x), u) for x in rows]
         den = 4  # (2T) X (2T^{-1})
+        frame = block_frame(pieces, g, t, u)
     h, e, f = (alg.coords_of_rows(x, den) for x in rows)
     _check_jordan_type(e, p)
-    return h, e, f
+    return h, e, f, frame
 
 
 def nilpotent_from_partition(alg: AlgebraRealization, p: Partition) -> Element:
@@ -276,13 +287,14 @@ def nilpotent_from_partition(alg: AlgebraRealization, p: Partition) -> Element:
 
 def triple_from_partition(alg: AlgebraRealization, p: Partition) -> Triplet:
     """The sl(2)-triple (h, e, f) through nilpotent_from_partition(alg, p),
-    built in closed form, with a diagonal integer h.  PartitionError for a
-    partition that is not a Jordan type of the realization, ContractError
-    for the zero orbit."""
-    h, e, f = _partition_triple(alg, p)
+    built in closed form, with a diagonal integer h, and carrying the
+    Jordan-block frame it was built in (build_pair_data reads z and delta
+    off it).  PartitionError for a partition that is not a Jordan type of
+    the realization, ContractError for the zero orbit."""
+    h, e, f, frame = _partition_triple(alg, p)
     if e.is_zero():
         raise ContractError("cannot complete the zero element")
-    return Triplet(h, e, f)
+    return Triplet(h, e, f, frame)
 
 
 def _jacobson_morozov(alg: AlgebraRealization, e: Element) -> Triplet:

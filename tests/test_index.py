@@ -614,23 +614,31 @@ def test_convolution_audit_refuses_each_broken_derivative(fault):
 
 
 def test_build_pair_data_refuses_a_gradient_outside_the_center(monkeypatch):
-    # a center short of its first echelon row no longer holds P_1(e)
+    # a center short of its first echelon row no longer holds P_1(e), on the
+    # kernel route (center_of) and on the frame route (frame_subspaces)
     import nilab.index as index_module
 
-    real = index_module.center_of
+    real_center, real_frame = index_module.center_of, index_module.frame_subspaces
 
-    def short(zcent):
-        delta = real(zcent)
+    def short(delta):
         return Subspace.from_coord_rows(delta.algebra, list(delta.num_rows[1:]))
+
+    def short_frame(alg, frame):
+        zcent, delta = real_frame(alg, frame)
+        return zcent, short(delta)
 
     alg = build_algebra("A", 3)
     triplet = triple_from_partition(alg, Partition((4,)))
-    build_pair_data(alg, triplet)
-    monkeypatch.setattr(index_module, "center_of", short)
-    with pytest.raises(
-        IdentityError, match="gradient 1 at e is outside the center of the centralizer"
-    ):
-        build_pair_data(alg, triplet)
+    routes = (triplet, replace(triplet, frame=None))
+    for t in routes:
+        build_pair_data(alg, t)
+    monkeypatch.setattr(index_module, "center_of", lambda zcent: short(real_center(zcent)))
+    monkeypatch.setattr(index_module, "frame_subspaces", short_frame)
+    for t in routes:
+        with pytest.raises(
+            IdentityError, match="gradient 1 at e is outside the center of the centralizer"
+        ):
+            build_pair_data(alg, t)
 
 
 def test_bracket_matrix_refuses_an_entry_outside_the_center():
@@ -1095,6 +1103,26 @@ def test_weight_table_decides_the_h_bracket_predicate(family, rank, parts):
 def other_weight(alg, weights, lam):
     """A basis vector whose ad(h)-weight is not lam."""
     return alg.basis_element(next(k for k, w in enumerate(weights) if w != lam))
+
+
+@pytest.mark.parametrize(
+    "family,rank,count", [("A", 8, 98), ("B", 4, 18), ("C", 4, 24), ("D", 5, 26)]
+)
+def test_equivariance_at_e_along_f_gives_y_j_as_minus_f_bracket_z_j(family, rank, count):
+    # dP(x).[u, x] = [u, P(x)] at x = e, u = f, where [f, e] = -h: the slope
+    # walk's y_j = dP_j(e).h is -[f, z_j] for every selected j, on every
+    # orbit that meets the hypothesis (count pairs (orbit, j) in all)
+    alg = build_algebra(family, rank)
+    pairs = 0
+    for p in valid_partitions(alg):
+        if all(part == 1 for part in p.parts):
+            continue
+        pd = build_pair_data(alg, triple_from_partition(alg, p))
+        if pd.hypothesis_ok:
+            for zj, yj in zip(pd.z_vec, pd.y_vec):
+                assert yj == -bracket(pd.triplet.f, zj), p
+                pairs += 1
+    assert pairs == count
 
 
 def test_normalizer_check_catches_a_component_of_another_weight():

@@ -2,6 +2,7 @@
 
 import random
 import re
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -281,6 +282,24 @@ def test_field_identity_suite_passes(family, rank):
     ]
     for report in reports:
         assert report.passed, report.summary()
+
+
+def test_field_identity_suite_releases_each_sample_once_it_is_checked():
+    # make_samples yields one sample at a time, so a checked sample, with
+    # the matrix forms its elements cached, can be collected while the suite
+    # goes on: when sample k is drawn, the suite holds only sample k - 1
+    alg = build_algebra("B", 2)
+    refs = []
+
+    def tracked():
+        for sample in make_samples(alg, 4, 0):
+            assert all(ref() is None for ref in refs[:-1]), len(refs)
+            refs.append(weakref.ref(sample))
+            yield sample
+
+    reports = verify_field_identities(alg, tracked())
+    assert all(report.passed for report in reports)
+    assert len(refs) == 4 and all(ref() is None for ref in refs)
 
 
 def test_field_identity_suite_zero_sample():
@@ -597,7 +616,7 @@ def test_field_identity_suite_reads_the_line_expansion(monkeypatch, family, rank
 
     monkeypatch.setattr(invariants_module, "bivariate_terms", counting_grid)
     alg = build_algebra(family, rank)
-    samples = make_samples(alg, 2, 0)
+    samples = list(make_samples(alg, 2, 0))
     gens = generators(alg)
     assert all(report.passed for report in verify_field_identities(alg, samples))
 
@@ -697,7 +716,7 @@ def reference_field_identities(alg, j, samples):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_field_identity_suite_matches_the_per_generator_reference(family, rank, seed):
     alg = build_algebra(family, rank)
-    samples = make_samples(alg, 2, seed)
+    samples = list(make_samples(alg, 2, seed))
     got = [report.to_dict() for report in verify_field_identities(alg, samples)]
     want = [
         reference_field_identities(alg, gen.index_j, samples).to_dict()
@@ -723,7 +742,7 @@ def test_field_identity_suite_evaluates_each_line_once_for_every_generator(
 
     monkeypatch.setattr(invariants_module, "_line_table", counting)
     alg = build_algebra(family, rank)
-    samples = make_samples(alg, 2, 0)
+    samples = list(make_samples(alg, 2, 0))
     assert all(report.passed for report in verify_field_identities(alg, samples))
     every = tuple(gen.index_j for gen in generators(alg))
     groups = sorted(
@@ -745,7 +764,7 @@ def test_field_identity_suite_records_a_failing_read_off_in_every_report_that_re
     # so(8): the Pfaffian and tr x^4 share exponent 3, so P at x + 4 y is one
     # call for the two of them; the Taylor line along y + s x is read by all
     alg = build_algebra("D", 4)
-    samples = make_samples(alg, 3, 0)
+    samples = list(make_samples(alg, 3, 0))
     bad = samples[1]
     if line == "taylor-y-to-x":
         readers = {gen.index_j for gen in generators(alg)}
@@ -791,7 +810,7 @@ def test_field_identity_suite_builds_one_center_per_sample(monkeypatch):
 
     monkeypatch.setattr(invariants_module, "centralizer", counting)
     alg = build_algebra("D", 3)
-    samples = make_samples(alg, 3, 0)
+    samples = list(make_samples(alg, 3, 0))
     assert all(report.passed for report in verify_field_identities(alg, samples))
     assert calls == [sample.x for sample in samples]
 
@@ -805,7 +824,7 @@ def test_pairing_oracle_builds_each_point_once_per_sample(monkeypatch, family, r
 
     alg = build_algebra(family, rank)
     gens = generators(alg)
-    samples = make_samples(alg, 2, 0)
+    samples = list(make_samples(alg, 2, 0))
     calls = []
     real = invariants_module._values
 
@@ -832,7 +851,7 @@ def test_pairing_oracle_failure_is_a_sample_error_in_every_report(monkeypatch):
     import nilab.invariants as invariants_module
 
     alg = build_algebra("D", 4)
-    samples = make_samples(alg, 3, 0)
+    samples = list(make_samples(alg, 3, 0))
     bad = samples[1].x + samples[1].y.scale(5)  # a point read by degree 6 only
     real = invariants_module._values
 

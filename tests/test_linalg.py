@@ -20,6 +20,7 @@ from nilab.linalg import (
     _gauss_jordan,
     _int_rows,
     echelon_kernel,
+    echelon_maps,
     echelon_rows,
     mat_mul,
     mat_vec,
@@ -358,6 +359,17 @@ def test_echelon_rows_are_the_positive_primitive_rref_rows(case):
     pivots = rref(work, ncols)
     got = echelon_rows(rows, ncols)
     assert_echelon_form(*got, work[: len(pivots)], pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_left_to_right_sparse_elimination_gives_the_echelon_rows(case):
+    # echelon_maps, one sparse elimination with each row's leftmost entry as
+    # its pivot, gives the rows echelon_rows gives on the dense rows
+    rows, ncols = case
+    maps = as_maps(rows)
+    assert echelon_maps(maps, ncols) == echelon_rows(rows, ncols)
+    assert maps == as_maps(rows)
 
 
 def test_echelon_kernel_edge_shapes():

@@ -30,7 +30,10 @@ REFERENCE_FILE = Path(__file__).resolve().parent.parent / "bench" / "reference_h
 # the minimal orbits of sl(7) and so(8), whose centralizers (dim 36 and 18)
 # are the largest the center and normalizer see; the principal orbits of
 # sl(9) and sl(10), whose 8 x 8 and 9 x 9 bracket matrices are the largest
-# determinants the elimination meets.
+# determinants the elimination meets; so(8) 3,3,1,1, where the hypothesis
+# fails because delta has one dimension more than the span of the powers of
+# e; and sl(7) 3,3,1, whose two equal Jordan blocks put xi_ij^0 between
+# blocks into the frame's centralizer.
 ORBITS = [
     ("C", 6, (6,)),
     ("B", 7, (3, 3, 1)),
@@ -41,6 +44,8 @@ ORBITS = [
     ("D", 8, (2, 2, 1, 1, 1, 1)),
     ("A", 9, (9,)),
     ("A", 10, (10,)),
+    ("D", 8, (3, 3, 1, 1)),
+    ("A", 7, (3, 3, 1)),
 ]
 
 
