@@ -79,7 +79,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import compress
 
 from ._scalar import ONE, Rat, ZERO, as_rat
@@ -91,6 +90,7 @@ from .errors import (
     UnsupportedAlgebraError,
 )
 from .linalg import _int_rows, echelon_kernel, echelon_rows, mat_mul
+from .reports import ValueRecord
 
 
 def _sl_basis(n):
@@ -170,14 +170,22 @@ def _family_rank_for_size(family: str, n: int) -> int:
     return rank_r
 
 
-@dataclass(frozen=True)
-class InvariantGenerator:
+class InvariantGenerator(ValueRecord):
     """One homogeneous generator of the invariant polynomials."""
 
-    index_j: int  # 1-based position, ascending degree
-    degree: int
-    exponent: int
-    kind: str  # "trace" or "pfaffian"
+    __slots__ = ("index_j", "degree", "exponent", "kind")
+
+    def __init__(self, index_j: int, degree: int, exponent: int, kind: str):
+        object.__setattr__(self, "index_j", index_j)  # 1-based position, ascending degree
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "kind", kind)  # "trace" or "pfaffian"
+
+    def _key(self):
+        return self.index_j, self.degree, self.exponent, self.kind
+
+    def __repr__(self):
+        return "InvariantGenerator(index_j=%r, degree=%r, exponent=%r, kind=%r)" % self._key()
 
 
 class AlgebraRealization:

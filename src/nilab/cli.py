@@ -65,17 +65,17 @@ EXIT_USAGE = 3
 # Largest sizes the commands accept; larger ones are refused before any
 # algebra is built.  A table sweep's orbit count grows like the partition
 # count of n and its per-orbit work with dim g.  Whole commands, start-up
-# included, median of three runs on a 2-vCPU host about half as fast as
-# the one the caps were set on: the sl(10) table takes about 0.3 s; one
-# orbit (index, convolution) of sl(20) 0.15 s and 20 MB (minimal) or
-# 0.23 s and 22 MB (principal), the minimal orbit of sl(16) 0.13 s and
-# 18 MB.
+# included (python -B -m nilab), median of three runs on a shared 2-vCPU
+# host, slower than the one the caps were set on: the sl(10) table takes
+# about 0.46 s; one orbit (index, convolution) of sl(20) 0.14 s and 18 MB
+# (minimal) or 0.22 s and 21 MB (principal), the minimal orbit of sl(16)
+# 0.13 s and 17 MB.
 # The verify suites grow with the rank through the generator degrees: the
-# slowest rank-6 suite, B6, takes about 10.7 s there (C6 8.0 s, B5 2.3 s).
+# slowest rank-6 suite, B6, takes about 14.4 s there (C6 12.5 s, B5 2.9 s).
 # The verify samples are drawn one at a time, each checked for all
-# generators at once and then dropped: B4 takes 0.67 s with the default 20
-# samples and 2.8 s with 100.  The decomposition of a rank is slowest on
-# B, the largest matrix size: B12 (so(25)) takes 0.48 s and 34 MB.
+# generators at once and then dropped: B4 takes 0.78 s with the default 20
+# samples and 3.6 s with 100.  The decomposition of a rank is slowest on
+# B, the largest matrix size: B12 (so(25)) takes 0.58 s and 33 MB.
 TABLE_MAX_N = 10
 ORBIT_MAX_N = 20
 VERIFY_MAX_RANK = 6

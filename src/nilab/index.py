@@ -50,7 +50,6 @@ and one cleared copy of A, eliminated lazily (poly._eliminate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
 
@@ -89,7 +88,7 @@ from .linalg import (
     mat_vec,
 )
 from .poly import Poly, generic_rank_detail
-from .reports import CheckReport
+from .reports import CheckReport, ReadOnly
 from .triples import (
     Partition,
     Triplet,
@@ -98,23 +97,28 @@ from .triples import (
 )
 
 
-@dataclass(frozen=True)
-class PairData:
-    """Everything the pipeline derives from one nilpotent orbit."""
+class PairData(ReadOnly):
+    """Everything the pipeline derives from one nilpotent orbit; its caches
+    start empty on each instance."""
 
-    algebra: AlgebraRealization
-    triplet: Triplet
-    selected_indices: tuple  # 1-based generator indices j_1 < ... < j_s
-    pair_exponents: tuple  # m'_1 <= ... <= m'_s
-    z_vec: tuple  # z_j = Q_j(e)
-    y_vec: tuple  # y_j = dQ_j(e).h
-    delta: Subspace
-    zcent: Subspace
-    eta: Subspace
-    hypothesis_ok: bool
-    distinct_exponents: bool
-    _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _brackets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self, algebra: AlgebraRealization, triplet: Triplet, selected_indices: tuple,
+        pair_exponents: tuple, z_vec: tuple, y_vec: tuple, delta: Subspace, zcent: Subspace,
+        eta: Subspace, hypothesis_ok: bool, distinct_exponents: bool,
+    ):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "triplet", triplet)
+        object.__setattr__(self, "selected_indices", selected_indices)  # 1-based j_1 < ... < j_s
+        object.__setattr__(self, "pair_exponents", pair_exponents)  # m'_1 <= ... <= m'_s
+        object.__setattr__(self, "z_vec", z_vec)  # z_j = Q_j(e)
+        object.__setattr__(self, "y_vec", y_vec)  # y_j = dQ_j(e).h
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "zcent", zcent)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "hypothesis_ok", hypothesis_ok)
+        object.__setattr__(self, "distinct_exponents", distinct_exponents)
+        object.__setattr__(self, "_derivatives", {})
+        object.__setattr__(self, "_brackets", {})
 
     @property
     def s(self) -> int:
@@ -370,14 +374,16 @@ def normalizer_decomposition_check(pd: PairData) -> CheckReport:
     return report
 
 
-@dataclass(frozen=True)
-class BracketTensor:
+class BracketTensor(ReadOnly):
     """The s x s matrix of [y_i, z_j], stored both as algebra elements and
     as coordinate vectors in the echelon basis of delta."""
 
-    size: int
-    vectors: tuple  # vectors[i][j] is an Element
-    entries: tuple  # entries[i][j] is a tuple of delta coordinates
+    __slots__ = ("size", "vectors", "entries")
+
+    def __init__(self, size: int, vectors: tuple, entries: tuple):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "vectors", vectors)  # vectors[i][j] is an Element
+        object.__setattr__(self, "entries", entries)  # [i][j]: a tuple of delta coordinates
 
 
 def bracket_matrix(pd: PairData) -> BracketTensor:
@@ -408,10 +414,12 @@ def bracket_matrix(pd: PairData) -> BracketTensor:
     return BracketTensor(s, tuple(vectors), tuple(entries))
 
 
-@dataclass(frozen=True)
-class StructureResult:
-    report: CheckReport
-    betas: tuple  # [y_i, z_{s+1-i}] = beta_i * Q_s(e)
+class StructureResult(ReadOnly):
+    __slots__ = ("report", "betas")
+
+    def __init__(self, report: CheckReport, betas: tuple):
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "betas", betas)  # [y_i, z_{s+1-i}] = beta_i * Q_s(e)
 
 
 def structure_checks(pd: PairData, a: BracketTensor) -> StructureResult:
@@ -466,16 +474,22 @@ def symbolic_bracket_matrix(pd: PairData, a: BracketTensor):
     ]
 
 
-@dataclass(frozen=True)
-class IndexResult:
-    ind: int
-    rank: int
-    dim_delta: int
-    det_nonzero: bool
-    det_consistent: bool  # ind == 0 exactly when det A != 0
-    prime_samples: tuple
-    eval_ranks: tuple
-    det: Poly  # det A over the delta coordinates, reused by det_shape_check
+class IndexResult(ReadOnly):
+    __slots__ = ("ind", "rank", "dim_delta", "det_nonzero", "det_consistent",
+                 "prime_samples", "eval_ranks", "det")
+
+    def __init__(
+        self, ind: int, rank: int, dim_delta: int, det_nonzero: bool, det_consistent: bool,
+        prime_samples: tuple, eval_ranks: tuple, det: Poly,
+    ):
+        object.__setattr__(self, "ind", ind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "dim_delta", dim_delta)
+        object.__setattr__(self, "det_nonzero", det_nonzero)
+        object.__setattr__(self, "det_consistent", det_consistent)  # ind == 0 iff det A != 0
+        object.__setattr__(self, "prime_samples", prime_samples)
+        object.__setattr__(self, "eval_ranks", eval_ranks)
+        object.__setattr__(self, "det", det)  # det A over delta, reused by det_shape_check
 
 
 def index_pair(pd: PairData, a: BracketTensor, *, seed: int = 0) -> IndexResult:
@@ -501,15 +515,20 @@ def index_pair(pd: PairData, a: BracketTensor, *, seed: int = 0) -> IndexResult:
     )
 
 
-@dataclass(frozen=True)
-class DetShapeResult:
-    report: CheckReport
-    det: Poly
-    epsilon: int
-    gamma: object  # product of the betas; nonzero iff det A != 0
-    matches: bool
-    gamma_nonzero: bool
-    betas: tuple
+class DetShapeResult(ReadOnly):
+    __slots__ = ("report", "det", "epsilon", "gamma", "matches", "gamma_nonzero", "betas")
+
+    def __init__(
+        self, report: CheckReport, det: Poly, epsilon: int, gamma, matches: bool,
+        gamma_nonzero: bool, betas: tuple,
+    ):
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "gamma", gamma)  # product of the betas; nonzero iff det A != 0
+        object.__setattr__(self, "matches", matches)
+        object.__setattr__(self, "gamma_nonzero", gamma_nonzero)
+        object.__setattr__(self, "betas", betas)
 
 
 def det_shape_check(pd: PairData, betas, det) -> DetShapeResult:
@@ -548,17 +567,20 @@ def det_shape_check(pd: PairData, betas, det) -> DetShapeResult:
     )
 
 
-@dataclass(frozen=True)
-class ConvolutionResult:
+class ConvolutionResult(ReadOnly):
     """Gradient of the pairing function B(Q_i, Q_j) at e, its coordinates
-    over the z basis, and the proportionality-constant audit."""
+    over the z basis, and the proportionality-constant audit: c_observed is
+    twice c_reference = m'_i m'_j / (m'_i + m'_j)."""
 
-    i: int
-    j: int
-    grad: Element
-    alphas: tuple
-    c_observed: object  # scalar with [y_i, z_j] = c_observed * grad; None if grad = 0
-    c_reference: object  # m'_i m'_j / (m'_i + m'_j); observed is twice this
+    __slots__ = ("i", "j", "grad", "alphas", "c_observed", "c_reference")
+
+    def __init__(self, i: int, j: int, grad: Element, alphas: tuple, c_observed, c_reference):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "grad", grad)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "c_observed", c_observed)  # [y_i, z_j] / grad; None if grad = 0
+        object.__setattr__(self, "c_reference", c_reference)
 
 
 def convolution_at(pd: PairData, i: int, j: int) -> ConvolutionResult:
@@ -612,35 +634,41 @@ def convolution_entries(pd: PairData):
             yield f"{i},{j}", conv.alphas, audit
 
 
-@dataclass
 class OrbitReport:
-    """Per-orbit pipeline outcome, shaped for JSON/CSV serialization."""
+    """Per-orbit pipeline outcome, shaped for JSON/CSV serialization: built
+    from the orbit's name, then filled in by analyze_orbit stage by stage."""
 
-    family: str
-    rank: int
-    matrix_size: int
-    partition: str
-    skipped: bool = False
-    note: str = ""
-    error: str = ""
-    dims: dict = field(default_factory=dict)
-    pair_exponents: tuple = ()
-    s: int = 0
-    distinct_exponents: bool = True
-    hypothesis_ok: bool = False
-    ind: int | None = None
-    rank_a: int | None = None
-    det_nonzero: bool | None = None
-    det_consistent: bool | None = None
-    det_text: str = ""
-    epsilon: int | None = None
-    betas: tuple = ()
-    gamma: object = None
-    gamma_nonzero: bool | None = None
-    alphas: dict = field(default_factory=dict)
-    const_audit: dict = field(default_factory=dict)
-    prime_samples: tuple = ()
-    checks: list = field(default_factory=list)
+    __slots__ = ("family", "rank", "matrix_size", "partition", "skipped", "note", "error",
+                 "dims", "pair_exponents", "s", "distinct_exponents", "hypothesis_ok", "ind",
+                 "rank_a", "det_nonzero", "det_consistent", "det_text", "epsilon", "betas",
+                 "gamma", "gamma_nonzero", "alphas", "const_audit", "prime_samples", "checks")
+
+    def __init__(self, family: str, rank: int, matrix_size: int, partition: str):
+        self.family = family
+        self.rank = rank
+        self.matrix_size = matrix_size
+        self.partition = partition
+        self.skipped = False
+        self.note = ""
+        self.error = ""
+        self.dims = {}
+        self.pair_exponents = ()
+        self.s = 0
+        self.distinct_exponents = True
+        self.hypothesis_ok = False
+        self.ind = None
+        self.rank_a = None
+        self.det_nonzero = None
+        self.det_consistent = None
+        self.det_text = ""
+        self.epsilon = None
+        self.betas = ()
+        self.gamma = None
+        self.gamma_nonzero = None
+        self.alphas = {}
+        self.const_audit = {}
+        self.prime_samples = ()
+        self.checks = []
 
     @property
     def passed(self) -> bool:

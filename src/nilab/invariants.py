@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -56,7 +55,7 @@ from .algebras import (
 )
 from .errors import ContractError, IdentityError, InternalError, NilabError
 from .linalg import interpolate_vector_poly, mat_mul
-from .reports import CheckReport
+from .reports import CheckReport, ReadOnly
 from .triples import Triplet, principal_triplet
 
 
@@ -338,14 +337,16 @@ def gradient(alg: AlgebraRealization, j: int, x: Element) -> Element:
     return value
 
 
-@dataclass(frozen=True)
-class TaylorTerms:
+class TaylorTerms(ReadOnly):
     """Coefficients of P_j along a line: terms[k] = d^k P_j(x).y^(k) / k!."""
 
-    j: int
-    base: Element
-    direction: Element
-    terms: tuple
+    __slots__ = ("j", "base", "direction", "terms")
+
+    def __init__(self, j: int, base: Element, direction: Element, terms: tuple):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "terms", terms)
 
 
 def taylor_terms(alg: AlgebraRealization, j: int, x: Element, y: Element) -> TaylorTerms:
@@ -385,14 +386,14 @@ def mixed_term(
     return term.scale(Rat(math.factorial(a) * math.factorial(b)))
 
 
-@dataclass
 class IdentitySample:
     """One random test point for the identity suites."""
 
-    x: Element
-    y: Element
-    z: Element
-    n: Element
+    def __init__(self, x: Element, y: Element, z: Element, n: Element):
+        self.x = x
+        self.y = y
+        self.z = z
+        self.n = n
 
     @cached_property
     def moved(self) -> Element:
@@ -491,14 +492,16 @@ def verify_field_identities(alg: AlgebraRealization, samples) -> list:
     return reports
 
 
-@dataclass(frozen=True)
-class Sl2VectorFamily:
+class Sl2VectorFamily(ReadOnly):
     """The eigenvector ladders v[j][k] = d^k P_j(h).e^(k) and
     w[j][k] = d^k P_j(h).f^(k), 0 <= k <= m_j, j indexed from 0."""
 
-    triplet: Triplet
-    v: tuple
-    w: tuple
+    __slots__ = ("triplet", "v", "w")
+
+    def __init__(self, triplet: Triplet, v: tuple, w: tuple):
+        object.__setattr__(self, "triplet", triplet)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
 
 
 def sl2_vectors(alg: AlgebraRealization, triplet: Triplet) -> Sl2VectorFamily:
@@ -564,12 +567,14 @@ def kostant_independence(alg: AlgebraRealization, triplet: Triplet) -> CheckRepo
     return report
 
 
-@dataclass(frozen=True)
-class TriangularDecomposition:
-    triplet: Triplet
-    h_space: Subspace
-    n_plus: Subspace
-    n_minus: Subspace
+class TriangularDecomposition(ReadOnly):
+    __slots__ = ("triplet", "h_space", "n_plus", "n_minus")
+
+    def __init__(self, triplet: Triplet, h_space: Subspace, n_plus: Subspace, n_minus: Subspace):
+        object.__setattr__(self, "triplet", triplet)
+        object.__setattr__(self, "h_space", h_space)
+        object.__setattr__(self, "n_plus", n_plus)
+        object.__setattr__(self, "n_minus", n_minus)
 
 
 def triangular_decomposition(

@@ -15,13 +15,13 @@ only for the determinant's coefficients, divided by D^s once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import isqrt, lcm, prod
 from operator import add, sub
 
 from ._scalar import ONE, Rat, ZERO, as_rat
 from .errors import ContractError, InternalError, ShapeError
 from .linalg import echelon_rows
+from .reports import ReadOnly
 
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -347,14 +347,16 @@ def poly_det(entries) -> Poly:
     return _eliminate(*_cleared(entries), variables)[1]
 
 
-@dataclass(frozen=True)
-class GenericRankResult:
+class GenericRankResult(ReadOnly):
     """Symbolic generic rank plus the randomized evaluation cross-check."""
 
-    rank: int
-    prime_samples: tuple  # one tuple of primes (per variable) per sample
-    eval_ranks: tuple
-    det: Poly | None  # determinant from the same elimination; None unless square
+    __slots__ = ("rank", "prime_samples", "eval_ranks", "det")
+
+    def __init__(self, rank: int, prime_samples: tuple, eval_ranks: tuple, det: Poly | None):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "prime_samples", prime_samples)  # a tuple of primes per sample
+        object.__setattr__(self, "eval_ranks", eval_ranks)
+        object.__setattr__(self, "det", det)  # from the same elimination; None unless square
 
 
 def generic_rank_detail(entries, *, seed: int = 0) -> GenericRankResult:

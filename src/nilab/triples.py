@@ -29,7 +29,6 @@ partition's orbit it gives the same triple as the closed form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from ._scalar import ZERO
 from .algebras import (
@@ -44,19 +43,19 @@ from .algebras import (
 from .errors import ContractError, InternalError, PartitionError
 from .frame import BlockFrame, block_frame
 from .linalg import _int_maps, _sparse_elimination, mat_mul, solve
+from .reports import ValueRecord
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing positive integer parts."""
+class Partition(ValueRecord):
+    """Weakly decreasing positive integer parts; compared and hashed by them."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
+    def __init__(self, parts):
         try:
-            parts = tuple(operator.index(p) for p in self.parts)
+            parts = tuple(operator.index(p) for p in parts)
         except TypeError as exc:
-            raise PartitionError(f"parts must be integers, got {self.parts!r}") from exc
+            raise PartitionError(f"parts must be integers, got {parts!r}") from exc
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise PartitionError("empty partition")
@@ -80,29 +79,34 @@ class Partition:
     def multiplicity(self, d: int) -> int:
         return sum(1 for p in self.parts if p == d)
 
+    def _key(self):
+        return self.parts
+
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(ValueRecord):
     """An sl(2)-triple (h, e, f); the defining brackets are checked exactly.
     frame is the Jordan-block frame of a partition's triple
     (triple_from_partition), None for any other, and is not compared."""
 
-    h: Element
-    e: Element
-    f: Element
-    frame: BlockFrame = field(default=None, compare=False, repr=False)
+    __slots__ = ("h", "e", "f", "frame")
 
-    def __post_init__(self):
-        h, e, f = self.h, self.e, self.f
+    def __init__(self, h: Element, e: Element, f: Element, frame: BlockFrame | None = None):
         if bracket(h, e) != e.scale(2):
             raise InternalError("triple relation [h,e] = 2e failed")
         if bracket(h, f) != f.scale(-2):
             raise InternalError("triple relation [h,f] = -2f failed")
         if bracket(e, f) != h:
             raise InternalError("triple relation [e,f] = h failed")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "frame", frame)
+
+    def _key(self):
+        return self.h, self.e, self.f
 
     @property
     def algebra(self) -> AlgebraRealization:

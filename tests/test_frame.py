@@ -4,7 +4,6 @@ pipeline."""
 
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -27,6 +26,8 @@ from nilab import (
 from nilab.algebras import preimage
 from nilab.frame import _FrameAlgebra, centralizer_dim
 from nilab.index import _frame_centralizer, _normalizer
+
+from records import rebuilt
 
 # every nonzero orbit of sl(n), n <= 12, so(2r+1) up to so(15), sp(2r) up to
 # sp(14) and so(2r) up to so(16)
@@ -157,7 +158,7 @@ def test_eta_check_refuses_a_wrong_f_bracket(monkeypatch, route):
     alg = build_algebra("A", 4)
     triplet = triple_from_partition(alg, Partition((3, 2)))
     if route == "kernel":
-        triplet = replace(triplet, frame=None)
+        triplet = rebuilt(triplet, frame=None)
     build_pair_data(alg, triplet)
     real = index_module.bracket
     f = triplet.f

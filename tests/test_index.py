@@ -2,7 +2,6 @@
 
 import random
 import re
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -14,6 +13,8 @@ from nilab import (
     GraduationError,
     HypothesisViolation,
     IdentityError,
+    InternalError,
+    InvariantGenerator,
     Partition,
     Poly,
     Rat,
@@ -45,6 +46,8 @@ from nilab.index import _gradients_at, _has_weight, _slopes_at
 from nilab.invariants import _line_table, _line_terms, _read_gradient, _read_gradient_rows
 from nilab.linalg import echelon_rows, mat_mul
 
+from records import rebuilt
+
 
 def gradient_derivative(alg, j, x, y):
     """First derivative dP_j(x).y: term (0, 1) of the line expansion."""
@@ -66,6 +69,46 @@ def pair_data_for(family, rank, parts):
 def shape_of(pd, a):
     """det_shape_check with the betas and det the pipeline passes it."""
     return det_shape_check(pd, structure_checks(pd, a).betas, index_pair(pd, a).det)
+
+
+def test_records_are_read_only_and_the_value_records_compare_by_value():
+    alg = build_algebra("A", 3)
+    partition = Partition((4,))
+    triplet = triple_from_partition(alg, partition)
+    pd = build_pair_data(alg, triplet)
+    result = index_pair(pd, bracket_matrix(pd))
+    gen = generators(alg)[1]
+    fields = [
+        (partition, "parts"), (triplet, "e"), (triplet, "frame"), (gen, "degree"),
+        (pd, "z_vec"), (pd, "_brackets"), (result, "ind"),
+    ]
+    for record, name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    # the refused assignments left each field as it was
+    assert (partition.parts, pd.z_vec[0].is_zero(), result.ind) == ((4,), False, 0)
+    # Partition, Triplet and InvariantGenerator compare and hash by value;
+    # a triplet's frame is left out
+    same = Partition([4])
+    assert same == partition and hash(same) == hash(partition) and same != Partition((3, 1))
+    unframed = rebuilt(triplet, frame=None)
+    assert triplet.frame is not None and unframed.frame is None
+    assert unframed == triplet and hash(unframed) == hash(triplet)
+    assert triple_from_partition(alg, Partition((3, 1))) != triplet
+    twin = InvariantGenerator(gen.index_j, gen.degree, gen.exponent, gen.kind)
+    assert twin == gen and hash(twin) == hash(gen)
+    assert InvariantGenerator(gen.index_j, gen.degree, gen.exponent, "pfaffian") != gen
+    # rebuilt goes through the constructor: the caches of a PairData start
+    # empty, and a Triplet's brackets are checked again
+    pd.bracket(1, 2)
+    pd.derivative(1, 2)
+    assert pd._h_weights and "_h_weights" in vars(pd)
+    copy = rebuilt(pd, z_vec=pd.z_vec)
+    assert copy._brackets == {} and copy._derivatives == {} and "_h_weights" not in vars(copy)
+    with pytest.raises(InternalError, match=r"\[e,f\] = h"):
+        rebuilt(triplet, f=triplet.f.scale(2))
 
 
 def test_pair_data_sl3_regular():
@@ -330,7 +373,7 @@ def test_convolution_derivative_walks_a_moved_direction_and_the_audit_refuses_it
     alg, pd = pair_data_for("A", 3, (4,))
     e, zs = pd.triplet.e, list(pd.z_vec)
     zs[1] = zs[1] + pd.y_vec[0]
-    bad = replace(pd, z_vec=tuple(zs))
+    bad = rebuilt(pd, z_vec=tuple(zs))
     assert not bracket(e, zs[1]).is_zero()
     for i, ji in enumerate(pd.selected_indices, start=1):
         assert bad.derivative(i, 2) == gradient_derivative(alg, ji, e, zs[1])
@@ -629,7 +672,7 @@ def test_build_pair_data_refuses_a_gradient_outside_the_center(monkeypatch):
 
     alg = build_algebra("A", 3)
     triplet = triple_from_partition(alg, Partition((4,)))
-    routes = (triplet, replace(triplet, frame=None))
+    routes = (triplet, rebuilt(triplet, frame=None))
     for t in routes:
         build_pair_data(alg, t)
     monkeypatch.setattr(index_module, "center_of", lambda zcent: short(real_center(zcent)))
@@ -651,7 +694,7 @@ def test_bracket_matrix_refuses_an_entry_outside_the_center():
     with pytest.raises(
         IdentityError, match=re.escape("[y_1, z_1] is not in the center of the centralizer")
     ):
-        bracket_matrix(replace(pd, y_vec=tuple(ys)))
+        bracket_matrix(rebuilt(pd, y_vec=tuple(ys)))
 
 
 def test_convolution_audit_refuses_a_pair_index_out_of_range():
@@ -1135,14 +1178,14 @@ def test_normalizer_check_catches_a_component_of_another_weight():
         # [f, z_k] = -y_k and the h-weight of y_k see it
         ys = list(pd.y_vec)
         ys[k] = ys[k] + pd.z_vec[-1]
-        bad = replace(pd, y_vec=tuple(ys))
+        bad = rebuilt(pd, y_vec=tuple(ys))
         assert failed_names(normalizer_decomposition_check, bad) == [
             f"f-bracket[{k + 1}]",
             f"h-weight-y[{k + 1}]",
         ]
         zs = list(pd.z_vec)
         zs[k] = zs[k] + other_weight(alg, weights, 2 * m)
-        bad = replace(pd, z_vec=tuple(zs))
+        bad = rebuilt(pd, z_vec=tuple(zs))
         assert f"h-weight-z[{k + 1}]" in failed_names(normalizer_decomposition_check, bad)
 
 
@@ -1167,7 +1210,7 @@ def test_normalizer_span_fails_when_any_of_its_three_facts_fails():
     # remainder modulo z is that of y_1
     ys = list(pd.y_vec)
     ys[1] = ys[0] + pd.zcent.basis[-1]
-    bad = replace(pd, y_vec=tuple(ys))
+    bad = rebuilt(pd, y_vec=tuple(ys))
     names = failed_names(normalizer_decomposition_check, bad)
     assert "normalizer-span" in names
     assert not {"in-normalizer[2]", "outside-centralizer[2]", "normalizer-dim"} & set(names)
@@ -1175,13 +1218,13 @@ def test_normalizer_span_fails_when_any_of_its_three_facts_fails():
 
     # an eta of the right dimension, holding every y_j, missing one row of z
     rows = [r for r in pd.zcent.num_rows if r != z_row] + [y.num for y in pd.y_vec]
-    bad = replace(pd, eta=Subspace.from_coord_rows(alg, rows + [outside.num]))
+    bad = rebuilt(pd, eta=Subspace.from_coord_rows(alg, rows + [outside.num]))
     assert bad.eta.dim == pd.eta.dim and all(bad.eta.contains(y) for y in pd.y_vec)
     assert failed_names(normalizer_decomposition_check, bad) == ["normalizer-span"]
     assert not stacked_span(bad, bad.eta)
 
     # an eta with one extra row
-    bad = replace(pd, eta=Subspace.from_coord_rows(alg, list(pd.eta.num_rows) + [outside.num]))
+    bad = rebuilt(pd, eta=Subspace.from_coord_rows(alg, list(pd.eta.num_rows) + [outside.num]))
     assert failed_names(normalizer_decomposition_check, bad) == [
         "normalizer-dim",
         "normalizer-span",
@@ -1237,7 +1280,7 @@ def test_weight_checks_refuse_a_non_diagonal_h():
     e = pd.triplet.e
     moved = Triplet(unipotent_conjugate(e, pd.triplet.h), e, unipotent_conjugate(e, pd.triplet.f))
     assert moved.h != pd.triplet.h
-    bad = replace(pd, triplet=moved)
+    bad = rebuilt(pd, triplet=moved)
     a = bracket_matrix(pd)
     with pytest.raises(GraduationError):
         normalizer_decomposition_check(bad)

@@ -3,7 +3,6 @@
 import random
 import re
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -44,6 +43,8 @@ from nilab.invariants import (
 )
 from nilab.linalg import interpolate_vector_poly
 from nilab.poly import poly_det
+
+from records import rebuilt
 
 
 def gradient_derivative(alg, j, x, y):
@@ -347,7 +348,7 @@ def test_sl2_vectors_refuse_a_scaled_ladder_term(monkeypatch, ladder, message):
         terms = real(alg, j, x, y)
         if j != 1 or y != getattr(t, ladder):
             return terms
-        return replace(terms, terms=(terms.terms[0], terms.terms[1].scale(2)) + terms.terms[2:])
+        return rebuilt(terms, terms=(terms.terms[0], terms.terms[1].scale(2)) + terms.terms[2:])
 
     monkeypatch.setattr(invariants_module, "taylor_terms", scaled)
     with pytest.raises(IdentityError, match=re.escape(message + ": ladder broken")):
@@ -379,8 +380,8 @@ def test_sl2_vectors_refuse_a_wrong_eigenvalue_or_pumping(monkeypatch, ladder, e
         if j != 1 or y != getattr(t, ladder):
             return terms
         if edit == "shift":
-            return replace(terms, terms=(terms.terms[0] + y,) + terms.terms[1:])
-        return replace(terms, terms=tuple(term.scale(2) for term in terms.terms))
+            return rebuilt(terms, terms=(terms.terms[0] + y,) + terms.terms[1:])
+        return rebuilt(terms, terms=tuple(term.scale(2) for term in terms.terms))
 
     monkeypatch.setattr(invariants_module, "taylor_terms", edited)
     with pytest.raises(IdentityError, match=re.escape(message)):
@@ -405,26 +406,26 @@ def test_kostant_independence_refuses_dependent_gradients(monkeypatch):
 
 
 def _drop_last_v_row(fam):
-    return replace(fam, v=fam.v[:-1])
+    return rebuilt(fam, v=fam.v[:-1])
 
 
 def _w_ladders_from_v(fam):
-    return replace(fam, w=fam.v)
+    return rebuilt(fam, w=fam.v)
 
 
 def _tilt_a_v_row(fam):
     (v0, v1), rest = fam.v[0], fam.v[1:]
-    return replace(fam, v=((v0 + v1, v1),) + rest)
+    return rebuilt(fam, v=((v0 + v1, v1),) + rest)
 
 
 def _tilt_a_v_step(fam):
     (v0, v1), rest = fam.v[0], fam.v[1:]
-    return replace(fam, v=((v0, v1 + fam.w[0][1]),) + rest)
+    return rebuilt(fam, v=((v0, v1 + fam.w[0][1]),) + rest)
 
 
 def _tilt_a_w_step(fam):
     (w0, w1), rest = fam.w[0], fam.w[1:]
-    return replace(fam, w=((w0, w1 + fam.v[0][1]),) + rest)
+    return rebuilt(fam, w=((w0, w1 + fam.v[0][1]),) + rest)
 
 
 @pytest.mark.parametrize(

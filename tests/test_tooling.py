@@ -158,6 +158,28 @@ def test_import_loads_no_process_pool_modules():
     assert result.stdout.strip() == "[]"
 
 
+# dataclasses and what it imports took about a quarter of a fresh -B
+# interpreter's `import nilab` plus `build_algebra`; the package's records are
+# plain classes so that start-up does not pay for them
+SLOW_START_MODULES = ("ast", "dataclasses", "dis", "inspect", "tokenize")
+
+
+def test_cold_start_loads_no_dataclasses():
+    probe = (
+        "import sys, nilab, nilab.cli; "
+        f"print(sorted(m for m in {SLOW_START_MODULES!r} if m in sys.modules))"
+    )
+    result = _run_from_checkout("-B", "-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+    # -X importtime lists every module `python -m nilab` imports on stderr
+    result = _run_from_checkout("-B", "-X", "importtime", "-m", "nilab", "--version")
+    assert result.returncode == 0, result.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert "nilab.cli" in imported
+    assert imported.isdisjoint(SLOW_START_MODULES)
+
+
 def test_python_dash_m_runs_the_cli():
     result = _run_from_checkout("-m", "nilab", "--version")
     assert result.returncode == 0, result.stderr
