@@ -30,12 +30,12 @@ the per-family ratio recorded on the realization.  Ranks, vanishing
 patterns and the index are insensitive to this rescaling.  No Gram matrix
 is stored: trace_form multiplies the matrices, walking the nonzero entries
 of the sparse rows each element builds once (_sparse_form), and every
-matrix comes back to g through one checked forward substitution:
-coords_of_rows on dense rows (the packed gradients, triples, Ad(exp n)),
-which reads each coordinate at its pivot and checks only the other
-positions, and _coords_of_entries on the nonzero entries of a commutator
-of two basis matrices or of a product of sparse rows (_product_rows: the
-one walk of an element's powers, _power_walk, and the slope walks on it).
+matrix comes back to g through one checked forward substitution,
+_coords_of_entries, on its nonzero entries: a commutator of two basis
+matrices, a product of sparse rows (_product_rows: the one walk of an
+element's powers, _power_walk, and the slope walks on it), each packed
+gradient matrix of nilab.invariants, and, through coords_of_rows, the
+dense rows of the triples and of Ad(exp n).
 
 Brackets need neither a matrix nor a read-off.  Each realization keeps one
 table of integer structure constants, [b_i, b_j] = sum_k c_ijk b_k, built
@@ -225,6 +225,10 @@ class AlgebraRealization:
         self._generators = tuple(
             InvariantGenerator(i + 1, k, k - 1, kind) for i, (k, kind) in enumerate(pairs)
         )
+        # (p, q): P_j is p / q times its matrix projected onto g (invariants)
+        factors = [(Rat(g.degree) if g.kind == "trace" else Rat(1, 2)) / self.form_scale
+                   for g in self._generators]
+        self._gradient_factors = tuple((f.numerator, f.denominator) for f in factors)
         self.generator_degrees = tuple(g.degree for g in self._generators)
         self.generator_kinds = tuple(g.kind for g in self._generators)
         self.exponents = tuple(g.exponent for g in self._generators)
@@ -246,14 +250,9 @@ class AlgebraRealization:
         # then unit lower triangular, so the coordinates of a matrix are read
         # by forward substitution: in ascending position, C_k is what is left
         # at p_k once every earlier C_k' b_k' is subtracted.
-        # _coords_of_entries runs it on nonzero entries, finding each basis
-        # matrix by its pivot in _pivot_terms: position i N + j -> (k, the
-        # later entries of b_k as (position, value)).  coords_of_rows reads
-        # dense rows through three tables: _pivot_cols, the pivot columns of
-        # each row in basis order; _chain, (k, the (k', value) of the tail
-        # entries of b_k at later pivots p_k'), for the b_k whose tail
-        # reaches one; _checks, (i, j, the (k, value) of the tail entries at
-        # (i, j)), for every position (i, j) that is no pivot.  The rows of
+        # _coords_of_entries runs it on a matrix's nonzero entries, finding
+        # each basis matrix by its pivot in _pivot_terms: position i N + j ->
+        # (k, the later entries of b_k as (position, value)).  The rows of
         # the structure constants (_rows) start empty; see _bracket_row.
         n = self.matrix_size_N
         self._full = None
@@ -268,58 +267,28 @@ class AlgebraRealization:
             last = positions[0]
             tail = tuple((q, v) for q, (_, _, v) in zip(positions[1:], entries[1:]))
             self._pivot_terms[last] = (k, tail)
-        self._pivot_cols = [[] for _ in range(n)]
-        chain, off_pivot = [], {}
-        for p, (k, tail) in self._pivot_terms.items():
-            self._pivot_cols[p // n].append(p % n)
-            later = tuple((self._pivot_terms[q][0], v) for q, v in tail if q in self._pivot_terms)
-            if later:
-                chain.append((k, later))
-            for q, v in tail:
-                if q not in self._pivot_terms:
-                    off_pivot.setdefault(q, []).append((k, v))
-        self._chain = tuple(chain)
-        self._checks = tuple(
-            (q // n, q % n, tuple(off_pivot.get(q, ())))
-            for q in range(n * n)
-            if q not in self._pivot_terms
-        )
 
     def coords_of_rows(self, rows, den=1, num=1) -> "Element":
-        """The element with the N x N matrix (num / den) * rows, for integer
-        rows and integers num, den != 0: the one read-off from a matrix to g.
-
-        The forward substitution in one pass: every entry at a pivot p_k,
-        where b_k is 1, is read as C_k, and then, in basis order, C_k b_k is
-        subtracted at the later pivots its tail reaches (on sl(N), the
-        diagonal chain; on so/sp, none).  The coordinates then account for
-        every pivot, so the matrix is sum_k C_k b_k exactly when each
-        position that is no pivot holds the sum of the C_k b_k there; a
-        matrix outside the span raises ContractError.  The element is
-        num C_k / den in lowest terms; with num = den = 1 its numerators
-        are the C_k themselves.
-        """
-        coords = [row[j] for row, cols in zip(rows, self._pivot_cols) for j in cols]
-        for k, later in self._chain:
-            c = coords[k]
-            if c:
-                for q, v in later:
-                    coords[q] -= c * v
-        for i, j, terms in self._checks:
-            rest = rows[i][j]
-            for k, v in terms:
-                rest -= coords[k] * v
-            if rest:
-                raise ContractError("matrix does not lie in the algebra")
-        if num != 1:
-            coords = [c * num for c in coords]
-        return _element(self, coords, den)
+        """The element num C / den in lowest terms, for integer rows and
+        integers num, den != 0, where C is the entry read-off
+        (_coords_of_entries) of the rows' nonzero entries; a matrix outside
+        the span raises ContractError."""
+        n = self.matrix_size_N
+        coords = self._coords_of_entries(
+            {i * n + j: v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+        )
+        if coords is None:
+            raise ContractError("matrix does not lie in the algebra")
+        vec = [0] * self.dim
+        for k, c in coords.items():
+            vec[k] = c * num
+        return _element(self, vec, den)
 
     def _coords_of_entries(self, entries):
         """The nonzero integer coordinates {k: C_k}, in ascending k, of the
         integer N x N matrix with these nonzero entries {i N + j: value}, or
         None if the matrix does not lie in the algebra: the forward
-        substitution of coords_of_rows on the nonzero entries alone.
+        substitution of _init_coordinatizer, on the nonzero entries alone.
 
         A heap yields the positions in ascending order.  Subtracting C_k b_k
         at the pivot p_k changes only later positions, and each one it fills

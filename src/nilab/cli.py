@@ -71,10 +71,10 @@ EXIT_USAGE = 3
 # (minimal) or 0.22 s and 21 MB (principal), the minimal orbit of sl(16)
 # 0.13 s and 17 MB.
 # The verify suites grow with the rank through the generator degrees: the
-# slowest rank-6 suite, B6, takes about 14.4 s there (C6 12.5 s, B5 2.9 s).
+# slowest rank-6 suite, B6, takes about 4.9 s there (C6 4.4 s, B5 1.6 s).
 # The verify samples are drawn one at a time, each checked for all
-# generators at once and then dropped: B4 takes 0.78 s with the default 20
-# samples and 3.6 s with 100.  The decomposition of a rank is slowest on
+# generators at once and then dropped: B4 takes 0.67 s with the default 20
+# samples and 2.7 s with 100.  The decomposition of a rank is slowest on
 # B, the largest matrix size: B12 (so(25)) takes 0.58 s and 33 MB.
 TABLE_MAX_N = 10
 ORBIT_MAX_N = 20

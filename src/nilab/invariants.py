@@ -12,15 +12,17 @@ derivatives, the Taylor terms along a line and the mixed terms in two
 directions all come from one closed-form expansion, _line_terms, of
 P(x + s y + t u) in s and t.  It packs the integer rows as
 M = X + B Y + B^(T+1) U (Kronecker substitution), evaluates the generator's
-matrix on M with plain integer products, and reads the t^a s^b term off as
-a balanced base-B digit; B = 2^K with K from a proven bound on the
-coefficients (_digit_width).  The trace-kind gradients are prefixes of one
-power chain M, M^2, ..., so _line_table reads every generator off one
-chain per direction.  Interpolation is kept only as the independent
-oracle: scalar values of p_j at the points x + t y, t = 0..deg_j, give
-<dp_j(x), y>, which the pairing check of verify_field_identities and
-gradient compare against.  It shares no code with _line_table: each point
-is one plain power chain of its integer rows, read for every generator.
+matrix on M with plain integer products, cut to the low base-B digits it
+reads, and reads that packed matrix off g once: the t^a s^b term is a
+balanced base-B digit of its coordinates.  B = 2^K with K from a proven
+bound on the coefficients and on the read-off's digits (_digit_width).
+The trace-kind gradients are prefixes of one power chain M, M^2, ..., so
+_line_table reads every generator off one chain per direction.
+Interpolation is kept only as the independent oracle: scalar values of p_j
+at the points x + t y, t = 0..deg_j, give <dp_j(x), y>, which the pairing
+check of verify_field_identities and gradient compare against.  It shares
+no code with _line_table: each point is one plain power chain of its
+integer rows, read for every generator.
 
 The suite functions at the bottom verify exactly the invariance identities
 the fields satisfy: equivariance, Taylor exchange symmetry, the bracket
@@ -136,7 +138,7 @@ def eval_generator(alg: AlgebraRealization, j: int, x: Element):
     return _values(alg, x, (_generator(alg, j),))[j]
 
 
-def _digit_width(n: int, gens, size: int) -> int:
+def _digit_width(alg: AlgebraRealization, gens, size: int) -> int:
     """K, the bits per digit of the packed evaluation in _line_table, for
     the generators gens on N x N integer matrices X, Y[, U] with
     size = S = |X| + |Y| + |U|, |.| the largest absolute entry.
@@ -145,16 +147,27 @@ def _digit_width(n: int, gens, size: int) -> int:
     products of m entries whose coefficients sum in absolute value to at
     most S, so each of its coefficients is at most N^(m-1) S^m.  An
     order-(N-2) minor Pfaffian is a sum of (N-3)!! products of m = r - 1
-    such entries, so its coefficients are at most (N-3)!! S^m.  With
-    K = bit_length(bound) + 2 every coefficient is below B/4 = 2^(K-2) in
-    absolute value.
+    such entries, so its coefficients are at most (N-3)!! S^m.  With beta
+    the largest bound, K >= bit_length(beta) + 2 puts every coefficient
+    below B/4.  The digits of the read-off's coordinates and residuals,
+    those of the digit matrices, must stay below B/2.  On so/sp each is an
+    entry, or one entry less +-1 times another, below 2 beta, so
+    K = bit_length(beta) + 2 serves.  On sl(N) the trace part is taken
+    off as N v - tr: an off-diagonal coordinate is N v, and the one at
+    diagonal pivot i, a partial sum of the diagonal, is
+    (N - i - 1) S_i - (i + 1) R_i, S_i the sum of the first i + 1 diagonal
+    entries and R_i of the others, at most
+    2 (i + 1)(N - i - 1) beta <= N^2 beta / 2; the residual is the trace,
+    zero.  So sl(N) takes K = bit_length(beta) + bit_length(N^2 - 1), which
+    makes B > N^2 beta.
     """
+    n = alg.matrix_size_N
     bound = max(
         (n ** (gen.exponent - 1) if gen.kind == "trace" else math.prod(range(n - 3, 0, -2)))
         * size**gen.exponent
         for gen in gens
     )
-    return bound.bit_length() + 2
+    return bound.bit_length() + ((n * n - 1).bit_length() if alg.family == "A" else 2)
 
 
 def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
@@ -167,13 +180,19 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
     substitution).  Every generator's matrix then evaluates on M with the
     integer code as it is: the trace kind reads the power M^m off one chain
     M, M^2, ..., M^T shared by all of js, the Pfaffian kind the memoized
-    signed minor Pfaffians of S M.  The t^a s^b coefficient d of an entry
-    v is its balanced base-B digit at index i = a (T + 1) + b, |d| < B/4.
-    Adding O = (B/2) sum_{i<L} B^i, L one past the highest index wanted,
-    turns the low L digits of v + O into d + B/2, plain base-B digits in
-    (0, B) -- digits past L only add a multiple of B^L -- so each is
-    ((v + O) >> iK & (B - 1)) - B/2.  An x, y or u of another realization
-    raises ContractError.
+    signed minor Pfaffians of S M.  The t^a s^b coefficient of an entry is
+    its balanced base-B digit d_i at index i = a (T + 1) + b, |d_i| < B/4.
+    Only the L digits up to the highest index wanted are read, so M, each
+    power and the Pfaffian's matrix, once they have digits past L, are cut
+    to their balanced low part ((v + H) & (B^L - 1)) - H, H = B^L / 2,
+    which is sum_{i<L} d_i B^i.  Each generator's matrix is then read off g
+    once (_projected_coords).  That is linear, so a coordinate or residual
+    is sum_{i<L} C_i B^i, C_i that of digit matrix i, |C_i| < B/2
+    (_digit_width): a residual is zero exactly when it is in every digit, so
+    a digit matrix outside g raises ContractError, and term (a, b) is digit
+    i of the coordinates.  With O = (B/2) sum_{i<L} B^i, the digits of c + O
+    are C_i + B/2 in (0, B), so each is ((c + O) >> iK & (B - 1)) - B/2.
+    An x, y or u of another realization raises ContractError.
     """
     gens = [_generator(alg, j) for j in js]
     if any(v is not None and v.algebra is not alg for v in (x, y, u)):
@@ -183,20 +202,30 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
     (xr, dx), (yr, dy), (ur, du) = forms
     top = max(gen.exponent for gen in gens)
     size = sum(max(map(abs, chain.from_iterable(rows))) for rows, _ in forms if rows is not None)
-    width = _digit_width(n, gens, size)
+    width = _digit_width(alg, gens, size)
     half = 1 << (width - 1)
     mask = (1 << width) - 1
+    keys = [(a, b, (a * (top + 1) + b) * width) for a, b in wanted]
+    digits = 1 + max((shift for a, b, shift in keys if a + b <= top), default=0) // width
+    low = (1 << (digits * width)) - 1
+    middle = (low + 1) >> 1
+    reach = top + 1 if ur is not None else int(yr is not None)  # M's last digit index
+
+    def cut(rows, k):  # rows of degree k in M have no digit past index k reach
+        if k * reach < digits:
+            return rows
+        return [[((v + middle) & low) - middle for v in line] for line in rows]
+
     packed = xr
     for rows, shift in ((yr, width), (ur, (top + 1) * width)):
         if rows is not None:
             packed = [[a + (b << shift) for a, b in zip(pr, line)] for pr, line in zip(packed, rows)]
-    keys = [(a, b, (a * (top + 1) + b) * width) for a, b in wanted]
-    digits = 1 + max((shift for a, b, shift in keys if a + b <= top), default=0) // width
-    offset = half * (((1 << (digits * width)) - 1) // mask)
+    packed = cut(packed, 1)
+    offset = half * (low // mask)
     chain_top = max((gen.exponent for gen in gens if gen.kind == "trace"), default=1)
-    powers = [None, packed]  # powers[k] = M^k
+    powers = [None, packed]  # powers[k] = M^k mod B^L
     while len(powers) <= chain_top:
-        powers.append(mat_mul(powers[-1], packed))
+        powers.append(cut(mat_mul(powers[-1], packed), len(powers)))
     table = {}
     for gen in gens:
         m = gen.exponent
@@ -217,52 +246,41 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
                     c = value if (a + b) % 2 else -value
                     matrix[b][n - 1 - a] = c
                     matrix[a][n - 1 - b] = -c
-        lifted = [[v + offset if v else 0 for v in line] for line in matrix]
-        factor = _gradient_factor(alg, gen)
+            matrix = cut(matrix, m)
+        coords, scale = _projected_coords(
+            alg, {i * n + j: v for i, line in enumerate(matrix) for j, v in enumerate(line) if v}
+        )
+        lifted = [(k, c + offset) for k, c in coords.items()]
+        p, q = _gradient_factor(alg, gen)
         out = table[gen.index_j] = {}
         for a, b, shift in keys:
             if a + b > m:
                 out[(a, b)] = alg.zero()
                 continue
-            rows = [[((w >> shift) & mask) - half if w else 0 for w in line] for line in lifted]
-            out[(a, b)] = _read_gradient(alg, rows, dx ** (m - a - b) * dy**b * du**a, factor)
+            num = [0] * alg.dim
+            for k, c in lifted:
+                num[k] = (((c >> shift) & mask) - half) * p
+            out[(a, b)] = _element(alg, num, dx ** (m - a - b) * dy**b * du**a * scale * q)
     return table
 
 
 def _gradient_factor(alg: AlgebraRealization, gen: InvariantGenerator):
-    """P is this factor times the generator's matrix projected onto g:
-    degree / form_scale (trace kind) or 1 / (2 form_scale)."""
-    return (Rat(gen.degree) if gen.kind == "trace" else Rat(1, 2)) / alg.form_scale
+    """(p, q): P is p / q times the generator's matrix projected onto g,
+    degree / form_scale (trace kind) or 1 / (2 form_scale), integers built
+    once with the realization."""
+    return alg._gradient_factors[gen.index_j - 1]
 
 
-def _read_gradient(alg: AlgebraRealization, rows, den, factor):
-    """factor times the projection onto g, along the trace form, of the
-    matrix rows / den (integer rows, den != 0).  Odd powers of so/sp
-    elements, e^(2k) z for z in so/sp commuting with e, and the Pfaffian's
-    M already lie in g; for sl(n) the trace part is subtracted,
-    (n rows - tr I) / (n den).  The factor is folded into the one checked
-    read-off, which raises ContractError if the matrix is not in g.  Its
-    caller is _line_table, whose digit rows are dense; the orbit pipeline's
-    sparse products of e are read by _read_gradient_rows."""
+def _projected_coords(alg: AlgebraRealization, entries):
+    """(C, scale): the nonzero coordinates {k: C_k} of scale times the
+    projection onto g, along the trace form, of the integer matrix with
+    these nonzero entries {i N + j: value}, by the checked entry read-off
+    (ContractError outside g).  On sl(n) the trace part is taken off,
+    n v - tr on the diagonal and n v elsewhere (scale n); on so/sp the
+    matrices read here (odd powers, e^(2k) z for z commuting with e, the
+    Pfaffian's M) lie in g."""
     n = alg.matrix_size_N
-    tr = sum(rows[i][i] for i in range(n)) if alg.family == "A" else 0
-    if tr:
-        rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
-                for i, line in enumerate(rows)]
-        den *= n
-    return alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
-
-
-def _read_gradient_rows(alg: AlgebraRealization, rows, den, factor):
-    """_read_gradient for a matrix given as sparse integer rows (see
-    algebras._sparse_rows), read on its nonzero entries alone: the orbit
-    pipeline's products of e.  For sl(n) the trace part touches only the
-    diagonal, n v - tr there and n v elsewhere over n den; the entries go
-    through the checked entry read-off (_coords_of_entries), and a matrix
-    outside g raises ContractError as coords_of_rows does."""
-    n = alg.matrix_size_N
-    entries = {i * n + j: v for i, line in rows.items() for j, v in line}
-    tr = sum(entries.get(i * (n + 1), 0) for i in range(n)) if alg.family == "A" else 0
+    tr = sum(entries.get(q, 0) for q in range(0, n * n, n + 1)) if alg.family == "A" else 0
     if tr:
         entries = {q: n * v for q, v in entries.items()}
         for q in range(0, n * n, n + 1):
@@ -271,14 +289,25 @@ def _read_gradient_rows(alg: AlgebraRealization, rows, den, factor):
                 entries[q] = v
             else:
                 del entries[q]
-        den *= n
     coords = alg._coords_of_entries(entries)
     if coords is None:
         raise ContractError("matrix does not lie in the algebra")
+    return coords, n if tr else 1
+
+
+def _read_gradient_rows(alg: AlgebraRealization, rows, den, factor):
+    """p / q times the projection onto g (_projected_coords) of the matrix
+    rows / den, for sparse integer rows (see algebras._sparse_rows), an
+    integer den != 0 and factor = (p, q), integers: the orbit pipeline's
+    products of e, read on their nonzero entries alone."""
+    n = alg.matrix_size_N
+    entries = {i * n + j: v for i, line in rows.items() for j, v in line}
+    coords, scale = _projected_coords(alg, entries)
+    p, q = factor
     num = [0] * alg.dim
     for k, c in coords.items():
-        num[k] = c * factor.numerator
-    return _element(alg, num, den * factor.denominator)
+        num[k] = c * p
+    return _element(alg, num, den * scale * q)
 
 
 def _line_terms(alg: AlgebraRealization, j: int, x: Element, y, u, wanted):

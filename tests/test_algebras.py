@@ -52,6 +52,8 @@ from nilab.linalg import (
 )
 from nilab.poly import poly_det
 
+from readoff import dense_coords_of_rows
+
 EXPECTED_DIMS = {
     ("A", 1): 3,
     ("A", 2): 8,
@@ -274,8 +276,8 @@ def nonzero(vec):
 
 @pytest.mark.parametrize("family", "ABCD")
 def test_read_off_matches_the_generic_route_up_to_size_20(family):
-    # both forward substitutions, on dense rows and on nonzero entries, give
-    # what the integer inverse of the pivot block reads off the pivots
+    # the read-off, on dense rows and on nonzero entries, gives what the
+    # integer inverse of the pivot block reads off the pivots
     rng = random.Random(f"generic:{family}")
     for rank in ranks_up_to_size_20(family):
         alg = build_algebra(family, rank)
@@ -318,8 +320,10 @@ def test_entry_read_off_agrees_with_coords_of_rows_up_to_size_20(family):
         for x in _sparse_samples(alg, rng):
             rows, den = x.int_rows()
             assert den == 1
-            want = alg.coords_of_rows(rows).num
+            # the retired dense substitution is the reference
+            want = dense_coords_of_rows(alg, rows).num
             assert want == x.num
+            assert alg.coords_of_rows(rows) == x
             assert alg._coords_of_entries(entries_of(rows)) == nonzero(want), (family, rank)
 
 

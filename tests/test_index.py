@@ -43,9 +43,10 @@ from nilab import (
 from nilab.algebras import _power_walk, _weights
 from nilab.errors import ContractError
 from nilab.index import _gradients_at, _has_weight, _slopes_at
-from nilab.invariants import _line_table, _line_terms, _read_gradient, _read_gradient_rows
+from nilab.invariants import _line_table, _line_terms, _read_gradient_rows
 from nilab.linalg import echelon_rows, mat_mul
 
+from readoff import dense_read_gradient
 from records import rebuilt
 
 
@@ -499,13 +500,14 @@ def sparse_rows(rows):
 @pytest.mark.parametrize("family,rank", WALK_ALGEBRAS)
 def test_sparse_read_off_matches_the_dense_read_off_on_the_walk_matrices(family, rank):
     # E^k, S_k = sum_a E^a H E^(k-1-a) and E^(k-1) Z_j, formed densely here,
-    # read through the sparse read-off and through coords_of_rows with the sl
-    # projection (_read_gradient): the same element, or ContractError from
+    # read through the sparse read-off and through the retired dense
+    # substitution with the sl projection (dense_read_gradient, a test
+    # reference): the same element, or ContractError from
     # both for a matrix outside g, as the even powers of so/sp elements are.
     # Those matrices are traceless; H^2 and E F, which are not, take the sl
     # projection
     alg = build_algebra(family, rank)
-    n, factor = alg.matrix_size_N, Rat(3, 2)
+    n, factor = alg.matrix_size_N, (3, 2)
     outcomes = set()
     for _, triplet in nonzero_orbit_triples(alg):
         (e, de), (h, dh) = triplet.e.int_rows(), triplet.h.int_rows()
@@ -525,7 +527,7 @@ def test_sparse_read_off_matches_the_dense_read_off_on_the_walk_matrices(family,
             matrices += [(mat_mul(powers[k], zr), de**k * dz) for k in range(len(powers))]
         for rows, den in matrices:
             try:
-                expected = _read_gradient(alg, rows, den, factor)
+                expected = dense_read_gradient(alg, rows, den, factor)
             except ContractError:
                 expected = ContractError
             try:
@@ -547,9 +549,9 @@ def test_sparse_read_off_refuses_a_matrix_outside_g(family, rank):
     rows.setdefault(0, []).append((0, 1))
     for bad in ({0: [(0, 1)]}, {i: sorted(line) for i, line in rows.items()}):
         with pytest.raises(ContractError, match="matrix does not lie in the algebra"):
-            _read_gradient_rows(alg, bad, 1, Rat(1))
-    assert _read_gradient_rows(alg, e._sparse_form(), e.den, Rat(1)) == e
-    assert _read_gradient_rows(alg, {}, 3, Rat(2)) == alg.zero()
+            _read_gradient_rows(alg, bad, 1, (1, 1))
+    assert _read_gradient_rows(alg, e._sparse_form(), e.den, (1, 1)) == e
+    assert _read_gradient_rows(alg, {}, 3, (2, 1)) == alg.zero()
 
 
 @pytest.mark.parametrize("family,rank", WALK_ALGEBRAS)

@@ -37,6 +37,8 @@ from nilab.invariants import (
 )
 from nilab.linalg import interpolate_vector_poly, mat_mul, solve
 
+from readoff import dense_coords_of_rows
+
 
 def gradient_derivative(alg, j, x, y):
     """First derivative dP_j(x).y: term (0, 1) of the line expansion."""
@@ -309,7 +311,9 @@ def reference_line_terms(alg, j, x, y, u, wanted):
             rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
                     for i, line in enumerate(rows)]
             den *= n
-        terms[(a, b)] = alg.coords_of_rows(rows, den * factor.denominator, factor.numerator)
+        terms[(a, b)] = dense_coords_of_rows(
+            alg, rows, den * factor.denominator, factor.numerator
+        )
     return {key: coeffs[key] for key in live}, terms
 
 
@@ -354,7 +358,7 @@ def test_packed_line_expansion_matches_coefficientwise_reference(family, rank, s
             for key in keys:
                 assert got[key] == want.get(key, alg.zero()), (j, key)
             tops = [max(abs(c) for line in w.int_rows()[0] for c in line) for w in (x, y, u)]
-            width = _digit_width(n, [gen], sum(tops))
+            width = _digit_width(alg, [gen], sum(tops))
             biggest = max(abs(v) for rows in raw.values() for line in rows for v in line)
             assert 4 * biggest < 2**width
         # the multi-generator form reads every generator off the one chain
@@ -362,6 +366,89 @@ def test_packed_line_expansion_matches_coefficientwise_reference(family, rank, s
         table = _line_table(alg, js, x, y, None, [(0, 0), (0, 1), (0, 2)])
         for j in js:
             assert table[j] == _line_terms(alg, j, x, y, None, [(0, 0), (0, 1), (0, 2)])
+
+
+def blocked_diagonal(alg, big):
+    """The sl(N) element diag(big, ..., big, -big, ..., -big), N even: its
+    diagonal coordinates, the partial sums of the diagonal, reach N big / 2,
+    the largest a read-off of entries up to big can give."""
+    n = alg.matrix_size_N
+    return alg.from_matrix(
+        [[(big if 2 * i < n else -big) if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4)])
+def test_line_table_matches_the_reference_on_130_bit_points(family, rank):
+    # the packed chain is cut to the digits read and each generator's packed
+    # matrix is read off g at once, so the digits of its coordinates must
+    # stay below B/2.  On sl(6) the blocked diagonal point, whose entries all
+    # have 130 bits, gives P_1 diagonal coordinates of 3 times its entries,
+    # past B/2 unless family A gets its extra bits (_digit_width)
+    alg = build_algebra(family, rank)
+    rng = random.Random(f"packed-130:{family}{rank}")
+    top = max(alg.exponents)
+    keysets = [
+        [(0, 0)],
+        [(0, k) for k in range(top + 1)],
+        [(1, k) for k in range(top + 1)] + [(2, 0), (0, 1)],
+    ]
+    points = [tuple(large_element(alg, rng) for _ in range(3))]
+    if family == "A":
+        small = (alg.random_element(rng), alg.random_element(rng))
+        points.append((blocked_diagonal(alg, 3 << 128), *small))
+    for x, y, u in points:
+        assert max(abs(v) for line in x.int_rows()[0] for v in line).bit_length() > 120
+        for keys, (y_used, u_used) in zip(keysets, [(None, None), (y, None), (y, u)]):
+            y_ref, u_ref = (v if v is not None else alg.zero() for v in (y_used, u_used))
+            want = {
+                gen.index_j: reference_line_terms(alg, gen.index_j, x, y_ref, u_ref, keys)[1]
+                for gen in generators(alg)
+            }
+            groups = [[gen.index_j] for gen in generators(alg)] + [list(want)]
+            for js in groups:
+                table = _line_table(alg, js, x, y_used, u_used, keys)
+                for j in js:
+                    for key in keys:
+                        assert table[j][key] == want[j].get(key, alg.zero()), (js, j, key)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
+def test_line_table_refuses_one_digit_matrix_outside_g(monkeypatch, family, rank):
+    # the top power M^T of the chain gets one more unit in the digit of s^1
+    # at the mirror of the first basis matrix's pivot: that one digit matrix
+    # leaves g, every other digit stays in it, and the packed read-off of the
+    # line must refuse it
+    import nilab.invariants as invariants_module
+
+    alg = build_algebra(family, rank)
+    rng = random.Random(f"one-digit:{family}{rank}")
+    x, y = alg.random_element(rng), alg.random_element(rng)
+    js = [gen.index_j for gen in generators(alg)]
+    keys = [(0, k) for k in range(max(alg.exponents) + 1)]
+    want = _line_table(alg, js, x, y, None, keys)
+    mirror_i, mirror_j, _ = alg._basis_sparse[0][1]
+    real_width, real_mul = invariants_module._digit_width, invariants_module.mat_mul
+    widths, products = [], []
+
+    def recording_width(*args):
+        widths.append(real_width(*args))
+        return widths[-1]
+
+    def perturbed_mul(a, b):
+        out = real_mul(a, b)
+        products.append(out)
+        if len(products) == max(alg.exponents) - 1:  # M^T
+            out[mirror_i][mirror_j] += 1 << widths[-1]
+        return out
+
+    monkeypatch.setattr(invariants_module, "_digit_width", recording_width)
+    monkeypatch.setattr(invariants_module, "mat_mul", perturbed_mul)
+    with pytest.raises(ContractError, match="matrix does not lie in the algebra"):
+        _line_table(alg, js, x, y, None, keys)
+    # the same line with the product left alone reads as before
+    monkeypatch.setattr(invariants_module, "mat_mul", real_mul)
+    assert _line_table(alg, js, x, y, None, keys) == want
 
 
 @pytest.mark.parametrize("scale", [Rat(1), Rat(-3, 2)])

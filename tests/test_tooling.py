@@ -4,6 +4,7 @@ list, the package's public names, the demo scripts and `python -m nilab`."""
 import importlib
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -97,6 +98,39 @@ def test_bracket_makes_no_traced_read_off():
         tracer.uninstall()
     assert tracer.stats["algebras.bracket"][0] == 1
     assert tracer.stats["algebras.coords_of_rows"][0] == 0
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
+def test_line_table_reads_each_generator_off_once(monkeypatch, family, rank):
+    # one entry read-off per generator and line, whatever keys are wanted:
+    # every term is a digit of the packed matrix's coordinates
+    from nilab.invariants import _line_table
+
+    reads = []
+    read_entries = nilab.algebras.AlgebraRealization._coords_of_entries
+
+    def counting_read_entries(self, entries):
+        reads.append(len(entries))
+        return read_entries(self, entries)
+
+    monkeypatch.setattr(
+        nilab.algebras.AlgebraRealization, "_coords_of_entries", counting_read_entries
+    )
+    alg = nilab.build_algebra(family, rank)
+    rng = random.Random(f"reads:{family}{rank}")
+    x, y, u = (alg.random_element(rng) for _ in range(3))
+    js = [gen.index_j for gen in nilab.generators(alg)]
+    top = max(alg.exponents)
+    lines = [
+        (None, None, [(0, 0)]),
+        (y, None, [(0, k) for k in range(top + 1)]),
+        (y, u, [(1, k) for k in range(top + 1)] + [(2, 0)]),
+    ]
+    for y_used, u_used, keys in lines:
+        for group in (js, js[1:]):
+            reads.clear()
+            _line_table(alg, group, x, y_used, u_used, keys)
+            assert len(reads) == len(group), (group, keys)
 
 
 def _run_from_checkout(*args):
