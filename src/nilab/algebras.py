@@ -225,10 +225,6 @@ class AlgebraRealization:
         self._generators = tuple(
             InvariantGenerator(i + 1, k, k - 1, kind) for i, (k, kind) in enumerate(pairs)
         )
-        # (p, q): P_j is p / q times its matrix projected onto g (invariants)
-        factors = [(Rat(g.degree) if g.kind == "trace" else Rat(1, 2)) / self.form_scale
-                   for g in self._generators]
-        self._gradient_factors = tuple((f.numerator, f.denominator) for f in factors)
         self.generator_degrees = tuple(g.degree for g in self._generators)
         self.generator_kinds = tuple(g.kind for g in self._generators)
         self.exponents = tuple(g.exponent for g in self._generators)

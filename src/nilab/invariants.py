@@ -265,10 +265,14 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
 
 
 def _gradient_factor(alg: AlgebraRealization, gen: InvariantGenerator):
-    """(p, q): P is p / q times the generator's matrix projected onto g,
-    degree / form_scale (trace kind) or 1 / (2 form_scale), integers built
-    once with the realization."""
-    return alg._gradient_factors[gen.index_j - 1]
+    """(p, q), integers, q possibly negative: P is p / q times the
+    generator's matrix projected onto g, degree / form_scale (trace kind)
+    or 1 / (2 form_scale).  Not reduced; the read-offs bring their
+    elements to lowest terms."""
+    s = alg.form_scale
+    if gen.kind == "trace":
+        return gen.degree * s.denominator, s.numerator
+    return s.denominator, 2 * s.numerator
 
 
 def _projected_coords(alg: AlgebraRealization, entries):

@@ -1069,8 +1069,9 @@ def test_bracket_table_rejects_a_bracket_that_differs_only_off_the_pivots():
 # The subspace layer as it ran before the sparse products and the reduction
 # in coordinates: every commutator filled into a zero N x N matrix, the
 # pivot read and the residual of the matrix-space split taken over all N^2
-# positions, ad(x) columns read through coords_of_rows, and every row of the
-# center's k^2 x k matrix eliminated.
+# positions, ad(x) columns read by the dense forward substitution
+# (readoff.dense_coords_of_rows), and every row of the center's k^2 x k
+# matrix eliminated.
 
 
 def dense_form(x):
@@ -1143,13 +1144,13 @@ def dense_bracket_table(s):
 
 def dense_ad_columns(x):
     """The integer ad(x) columns at the one denominator dx, each product
-    read off on all of g through coords_of_rows."""
+    read off on all of g by the dense forward substitution."""
     alg = x.algebra
     a, dx, a_cols = dense_form(x)
     columns = []
     for k in range(alg.dim):
         b, _, b_cols = dense_form(alg.basis_element(k))
-        col = alg.coords_of_rows(dense_commutator_rows(a, a_cols, b, b_cols), dx)
+        col = dense_coords_of_rows(alg, dense_commutator_rows(a, a_cols, b, b_cols), dx)
         columns.append([v * (dx // col.den) for v in col.num])
     return columns
 
@@ -1244,8 +1245,9 @@ def test_sparse_subspace_layer_matches_the_dense_reference_on_dense_samples(fami
 
 # The structure constants, and the routes they replaced: each bracket, each
 # ad(x) column and each pair of a bracket table multiplied out as matrices on
-# sparse rows and read back to g, bracket and ad(x) through coords_of_rows,
-# the bracket table through the entry read-off.
+# sparse rows and read back to g, bracket and ad(x) by the dense forward
+# substitution (readoff.dense_coords_of_rows), the bracket table through the
+# entry read-off.
 
 STRUCTURE_ALGEBRAS = (
     [("A", r) for r in range(1, 7)]
@@ -1287,7 +1289,7 @@ def retired_commutator_entries(a, b, n):
 def retired_bracket(x, y):
     alg = x.algebra
     rows = retired_commutator_rows(x._sparse_form(), y._sparse_form(), alg.matrix_size_N)
-    return alg.coords_of_rows(rows, x.den * y.den)
+    return dense_coords_of_rows(alg, rows, x.den * y.den)
 
 
 def retired_ad_columns(x):
@@ -1295,7 +1297,7 @@ def retired_ad_columns(x):
     n = alg.matrix_size_N
     a = x._sparse_form()
     return tuple(
-        nonzero(alg.coords_of_rows(retired_commutator_rows(a, b, n)).num)
+        nonzero(dense_coords_of_rows(alg, retired_commutator_rows(a, b, n)).num)
         for b in (nilab.algebras._sparse_rows([1], [e]) for e in alg._basis_sparse)
     )
 
@@ -1344,7 +1346,7 @@ def test_structure_constants_match_the_dense_commutators(family, rank):
         for j in range(alg.dim):
             c = mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
             if j in row:
-                assert dict(row[j]) == nonzero(alg.coords_of_rows(c).num), (i, j)
+                assert dict(row[j]) == nonzero(dense_coords_of_rows(alg, c).num), (i, j)
                 assert [k for k, _ in row[j]] == sorted(dict(row[j])), (i, j)
             else:
                 assert not any(map(any, c)), (i, j)

@@ -360,12 +360,33 @@ def test_packed_line_expansion_matches_coefficientwise_reference(family, rank, s
             tops = [max(abs(c) for line in w.int_rows()[0] for c in line) for w in (x, y, u)]
             width = _digit_width(alg, [gen], sum(tops))
             biggest = max(abs(v) for rows in raw.values() for line in rows for v in line)
-            assert 4 * biggest < 2**width
+            # the proven entry bound beta, with the two bits that put it below B/4
+            paths = n ** (m - 1) if gen.kind == "trace" else math.prod(range(n - 3, 0, -2))
+            beta = paths * sum(tops) ** m
+            assert 4 * biggest < 2 ** (beta.bit_length() + 2)
+            # the packed read-off decodes every coordinate digit, so each
+            # stays below B/2; on sl(N) that needs B > N^2 beta
+            for rows in raw.values():
+                assert 2 * max(map(abs, digit_coords(alg, rows)), default=0) < 2**width, j
+            if alg.family == "A":
+                assert n * n * biggest < 2**width
         # the multi-generator form reads every generator off the one chain
         js = [gen.index_j for gen in generators(alg)]
         table = _line_table(alg, js, x, y, None, [(0, 0), (0, 1), (0, 2)])
         for j in js:
             assert table[j] == _line_terms(alg, j, x, y, None, [(0, 0), (0, 1), (0, 2)])
+
+
+def digit_coords(alg, rows):
+    """The integer coordinates the packed read-off decodes for one digit
+    matrix: those of rows, taken on sl(N) after the trace part comes off as
+    N v - tr on the diagonal and N v elsewhere."""
+    n = alg.matrix_size_N
+    if alg.family == "A":
+        tr = sum(rows[i][i] for i in range(n))
+        rows = [[n * v - tr if i == c else n * v for c, v in enumerate(line)]
+                for i, line in enumerate(rows)]
+    return dense_coords_of_rows(alg, rows).num
 
 
 def blocked_diagonal(alg, big):
