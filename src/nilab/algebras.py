@@ -34,8 +34,8 @@ matrix comes back to g through one checked forward substitution,
 _coords_of_entries, on its nonzero entries: a commutator of two basis
 matrices, a product of sparse rows (_product_rows: the one walk of an
 element's powers, _power_walk, and the slope walks on it), each packed
-gradient matrix of nilab.invariants, and, through coords_of_rows, the
-dense rows of the triples and of Ad(exp n).
+gradient matrix of nilab.invariants, the matrices nilab.frame carries (the
+triples, z(e)) and, through coords_of_rows, the dense rows of Ad(exp n).
 
 Brackets need neither a matrix nor a read-off.  Each realization keeps one
 table of integer structure constants, [b_i, b_j] = sum_k c_ijk b_k, built

@@ -1,10 +1,11 @@
 """z(e) and its center from the Jordan-block frame of a partition's triple.
 
-triple_from_partition builds e as a block matrix e0 (triples._block_triple)
-carried into the realization by a congruence, X -> (2T) Y U / 4 with
-U = 2 T^{-1} on so/sp and the identity on sl.  In that frame each Jordan
-block i of size d_i has a cyclic vector v_i, and gl(N)^{e0} has the basis
-xi_ij^s, the map e0^k v_j -> e0^(k+s) v_i, for max(0, d_i - d_j) <= s < d_i
+triple_from_partition builds its triple from a block triple (h0, e0, f0)
+(triples._block_triple) that the frame's one carry (BlockFrame.read) takes
+into the realization entry by entry, Y -> (2T) Y U / 4 with U = 2 T^{-1}
+on so/sp and Y on sl.  In that frame each Jordan block i of size d_i has a
+cyclic vector v_i, and gl(N)^{e0} has the basis xi_ij^s, the map
+e0^k v_j -> e0^(k+s) v_i, for max(0, d_i - d_j) <= s < d_i
 (Collingwood-McGovern, section 6.1).  Distinct xi have disjoint supports,
 with entries +-1, and the indices alone give their product:
 xi_ij^s xi_kl^t is xi_il^(s+t) when j = k and s + t < d_i, and 0 otherwise.
@@ -14,15 +15,15 @@ gl^{e0} on sl and, on so/sp, its part fixed by sigma(Y) = -G^{-1} Y^T G,
 G the form of the block triple, a signed permutation: sigma permutes the
 xi up to sign (checked as the basis is built), so L has the basis
 xi + sigma(xi), one per pair, whose structure constants are read off the
-indices.  z is L carried into the realization, on sl through the traceless
-projection Y -> N Y - tr(Y) I (gl^e = sl^e + C I with I central).  The
-center of L is the kernel of its bracket table over the basis vectors that
-the torus of identity blocks fixes (_FrameAlgebra.center), carried the
-same way; on sl the projection takes the center of gl^e onto that of sl^e.
-Every subspace comes back to g through the entry read-off and is put in
-reduced echelon form (linalg.echelon_maps), the canonical rows that
-centralizer and center_of give; the tests compare the two routes on every
-orbit up to sl(12), so(15), sp(14) and so(16).
+indices.  z is L taken into g by the same carry, on sl through the
+traceless projection Y -> N Y - tr(Y) I (gl^e = sl^e + C I with I
+central).  The center of L is the kernel of its bracket table over the
+basis vectors that the torus of identity blocks fixes
+(_FrameAlgebra.center), carried the same way; on sl the projection takes
+the center of gl^e onto that of sl^e.  Each subspace is put in reduced
+echelon form (linalg.echelon_maps), the canonical rows that centralizer and
+center_of give; the tests compare the two routes on every orbit up to
+sl(12), so(15), sp(14) and so(16).
 """
 
 from __future__ import annotations
@@ -55,27 +56,45 @@ class BlockFrame:
     def parts(self):
         return tuple(len(chain) for chain in self.chains)
 
+    def read(self, alg, entries):
+        """The integer coordinates on g, {k: C_k}, of the block-frame matrix
+        Y with these entries (p, q, v) carried into the realization, on sl
+        through the traceless projection N Y - tr(Y) I: 4 X on so/sp and
+        N X on sl for the element X of Y; InternalError outside g."""
+        n = alg.matrix_size_N
+        columns, rows = self.carry
+        acc, trace = {}, 0
+        for p, q, v in entries:
+            trace += v if p == q else 0
+            for i, x in columns[p]:
+                f = v * x
+                for j, y in rows[q]:
+                    k = i * n + j
+                    acc[k] = acc.get(k, 0) + f * y
+        for p in range(n if trace and self.form is None else 0):
+            acc[p * (n + 1)] = acc.get(p * (n + 1), 0) - trace
+        out = alg._coords_of_entries({k: v for k, v in acc.items() if v})
+        if out is None:
+            raise InternalError("frame element does not lie in the algebra")
+        return out
 
-def block_frame(pieces, g=None, t=None, u=None) -> BlockFrame:
+
+def block_frame(pieces, form=None, carry=None) -> BlockFrame:
     """The frame of the pieces of triples._pieces: a single block N_d, with
     e0 v_(k+1) = v_k, is walked from its last vector; the second block of a
-    pair, -N_d^T, from its first.  g, t and u are the dense integer rows of
-    G, 2T and U on so/sp."""
+    pair, -N_d^T, from its first.  On so/sp, form (a signed permutation)
+    and carry come from triples._hyperbolic_basis and _congruence."""
     chains, off = [], 0
     for kind, d in pieces:
         chains.append(tuple((off + d - 1 - k, 1) for k in range(d)))
         if kind == "pair":
             chains.append(tuple((off + d + k, (-1) ** k) for k in range(d)))
         off += d * (1 if kind == "single" else 2)
-    if g is None:
-        scaled, unit = (tuple(((p, c),) for p in range(off)) for c in (off, 1))
-        return BlockFrame(tuple(chains), (scaled, unit))
-    form = tuple(next((c, v) for c, v in enumerate(row) if v) for row in g)
-    if any(sum(map(bool, row)) != 1 or abs(v) != 1 for row, (_, v) in zip(g, form)):
+    if form is None:
+        carry = tuple(tuple(((p, c),) for p in range(off)) for c in (off, 1))
+    elif sorted(c for c, _ in form) != list(range(off)) or any(abs(v) != 1 for _, v in form):
         raise InternalError("block form is not a signed permutation")
-    columns = tuple(tuple((i, row[p]) for i, row in enumerate(t) if row[p]) for p in range(off))
-    rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in u)
-    return BlockFrame(tuple(chains), (columns, rows), form)
+    return BlockFrame(tuple(chains), carry, form)
 
 
 def centralizer_dim(family: str, parts) -> int:
@@ -213,39 +232,16 @@ class _FrameAlgebra:
 
     def realize(self, combo):
         """The integer coordinates on g, {k: C_k}, of a combination of the
-        xi carried into the realization (BlockFrame.carry), on sl through
-        the traceless projection N Y - tr(Y) I: 4 X on so/sp and N X on sl
-        for the element X of the combination.  InternalError if the
-        read-off finds no element of g."""
-        n = self.algebra.matrix_size_N
-        columns, rows = self.frame.carry
-        acc = {}
-        for a, v in combo.items():
-            for p, q, w in self.entries[a]:
-                for i, x in columns[p]:
-                    f = v * w * x
-                    for j, y in rows[q]:
-                        k = i * n + j
-                        acc[k] = acc.get(k, 0) + f * y
-        if self.frame.form is None:
-            trace = 0
-            for a, v in combo.items():
-                i, j, s = self.xis[a]
-                if i == j and not s:
-                    trace += v * self.sizes[i]
-            for p in range(n if trace else 0):
-                acc[p * (n + 1)] = acc.get(p * (n + 1), 0) - trace
-        out = self.algebra._coords_of_entries({k: v for k, v in acc.items() if v})
-        if out is None:
-            raise InternalError("frame element does not lie in the algebra")
-        return out
+        xi carried into the realization (BlockFrame.read)."""
+        entries = [(p, q, v * w) for a, v in combo.items() for p, q, w in self.entries[a]]
+        return self.frame.read(self.algebra, entries)
 
 
 def frame_subspaces(alg, frame: BlockFrame):
-    """(z(e), center of z(e)) of the triple whose frame this is, from the
-    frame algebra L alone, with no kernel of ad(e) and no bracket in
-    g-coordinates: z is the span of L's basis carried into g, its center
-    the span of the combinations of that basis that L.center gives."""
+    """(z(e), center of z(e), L's basis carried into g as coordinate maps)
+    for the triple whose frame this is, from the frame algebra L alone, with
+    no kernel of ad(e) and no bracket in g-coordinates: z is the span of the
+    carried basis, its center that of the combinations that L.center gives."""
     L = _FrameAlgebra(alg, frame)
     coords = [L.realize(combo) for combo in L.basis]
     candidates, kernel = L.center()
@@ -257,7 +253,7 @@ def frame_subspaces(alg, frame: BlockFrame):
                 for q, v in coords[c].items():
                     acc[q] = acc.get(q, 0) + wc * v
         central.append(acc)
-    return _span(alg, coords), _span(alg, central)
+    return _span(alg, coords), _span(alg, central), coords
 
 
 def _span(alg, vectors) -> Subspace:

@@ -12,7 +12,7 @@ lies in delta, then [[y, u], e] = [y, [u, e]] - [u, [y, e]] = 0: [y, u] in z.
 
 None of the three is a kernel over g on a partition's orbit.  z and delta
 come off the Jordan-block frame that triple_from_partition keeps on its
-triplet (nilab.frame), checked by [e, b] = 0 on the rows b of z and by the
+triplet (nilab.frame), checked by [e, b] = 0 on the b that span z and by the
 closed-form dim z (_frame_centralizer); a triplet without a frame, such as
 sl2_complete's, takes the kernels centralizer(e) and center_of(z).  For
 every triplet eta is z + [f, delta] (sl(2) theory, Kostant 1959), each
@@ -226,16 +226,16 @@ def _slopes_at(alg: AlgebraRealization, e: Element, u: Element, js):
 
 def _frame_centralizer(alg: AlgebraRealization, triplet: Triplet):
     """(z, delta) off the triplet's Jordan-block frame (frame_subspaces),
-    with z checked on its own: [e, b] = 0 for every echelon row b of z,
-    summed over the structure constants, and dim z equal to the closed form
-    of the Jordan type (centralizer_dim), so z is all of z(e).  A failure
-    raises InternalError."""
+    with z checked on its own: [e, b] = 0 for every b of the carried basis
+    that spans z, summed over the structure constants, and dim z equal to
+    the closed form of the Jordan type (centralizer_dim), so z is all of
+    z(e).  A failure raises InternalError."""
     frame = triplet.frame
-    zcent, delta = frame_subspaces(alg, frame)
+    zcent, delta, spanning = frame_subspaces(alg, frame)
     if zcent.dim != centralizer_dim(alg.family, frame.parts):
         raise InternalError("frame centralizer does not have the dimension of z(e)")
     e = _nonzero(triplet.e.num)
-    if any(_bracket_coords(alg, e, _nonzero(row)) for row in zcent.num_rows):
+    if any(_bracket_coords(alg, e, b) for b in spanning):
         raise InternalError("frame centralizer does not commute with e")
     return zcent, delta
 

@@ -11,14 +11,14 @@ invariant bilinear forms (an alternating-sign antidiagonal form on one
 block, a hyperbolic form on a pair) that assemble to a form G, and one
 rational congruence T with T^t S T = G, S the realization's form, carries
 all three into the split realization: T is built by matching
-hyperbolic-plane decompositions of G and S.  Correctness is intrinsic, not
-shape-based: each matrix is read back through the checked coordinate
-read-off, so it lies in the algebra; e's Jordan type is checked on the
-ranks of the walk of its powers that the orbit pipeline reads again
-(_check_jordan_type); and Triplet checks the three bracket relations.
-The triplet keeps the Jordan-block frame it was built in (frame.BlockFrame:
-the chains of the blocks and, on so/sp, G and the congruence), from which
-the orbit pipeline reads z(e) and its center.
+hyperbolic-plane decompositions of G and S.  No N x N matrix is formed:
+the triplet keeps the Jordan-block frame it was built in (frame.BlockFrame:
+the chains of the blocks and, on so/sp, G and the congruence, O(N)
+entries), whose one carry takes h0, e0 and f0, as it takes the basis of
+z(e), into g entry by entry and through the checked entry read-off, so
+each lies in the algebra.  e's Jordan type is checked on the ranks of the
+walk of its powers that the orbit pipeline reads again
+(_check_jordan_type), and Triplet checks the three bracket relations.
 
 sl2_complete completes an arbitrary nonzero nilpotent e by a constructive
 Jacobson-Morozov step, two plain rational linear systems with the
@@ -34,8 +34,8 @@ from ._scalar import ZERO
 from .algebras import (
     AlgebraRealization,
     Element,
+    _element,
     _power_walk,
-    _zero_int_rows,
     ad_matrix,
     bracket,
     centralizer,
@@ -149,29 +149,30 @@ def _pieces(alg: AlgebraRealization, p: Partition):
     return pieces
 
 
-def _block_triple(n, pieces):
-    """Integer rows (h0, e0, f0) of the block triple of the pieces: per
-    block (H, N, F), and (-H, -N^T, -F^T) for the second block of a pair."""
-    h, e, f = _zero_int_rows(n), _zero_int_rows(n), _zero_int_rows(n)
+def _block_triple(pieces):
+    """The entries (p, q, v) of the block triple (h0, e0, f0) of the pieces:
+    per block (H, N, F), and (-H, -N^T, -F^T) for a pair's second block."""
+    h, e, f = [], [], []
     off = 0
     for kind, d in pieces:
         blocks = [(off, 1)] if kind == "single" else [(off, 1), (off + d, -1)]
         for start, sign in blocks:
             for t in range(d):
-                h[start + t][start + t] = sign * (d - 1 - 2 * t)
+                h.append((start + t, start + t, sign * (d - 1 - 2 * t)))
             for t in range(d - 1):
                 i, j = start + t, start + t + 1
                 if sign < 0:
                     i, j = j, i
-                e[i][j] = sign
-                f[j][i] = sign * (t + 1) * (d - 1 - t)
+                e.append((i, j, sign))
+                f.append((j, i, sign * (t + 1) * (d - 1 - t)))
         off += len(blocks) * d
     return h, e, f
 
 
 def _hyperbolic_basis(alg: AlgebraRealization, pieces):
     """(G, U): the invariant form G of the so/sp block triple of the pieces,
-    and U = 2 T^{-1} for the congruence T with T^t S T = G, as integer rows.
+    as BlockFrame.form, and U = 2 T^{-1} for the congruence T with
+    T^t S T = G, as its columns {row: entry}.
 
     The columns of U are a decomposition of G into hyperbolic pairs (u, w),
     G(u, w) = 1, plus one anisotropic line when N is odd, each doubled to
@@ -183,7 +184,7 @@ def _hyperbolic_basis(alg: AlgebraRealization, pieces):
     singles = sum(1 for kind, _ in pieces if kind == "single")
     want_plus = (singles + 1) // 2  # leftover middle must pair to +1 when N is odd
 
-    g = _zero_int_rows(n)
+    g = [None] * n
     hyper = []  # (u, w) as {row: entry} with G(u, w) = 4
     plus_mids = []
     minus_mids = []
@@ -193,8 +194,8 @@ def _hyperbolic_basis(alg: AlgebraRealization, pieces):
         if kind == "pair":
             # diag(N_d, -N_d^T) preserves [[0, I], [c I, 0]], c = +1/-1
             for t in range(d):
-                g[off + t][off + d + t] = 1
-                g[off + d + t][off + t] = 1 if symmetric else -1
+                g[off + t] = (off + d + t, 1)
+                g[off + d + t] = (off + t, 1 if symmetric else -1)
                 hyper.append(({off + t: 2}, {off + d + t: 2}))
             off += 2 * d
         else:
@@ -209,7 +210,7 @@ def _hyperbolic_basis(alg: AlgebraRealization, pieces):
             else:
                 sign = 1
             for t in range(d):
-                g[off + t][off + d - 1 - t] = sign * (-1) ** t
+                g[off + t] = (off + d - 1 - t, sign * (-1) ** t)
             for t in range(d // 2):
                 hyper.append(({off + t: 2}, {off + d - 1 - t: 2 * sign * (-1) ** t}))
             if d % 2:
@@ -224,28 +225,35 @@ def _hyperbolic_basis(alg: AlgebraRealization, pieces):
     if len(hyper) != n // 2 or len(leftover) != n % 2:
         raise InternalError("hyperbolic decomposition does not match the form")
 
-    u = _zero_int_rows(n)
-    for i, pair in enumerate(hyper):
-        for col, vec in zip((i, n - 1 - i), pair):
-            for row, v in vec.items():
-                u[row][col] = v
-    if leftover:
-        u[leftover[0]][n // 2] = 2
-    return g, u
+    u = [v for v, _ in hyper] + [{mid: 2} for mid in leftover] + [w for _, w in hyper[::-1]]
+    return tuple(g), u
 
 
 def _congruence(alg: AlgebraRealization, g, u):
-    """2T from (G, U) of _hyperbolic_basis, after checking U^t G U = 4S.
+    """The carry of a BlockFrame, (the columns of 2T, the rows of U), from
+    (G, U) of _hyperbolic_basis, after checking U^t G U = 4S.
 
     That identity says T^t S T = G for T = (U/2)^{-1}, and S is a signed
-    permutation (S^t S = 1), so T = S^t (U/2)^t G: no inversion.  A
-    mismatch raises InternalError.
+    permutation (S^t S = 1), so 2T = S^t U^t G: no inversion.  S has one
+    entry per row, at (a, N-1-a), and so has G, so both are read row by row
+    in O(N).  A mismatch raises InternalError.
     """
-    ug = mat_mul([list(col) for col in zip(*u)], g)
-    s = alg.form
-    if mat_mul(ug, u) != [[4 * v for v in row] for row in s]:
-        raise InternalError("form decompositions disagree")
-    return mat_mul([list(col) for col in zip(*s)], ug)
+    n = alg.matrix_size_N
+    rows = [[] for _ in range(n)]
+    for j, col in enumerate(u):
+        for r, v in col.items():
+            rows[r].append((j, v))
+    columns = [[] for _ in range(n)]
+    for a in reversed(range(n)):
+        s, acc = alg.form[a][n - 1 - a], {}
+        for r, v in u[a].items():
+            c, x = g[r]  # (U^t G)[a][c] = v x
+            columns[c].append((n - 1 - a, s * v * x))
+            for b, y in rows[c]:
+                acc[b] = acc.get(b, 0) + v * x * y
+        if {b: w for b, w in acc.items() if w} != {n - 1 - a: 4 * s}:
+            raise InternalError("form decompositions disagree")
+    return tuple(map(tuple, columns)), tuple(map(tuple, rows))
 
 
 def _check_jordan_type(e: Element, p: Partition):
@@ -264,21 +272,17 @@ def _check_jordan_type(e: Element, p: Partition):
 
 def _partition_triple(alg: AlgebraRealization, p: Partition):
     """(h, e, f) of the block triple of p, carried into the realization
-    (X -> T X T^{-1} for so/sp), with e checked for its Jordan type, and
-    the BlockFrame of the construction."""
+    (X -> T X T^{-1} for so/sp) by the BlockFrame of the construction,
+    with e checked for its Jordan type, and that frame."""
     _validate_partition(alg, p)
     pieces = _pieces(alg, p)
-    rows = _block_triple(alg.matrix_size_N, pieces)
-    den = 1
     if alg.family == "A":
-        frame = block_frame(pieces)
+        frame, den = block_frame(pieces), alg.matrix_size_N
     else:
         g, u = _hyperbolic_basis(alg, pieces)
-        t = _congruence(alg, g, u)
-        rows = [mat_mul(mat_mul(t, x), u) for x in rows]
-        den = 4  # (2T) X (2T^{-1})
-        frame = block_frame(pieces, g, t, u)
-    h, e, f = (alg.coords_of_rows(x, den) for x in rows)
+        frame, den = block_frame(pieces, g, _congruence(alg, g, u)), 4
+    read = (frame.read(alg, x) for x in _block_triple(pieces))
+    h, e, f = (_element(alg, [c.get(k, 0) for k in range(alg.dim)], den) for c in read)
     _check_jordan_type(e, p)
     return h, e, f, frame
 

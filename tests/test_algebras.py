@@ -191,8 +191,9 @@ STANDARD_BASES = (
 
 @pytest.mark.parametrize("family,rank", STANDARD_BASES)
 def test_form_is_an_integer_signed_permutation(family, rank):
-    # triples._congruence inverts the form S as its transpose: S^T S = I,
-    # with S symmetric for so(n) and skew for sp(n)
+    # triples._congruence inverts the form S as its transpose, S^T S = I,
+    # with S symmetric for so(n) and skew for sp(n), and reads S's one entry
+    # per row on the antidiagonal
     s = build_algebra(family, rank).form
     if family == "A":
         assert s is None
@@ -203,6 +204,7 @@ def test_form_is_an_integer_signed_permutation(family, rank):
     assert mat_mul(st, s) == [[int(i == j) for j in range(n)] for i in range(n)]
     sign = -1 if family == "C" else 1
     assert st == [[sign * v for v in row] for row in s]
+    assert all(v == 0 for i, row in enumerate(s) for j, v in enumerate(row) if i + j != n - 1)
 
 
 @pytest.mark.parametrize("family,rank", STANDARD_BASES)

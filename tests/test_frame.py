@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import nilab.index as index_module
+import nilab.triples as triples_module
 from nilab import (
     InternalError,
     Partition,
@@ -23,7 +24,7 @@ from nilab import (
     triple_from_partition,
     valid_partitions,
 )
-from nilab.algebras import preimage
+from nilab.algebras import AlgebraRealization, preimage
 from nilab.frame import _FrameAlgebra, centralizer_dim
 from nilab.index import _frame_centralizer, _normalizer
 
@@ -121,15 +122,6 @@ def test_frame_structure_constants_match_the_bracket(family, rank, parts):
     assert 0 < nonzero < len(pairs)
 
 
-def broken_frame(monkeypatch, change):
-    """Make index.frame_subspaces return change(z, delta) in place of its
-    (z, delta)."""
-    real = index_module.frame_subspaces
-    monkeypatch.setattr(
-        index_module, "frame_subspaces", lambda alg, frame: change(*real(alg, frame))
-    )
-
-
 def test_frame_centralizer_checks_refuse_a_wrong_z(monkeypatch):
     alg = build_algebra("C", 3)
     triplet = triple_from_partition(alg, Partition((2, 2, 1, 1)))
@@ -138,16 +130,25 @@ def test_frame_centralizer_checks_refuse_a_wrong_z(monkeypatch):
     assert not zcent.contains(triplet.h)
 
     # one row short: the dimension check
-    broken_frame(monkeypatch, lambda z, d: (Subspace(alg, z.num_rows[:-1], z.pivots[:-1]), d))
+    real = index_module.frame_subspaces
+
+    def short(alg, frame):
+        z, d, spanning = real(alg, frame)
+        return Subspace(alg, z.num_rows[:-1], z.pivots[:-1]), d, spanning
+
+    monkeypatch.setattr(index_module, "frame_subspaces", short)
     with pytest.raises(InternalError, match="does not have the dimension of z"):
         build_pair_data(alg, triplet)
     monkeypatch.undo()
 
-    # h in place of the last row, the same dimension: the [e, b] check
-    def swapped(z, d):
-        return Subspace.from_coord_rows(alg, list(z.num_rows[:-1]) + [triplet.h.num]), d
+    # h in place of the last vector of the spanning set, which keeps the
+    # dimension: the [e, b] check
+    realize, h = _FrameAlgebra.realize, {k: v for k, v in enumerate(triplet.h.num) if v}
 
-    broken_frame(monkeypatch, swapped)
+    def swapped(L, combo):
+        return h if combo is L.basis[-1] else realize(L, combo)
+
+    monkeypatch.setattr(_FrameAlgebra, "realize", swapped)
     with pytest.raises(InternalError, match="does not commute with e"):
         build_pair_data(alg, triplet)
 
@@ -177,13 +178,15 @@ KERNELS = {"centralizer": centralizer, "center_of": center_of, "preimage": preim
 
 def count_kernel_calls(monkeypatch):
     """Count the calls of centralizer, center_of and preimage, through every
-    binding of them in a nilab module."""
-    calls = {name: 0 for name in KERNELS}
+    binding of them in a nilab module, and of the dense routes from a
+    matrix to g: mat_mul as bound in nilab.triples and
+    AlgebraRealization.coords_of_rows."""
+    calls = {name: 0 for name in [*KERNELS, "mat_mul", "coords_of_rows"]}
 
     def counting(name, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return call
 
@@ -193,6 +196,9 @@ def count_kernel_calls(monkeypatch):
                 for name, fn in KERNELS.items():
                     if value is fn:
                         monkeypatch.setattr(module, key, counting(name, fn))
+    monkeypatch.setattr(triples_module, "mat_mul", counting("mat_mul", triples_module.mat_mul))
+    read = AlgebraRealization.coords_of_rows
+    monkeypatch.setattr(AlgebraRealization, "coords_of_rows", counting("coords_of_rows", read))
     return calls
 
 
@@ -207,12 +213,14 @@ def test_analyze_orbit_runs_no_kernel_over_g(monkeypatch):
     ]:
         report = analyze_orbit(build_algebra(family, rank), Partition(parts))
         assert not report.skipped and report.error == "", (family, parts, report.error)
-    assert calls == {"centralizer": 0, "center_of": 0, "preimage": 0}
+    assert calls == {
+        "centralizer": 0, "center_of": 0, "preimage": 0, "mat_mul": 0, "coords_of_rows": 0
+    }
     # a triplet without a frame takes the kernels, eta aside
     alg = build_algebra("A", 3)
     e = nilpotent_from_partition(alg, Partition((4,)))
     build_pair_data(alg, sl2_complete(alg, e))
-    assert calls == {"centralizer": 1, "center_of": 1, "preimage": 1}
+    assert [calls[name] for name in KERNELS] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])

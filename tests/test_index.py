@@ -669,8 +669,8 @@ def test_build_pair_data_refuses_a_gradient_outside_the_center(monkeypatch):
         return Subspace.from_coord_rows(delta.algebra, list(delta.num_rows[1:]))
 
     def short_frame(alg, frame):
-        zcent, delta = real_frame(alg, frame)
-        return zcent, short(delta)
+        zcent, delta, spanning = real_frame(alg, frame)
+        return zcent, short(delta), spanning
 
     alg = build_algebra("A", 3)
     triplet = triple_from_partition(alg, Partition((4,)))

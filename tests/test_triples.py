@@ -29,6 +29,8 @@ from nilab.triples import (
     principal_partition,
 )
 
+from readoff import dense_coords_of_rows
+
 
 def E(n, i, j):
     rows = [[0] * n for _ in range(n)]
@@ -304,17 +306,82 @@ def test_triple_from_partition_zero_orbit_and_family_constraints():
 )
 def test_congruence_rejects_a_wrong_sign_in_a_hyperbolic_pair(family, rank, parts):
     """U^t G U = 4S is the one check on the congruence: flipping the sign of
-    any hyperbolic pair's w (column N-1-i of U) breaks it."""
+    any hyperbolic pair's w (column N-1-i of U, {row: entry}) breaks it."""
     alg = build_algebra(family, rank)
     n = alg.matrix_size_N
     g, u = _hyperbolic_basis(alg, _pieces(alg, Partition(parts)))
     _congruence(alg, g, u)
     for col in range(n - n // 2, n):
-        bad = [list(row) for row in u]
-        for row in bad:
-            row[col] = -row[col]
+        bad = list(u)
+        bad[col] = {row: -v for row, v in u[col].items()}
         with pytest.raises(InternalError, match="form decompositions disagree"):
             _congruence(alg, g, bad)
+
+
+def dense_partition_triple(alg, p):
+    """The dense route to the triple of p that the sparse carry replaced:
+    the block triple as N x N integer rows and, on so/sp, (G, U) of
+    _hyperbolic_basis made dense, U^t G U = 4S checked and 2T = S^t U^t G
+    formed by three dense products, each X carried to 2T X U = 4 T X T^{-1};
+    each read through readoff.dense_coords_of_rows.  Returns (h, e, f) and,
+    on so/sp, the carry (the columns of 2T, the rows of U)."""
+    n = alg.matrix_size_N
+    pieces = _pieces(alg, p)
+    h, e, f = ([[0] * n for _ in range(n)] for _ in range(3))
+    off = 0
+    for kind, d in pieces:
+        blocks = [(off, 1)] if kind == "single" else [(off, 1), (off + d, -1)]
+        for start, sign in blocks:
+            for t in range(d):
+                h[start + t][start + t] = sign * (d - 1 - 2 * t)
+            for t in range(d - 1):
+                i, j = start + t, start + t + 1
+                if sign < 0:
+                    i, j = j, i
+                e[i][j] = sign
+                f[j][i] = sign * (t + 1) * (d - 1 - t)
+        off += len(blocks) * d
+    if alg.family == "A":
+        return tuple(dense_coords_of_rows(alg, x) for x in (h, e, f)), None
+    form, columns = _hyperbolic_basis(alg, pieces)
+    g, u = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for a, (c, v) in enumerate(form):
+        g[a][c] = v
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            u[r][j] = v
+    ug = mat_mul([list(col) for col in zip(*u)], g)
+    assert mat_mul(ug, u) == [[4 * v for v in row] for row in alg.form]
+    t = mat_mul([list(col) for col in zip(*alg.form)], ug)
+    triple = tuple(dense_coords_of_rows(alg, mat_mul(mat_mul(t, x), u), 4) for x in (h, e, f))
+    carry = (
+        tuple(tuple((i, row[q]) for i, row in enumerate(t) if row[q]) for q in range(n)),
+        tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in u),
+    )
+    return triple, carry
+
+
+# every nonzero orbit of sl(n), n <= 8, so(2r+1) up to so(15), sp(2r) up to
+# sp(14) and so(2r) up to so(16)
+DENSE_RANKS = {"A": range(1, 8), "B": range(1, 8), "C": range(1, 8), "D": range(2, 9)}
+
+
+@pytest.mark.parametrize("family", list(DENSE_RANKS))
+def test_sparse_triple_and_carry_match_the_dense_route(family):
+    seen = 0
+    for rank in DENSE_RANKS[family]:
+        alg = build_algebra(family, rank)
+        for p in valid_partitions(alg):
+            if p.parts[0] == 1:
+                continue
+            triple = triple_from_partition(alg, p)
+            (h, e, f), carry = dense_partition_triple(alg, p)
+            for got, want in zip((triple.h, triple.e, triple.f), (h, e, f)):
+                assert (got.num, got.den) == (want.num, want.den), (rank, p)
+            if carry is not None:
+                assert triple.frame.carry == carry, (rank, p)
+            seen += 1
+    assert seen == {"A": 58, "B": 130, "C": 149, "D": 168}[family]
 
 
 @pytest.mark.parametrize(
