@@ -286,12 +286,14 @@ class AlgebraRealization:
         None if the matrix does not lie in the algebra: the forward
         substitution of _init_coordinatizer, on the nonzero entries alone.
 
-        A heap yields the positions in ascending order.  Subtracting C_k b_k
-        at the pivot p_k changes only later positions, and each one it fills
-        in joins the heap, so a position is final when it is popped: at a
-        pivot it is the coordinate, anywhere else it must be zero.  A matrix
-        of one or two entries that is c b_k, as most commutators of two
-        basis matrices are, is read without the heap.
+        The given positions are walked in ascending order.  Subtracting
+        C_k b_k at the pivot p_k changes only later positions, and each one
+        it fills in, absent from the entries, joins a heap that is merged
+        into the walk, so a position is final when it is reached: at a pivot
+        it is the coordinate, anywhere else it must be zero.  A dense matrix
+        has no fill-in and makes no heap operation.  A matrix of one or two
+        entries that is c b_k, as most commutators of two basis matrices
+        are, is read without the walk.
         """
         pivot_terms = self._pivot_terms
         if 0 < len(entries) < 3:
@@ -306,11 +308,18 @@ class AlgebraRealization:
             ):
                 return {k: c}
         rest = dict(entries)
-        heap = list(rest)
-        heapq.heapify(heap)
-        coords = {}
-        while heap:
-            p = heapq.heappop(heap)
+        end = self.matrix_size_N**2  # past every position
+        order = sorted(rest)
+        order.append(end)
+        heap, coords, i = [], {}, 0
+        while True:
+            if heap and heap[0] < order[i]:
+                p = heapq.heappop(heap)
+            else:
+                p = order[i]
+                if p == end:
+                    return coords
+                i += 1
             c = rest[p]
             if not c:
                 continue
@@ -325,7 +334,6 @@ class AlgebraRealization:
                 else:
                     rest[q] = -c * b
                     heapq.heappush(heap, q)
-        return coords
 
     def _bracket_row(self, i):
         """Row i of the integer structure constants, {j: ((k, c_ijk), ...)}

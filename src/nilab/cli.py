@@ -71,10 +71,10 @@ EXIT_USAGE = 3
 # (minimal) or 0.22 s and 21 MB (principal), the minimal orbit of sl(16)
 # 0.13 s and 17 MB.
 # The verify suites grow with the rank through the generator degrees: the
-# slowest rank-6 suite, B6, takes about 4.9 s there (C6 4.4 s, B5 1.6 s).
+# slowest rank-6 suite, B6, takes about 4.9 s there (C6 4.3 s, B5 1.4 s).
 # The verify samples are drawn one at a time, each checked for all
 # generators at once and then dropped: B4 takes 0.67 s with the default 20
-# samples and 2.7 s with 100.  The decomposition of a rank is slowest on
+# samples and 2.8 s with 100.  The decomposition of a rank is slowest on
 # B, the largest matrix size: B12 (so(25)) takes 0.58 s and 33 MB.
 TABLE_MAX_N = 10
 ORBIT_MAX_N = 20
@@ -277,8 +277,7 @@ def _cmd_convolution(args) -> int:
     partition = Partition.parse(args.partition)
     _validate_partition(alg, partition)
     if all(part == 1 for part in partition.parts):
-        print("zero orbit has no pipeline", file=sys.stderr)
-        return EXIT_USAGE
+        raise ContractError("zero orbit has no pipeline")
     pd = build_pair_data(alg, triple_from_partition(alg, partition))
     if not pd.hypothesis_ok:
         payload = {

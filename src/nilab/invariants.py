@@ -17,20 +17,24 @@ reads, and reads that packed matrix off g once: the t^a s^b term is a
 balanced base-B digit of its coordinates.  B = 2^K with K from a proven
 bound on the coefficients and on the read-off's digits (_digit_width).
 The trace-kind gradients are prefixes of one power chain M, M^2, ..., so
-_line_table reads every generator off one chain per direction.
-Interpolation is kept only as the independent oracle: scalar values of p_j
-at the points x + t y, t = 0..deg_j, give <dp_j(x), y>, which the pairing
-check of verify_field_identities and gradient compare against.  It shares
-no code with _line_table: each point is one plain power chain of its
-integer rows, read for every generator.
+_line_table reads every generator off one chain per direction; on so/sp,
+whose trace exponents are all odd, the chain steps by M^2.
+The independent oracle is scalar: <dp_j(x), y> is taken exactly from the
+integer values of p_j at the points x + t y, t = 0..deg_j, by the closed
+Lagrange weights of the slope at 0 (_scalar_derivatives), and the pairing
+check of verify_field_identities and gradient compare against it.  It
+shares no code with _line_table: no packing and no read-off, each point
+one plain power chain of its integer rows, read for every generator.
 
 The suite functions at the bottom verify exactly the invariance identities
 the fields satisfy: equivariance, Taylor exchange symmetry, the bracket
 propagation rule for derivatives, membership of P(x) in the center of the
 centralizer, invariance under unipotent adjoint action, and the sl(2)
 eigenvector relations attached to a triple.  verify_field_identities runs
-sample by sample and reads each line it checks off one packed evaluation
-for every generator.
+sample by sample on five packed evaluations for every generator, and reads
+P(x) and P(y) off other evaluations than the Taylor endpoints they are
+checked against; sl2_vectors, kostant_independence and mf_shift_rank read
+each of their points and lines off one evaluation for every generator.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .algebras import (
     unipotent_conjugate,
 )
 from .errors import ContractError, IdentityError, InternalError, NilabError
-from .linalg import interpolate_vector_poly, mat_mul
+from .linalg import mat_mul
 from .reports import CheckReport, ReadOnly
 from .triples import Triplet, principal_triplet
 
@@ -102,40 +106,45 @@ def pfaffian(rows):
     return _pfaffian(rows, tuple(range(n)), {})
 
 
-def _values(alg: AlgebraRealization, x: Element, gens):
-    """{j: p_j(x)} for the generators gens, given in ascending degree, off
-    one power chain of the integer rows R of x = R / d: tr(x^degree) is
-    tr(R^(degree-1) R) / d^degree, read as sum_ij P_ij R_ji with no last
-    product formed, and Pf(S x) = Pf(S R) / d^(N/2), S x being x with its
-    rows reversed (S is the antidiagonal-ones form).  An x of another
-    realization raises ContractError."""
-    if x.algebra is not alg:
-        raise ContractError("element does not belong to the given algebra")
-    rows, den = x.int_rows()
+def _integer_values(alg: AlgebraRealization, rows, gens):
+    """{j: p_j(R)} for the generators gens, given in ascending degree, on
+    the integer N x N rows R, off one power chain: tr(R^degree) is read as
+    sum_ij P_ij R_ji with P = R^(degree-1) and no last product formed, and
+    Pf(S R) is taken on R with its rows reversed (S is the
+    antidiagonal-ones form).  Integers in, integers out: p_j(R / d) is
+    p_j(R) / d^degree for either kind, the Pfaffian's degree being N/2.
+    On so/sp every trace exponent is odd, and the chain steps by R^2."""
+    stride = 1 if alg.form is None else 2
     out = {}
-    power, k = rows, 1  # power = R^k
+    power, k, step = rows, 1, None  # power = R^k
     for gen in gens:
         if gen.kind == "trace":
             while k < gen.degree - 1:
-                power, k = mat_mul(power, rows), k + 1
+                if step is None:
+                    step = rows if stride == 1 else mat_mul(rows, rows)
+                power, k = mat_mul(power, step), k + stride
             acc = 0
             for i, line in enumerate(power):
                 for t, v in enumerate(line):
                     if v:
                         acc += v * rows[t][i]
-            out[gen.index_j] = Rat(acc, den**gen.degree)
+            out[gen.index_j] = acc
         else:
-            out[gen.index_j] = Rat(pfaffian(rows[::-1]), den ** (alg.matrix_size_N // 2))
+            out[gen.index_j] = pfaffian(rows[::-1])
     return out
 
 
 def eval_generator(alg: AlgebraRealization, j: int, x: Element):
     """Value of the j-th generator at x: tr(x^degree), or Pf(S x), where
     S x is x with its rows reversed (S is the antidiagonal-ones form),
-    evaluated on the integer rows of x (see _values).  An x of another
-    realization raises ContractError.
+    evaluated on the integer rows R of x = R / d as p_j(R) / d^degree (see
+    _integer_values).  An x of another realization raises ContractError.
     """
-    return _values(alg, x, (_generator(alg, j),))[j]
+    gen = _generator(alg, j)
+    if x.algebra is not alg:
+        raise ContractError("element does not belong to the given algebra")
+    rows, den = x.int_rows()
+    return Rat(_integer_values(alg, rows, (gen,))[j], den**gen.degree)
 
 
 def _digit_width(alg: AlgebraRealization, gens, size: int) -> int:
@@ -179,7 +188,8 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
     M = X + B Y + B^(T+1) U, B = 2^K with K from _digit_width (Kronecker
     substitution).  Every generator's matrix then evaluates on M with the
     integer code as it is: the trace kind reads the power M^m off one chain
-    M, M^2, ..., M^T shared by all of js, the Pfaffian kind the memoized
+    M, M^2, ..., M^T shared by all of js (on so/sp, whose trace exponents
+    are odd, M, M^3, M^5, ... by steps of M^2), the Pfaffian kind the memoized
     signed minor Pfaffians of S M.  The t^a s^b coefficient of an entry is
     its balanced base-B digit d_i at index i = a (T + 1) + b, |d_i| < B/4.
     Only the L digits up to the highest index wanted are read, so M, each
@@ -223,9 +233,12 @@ def _line_table(alg: AlgebraRealization, js, x: Element, y, u, wanted):
     packed = cut(packed, 1)
     offset = half * (low // mask)
     chain_top = max((gen.exponent for gen in gens if gen.kind == "trace"), default=1)
-    powers = [None, packed]  # powers[k] = M^k mod B^L
-    while len(powers) <= chain_top:
-        powers.append(cut(mat_mul(powers[-1], packed), len(powers)))
+    stride = 1 if alg.form is None else 2  # so/sp: odd trace exponents only
+    powers = {1: packed}  # powers[k] = M^k mod B^L
+    if chain_top > 1:
+        step = packed if stride == 1 else cut(mat_mul(packed, packed), 2)
+        for k in range(1 + stride, chain_top + 1, stride):
+            powers[k] = cut(mat_mul(powers[k - stride], step), k)
     table = {}
     for gen in gens:
         m = gen.exponent
@@ -333,19 +346,29 @@ def _gradient_raw(alg: AlgebraRealization, j: int, x: Element) -> Element:
 
 def _scalar_derivatives(alg: AlgebraRealization, gens, x: Element, y: Element):
     """{j: <dp_j(x), y>} for the generators gens, given in ascending
-    degree, each interpolated from the scalar values of p_j at x + t y,
-    t = 0..deg_j.  Each point is built once, for t up to the largest
-    degree, and its one power chain (_values) is read for every generator
-    whose degree reaches t."""
-    values = [
-        _values(alg, x + y.scale(t), [gen for gen in gens if gen.degree >= t])
-        for t in range(gens[-1].degree + 1)
-    ]
+    degree.  With x = X / dx and y = Y / dy on integer rows, x + t y is
+    Q_t / (dx dy), Q_t = dy X + t dx Y, so p_j there is q(t) / (dx dy)^d,
+    d = deg_j, for the integer polynomial q(t) = p_j(Q_t) of degree d, and
+    q'(0) = sum_{t=1..d} (-1)^(t+1) C(d, t) (q(t) - q(0)) / t.  Each Q_t is
+    built once, and its one plain power chain (_integer_values) is read for
+    every generator whose degree reaches t.  An x or y of another
+    realization raises ContractError."""
+    if x.algebra is not alg or y.algebra is not alg:
+        raise ContractError("element does not belong to the given algebra")
+    (xr, dx), (yr, dy) = x.int_rows(), y.int_rows()
+    values = []
+    for t in range(gens[-1].degree + 1):
+        rows = [[dy * a + t * dx * b for a, b in zip(p, q)] for p, q in zip(xr, yr)]
+        values.append(_integer_values(alg, rows, [gen for gen in gens if gen.degree >= t]))
     out = {}
     for gen in gens:
-        j = gen.index_j
-        samples = [(Rat(t), [values[t][j]]) for t in range(gen.degree + 1)]
-        out[j] = interpolate_vector_poly(samples, gen.degree)[1][0]
+        j, d = gen.index_j, gen.degree
+        lcm = math.lcm(*range(1, d + 1))
+        num = sum(
+            (-1) ** (t + 1) * math.comb(d, t) * (lcm // t) * (values[t][j] - values[0][j])
+            for t in range(1, d + 1)
+        )
+        out[j] = Rat(num, lcm * (dx * dy) ** d)
     return out
 
 
@@ -457,36 +480,34 @@ def verify_field_identities(alg: AlgebraRealization, samples) -> list:
     """Exact verification of the invariance identities of every P_j, one
     CheckReport per generator, in j order.
 
-    The samples are checked one at a time, and every line a check reads is
-    one packed evaluation for all generators (_line_table): P at x, at y
-    and at the moved point, the slope along [y, x], the Taylor terms along
-    x + s y and y + s x, the propagation rows along x + s y + t [z, x] and
-    x + s y + t [z, y], and P at x + (m + 1) y once per distinct exponent m.
-    The pairing check compares each gradient with interpolated scalar
-    values of p_j, off one set of points x + t y per sample, each with one
-    power chain for every generator (_scalar_derivatives).  Failures are
-    recorded, never raised: a NilabError becomes sample-error in every
-    report that reads the failing step.
+    Each sample reads five packed evaluations for every generator
+    (_line_table): x + s [y, x] (P(x) and the slope); x + s y + t [z, x]
+    (the Taylor terms along x + s y and the [z, x] propagation row,
+    row[k] = d^(1+k) P(x).u.y^(k) / k!); x + s y + t [z, y] (the [z, y] row
+    and P(y), its top term s^m, by homogeneity); y + s x (its Taylor
+    terms); Ad(exp n) x alone.  P at x + (m + 1) y adds one per distinct
+    exponent m.  A merged read is a digit its line already computes, and
+    P(x) and P(y) are never read off the Taylor line whose endpoint they
+    are checked against.  The pairing check compares each gradient with
+    the scalar oracle (_scalar_derivatives), which shares no code with
+    _line_table.  Failures are recorded, never raised: a NilabError becomes
+    sample-error in every report that reads the failing step.
     """
     gens = generators(alg)
     js = [gen.index_j for gen in gens]
     top = max(alg.exponents)
     taylor, rows = [(0, k) for k in range(top + 1)], [(1, k) for k in range(top + 1)]
+    tops = [(0, m) for m in sorted(set(alg.exponents))]
     reports = [CheckReport(f"{alg.name} generator {g.index_j} (degree {g.degree})") for g in gens]
     for idx, sample in enumerate(samples):
         x, y, z = sample.x, sample.y, sample.z
         tag = f"[{idx}]"
         try:
-            px, py, pmoved = (
-                _line_table(alg, js, v, None, None, [(0, 0)]) for v in (x, y, sample.moved)
-            )
-            slope = _line_table(alg, js, x, bracket(y, x), None, [(0, 1)])
-            along_y = _line_table(alg, js, x, y, None, taylor)
+            at_x = _line_table(alg, js, x, bracket(y, x), None, [(0, 0), (0, 1)])
+            along_y = _line_table(alg, js, x, y, bracket(z, x), taylor + rows)
+            row_zy = _line_table(alg, js, x, y, bracket(z, y), rows + tops)
             along_x = _line_table(alg, js, y, x, None, taylor)
-            # row[k] = d^(1+k) P_j(x).u.y^(k) / k!, the t s^k term along
-            # x + s y + t u, for u = [z, x] and u = [z, y]
-            row_zx = _line_table(alg, js, x, y, bracket(z, x), rows)
-            row_zy = _line_table(alg, js, x, y, bracket(z, y), rows)
+            at_moved = _line_table(alg, js, sample.moved, None, None, [(0, 0)])
             pairing = _scalar_derivatives(alg, gens, x, y)
         except NilabError as exc:  # record, never throw
             for report in reports:
@@ -496,9 +517,9 @@ def verify_field_identities(alg: AlgebraRealization, samples) -> list:
         for gen, report in zip(gens, reports):
             j, m = gen.index_j, gen.exponent
             try:
-                p, q = px[j][(0, 0)], py[j][(0, 0)]
+                p, q = at_x[j][(0, 0)], row_zy[j][(0, m)]
                 report.add(f"gradient-pairing{tag}", trace_form(p, y) == pairing[j])
-                report.add(f"equivariance{tag}", slope[j][(0, 1)] == bracket(y, p))
+                report.add(f"equivariance{tag}", at_x[j][(0, 1)] == bracket(y, p))
                 tx = [along_y[j][key] for key in taylor[: m + 1]]
                 ty = [along_x[j][key] for key in taylor[: m + 1]]
                 _check_endpoints(tx, p, q)
@@ -513,12 +534,12 @@ def verify_field_identities(alg: AlgebraRealization, samples) -> list:
                 report.add(f"taylor-reconstruction{tag}", acc == rebuilt[m][j][(0, 0)])
                 propagation = all(
                     bracket(z, tx[k])
-                    == (row_zx[j][(1, k)] + row_zy[j][(1, k - 1)] if k else row_zx[j][(1, 0)])
+                    == (along_y[j][(1, k)] + row_zy[j][(1, k - 1)] if k else along_y[j][(1, 0)])
                     for k in range(m + 1)
                 )
                 report.add(f"derivative-propagation{tag}", propagation)
                 report.add(f"center-membership{tag}", sample.center.contains(p))
-                moved_ok = pmoved[j][(0, 0)] == unipotent_conjugate(sample.n, p)
+                moved_ok = at_moved[j][(0, 0)] == unipotent_conjugate(sample.n, p)
                 report.add(f"unipotent-invariance{tag}", moved_ok)
             except NilabError as exc:  # record, never throw
                 report.add(f"sample-error{tag}", False, str(exc))
@@ -540,22 +561,30 @@ class Sl2VectorFamily(ReadOnly):
 def sl2_vectors(alg: AlgebraRealization, triplet: Triplet) -> Sl2VectorFamily:
     """Build the ladders and verify their bracket relations exactly.
 
-    Raises IdentityError on any failure: the relations are theorems.
+    Raises IdentityError on any failure: the relations are theorems.  Each
+    of the five lines it reads is one packed evaluation for every generator
+    (_line_table): P at h, at e and at f, and the Taylor terms along h + s e
+    and h + s f, whose endpoints are checked against the three values
+    (InternalError on a mismatch, as in taylor_terms).
     """
     h, e, f = triplet.h, triplet.e, triplet.f
+    gens = generators(alg)
+    js = [gen.index_j for gen in gens]
+    taylor = [(0, k) for k in range(max(alg.exponents) + 1)]
+    at_h, at_e, at_f = (_line_table(alg, js, v, None, None, [(0, 0)]) for v in (h, e, f))
+    along_e = _line_table(alg, js, h, e, None, taylor)
+    along_f = _line_table(alg, js, h, f, None, taylor)
     v_all = []
     w_all = []
-    for gen in generators(alg):
+    for gen in gens:
         j, m = gen.index_j, gen.exponent
-        te = taylor_terms(alg, j, h, e)
-        tf = taylor_terms(alg, j, h, f)
-        v_row = tuple(
-            te.terms[k].scale(Rat(math.factorial(k))) for k in range(m + 1)
-        )
-        w_row = tuple(
-            tf.terms[k].scale(Rat(math.factorial(k))) for k in range(m + 1)
-        )
-        pe = _gradient_raw(alg, j, e)
+        te = [along_e[j][key] for key in taylor[: m + 1]]
+        tf = [along_f[j][key] for key in taylor[: m + 1]]
+        ph, pe = at_h[j][(0, 0)], at_e[j][(0, 0)]
+        _check_endpoints(te, ph, pe)
+        _check_endpoints(tf, ph, at_f[j][(0, 0)])
+        v_row = tuple(te[k].scale(Rat(math.factorial(k))) for k in range(m + 1))
+        w_row = tuple(tf[k].scale(Rat(math.factorial(k))) for k in range(m + 1))
         for k in range(m + 1):
             if bracket(h, v_row[k]) != v_row[k].scale(2 * k):
                 raise IdentityError(f"[h, v_{j},{k}] != 2k v: ladder broken")
@@ -582,11 +611,14 @@ def sl2_vectors(alg: AlgebraRealization, triplet: Triplet) -> Sl2VectorFamily:
 def kostant_independence(alg: AlgebraRealization, triplet: Triplet) -> CheckReport:
     """Independence and primitivity of the gradients at a regular nilpotent.
 
-    Raises IdentityError if any statement fails.
+    Raises IdentityError if any statement fails.  The gradients at e are
+    one packed evaluation for every generator (_line_table).
     """
     h, e = triplet.h, triplet.e
     report = CheckReport(f"{alg.name} gradient independence at regular e")
-    grads = [_gradient_raw(alg, gen.index_j, e) for gen in generators(alg)]
+    js = [gen.index_j for gen in generators(alg)]
+    at_e = _line_table(alg, js, e, None, None, [(0, 0)])
+    grads = [at_e[j][(0, 0)] for j in js]
     span = Subspace.from_elements(alg, grads)
     report.add("independent", span.dim == alg.rank_r, f"span dim {span.dim}")
     for gen, pe in zip(generators(alg), grads):
@@ -666,7 +698,8 @@ def mf_shift_rank(alg: AlgebraRealization, triplet: Triplet, t_samples) -> int:
 
     For a principal triple with enough distinct nonzero shifts this equals
     half the dimension of the nilpotent orbit of e, that is
-    (dim g - dim z(e)) / 2.
+    (dim g - dim z(e)) / 2.  Each point e + t h is one packed evaluation
+    for every generator (_line_table).
     """
     t_samples = [as_rat(t) for t in t_samples]
     max_m = max(alg.exponents)
@@ -678,9 +711,7 @@ def mf_shift_rank(alg: AlgebraRealization, triplet: Triplet, t_samples) -> int:
             stacklevel=2,
         )
     h, e = triplet.h, triplet.e
-    vectors = []
-    for gen in generators(alg):
-        for t in t_samples:
-            shifted = _gradient_raw(alg, gen.index_j, e + h.scale(t))
-            vectors.append(bracket(e, shifted))
+    js = [gen.index_j for gen in generators(alg)]
+    shifted = [_line_table(alg, js, e + h.scale(t), None, None, [(0, 0)]) for t in t_samples]
+    vectors = [bracket(e, table[j][(0, 0)]) for j in js for table in shifted]
     return Subspace.from_elements(alg, vectors).dim

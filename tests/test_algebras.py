@@ -1,5 +1,6 @@
 """Algebra realizations: brackets, trace form, subspace calculus."""
 
+import heapq
 import math
 import random
 import sys
@@ -327,6 +328,63 @@ def test_entry_read_off_agrees_with_coords_of_rows_up_to_size_20(family):
             assert want == x.num
             assert alg.coords_of_rows(rows) == x
             assert alg._coords_of_entries(entries_of(rows)) == nonzero(want), (family, rank)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 4), ("B", 2), ("C", 3), ("D", 3)])
+def test_entry_read_off_fills_in_only_positions_absent_from_the_entries(monkeypatch, family, rank):
+    # the substitution walks the given entries in order and puts on a heap
+    # only the positions it fills in, absent from them: a matrix with every
+    # position of g present pushes nothing; an sl diagonal with interior
+    # zeros, such as diag(1, 0, -1), cascades through fill-in and reads what
+    # the dense substitution reads; an so/sp entry whose mirror is absent
+    # fills the mirror in and leaves g, as does an sl diagonal with a trace
+    alg = build_algebra(family, rank)
+    n = alg.matrix_size_N
+    rng = random.Random(f"fill-in:{family}{rank}")
+    pushes = []
+    real_push = heapq.heappush
+
+    def counting_push(heap, q):
+        pushes.append(q)
+        real_push(heap, q)
+
+    monkeypatch.setattr(nilab.algebras.heapq, "heappush", counting_push)
+
+    def read(rows):
+        pushes.clear()
+        return alg._coords_of_entries(entries_of(rows))
+
+    used = {i * n + j for entries in alg._basis_sparse for i, j, _ in entries}
+    rows = alg.random_element(rng, 9).int_rows()[0]
+    while set(entries_of(rows)) != used:
+        rows = alg.random_element(rng, 9).int_rows()[0]
+    assert read(rows) == nonzero(dense_coords_of_rows(alg, rows).num)
+    assert pushes == []
+    inside, outside = [], []
+    if family == "A":
+        rows = [line[:] for line in rows]
+        rows[0][0], rows[1][1] = rows[0][0] + rows[1][1], 0
+        inside.append(rows)
+        for d in ([1] + [0] * (n - 2) + [-1], [2, 0, -3, 0, 1][:n - 1] + [0]):
+            d[-1] -= sum(d)
+            inside.append([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        outside.append([[int(i == j == 0) for j in range(n)] for i in range(n)])
+    else:
+        for entries in alg._basis_sparse:
+            if len(entries) == 2:
+                (i, j, _), (a, b, _) = entries
+                rows_off = [line[:] for line in rows]
+                rows_off[a][b] = 0  # the mirror of the entry at (i, j)
+                outside.append(rows_off)
+    for rows in inside:
+        assert read(rows) == nonzero(dense_coords_of_rows(alg, rows).num), rows
+        assert pushes and not set(pushes) & set(entries_of(rows))
+    assert outside
+    for rows in outside:
+        assert read(rows) is None
+        assert pushes and not set(pushes) & set(entries_of(rows))
+        with pytest.raises(ContractError):
+            dense_coords_of_rows(alg, rows)
 
 
 @pytest.mark.parametrize(

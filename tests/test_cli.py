@@ -94,17 +94,35 @@ def _count_calls(monkeypatch, module, name, log):
 
 def test_verify_builds_the_sl2_ladders_once(monkeypatch):
     # the ladders check and the triangular decomposition share one
-    # sl2_vectors, whose Taylor expansions are the only ones verify makes:
-    # two per generator
+    # sl2_vectors, whose lines are the only ones verify reads at h: P(h)
+    # and the Taylor terms along h + s e and h + s f, one packed evaluation
+    # each for every generator
     import nilab.invariants as invariants_module
+    from nilab import principal_triplet
 
     want = run_capture(["verify", "--family", "A", "--rank", "3"])
     log = []
     for module in (cli, invariants_module):
         _count_calls(monkeypatch, module, "sl2_vectors", log)
-    _count_calls(monkeypatch, invariants_module, "taylor_terms", log)
+    real = invariants_module._line_table
+    triples = {}
+
+    def recording(alg, js, x, y, u, wanted):
+        t = triples.setdefault(alg, principal_triplet(alg))
+        if x == t.h:
+            names = {t.e: "e", t.f: "f"}
+            log.append(("line at h", names.get(y), u, tuple(js)))
+        return real(alg, js, x, y, u, wanted)
+
+    monkeypatch.setattr(invariants_module, "_line_table", recording)
     assert run_capture(["verify", "--family", "A", "--rank", "3"]) == want
-    assert Counter(log) == {"sl2_vectors": 1, "taylor_terms": 2 * 3}
+    every = (1, 2, 3)
+    assert Counter(log) == {
+        "sl2_vectors": 1,
+        ("line at h", None, None, every): 1,
+        ("line at h", "e", None, every): 1,
+        ("line at h", "f", None, every): 1,
+    }
 
 
 def test_verify_reports_a_broken_ladder_in_the_decomposition_too(monkeypatch):
@@ -301,7 +319,7 @@ def test_zero_orbit_convolution_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "triple_from_partition", no_triple)
     argv = ["convolution", "--family", "D", "--n", "8", "--partition", "1,1,1,1,1,1,1,1"]
     assert run(argv) == EXIT_USAGE
-    assert capsys.readouterr() == ("", "zero orbit has no pipeline\n")
+    assert capsys.readouterr() == ("", "nilab: zero orbit has no pipeline\n")
 
 
 def test_verify_rejects_fewer_than_one_sample(capsys):

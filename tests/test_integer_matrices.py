@@ -33,7 +33,9 @@ from nilab.invariants import (
     _gradient_raw,
     _line_table,
     _line_terms,
+    _scalar_derivatives,
     bivariate_terms,
+    directional_scalar_derivative,
 )
 from nilab.linalg import interpolate_vector_poly, mat_mul, solve
 
@@ -200,6 +202,42 @@ def test_gradient_derivative_matches_interpolation_on_fractions(family, rank, sc
             expected = [alg.element(c) for c in interpolate_vector_poly(samples, m)]
             assert gradient_derivative(alg, j, x, y) == expected[1]
             assert list(taylor_terms(alg, j, x, y).terms) == expected
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 6)] + [(f, r) for f in "BCD" for r in range(2, 6)],
+)
+def test_scalar_derivatives_match_interpolated_values(family, rank):
+    # reference: p_j at x + t y, t = 0..deg_j, on the integer rows over the
+    # least common denominator L = 30 of x (denominator 6) and y (10), with
+    # the full power chain or the Pfaffian, interpolated by
+    # interpolate_vector_poly; the oracle scales by dx dy = 60 and steps its
+    # so/sp chain by the square, so a wrong power of either shows
+    alg = build_algebra(family, rank)
+    rng = random.Random(f"oracle:{family}{rank}")
+    x, y = element_over(alg, rng, 6), element_over(alg, rng, 10)
+    (xr, dx), (yr, dy) = x.int_rows(), y.int_rows()
+    assert (dx, dy) == (6, 10)
+    gens = generators(alg)
+    got = _scalar_derivatives(alg, gens, x, y)
+    for gen in gens:
+        samples = []
+        for t in range(gen.degree + 1):
+            rows = [[5 * a + 3 * t * b for a, b in zip(p, q)] for p, q in zip(xr, yr)]
+            if gen.kind == "trace":
+                power = rows
+                for _ in range(gen.degree - 1):
+                    power = mat_mul(power, rows)
+                value = sum(power[i][i] for i in range(len(rows)))
+            else:
+                value = pfaffian(rows[::-1])
+            samples.append((t, [Rat(value, 30**gen.degree)]))
+        want = interpolate_vector_poly(samples, gen.degree)[1][0]
+        assert got[gen.index_j] == want, gen.index_j
+        assert directional_scalar_derivative(alg, gen.index_j, x, y) == want
+    kinds = {gen.kind for gen in gens}
+    assert kinds == ({"trace", "pfaffian"} if family == "D" else {"trace"})
 
 
 @pytest.mark.parametrize(
@@ -399,7 +437,9 @@ def blocked_diagonal(alg, big):
     )
 
 
-@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4)])
+@pytest.mark.parametrize(
+    "family,rank", [("A", 5), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5)]
+)
 def test_line_table_matches_the_reference_on_130_bit_points(family, rank):
     # the packed chain is cut to the digits read and each generator's packed
     # matrix is read off g at once, so the digits of its coordinates must

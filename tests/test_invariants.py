@@ -336,24 +336,30 @@ def test_sl2_vector_relations_all_families(family, rank):
 def test_sl2_vectors_refuse_a_scaled_ladder_term(monkeypatch, ladder, message):
     # doubling term 1 of the Taylor expansion of P_1 along h + s e (the v
     # ladder) or h + s f (the w ladder) breaks the step from term 0, which
-    # the h-eigenvalue checks alone would not see
+    # the h-eigenvalue checks alone would not see.  On sl(3) term 1 of P_1
+    # is its top term, P_1 at the ladder's element, so that value is doubled
+    # in its own evaluation too, and the endpoint checks hold
     import nilab.invariants as invariants_module
 
     alg = build_algebra("A", 2)
     t = principal_triplet(alg)
     sl2_vectors(alg, t)
-    real = invariants_module.taylor_terms
+    real = invariants_module._line_table
+    end = getattr(t, ladder)
 
-    def scaled(alg, j, x, y):
-        terms = real(alg, j, x, y)
-        if j != 1 or y != getattr(t, ladder):
-            return terms
-        return rebuilt(terms, terms=(terms.terms[0], terms.terms[1].scale(2)) + terms.terms[2:])
+    def scaled(alg, js, x, y, u, wanted):
+        table = real(alg, js, x, y, u, wanted)
+        if x == t.h and y == end:
+            key = (0, 1)
+        elif x == end and y is None:
+            key = (0, 0)
+        else:
+            return table
+        return {**table, 1: {**table[1], key: table[1][key].scale(2)}}
 
-    monkeypatch.setattr(invariants_module, "taylor_terms", scaled)
+    monkeypatch.setattr(invariants_module, "_line_table", scaled)
     with pytest.raises(IdentityError, match=re.escape(message + ": ladder broken")):
         sl2_vectors(alg, t)
-
 
 
 @pytest.mark.parametrize(
@@ -365,42 +371,55 @@ def test_sl2_vectors_refuse_a_scaled_ladder_term(monkeypatch, ladder, message):
     ],
 )
 def test_sl2_vectors_refuse_a_wrong_eigenvalue_or_pumping(monkeypatch, ladder, edit, message):
-    # adding the ladder's own element to term 0 of P_1's expansion moves it
-    # off the 0-eigenspace of ad(h); doubling every term of the v ladder
-    # keeps each step and eigenvalue but breaks the pumping to P(e).  The
-    # endpoint values taylor_terms checks are left alone
+    # adding the ladder's own element to term 0 of P_1's expansion along
+    # h + s e or h + s f moves it off the 0-eigenspace of ad(h); doubling
+    # every term of the v ladder keeps each step and eigenvalue but breaks
+    # the pumping to P(e).  The edits go into the line as _line_table returns
+    # it.  While the endpoint checks hold, term 0 of both lines is P_1(h) and
+    # term m of h + s e is P_1(e), so these relations follow from the ones
+    # checked before them; the endpoint checks are turned off to reach them
     import nilab.invariants as invariants_module
 
     alg = build_algebra("A", 2)
     t = principal_triplet(alg)
-    real = invariants_module.taylor_terms
+    sl2_vectors(alg, t)
+    real = invariants_module._line_table
+    end = getattr(t, ladder)
 
-    def edited(alg, j, x, y):
-        terms = real(alg, j, x, y)
-        if j != 1 or y != getattr(t, ladder):
-            return terms
+    def edited(alg, js, x, y, u, wanted):
+        table = real(alg, js, x, y, u, wanted)
+        if not (x == t.h and y == end):
+            return table
+        terms = table[1]
         if edit == "shift":
-            return rebuilt(terms, terms=(terms.terms[0] + y,) + terms.terms[1:])
-        return rebuilt(terms, terms=tuple(term.scale(2) for term in terms.terms))
+            terms = {**terms, (0, 0): terms[(0, 0)] + y}
+        else:
+            terms = {key: term.scale(2) for key, term in terms.items()}
+        return {**table, 1: terms}
 
-    monkeypatch.setattr(invariants_module, "taylor_terms", edited)
+    monkeypatch.setattr(invariants_module, "_line_table", edited)
+    monkeypatch.setattr(invariants_module, "_check_endpoints", lambda terms, px, py: None)
     with pytest.raises(IdentityError, match=re.escape(message)):
         sl2_vectors(alg, t)
 
 
 def test_kostant_independence_refuses_dependent_gradients(monkeypatch):
-    # with P_2(e) replaced by 0 the gradients span a line, and the report's
-    # failing item is raised by name
+    # with P_2(e) replaced by 0 in the one evaluation at e the gradients span
+    # a line, and the report's failing item is raised by name
     import nilab.invariants as invariants_module
 
     alg = build_algebra("A", 2)
     t = principal_triplet(alg)
-    real = invariants_module._gradient_raw
+    kostant_independence(alg, t)
+    real = invariants_module._line_table
 
-    def dependent(alg, j, x):
-        return alg.zero() if j == 2 else real(alg, j, x)
+    def dependent(alg, js, x, y, u, wanted):
+        table = real(alg, js, x, y, u, wanted)
+        if x == t.e and y is None:
+            table = {**table, 2: {**table[2], (0, 0): alg.zero()}}
+        return table
 
-    monkeypatch.setattr(invariants_module, "_gradient_raw", dependent)
+    monkeypatch.setattr(invariants_module, "_line_table", dependent)
     with pytest.raises(IdentityError, match="^independent$"):
         kostant_independence(alg, t)
 
@@ -730,32 +749,103 @@ def test_field_identity_suite_matches_the_per_generator_reference(family, rank, 
 def test_field_identity_suite_evaluates_each_line_once_for_every_generator(
     monkeypatch, family, rank
 ):
-    # eight lines per sample cover every generator; P at x + (m + 1) y adds
-    # one call per distinct exponent m, covering the generators of that m
+    # five lines per sample, in this order, cover every generator:
+    # x + s [y, x], x + s y + t [z, x], x + s y + t [z, y], y + s x and the
+    # moved point Ad(exp n) x alone; P at x + (m + 1) y adds one call per
+    # distinct exponent m, ascending, covering the generators of that m
     import nilab.invariants as invariants_module
 
     calls = []
     real = invariants_module._line_table
 
-    def counting(alg, js, *args):
-        calls.append(tuple(js))
-        return real(alg, js, *args)
+    def counting(alg, js, x, y, u, wanted):
+        calls.append((tuple(js), x, y, u))
+        return real(alg, js, x, y, u, wanted)
 
     monkeypatch.setattr(invariants_module, "_line_table", counting)
     alg = build_algebra(family, rank)
     samples = list(make_samples(alg, 2, 0))
     assert all(report.passed for report in verify_field_identities(alg, samples))
     every = tuple(gen.index_j for gen in generators(alg))
-    groups = sorted(
-        tuple(gen.index_j for gen in generators(alg) if gen.exponent == m)
-        for m in set(alg.exponents)
-    )
-    assert len(calls) == len(samples) * (8 + len(groups))
-    per_sample = len(calls) // len(samples)
-    for start in range(0, len(calls), per_sample):
+    groups = [
+        (m, tuple(gen.index_j for gen in generators(alg) if gen.exponent == m))
+        for m in sorted(set(alg.exponents))
+    ]
+    per_sample = 5 + len(groups)
+    assert len(calls) == len(samples) * per_sample
+    for sample, start in zip(samples, range(0, len(calls), per_sample)):
+        x, y, z = sample.x, sample.y, sample.z
+        lines = [
+            (x, bracket(y, x), None),
+            (x, y, bracket(z, x)),
+            (x, y, bracket(z, y)),
+            (y, x, None),
+            (sample.moved, None, None),
+        ]
         block = calls[start : start + per_sample]
-        assert sorted(js for js in block if js != every) == [g for g in groups if g != every]
-        assert block.count(every) == 8 + (every in groups)
+        assert block[:5] == [(every, *line) for line in lines]
+        assert block[5:] == [(js, x + y.scale(m + 1), None, None) for m, js in groups]
+
+
+@pytest.mark.parametrize(
+    "line,failure",
+    [
+        ("x + s y + t [z, x]", "constant Taylor term is not P(x)"),
+        ("x + s y + t [z, y]", "top Taylor term is not P(y)"),
+        ("moved point", None),
+    ],
+)
+def test_field_identity_suite_checks_each_value_against_another_line(monkeypatch, line, failure):
+    # P(x) is read off x + s [y, x] and P(y) off x + s y + t [z, y], not off
+    # the Taylor lines whose endpoints they are checked against: a wrong
+    # constant term of x + s y + t [z, x] (the Taylor term tx[0]) or a wrong
+    # top term s^m of x + s y + t [z, y] (P(y)) is an endpoint failure,
+    # recorded as a sample error after the pairing and equivariance items;
+    # a wrong P at the moved point fails unipotent invariance alone
+    import nilab.invariants as invariants_module
+
+    alg = build_algebra("B", 2)
+    samples = list(make_samples(alg, 2, 0))
+    real = invariants_module._line_table
+    extra = alg.basis_element(0)
+
+    def target(sample):
+        if line == "x + s y + t [z, x]":
+            return (sample.x, sample.y, bracket(sample.z, sample.x)), lambda key: key == (0, 0)
+        if line == "x + s y + t [z, y]":
+            return (sample.x, sample.y, bracket(sample.z, sample.y)), lambda key: key[0] == 0
+        return (sample.moved, None, None), lambda key: True
+
+    targets = [target(sample) for sample in samples]
+
+    def corrupted(alg, js, x, y, u, wanted):
+        table = real(alg, js, x, y, u, wanted)
+        for point, hit in targets:
+            if (x, y, u) == point:
+                return {
+                    j: {key: term + extra if hit(key) else term for key, term in terms.items()}
+                    for j, terms in table.items()
+                }
+        return table
+
+    monkeypatch.setattr(invariants_module, "_line_table", corrupted)
+    for report in verify_field_identities(alg, samples):
+        failures = [item.to_dict() for item in report.failures()]
+        if failure is None:
+            assert failures == [
+                {"name": f"unipotent-invariance[{idx}]", "pass": False} for idx in range(2)
+            ]
+            assert len(report.items) == 2 * 7
+            continue
+        assert failures == [
+            {"name": f"sample-error[{idx}]", "pass": False, "details": failure} for idx in range(2)
+        ]
+        names = [item.name for item in report.items]
+        assert names == [
+            f"{name}[{idx}]"
+            for idx in range(2)
+            for name in ("gradient-pairing", "equivariance", "sample-error")
+        ]
 
 
 @pytest.mark.parametrize("line", ["taylor-y-to-x", "reconstruction-m3"])
@@ -819,27 +909,34 @@ def test_field_identity_suite_builds_one_center_per_sample(monkeypatch):
 @pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
 def test_pairing_oracle_builds_each_point_once_per_sample(monkeypatch, family, rank):
     # the points x + t y, t = 0..max degree, are evaluated once per sample
-    # for every generator, and each p_j is still interpolated at its own
-    # t = 0..deg_j: the pairing values equal the per-generator oracle
+    # for every generator, as the integer rows dy X + t dx Y over dx dy, and
+    # each p_j is still read at its own t = 0..deg_j: the pairing values
+    # equal the per-generator oracle.  No interpolation runs on the way
     import nilab.invariants as invariants_module
+    import nilab.linalg as linalg_module
 
     alg = build_algebra(family, rank)
     gens = generators(alg)
     samples = list(make_samples(alg, 2, 0))
     calls = []
-    real = invariants_module._values
+    real = invariants_module._integer_values
 
-    def counting(alg, x, chosen):
-        calls.append((x, tuple(gen.index_j for gen in chosen)))
-        return real(alg, x, chosen)
+    def counting(alg, rows, chosen):
+        calls.append((rows, tuple(gen.index_j for gen in chosen)))
+        return real(alg, rows, chosen)
 
-    monkeypatch.setattr(invariants_module, "_values", counting)
+    def no_interpolation(*args):
+        raise AssertionError("verify interpolated")
+
+    monkeypatch.setattr(invariants_module, "_integer_values", counting)
+    monkeypatch.setattr(linalg_module, "interpolate_vector_poly", no_interpolation)
     assert all(report.passed for report in verify_field_identities(alg, samples))
     top = max(gen.degree for gen in gens)
     assert len(calls) == len(samples) * (top + 1)
     for sample, start in zip(samples, range(0, len(calls), top + 1)):
-        for t, (x, js) in enumerate(calls[start : start + top + 1]):
-            assert x == sample.x + sample.y.scale(t)
+        den = sample.x.int_rows()[1] * sample.y.int_rows()[1]
+        for t, (rows, js) in enumerate(calls[start : start + top + 1]):
+            assert alg.coords_of_rows(rows, den) == sample.x + sample.y.scale(t)
             assert js == tuple(gen.index_j for gen in gens if gen.degree >= t)
     monkeypatch.undo()
     x, y = samples[0].x, samples[0].y
@@ -853,15 +950,17 @@ def test_pairing_oracle_failure_is_a_sample_error_in_every_report(monkeypatch):
 
     alg = build_algebra("D", 4)
     samples = list(make_samples(alg, 3, 0))
-    bad = samples[1].x + samples[1].y.scale(5)  # a point read by degree 6 only
-    real = invariants_module._values
+    (xr, dx), (yr, dy) = samples[1].x.int_rows(), samples[1].y.int_rows()
+    # the rows of x + 5 y over dx dy, a point read by degree 6 only
+    bad = [[dy * a + 5 * dx * b for a, b in zip(p, q)] for p, q in zip(xr, yr)]
+    real = invariants_module._integer_values
 
-    def failing(alg, x, chosen):
-        if x == bad:
+    def failing(alg, rows, chosen):
+        if rows == bad:
             raise ContractError("injected oracle failure")
-        return real(alg, x, chosen)
+        return real(alg, rows, chosen)
 
-    monkeypatch.setattr(invariants_module, "_values", failing)
+    monkeypatch.setattr(invariants_module, "_integer_values", failing)
     error = {"name": "sample-error[1]", "pass": False, "details": "injected oracle failure"}
     for report in verify_field_identities(alg, samples):
         names = [item.name for item in report.items]
